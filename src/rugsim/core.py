@@ -296,14 +296,25 @@ class BlockTime:
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash; also used for trace fingerprints."""
+    """64-bit FNV-1a hash; also used for trace fingerprints.
+
+    Bytes are folded in groups of eight with one 64-bit mask per group:
+    XOR with a byte touches only the low 8 bits and the product only
+    matters mod 2**64, so masking late gives the per-byte result exactly.
+    """
     h = state
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    group = iter(data)
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(group, group, group, group,
+                                              group, group, group, group):
+        h = ((((((((((((((((h ^ b0) * FNV_PRIME) ^ b1) * FNV_PRIME) ^ b2) * FNV_PRIME)
+                   ^ b3) * FNV_PRIME) ^ b4) * FNV_PRIME) ^ b5) * FNV_PRIME)
+               ^ b6) * FNV_PRIME) ^ b7) * FNV_PRIME) & _MASK64
+    for byte in data[len(data) & ~7:]:
+        h = ((h ^ byte) * FNV_PRIME) & _MASK64
     return h
 
 

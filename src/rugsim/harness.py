@@ -311,18 +311,16 @@ class Simulation:
             return pool.reserve_x
         return pool.reserve_y
 
-    def _record_ledger_event(self, event: dict) -> None:
+    def _record_ledger_event(self, event: dict, amount: FixedAmount) -> None:
         event["h"] = self.height
         event["chain"] = self._chain_ctx
         self.trace.record(event)
         if event["type"] == "mint":
             token = event["token"]
-            self._mint_totals[token] = \
-                self._mint_totals.get(token, ZERO) + amt(event["amount"])
+            self._mint_totals[token] = self._mint_totals.get(token, ZERO) + amount
         elif event["type"] == "transfer":
             key = (event["src"], event["token"])
-            self._outflow_totals[key] = \
-                self._outflow_totals.get(key, ZERO) + amt(event["amount"])
+            self._outflow_totals[key] = self._outflow_totals.get(key, ZERO) + amount
 
     def _event(self, event_type: str, **payload: Any) -> None:
         event = {"type": event_type, "h": self.height, "chain": self._chain_ctx}
@@ -1110,8 +1108,7 @@ class Simulation:
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
         target = tokenomics.target_supply(report.sum_vaulted_value,
                                           self.supply_params.s0)
-        burned = tokenomics.burn_step(self.supply, self.supply_params,
-                                      report.sum_vaulted_value,
+        burned = tokenomics.burn_step(self.supply, self.supply_params, target,
                                       available=treasury_held)
         if burned.raw > 0:
             self.ledger.burn(TREASURY, HOME_TOKEN, burned, memo="supply-burn")

@@ -17,7 +17,9 @@ class BalanceError(RugsimError):
     """An account lacks the funds for a debit."""
 
 
-EventRecorder = Callable[[dict], None]
+# receives each movement's event and its amount (the event carries the
+# amount as a decimal string; the recorder gets the value itself)
+EventRecorder = Callable[[dict, FixedAmount], None]
 
 
 class Ledger:
@@ -26,9 +28,9 @@ class Ledger:
         self._supply: dict[TokenId, FixedAmount] = {}
         self.recorder = recorder
 
-    def _record(self, event: dict) -> None:
+    def _record(self, event: dict, amount: FixedAmount) -> None:
         if self.recorder is not None:
-            self.recorder(event)
+            self.recorder(event, amount)
 
     def balance(self, account: str, token: TokenId) -> FixedAmount:
         return self._balances.get((account, token), ZERO)
@@ -47,7 +49,7 @@ class Ledger:
         self._balances[(account, token)] = self.balance(account, token) + amount
         self._supply[token] = self.total_supply(token) + amount
         self._record({"type": "mint", "account": account, "token": token,
-                      "amount": str(amount), "memo": memo})
+                      "amount": str(amount), "memo": memo}, amount)
 
     def burn(self, account: str, token: TokenId, amount: FixedAmount, memo: str = "") -> None:
         if amount.raw < 0:
@@ -60,7 +62,7 @@ class Ledger:
         self._balances[(account, token)] = bal - amount
         self._supply[token] = self.total_supply(token) - amount
         self._record({"type": "burn", "account": account, "token": token,
-                      "amount": str(amount), "memo": memo})
+                      "amount": str(amount), "memo": memo}, amount)
 
     def transfer(self, src: str, dst: str, token: TokenId, amount: FixedAmount,
                  memo: str = "") -> None:
@@ -74,7 +76,7 @@ class Ledger:
         self._balances[(src, token)] = bal - amount
         self._balances[(dst, token)] = self.balance(dst, token) + amount
         self._record({"type": "transfer", "src": src, "dst": dst, "token": token,
-                      "amount": str(amount), "memo": memo})
+                      "amount": str(amount), "memo": memo}, amount)
 
     def check_conservation(self) -> None:
         """Assert sum of balances == recorded supply for every token."""

@@ -90,13 +90,12 @@ def block_emission(epsilon_rate: FixedAmount, blocks: int) -> FixedAmount:
     return epsilon_rate * blocks
 
 
-def burn_step(state: SupplyState, params: SupplyParams,
-              sum_vaulted_value: FixedAmount,
+def burn_step(state: SupplyState, params: SupplyParams, target: FixedAmount,
               available: FixedAmount | None = None) -> FixedAmount:
-    """One-sided controller step: burn kappa * excess over target, capped
-    at beta_burn (and at `available`, the burnable treasury holding, when
-    given). Never un-burns when supply is below target."""
-    target = target_supply(sum_vaulted_value, params.s0)
+    """One-sided controller step: burn kappa * excess over `target` (the
+    block's `target_supply`), capped at beta_burn (and at `available`, the
+    burnable treasury holding, when given). Never un-burns when supply is
+    below target."""
     excess = state.current_supply - target
     if excess.raw <= 0:
         return ZERO

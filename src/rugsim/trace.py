@@ -13,7 +13,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import FNV_OFFSET, FixedAmount, ZERO, amt, fnv1a_64
 
@@ -36,23 +36,39 @@ class Trace:
     initial_balances: dict = field(default_factory=dict)
     final_state: dict = field(default_factory=dict)
     failed_events: int = 0
+    # (len(events), hex digest) of the last hash pass; a later record()
+    # changes the length, so a stale digest is never returned
+    _digest: Optional[tuple[int, str]] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def record(self, event: dict) -> None:
         self.events.append(event)
         if event.get("type") == "failed":
             self.failed_events += 1
 
-    def trace_hash(self) -> str:
+    def _hash_events(self, sink: Optional[Callable[[bytes], object]] = None) -> str:
+        """One pass over the events: each canonical line's exact bytes go
+        to ``sink`` (when given) and into the FNV-1a state. Caches the
+        digest."""
         state = FNV_OFFSET
         for event in self.events:
-            state = fnv1a_64(canonical_line(event).encode("utf-8") + b"\n", state)
-        return f"{state:016x}"
+            line = (canonical_line(event) + "\n").encode("utf-8")
+            if sink is not None:
+                sink(line)
+            state = fnv1a_64(line, state)
+        digest = f"{state:016x}"
+        self._digest = (len(self.events), digest)
+        return digest
+
+    def trace_hash(self) -> str:
+        if self._digest is not None and self._digest[0] == len(self.events):
+            return self._digest[1]
+        return self._hash_events()
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, EVENTS_FILE), "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(canonical_line(event) + "\n")
+        with open(os.path.join(out_dir, EVENTS_FILE), "wb") as handle:
+            digest = self._hash_events(handle.write)
         with open(os.path.join(out_dir, TELEMETRY_FILE), "w", encoding="utf-8",
                   newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=TELEMETRY_COLUMNS)
@@ -61,12 +77,12 @@ class Trace:
                 writer.writerow(row)
         state = dict(self.final_state)
         state["initial_balances"] = self.initial_balances
-        state["trace_hash"] = self.trace_hash()
+        state["trace_hash"] = digest
         with open(os.path.join(out_dir, STATE_FILE), "w", encoding="utf-8") as handle:
             json.dump(state, handle, indent=2, sort_keys=True)
             handle.write("\n")
         with open(os.path.join(out_dir, HASH_FILE), "w", encoding="utf-8") as handle:
-            handle.write(self.trace_hash() + "\n")
+            handle.write(digest + "\n")
 
 
 @dataclass
@@ -128,19 +144,19 @@ def verify_trace(trace_dir: str) -> VerifyResult:
         if not os.path.exists(path):
             return VerifyResult(False, error=f"missing {name}")
 
+    # the file's bytes are hashed exactly as stored: a blank line or a
+    # rewritten line ending changes the hash
     events = []
     state = FNV_OFFSET
-    with open(paths[EVENTS_FILE], "r", encoding="utf-8") as handle:
+    with open(paths[EVENTS_FILE], "rb") as handle:
         for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            state = fnv1a_64(line.encode("utf-8") + b"\n", state)
+            state = fnv1a_64(line, state)
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
+                events.append(json.loads(line.decode("utf-8")))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                text = line.decode("utf-8", "replace").rstrip("\n")
                 return VerifyResult(False, error="malformed event line",
-                                    first_violation=line)
+                                    first_violation=text)
     recomputed = f"{state:016x}"
 
     with open(paths[HASH_FILE], "r", encoding="utf-8") as handle:

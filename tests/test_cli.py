@@ -69,6 +69,17 @@ def test_verify_detects_edited_event(tmp_path):
     assert main(["verify", "--trace", str(out)]) == 4
 
 
+def test_verify_rejects_blank_lines_and_crlf(tmp_path):
+    path = write_scenario(tmp_path, reference_scenario(blocks=50))
+    for name, rewrite in (("blank", lambda data: data.replace(b"\n", b"\n\n", 3)),
+                          ("crlf", lambda data: data.replace(b"\n", b"\r\n"))):
+        out = tmp_path / name
+        assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+        events_path = out / "events.jsonl"
+        events_path.write_bytes(rewrite(events_path.read_bytes()))
+        assert main(["verify", "--trace", str(out)]) == 4, name
+
+
 def test_figures_are_bit_identical(tmp_path):
     for which in ("peg", "supply", "whale", "cumulative"):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

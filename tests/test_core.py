@@ -143,6 +143,35 @@ def test_fnv1a_is_stable():
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
 
 
+def fnv1a_per_byte(data: bytes, state: int) -> int:
+    """The textbook FNV-1a loop: mask after every byte."""
+    for byte in data:
+        state = ((state ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return state
+
+
+def test_fnv1a_unrolled_matches_per_byte_loop_at_every_length():
+    assert fnv1a_per_byte(b"", 0xCBF29CE484222325) == 0xCBF29CE484222325
+    assert fnv1a_per_byte(b"a", 0xCBF29CE484222325) == 0xAF63DC4C8601EC8C
+    data = bytes((37 * i + 255) % 256 for i in range(40))
+    for length in range(41):
+        for state in (0, 0xCBF29CE484222325, 2**64 - 1):
+            assert fnv1a_64(data[:length], state) == fnv1a_per_byte(data[:length], state)
+
+
+@given(st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**64 - 1))
+def test_fnv1a_unrolled_matches_per_byte_loop(chunks, state):
+    # every length 0..40 hits each remainder of the 8-byte groups; the
+    # state is chained through the chunks as the trace writer chains lines
+    expected = got = state
+    for chunk in chunks:
+        expected = fnv1a_per_byte(chunk, expected)
+        got = fnv1a_64(chunk, got)
+        assert got == expected
+    assert fnv1a_64(b"".join(chunks), state) == expected
+
+
 def test_substreams_are_independent():
     rng = SeededRng(42)
     first = [rng.stream("a").random() for _ in range(3)]

@@ -58,21 +58,23 @@ def test_block_emission():
 def test_burn_step_controller():
     params = mk_params(s0=1000, kappa="0.5")
     # vaulted value e^1 -> target 1000; at setpoint: no burn
+    target = target_supply(safe_exp(amt(1)), params.s0)
     at_target = SupplyState(current_supply=amt(1000))
-    assert burn_step(at_target, params, safe_exp(amt(1))) == amt(0)
+    assert burn_step(at_target, params, target) == amt(0)
     # 100 over target, kappa 0.5 -> burn 50
     over = SupplyState(current_supply=amt(1100))
-    assert burn_step(over, params, safe_exp(amt(1))) == amt(50)
+    assert burn_step(over, params, target) == amt(50)
     assert over.current_supply == amt(1050)
     # below target: one-sided, never un-burns
     under = SupplyState(current_supply=amt(900))
-    assert burn_step(under, params, safe_exp(amt(1))) == amt(0)
+    assert burn_step(under, params, target) == amt(0)
 
 
 def test_burn_step_respects_cap():
     params = mk_params(s0=1000, kappa="1", cap="10")
     state = SupplyState(current_supply=amt(5000))
-    assert burn_step(state, params, safe_exp(amt(1))) == amt(10)
+    target = target_supply(safe_exp(amt(1)), params.s0)
+    assert burn_step(state, params, target) == amt(10)
 
 
 def test_rewards_linear_and_ordered():
@@ -136,13 +138,13 @@ def test_market_potential():
 def test_supply_identity_over_steps():
     params = mk_params(s0=100, eps="5", kappa="0.25")
     state = SupplyState(current_supply=amt(500))
-    vaulted = safe_exp(amt(2))  # target 50
+    target = target_supply(safe_exp(amt(2)), params.s0)  # 50
     for height in range(1, 50):
         state.begin_block(height)
         before = state.current_supply
         emission = block_emission(params.epsilon_rate, 1)
         state.record_mint(emission)
-        burned = burn_step(state, params, vaulted)
+        burned = burn_step(state, params, target)
         assert state.current_supply == before + emission - burned
         assert state.block_minted == emission
         assert state.block_burned == burned

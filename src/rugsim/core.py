@@ -3,10 +3,13 @@ simulated block time, and seeded randomness.
 
 Every monetary quantity in the simulator is a ``FixedAmount``: an integer
 count of 1e-9 units. Addition and subtraction are exact; multiplication and
-division round half-to-even at the 1e-9 quantum. Transcendentals (ln, exp,
+division round half-to-even at the 1e-9 quantum. Transcendentals (exp,
 powers) are evaluated with the ``decimal`` module at 40 significant digits
-and then quantized, so results are bit-identical across platforms -- no
-libm involved anywhere.
+and then quantized. ``ln`` is an exact integer kernel: 128-bit fixed point,
+rounded straight to the quantum, with the 40-digit ``decimal`` expression
+as its fallback when the fixed-point value is too close to a rounding
+boundary to decide; it returns what that expression returns, bit for bit.
+Results are bit-identical across platforms -- no libm involved anywhere.
 """
 
 from __future__ import annotations
@@ -91,11 +94,7 @@ class FixedAmount:
 
     @classmethod
     def parse(cls, text: str) -> "FixedAmount":
-        try:
-            dec = Decimal(text)
-        except Exception:
-            raise ParameterError(f"not a decimal literal: {text!r}") from None
-        return quantize(Fraction(dec))
+        return FixedAmount(_parse_raw(text))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.raw, SCALE)
@@ -201,6 +200,23 @@ def quantize(value: AmountLike) -> FixedAmount:
     raise TypeError(f"cannot quantize {type(value).__name__}")
 
 
+@lru_cache(maxsize=1024)
+def _parse_raw(text: str) -> int:
+    """Raw quanta of a decimal literal; scenario literals are re-read every
+    block, so each is parsed once. Errors are raised, never cached."""
+    try:
+        dec = Decimal(text)
+    except Exception:
+        raise ParameterError(f"not a decimal literal: {text!r}") from None
+    if not dec.is_finite():
+        raise ParameterError(f"not a finite decimal literal: {text!r}")
+    if dec.adjusted() > 18:
+        # at least 1e19 units, past MAX_RAW: refused before a huge exponent
+        # builds a huge int (or one too long for the error message's str)
+        raise RangeError(f"fixed-point overflow: {text!r}")
+    return quantize(Fraction(dec)).raw
+
+
 def amt(value: AmountLike) -> FixedAmount:
     """Shorthand constructor, accepted everywhere an amount is expected."""
     return quantize(value)
@@ -211,8 +227,88 @@ def _from_context_decimal(d: Decimal) -> FixedAmount:
     return FixedAmount(raw)
 
 
+# -- ln: integer kernel -------------------------------------------------
+#
+# ln(raw * 1e-9) = e*ln(2) + ln(1 + j/64) + 2*atanh(t), with 2**e and the
+# table entry 1 + j/64 chosen so that 0 <= t < 1/129, in fixed point with
+# _LN_BITS fractional bits. Ziv's rounding test decides whether the fixed
+# point value, within its error bound, rounds to one quantum; otherwise
+# the 40-digit decimal expression answers.
+
+_LN_BITS = 128
+_LN_ONE = 1 << _LN_BITS
+_LN_TABLE_GUARD = 32  # extra bits while the table is summed
+
+
+def _atanh_inv(m: int, bits: int) -> int:
+    """atanh(1/m) * 2**bits for an integer m > 1, low by less than one
+    unit per series term."""
+    power = (1 << bits) // m
+    total = power
+    m2 = m * m
+    k = 3
+    while power:
+        power //= m2
+        total += power // k
+        k += 2
+    return total
+
+
+def _ln_table() -> list[int]:
+    """ln(1 + j/64) * 2**_LN_BITS for j = 0..64, each within one unit:
+    ln((64+j)/64) is summed from ln((64+i)/(63+i)) = 2*atanh(1/(127+2i))
+    with guard bits, then rounded."""
+    bits = _LN_BITS + _LN_TABLE_GUARD
+    half = 1 << (_LN_TABLE_GUARD - 1)
+    table, acc = [0], 0
+    for i in range(1, 65):
+        acc += 2 * _atanh_inv(127 + 2 * i, bits)
+        table.append((acc + half) >> _LN_TABLE_GUARD)
+    return table
+
+
+_LN_TABLE = _ln_table()
+_LN2 = _LN_TABLE[64]  # ln(128/64)
+
+# Error bound, in units of 2**-_LN_BITS of 1e-9, between the kernel's scaled
+# value and the value the decimal expression rounds last. For 0 < raw <=
+# MAX_RAW, 2**-30 < x < 2**60, so |e| <= 60 and the fixed-point ln is off by
+# less than 60 (e * ln 2) + 1 (table) + 46 (2 * atanh: < 1.001 for t's
+# truncation, < 2 per series term over at most 10 terms, < 1 for the tail)
+# < 128 units, i.e. 128 * SCALE once scaled to the quantum. The decimal
+# expression rounds ln to 40 digits (< 1e-29 of a quantum, |ln x| < 100)
+# and then to the default context's 28 digits in scaleb (< 5e-18 of a
+# quantum, |ln x| * 1e9 < 1e11): together below 2**-57 of a quantum.
+_LN_MARGIN = 128 * SCALE + (_LN_ONE >> 57)
+
+
 @lru_cache(maxsize=4096)
 def _ln_raw(raw: int) -> int:
+    """round(ln(raw * 1e-9) / 1e-9), exactly as the 40-digit decimal
+    expression below rounds it, which also serves any raw outside
+    (0, MAX_RAW] and any result too close to a half-quantum to decide."""
+    if 0 < raw <= MAX_RAW:
+        # 2**e * 1e-9 <= raw * 1e-9 < 2**(e+1) * 1e-9, held as num/den
+        e = raw.bit_length() - 30
+        num, den = (raw, SCALE << e) if e >= 0 else (raw << -e, SCALE)
+        if num < den:
+            e -= 1
+            num <<= 1
+        a = num << 6
+        j = a // den - 64
+        b = (64 + j) * den
+        t = ((a - b) << _LN_BITS) // (a + b)
+        t2 = (t * t) >> _LN_BITS
+        series, power, k = t, t, 3
+        while power:
+            power = (power * t2) >> _LN_BITS
+            series += power // k
+            k += 2
+        fixed = e * _LN2 + _LN_TABLE[j] + 2 * series
+        scaled = fixed * SCALE + (_LN_ONE >> 1)
+        rest = scaled & (_LN_ONE - 1)
+        if _LN_MARGIN < rest < _LN_ONE - _LN_MARGIN:
+            return scaled >> _LN_BITS
     d = _EXT.ln(Decimal(raw).scaleb(-9))
     return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
 

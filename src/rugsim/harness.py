@@ -128,6 +128,8 @@ class Simulation:
         self.monitors: dict[str, PoolMonitor] = {}
         self.aux_monitors: dict[str, AuxMonitor] = {}
         self.agents: list[Agent] = []
+        # agents of each kind, in self.agents order; filled at materialize
+        self.agents_by_kind: dict[str, list[Agent]] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
         self.bridge: list[tuple[int, dict]] = []
@@ -265,6 +267,8 @@ class Simulation:
                 params={k: v for k, v in entry.items()
                         if k not in ("kind", "account", "script")},
                 script=_script_index(entry.get("script", []))))
+        for agent in self.agents:
+            self.agents_by_kind.setdefault(agent.kind, []).append(agent)
 
         for entry in sc.intents:
             self._register_intent(entry)
@@ -428,8 +432,8 @@ class Simulation:
 
     def _phase_detection(self, chain: str, height: int) -> None:
         numeraire = self.scenario.numeraire
-        detectors = [a for a in self.agents if a.kind == "detector"]
-        creators = [a for a in self.agents if a.kind == "creator"]
+        detectors = self.agents_by_kind.get("detector", [])
+        creators = self.agents_by_kind.get("creator", [])
 
         for pool_id, monitor in self.monitors.items():
             if self.pool_chain[pool_id] != chain:
@@ -547,7 +551,7 @@ class Simulation:
                                    "cap": amt(det.params.get("backrun_cap", 0))})
 
         # intents
-        solvers = [a for a in self.agents if a.kind == "solver"]
+        solvers = self.agents_by_kind.get("solver", [])
         bids = [SolverBid(a.account, int(a.params.get("fee_bps", 0)))
                 for a in sorted(solvers, key=lambda a: a.account.value)]
         chain_prices = {t: p for t, p in self.prices.items()
@@ -564,7 +568,7 @@ class Simulation:
                           "intent", {"execution": execution})
 
         # peg keeper planning
-        for keeper in (a for a in self.agents if a.kind == "pegkeeper"):
+        for keeper in self.agents_by_kind.get("pegkeeper", []):
             pool_id = keeper.params.get("pool")
             if pool_id is None or self.pool_chain.get(pool_id) != chain:
                 continue
@@ -1008,7 +1012,7 @@ class Simulation:
     # -- perps, disputes, bridge, tokenomics phases -------------------------------
 
     def _phase_perps(self, chain: str, at: BlockTime) -> None:
-        liquidators = sorted((a for a in self.agents if a.kind == "liquidator"),
+        liquidators = sorted(self.agents_by_kind.get("liquidator", []),
                              key=lambda a: a.account.value)
         for vault_id, book in self.perp_books.items():
             if self.vault_chain[vault_id] != chain:

@@ -21,13 +21,16 @@ from .core import (
     DustError,
     FixedAmount,
     IlliquidError,
+    MAX_RAW,
     ParameterError,
     PoolId,
     QUANTUM,
+    RangeError,
     RugsimError,
     SCALE,
     TokenId,
     ZERO,
+    _div_round_half_even,
     _from_context_decimal,
     amt,
 )
@@ -166,6 +169,13 @@ def spot_price(pool: PoolState) -> FixedAmount:
     return pool.reserve_y / pool.reserve_x
 
 
+def _swap_output_raw(r_in: int, r_out: int, dx: int, fee_bps: int) -> int:
+    """dy = r_out * dx_eff / (r_in + dx_eff) in raw quanta, exact rational,
+    floored; dx_eff is dx less the fee."""
+    eff_num = dx * (10000 - fee_bps)            # dx_eff * 10000, in raw units
+    return (r_out * eff_num) // (r_in * 10000 + eff_num)
+
+
 def pool_swap(pool: PoolState, input_token: TokenId,
               dx: FixedAmount) -> tuple[FixedAmount, PoolState]:
     """Swap dx of input_token in, returning (dy out, new pool state).
@@ -181,9 +191,7 @@ def pool_swap(pool: PoolState, input_token: TokenId,
     if r_in.raw <= QUANTUM.raw or r_out.raw <= QUANTUM.raw:
         raise IlliquidError(f"pool {pool.pool_id} is drained")
 
-    # dy = r_out * dx_eff / (r_in + dx_eff), exact rational, floored
-    eff_num = dx.raw * (10000 - pool.fee_bps)            # dx_eff * 10000, in raw units
-    dy_raw = (r_out.raw * eff_num) // (r_in.raw * 10000 + eff_num)
+    dy_raw = _swap_output_raw(r_in.raw, r_out.raw, dx.raw, pool.fee_bps)
     if dy_raw <= 0:
         raise DustError(f"swap of {dx} produces no output at the quantum")
     dy = FixedAmount(dy_raw)
@@ -342,14 +350,33 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
     if abs(gap) <= band:
         return None
     input_token = pool.token_x if gap.raw > 0 else pool.token_y
+    x_in = input_token == pool.token_x
+    r_in = pool.reserve_of(input_token).raw
+    r_out = pool.reserve_of(pool.other(input_token)).raw
+    volume_in = (pool.volume_x if x_in else pool.volume_y).raw
+    illiquid = r_in <= QUANTUM.raw or r_out <= QUANTUM.raw
+    fee_bps = pool.fee_bps
+    above, peg_raw, band_raw = gap.raw > 0, peg_value.raw, band.raw
 
     def crosses(amount_raw: int) -> bool:
-        try:
-            _, p = pool_swap(pool, input_token, FixedAmount(amount_raw))
-        except (DustError, IlliquidError):
+        # pool_swap then spot_price, in raw integers: an illiquid pool or a
+        # dust output is no crossing; a reserve, volume or spot past
+        # MAX_RAW raises the RangeError their FixedAmount would
+        if illiquid:
             return False
-        new_gap = spot_price(p) - peg_value
-        return (new_gap.raw > 0) != (gap.raw > 0) and abs(new_gap) > band
+        dy_raw = _swap_output_raw(r_in, r_out, amount_raw, fee_bps)
+        if dy_raw <= 0:
+            return False
+        new_in = r_in + amount_raw
+        for raw in (new_in, volume_in + amount_raw):
+            if raw > MAX_RAW:
+                raise RangeError(f"fixed-point overflow: raw={raw}")
+        new_x, new_y = (new_in, r_out - dy_raw) if x_in else (r_out - dy_raw, new_in)
+        new_spot = _div_round_half_even(new_y * SCALE, new_x)
+        if new_spot > MAX_RAW:
+            raise RangeError(f"fixed-point overflow: raw={new_spot}")
+        new_gap = new_spot - peg_raw
+        return (new_gap > 0) != above and abs(new_gap) > band_raw
 
     lo, hi = 0, budget.raw
     if crosses(hi):

@@ -25,8 +25,13 @@ HASH_FILE = "hash.txt"
 TELEMETRY_COLUMNS = ("height", "emission", "burned", "current_supply", "target_supply")
 
 
+# json.dumps(..., sort_keys=True, separators=(",", ":")) without building an
+# encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_line(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(event)
 
 
 @dataclass
@@ -110,22 +115,21 @@ def _replay_balances(initial: dict, events: Iterable[dict]) -> tuple[dict, Optio
         kind = event.get("type")
         if kind not in ("mint", "burn", "transfer"):
             continue
-        line = canonical_line(event)
         amount = amt(event["amount"])
         if amount.raw < 0:
-            return balances, line
+            return balances, canonical_line(event)
         token = event["token"]
         if kind == "mint":
             balances[(event["account"], token)] = get(event["account"], token) + amount
         elif kind == "burn":
             holding = get(event["account"], token)
             if holding < amount:
-                return balances, line
+                return balances, canonical_line(event)
             balances[(event["account"], token)] = holding - amount
         else:
             holding = get(event["src"], token)
             if holding < amount:
-                return balances, line
+                return balances, canonical_line(event)
             balances[(event["src"], token)] = holding - amount
             balances[(event["dst"], token)] = get(event["dst"], token) + amount
     return balances, None

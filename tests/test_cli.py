@@ -181,3 +181,13 @@ def test_sweep_lambda_twenty_runs_monotone(tmp_path):
     # bob's whale ratio is below 1, so raising lambda shrinks the surcharge:
     # the summary is monotone decreasing across the whole sweep
     assert all(a > b for a, b in zip(penalties, penalties[1:]))
+
+
+def test_run_non_finite_noise_literal_exits_2(tmp_path, capsys):
+    doc = reference_scenario(blocks=10)
+    noisy = next(agent for agent in doc["agents"] if "noise" in agent)
+    noisy["noise"]["prob"] = "NaN"
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and "'NaN'" in err

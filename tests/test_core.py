@@ -1,16 +1,19 @@
 """Fixed-point arithmetic and transcendental determinism checks against an
 independent mpmath oracle."""
 
+from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rugsim import core
 from rugsim.core import (
     FixedAmount,
     MAX_RAW,
     DomainError,
+    ParameterError,
     RangeError,
     SCALE,
     SeededRng,
@@ -84,6 +87,117 @@ def test_division_by_zero():
 def test_str_parse_roundtrip():
     for text in ("0", "1", "-1.5", "0.000000001", "-0.000000001", "123456.789"):
         assert str(FixedAmount.parse(text)) == text
+
+
+def test_non_finite_literals_are_parameter_errors():
+    for text in ("NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "inf", "nan"):
+        with pytest.raises(ParameterError, match="not a finite decimal literal"):
+            FixedAmount.parse(text)
+        with pytest.raises(ParameterError):
+            amt(text)
+
+
+def test_literals_past_the_range_are_range_errors():
+    # "1e4400" used to escape as ValueError: its raw int was too long to
+    # print in the RangeError message
+    for text in ("1e19", "-1e19", "1e4400", "-1e5000", "1e100000"):
+        with pytest.raises(RangeError, match="fixed-point overflow"):
+            amt(text)
+    assert amt("1e18") == FixedAmount(MAX_RAW)
+    with pytest.raises(RangeError, match="raw="):
+        amt("1000000000000000000.000000001")
+
+
+def test_parse_caches_the_raw_value_not_the_amount():
+    first, second = amt("0.25"), amt("0.25")
+    assert first == second and first is not second
+    first.raw = 0  # a caller mutating its amount must not reach the cache
+    assert amt("0.25").raw == 250_000_000
+    with pytest.raises(ParameterError):
+        amt("1.2.3")
+    with pytest.raises(ParameterError):  # a bad literal fails on every parse
+        amt("1.2.3")
+
+
+def decimal_ln_raw(raw: int) -> int:
+    """The 40-digit decimal expression the integer ln kernel must equal."""
+    d = Context(prec=40, rounding=ROUND_HALF_EVEN).ln(Decimal(raw).scaleb(-9))
+    return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
+
+
+NEAR_EXP = [int(Decimal(k).exp().scaleb(9).to_integral_value()) + d
+            for k in range(-20, 42) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.integers(min_value=1, max_value=MAX_RAW),
+                 st.integers(min_value=1, max_value=10**12),
+                 st.sampled_from([1 << k for k in range(90) if 1 << k <= MAX_RAW]),
+                 st.sampled_from(NEAR_EXP)))
+@example(1)
+@example(10**9)
+@example(MAX_RAW)
+def test_ln_kernel_matches_decimal_expression(raw):
+    assert core._ln_raw.__wrapped__(raw) == decimal_ln_raw(raw)
+
+
+class CountingContext:
+    """Delegates to the 40-digit context, counting ln evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.ln_calls = inner, 0
+
+    def ln(self, value):
+        self.ln_calls += 1
+        return self.inner.ln(value)
+
+
+def test_ln_falls_back_to_decimal_inside_the_margin(monkeypatch):
+    raws = sorted({1, 2, 10**9 + 1, 2718281828, MAX_RAW, *NEAR_EXP[::7]})
+    counting = CountingContext(core._EXT)
+    monkeypatch.setattr(core, "_EXT", counting)
+    core._ln_raw.cache_clear()
+    try:
+        assert [core._ln_raw(raw) for raw in raws] == [decimal_ln_raw(r) for r in raws]
+        assert counting.ln_calls == 0  # the kernel decided alone
+        monkeypatch.setattr(core, "_LN_MARGIN", core._LN_ONE)  # nothing decides
+        core._ln_raw.cache_clear()
+        counting.ln_calls = 0
+        assert [core._ln_raw(raw) for raw in raws] == [decimal_ln_raw(r) for r in raws]
+        assert counting.ln_calls == len(raws)
+    finally:
+        core._ln_raw.cache_clear()
+
+
+def near_half_quantum(n: int) -> int:
+    """The raw whose ln(raw * 1e-9) / 1e-9 is nearest to n + 1/2."""
+    ctx = Context(prec=80)
+    x = ctx.exp(ctx.divide(Decimal(2 * n + 1), Decimal(2 * SCALE)))
+    return int(ctx.multiply(x, Decimal(SCALE)).to_integral_value())
+
+
+def test_ln_near_half_quanta(monkeypatch):
+    # one raw step moves ln by 1e9/raw quanta, so large raws land within
+    # 1e-12 (k=25), 1e-16 (k=35) and 1e-19 (k=41) of a half-quantum; at
+    # k=41 the decimal expression's 28-digit scaleb makes exact ties that
+    # round to even, and only the fallback can reproduce them
+    counting = CountingContext(core._EXT)
+    monkeypatch.setattr(core, "_EXT", counting)
+    for k in (10, 25, 35, 41):
+        for offset in (0, 1, 7, 123456):
+            raw = near_half_quantum(k * SCALE + offset)
+            assert core._ln_raw.__wrapped__(raw) == decimal_ln_raw(raw)
+    assert counting.ln_calls == 4  # the k=41 cases
+
+
+def test_ln_outside_the_kernel_range_is_the_decimal_expression():
+    for raw in (MAX_RAW + 1, 10**40):
+        assert core._ln_raw.__wrapped__(raw) == decimal_ln_raw(raw)
+    with pytest.raises(Exception) as kernel_error:
+        core._ln_raw.__wrapped__(0)
+    with pytest.raises(Exception) as decimal_error:
+        decimal_ln_raw(0)
+    assert type(kernel_error.value) is type(decimal_error.value)
 
 
 def test_safe_ln_examples():

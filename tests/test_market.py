@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rugsim.core import (
     AccountId,
@@ -15,14 +16,19 @@ from rugsim.core import (
     DustError,
     FixedAmount,
     IlliquidError,
+    MAX_RAW,
     ParameterError,
     QUANTUM,
+    RangeError,
     SCALE,
     SeededRng,
     amt,
 )
 from rugsim.market import (
+    DEFAULT_PEG_TOLERANCE,
+    PEG_BISECTION_ITERATIONS,
     DrainEvent,
+    PegTrade,
     PoolState,
     PriceProcess,
     RatioError,
@@ -269,3 +275,105 @@ def test_peg_keeper_never_overshoots_with_small_budget():
         new_gap = spot_price(trade.pool) - amt(1)
         assert new_gap.raw >= 0 or abs(new_gap) <= amt("0.005")
         assert new_gap <= spot_price(pool) - amt(1)
+
+
+def oracle_peg_keeper_step(pool, peg_value, budget, tolerance=DEFAULT_PEG_TOLERANCE):
+    """peg_keeper_step with its crossing predicate built from pool_swap and
+    spot_price, as the integer predicate must behave."""
+    if peg_value.raw < 0:
+        raise ParameterError("peg_value must be >= 0")
+    if budget.raw <= 0 or pool.is_closed():
+        return None
+    spot = spot_price(pool)
+    band = peg_value * tolerance
+    gap = spot - peg_value
+    if abs(gap) <= band:
+        return None
+    input_token = pool.token_x if gap.raw > 0 else pool.token_y
+
+    def crosses(amount_raw):
+        try:
+            _, p = pool_swap(pool, input_token, FixedAmount(amount_raw))
+        except (DustError, IlliquidError):
+            return False
+        new_gap = spot_price(p) - peg_value
+        return (new_gap.raw > 0) != (gap.raw > 0) and abs(new_gap) > band
+
+    lo, hi = 0, budget.raw
+    if crosses(hi):
+        for _ in range(PEG_BISECTION_ITERATIONS):
+            if hi - lo <= 1:
+                break
+            mid = (lo + hi) // 2
+            if crosses(mid):
+                hi = mid
+            else:
+                lo = mid
+    else:
+        lo = hi
+    if lo <= 0:
+        return None
+    try:
+        amount_in = FixedAmount(lo)
+        amount_out, new_pool = pool_swap(pool, input_token, amount_in)
+    except (DustError, IlliquidError):
+        return None
+    return PegTrade(input_token, amount_in, amount_out, new_pool)
+
+
+def outcome(step, *args):
+    try:
+        return step(*args)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+
+
+def assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, tolerance):
+    pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=fee,
+                     volume_x=FixedAmount(vx), volume_y=FixedAmount(vy))
+    args = (pool, FixedAmount(peg), FixedAmount(budget), tolerance)
+    assert outcome(peg_keeper_step, *args) == outcome(oracle_peg_keeper_step, *args)
+
+
+NEAR_MAX = [MAX_RAW, MAX_RAW - 1, MAX_RAW - SCALE, MAX_RAW // 2, MAX_RAW // 1000]
+
+
+@pytest.mark.parametrize("fee", [0, 30, 9999, 10000])
+@pytest.mark.parametrize("reserves", [(0, 5 * SCALE), (5 * SCALE, 0), (1, 10**12),
+                                      (10**12, 1), (2, 2 * SCALE), (1000 * SCALE, 1100 * SCALE),
+                                      (1000 * SCALE, 900 * SCALE), (MAX_RAW // 2, 3 * SCALE),
+                                      (3 * SCALE, MAX_RAW - SCALE), (10**9, MAX_RAW)])
+@pytest.mark.parametrize("budget", [1, 40 * SCALE, 2**64 + 12345, MAX_RAW])
+def test_peg_keeper_matches_oracle_on_edges(fee, reserves, budget):
+    rx, ry = reserves
+    for peg in (0, SCALE, 10**18):
+        for vx, vy in ((0, 0), (MAX_RAW - 2 * SCALE, MAX_RAW - 2 * SCALE)):
+            assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget,
+                                             DEFAULT_PEG_TOLERANCE)
+
+
+def test_peg_keeper_raises_range_errors_like_pool_swap():
+    # reserve, volume and spot past MAX_RAW still raise from the predicate
+    for rx, ry, vx, peg, budget in (
+            (10**26, MAX_RAW, 0, SCALE, MAX_RAW),                  # reserve
+            (10 * SCALE, 10 * SCALE, MAX_RAW - 1, SCALE // 2, 10 * SCALE),  # volume
+            (2, SCALE, 0, MAX_RAW, 10**26)):                       # spot
+        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry),
+                         volume_x=FixedAmount(vx), volume_y=FixedAmount(vx))
+        args = (pool, FixedAmount(peg), FixedAmount(budget), DEFAULT_PEG_TOLERANCE)
+        got = outcome(peg_keeper_step, *args)
+        assert got == outcome(oracle_peg_keeper_step, *args)
+        assert got[0] is RangeError
+
+
+raws = st.one_of(st.integers(0, 3), st.integers(1, 10**13), st.integers(1, MAX_RAW),
+                 st.sampled_from(NEAR_MAX))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rx=raws, ry=raws, fee=st.one_of(st.sampled_from([0, 30, 10000]), st.integers(0, 10000)),
+       vx=st.one_of(st.just(0), raws), vy=st.one_of(st.just(0), raws),
+       peg=st.one_of(st.integers(0, 10**12), raws), budget=raws.filter(lambda b: b > 0),
+       tolerance=st.sampled_from(["0", "0.005", "0.5", "2"]))
+def test_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, tolerance):
+    assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, amt(tolerance))

@@ -27,7 +27,6 @@ from .core import (
     TokenId,
     VaultId,
     ZERO,
-    fsum,
 )
 from .market import (
     DrainEvent,
@@ -87,6 +86,30 @@ class PoolMonitor:
         return signal
 
 
+class TrailingWindow:
+    """The last ``size`` amounts and their running raw sum."""
+
+    def __init__(self, size: int):
+        self.values: deque[FixedAmount] = deque(maxlen=size)
+        self.total = 0
+
+    def push(self, value: FixedAmount) -> None:
+        values = self.values
+        if len(values) == values.maxlen:
+            if not values:  # a zero-length window keeps nothing
+                return
+            self.total -= values[0].raw
+        values.append(value)
+        self.total += value.raw
+
+    def mean(self) -> Optional[FixedAmount]:
+        """The exact sum over the window, divided by its length; None while
+        the window is empty."""
+        if not self.values:
+            return None
+        return FixedAmount(self.total) / len(self.values)
+
+
 class AuxMonitor:
     """Secondary heuristics: mint spikes, creator-wallet outflows, and
     volume anomalies against trailing per-block means."""
@@ -97,20 +120,14 @@ class AuxMonitor:
         self.mint_spike_factor = mint_spike_factor
         self.wallet_outflow_fraction = wallet_outflow_fraction
         self.volume_spike_factor = volume_spike_factor
-        self._mints: deque[FixedAmount] = deque(maxlen=window)
-        self._volumes: deque[FixedAmount] = deque(maxlen=window)
-
-    @staticmethod
-    def _mean(values: deque) -> Optional[FixedAmount]:
-        if not values:
-            return None
-        return fsum(values) / len(values)
+        self._mints = TrailingWindow(window)
+        self._volumes = TrailingWindow(window)
 
     def scan(self, height: int, minted: FixedAmount, creator_outflow: FixedAmount,
              creator_balance_before: FixedAmount, volume: FixedAmount,
              delta_liquidity: FixedAmount) -> list[RiskSignal]:
         signals: list[RiskSignal] = []
-        mean_mint = self._mean(self._mints)
+        mean_mint = self._mints.mean()
         if mean_mint is not None and minted.raw > 0:
             if mean_mint.raw == 0 or minted > self.mint_spike_factor * mean_mint:
                 magnitude = minted / mean_mint if mean_mint.raw > 0 else minted
@@ -119,13 +136,13 @@ class AuxMonitor:
             fraction = creator_outflow / creator_balance_before
             if fraction > self.wallet_outflow_fraction:
                 signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW, fraction, height))
-        mean_vol = self._mean(self._volumes)
+        mean_vol = self._volumes.mean()
         if (mean_vol is not None and mean_vol.raw > 0 and delta_liquidity.raw <= 0
                 and volume > self.volume_spike_factor * mean_vol):
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY,
                                       volume / mean_vol, height))
-        self._mints.append(minted)
-        self._volumes.append(volume)
+        self._mints.push(minted)
+        self._volumes.push(volume)
         return signals
 
 

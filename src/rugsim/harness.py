@@ -16,11 +16,19 @@ chain step runs a fixed phase order:
   8. supply emission and the burn controller (home chain)
   9. telemetry
 
+What a chain's step visits (price processes, pools, monitors, noise
+traders, peg keepers, perp books) is listed per chain once, at materialize,
+in the order a scan of the whole world would meet it; scripted steps are
+indexed by height and offered to every chain, each op guarding its own
+chain. After every block the ledger re-sums every balance per token
+against that token's supply.
+
 Module errors never crash a run; they are recorded as failed events.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -90,14 +98,22 @@ class Agent:
     kind: str
     account: AccountId
     params: dict
-    script: dict[int, list[dict]]  # block -> ops
 
 
-def _script_index(entries: list[dict]) -> dict[int, list[dict]]:
-    by_block: dict[int, list[dict]] = {}
-    for step in entries:
-        by_block.setdefault(step["block"], []).append(step)
-    return by_block
+@dataclass
+class ChainView:
+    """What one chain's step visits, in the order a scan of the whole world
+    would meet it. Pools, tokens, vaults and agents never change chain, so
+    the views are built once, at materialize."""
+
+    processes: list[tuple[TokenId, market.PriceProcess]] = field(default_factory=list)
+    pool_ids: list[str] = field(default_factory=list)
+    monitors: list[tuple[str, PoolMonitor]] = field(default_factory=list)
+    # (creator account, chain token) pairs whose outflows the aux scan reads
+    outflow_keys: list[tuple[str, TokenId]] = field(default_factory=list)
+    noise: list[tuple[Agent, dict, random.Random]] = field(default_factory=list)
+    pegkeepers: list[Agent] = field(default_factory=list)
+    perp_books: list[tuple[str, PerpBook]] = field(default_factory=list)
 
 
 class Simulation:
@@ -130,6 +146,11 @@ class Simulation:
         self.agents: list[Agent] = []
         # agents of each kind, in self.agents order; filled at materialize
         self.agents_by_kind: dict[str, list[Agent]] = {}
+        # height -> (agent, step) in self.agents order, then script order
+        self._script_steps: dict[int, list[tuple[Agent, dict]]] = {}
+        # satellites in scenario order, then home; per-chain views
+        self._chain_order: list[str] = []
+        self._chain_views: dict[str, ChainView] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
         self.bridge: list[tuple[int, dict]] = []
@@ -262,13 +283,15 @@ class Simulation:
                 volume_spike_factor=amt(det.get("volume_spike_factor", 4)))
 
         for entry in sc.agents:
-            self.agents.append(Agent(
+            agent = Agent(
                 kind=entry["kind"], account=self.accounts[entry["account"]],
                 params={k: v for k, v in entry.items()
-                        if k not in ("kind", "account", "script")},
-                script=_script_index(entry.get("script", []))))
-        for agent in self.agents:
+                        if k not in ("kind", "account", "script")})
+            self.agents.append(agent)
             self.agents_by_kind.setdefault(agent.kind, []).append(agent)
+            for step in entry.get("script", []):
+                self._script_steps.setdefault(step["block"], []).append((agent, step))
+        self._build_step_plan()
 
         for entry in sc.intents:
             self._register_intent(entry)
@@ -279,21 +302,58 @@ class Simulation:
         self._scanned_outflows = dict(self._outflow_totals)
         self.trace.initial_balances = {}
 
+    def _build_step_plan(self) -> None:
+        sc = self.scenario
+        self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
+        views = self._chain_views = {chain: ChainView() for chain in sc.chains}
+        for token, process in self.processes.items():
+            views[self.token_chain[token]].processes.append((token, process))
+        for pool_id in self.pools:
+            views[self.pool_chain[pool_id]].pool_ids.append(pool_id)
+        for pool_id, monitor in self.monitors.items():
+            views[self.pool_chain[pool_id]].monitors.append((pool_id, monitor))
+        for creator in self.agents_by_kind.get("creator", []):
+            for token in self.processes:
+                views[self.token_chain[token]].outflow_keys.append(
+                    (creator.account.value, token))
+        for agent in self.agents:
+            noise = agent.params.get("noise")
+            if noise and noise["pool"] in self.pool_chain:
+                views[self.pool_chain[noise["pool"]]].noise.append(
+                    (agent, noise, self.rng.stream("noise", agent.account.value)))
+        for keeper in self.agents_by_kind.get("pegkeeper", []):
+            chain = self.pool_chain.get(keeper.params.get("pool"))
+            if chain is not None:
+                views[chain].pegkeepers.append(keeper)
+        for vault_id, book in self.perp_books.items():
+            views[self.vault_chain[vault_id]].perp_books.append((vault_id, book))
+        solvers = sorted(self.agents_by_kind.get("solver", []),
+                         key=lambda a: a.account.value)
+        self._solver_bids = [SolverBid(a.account, int(a.params.get("fee_bps", 0)))
+                             for a in solvers]
+        liquidators = sorted(self.agents_by_kind.get("liquidator", []),
+                             key=lambda a: a.account.value)
+        # the first liquidator by account id bids on every flagged position
+        self._liquidation_bidder = liquidators[0].account.value if liquidators else None
+
     def _register_intent(self, entry: dict) -> None:
-        pool = self.pools[entry["pool"]]
+        pool_id = entry.get("pool")
+        pool = self.pools.get(pool_id)
+        if pool is None:
+            raise StateError(f"unknown pool {pool_id!r}")
         token = entry["token"]
         vault_id = entry.get("vault")
         if vault_id is None and entry["action"] == "swap_to_anticoin":
             vault_id = self._vault_for_token(token)
         self.intent_book.register(
-            owner=self.accounts[entry["owner"]], pool=entry["pool"], token=token,
+            owner=self.accounts[entry["owner"]], pool=pool_id, token=token,
             theta_price=amt(entry["theta_price"]),
             theta_liquidity=amt(entry["theta_liquidity"]),
             action=IntentAction(entry["action"]),
             price_ref=self.prices.get(token, ZERO),
             liquidity_ref=self._pool_liquidity(pool),
             vault=vault_id, solver_fee_bps=int(entry.get("solver_fee_bps", 10000)))
-        self._event("intent_registered", owner=entry["owner"], pool=entry["pool"],
+        self._event("intent_registered", owner=entry["owner"], pool=pool_id,
                     theta_price=str(amt(entry["theta_price"])),
                     theta_liquidity=str(amt(entry["theta_liquidity"])))
 
@@ -373,23 +433,22 @@ class Simulation:
     def step(self) -> None:
         self.height += 1
         self.supply.begin_block(self.height)
-        satellites = [c for c in self.scenario.chains if c != self.scenario.home_chain]
-        for chain in satellites + [self.scenario.home_chain]:
+        for chain in self._chain_order:
             self._step_chain(chain)
         self.ledger.check_conservation()
 
     def _step_chain(self, chain: str) -> None:
         self._chain_ctx = chain
+        view = self._chain_views[chain]
         height = self.height
         at = BlockTime(height, chain)
 
         # (1) price processes advance
-        for token, process in self.processes.items():
-            if self.token_chain[token] == chain:
-                self.prices[token] = market.price_at(process, height)
+        for token, process in view.processes:
+            self.prices[token] = market.price_at(process, height)
 
         # (2) detection observes and plans
-        self._phase_detection(chain, height)
+        self._phase_detection(chain, view, height)
 
         # (3) queued transactions, priority order
         due = [tx for tx in self.queue
@@ -400,19 +459,16 @@ class Simulation:
         for tx in due:
             self._execute_tx(tx, height)
 
-        # (4) scripted agent operations
-        for agent in self.agents:
-            for step in agent.script.get(height, []):
-                self._run_script_op(agent, step, chain, at)
+        # (4) scripted agent operations; each op keeps its own chain guard
+        for agent, step in self._script_steps.get(height, ()):
+            self._run_script_op(agent, step, chain, at)
 
         # (4b) parametric noise traders
-        for agent in self.agents:
-            noise = agent.params.get("noise")
-            if noise and self.pool_chain.get(noise["pool"]) == chain:
-                self._noise_trade(agent, noise)
+        for agent, noise, rng in view.noise:
+            self._noise_trade(agent, noise, rng)
 
         # (5) perps funding and liquidation
-        self._phase_perps(chain, at)
+        self._phase_perps(chain, view, at)
 
         # (6) dispute deadlines fire on the home chain
         if chain == self.scenario.home_chain:
@@ -430,14 +486,11 @@ class Simulation:
 
     # -- phases ----------------------------------------------------------------
 
-    def _phase_detection(self, chain: str, height: int) -> None:
+    def _phase_detection(self, chain: str, view: ChainView, height: int) -> None:
         numeraire = self.scenario.numeraire
         detectors = self.agents_by_kind.get("detector", [])
-        creators = self.agents_by_kind.get("creator", [])
 
-        for pool_id, monitor in self.monitors.items():
-            if self.pool_chain[pool_id] != chain:
-                continue
+        for pool_id, monitor in view.monitors:
             signal = monitor.observe(height, self._pool_liquidity(self.pools[pool_id]))
             if signal is not None:
                 self._event("risk_signal", kind=signal.kind.value, pool=pool_id,
@@ -455,23 +508,17 @@ class Simulation:
             # largest single creator-wallet outflow of a chain token
             outflow = ZERO
             balance_before = ZERO
-            for creator in creators:
-                for token in self.processes:
-                    if self.token_chain[token] != chain:
-                        continue
-                    key = (creator.account.value, token)
-                    total = self._outflow_totals.get(key, ZERO)
-                    moved = total - self._scanned_outflows.get(key, ZERO)
-                    self._scanned_outflows[key] = total
-                    if moved > outflow:
-                        outflow = moved
-                        balance_before = \
-                            self.ledger.balance(creator.account.value, token) + moved
+            for key in view.outflow_keys:
+                total = self._outflow_totals.get(key, ZERO)
+                moved = total - self._scanned_outflows.get(key, ZERO)
+                self._scanned_outflows[key] = total
+                if moved > outflow:
+                    outflow = moved
+                    balance_before = self.ledger.balance(*key) + moved
             volume = ZERO
             delta_liq = ZERO
-            for pool_id, pool in self.pools.items():
-                if self.pool_chain[pool_id] != chain:
-                    continue
+            for pool_id in view.pool_ids:
+                pool = self.pools[pool_id]
                 current = pool.volume_x + pool.volume_y
                 volume = volume + (current - self._prev_volumes[pool_id])
                 self._prev_volumes[pool_id] = current
@@ -551,15 +598,12 @@ class Simulation:
                                    "cap": amt(det.params.get("backrun_cap", 0))})
 
         # intents
-        solvers = self.agents_by_kind.get("solver", [])
-        bids = [SolverBid(a.account, int(a.params.get("fee_bps", 0)))
-                for a in sorted(solvers, key=lambda a: a.account.value)]
-        chain_prices = {t: p for t, p in self.prices.items()
-                        if self.token_chain[t] == chain}
+        chain_prices = {token: self.prices[token] for token, _ in view.processes}
         chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
-                           for pid, c in self.pool_chain.items() if c == chain}
+                           for pid in view.pool_ids}
         for execution in detection.solver_step(self.intent_book, chain_prices,
-                                               chain_liquidity, height, bids):
+                                               chain_liquidity, height,
+                                               self._solver_bids):
             self._event("intent_triggered", intent=execution.intent.intent_id,
                         owner=execution.intent.owner.value,
                         solver=execution.solver.value, fee_bps=execution.fee_bps)
@@ -568,10 +612,7 @@ class Simulation:
                           "intent", {"execution": execution})
 
         # peg keeper planning
-        for keeper in self.agents_by_kind.get("pegkeeper", []):
-            pool_id = keeper.params.get("pool")
-            if pool_id is None or self.pool_chain.get(pool_id) != chain:
-                continue
+        for keeper in view.pegkeepers:
             self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
                           {"agent": keeper})
 
@@ -792,7 +833,8 @@ class Simulation:
 
     def _op_transfer(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
         token = step["token"]
-        if self.token_chain.get(token, chain) != chain:
+        # a token with no chain entry (R, bonded tokens) lives on home
+        if self.token_chain.get(token, self.scenario.home_chain) != chain:
             return
         self.ledger.transfer(agent.account.value, step["to"], token,
                              amt(step["amount"]), memo="script-transfer")
@@ -878,6 +920,9 @@ class Simulation:
 
     def _op_register_intent(self, agent: Agent, step: dict, chain: str,
                             at: BlockTime) -> None:
+        # an unknown pool fails once, on home
+        if self.pool_chain.get(step.get("pool"), self.scenario.home_chain) != chain:
+            return
         entry = dict(step)
         entry["owner"] = agent.account.value
         self._register_intent(entry)
@@ -991,8 +1036,7 @@ class Simulation:
         self._event("claim_escalated", claim=claim.claim_id,
                     party=agent.account.value, level=claim.escalation_level)
 
-    def _noise_trade(self, agent: Agent, noise: dict) -> None:
-        rng = self.rng.stream("noise", agent.account.value)
+    def _noise_trade(self, agent: Agent, noise: dict, rng: random.Random) -> None:
         if rng.random() >= float(amt(noise.get("prob", "0.1"))):
             return
         pool = self.pools[noise["pool"]]
@@ -1011,12 +1055,8 @@ class Simulation:
 
     # -- perps, disputes, bridge, tokenomics phases -------------------------------
 
-    def _phase_perps(self, chain: str, at: BlockTime) -> None:
-        liquidators = sorted(self.agents_by_kind.get("liquidator", []),
-                             key=lambda a: a.account.value)
-        for vault_id, book in self.perp_books.items():
-            if self.vault_chain[vault_id] != chain:
-                continue
+    def _phase_perps(self, chain: str, view: ChainView, at: BlockTime) -> None:
+        for vault_id, book in view.perp_books:
             vault = self.registries[chain].vault(vault_id)
             mark = self._mark_price(vault.rugged_token)
             if mark.raw <= 0:
@@ -1033,11 +1073,10 @@ class Simulation:
                                 transfers=len(round_.transfers),
                                 dust=str(round_.treasury_remainder))
             bids: dict[int, str] = {}
-            if liquidators:
-                bidder = liquidators[0].account.value
+            if self._liquidation_bidder is not None:
                 for position in book.positions.values():
                     if position.status is perps.PositionStatus.FLAGGED:
-                        bids[position.position_id] = bidder
+                        bids[position.position_id] = self._liquidation_bidder
             unit_value = anticoin_value(vault, mark)
             events = book.flag_and_liquidate(self.ledger, mark, bids, at,
                                              TREASURY, PERP_SETTLEMENT,
@@ -1138,10 +1177,11 @@ class Simulation:
         return total
 
     def finalize(self) -> None:
+        snapshot = self.ledger.snapshot()
         self.trace.final_state = {
             "height": self.height,
-            "balances": self.ledger.snapshot()["balances"],
-            "supply": self.ledger.snapshot()["supply"],
+            "balances": snapshot["balances"],
+            "supply": snapshot["supply"],
             "pools": {
                 pid: {"reserve_x": str(p.reserve_x), "reserve_y": str(p.reserve_y),
                       "token_x": p.token_x, "token_y": p.token_y,

@@ -4,10 +4,14 @@ Pools, vaults, bonds, and perp margin all live in ordinary ledger accounts
 (with conventional ``pool:``/``vault:``/``escrow:`` id prefixes), so the
 system-wide conservation check is a single identity: per token, the sum of
 all balances equals cumulative mints minus cumulative burns, exactly.
+Balances are kept per token, so each token's sum is one pass over its
+holders.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .core import FixedAmount, ParameterError, RugsimError, TokenId, ZERO
@@ -21,10 +25,13 @@ class BalanceError(RugsimError):
 # amount as a decimal string; the recorder gets the value itself)
 EventRecorder = Callable[[dict, FixedAmount], None]
 
+_raw = attrgetter("raw")
+
 
 class Ledger:
     def __init__(self, recorder: Optional[EventRecorder] = None):
-        self._balances: dict[tuple[str, TokenId], FixedAmount] = {}
+        # token -> account -> balance
+        self._balances: defaultdict[TokenId, dict[str, FixedAmount]] = defaultdict(dict)
         self._supply: dict[TokenId, FixedAmount] = {}
         self.recorder = recorder
 
@@ -33,20 +40,22 @@ class Ledger:
             self.recorder(event, amount)
 
     def balance(self, account: str, token: TokenId) -> FixedAmount:
-        return self._balances.get((account, token), ZERO)
+        held = self._balances.get(token)
+        return ZERO if held is None else held.get(account, ZERO)
 
     def total_supply(self, token: TokenId) -> FixedAmount:
         return self._supply.get(token, ZERO)
 
     def accounts_holding(self, token: TokenId) -> list[str]:
-        return sorted(a for (a, t), v in self._balances.items() if t == token and v.raw != 0)
+        return sorted(a for a, v in self._balances.get(token, {}).items() if v.raw != 0)
 
     def mint(self, account: str, token: TokenId, amount: FixedAmount, memo: str = "") -> None:
         if amount.raw < 0:
             raise ParameterError(f"mint amount must be >= 0, got {amount}")
         if amount.raw == 0:
             return
-        self._balances[(account, token)] = self.balance(account, token) + amount
+        held = self._balances[token]
+        held[account] = held.get(account, ZERO) + amount
         self._supply[token] = self.total_supply(token) + amount
         self._record({"type": "mint", "account": account, "token": token,
                       "amount": str(amount), "memo": memo}, amount)
@@ -59,7 +68,7 @@ class Ledger:
         bal = self.balance(account, token)
         if bal < amount:
             raise BalanceError(f"{account} holds {bal} {token}, cannot burn {amount}")
-        self._balances[(account, token)] = bal - amount
+        self._balances[token][account] = bal - amount
         self._supply[token] = self.total_supply(token) - amount
         self._record({"type": "burn", "account": account, "token": token,
                       "amount": str(amount), "memo": memo}, amount)
@@ -73,16 +82,17 @@ class Ledger:
         bal = self.balance(src, token)
         if bal < amount:
             raise BalanceError(f"{src} holds {bal} {token}, cannot send {amount}")
-        self._balances[(src, token)] = bal - amount
-        self._balances[(dst, token)] = self.balance(dst, token) + amount
+        held = self._balances[token]
+        held[src] = bal - amount
+        held[dst] = held.get(dst, ZERO) + amount
         self._record({"type": "transfer", "src": src, "dst": dst, "token": token,
                       "amount": str(amount), "memo": memo}, amount)
 
     def check_conservation(self) -> None:
-        """Assert sum of balances == recorded supply for every token."""
-        sums: dict[TokenId, int] = {}
-        for (_, token), value in self._balances.items():
-            sums[token] = sums.get(token, 0) + value.raw
+        """Assert sum of balances == recorded supply for every token; every
+        balance is summed on every call."""
+        sums = {token: sum(map(_raw, held.values()))
+                for token, held in self._balances.items()}
         for token, supply in self._supply.items():
             if sums.get(token, 0) != supply.raw:
                 raise RugsimError(
@@ -94,9 +104,11 @@ class Ledger:
 
     def snapshot(self) -> dict:
         """JSON-ready view: non-zero balances and per-token supply."""
+        held = sorted((account, token, value)
+                      for token, accounts in self._balances.items()
+                      for account, value in accounts.items() if value.raw != 0)
         balances: dict[str, dict[str, str]] = {}
-        for (account, token), value in sorted(self._balances.items()):
-            if value.raw != 0:
-                balances.setdefault(account, {})[token] = str(value)
+        for account, token, value in held:
+            balances.setdefault(account, {})[token] = str(value)
         supply = {token: str(v) for token, v in sorted(self._supply.items()) if v.raw != 0}
         return {"balances": balances, "supply": supply}

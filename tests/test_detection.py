@@ -2,8 +2,18 @@
 system."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rugsim.core import AccountId, BlockTime, ParameterError, amt
+from rugsim.core import (
+    MAX_RAW,
+    AccountId,
+    BlockTime,
+    FixedAmount,
+    ParameterError,
+    RangeError,
+    amt,
+    fsum,
+)
 from rugsim.detection import (
     AuxMonitor,
     IntentAction,
@@ -13,6 +23,7 @@ from rugsim.detection import (
     SignalKind,
     SolverBid,
     TooLateError,
+    TrailingWindow,
     plan_backrun,
     plan_frontrun,
     plan_sandwich,
@@ -74,6 +85,34 @@ def test_aux_monitor_signals():
     aux3 = AuxMonitor(amt(3), amt("0.5"), amt(4))
     signals = aux3.scan(1, zero, amt(80), amt(100), zero, zero)
     assert [s.kind for s in signals] == [SignalKind.WALLET_OUTFLOW]
+
+
+def _mean_or_error(compute):
+    try:
+        mean = compute()
+    except RangeError:
+        return "RangeError"
+    return None if mean is None else mean.raw
+
+
+@settings(max_examples=300)
+@given(size=st.integers(min_value=0, max_value=9),
+       raws=st.lists(st.one_of(st.integers(min_value=-10**12, max_value=10**12),
+                               st.integers(min_value=-MAX_RAW, max_value=MAX_RAW)),
+                     max_size=40))
+def test_trailing_window_mean_equals_resummed_mean(size, raws):
+    # the running sum gives fsum(window) / len(window) exactly, before and
+    # after the window starts evicting, and overflows where fsum does
+    window = TrailingWindow(size)
+    kept: list[FixedAmount] = []
+    for raw in raws:
+        value = FixedAmount(raw)
+        window.push(value)
+        kept = (kept + [value])[-size:] if size else []
+        assert list(window.values) == kept
+        expected = _mean_or_error(
+            lambda: fsum(kept) / len(kept) if kept else None)
+        assert _mean_or_error(window.mean) == expected
 
 
 # -- planners --------------------------------------------------------------------

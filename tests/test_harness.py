@@ -314,10 +314,10 @@ def test_dispute_machines_run_to_resolution():
     assert amt(ins["slashed"]) == amt(25)
     sim.ledger.check_conservation()
     # case escrows fully drained
-    for (account, token), value in sim.ledger._balances.items():
-        if account.startswith(("case:", "icase:")) and value.raw != 0:
+    for account, held in sim.ledger.snapshot()["balances"].items():
+        if account.startswith(("case:", "icase:")):
             policy_escrow = account.startswith("icase:pol-")
-            assert policy_escrow, f"leftover escrow {account}: {value}"
+            assert policy_escrow, f"leftover escrow {account}: {held}"
 
 
 def test_verify_roundtrip(tmp_path):
@@ -399,6 +399,51 @@ def test_aux_signals_fire_through_engine():
     kinds = {(e["kind"], e["h"]) for e in trace.events if e["type"] == "risk_signal"}
     assert ("mint_spike", 6) in kinds     # scanned the block after the big mint
     assert ("wallet_outflow", 8) in kinds
+
+
+def scripted_reference(*steps):
+    """builtin:reference on its two chains, with extra steps for alice."""
+    doc = reference_scenario(blocks=8)
+    doc["agents"][0]["script"].extend(steps)
+    return doc
+
+
+def test_scripted_register_intent_runs_on_its_pool_chain_only():
+    sim, trace = run_scenario(scripted_reference(
+        {"block": 3, "op": "register_intent", "pool": "rug-usdn", "token": "RUG",
+         "action": "exit_to_numeraire", "theta_price": "0.5",
+         "theta_liquidity": "0.5"}))
+    registered = [e for e in trace.events if e["type"] == "intent_registered"]
+    assert [(e["h"], e["chain"]) for e in registered] == [(3, "alpha")]
+    assert len(sim.intent_book.intents) == 1
+
+
+def test_scripted_register_intent_on_unknown_pool_fails_once():
+    _, trace = run_scenario(scripted_reference(
+        {"block": 3, "op": "register_intent", "pool": "nope", "token": "RUG",
+         "action": "exit_to_numeraire", "theta_price": "0.5",
+         "theta_liquidity": "0.5"}))
+    failures = [e for e in trace.events if e["type"] == "failed"]
+    assert [(f["op"], f["error"], f["chain"], f["account"]) for f in failures] == \
+        [("register_intent", "StateError", "home", "alice")]
+    assert "nope" in failures[0]["detail"]
+
+
+def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():
+    # R reaches alice by the bridge at block 3; it has no chain entry, so
+    # the transfer belongs to home, as does an undeclared token
+    sim, trace = run_scenario(scripted_reference(
+        {"block": 5, "op": "transfer", "token": "R", "to": "guard",
+         "amount": "0.001"},
+        {"block": 6, "op": "transfer", "token": "NOPE", "to": "guard",
+         "amount": "1"}))
+    moved = [e for e in trace.events
+             if e["type"] == "transfer" and e["memo"] == "script-transfer"]
+    assert [(e["h"], e["chain"], e["amount"]) for e in moved] == [(5, "home", "0.001")]
+    assert sim.ledger.balance("guard", "R") == amt("0.001")
+    failures = [e for e in trace.events if e["type"] == "failed"]
+    assert [(f["h"], f["op"], f["error"], f["chain"]) for f in failures] == \
+        [(6, "transfer", "BalanceError", "home")]
 
 
 def test_multi_seed_stress_and_verify_roundtrip(tmp_path):
@@ -517,3 +562,131 @@ def test_chaos_scripts_never_crash_the_engine(tmp_path):
         out = tmp_path / f"chaos-{round_no}"
         trace.write(str(out))
         assert verify_trace(str(out)).ok
+
+
+# -- multi-chain visit order -------------------------------------------------------
+
+
+def multichain_doc():
+    """Three satellite chains and home (listed out of step order), script
+    steps on different chains due at one height (alice has two at block 3),
+    two noise traders and two peg keepers on alpha and one of each on beta,
+    perps with a liquidator, a drain with a protected holder, and a solved
+    intent."""
+    def pool(pid, chain, x, y, rx, ry):
+        return {"id": pid, "chain": chain, "token_x": x, "token_y": "USDN",
+                "reserve_x": rx, "reserve_y": ry, "fee_bps": 30}
+
+    def vault(vid, chain, token):
+        return {"id": vid, "chain": chain, "rugged_token": token,
+                "receipt_kind": "fungible", "omega": "0.01", "theta": "0.02",
+                "penalty_k": "1", "penalty_lambda": "2", "gamma_base": "0.05",
+                "delta_gamma": "0.01"}
+
+    return {
+        "seed": 7, "blocks": 40, "bridge_delay_blocks": 2,
+        "home_chain": "home", "numeraire": "USDN",
+        "chains": ["alpha", "home", "beta", "gamma"],
+        "tokens": [
+            {"id": "RA", "chain": "alpha",
+             "price_process": {"kind": "catastrophic", "p0": "2", "lam": "0.02"}},
+            {"id": "RB", "chain": "beta",
+             "price_process": {"kind": "scam", "p0": "1", "tau_rug": "30"}},
+            {"id": "RC", "chain": "gamma",
+             "price_process": {"kind": "sentiment", "p0": "3", "alpha_sent": "0.01"}},
+        ],
+        "accounts": [
+            {"id": "alice", "balances": {"RA": "500", "RB": "300", "USDN": "500"}},
+            {"id": "bob", "balances": {"RB": "500", "RC": "100", "USDN": "500"}},
+            {"id": "carol", "balances": {"RA": "800", "USDN": "100"}},
+            {"id": "mallory", "balances": {"RC": "5000"}},
+            {"id": "dave", "balances": {"RC": "200"}},
+            {"id": "erin", "balances": {"RB": "150"}},
+            {"id": "keeper-a", "balances": {"USDN": "300"}},
+            {"id": "keeper-b", "balances": {"USDN": "300"}},
+            {"id": "keeper-c", "balances": {"USDN": "100"}},
+            {"id": "frank", "balances": {"RA": "300", "USDN": "300"}},
+            {"id": "sol-1", "balances": {}},
+            {"id": "liq-1", "balances": {}},
+            {"id": "guard", "balances": {"USDN": "100"}},
+        ],
+        "pools": [
+            pool("a-usdn", "alpha", "RA", "USDN", "5000", "10000"),
+            pool("b-usdn", "beta", "RB", "USDN", "4000", "4000"),
+            pool("anti-a", "alpha", "anti:RA@alpha", "USDN", "1000", "200"),
+            pool("c-usdn", "gamma", "RC", "USDN", "3000", "9000"),
+            pool("anti-b", "beta", "anti:RB@beta", "USDN", "800", "10"),
+        ],
+        "vaults": [vault("v-a", "alpha", "RA"), vault("v-b", "beta", "RB"),
+                   vault("v-c", "gamma", "RC")],
+        "tokenomics": {"initial_supply": "1000000", "s0": "1000000",
+                       "epsilon_rate": "5", "beta_burn": "500", "kappa": "0.25"},
+        "perps": {"enabled_vaults": ["v-a"], "alpha_base": "0.01", "l_min": "100",
+                  "interval_blocks": 5, "amm_pool": "anti-a",
+                  "maintenance_fraction": "0.5", "liquidator_deadline_blocks": 2,
+                  "liquidator_fee_fraction": "0.05"},
+        "detection": {"drop_threshold": "0.2", "mint_spike_factor": "3",
+                      "wallet_outflow_fraction": "0.5", "volume_spike_factor": "4"},
+        "agents": [
+            {"kind": "retail", "account": "alice",
+             "script": [{"block": 3, "op": "deposit", "vault": "v-a", "amount": "100"},
+                        {"block": 3, "op": "swap", "pool": "b-usdn",
+                         "token_in": "RB", "amount": "40"},
+                        {"block": 5, "op": "open_position", "vault": "v-a",
+                         "collateral": "50", "leverage": "3", "direction": "long"},
+                        {"block": 9, "op": "burn", "vault": "v-a", "amount": "20"}],
+             "noise": {"pool": "a-usdn", "prob": "0.5", "max_size": "4"}},
+            {"kind": "retail", "account": "bob",
+             "script": [{"block": 3, "op": "deposit", "vault": "v-b", "amount": "200"},
+                        {"block": 6, "op": "add_liquidity", "pool": "c-usdn",
+                         "dx": "50", "dy": "auto"},
+                        {"block": 12, "op": "withdraw", "vault": "v-b", "amount": "50"}],
+             "noise": {"pool": "b-usdn", "prob": "0.4", "max_size": "6"}},
+            {"kind": "retail", "account": "carol",
+             "script": [{"block": 2, "op": "deposit", "vault": "v-a", "amount": "600"},
+                        {"block": 4, "op": "open_position", "vault": "v-a",
+                         "collateral": "200", "leverage": "8", "direction": "long"},
+                        {"block": 4, "op": "open_position", "vault": "v-a",
+                         "collateral": "100", "leverage": "2", "direction": "short"}]},
+            {"kind": "creator", "account": "mallory",
+             "script": [{"block": 10, "op": "drain", "pool": "c-usdn",
+                         "t_rug": "4000", "t_total": "5000", "window": 3}]},
+            {"kind": "detector", "account": "guard", "protects": ["dave"],
+             "sandwich_budget": "0", "backrun_budget": "0", "backrun_cap": "0"},
+            {"kind": "pegkeeper", "account": "keeper-a", "pool": "anti-a",
+             "vault": "v-a", "budget": "50"},
+            {"kind": "pegkeeper", "account": "keeper-b", "pool": "anti-b",
+             "vault": "v-b", "budget": "50"},
+            {"kind": "pegkeeper", "account": "keeper-c", "pool": "anti-a",
+             "vault": "v-a", "budget": "5"},
+            {"kind": "retail", "account": "frank",
+             "noise": {"pool": "a-usdn", "prob": "0.6", "max_size": "3"}},
+            {"kind": "solver", "account": "sol-1", "fee_bps": 25},
+            {"kind": "liquidator", "account": "liq-1"},
+        ],
+        "intents": [
+            {"owner": "erin", "pool": "b-usdn", "token": "RB",
+             "action": "exit_to_numeraire", "theta_price": "0.9",
+             "theta_liquidity": "0.5", "solver_fee_bps": 100},
+        ],
+    }
+
+
+def test_multichain_visit_order_is_pinned():
+    # the order in which a block visits chains, processes, monitors, script
+    # steps, noise traders, keepers and perp books decides the event order;
+    # this hash was measured before those visits were indexed per chain
+    _, trace = run_scenario(multichain_doc())
+    seen = {}
+    for event in trace.events:
+        if event["type"] in ("swap", "peg_trade", "liquidation", "failed"):
+            key = (event["type"], event["chain"], event.get("memo"))
+            seen[key] = seen.get(key, 0) + 1
+    assert seen[("peg_trade", "alpha", None)] == 31
+    assert seen[("peg_trade", "beta", None)] == 40
+    assert seen[("swap", "alpha", "noise")] == 44
+    assert seen[("swap", "beta", "noise")] == 15
+    assert seen[("liquidation", "alpha", None)] == 4
+    assert seen[("swap", "beta", "intent")] == 1
+    assert trace.failed_events == 1
+    assert trace.trace_hash() == "d8330d7f6b33575e"

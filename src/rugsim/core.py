@@ -89,10 +89,6 @@ class FixedAmount:
         self.raw = raw
 
     @classmethod
-    def from_int(cls, units: int) -> "FixedAmount":
-        return cls(units * SCALE)
-
-    @classmethod
     def parse(cls, text: str) -> "FixedAmount":
         return FixedAmount(_parse_raw(text))
 
@@ -101,9 +97,6 @@ class FixedAmount:
 
     def as_decimal(self) -> Decimal:
         return Decimal(self.raw).scaleb(-9)
-
-    def is_zero(self) -> bool:
-        return self.raw == 0
 
     # -- exact ops -----------------------------------------------------
 

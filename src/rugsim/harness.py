@@ -18,10 +18,10 @@ chain step runs a fixed phase order:
 
 What a chain's step visits (price processes, pools, monitors, noise
 traders, peg keepers, perp books) is listed per chain once, at materialize,
-in the order a scan of the whole world would meet it; scripted steps are
-indexed by height and offered to every chain, each op guarding its own
-chain. After every block the ledger re-sums every balance per token
-against that token's supply.
+in the order a scan of the whole world would meet it. Each scripted step
+runs on the one chain that its pool, vault or token fixes (home for the
+rest), so steps are indexed by height and chain. After every block the
+ledger re-sums every balance per token against that token's supply.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -58,7 +58,7 @@ from .ledger import BalanceError, Ledger
 from .market import DrainEvent, PoolState, RugKind
 from .perps import Direction, FundingParams, MaintenanceRule, PerpBook
 from .rugproof import RugproofBook, SlashParams
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace
 from .vault import ReceiptKind, VaultRegistry, anticoin_value
 
@@ -146,8 +146,8 @@ class Simulation:
         self.agents: list[Agent] = []
         # agents of each kind, in self.agents order; filled at materialize
         self.agents_by_kind: dict[str, list[Agent]] = {}
-        # height -> (agent, step) in self.agents order, then script order
-        self._script_steps: dict[int, list[tuple[Agent, dict]]] = {}
+        # (height, chain) -> (agent, step) in self.agents order, then script order
+        self._script_steps: dict[tuple[int, str], list[tuple[Agent, dict]]] = {}
         # satellites in scenario order, then home; per-chain views
         self._chain_order: list[str] = []
         self._chain_views: dict[str, ChainView] = {}
@@ -209,15 +209,11 @@ class Simulation:
         for entry in sc.vaults:
             chain = entry["chain"]
             token = entry["rugged_token"]
-            price = self.prices.get(token)
-            if price is None:
-                raise ScenarioError(f"vaults.{entry['id']}",
-                                    f"token {token} has no price process")
             vault = self.registries[chain].create_vault(
                 token, ReceiptKind(entry.get("receipt_kind", "fungible")),
                 amt(entry["omega"]), amt(entry["theta"]), amt(entry["penalty_k"]),
                 amt(entry["penalty_lambda"]), amt(entry["gamma_base"]),
-                amt(entry["delta_gamma"]), price, vault_id=entry["id"])
+                amt(entry["delta_gamma"]), self.prices[token], vault_id=entry["id"])
             self.vault_chain[vault.vault_id] = chain
             self.token_chain[vault.anticoin] = chain
 
@@ -235,7 +231,8 @@ class Simulation:
                                     interval_blocks=sc.perps["interval_blocks"])
             rule = MaintenanceRule(
                 maintenance_fraction=amt(sc.perps.get("maintenance_fraction", "0.1")),
-                liquidator_deadline_blocks=sc.perps.get("liquidator_deadline_blocks", 5),
+                liquidator_deadline_blocks=int(
+                    sc.perps.get("liquidator_deadline_blocks", 5)),
                 liquidator_fee_fraction=amt(sc.perps.get("liquidator_fee_fraction", "0.05")))
             max_leverage = amt(sc.perps.get("max_leverage", 10))
             revalue = bool(sc.perps.get("revalue_collateral", False))
@@ -282,6 +279,9 @@ class Simulation:
                 wallet_outflow_fraction=amt(det.get("wallet_outflow_fraction", "0.5")),
                 volume_spike_factor=amt(det.get("volume_spike_factor", 4)))
 
+        # tokens with no chain entry (R, bonded tokens) and home ops run on home
+        chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
+                    "token": self.token_chain, "home": {}}
         for entry in sc.agents:
             agent = Agent(
                 kind=entry["kind"], account=self.accounts[entry["account"]],
@@ -290,11 +290,14 @@ class Simulation:
             self.agents.append(agent)
             self.agents_by_kind.setdefault(agent.kind, []).append(agent)
             for step in entry.get("script", []):
-                self._script_steps.setdefault(step["block"], []).append((agent, step))
+                entity = SCRIPT_OPS[step["op"]][0]
+                chain = chain_of[entity].get(step.get(entity), sc.home_chain)
+                self._script_steps.setdefault((step["block"], chain), []).append(
+                    (agent, step))
         self._build_step_plan()
 
         for entry in sc.intents:
-            self._register_intent(entry)
+            self._register_intent(entry, entry["owner"])
 
         # aux scans diff against these snapshots; genesis funding is not
         # block activity
@@ -318,13 +321,11 @@ class Simulation:
                     (creator.account.value, token))
         for agent in self.agents:
             noise = agent.params.get("noise")
-            if noise and noise["pool"] in self.pool_chain:
+            if noise:
                 views[self.pool_chain[noise["pool"]]].noise.append(
                     (agent, noise, self.rng.stream("noise", agent.account.value)))
         for keeper in self.agents_by_kind.get("pegkeeper", []):
-            chain = self.pool_chain.get(keeper.params.get("pool"))
-            if chain is not None:
-                views[chain].pegkeepers.append(keeper)
+            views[self.pool_chain[keeper.params["pool"]]].pegkeepers.append(keeper)
         for vault_id, book in self.perp_books.items():
             views[self.vault_chain[vault_id]].perp_books.append((vault_id, book))
         solvers = sorted(self.agents_by_kind.get("solver", []),
@@ -336,24 +337,20 @@ class Simulation:
         # the first liquidator by account id bids on every flagged position
         self._liquidation_bidder = liquidators[0].account.value if liquidators else None
 
-    def _register_intent(self, entry: dict) -> None:
-        pool_id = entry.get("pool")
-        pool = self.pools.get(pool_id)
-        if pool is None:
-            raise StateError(f"unknown pool {pool_id!r}")
+    def _register_intent(self, entry: dict, owner: str) -> None:
+        pool_id = entry["pool"]
+        pool = self.pools[pool_id]
         token = entry["token"]
-        vault_id = entry.get("vault")
-        if vault_id is None and entry["action"] == "swap_to_anticoin":
-            vault_id = self._vault_for_token(token)
         self.intent_book.register(
-            owner=self.accounts[entry["owner"]], pool=pool_id, token=token,
+            owner=self.accounts[owner], pool=pool_id, token=token,
             theta_price=amt(entry["theta_price"]),
             theta_liquidity=amt(entry["theta_liquidity"]),
             action=IntentAction(entry["action"]),
             price_ref=self.prices.get(token, ZERO),
             liquidity_ref=self._pool_liquidity(pool),
-            vault=vault_id, solver_fee_bps=int(entry.get("solver_fee_bps", 10000)))
-        self._event("intent_registered", owner=entry["owner"], pool=pool_id,
+            vault=entry.get("vault"),
+            solver_fee_bps=int(entry.get("solver_fee_bps", 10000)))
+        self._event("intent_registered", owner=owner, pool=pool_id,
                     theta_price=str(amt(entry["theta_price"])),
                     theta_liquidity=str(amt(entry["theta_liquidity"])))
 
@@ -459,9 +456,9 @@ class Simulation:
         for tx in due:
             self._execute_tx(tx, height)
 
-        # (4) scripted agent operations; each op keeps its own chain guard
-        for agent, step in self._script_steps.get(height, ()):
-            self._run_script_op(agent, step, chain, at)
+        # (4) scripted agent operations due on this chain
+        for agent, step in self._script_steps.get((height, chain), ()):
+            self._run_script_op(agent, step, at)
 
         # (4b) parametric noise traders
         for agent, noise, rng in view.noise:
@@ -763,66 +760,53 @@ class Simulation:
 
     # -- scripted ops ------------------------------------------------------------
 
-    def _run_script_op(self, agent: Agent, step: dict, chain: str,
-                       at: BlockTime) -> None:
+    def _run_script_op(self, agent: Agent, step: dict, at: BlockTime) -> None:
         op = step["op"]
         try:
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise StateError(f"unknown script op {op!r}")
-            handler(agent, step, chain, at)
+            getattr(self, f"_op_{op}")(agent, step, at)
         except RugsimError as exc:
             self._failed(op, exc, account=agent.account.value)
 
-    def _op_drain(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
+    def _op_drain(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        if self.pool_chain[pool_id] != chain:
-            return
         window = int(step.get("window", 1))
         ev = DrainEvent(pool=pool_id, creator=agent.account,
                         t_rug_supply=amt(step["t_rug"]),
                         t_total_supply=amt(step["t_total"]),
                         submitted_at=at,
-                        executes_at=BlockTime(at.height + window, chain))
+                        executes_at=BlockTime(at.height + window, at.chain))
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
-        pending = PendingDrain(event=ev, chain=chain)
+        pending = PendingDrain(event=ev, chain=at.chain)
         self.pending_drains.append(pending)
-        self._enqueue(chain, ev.executes_at.height, PRIORITY_DRAIN, "drain",
+        self._enqueue(at.chain, ev.executes_at.height, PRIORITY_DRAIN, "drain",
                       {"pending": pending, "rug_token": rug_token})
         self._event("drain_submitted", pool=pool_id, creator=agent.account.value,
                     t_rug=str(ev.t_rug_supply), t_total=str(ev.t_total_supply),
                     executes_at=ev.executes_at.height)
 
-    def _op_deposit(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
+    def _op_deposit(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
-        if self.vault_chain[vault_id] != chain:
-            return
-        registry = self.registries[chain]
-        minted, receipt, reward = registry.deposit(
+        minted, receipt, reward = self.registries[at.chain].deposit(
             self.ledger, vault_id, agent.account, amt(step["amount"]))
         self._queue_reward(reward)
         self._event("deposit", vault=vault_id, account=agent.account.value,
                     amount=str(minted), receipt_kind=receipt.kind.value,
                     serial=receipt.nft_serial)
 
-    def _op_burn(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
+    def _op_burn(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
-        if self.vault_chain[vault_id] != chain:
-            return
-        supply, reward = self.registries[chain].burn_anticoins(
+        supply, reward = self.registries[at.chain].burn_anticoins(
             self.ledger, vault_id, agent.account, amt(step["amount"]))
         self._queue_reward(reward)
         self._event("anticoin_burn", vault=vault_id, account=agent.account.value,
                     amount=str(amt(step["amount"])), supply_after=str(supply))
 
-    def _op_withdraw(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
+    def _op_withdraw(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
-        if self.vault_chain[vault_id] != chain:
-            return
         related = self.owner_accounts.get(agent.account.owner, [agent.account.value])
-        result = self.registries[chain].withdraw(
+        result = self.registries[at.chain].withdraw(
             self.ledger, vault_id, agent.account, amt(step["amount"]), TREASURY,
             related_accounts=related)
         self.total_penalties = self.total_penalties + result.penalty
@@ -831,25 +815,16 @@ class Simulation:
                     penalty=str(result.penalty), rate=str(result.rate),
                     index=result.withdrawal_index)
 
-    def _op_transfer(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
-        token = step["token"]
-        # a token with no chain entry (R, bonded tokens) lives on home
-        if self.token_chain.get(token, self.scenario.home_chain) != chain:
-            return
-        self.ledger.transfer(agent.account.value, step["to"], token,
+    def _op_transfer(self, agent: Agent, step: dict, at: BlockTime) -> None:
+        self.ledger.transfer(agent.account.value, step["to"], step["token"],
                              amt(step["amount"]), memo="script-transfer")
 
-    def _op_swap(self, agent: Agent, step: dict, chain: str, at: BlockTime) -> None:
-        if self.pool_chain[step["pool"]] != chain:
-            return
+    def _op_swap(self, agent: Agent, step: dict, at: BlockTime) -> None:
         self._apply_swap(step["pool"], agent.account.value, step["token_in"],
                          amt(step["amount"]), memo="script-swap")
 
-    def _op_add_liquidity(self, agent: Agent, step: dict, chain: str,
-                          at: BlockTime) -> None:
+    def _op_add_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        if self.pool_chain[pool_id] != chain:
-            return
         pool = self.pools[pool_id]
         dx = amt(step["dx"])
         dy = pool.reserve_y * dx / pool.reserve_x if step.get("dy") == "auto" \
@@ -869,11 +844,8 @@ class Simulation:
         self._event("add_liquidity", pool=pool_id, account=account,
                     dx=str(dx), dy=str(dy))
 
-    def _op_remove_liquidity(self, agent: Agent, step: dict, chain: str,
-                             at: BlockTime) -> None:
+    def _op_remove_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        if self.pool_chain[pool_id] != chain:
-            return
         share = amt(step["share"])
         account = agent.account.value
         shares = self.lp_shares[pool_id]
@@ -900,13 +872,10 @@ class Simulation:
         self._event("remove_liquidity", pool=pool_id, account=account,
                     out_x=str(out_x), out_y=str(out_y))
 
-    def _op_open_position(self, agent: Agent, step: dict, chain: str,
-                          at: BlockTime) -> None:
+    def _op_open_position(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
-        if self.vault_chain[vault_id] != chain:
-            return
         book = self.perp_books[vault_id]
-        vault = self.registries[chain].vault(vault_id)
+        vault = self.registries[at.chain].vault(vault_id)
         mark = self._mark_price(vault.rugged_token)
         unit_value = anticoin_value(vault, mark)
         position = book.open_position(
@@ -918,19 +887,10 @@ class Simulation:
                     leverage=str(position.leverage), direction=step["direction"],
                     entry=str(mark))
 
-    def _op_register_intent(self, agent: Agent, step: dict, chain: str,
-                            at: BlockTime) -> None:
-        # an unknown pool fails once, on home
-        if self.pool_chain.get(step.get("pool"), self.scenario.home_chain) != chain:
-            return
-        entry = dict(step)
-        entry["owner"] = agent.account.value
-        self._register_intent(entry)
+    def _op_register_intent(self, agent: Agent, step: dict, at: BlockTime) -> None:
+        self._register_intent(step, agent.account.value)
 
-    def _op_issue_bonded(self, agent: Agent, step: dict, chain: str,
-                         at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_issue_bonded(self, agent: Agent, step: dict, at: BlockTime) -> None:
         issuance = self.rugproof.issue_bonded_token(
             self.ledger, agent.account, step["token"], amt(step["total_issued"]),
             amt(step["x"]))
@@ -938,10 +898,7 @@ class Simulation:
                     issuer=agent.account.value, token=step["token"],
                     bond=str(issuance.bond))
 
-    def _op_rug_claim(self, agent: Agent, step: dict, chain: str,
-                      at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_rug_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.submit_rug_claim(self.ledger, agent.account,
                                                issuance_id, amt(step["y"]), at)
@@ -956,10 +913,7 @@ class Simulation:
                 return issuance_id
         raise StateError(f"no active issuance for {token}")
 
-    def _op_vote_rug(self, agent: Agent, step: dict, chain: str,
-                     at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_vote_rug(self, agent: Agent, step: dict, at: BlockTime) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.open_claim_for(issuance_id)
         if claim is None:
@@ -969,10 +923,7 @@ class Simulation:
         self._event("rug_vote", claim=claim.claim_id, voter=agent.account.value,
                     side=step["side"], deposit=str(amt(step["deposit"])))
 
-    def _op_issue_policy(self, agent: Agent, step: dict, chain: str,
-                         at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_issue_policy(self, agent: Agent, step: dict, at: BlockTime) -> None:
         policy = self.insurance.issue_policy(
             self.ledger, agent.account, self.accounts[step["insured"]],
             amt(step["insured_value"]), amt(step["x"]), int(step["duration"]), at)
@@ -980,10 +931,7 @@ class Simulation:
                     insurer=agent.account.value, insured=step["insured"],
                     bond=str(policy.insurer_bond))
 
-    def _op_submit_claim(self, agent: Agent, step: dict, chain: str,
-                         at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_submit_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         loss = amt(step["loss"]) if "loss" in step else None
         claim = self.insurance.submit_claim(self.ledger, step["policy"],
                                             agent.account, amt(step["y"]), at,
@@ -991,10 +939,7 @@ class Simulation:
         self._event("insurance_claim", claim=claim.claim_id, policy=step["policy"],
                     claimant=agent.account.value, bond=str(claim.claim_bond))
 
-    def _op_join_claim(self, agent: Agent, step: dict, chain: str,
-                       at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_join_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         joiner = self.insurance.join_claim(self.ledger, claim, agent.account,
                                            amt(step["loss"]), amt(step["w"]), at)
@@ -1007,30 +952,21 @@ class Simulation:
             raise StateError(f"no insurance claim {claim_id}")
         return claim
 
-    def _op_dispute_claim(self, agent: Agent, step: dict, chain: str,
-                          at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_dispute_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         dispute = self.insurance.dispute_claim(self.ledger, claim, agent.account,
                                                amt(step["z"]), at)
         self._event("claim_disputed", claim=claim.claim_id,
                     challenger=agent.account.value, bond=str(dispute.bond))
 
-    def _op_vote_insurance(self, agent: Agent, step: dict, chain: str,
-                           at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_vote_insurance(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.cast_vote(self.ledger, claim, agent.account,
                                  amt(step["deposit"]), step["side"], at)
         self._event("insurance_vote", claim=claim.claim_id,
                     voter=agent.account.value, side=step["side"])
 
-    def _op_escalate(self, agent: Agent, step: dict, chain: str,
-                     at: BlockTime) -> None:
-        if chain != self.scenario.home_chain:
-            return
+    def _op_escalate(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.escalate(self.ledger, claim, agent.account, at)
         self._event("claim_escalated", claim=claim.claim_id,
@@ -1142,7 +1078,7 @@ class Simulation:
                         amount=str(amount))
 
     def _phase_tokenomics(self, height: int) -> None:
-        emission = tokenomics.block_emission(self.supply_params.epsilon_rate, 1)
+        emission = self.supply_params.epsilon_rate
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
             self.supply.record_mint(emission)

@@ -13,13 +13,75 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .core import FixedAmount, ParameterError, RugsimError, amt
+from .core import SCALE, FixedAmount, ParameterError, RugsimError, amt
 
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
 RECEIPT_KINDS = ("fungible", "non_fungible", "refungible")
 PRICE_KINDS = ("scam", "catastrophic", "sentiment")
 INTENT_ACTIONS = ("exit_to_numeraire", "swap_to_anticoin")
+DIRECTIONS = ("long", "short")
+
+# argument kinds: a value check, a declared id of a reference kind, a tuple
+# of allowed strings, a one-element list for a list of that kind, or a dict
+# for a nested object; an argument whose key ends in "?" is optional
+AMOUNT, INT, TEXT, FRACTION = "amount", "int", "string", "fraction in (0, 1)"
+AMOUNT_OR_AUTO = "amount or 'auto'"
+REF_KINDS = CHAIN, PRICED_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
+    "chain", "priced token", "pool", "vault", "perps vault", "account")
+
+# op -> (the entity whose chain runs it: "pool", "vault", "token" or "home",
+#        the kinds of its arguments)
+SCRIPT_OPS = {
+    "drain": ("pool", {"pool": POOL, "t_rug": AMOUNT, "t_total": AMOUNT,
+                       "window?": INT}),
+    "deposit": ("vault", {"vault": VAULT, "amount": AMOUNT}),
+    "burn": ("vault", {"vault": VAULT, "amount": AMOUNT}),
+    "withdraw": ("vault", {"vault": VAULT, "amount": AMOUNT}),
+    # token and recipient may come into being during the run (R, bonded tokens)
+    "transfer": ("token", {"token": TEXT, "to": TEXT, "amount": AMOUNT}),
+    "swap": ("pool", {"pool": POOL, "token_in": TEXT, "amount": AMOUNT}),
+    "add_liquidity": ("pool", {"pool": POOL, "dx": AMOUNT, "dy": AMOUNT_OR_AUTO}),
+    "remove_liquidity": ("pool", {"pool": POOL, "share": AMOUNT}),
+    "open_position": ("vault", {"vault": PERPS_VAULT, "collateral": AMOUNT,
+                                "leverage": AMOUNT, "direction": DIRECTIONS}),
+    # the top-level intents take these arguments too, plus their owner
+    "register_intent": ("pool", {
+        "pool": POOL, "token": TEXT, "action": INTENT_ACTIONS, "theta_price": FRACTION,
+        "theta_liquidity": FRACTION, "vault?": VAULT, "solver_fee_bps?": INT}),
+    "issue_bonded": ("home", {"token": TEXT, "total_issued": AMOUNT, "x": AMOUNT}),
+    "rug_claim": ("home", {"token": TEXT, "y": AMOUNT}),
+    "vote_rug": ("home", {"token": TEXT, "deposit": AMOUNT, "side": TEXT}),
+    "issue_policy": ("home", {"insured": ACCOUNT, "insured_value": AMOUNT,
+                              "x": AMOUNT, "duration": INT}),
+    # policy and claim ids are issued during the run
+    "submit_claim": ("home", {"policy": TEXT, "y": AMOUNT, "loss?": AMOUNT}),
+    "join_claim": ("home", {"claim": TEXT, "loss": AMOUNT, "w": AMOUNT}),
+    "dispute_claim": ("home", {"claim": TEXT, "z": AMOUNT}),
+    "vote_insurance": ("home", {"claim": TEXT, "deposit": AMOUNT, "side": TEXT}),
+    "escalate": ("home", {"claim": TEXT}),
+}
+
+PRICE_PROCESS_ARGS = {"kind": PRICE_KINDS, "p0": AMOUNT, "tau_rug?": AMOUNT, "lam?": AMOUNT,
+                      "alpha_sent?": AMOUNT, "epsilon_floor?": AMOUNT}
+INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
+AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
+              "noise?": {"pool": POOL, "prob?": AMOUNT, "max_size?": AMOUNT}}
+AGENT_PARAMS = {
+    "pegkeeper": {"pool": POOL, "vault?": VAULT, "budget?": AMOUNT, "tolerance?": AMOUNT},
+    "detector": {"protects?": [ACCOUNT], "sandwich_budget?": AMOUNT,
+                 "backrun_budget?": AMOUNT, "backrun_cap?": AMOUNT},
+    "solver": {"fee_bps?": INT},
+}
+# the optional dispute sections
+SECTION_FIELDS = {
+    "rugproof": {"alpha_slash?": AMOUNT, "gamma_slash?": AMOUNT, "claimant_share?": AMOUNT,
+                 "z_min?": AMOUNT, "challenge_blocks?": INT, "x_min?": AMOUNT},
+    "insurance": {"alpha_comp?": AMOUNT, "gamma_pen?": AMOUNT,
+                  "escalation_bond_multiplier?": AMOUNT, "max_escalations?": INT,
+                  "tau_challenge?": INT, "tau_vote?": INT, "escalation_window?": INT,
+                  "x_min?": AMOUNT},
+}
 
 
 class ScenarioError(RugsimError):
@@ -31,6 +93,8 @@ class ScenarioError(RugsimError):
 
 
 def _need(doc: dict, key: str, path: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ScenarioError(path, f"expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
     return doc[key]
@@ -61,6 +125,57 @@ def _as_str(value: Any, path: str, choices: Optional[tuple] = None) -> str:
     if choices and value not in choices:
         raise ScenarioError(path, f"expected one of {choices}, got {value!r}")
     return value
+
+
+def _as_ref(value: Any, path: str, known: Any, what: str) -> str:
+    if _as_str(value, path) not in known:
+        raise ScenarioError(path, f"unknown {what} {value!r}")
+    return value
+
+
+def _new_id(entry: Any, key: str, path: str, seen: set, what: str) -> str:
+    value = _as_str(_need(entry, key, path), f"{path}.{key}")
+    if value in seen:
+        raise ScenarioError(f"{path}.{key}", f"duplicate {what} {value!r}")
+    seen.add(value)
+    return value
+
+
+def _check_arg(kind: Any, value: Any, path: str, refs: dict) -> None:
+    if kind == AMOUNT or (kind == AMOUNT_OR_AUTO and value != "auto"):
+        _as_amount(value, path)
+    elif kind in REF_KINDS:
+        _as_ref(value, path, refs[kind], kind)
+    elif kind == TEXT:
+        _as_str(value, path)
+    elif kind == INT and isinstance(value, str):
+        try:  # the engine reads these with int(), so "duration": "7" is an int
+            int(value)
+        except ValueError:
+            raise ScenarioError(path, f"expected an integer, got {value!r}") from None
+    elif kind == INT:
+        _as_int(value, path)
+    elif kind == FRACTION:
+        if not 0 < _as_amount(value, path).raw < SCALE:
+            raise ScenarioError(path, "must be in (0, 1)")
+    elif isinstance(kind, tuple):
+        _as_str(value, path, kind)
+    elif isinstance(kind, dict):
+        _check_args(value, kind, path, refs)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
+        for item in value:
+            _check_arg(kind[0], item, path, refs)
+
+
+def _check_args(entry: Any, args: dict, path: str, refs: dict) -> None:
+    if not isinstance(entry, dict):
+        raise ScenarioError(path, f"expected an object, got {type(entry).__name__}")
+    for key, kind in args.items():
+        name = key.rstrip("?")
+        if name == key or name in entry:
+            _check_arg(kind, _need(entry, name, path), f"{path}.{name}", refs)
 
 
 @dataclass
@@ -108,60 +223,39 @@ def load_scenario(doc: dict) -> Scenario:
     if len(set(chains)) != len(chains):
         raise ScenarioError("chains", "duplicate chain ids")
 
-    tokens = []
-    token_ids = {numeraire}
-    for i, entry in enumerate(doc.get("tokens", [])):
+    token_ids, account_ids, pool_ids, vault_ids = {numeraire}, set(), set(), set()
+    refs = {CHAIN: chains, PRICED_TOKEN: set(), POOL: pool_ids, VAULT: vault_ids,
+            ACCOUNT: account_ids, PERPS_VAULT: set()}
+
+    tokens = list(doc.get("tokens", []))
+    for i, entry in enumerate(tokens):
         path = f"tokens[{i}]"
-        token_id = _as_str(_need(entry, "id", path), f"{path}.id")
-        if token_id in token_ids:
-            raise ScenarioError(f"{path}.id", f"duplicate token {token_id!r}")
-        token_ids.add(token_id)
-        chain = _as_str(_need(entry, "chain", path), f"{path}.chain")
-        if chain not in chains:
-            raise ScenarioError(f"{path}.chain", f"unknown chain {chain!r}")
+        _new_id(entry, "id", path, token_ids, "token")
+        _check_args(entry, {"chain": CHAIN, "price_process?": PRICE_PROCESS_ARGS},
+                    path, refs)
         process = entry.get("price_process")
         if process is not None:
-            ppath = f"{path}.price_process"
-            kind = _as_str(_need(process, "kind", ppath), f"{ppath}.kind", PRICE_KINDS)
-            _as_amount(_need(process, "p0", ppath), f"{ppath}.p0")
-            for param in ("tau_rug", "lam", "alpha_sent", "epsilon_floor"):
-                if param in process:
-                    _as_amount(process[param], f"{ppath}.{param}")
-            if kind == "scam" and "tau_rug" not in process:
-                raise ScenarioError(f"{ppath}.tau_rug", "scam process needs tau_rug")
-        tokens.append(entry)
+            refs[PRICED_TOKEN].add(entry["id"])
+            if process["kind"] == "scam" and "tau_rug" not in process:
+                raise ScenarioError(f"{path}.price_process.tau_rug",
+                                    "scam process needs tau_rug")
 
-    accounts = []
-    account_ids = set()
-    for i, entry in enumerate(doc.get("accounts", [])):
+    accounts = list(doc.get("accounts", []))
+    for i, entry in enumerate(accounts):
         path = f"accounts[{i}]"
-        account_id = _as_str(_need(entry, "id", path), f"{path}.id")
-        if account_id in account_ids:
-            raise ScenarioError(f"{path}.id", f"duplicate account {account_id!r}")
-        account_ids.add(account_id)
-        if "owner" in entry:
-            _as_str(entry["owner"], f"{path}.owner")
+        _new_id(entry, "id", path, account_ids, "account")
+        _check_args(entry, {"owner?": TEXT}, path, refs)
         for token, balance in entry.get("balances", {}).items():
-            if token not in token_ids:
-                raise ScenarioError(f"{path}.balances.{token}", f"unknown token {token!r}")
+            _as_ref(token, f"{path}.balances.{token}", token_ids, "token")
             value = _as_amount(balance, f"{path}.balances.{token}")
             if value.raw < 0:
                 raise ScenarioError(f"{path}.balances.{token}", "negative balance")
-        accounts.append(entry)
 
-    pools = []
-    pool_ids = set()
-    for i, entry in enumerate(doc.get("pools", [])):
+    pools = list(doc.get("pools", []))
+    for i, entry in enumerate(pools):
         path = f"pools[{i}]"
-        pool_id = _as_str(_need(entry, "id", path), f"{path}.id")
-        if pool_id in pool_ids:
-            raise ScenarioError(f"{path}.id", f"duplicate pool {pool_id!r}")
-        pool_ids.add(pool_id)
-        chain = _as_str(_need(entry, "chain", path), f"{path}.chain")
-        if chain not in chains:
-            raise ScenarioError(f"{path}.chain", f"unknown chain {chain!r}")
-        for side in ("token_x", "token_y"):
-            _as_str(_need(entry, side, path), f"{path}.{side}")
+        _new_id(entry, "id", path, pool_ids, "pool")
+        _check_args(entry, {"chain": CHAIN, "token_x": TEXT, "token_y": TEXT}, path, refs)
         for side in ("reserve_x", "reserve_y"):
             value = _as_amount(_need(entry, side, path), f"{path}.{side}")
             if value.raw <= 0:
@@ -169,22 +263,13 @@ def load_scenario(doc: dict) -> Scenario:
         fee = _as_int(entry.get("fee_bps", 0), f"{path}.fee_bps", 0)
         if fee > 10000:
             raise ScenarioError(f"{path}.fee_bps", "fee above 100%")
-        pools.append(entry)
 
-    vaults = []
-    vault_ids = set()
-    for i, entry in enumerate(doc.get("vaults", [])):
+    vaults = list(doc.get("vaults", []))
+    for i, entry in enumerate(vaults):
         path = f"vaults[{i}]"
-        vault_id = _as_str(_need(entry, "id", path), f"{path}.id")
-        if vault_id in vault_ids:
-            raise ScenarioError(f"{path}.id", f"duplicate vault {vault_id!r}")
-        vault_ids.add(vault_id)
-        chain = _as_str(_need(entry, "chain", path), f"{path}.chain")
-        if chain not in chains:
-            raise ScenarioError(f"{path}.chain", f"unknown chain {chain!r}")
-        _as_str(_need(entry, "rugged_token", path), f"{path}.rugged_token")
-        _as_str(entry.get("receipt_kind", "fungible"), f"{path}.receipt_kind",
-                RECEIPT_KINDS)
+        _new_id(entry, "id", path, vault_ids, "vault")
+        _check_args(entry, {"chain": CHAIN, "rugged_token": PRICED_TOKEN,
+                            "receipt_kind?": RECEIPT_KINDS}, path, refs)
         omega = _as_amount(_need(entry, "omega", path), f"{path}.omega")
         theta = _as_amount(_need(entry, "theta", path), f"{path}.theta")
         if theta <= omega:
@@ -197,7 +282,6 @@ def load_scenario(doc: dict) -> Scenario:
             value = _as_amount(_need(entry, key, path), f"{path}.{key}")
             if value.raw < 0:
                 raise ScenarioError(f"{path}.{key}", "must be >= 0")
-        vaults.append(entry)
 
     tk_path = "tokenomics"
     tokenomics = _need(doc, "tokenomics", "")
@@ -216,51 +300,38 @@ def load_scenario(doc: dict) -> Scenario:
             if value.raw <= 0:
                 raise ScenarioError(f"{path}.{key}", "must be > 0")
         _as_int(_need(perps, "interval_blocks", path), f"{path}.interval_blocks", 1)
-        for vault_id in perps.get("enabled_vaults", []):
-            if vault_id not in vault_ids:
-                raise ScenarioError(f"{path}.enabled_vaults", f"unknown vault {vault_id!r}")
-        if "amm_pool" in perps and perps["amm_pool"] not in pool_ids:
-            raise ScenarioError(f"{path}.amm_pool", f"unknown pool {perps['amm_pool']!r}")
+        _check_args(perps, {"enabled_vaults?": [VAULT], "amm_pool?": POOL,
+                            "maintenance_fraction?": AMOUNT, "max_leverage?": AMOUNT,
+                            "liquidator_deadline_blocks?": INT,
+                            "liquidator_fee_fraction?": AMOUNT}, path, refs)
+        refs[PERPS_VAULT] = set(perps.get("enabled_vaults", []))
 
     detection = doc.get("detection", {})
-    for key in ("drop_threshold", "mint_spike_factor", "wallet_outflow_fraction",
-                "volume_spike_factor"):
-        if key in detection:
-            _as_amount(detection[key], f"detection.{key}")
+    _check_args(detection, {"drop_threshold?": AMOUNT, "mint_spike_factor?": AMOUNT,
+                            "wallet_outflow_fraction?": AMOUNT,
+                            "volume_spike_factor?": AMOUNT, "protocol_priority_boost?": INT,
+                            "sandwich_treasury_fraction?": AMOUNT}, "detection", refs)
+    for name, fields in SECTION_FIELDS.items():
+        if doc.get(name) is not None:
+            _check_args(doc[name], fields, name, refs)
 
-    agents = []
+    agents = list(doc.get("agents", []))
     seen_agent_accounts = set()
-    for i, entry in enumerate(doc.get("agents", [])):
+    for i, entry in enumerate(agents):
         path = f"agents[{i}]"
-        kind = _as_str(_need(entry, "kind", path), f"{path}.kind")
-        if kind not in KNOWN_AGENT_KINDS:
-            raise ScenarioError(f"{path}.kind", f"unknown agent kind {kind!r}")
-        account = _as_str(_need(entry, "account", path), f"{path}.account")
-        if account not in account_ids:
-            raise ScenarioError(f"{path}.account", f"unknown account {account!r}")
-        if account in seen_agent_accounts:
-            raise ScenarioError(f"{path}.account", f"duplicate agent for {account!r}")
-        seen_agent_accounts.add(account)
+        _check_args(entry, AGENT_ARGS, path, refs)
+        _new_id(entry, "account", path, seen_agent_accounts, "agent for")
+        if entry["kind"] in AGENT_PARAMS:
+            _check_args(entry, AGENT_PARAMS[entry["kind"]], path, refs)
         for j, step in enumerate(entry.get("script", [])):
             spath = f"{path}.script[{j}]"
             _as_int(_need(step, "block", spath), f"{spath}.block", 0)
-            _as_str(_need(step, "op", spath), f"{spath}.op")
-        agents.append(entry)
+            op = _as_ref(_need(step, "op", spath), f"{spath}.op", SCRIPT_OPS, "op")
+            _check_args(step, SCRIPT_OPS[op][1], spath, refs)
 
-    intents = []
-    for i, entry in enumerate(doc.get("intents", [])):
-        path = f"intents[{i}]"
-        owner = _as_str(_need(entry, "owner", path), f"{path}.owner")
-        if owner not in account_ids:
-            raise ScenarioError(f"{path}.owner", f"unknown account {owner!r}")
-        if _need(entry, "pool", path) not in pool_ids:
-            raise ScenarioError(f"{path}.pool", f"unknown pool {entry['pool']!r}")
-        _as_str(_need(entry, "action", path), f"{path}.action", INTENT_ACTIONS)
-        for key in ("theta_price", "theta_liquidity"):
-            value = _as_amount(_need(entry, key, path), f"{path}.{key}")
-            if not (0 < value.raw < 10**9):
-                raise ScenarioError(f"{path}.{key}", "must be in (0, 1)")
-        intents.append(entry)
+    intents = list(doc.get("intents", []))
+    for i, entry in enumerate(intents):
+        _check_args(entry, INTENT_ARGS, f"intents[{i}]", refs)
 
     return Scenario(
         doc=doc, seed=seed, blocks=blocks, bridge_delay_blocks=bridge_delay,
@@ -280,6 +351,23 @@ def load_scenario_file(path: str) -> Scenario:
     return load_scenario(doc)
 
 
+def _describe(kind: Any) -> Any:
+    """Schema text for an argument kind; a dict of kinds maps key by key."""
+    if isinstance(kind, tuple):
+        return "|".join(kind)
+    if isinstance(kind, list):
+        return f"list of {_describe(kind[0])}"
+    if not isinstance(kind, dict):
+        return f"{kind} id" if kind in REF_KINDS else kind
+    described = {}
+    for key, value in kind.items():
+        name = key.rstrip("?")
+        described[name] = _describe(value)
+        if name != key and not isinstance(value, dict):
+            described[name] += " (optional)"
+    return described
+
+
 SCENARIO_SCHEMA = {
     "seed": "int >= 0: master seed for all randomness substreams",
     "blocks": "int >= 1: blocks to simulate on every chain (lockstep clock)",
@@ -288,10 +376,7 @@ SCENARIO_SCHEMA = {
     "numeraire": "token id of the liquid quote asset",
     "chains": ["chain id", "..."],
     "tokens": [{"id": "token id", "chain": "chain id",
-                "price_process": {"kind": "scam|catastrophic|sentiment",
-                                  "p0": "amount", "tau_rug": "amount",
-                                  "lam": "amount", "alpha_sent": "amount",
-                                  "epsilon_floor": "amount"}}],
+                "price_process": _describe(PRICE_PROCESS_ARGS)}],
     "accounts": [{"id": "account id", "owner": "beneficial owner (default: id)",
                   "balances": {"token id": "amount"}}],
     "pools": [{"id": "pool id", "chain": "chain id", "token_x": "token id",
@@ -314,20 +399,15 @@ SCENARIO_SCHEMA = {
                   "wallet_outflow_fraction": "amount", "volume_spike_factor": "amount",
                   "protocol_priority_boost": "int: protective plans outbid drains by this",
                   "sandwich_treasury_fraction": "fraction of sandwich profit to treasury"},
-    "rugproof": {"alpha_slash": "amount", "gamma_slash": "amount",
-                 "claimant_share": "amount", "z_min": "amount",
-                 "challenge_blocks": "int", "x_min": "amount"},
-    "insurance": {"alpha_comp": "amount", "gamma_pen": "amount",
-                  "escalation_bond_multiplier": "amount", "max_escalations": "int",
-                  "tau_challenge": "int", "tau_vote": "int",
-                  "escalation_window": "int", "x_min": "amount"},
-    "agents": [{"kind": "|".join(KNOWN_AGENT_KINDS), "account": "account id",
-                "script": [{"block": "int", "op": "op name", "...": "op args"}],
-                "...": "kind-specific parameters"}],
-    "intents": [{"owner": "account id", "pool": "pool id", "token": "token id",
-                 "theta_price": "fraction (0,1)", "theta_liquidity": "fraction (0,1)",
-                 "action": "exit_to_numeraire|swap_to_anticoin",
-                 "solver_fee_bps": "int"}],
+    **{name: _describe(fields) for name, fields in SECTION_FIELDS.items()},
+    "agents": [{**_describe(AGENT_ARGS),
+                "script": [{"block": "int >= 0", "op": name,
+                            "(runs on)": f"the chain of its {chain}"
+                            if chain != "home" else "the home chain",
+                            **_describe(args)}
+                           for name, (chain, args) in SCRIPT_OPS.items()],
+                "...": {kind: _describe(params) for kind, params in AGENT_PARAMS.items()}}],
+    "intents": [_describe(INTENT_ARGS)],
 }
 
 

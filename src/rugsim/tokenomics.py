@@ -1,4 +1,4 @@
-"""Home-chain token supply regulation and reward arithmetic.
+"""Home-chain token supply regulation and the vault oracle.
 
 The inverse-log supply law is reified as a *target*: a one-sided
 proportional controller burns toward s0 / ln(vaulted value) at rate kappa,
@@ -13,7 +13,7 @@ holds exactly in every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     FixedAmount,
@@ -84,12 +84,6 @@ def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:
     return s0 / max(ONE, log)
 
 
-def block_emission(epsilon_rate: FixedAmount, blocks: int) -> FixedAmount:
-    if blocks < 0:
-        raise ParameterError(f"blocks must be >= 0, got {blocks}")
-    return epsilon_rate * blocks
-
-
 def burn_step(state: SupplyState, params: SupplyParams, target: FixedAmount,
               available: FixedAmount | None = None) -> FixedAmount:
     """One-sided controller step: burn kappa * excess over `target` (the
@@ -105,18 +99,6 @@ def burn_step(state: SupplyState, params: SupplyParams, target: FixedAmount,
     if burned.raw > 0:
         state.record_burn(burned)
     return burned
-
-
-def deposit_reward(amount_cr: FixedAmount, omega: FixedAmount) -> FixedAmount:
-    if amount_cr.raw < 0:
-        raise ParameterError("amount must be >= 0")
-    return omega * amount_cr
-
-
-def burn_reward(amount_ca: FixedAmount, theta: FixedAmount) -> FixedAmount:
-    if amount_ca.raw < 0:
-        raise ParameterError("amount must be >= 0")
-    return theta * amount_ca
 
 
 @dataclass(frozen=True)
@@ -158,13 +140,3 @@ def aggregate_vault_stats(registries: Sequence[VaultRegistry], ledger: Ledger,
         sum_cr_value=fsum(r.deposited_value for r in rows),
         sum_vaulted_value=fsum(r.vaulted_value for r in rows),
         per_vault=tuple(rows))
-
-
-def market_potential(marks_and_supplies: Iterable[tuple[FixedAmount, FixedAmount]]) -> FixedAmount:
-    """Sum of external mark price times anticoin supply across vaults."""
-    total = ZERO
-    for mark, supply in marks_and_supplies:
-        if mark.raw < 0:
-            raise ParameterError("mark prices must be >= 0")
-        total = total + mark * supply
-    return total

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from rugsim.cli import main
 from rugsim.core import amt
-from rugsim.scenario import reference_scenario
+from rugsim.scenario import reference_scenario, scam_scenario
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -191,3 +193,97 @@ def test_run_non_finite_noise_literal_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and "'NaN'" in err
+
+
+def _script_step(**fields):
+    """Append a block-3 step to alice's script (it becomes script[2])."""
+    return lambda doc: doc["agents"][0]["script"].append({"block": 3, **fields})
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return mutate
+
+
+def _with_perps(doc):
+    doc["perps"] = {"enabled_vaults": ["v-rug"], "alpha_base": "0.01",
+                    "l_min": "100", "interval_blocks": 4}
+    _script_step(op="open_position", vault="v-rug", collateral="10",
+                 leverage="2", direction="up")(doc)
+
+
+LOAD_PROBES = [
+    pytest.param("reference", _script_step(op="swap", pool="nope", token_in="RUG",
+                                           amount="1"),
+                 "agents[0].script[2].pool", id="swap-unknown-pool"),
+    pytest.param("reference", _script_step(op="deposit", vault="nope", amount="1"),
+                 "agents[0].script[2].vault", id="deposit-unknown-vault"),
+    pytest.param("reference", _script_step(op="withdraw", vault="nope", amount="1"),
+                 "agents[0].script[2].vault", id="withdraw-unknown-vault"),
+    pytest.param("reference", _script_step(op="deposit", vault="v-rug"),
+                 "agents[0].script[2].amount", id="deposit-without-amount"),
+    pytest.param("reference", _script_step(op="deposit", vault="v-rug", amount=1.5),
+                 "agents[0].script[2].amount", id="float-amount"),
+    pytest.param("reference", _script_step(op="open_position", vault="v-rug",
+                                           collateral="10", leverage="2",
+                                           direction="long"),
+                 "agents[0].script[2].vault", id="position-on-vault-without-perps"),
+    pytest.param("reference", _with_perps, "agents[0].script[2].direction",
+                 id="unknown-direction"),
+    pytest.param("reference", _script_step(op="register_intent", pool="rug-usdn",
+                                           token="RUG", action="hodl",
+                                           theta_price="0.5", theta_liquidity="0.5"),
+                 "agents[0].script[2].action", id="unknown-intent-action"),
+    pytest.param("reference", _script_step(op="register_intent", pool="rug-usdn",
+                                           token="RUG", action="exit_to_numeraire",
+                                           theta_price="0", theta_liquidity="0.5"),
+                 "agents[0].script[2].theta_price", id="script-intent-theta-range"),
+    pytest.param("scam", _set("intents", 0, "theta_liquidity", value="1"),
+                 "intents[0].theta_liquidity", id="intent-theta-range"),
+    pytest.param("reference", _script_step(op="issue_policy", insured="ghost",
+                                           insured_value="10", x="0.1", duration="7"),
+                 "agents[0].script[2].insured", id="policy-for-unknown-account"),
+    pytest.param("reference", _script_step(op="hodl"), "agents[0].script[2].op",
+                 id="unknown-op"),
+    pytest.param("reference", _set("agents", 3, "vault", value="nope"),
+                 "agents[3].vault", id="keeper-unknown-vault"),
+    pytest.param("reference", _set("agents", 3, "pool", value="nope"),
+                 "agents[3].pool", id="keeper-unknown-pool"),
+    pytest.param("reference", _set("agents", 3, "budget", value=200.0),
+                 "agents[3].budget", id="keeper-float-budget"),
+    pytest.param("reference", _set("agents", 3, "tolerance", value=0.01),
+                 "agents[3].tolerance", id="keeper-float-tolerance"),
+    pytest.param("reference", _set("agents", 0, "noise", "prob", value=0.25),
+                 "agents[0].noise.prob", id="noise-float-prob"),
+    pytest.param("reference", _set("agents", 0, "noise", "max_size", value=5.0),
+                 "agents[0].noise.max_size", id="noise-float-size"),
+    pytest.param("reference", _set("agents", 0, "noise", "pool", value="nope"),
+                 "agents[0].noise.pool", id="noise-unknown-pool"),
+    pytest.param("scam", _set("agents", 2, "protects", value=["ghost"]),
+                 "agents[2].protects", id="detector-protects-unknown-account"),
+    pytest.param("scam", _set("agents", 2, "backrun_budget", value=100.0),
+                 "agents[2].backrun_budget", id="detector-float-budget"),
+    pytest.param("scam", _set("agents", 2, "backrun_cap", value=50.0),
+                 "agents[2].backrun_cap", id="detector-float-cap"),
+    pytest.param("reference", _set("rugproof", value={"z_min": 1.5}),
+                 "rugproof.z_min", id="rugproof-float"),
+    pytest.param("reference", _set("insurance", value={"alpha_comp": 0.2}),
+                 "insurance.alpha_comp", id="insurance-float"),
+]
+
+
+@pytest.mark.parametrize("builtin,mutate,path", LOAD_PROBES)
+def test_run_rejects_bad_documents_at_load_with_a_path(tmp_path, capsys, builtin,
+                                                       mutate, path):
+    doc = reference_scenario(blocks=10) if builtin == "reference" else scam_scenario()
+    mutate(doc)
+    code = main(["run", "--scenario", write_scenario(tmp_path, doc),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"scenario error: {path}: ")
+    assert "Traceback" not in err

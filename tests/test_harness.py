@@ -5,8 +5,9 @@ through scripted scenarios."""
 import pytest
 
 from rugsim.core import amt
-from rugsim.harness import run_scenario
+from rugsim.harness import Simulation, run_scenario
 from rugsim.scenario import (
+    SCRIPT_OPS,
     ScenarioError,
     load_scenario,
     reference_scenario,
@@ -419,14 +420,18 @@ def test_scripted_register_intent_runs_on_its_pool_chain_only():
 
 
 def test_scripted_register_intent_on_unknown_pool_fails_once():
-    _, trace = run_scenario(scripted_reference(
-        {"block": 3, "op": "register_intent", "pool": "nope", "token": "RUG",
-         "action": "exit_to_numeraire", "theta_price": "0.5",
-         "theta_liquidity": "0.5"}))
-    failures = [e for e in trace.events if e["type"] == "failed"]
-    assert [(f["op"], f["error"], f["chain"], f["account"]) for f in failures] == \
-        [("register_intent", "StateError", "home", "alice")]
-    assert "nope" in failures[0]["detail"]
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scripted_reference(
+            {"block": 3, "op": "register_intent", "pool": "nope", "token": "RUG",
+             "action": "exit_to_numeraire", "theta_price": "0.5",
+             "theta_liquidity": "0.5"}))
+    assert err.value.path == "agents[0].script[2].pool"
+    assert "unknown pool 'nope'" in str(err.value)
+
+
+def test_script_op_table_names_every_handler():
+    handlers = {name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")}
+    assert set(SCRIPT_OPS) == handlers
 
 
 def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():

@@ -1,7 +1,4 @@
-"""Supply target, emissions, burn controller, rewards, and oracle
-aggregation."""
-
-import pytest
+"""Supply target, emissions, burn controller, and oracle aggregation."""
 
 from rugsim.core import FixedAmount, SCALE, amt, safe_exp
 from rugsim.ledger import Ledger
@@ -9,11 +6,7 @@ from rugsim.tokenomics import (
     SupplyParams,
     SupplyState,
     aggregate_vault_stats,
-    block_emission,
-    burn_reward,
     burn_step,
-    deposit_reward,
-    market_potential,
     target_supply,
 )
 from rugsim.vault import ReceiptKind, VaultRegistry
@@ -47,14 +40,6 @@ def test_target_supply_non_increasing():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_block_emission():
-    assert block_emission(amt(5), 10) == amt(50)
-    assert block_emission(amt(0), 10) == amt(0)
-    assert block_emission(amt(5), 0) == amt(0)
-    with pytest.raises(Exception):
-        block_emission(amt(5), -1)
-
-
 def test_burn_step_controller():
     params = mk_params(s0=1000, kappa="0.5")
     # vaulted value e^1 -> target 1000; at setpoint: no burn
@@ -75,13 +60,6 @@ def test_burn_step_respects_cap():
     state = SupplyState(current_supply=amt(5000))
     target = target_supply(safe_exp(amt(1)), params.s0)
     assert burn_step(state, params, target) == amt(10)
-
-
-def test_rewards_linear_and_ordered():
-    assert deposit_reward(amt(1000), amt("0.01")) == amt(10)
-    assert deposit_reward(amt(0), amt("0.01")) == amt(0)
-    assert burn_reward(amt(1000), amt("0.02")) == amt(20)
-    assert burn_reward(amt(1000), amt("0.02")) > deposit_reward(amt(1000), amt("0.01"))
 
 
 def mk_registry(chain, ledger, price=100, deposit=None):
@@ -129,12 +107,6 @@ def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
     assert report.sum_vaulted_value == amt(900)
 
 
-def test_market_potential():
-    assert market_potential([]) == amt(0)
-    assert market_potential([(amt("0.5"), amt(1000))]) == amt(500)
-    assert market_potential([(amt(0), amt(1000)), (amt(0), amt(50))]) == amt(0)
-
-
 def test_supply_identity_over_steps():
     params = mk_params(s0=100, eps="5", kappa="0.25")
     state = SupplyState(current_supply=amt(500))
@@ -142,7 +114,7 @@ def test_supply_identity_over_steps():
     for height in range(1, 50):
         state.begin_block(height)
         before = state.current_supply
-        emission = block_emission(params.epsilon_rate, 1)
+        emission = params.epsilon_rate
         state.record_mint(emission)
         burned = burn_step(state, params, target)
         assert state.current_supply == before + emission - burned

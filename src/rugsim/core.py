@@ -3,12 +3,13 @@ simulated block time, and seeded randomness.
 
 Every monetary quantity in the simulator is a ``FixedAmount``: an integer
 count of 1e-9 units. Addition and subtraction are exact; multiplication and
-division round half-to-even at the 1e-9 quantum. Transcendentals (exp,
-powers) are evaluated with the ``decimal`` module at 40 significant digits
-and then quantized. ``ln`` is an exact integer kernel: 128-bit fixed point,
-rounded straight to the quantum, with the 40-digit ``decimal`` expression
-as its fallback when the fixed-point value is too close to a rounding
-boundary to decide; it returns what that expression returns, bit for bit.
+division round half-to-even at the 1e-9 quantum. Powers and ``safe_exp``
+are evaluated with the ``decimal`` module at 40 significant digits and then
+quantized. ``ln`` and the decaying price ``p0 * e**-x`` are exact integer
+kernels: 128-bit fixed point, rounded straight to the quantum, with the
+40-digit ``decimal`` expression as their fallback when the fixed-point
+value is too close to a rounding boundary to decide; each returns what its
+expression returns, bit for bit.
 Results are bit-identical across platforms -- no libm involved anywhere.
 """
 
@@ -70,6 +71,14 @@ def _div_round_half_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q % 2 != 0):
         q += 1
     return q
+
+
+def _checked(raw: int) -> int:
+    """raw, or the RangeError that FixedAmount(raw) would raise: for sums
+    kept as raw ints."""
+    if abs(raw) > MAX_RAW:
+        raise RangeError(f"fixed-point overflow: raw={raw}")
+    return raw
 
 
 class FixedAmount:
@@ -304,6 +313,85 @@ def _ln_raw(raw: int) -> int:
             return scaled >> _LN_BITS
     d = _EXT.ln(Decimal(raw).scaleb(-9))
     return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
+
+
+# -- exp: integer kernel ------------------------------------------------
+#
+# p0 * e**-x = p0 * 2**-k * e**(-j/64) * e**-s, with k = floor(x / ln 2),
+# the table entry e**(-j/64) and 0 <= s < 1/64, in the ln kernel's fixed
+# point. Ziv's rounding test decides as for ln; otherwise the 40-digit
+# decimal expression answers.
+
+def _exp_table() -> list[int]:
+    """e**(-j/64) * 2**_LN_BITS for j = 0..44 (j/64 < ln 2), each within
+    one unit: powers of the series for e**(-1/64), with guard bits, then
+    rounded."""
+    bits = _LN_BITS + _LN_TABLE_GUARD
+    step = term = 1 << bits
+    n = 1
+    while term:
+        term //= 64 * n
+        step += -term if n % 2 else term
+        n += 1
+    half = 1 << (_LN_TABLE_GUARD - 1)
+    table, acc = [], 1 << bits
+    for _ in range(45):
+        table.append((acc + half) >> _LN_TABLE_GUARD)
+        acc = (acc * step) >> bits
+    return table
+
+
+_EXP_TABLE = _exp_table()
+
+# Error bound, in units of 2**-_LN_BITS of 1e-9, between the kernel's scaled
+# value v and the value the decimal expression rounds last; the kernel
+# decides only for k <= 92 (p0 < 2**90 quanta), so x < 65. The fixed-point
+# e**-x is off by less than (k + 1) (x, and k times ln 2) + 1 (table) + 20
+# (series) + 1 (product) < 116 units, times p0 * 2**-k <= 2 * v * 2**-128
+# after the shift by k: below v * 2**-120, plus 1 for the shift. The
+# decimal expression rounds -x (the scam exponent), e**-x and p0 * e**-x to
+# 40 digits (relative 5e-40 each; -x's error moves e**-x by x * 5e-40) and
+# the product to the default context's 28 digits in scaleb (relative
+# 5e-28): together below v * 2**-90. So v * 2**-89 + _EXP_MARGIN covers
+# both, with 1 more unit for the truncating shift by 89.
+_EXP_MARGIN = 2
+
+
+def _exp_neg_decimal(p0_raw: int, x_num: int, x_den: int) -> int:
+    """round(p0 * e**-x / 1e-9) for x = x_num / x_den, as the 40-digit
+    decimal expression gives it: the value of -x rounded to 40 digits is
+    the same whether it is computed as -t / tau or as rate * -t."""
+    exponent = _EXT.divide(Decimal(-x_num), Decimal(x_den))
+    d = _EXT.multiply(Decimal(p0_raw).scaleb(-9), _EXT.exp(exponent))
+    return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
+
+
+def _exp_neg_raw(p0_raw: int, x_num: int, x_den: int) -> int:
+    """round(p0 * e**-x / 1e-9) for p0 = p0_raw * 1e-9 and x = x_num / x_den,
+    exactly as the 40-digit decimal expression rounds it, which also serves
+    p0_raw outside (0, MAX_RAW], x < 0 and any result too close to a
+    half-quantum to decide."""
+    if 0 < p0_raw <= MAX_RAW and x_num >= 0 and x_den > 0:
+        if x_num >= x_den << 7:
+            return 0  # p0 * e**-x < 2**90 * e**-128 < 2**-94 quanta
+        k, r = divmod((x_num << _LN_BITS) // x_den, _LN2)
+        if p0_raw.bit_length() + 3 <= k:
+            # k <= x / ln 2 + 1: p0 * e**-x < 2**(k-3) * 2**-(k-1) quanta
+            return 0
+        j = r >> (_LN_BITS - 6)
+        s = r - (j << (_LN_BITS - 6))
+        series = term = _LN_ONE
+        n = 1
+        while term:
+            term = ((term * s) >> _LN_BITS) // n
+            series += -term if n % 2 else term
+            n += 1
+        scaled = (p0_raw * ((_EXP_TABLE[j] * series) >> _LN_BITS)) >> k
+        margin = (scaled >> 89) + _EXP_MARGIN
+        rest = (scaled + (_LN_ONE >> 1)) & (_LN_ONE - 1)
+        if margin < rest < _LN_ONE - margin:
+            return (scaled + (_LN_ONE >> 1)) >> _LN_BITS
+    return _exp_neg_decimal(p0_raw, x_num, x_den)
 
 
 def safe_ln(x: FixedAmount) -> FixedAmount:

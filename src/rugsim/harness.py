@@ -44,6 +44,7 @@ from .core import (
     StateError,
     TokenId,
     ZERO,
+    _checked,
     amt,
 )
 from .detection import (
@@ -111,6 +112,8 @@ class ChainView:
     monitors: list[tuple[str, PoolMonitor]] = field(default_factory=list)
     # (creator account, chain token) pairs whose outflows the aux scan reads
     outflow_keys: list[tuple[str, TokenId]] = field(default_factory=list)
+    # chain tokens whose mints the aux scan reads (R is excluded)
+    mint_tokens: list[TokenId] = field(default_factory=list)
     noise: list[tuple[Agent, dict, random.Random]] = field(default_factory=list)
     pegkeepers: list[Agent] = field(default_factory=list)
     perp_books: list[tuple[str, PerpBook]] = field(default_factory=list)
@@ -158,13 +161,13 @@ class Simulation:
         # per-pool LP share ledger: exact pool fractions per account,
         # genesis liquidity held by the synthetic "protocol" holder
         self.lp_shares: dict[str, dict[str, Fraction]] = {}
-        # cumulative totals, diffed against per-chain snapshots at scan time
-        self._mint_totals: dict[str, FixedAmount] = {}
-        self._outflow_totals: dict[tuple[str, str], FixedAmount] = {}
-        self._scanned_mints: dict[str, FixedAmount] = {}
-        self._scanned_outflows: dict[tuple[str, str], FixedAmount] = {}
-        self._prev_volumes: dict[str, FixedAmount] = {}
-        self._prev_liquidity: dict[str, FixedAmount] = {}
+        # cumulative raw totals, diffed against per-chain snapshots at scan time
+        self._mint_totals: dict[str, int] = {}
+        self._outflow_totals: dict[tuple[str, str], int] = {}
+        self._scanned_mints: dict[str, int] = {}
+        self._scanned_outflows: dict[tuple[str, str], int] = {}
+        self._prev_volumes: dict[str, int] = {}
+        self._prev_liquidity: dict[str, int] = {}
 
         self._materialize()
 
@@ -203,8 +206,8 @@ class Simulation:
             self.ledger.mint(account, pool.token_x, pool.reserve_x, memo="genesis-pool")
             self.ledger.mint(account, pool.token_y, pool.reserve_y, memo="genesis-pool")
             self.lp_shares[pool.pool_id] = {"protocol": Fraction(1)}
-            self._prev_volumes[pool.pool_id] = ZERO
-            self._prev_liquidity[pool.pool_id] = self._pool_liquidity(pool)
+            self._prev_volumes[pool.pool_id] = 0
+            self._prev_liquidity[pool.pool_id] = self._pool_liquidity(pool).raw
 
         for entry in sc.vaults:
             chain = entry["chain"]
@@ -315,6 +318,9 @@ class Simulation:
             views[self.pool_chain[pool_id]].pool_ids.append(pool_id)
         for pool_id, monitor in self.monitors.items():
             views[self.pool_chain[pool_id]].monitors.append((pool_id, monitor))
+        for token, chain in self.token_chain.items():
+            if token != HOME_TOKEN:
+                views[chain].mint_tokens.append(token)
         for creator in self.agents_by_kind.get("creator", []):
             for token in self.processes:
                 views[self.token_chain[token]].outflow_keys.append(
@@ -377,11 +383,12 @@ class Simulation:
         event["chain"] = self._chain_ctx
         self.trace.record(event)
         if event["type"] == "mint":
-            token = event["token"]
-            self._mint_totals[token] = self._mint_totals.get(token, ZERO) + amount
+            totals, key = self._mint_totals, event["token"]
         elif event["type"] == "transfer":
-            key = (event["src"], event["token"])
-            self._outflow_totals[key] = self._outflow_totals.get(key, ZERO) + amount
+            totals, key = self._outflow_totals, (event["src"], event["token"])
+        else:
+            return
+        totals[key] = _checked(totals.get(key, 0) + amount.raw)
 
     def _event(self, event_type: str, **payload: Any) -> None:
         event = {"type": event_type, "h": self.height, "chain": self._chain_ctx}
@@ -494,36 +501,38 @@ class Simulation:
                             magnitude=str(signal.magnitude))
 
         # auxiliary metrics over activity since this chain's last scan
-        # (everything the previous block did, nothing of this one yet)
+        # (everything the previous block did, nothing of this one yet), in
+        # raw ints; totals only grow, so the mint and volume sums are range
+        # checked once, as FixedAmounts
         aux = self.aux_monitors.get(chain)
         if aux is not None:
-            minted = ZERO
-            for token, total in self._mint_totals.items():
-                if self.token_chain.get(token) == chain and token != HOME_TOKEN:
-                    minted = minted + (total - self._scanned_mints.get(token, ZERO))
-                    self._scanned_mints[token] = total
+            minted = 0
+            for token in view.mint_tokens:
+                total = self._mint_totals.get(token, 0)
+                minted += total - self._scanned_mints.get(token, 0)
+                self._scanned_mints[token] = total
             # largest single creator-wallet outflow of a chain token
-            outflow = ZERO
-            balance_before = ZERO
+            outflow = balance_before = 0
             for key in view.outflow_keys:
-                total = self._outflow_totals.get(key, ZERO)
-                moved = total - self._scanned_outflows.get(key, ZERO)
+                total = self._outflow_totals.get(key, 0)
+                moved = total - self._scanned_outflows.get(key, 0)
                 self._scanned_outflows[key] = total
                 if moved > outflow:
                     outflow = moved
-                    balance_before = self.ledger.balance(*key) + moved
-            volume = ZERO
-            delta_liq = ZERO
+                    balance_before = _checked(self.ledger.balance(*key).raw + moved)
+            volume = delta_liq = 0
+            prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
             for pool_id in view.pool_ids:
                 pool = self.pools[pool_id]
-                current = pool.volume_x + pool.volume_y
-                volume = volume + (current - self._prev_volumes[pool_id])
-                self._prev_volumes[pool_id] = current
-                liquidity = self._pool_liquidity(pool)
-                delta_liq = delta_liq + (liquidity - self._prev_liquidity[pool_id])
-                self._prev_liquidity[pool_id] = liquidity
-            for signal in aux.scan(height, minted, outflow, balance_before,
-                                   volume, delta_liq):
+                current = _checked(pool.volume_x.raw + pool.volume_y.raw)
+                volume += current - prev_volumes[pool_id]
+                prev_volumes[pool_id] = current
+                liquidity = self._pool_liquidity(pool).raw
+                delta_liq = _checked(delta_liq + liquidity - prev_liquidity[pool_id])
+                prev_liquidity[pool_id] = liquidity
+            for signal in aux.scan(height, FixedAmount(minted), FixedAmount(outflow),
+                                   FixedAmount(balance_before), FixedAmount(volume),
+                                   FixedAmount(delta_liq)):
                 self._event("risk_signal", kind=signal.kind.value,
                             magnitude=str(signal.magnitude))
 
@@ -1082,11 +1091,10 @@ class Simulation:
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
             self.supply.record_mint(emission)
-        report = tokenomics.aggregate_vault_stats(
+        vaulted_value = tokenomics.aggregate_vault_stats(
             list(self.registries.values()), self.ledger, self._mark_price)
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
-        target = tokenomics.target_supply(report.sum_vaulted_value,
-                                          self.supply_params.s0)
+        target = tokenomics.target_supply(vaulted_value, self.supply_params.s0)
         burned = tokenomics.burn_step(self.supply, self.supply_params, target,
                                       available=treasury_held)
         if burned.raw > 0:

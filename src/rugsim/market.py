@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .core import (
-    _EXT,
     AccountId,
     BlockTime,
     DustError,
@@ -31,7 +30,7 @@ from .core import (
     TokenId,
     ZERO,
     _div_round_half_even,
-    _from_context_decimal,
+    _exp_neg_raw,
     amt,
 )
 
@@ -75,11 +74,9 @@ def _height(t: Union[BlockTime, int]) -> int:
     return t.height if isinstance(t, BlockTime) else int(t)
 
 
-def _decay(p0: FixedAmount, rate_num: FixedAmount, t: int, floor: FixedAmount) -> FixedAmount:
-    # p0 * e**(-rate_num * t) with the exponent kept at full extended precision
-    exponent = _EXT.multiply(rate_num.as_decimal(), _EXT.minus(_EXT.create_decimal(t)))
-    value = _from_context_decimal(_EXT.multiply(p0.as_decimal(), _EXT.exp(exponent)))
-    return max(value, floor)
+def _decay(proc: PriceProcess, x_num: int, x_den: int) -> FixedAmount:
+    # max(p0 * e**-x, floor) for x = x_num / x_den, from the exact integer kernel
+    return max(FixedAmount(_exp_neg_raw(proc.p0.raw, x_num, x_den)), proc.epsilon_floor)
 
 
 def price_scam(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
@@ -88,9 +85,7 @@ def price_scam(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
         raise ParameterError(f"not a scam process: {proc.kind}")
     if proc.tau_rug.raw <= 0:
         raise ParameterError("tau_rug must be > 0")
-    exponent = _EXT.divide(_EXT.create_decimal(-_height(t)), proc.tau_rug.as_decimal())
-    value = _from_context_decimal(_EXT.multiply(proc.p0.as_decimal(), _EXT.exp(exponent)))
-    return max(value, proc.epsilon_floor)
+    return _decay(proc, _height(t) * SCALE, proc.tau_rug.raw)
 
 
 def price_catastrophic(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
@@ -99,7 +94,7 @@ def price_catastrophic(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmo
         raise ParameterError(f"not a catastrophic process: {proc.kind}")
     if proc.lam.raw < 0:
         raise ParameterError("lam must be >= 0")
-    return _decay(proc.p0, proc.lam, _height(t), proc.epsilon_floor)
+    return _decay(proc, proc.lam.raw * _height(t), SCALE)
 
 
 def price_sentiment(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:

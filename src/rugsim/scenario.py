@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .core import SCALE, FixedAmount, ParameterError, RugsimError, amt
+from .vault import anticoin_id
 
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
@@ -25,16 +26,16 @@ DIRECTIONS = ("long", "short")
 # argument kinds: a value check, a declared id of a reference kind, a tuple
 # of allowed strings, a one-element list for a list of that kind, or a dict
 # for a nested object; an argument whose key ends in "?" is optional
-AMOUNT, INT, TEXT, FRACTION = "amount", "int", "string", "fraction in (0, 1)"
-AMOUNT_OR_AUTO = "amount or 'auto'"
-REF_KINDS = CHAIN, PRICED_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
-    "chain", "priced token", "pool", "vault", "perps vault", "account")
+AMOUNT, INT, COUNT, TEXT = "amount", "int", "int >= 1", "string"
+FRACTION, AMOUNT_OR_AUTO = "fraction in (0, 1)", "amount or 'auto'"
+REF_KINDS = CHAIN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
+    "chain", "priced token", "pool token", "pool", "vault", "perps vault", "account")
 
 # op -> (the entity whose chain runs it: "pool", "vault", "token" or "home",
 #        the kinds of its arguments)
 SCRIPT_OPS = {
     "drain": ("pool", {"pool": POOL, "t_rug": AMOUNT, "t_total": AMOUNT,
-                       "window?": INT}),
+                       "window?": COUNT}),
     "deposit": ("vault", {"vault": VAULT, "amount": AMOUNT}),
     "burn": ("vault", {"vault": VAULT, "amount": AMOUNT}),
     "withdraw": ("vault", {"vault": VAULT, "amount": AMOUNT}),
@@ -148,13 +149,13 @@ def _check_arg(kind: Any, value: Any, path: str, refs: dict) -> None:
         _as_ref(value, path, refs[kind], kind)
     elif kind == TEXT:
         _as_str(value, path)
-    elif kind == INT and isinstance(value, str):
-        try:  # the engine reads these with int(), so "duration": "7" is an int
-            int(value)
-        except ValueError:
-            raise ScenarioError(path, f"expected an integer, got {value!r}") from None
-    elif kind == INT:
-        _as_int(value, path)
+    elif kind in (INT, COUNT):
+        if isinstance(value, str):
+            try:  # the engine reads these with int(), so "duration": "7" is an int
+                value = int(value)
+            except ValueError:
+                raise ScenarioError(path, f"expected an integer, got {value!r}") from None
+        _as_int(value, path, 1 if kind == COUNT else None)
     elif kind == FRACTION:
         if not 0 < _as_amount(value, path).raw < SCALE:
             raise ScenarioError(path, "must be in (0, 1)")
@@ -224,8 +225,8 @@ def load_scenario(doc: dict) -> Scenario:
         raise ScenarioError("chains", "duplicate chain ids")
 
     token_ids, account_ids, pool_ids, vault_ids = {numeraire}, set(), set(), set()
-    refs = {CHAIN: chains, PRICED_TOKEN: set(), POOL: pool_ids, VAULT: vault_ids,
-            ACCOUNT: account_ids, PERPS_VAULT: set()}
+    refs = {CHAIN: chains, PRICED_TOKEN: set(), POOL_TOKEN: set(), POOL: pool_ids,
+            VAULT: vault_ids, ACCOUNT: account_ids, PERPS_VAULT: set()}
 
     tokens = list(doc.get("tokens", []))
     for i, entry in enumerate(tokens):
@@ -239,6 +240,13 @@ def load_scenario(doc: dict) -> Scenario:
             if process["kind"] == "scam" and "tau_rug" not in process:
                 raise ScenarioError(f"{path}.price_process.tau_rug",
                                     "scam process needs tau_rug")
+            # every kind reads p0 and the floor, and one rate of its own
+            rate, least = {"scam": ("tau_rug", 1), "catastrophic": ("lam", 0),
+                           "sentiment": ("alpha_sent", 0)}[process["kind"]]
+            for key, low in (("p0", 1), ("epsilon_floor", 1), (rate, least)):
+                key_path = f"{path}.price_process.{key}"
+                if key in process and _as_amount(process[key], key_path).raw < low:
+                    raise ScenarioError(key_path, "must be > 0" if low else "must be >= 0")
 
     accounts = list(doc.get("accounts", []))
     for i, entry in enumerate(accounts):
@@ -251,25 +259,15 @@ def load_scenario(doc: dict) -> Scenario:
             if value.raw < 0:
                 raise ScenarioError(f"{path}.balances.{token}", "negative balance")
 
-    pools = list(doc.get("pools", []))
-    for i, entry in enumerate(pools):
-        path = f"pools[{i}]"
-        _new_id(entry, "id", path, pool_ids, "pool")
-        _check_args(entry, {"chain": CHAIN, "token_x": TEXT, "token_y": TEXT}, path, refs)
-        for side in ("reserve_x", "reserve_y"):
-            value = _as_amount(_need(entry, side, path), f"{path}.{side}")
-            if value.raw <= 0:
-                raise ScenarioError(f"{path}.{side}", "reserves must be > 0")
-        fee = _as_int(entry.get("fee_bps", 0), f"{path}.fee_bps", 0)
-        if fee > 10000:
-            raise ScenarioError(f"{path}.fee_bps", "fee above 100%")
-
+    # a pool trades declared tokens and the anticoins of declared vaults
+    refs[POOL_TOKEN].update(token_ids)
     vaults = list(doc.get("vaults", []))
     for i, entry in enumerate(vaults):
         path = f"vaults[{i}]"
         _new_id(entry, "id", path, vault_ids, "vault")
         _check_args(entry, {"chain": CHAIN, "rugged_token": PRICED_TOKEN,
                             "receipt_kind?": RECEIPT_KINDS}, path, refs)
+        refs[POOL_TOKEN].add(anticoin_id(entry["rugged_token"], entry["chain"]))
         omega = _as_amount(_need(entry, "omega", path), f"{path}.omega")
         theta = _as_amount(_need(entry, "theta", path), f"{path}.theta")
         if theta <= omega:
@@ -282,6 +280,20 @@ def load_scenario(doc: dict) -> Scenario:
             value = _as_amount(_need(entry, key, path), f"{path}.{key}")
             if value.raw < 0:
                 raise ScenarioError(f"{path}.{key}", "must be >= 0")
+
+    pools = list(doc.get("pools", []))
+    for i, entry in enumerate(pools):
+        path = f"pools[{i}]"
+        _new_id(entry, "id", path, pool_ids, "pool")
+        _check_args(entry, {"chain": CHAIN, "token_x": POOL_TOKEN, "token_y": POOL_TOKEN},
+                    path, refs)
+        for side in ("reserve_x", "reserve_y"):
+            value = _as_amount(_need(entry, side, path), f"{path}.{side}")
+            if value.raw <= 0:
+                raise ScenarioError(f"{path}.{side}", "reserves must be > 0")
+        fee = _as_int(entry.get("fee_bps", 0), f"{path}.fee_bps", 0)
+        if fee > 10000:
+            raise ScenarioError(f"{path}.fee_bps", "fee above 100%")
 
     tk_path = "tokenomics"
     tokenomics = _need(doc, "tokenomics", "")
@@ -379,9 +391,10 @@ SCENARIO_SCHEMA = {
                 "price_process": _describe(PRICE_PROCESS_ARGS)}],
     "accounts": [{"id": "account id", "owner": "beneficial owner (default: id)",
                   "balances": {"token id": "amount"}}],
-    "pools": [{"id": "pool id", "chain": "chain id", "token_x": "token id",
-               "token_y": "token id", "reserve_x": "amount", "reserve_y": "amount",
-               "fee_bps": "int 0..10000"}],
+    "pools": [{"id": "pool id", "chain": "chain id",
+               "token_x": "token id, or a vault's anticoin anti:<token>@<chain>",
+               "token_y": "token id, or a vault's anticoin anti:<token>@<chain>",
+               "reserve_x": "amount", "reserve_y": "amount", "fee_bps": "int 0..10000"}],
     "vaults": [{"id": "vault id", "chain": "chain id", "rugged_token": "token id",
                 "receipt_kind": "fungible|non_fungible|refungible",
                 "omega": "amount", "theta": "amount (> omega)",

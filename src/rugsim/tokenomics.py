@@ -19,10 +19,10 @@ from .core import (
     FixedAmount,
     ONE,
     ParameterError,
+    SCALE,
     TokenId,
-    VaultId,
     ZERO,
-    fsum,
+    _div_round_half_even,
     safe_ln,
 )
 from .ledger import Ledger
@@ -101,42 +101,17 @@ def burn_step(state: SupplyState, params: SupplyParams, target: FixedAmount,
     return burned
 
 
-@dataclass(frozen=True)
-class VaultStats:
-    vault_id: VaultId
-    chain: str
-    deposited: FixedAmount   # cumulative gross deposits
-    vaulted: FixedAmount     # rugged tokens still held in escrow
-    price: FixedAmount
-    deposited_value: FixedAmount
-    vaulted_value: FixedAmount
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    sum_cr_value: FixedAmount       # gross deposit volume at current prices
-    sum_vaulted_value: FixedAmount  # tokens still vaulted, at current prices
-    per_vault: tuple[VaultStats, ...]
-
-
 def aggregate_vault_stats(registries: Sequence[VaultRegistry], ledger: Ledger,
-                          price_of: Callable[[TokenId], FixedAmount]) -> OracleReport:
-    """Read-only oracle pass over every vault on every chain.
-
-    Deterministic: vaults are visited in (chain, vault_id) order.
-    """
-    rows = []
-    for registry in sorted(registries, key=lambda r: r.chain):
-        for vault_id in sorted(registry.vaults):
-            vault = registry.vaults[vault_id]
-            price = price_of(vault.rugged_token)
-            vaulted = ledger.balance(vault.escrow_account, vault.rugged_token)
-            rows.append(VaultStats(
-                vault_id=vault_id, chain=registry.chain,
-                deposited=vault.total_deposited, vaulted=vaulted, price=price,
-                deposited_value=vault.total_deposited * price,
-                vaulted_value=vaulted * price))
-    return OracleReport(
-        sum_cr_value=fsum(r.deposited_value for r in rows),
-        sum_vaulted_value=fsum(r.vaulted_value for r in rows),
-        per_vault=tuple(rows))
+                          price_of: Callable[[TokenId], FixedAmount]) -> FixedAmount:
+    """Read-only oracle pass over every vault on every chain: the value of
+    the rugged tokens still vaulted, at current prices. Each vault's value
+    rounds half-even to the quantum, as a FixedAmount product would; the
+    sum is exact, so the visiting order does not matter, and no value is
+    negative, so the total passes MAX_RAW whenever one vault's value does."""
+    total = 0
+    for registry in registries:
+        for vault in registry.vaults.values():
+            vaulted = ledger.balance(vault.escrow_account, vault.rugged_token).raw
+            price = price_of(vault.rugged_token).raw
+            total += _div_round_half_even(vaulted * price, SCALE)
+    return FixedAmount(total)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .core import FNV_OFFSET, FixedAmount, ZERO, amt, fnv1a_64
+from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, amt, fnv1a_64
 
 EVENTS_FILE = "events.jsonl"
 TELEMETRY_FILE = "telemetry.csv"
@@ -97,41 +98,67 @@ class VerifyResult:
     first_violation: Optional[str] = None
 
 
-def _replay_balances(initial: dict, events: Iterable[dict]) -> tuple[dict, Optional[str]]:
-    """Replay ledger movements over the initial balances.
+# an amount as the writer emits it: str(FixedAmount)
+_AMOUNT = re.compile(r"-?[0-9]+(?:\.[0-9]{1,9})?")
+# the accounts each ledger movement names
+_MOVES = {"mint": ("account",), "burn": ("account",), "transfer": ("src", "dst")}
 
-    Returns (balances, first_violating_event_line). Balances are keyed
-    (account, token) -> FixedAmount.
+
+def _amount_raw(value: object) -> Optional[int]:
+    """Raw quanta of an amount string matching _AMOUNT, else None."""
+    if type(value) is not str or _AMOUNT.fullmatch(value) is None:
+        return None
+    whole, _, frac = value.partition(".")
+    try:
+        raw = abs(int(whole)) * SCALE + int(frac.ljust(9, "0"))
+    except ValueError:  # more digits than int() converts
+        return None
+    return -raw if whole[0] == "-" else raw
+
+
+def _replay_balances(initial: dict, events: Iterable[object]
+                     ) -> tuple[dict, Optional[VerifyResult]]:
+    """Replay ledger movements over the initial balances, in raw quanta.
+
+    Returns (balances, failure): balances are keyed (account, token) -> raw
+    int; failure names the first movement that is malformed (an amount
+    that is not a decimal string of at most nine places or is above
+    MAX_RAW, or an account or token that is not a string) or that breaks
+    conservation (a negative amount, or a debit the running balance does
+    not cover).
     """
-    balances: dict[tuple[str, str], FixedAmount] = {}
+    balances: dict[tuple[str, str], int] = {}
     for account, tokens in initial.items():
         for token, value in tokens.items():
-            balances[(account, token)] = amt(value)
+            balances[(account, token)] = amt(value).raw
+    get = balances.get
 
-    def get(account: str, token: str) -> FixedAmount:
-        return balances.get((account, token), ZERO)
+    def failure(error: str, event: object) -> VerifyResult:
+        return VerifyResult(False, error=error, first_violation=canonical_line(event))
 
     for event in events:
+        if type(event) is not dict:
+            return balances, failure("malformed event line", event)
         kind = event.get("type")
-        if kind not in ("mint", "burn", "transfer"):
+        holders = _MOVES.get(kind) if type(kind) is str else None
+        if holders is None:
             continue
-        amount = amt(event["amount"])
-        if amount.raw < 0:
-            return balances, canonical_line(event)
+        raw = _amount_raw(event.get("amount"))
+        if (raw is None or raw > MAX_RAW
+                or any(type(event.get(key)) is not str for key in ("token", *holders))):
+            return balances, failure("malformed event line", event)
+        if raw < 0:
+            return balances, failure("conservation violated", event)
         token = event["token"]
-        if kind == "mint":
-            balances[(event["account"], token)] = get(event["account"], token) + amount
-        elif kind == "burn":
-            holding = get(event["account"], token)
-            if holding < amount:
-                return balances, canonical_line(event)
-            balances[(event["account"], token)] = holding - amount
-        else:
-            holding = get(event["src"], token)
-            if holding < amount:
-                return balances, canonical_line(event)
-            balances[(event["src"], token)] = holding - amount
-            balances[(event["dst"], token)] = get(event["dst"], token) + amount
+        if kind != "mint":  # burn and transfer debit their first account
+            src = (event[holders[0]], token)
+            holding = get(src, 0)
+            if holding < raw:
+                return balances, failure("conservation violated", event)
+            balances[src] = holding - raw
+        if kind != "burn":  # mint and transfer credit their last account
+            dst = (event[holders[-1]], token)
+            balances[dst] = get(dst, 0) + raw
     return balances, None
 
 
@@ -174,16 +201,15 @@ def verify_trace(trace_dir: str) -> VerifyResult:
     if snapshot.get("trace_hash") != recomputed:
         return VerifyResult(False, error="state.json hash does not match events")
 
-    balances, violation = _replay_balances(snapshot.get("initial_balances", {}), events)
-    if violation is not None:
-        return VerifyResult(False, error="conservation violated",
-                            first_violation=violation)
+    balances, failure = _replay_balances(snapshot.get("initial_balances", {}), events)
+    if failure is not None:
+        return failure
 
     recorded_final = snapshot.get("balances", {})
     replayed_final: dict[str, dict[str, str]] = {}
-    for (account, token), value in balances.items():
-        if value.raw != 0:
-            replayed_final.setdefault(account, {})[token] = str(value)
+    for (account, token), raw in balances.items():
+        if raw != 0:
+            replayed_final.setdefault(account, {})[token] = str(FixedAmount(raw))
     if replayed_final != recorded_final:
         for account in sorted(set(replayed_final) | set(recorded_final)):
             if replayed_final.get(account) != recorded_final.get(account):

@@ -106,6 +106,11 @@ class WithdrawResult:
     withdrawal_index: int  # 1-based index of this withdrawal for the owner
 
 
+def anticoin_id(token: TokenId, chain: ChainId) -> TokenId:
+    """The id of the anticoin a vault for ``token`` on ``chain`` issues."""
+    return f"anti:{token}@{chain}"
+
+
 def anticoin_value(vault: Vault, current_price: FixedAmount,
                    epsilon_floor: FixedAmount = QUANTUM) -> FixedAmount:
     """Inverse-log peg: ln(price_at_creation / price), clamped at zero.
@@ -188,7 +193,7 @@ class VaultRegistry:
             raise StateError(f"vault id {vid} already exists")
         vault = Vault(
             vault_id=vid, chain=self.chain, rugged_token=rugged_token,
-            anticoin=f"anti:{rugged_token}@{self.chain}", receipt_kind=receipt_kind,
+            anticoin=anticoin_id(rugged_token, self.chain), receipt_kind=receipt_kind,
             price_at_creation=current_price, omega=omega, theta=theta,
             penalty_k=penalty_k, penalty_lambda=penalty_lambda,
             gamma_base=gamma_base, delta_gamma=delta_gamma)

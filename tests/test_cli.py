@@ -273,6 +273,23 @@ LOAD_PROBES = [
                  "rugproof.z_min", id="rugproof-float"),
     pytest.param("reference", _set("insurance", value={"alpha_comp": 0.2}),
                  "insurance.alpha_comp", id="insurance-float"),
+    pytest.param("scam", _set("agents", 0, "script", 0, "window", value=0),
+                 "agents[0].script[0].window", id="drain-window-zero"),
+    pytest.param("scam", _set("agents", 0, "script", 0, "window", value="-2"),
+                 "agents[0].script[0].window", id="drain-window-negative"),
+    pytest.param("reference", _set("tokens", 0, "price_process", "lam", value="-0.001"),
+                 "tokens[0].price_process.lam", id="negative-lam"),
+    pytest.param("scam", _set("tokens", 0, "price_process", "tau_rug", value="0"),
+                 "tokens[0].price_process.tau_rug", id="zero-tau-rug"),
+    pytest.param("reference", _set("tokens", 0, "price_process",
+                                   value={"kind": "sentiment", "p0": "2", "alpha_sent": "-1"}),
+                 "tokens[0].price_process.alpha_sent", id="negative-alpha-sent"),
+    pytest.param("reference", _set("pools", 0, "token_x", value="ZZZ"),
+                 "pools[0].token_x", id="undeclared-pool-token"),
+    pytest.param("reference", _set("pools", 1, "token_y", value="ZZZ"),
+                 "pools[1].token_y", id="undeclared-pool-token-y"),
+    pytest.param("reference", _set("pools", 1, "token_x", value="anti:RUG@home"),
+                 "pools[1].token_x", id="anticoin-of-no-vault"),
 ]
 
 

@@ -200,6 +200,131 @@ def test_ln_outside_the_kernel_range_is_the_decimal_expression():
     assert type(kernel_error.value) is type(decimal_error.value)
 
 
+_EXT40 = Context(prec=40, rounding=ROUND_HALF_EVEN)
+
+
+def decimal_decay_raw(p0_raw: int, rate_raw: int, t: int) -> int:
+    """The catastrophic price's 40-digit decimal expression, p0 * e**(-rate*t)."""
+    exponent = _EXT40.multiply(Decimal(rate_raw).scaleb(-9),
+                               _EXT40.minus(_EXT40.create_decimal(t)))
+    d = _EXT40.multiply(Decimal(p0_raw).scaleb(-9), _EXT40.exp(exponent))
+    return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
+
+
+def decimal_scam_raw(p0_raw: int, tau_raw: int, t: int) -> int:
+    """The scam price's 40-digit decimal expression, p0 * e**(-t/tau)."""
+    exponent = _EXT40.divide(_EXT40.create_decimal(-t), Decimal(tau_raw).scaleb(-9))
+    d = _EXT40.multiply(Decimal(p0_raw).scaleb(-9), _EXT40.exp(exponent))
+    return int(d.scaleb(9).to_integral_value(rounding=ROUND_HALF_EVEN))
+
+
+p0_raws = st.one_of(st.integers(min_value=1, max_value=MAX_RAW),
+                    st.integers(min_value=1, max_value=10**12),
+                    st.sampled_from([1, 2 * SCALE, MAX_RAW]))
+
+
+@settings(max_examples=400)
+@given(p0_raws,
+       st.one_of(st.integers(min_value=0, max_value=10**7),
+                 st.integers(min_value=0, max_value=MAX_RAW)),
+       st.integers(min_value=0, max_value=10**6))
+@example(2 * SCALE, 10**6, 10_000)  # builtin:reference's RUG at its last block
+@example(MAX_RAW, 0, 5)
+def test_exp_kernel_matches_the_decay_expression(p0_raw, rate_raw, t):
+    assert core._exp_neg_raw(p0_raw, rate_raw * t, SCALE) == \
+        decimal_decay_raw(p0_raw, rate_raw, t)
+
+
+@settings(max_examples=400)
+@given(p0_raws,
+       st.one_of(st.integers(min_value=1, max_value=10**13),
+                 st.integers(min_value=1, max_value=MAX_RAW)),
+       st.integers(min_value=0, max_value=10**5))
+@example(SCALE, 3 * SCALE, 12)  # builtin:scam's RUG at its last block
+@example(1, 1, 10**5)
+def test_exp_kernel_matches_the_scam_expression(p0_raw, tau_raw, t):
+    assert core._exp_neg_raw(p0_raw, t * SCALE, tau_raw) == \
+        decimal_scam_raw(p0_raw, tau_raw, t)
+
+
+def test_exp_kernel_matches_oracle_on_grid():
+    rng = SeededRng(5).stream("exp-grid")
+    for _ in range(300):
+        p0_raw = rng.randint(1, 10**rng.randint(1, 20))
+        rate_raw, t = rng.randint(0, 10**9), rng.randint(0, 200)
+        value = mpmath.mpf(p0_raw) * mpmath.exp(-mpmath.mpf(rate_raw * t) / SCALE)
+        assert core._exp_neg_raw(p0_raw, rate_raw * t, SCALE) == int(mpmath.nint(value))
+
+
+def near_half_p0_raws(x: int) -> list[int]:
+    """p0 raws whose p0_raw * e**-x lies nearest a half-quantum: the
+    denominators of the convergents of 2 * e**-x with an odd numerator
+    (|q * e**-x - p/2| < 1/(2q)), up to MAX_RAW."""
+    with mpmath.workdps(120):
+        c = 2 * mpmath.exp(-x)
+        raws, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+        while True:
+            a = int(mpmath.floor(c))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            if k1 > MAX_RAW:
+                return raws
+            if h1 % 2:
+                raws.append(k1)
+            c = 1 / (c - a)
+
+
+class CountingFallback:
+    """Wraps core._exp_neg_decimal, counting the calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.inner(*args)
+
+
+def test_exp_near_half_quanta(monkeypatch):
+    # a raw near 1e20 puts p0 * e**-x within 1e-20 of a half-quantum; the
+    # decimal expression's 28-digit scaleb turns that into an exact tie that
+    # rounds to even, and only the fallback can reproduce it
+    counting = CountingFallback(core._exp_neg_decimal)
+    monkeypatch.setattr(core, "_exp_neg_decimal", counting)
+    raws = near_half_p0_raws(1)
+    for p0_raw in raws:
+        assert core._exp_neg_raw(p0_raw, SCALE, SCALE) == decimal_scam_raw(p0_raw, SCALE, 1)
+    # the 14 raws from 5e14 up put p0 * e**-1 inside the kernel's margin
+    assert (len(raws), counting.calls) == (35, 14)
+
+
+def test_exp_falls_back_to_decimal_inside_the_margin(monkeypatch):
+    # (kernel arguments, the decimal expression they stand for)
+    cases = [((2 * SCALE, 10**6 * t, SCALE), decimal_decay_raw(2 * SCALE, 10**6, t))
+             for t in (0, 1, 7, 5000)]
+    cases += [((SCALE, t * SCALE, 3 * SCALE), decimal_scam_raw(SCALE, 3 * SCALE, t))
+              for t in (0, 4, 12)]
+    expected = [raw for _, raw in cases]
+    counting = CountingFallback(core._exp_neg_decimal)
+    monkeypatch.setattr(core, "_exp_neg_decimal", counting)
+    assert [core._exp_neg_raw(*args) for args, _ in cases] == expected
+    assert counting.calls == 0  # the kernel decided alone
+    monkeypatch.setattr(core, "_EXP_MARGIN", core._LN_ONE)  # nothing decides
+    assert [core._exp_neg_raw(*args) for args, _ in cases] == expected
+    assert counting.calls == len(cases)
+    # under a quarter quantum the kernel answers 0 before the rounding test
+    assert core._exp_neg_raw(1, 70 * SCALE, SCALE) == decimal_decay_raw(1, SCALE, 70) == 0
+    assert counting.calls == len(cases)
+
+
+def test_exp_outside_the_kernel_range_is_the_decimal_expression():
+    # p0 past MAX_RAW, x < 0 and p0 < 0 go to the decimal expression; x >=
+    # 128 is 0 from the kernel, as from the expression
+    for p0_raw, rate_raw, t in ((MAX_RAW + 1, 10**6, 3), (SCALE, -10**6, 3),
+                                (-SCALE, 10**6, 3), (SCALE, 10**9, 10**6)):
+        assert core._exp_neg_raw(p0_raw, rate_raw * t, SCALE) == \
+            decimal_decay_raw(p0_raw, rate_raw, t)
+
+
 def test_safe_ln_examples():
     assert safe_ln(amt(1)) == amt(0)
     e = amt("2.718281828")

@@ -4,7 +4,7 @@ through scripted scenarios."""
 
 import pytest
 
-from rugsim.core import amt
+from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.harness import Simulation, run_scenario
 from rugsim.scenario import (
     SCRIPT_OPS,
@@ -695,3 +695,86 @@ def test_multichain_visit_order_is_pinned():
     assert seen[("swap", "beta", "intent")] == 1
     assert trace.failed_events == 1
     assert trace.trace_hash() == "d8330d7f6b33575e"
+
+
+def test_each_chain_scans_the_mints_of_its_own_tokens():
+    # the aux mint-spike scan reads these lists instead of filtering every
+    # minted token by chain; R is not scanned, even where it is declared
+    doc = multichain_doc()
+    doc["tokens"].append({"id": "R", "chain": "beta"})
+    sim = Simulation(load_scenario(doc))
+    mint_tokens = {chain: view.mint_tokens for chain, view in sim._chain_views.items()}
+    assert mint_tokens == {"alpha": ["RA", "anti:RA@alpha"], "beta": ["RB", "anti:RB@beta"],
+                           "gamma": ["RC", "anti:RC@gamma"], "home": ["USDN"]}
+
+
+def test_running_totals_raise_where_fixed_amounts_would():
+    # the cumulative mint and outflow totals are raw ints, range checked as
+    # the FixedAmount sums they replace were: a second mint or send of the
+    # whole range passes MAX_RAW though no balance or supply does
+    sim = Simulation(load_scenario(minimal_doc()))
+    whole = FixedAmount(MAX_RAW)
+    sim.ledger.mint("x", "T", whole)
+    sim.ledger.burn("x", "T", whole)
+    with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
+        sim.ledger.mint("x", "T", QUANTUM)
+    sim.ledger.mint("y", "U", whole)
+    sim.ledger.transfer("y", "z", "U", whole)
+    sim.ledger.transfer("z", "y", "U", whole)
+    with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
+        sim.ledger.transfer("y", "z", "U", QUANTUM)
+
+
+def big_pools_doc(script: list, pools: list, balances: dict) -> dict:
+    """minimal_doc over 3 blocks with these pools on alpha, their tokens
+    declared there, and one lp with these balances and this script."""
+    tokens = {token for pool in pools for token in (pool[1], pool[2])}
+    doc = minimal_doc(blocks=3)
+    doc["tokens"] += [{"id": token, "chain": "alpha"} for token in sorted(tokens)]
+    doc["pools"] = [{"id": pid, "chain": "alpha", "token_x": x, "token_y": y,
+                     "reserve_x": rx, "reserve_y": ry}
+                    for pid, x, y, rx, ry in pools]
+    doc["accounts"].append({"id": "lp", "balances": balances})
+    doc["agents"] = [{"kind": "lp", "account": "lp", "script": script}]
+    return doc
+
+
+def test_scan_sums_raise_where_fixed_amounts_would():
+    big = "550000000000000000"  # 0.55 of the fixed-point range, in units
+    # block 1 adds 0.55 of the range to the y side of p1 and of p2 and takes
+    # 0.2 out of p3's: the next scan's sum is 0.9 of the range, but its
+    # running sum passes 1.0 after p2, where the FixedAmount sum raised
+    doc = big_pools_doc(
+        [{"block": 1, "op": "add_liquidity", "pool": pool, "dx": big, "dy": "auto"}
+         for pool in ("p1", "p2")]
+        + [{"block": 1, "op": "swap", "pool": "p3", "token_in": "X3",
+            "amount": "400000000000000000"}],
+        [("p1", "X1", "A", "1", "1"), ("p2", "X2", "B", "1", "1"),
+         ("p3", "X3", "C", "400000000000000000", "400000000000000000")],
+        {"X1": big, "A": big, "X2": big, "B": big, "X3": "400000000000000000"})
+    with pytest.raises(RangeError, match="raw=1100000000000000000000000000"):
+        run_scenario(doc)
+    # a pool's two volumes, 0.55 of the range each, pass it together (a
+    # spike factor of 1 keeps the volume monitor's own product in range)
+    doc = big_pools_doc(
+        [{"block": 1, "op": "swap", "pool": "p1", "token_in": "X1", "amount": big},
+         {"block": 2, "op": "swap", "pool": "p1", "token_in": "A", "amount": big}],
+        [("p1", "X1", "A", "100000000000000000", "100000000000000000")],
+        {"X1": big, "A": big})
+    doc["detection"] = {"volume_spike_factor": "1"}
+    with pytest.raises(RangeError, match="raw=1100000000000000000000000000"):
+        run_scenario(doc)
+    # mallory sends 0.5 of the range to trudy, who sends 0.95 back: the
+    # outflow scan keeps trudy's larger outflow, but first sums mallory's
+    # 0.95 and 0.5, as FixedAmounts did, past the range
+    doc = minimal_doc(blocks=3)
+    doc["accounts"] += [{"id": "mallory", "balances": {"RUG": "500000000000000000"}},
+                        {"id": "trudy", "balances": {"RUG": "450000000000000000"}}]
+    doc["agents"] = [
+        {"kind": "creator", "account": name,
+         "script": [{"block": 1, "op": "transfer", "token": "RUG", "to": to,
+                     "amount": amount}]}
+        for name, to, amount in (("mallory", "trudy", "500000000000000000"),
+                                 ("trudy", "mallory", "950000000000000000"))]
+    with pytest.raises(RangeError, match="raw=1450000000000000000000000000"):
+        run_scenario(doc)

@@ -10,6 +10,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rugsim import core, market
 from rugsim.core import (
     AccountId,
     BlockTime,
@@ -45,6 +46,8 @@ from rugsim.market import (
     price_sentiment,
     spot_price,
 )
+from rugsim.harness import run_scenario
+from rugsim.scenario import reference_scenario, scam_scenario
 
 mpmath.mp.dps = 50
 
@@ -107,6 +110,26 @@ def test_prices_non_increasing_and_floored():
         assert all(p >= proc.epsilon_floor for p in series)
         if proc.kind is not RugKind.SENTIMENT:  # hyperbolic decay is slow
             assert series[-1] == proc.epsilon_floor
+
+
+@pytest.mark.parametrize("doc,evaluations", [
+    (reference_scenario(blocks=2000), 2001),  # the catastrophic RUG, t = 0..2000
+    (scam_scenario(), 13),                    # the scam RUG, t = 0..12
+], ids=["reference-2000", "scam"])
+def test_price_paths_never_fall_back_to_decimal_exp(monkeypatch, doc, evaluations):
+    counts = {"kernel": 0, "decimal": 0}
+
+    def counted(name, inner):
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+        return call
+
+    monkeypatch.setattr(market, "_exp_neg_raw", counted("kernel", market._exp_neg_raw))
+    monkeypatch.setattr(core, "_exp_neg_decimal",
+                        counted("decimal", core._exp_neg_decimal))
+    run_scenario(doc)
+    assert counts == {"kernel": evaluations, "decimal": 0}
 
 
 # -- swaps ------------------------------------------------------------------

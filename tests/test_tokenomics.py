@@ -1,6 +1,8 @@
 """Supply target, emissions, burn controller, and oracle aggregation."""
 
-from rugsim.core import FixedAmount, SCALE, amt, safe_exp
+import pytest
+
+from rugsim.core import FixedAmount, RangeError, SCALE, amt, fsum, safe_exp
 from rugsim.ledger import Ledger
 from rugsim.tokenomics import (
     SupplyParams,
@@ -74,26 +76,41 @@ def mk_registry(chain, ledger, price=100, deposit=None):
 
 
 def test_aggregate_vault_stats_empty():
-    report = aggregate_vault_stats([], Ledger(), lambda token: amt(1))
-    assert report.sum_cr_value == amt(0)
-    assert report.sum_vaulted_value == amt(0)
-    assert report.per_vault == ()
+    assert aggregate_vault_stats([], Ledger(), lambda token: amt(1)) == amt(0)
 
 
 def test_aggregate_vault_stats_values(ledger):
     registry = mk_registry("alpha", ledger, deposit=1000)
-    report = aggregate_vault_stats([registry], ledger, lambda token: amt(2))
-    assert report.sum_cr_value == amt(2000)
-    assert report.sum_vaulted_value == amt(2000)
+    assert aggregate_vault_stats([registry], ledger, lambda token: amt(2)) == amt(2000)
 
 
 def test_aggregate_vault_stats_additive_across_chains(ledger):
     registries = [mk_registry("alpha", ledger, deposit=1000),
                   mk_registry("beta", ledger, deposit=1000)]
-    report = aggregate_vault_stats(registries, ledger, lambda token: amt(2))
+    total = aggregate_vault_stats(registries, ledger, lambda token: amt(2))
     single = aggregate_vault_stats(registries[:1], ledger, lambda token: amt(2))
-    assert report.sum_cr_value == single.sum_cr_value * 2
-    assert [v.chain for v in report.per_vault] == ["alpha", "beta"]
+    assert total == single * 2 == amt(4000)
+    assert aggregate_vault_stats(registries[::-1], ledger, lambda token: amt(2)) == total
+
+
+def test_aggregate_vault_stats_rounds_each_vault_half_even(ledger):
+    # three quanta vaulted at price 0.5 are worth 1.5 quanta, which rounds
+    # to 2 in each vault, as vaulted * price does; rounding the exact sum
+    # would give 3, and flooring each vault 2
+    registries = [mk_registry(chain, ledger, deposit="0.000000003")
+                  for chain in ("alpha", "beta")]
+    half = amt("0.5")
+    vaulted = [ledger.balance(v.escrow_account, "RUG")
+               for r in registries for v in r.vaults.values()]
+    assert aggregate_vault_stats(registries, ledger, lambda token: half) == \
+        fsum(v * half for v in vaulted) == FixedAmount(4)
+
+
+def test_aggregate_vault_stats_range_checks_the_value(ledger):
+    registry = mk_registry("alpha", ledger, deposit=10**9)
+    assert aggregate_vault_stats([registry], ledger, lambda t: amt(10**9)) == amt(10**18)
+    with pytest.raises(RangeError):
+        aggregate_vault_stats([registry], ledger, lambda t: amt(10**9 + 1))
 
 
 def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
@@ -102,9 +119,8 @@ def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
     user = next(iter(ledger.accounts_holding(vault.anticoin)))
     from rugsim.core import AccountId
     registry.withdraw(ledger, vault.vault_id, AccountId.solo(user), amt(100), "treasury")
-    report = aggregate_vault_stats([registry], ledger, lambda token: amt(1))
-    assert report.sum_cr_value == amt(1000)
-    assert report.sum_vaulted_value == amt(900)
+    assert aggregate_vault_stats([registry], ledger, lambda token: amt(1)) == amt(900)
+    assert vault.total_deposited == amt(1000)
 
 
 def test_supply_identity_over_steps():

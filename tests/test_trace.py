@@ -3,12 +3,14 @@ the verifier names the first event that breaks conservation."""
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rugsim.core import fnv1a_64
+from rugsim.cli import main
+from rugsim.core import MAX_RAW, SCALE, amt, fnv1a_64
 from rugsim.harness import run_scenario
 from rugsim.scenario import reference_scenario
-from rugsim.trace import Trace, canonical_line, verify_trace
+from rugsim.trace import Trace, _amount_raw, canonical_line, verify_trace
 
 
 def short_trace() -> Trace:
@@ -55,13 +57,18 @@ def test_canonical_line_is_sorted_compact_json(event):
                                                separators=(",", ":"))
 
 
-def tamper(trace_dir, index: int, **changes) -> str:
-    """Rewrite event ``index`` with ``changes`` and re-seal the hash, so only
-    the balance replay can catch it; returns the rewritten line."""
+def tamper(trace_dir, index: int, drop: tuple = (), whole: object = None,
+           **changes) -> str:
+    """Rewrite event ``index`` with ``changes`` and without the keys in
+    ``drop`` (or replace it by ``whole``), and re-seal the hash, so only the
+    balance replay can catch it; returns the rewritten line."""
     events_path = trace_dir / "events.jsonl"
     lines = events_path.read_bytes().split(b"\n")[:-1]
-    event = json.loads(lines[index])
-    event.update(changes)
+    event = json.loads(lines[index]) if whole is None else whole
+    if whole is None:
+        event.update(changes)
+        for key in drop:
+            del event[key]
     lines[index] = canonical_line(event).encode("utf-8")
     events_path.write_bytes(b"".join(line + b"\n" for line in lines))
     digest = f"{fnv1a_64(events_path.read_bytes()):016x}"
@@ -86,6 +93,54 @@ def test_tampered_trace_reports_the_violating_line(tmp_path):
         result = verify_trace(str(trace_dir))
         assert (result.ok, result.error) == (False, "conservation violated")
         assert result.first_violation == line
+
+
+@pytest.mark.parametrize("drop,changes", [
+    ((), {"amount": "1e30"}),
+    ((), {"amount": "abc"}),
+    ((), {"amount": 5.5}),
+    (("amount",), {}),
+    ((), {"amount": "1000000000000000000.000000001"}),  # MAX_RAW + 1
+    ((), {"amount": "1.0000000001"}),                   # ten places
+    ((), {"amount": "9" * 5000}),                       # past int()'s digit limit
+    ((), {"amount": "\u0661"}),                         # a non-ASCII digit
+    ((), {"account": ["alice"]}),
+    (("token",), {}),
+    ((), {"whole": ["mint", "alice", "1"]}),
+], ids=["exponent", "word", "float", "missing", "past-max-raw", "ten-places",
+        "huge", "arabic-digit", "list-account", "no-token", "not-an-object"])
+def test_verify_reports_a_malformed_amount_with_its_line(tmp_path, capsys, drop, changes):
+    short_trace().write(str(tmp_path))
+    events = (tmp_path / "events.jsonl").read_text().splitlines()
+    first_mint = next(i for i, line in enumerate(events) if '"type":"mint"' in line)
+    line = tamper(tmp_path, first_mint, drop=drop, **changes)
+    assert main(["verify", "--trace", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("verification failed: malformed event line\n"
+                   f"first violation: {line}\n")
+    assert verify_trace(str(tmp_path)).first_violation == line
+
+
+def test_verify_skips_an_unhashable_event_type(tmp_path):
+    # not a movement, so alice's genesis RUG is missing from the replay and
+    # her first deposit overdraws
+    short_trace().write(str(tmp_path))
+    events = (tmp_path / "events.jsonl").read_text().splitlines()
+    tamper(tmp_path, next(i for i, line in enumerate(events) if '"type":"mint"' in line),
+           type=["mint"])
+    result = verify_trace(str(tmp_path))
+    assert (result.ok, result.error) == (False, "conservation violated")
+    assert '"src":"alice"' in result.first_violation
+
+
+def test_verify_replays_canonical_amounts_exactly(tmp_path):
+    short_trace().write(str(tmp_path))
+    for text, raw in (("0", 0), ("-0", 0), ("12", 12 * SCALE), ("0.5", SCALE // 2),
+                      ("1.000000001", SCALE + 1), ("007.25", 7_250_000_000),
+                      ("1000000000000000000", MAX_RAW), ("-3.5", -3_500_000_000)):
+        assert _amount_raw(text) == raw == amt(text).raw
+    for value in ("1e3", "1.", ".5", "+1", " 1", "1_000", "NaN", 7, None):
+        assert _amount_raw(value) is None
 
 
 def test_reference_hash_is_pinned():

@@ -262,11 +262,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("trace ok")
         return EXIT_OK
     print(f"verification failed: {result.error}", file=sys.stderr)
-    if result.first_violation:
+    if result.line is not None:
+        print(f"first violation at line {result.line}: {result.first_violation}",
+              file=sys.stderr)
+    elif result.first_violation:
         print(f"first violation: {result.first_violation}", file=sys.stderr)
-    if result.error and result.error.startswith("missing"):
-        return EXIT_INPUT
-    return EXIT_VERIFY
+    return EXIT_INPUT if result.unreadable else EXIT_VERIFY
 
 
 def cmd_schema(args: argparse.Namespace) -> int:

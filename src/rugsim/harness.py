@@ -306,7 +306,6 @@ class Simulation:
         # block activity
         self._scanned_mints = dict(self._mint_totals)
         self._scanned_outflows = dict(self._outflow_totals)
-        self.trace.initial_balances = {}
 
     def _build_step_plan(self) -> None:
         sc = self.scenario

@@ -14,9 +14,10 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
-from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, amt, fnv1a_64
+from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, fnv1a_64
 
 EVENTS_FILE = "events.jsonl"
 TELEMETRY_FILE = "telemetry.csv"
@@ -39,7 +40,6 @@ def canonical_line(event: dict) -> str:
 class Trace:
     events: list[dict] = field(default_factory=list)
     telemetry: list[dict] = field(default_factory=list)
-    initial_balances: dict = field(default_factory=dict)
     final_state: dict = field(default_factory=dict)
     failed_events: int = 0
     # (len(events), hex digest) of the last hash pass; a later record()
@@ -82,7 +82,6 @@ class Trace:
             for row in self.telemetry:
                 writer.writerow(row)
         state = dict(self.final_state)
-        state["initial_balances"] = self.initial_balances
         state["trace_hash"] = digest
         with open(os.path.join(out_dir, STATE_FILE), "w", encoding="utf-8") as handle:
             json.dump(state, handle, indent=2, sort_keys=True)
@@ -96,6 +95,10 @@ class VerifyResult:
     ok: bool
     error: Optional[str] = None
     first_violation: Optional[str] = None
+    # 1-based line of events.jsonl the first violation sits on, if any
+    line: Optional[int] = None
+    # the trace could not be read (as opposed to read and found wrong)
+    unreadable: bool = False
 
 
 # an amount as the writer emits it: str(FixedAmount)
@@ -116,21 +119,18 @@ def _amount_raw(value: object) -> Optional[int]:
     return -raw if whole[0] == "-" else raw
 
 
-def _replay_balances(initial: dict, events: Iterable[object]
-                     ) -> tuple[dict, Optional[VerifyResult]]:
-    """Replay ledger movements over the initial balances, in raw quanta.
+def _replay_balances(events: Iterable[object]) -> tuple[dict, Optional[VerifyResult]]:
+    """Replay ledger movements from zero balances, in raw quanta.
 
     Returns (balances, failure): balances are keyed (account, token) -> raw
     int; failure names the first movement that is malformed (an amount
     that is not a decimal string of at most nine places or is above
-    MAX_RAW, or an account or token that is not a string) or that breaks
+    MAX_RAW, or an account or token that is not a string), that breaks
     conservation (a negative amount, or a debit the running balance does
-    not cover).
+    not cover) or that credits a balance past MAX_RAW. The replay stops
+    there, without taking another event from ``events``.
     """
     balances: dict[tuple[str, str], int] = {}
-    for account, tokens in initial.items():
-        for token, value in tokens.items():
-            balances[(account, token)] = amt(value).raw
     get = balances.get
 
     def failure(error: str, event: object) -> VerifyResult:
@@ -158,54 +158,130 @@ def _replay_balances(initial: dict, events: Iterable[object]
             balances[src] = holding - raw
         if kind != "burn":  # mint and transfer credit their last account
             dst = (event[holders[-1]], token)
-            balances[dst] = get(dst, 0) + raw
+            credited = balances[dst] = get(dst, 0) + raw
+            if credited > MAX_RAW:
+                return balances, failure("balance out of range", event)
     return balances, None
+
+
+# events.jsonl is read in blocks of this many bytes, so verify holds one
+# block and the longest line at a time, whatever the length of the trace
+READ_BLOCK = 64 * 1024
+
+
+class _EventStream:
+    """The events of an open events.jsonl, decoded line by line as the
+    file is read in READ_BLOCK-byte blocks.
+
+    Each block is folded into the FNV-1a ``state`` whole as it is read
+    (FNV-1a is sequential, so this equals hashing line by line): the
+    bytes are hashed exactly as stored, and a blank line or a rewritten
+    line ending changes the hash. ``line`` is the 1-based number of the
+    last line decoded. Iteration stops at the first line that is not
+    UTF-8 JSON and keeps its failure in ``malformed``.
+    """
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle = handle
+        self.state = FNV_OFFSET
+        self.line = 0
+        self.malformed: Optional[VerifyResult] = None
+
+    def _lines(self) -> Iterator[bytes]:
+        """The file's lines without their "\\n", a last unterminated one
+        included."""
+        head: list[bytes] = []  # the start of a line that spans blocks
+        while block := self.handle.read(READ_BLOCK):
+            self.state = fnv1a_64(block, self.state)
+            lines = block.split(b"\n")
+            head.append(lines[0])
+            if len(lines) > 1:
+                lines[0] = b"".join(head)
+                head = [lines.pop()]
+                yield from lines
+        last = b"".join(head)
+        if last:
+            yield last
+
+    def __iter__(self) -> Iterator[object]:
+        for line in self._lines():
+            self.line += 1
+            try:
+                event = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):  # also UnicodeDecodeError
+                self.malformed = VerifyResult(
+                    False, error="malformed event line",
+                    first_violation=line.decode("utf-8", "replace"), line=self.line)
+                return
+            yield event
 
 
 def verify_trace(trace_dir: str) -> VerifyResult:
     """Recompute the hash and replay conservation from a written trace.
 
-    Checks: hash.txt matches the event bytes; every burn/transfer is
-    covered by the running balance; the replayed final balances equal the
-    snapshot in state.json exactly.
+    events.jsonl is hashed, decoded and replayed in one streaming pass,
+    so memory holds one read block, the longest line and the running
+    balances, however long the trace. The outcome is the first of:
+    a missing or unreadable file (``unreadable``); the first line that
+    is not UTF-8 JSON; hash.txt not matching the event bytes; state.json
+    not a JSON object whose trace_hash matches them (with no
+    initial_balances but ``{}``, and balances an object); the first
+    movement the replay rejects; replayed final balances that differ
+    from state.json's. Lines after a replay failure are still hashed and
+    decoded, so this order holds wherever the failures sit.
     """
-    paths = {name: os.path.join(trace_dir, name)
-             for name in (EVENTS_FILE, STATE_FILE, HASH_FILE)}
+    paths = {name: Path(trace_dir, name) for name in (EVENTS_FILE, STATE_FILE, HASH_FILE)}
     for name, path in paths.items():
-        if not os.path.exists(path):
-            return VerifyResult(False, error=f"missing {name}")
+        if not path.exists():
+            return VerifyResult(False, error=f"missing {name}", unreadable=True)
 
-    # the file's bytes are hashed exactly as stored: a blank line or a
-    # rewritten line ending changes the hash
-    events = []
-    state = FNV_OFFSET
-    with open(paths[EVENTS_FILE], "rb") as handle:
-        for line in handle:
-            state = fnv1a_64(line, state)
-            try:
-                events.append(json.loads(line.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                text = line.decode("utf-8", "replace").rstrip("\n")
-                return VerifyResult(False, error="malformed event line",
-                                    first_violation=text)
-    recomputed = f"{state:016x}"
+    reading = HASH_FILE
+    try:
+        hash_bytes = paths[HASH_FILE].read_bytes()
+        reading = STATE_FILE
+        state_bytes = paths[STATE_FILE].read_bytes()
+        reading = EVENTS_FILE
+        with open(paths[EVENTS_FILE], "rb") as handle:
+            stream = _EventStream(handle)
+            events = iter(stream)
+            balances, failure = _replay_balances(events)
+            if failure is not None:
+                failure.line = stream.line
+            for _ in events:  # the lines after a replay failure
+                pass
+    except OSError as exc:
+        return VerifyResult(False, error=f"cannot read {reading}: {exc.strerror}",
+                            unreadable=True)
+    if stream.malformed is not None:
+        return stream.malformed
 
-    with open(paths[HASH_FILE], "r", encoding="utf-8") as handle:
-        recorded = handle.read().strip()
+    recomputed = f"{stream.state:016x}"
+    try:
+        recorded = hash_bytes.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return VerifyResult(False, error="hash.txt is not UTF-8 text")
     if recorded != recomputed:
         return VerifyResult(False, error=f"hash mismatch: recorded {recorded}, "
                                          f"recomputed {recomputed}")
 
-    with open(paths[STATE_FILE], "r", encoding="utf-8") as handle:
-        snapshot = json.load(handle)
+    try:
+        snapshot = json.loads(state_bytes.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return VerifyResult(False, error="state.json is not UTF-8 JSON")
+    if type(snapshot) is not dict:
+        return VerifyResult(False, error="state.json is not a JSON object")
     if snapshot.get("trace_hash") != recomputed:
         return VerifyResult(False, error="state.json hash does not match events")
+    # the replay starts from zero (genesis is minted as events); older
+    # writers emitted initial_balances as {}
+    if snapshot.get("initial_balances", {}) != {}:
+        return VerifyResult(False, error="state.json initial_balances is not empty")
+    recorded_final = snapshot.get("balances", {})
+    if type(recorded_final) is not dict:
+        return VerifyResult(False, error="state.json balances is not a JSON object")
 
-    balances, failure = _replay_balances(snapshot.get("initial_balances", {}), events)
     if failure is not None:
         return failure
-
-    recorded_final = snapshot.get("balances", {})
     replayed_final: dict[str, dict[str, str]] = {}
     for (account, token), raw in balances.items():
         if raw != 0:

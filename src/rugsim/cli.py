@@ -76,7 +76,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the most points one sweep may run; a fixed limit, so that a tiny step is
+# refused before any value is built
+MAX_SWEEP_POINTS = 10_000
+
+
 def _parse_range(spec: str) -> tuple[str, list[Fraction]]:
+    """KEY and the points of the inclusive range A:B:STEP. Refused: more
+    than MAX_SWEEP_POINTS points, a point past the amount range, and two
+    points that quantize to the same amount (they would share a run
+    directory and a summary row)."""
     if "=" not in spec:
         raise ValueError("expected KEY=A:B:STEP")
     key, _, rest = spec.partition("=")
@@ -89,15 +98,24 @@ def _parse_range(spec: str) -> tuple[str, list[Fraction]]:
         raise ValueError(f"non-numeric range {rest!r}") from None
     if step <= 0 or stop < start:
         raise ValueError(f"empty range {rest!r}")
-    values = []
-    value = start
-    while value <= stop:
-        values.append(value)
-        value += step
+    count = (stop - start) // step + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"{rest!r} has {count} points, more than {MAX_SWEEP_POINTS}")
+    values = [start + i * step for i in range(count)]
+    try:
+        texts = [str(quantize(value)) for value in values]
+    except RugsimError as exc:
+        raise ValueError(f"{rest!r}: {exc}") from None
+    for text, following in zip(texts, texts[1:]):
+        if text == following:
+            raise ValueError(f"two points of {rest!r} quantize to {text}")
     return key, values
 
 
-def _set_path(doc: dict, dotted: str, value: str) -> None:
+def _set_path(doc: dict, dotted: str, value: Fraction) -> None:
+    """Write a sweep point into the field at ``dotted``: an int into a field
+    that holds an int, else the quantized decimal text. A bool field is not
+    numeric."""
     node = doc
     parts = dotted.split(".")
     for part in parts[:-1]:
@@ -109,14 +127,20 @@ def _set_path(doc: dict, dotted: str, value: str) -> None:
             raise KeyError(dotted)
     leaf = parts[-1]
     if isinstance(node, list):
-        index = int(leaf)
-        if not isinstance(node[index], (str, int)):
-            raise TypeError(f"{dotted} is not a numeric field")
-        node[index] = value
+        leaf = int(leaf)
+        current = node[leaf]
+    elif leaf in node:
+        current = node[leaf]
     else:
-        if leaf not in node or not isinstance(node[leaf], (str, int)):
-            raise TypeError(f"{dotted} is not a numeric field")
-        node[leaf] = value
+        raise TypeError(f"{dotted} is not a numeric field")
+    if isinstance(current, bool) or not isinstance(current, (str, int)):
+        raise TypeError(f"{dotted} is not a numeric field")
+    if isinstance(current, str):
+        node[leaf] = str(quantize(value))
+    elif value.denominator == 1:
+        node[leaf] = int(value)
+    else:
+        raise ValueError(f"{dotted} holds an integer, got {str(quantize(value))}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -129,14 +153,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
 
+    # every point is written into one copy first, so that a bad key or value
+    # is refused before any run
+    probe = json.loads(json.dumps(base))
+    try:
+        for value in values:
+            _set_path(probe, key, value)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
+
     rows = []
     for value in values:
         text = str(quantize(value))
         doc = json.loads(json.dumps(base))  # deep copy
-        try:
-            _set_path(doc, key, text)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
+        _set_path(doc, key, value)
         try:
             sim, trace = run_scenario(doc, blocks=args.blocks)
         except (ScenarioError, RugsimError) as exc:

@@ -23,10 +23,13 @@ from .core import (
     ParameterError,
     PoolId,
     RugsimError,
+    SCALE,
     StateError,
     TokenId,
     VaultId,
     ZERO,
+    _checked,
+    _div_round_half_even,
 )
 from .market import (
     DrainEvent,
@@ -59,6 +62,19 @@ class RiskSignal:
             raise ParameterError("signal magnitude must be >= 0")
 
 
+def _ratio(num: int, den: int) -> int:
+    """Raw num / den for den > 0, rounded as FixedAmount division does. Each
+    ratio that passes MAX_RAW also passes its threshold and is built into a
+    signal's FixedAmount, which raises the division's RangeError."""
+    return _div_round_half_even(num * SCALE, den)
+
+
+def _scaled(factor: FixedAmount, raw: int) -> int:
+    """Raw factor * raw, rounded and range-checked as FixedAmount
+    multiplication does."""
+    return _checked(_div_round_half_even(factor.raw * raw, SCALE))
+
+
 class PoolMonitor:
     """Tracks the liquid-side reserve of one pool and alerts on drops."""
 
@@ -77,42 +93,49 @@ class PoolMonitor:
                 f"{self.observations[-1][0]}")
         signal = None
         if self.observations:
-            _, prev = self.observations[-1]
-            if prev.raw > 0 and l_pool < prev:
-                drop = (prev - l_pool) / prev
-                if drop > self.drop_threshold:
-                    signal = RiskSignal(SignalKind.LIQUIDITY_DROP, drop, height)
+            prev = self.observations[-1][1].raw
+            if 0 < prev and l_pool.raw < prev:
+                drop = _ratio(_checked(prev - l_pool.raw), prev)
+                if drop > self.drop_threshold.raw:
+                    signal = RiskSignal(SignalKind.LIQUIDITY_DROP, FixedAmount(drop),
+                                        height)
         self.observations.append((height, l_pool))
         return signal
 
 
 class TrailingWindow:
-    """The last ``size`` amounts and their running raw sum."""
+    """The last ``size`` raw amounts and their running sum."""
 
     def __init__(self, size: int):
-        self.values: deque[FixedAmount] = deque(maxlen=size)
+        self.values: deque[int] = deque(maxlen=size)
         self.total = 0
 
-    def push(self, value: FixedAmount) -> None:
+    def push(self, raw: int) -> None:
         values = self.values
         if len(values) == values.maxlen:
             if not values:  # a zero-length window keeps nothing
                 return
-            self.total -= values[0].raw
-        values.append(value)
-        self.total += value.raw
+            self.total -= values[0]
+        values.append(raw)
+        self.total += raw
 
-    def mean(self) -> Optional[FixedAmount]:
-        """The exact sum over the window, divided by its length; None while
-        the window is empty."""
+    def mean(self) -> Optional[int]:
+        """The exact sum over the window, divided by its length and rounded
+        half-even, as a FixedAmount division would; None while the window is
+        empty. RangeError if the sum leaves the FixedAmount range."""
         if not self.values:
             return None
-        return FixedAmount(self.total) / len(self.values)
+        return _div_round_half_even(_checked(self.total), len(self.values))
 
 
 class AuxMonitor:
     """Secondary heuristics: mint spikes, creator-wallet outflows, and
-    volume anomalies against trailing per-block means."""
+    volume anomalies against trailing per-block means.
+
+    ``scan`` takes raw ints (1e-9 quanta) and keeps them; a magnitude is
+    built as a FixedAmount only for a signal it returns. Each input and
+    intermediate is range-checked where the FixedAmount expression would
+    raise RangeError."""
 
     def __init__(self, mint_spike_factor: FixedAmount,
                  wallet_outflow_fraction: FixedAmount,
@@ -123,24 +146,29 @@ class AuxMonitor:
         self._mints = TrailingWindow(window)
         self._volumes = TrailingWindow(window)
 
-    def scan(self, height: int, minted: FixedAmount, creator_outflow: FixedAmount,
-             creator_balance_before: FixedAmount, volume: FixedAmount,
-             delta_liquidity: FixedAmount) -> list[RiskSignal]:
+    def scan(self, height: int, minted: int, creator_outflow: int,
+             creator_balance_before: int, volume: int,
+             delta_liquidity: int) -> list[RiskSignal]:
+        for raw in (minted, creator_outflow, creator_balance_before, volume,
+                    delta_liquidity):
+            _checked(raw)
         signals: list[RiskSignal] = []
         mean_mint = self._mints.mean()
-        if mean_mint is not None and minted.raw > 0:
-            if mean_mint.raw == 0 or minted > self.mint_spike_factor * mean_mint:
-                magnitude = minted / mean_mint if mean_mint.raw > 0 else minted
-                signals.append(RiskSignal(SignalKind.MINT_SPIKE, magnitude, height))
-        if creator_balance_before.raw > 0 and creator_outflow.raw > 0:
-            fraction = creator_outflow / creator_balance_before
-            if fraction > self.wallet_outflow_fraction:
-                signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW, fraction, height))
+        if mean_mint is not None and minted > 0:
+            if mean_mint == 0 or minted > _scaled(self.mint_spike_factor, mean_mint):
+                magnitude = _ratio(minted, mean_mint) if mean_mint > 0 else minted
+                signals.append(RiskSignal(SignalKind.MINT_SPIKE,
+                                          FixedAmount(magnitude), height))
+        if creator_balance_before > 0 and creator_outflow > 0:
+            fraction = _ratio(creator_outflow, creator_balance_before)
+            if fraction > self.wallet_outflow_fraction.raw:
+                signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW,
+                                          FixedAmount(fraction), height))
         mean_vol = self._volumes.mean()
-        if (mean_vol is not None and mean_vol.raw > 0 and delta_liquidity.raw <= 0
-                and volume > self.volume_spike_factor * mean_vol):
+        if (mean_vol is not None and mean_vol > 0 and delta_liquidity <= 0
+                and volume > _scaled(self.volume_spike_factor, mean_vol)):
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY,
-                                      volume / mean_vol, height))
+                                      FixedAmount(_ratio(volume, mean_vol)), height))
         self._mints.push(minted)
         self._volumes.push(volume)
         return signals
@@ -341,11 +369,12 @@ def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
     matched intent is consumed even before the harness applies its swap.
     Without both a trigger and an acceptable bid, intents simply persist.
     """
-    if not bids:
+    pending = book.pending()
+    if not bids or not pending:
         return []
     ranked = sorted(bids, key=lambda b: (b.fee_bps, b.solver.value))
     executions: list[IntentExecution] = []
-    for intent in sorted(book.pending(), key=lambda i: i.intent_id):
+    for intent in sorted(pending, key=lambda i: i.intent_id):
         price = prices.get(intent.token)
         l_pool = liquidity.get(intent.pool)
         if price is None or l_pool is None:

@@ -114,8 +114,10 @@ class ChainView:
     outflow_keys: list[tuple[str, TokenId]] = field(default_factory=list)
     # chain tokens whose mints the aux scan reads (R is excluded)
     mint_tokens: list[TokenId] = field(default_factory=list)
-    noise: list[tuple[Agent, dict, random.Random]] = field(default_factory=list)
-    pegkeepers: list[Agent] = field(default_factory=list)
+    # (agent, pool id, trade probability, largest size in raw quanta, rng)
+    noise: list[tuple[Agent, str, float, int, random.Random]] = field(default_factory=list)
+    # (agent, budget, tolerance)
+    pegkeepers: list[tuple[Agent, FixedAmount, FixedAmount]] = field(default_factory=list)
     perp_books: list[tuple[str, PerpBook]] = field(default_factory=list)
 
 
@@ -308,6 +310,9 @@ class Simulation:
         self._scanned_outflows = dict(self._outflow_totals)
 
     def _build_step_plan(self) -> None:
+        """Fill the per-chain views. The agent parameters read every block
+        (noise ``prob`` and ``max_size``, peg-keeper ``budget`` and
+        ``tolerance``) are parsed here, once, with their defaults."""
         sc = self.scenario
         self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
         views = self._chain_views = {chain: ChainView() for chain in sc.chains}
@@ -328,9 +333,14 @@ class Simulation:
             noise = agent.params.get("noise")
             if noise:
                 views[self.pool_chain[noise["pool"]]].noise.append(
-                    (agent, noise, self.rng.stream("noise", agent.account.value)))
+                    (agent, noise["pool"], float(amt(noise.get("prob", "0.1"))),
+                     amt(noise.get("max_size", 1)).raw,
+                     self.rng.stream("noise", agent.account.value)))
         for keeper in self.agents_by_kind.get("pegkeeper", []):
-            views[self.pool_chain[keeper.params["pool"]]].pegkeepers.append(keeper)
+            params = keeper.params
+            views[self.pool_chain[params["pool"]]].pegkeepers.append(
+                (keeper, amt(params.get("budget", 0)),
+                 amt(params.get("tolerance", "0.005"))))
         for vault_id, book in self.perp_books.items():
             views[self.vault_chain[vault_id]].perp_books.append((vault_id, book))
         solvers = sorted(self.agents_by_kind.get("solver", []),
@@ -467,8 +477,8 @@ class Simulation:
             self._run_script_op(agent, step, at)
 
         # (4b) parametric noise traders
-        for agent, noise, rng in view.noise:
-            self._noise_trade(agent, noise, rng)
+        for noise in view.noise:
+            self._noise_trade(*noise)
 
         # (5) perps funding and liquidation
         self._phase_perps(chain, view, at)
@@ -501,8 +511,8 @@ class Simulation:
 
         # auxiliary metrics over activity since this chain's last scan
         # (everything the previous block did, nothing of this one yet), in
-        # raw ints; totals only grow, so the mint and volume sums are range
-        # checked once, as FixedAmounts
+        # raw ints; totals only grow, so the scan range-checks the mint and
+        # volume sums once
         aux = self.aux_monitors.get(chain)
         if aux is not None:
             minted = 0
@@ -518,7 +528,7 @@ class Simulation:
                 self._scanned_outflows[key] = total
                 if moved > outflow:
                     outflow = moved
-                    balance_before = _checked(self.ledger.balance(*key).raw + moved)
+                    balance_before = _checked(self.ledger.balance_raw(*key) + moved)
             volume = delta_liq = 0
             prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
             for pool_id in view.pool_ids:
@@ -529,9 +539,8 @@ class Simulation:
                 liquidity = self._pool_liquidity(pool).raw
                 delta_liq = _checked(delta_liq + liquidity - prev_liquidity[pool_id])
                 prev_liquidity[pool_id] = liquidity
-            for signal in aux.scan(height, FixedAmount(minted), FixedAmount(outflow),
-                                   FixedAmount(balance_before), FixedAmount(volume),
-                                   FixedAmount(delta_liq)):
+            for signal in aux.scan(height, minted, outflow, balance_before, volume,
+                                   delta_liq):
                 self._event("risk_signal", kind=signal.kind.value,
                             magnitude=str(signal.magnitude))
 
@@ -602,10 +611,12 @@ class Simulation:
                                    "rug_token": rug_token, "budget": back_budget,
                                    "cap": amt(det.params.get("backrun_cap", 0))})
 
-        # intents
-        chain_prices = {token: self.prices[token] for token, _ in view.processes}
-        chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
-                           for pid in view.pool_ids}
+        # intents; prices and liquidity are gathered only while one is pending
+        chain_prices = chain_liquidity = {}
+        if self.intent_book.pending():
+            chain_prices = {token: self.prices[token] for token, _ in view.processes}
+            chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
+                               for pid in view.pool_ids}
         for execution in detection.solver_step(self.intent_book, chain_prices,
                                                chain_liquidity, height,
                                                self._solver_bids):
@@ -619,7 +630,7 @@ class Simulation:
         # peg keeper planning
         for keeper in view.pegkeepers:
             self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
-                          {"agent": keeper})
+                          {"keeper": keeper})
 
     def _execute_tx(self, tx: QueuedTx, height: int) -> None:
         try:
@@ -642,7 +653,7 @@ class Simulation:
             elif tx.kind == "intent":
                 self._exec_intent(tx.payload["execution"])
             elif tx.kind == "peg_keeper":
-                self._exec_peg_keeper(tx.payload["agent"])
+                self._exec_peg_keeper(*tx.payload["keeper"])
             else:
                 raise StateError(f"unknown queued tx kind {tx.kind!r}")
         except RugsimError as exc:
@@ -743,7 +754,8 @@ class Simulation:
         self._event("intent_executed", intent=intent.intent_id, owner=owner,
                     solver=execution.solver.value, fee_bps=execution.fee_bps)
 
-    def _exec_peg_keeper(self, agent: Agent) -> None:
+    def _exec_peg_keeper(self, agent: Agent, budget: FixedAmount,
+                         tolerance: FixedAmount) -> None:
         pool_id = agent.params["pool"]
         pool = self.pools[pool_id]
         vault_id = agent.params.get("vault")
@@ -754,9 +766,7 @@ class Simulation:
         peg = anticoin_value(vault, self._mark_price(vault.rugged_token))
         spot = market.spot_price(pool)
         input_token = pool.token_x if spot > peg else pool.token_y
-        budget = min(amt(agent.params.get("budget", 0)),
-                     self.ledger.balance(agent.account.value, input_token))
-        tolerance = amt(agent.params.get("tolerance", "0.005"))
+        budget = min(budget, self.ledger.balance(agent.account.value, input_token))
         trade = market.peg_keeper_step(pool, peg, budget, tolerance)
         if trade is None:
             return
@@ -980,19 +990,18 @@ class Simulation:
         self._event("claim_escalated", claim=claim.claim_id,
                     party=agent.account.value, level=claim.escalation_level)
 
-    def _noise_trade(self, agent: Agent, noise: dict, rng: random.Random) -> None:
-        if rng.random() >= float(amt(noise.get("prob", "0.1"))):
+    def _noise_trade(self, agent: Agent, pool_id: str, prob: float, max_raw: int,
+                     rng: random.Random) -> None:
+        if rng.random() >= prob:
             return
-        pool = self.pools[noise["pool"]]
-        max_raw = amt(noise.get("max_size", 1)).raw
-        size = FixedAmount(rng.randint(1, max_raw))
+        pool = self.pools[pool_id]
+        size = rng.randint(1, max_raw)
         token = pool.token_x if rng.random() < 0.5 else pool.token_y
-        held = self.ledger.balance(agent.account.value, token)
-        size = min(size, held)
-        if size.raw <= 0:
+        size = min(size, self.ledger.balance_raw(agent.account.value, token))
+        if size <= 0:
             return
         try:
-            self._apply_swap(noise["pool"], agent.account.value, token, size,
+            self._apply_swap(pool_id, agent.account.value, token, FixedAmount(size),
                              memo="noise")
         except RugsimError as exc:
             self._failed("noise", exc, account=agent.account.value)

@@ -11,7 +11,7 @@ constant-product solution stays below one quantum per operation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
@@ -199,9 +199,8 @@ def pool_swap(pool: PoolState, input_token: TokenId,
     else:
         new_x, new_y = new_out, new_in
         vol_x, vol_y = pool.volume_x, pool.volume_y + dx
-    new_pool = replace(pool, reserve_x=new_x, reserve_y=new_y,
-                       k_last_raw=new_x.raw * new_y.raw,
-                       volume_x=vol_x, volume_y=vol_y)
+    new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
+                         pool.fee_bps, new_x.raw * new_y.raw, vol_x, vol_y)
     return dy, new_pool
 
 
@@ -242,8 +241,8 @@ def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: FixedAmount) -> Poo
                 f"deposit ratio mismatch: got dy={dy}, expected {expected_dy}")
     new_x = pool.reserve_x + dx
     new_y = pool.reserve_y + dy
-    return replace(pool, reserve_x=new_x, reserve_y=new_y,
-                   k_last_raw=new_x.raw * new_y.raw)
+    return PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
+                     pool.fee_bps, new_x.raw * new_y.raw, pool.volume_x, pool.volume_y)
 
 
 def pool_remove_liquidity(pool: PoolState,
@@ -256,8 +255,9 @@ def pool_remove_liquidity(pool: PoolState,
     new_y = pool.reserve_y * keep
     out_x = pool.reserve_x - new_x
     out_y = pool.reserve_y - new_y
-    new_pool = replace(pool, reserve_x=new_x, reserve_y=new_y,
-                       k_last_raw=new_x.raw * new_y.raw)
+    new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
+                         pool.fee_bps, new_x.raw * new_y.raw, pool.volume_x,
+                         pool.volume_y)
     return out_x, out_y, new_pool
 
 

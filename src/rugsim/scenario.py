@@ -28,6 +28,7 @@ DIRECTIONS = ("long", "short")
 # for a nested object; an argument whose key ends in "?" is optional
 AMOUNT, INT, COUNT, TEXT = "amount", "int", "int >= 1", "string"
 FRACTION, AMOUNT_OR_AUTO = "fraction in (0, 1)", "amount or 'auto'"
+SIZE = "amount >= 0.000000001"  # at least one quantum
 REF_KINDS = CHAIN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
     "chain", "priced token", "pool token", "pool", "vault", "perps vault", "account")
 
@@ -67,7 +68,7 @@ PRICE_PROCESS_ARGS = {"kind": PRICE_KINDS, "p0": AMOUNT, "tau_rug?": AMOUNT, "la
                       "alpha_sent?": AMOUNT, "epsilon_floor?": AMOUNT}
 INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
 AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
-              "noise?": {"pool": POOL, "prob?": AMOUNT, "max_size?": AMOUNT}}
+              "noise?": {"pool": POOL, "prob?": AMOUNT, "max_size?": SIZE}}
 AGENT_PARAMS = {
     "pegkeeper": {"pool": POOL, "vault?": VAULT, "budget?": AMOUNT, "tolerance?": AMOUNT},
     "detector": {"protects?": [ACCOUNT], "sandwich_budget?": AMOUNT,
@@ -159,6 +160,9 @@ def _check_arg(kind: Any, value: Any, path: str, refs: dict) -> None:
     elif kind == FRACTION:
         if not 0 < _as_amount(value, path).raw < SCALE:
             raise ScenarioError(path, "must be in (0, 1)")
+    elif kind == SIZE:
+        if _as_amount(value, path).raw < 1:
+            raise ScenarioError(path, "must be at least one quantum (0.000000001)")
     elif isinstance(kind, tuple):
         _as_str(value, path, kind)
     elif isinstance(kind, dict):

@@ -111,7 +111,7 @@ def aggregate_vault_stats(registries: Sequence[VaultRegistry], ledger: Ledger,
     total = 0
     for registry in registries:
         for vault in registry.vaults.values():
-            vaulted = ledger.balance(vault.escrow_account, vault.rugged_token).raw
+            vaulted = ledger.balance_raw(vault.escrow_account, vault.rugged_token)
             price = price_of(vault.rugged_token).raw
             total += _div_round_half_even(vaulted * price, SCALE)
     return FixedAmount(total)

@@ -261,7 +261,9 @@ def verify_trace(trace_dir: str) -> VerifyResult:
     except UnicodeDecodeError:
         return VerifyResult(False, error="hash.txt is not UTF-8 text")
     if recorded != recomputed:
-        return VerifyResult(False, error=f"hash mismatch: recorded {recorded}, "
+        # escaped, so that a line break in hash.txt cannot split the message
+        shown = recorded.encode("unicode_escape").decode("ascii")
+        return VerifyResult(False, error=f"hash mismatch: recorded {shown}, "
                                          f"recomputed {recomputed}")
 
     try:

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, and output files."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from rugsim import cli
 from rugsim.cli import main
 from rugsim.core import amt
 from rugsim.scenario import reference_scenario, scam_scenario
@@ -129,6 +131,64 @@ def test_sweep_rejects_empty_or_bad_ranges(tmp_path):
                  "--param", "vaults.0.delta_gamma=a:b:c"]) == 2
     assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "o"),
                  "--param", "chains=1:2:1"]) == 2  # not a numeric field
+
+
+def test_sweep_writes_ints_into_integer_fields(tmp_path):
+    # seed and a drain window hold ints: each point is written as an int
+    for param, values in (("seed=1:2:1", ["1", "2"]),
+                          ("agents.0.script.0.window=2:3:1", ["2", "3"])):
+        out = tmp_path / param.partition("=")[0]
+        assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),
+                     "--param", param]) == 0
+        rows = [line.split(",") for line in
+                (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == values
+        assert all(row[5] == "0" for row in rows)
+    lines = (tmp_path / "agents.0.script.0.window" / "agents.0.script.0.window=2"
+             / "events.jsonl").read_text().splitlines()
+    submitted = next(json.loads(line) for line in lines if '"drain_submitted"' in line)
+    assert submitted["executes_at"] == submitted["h"] + 2
+
+
+@pytest.mark.parametrize("param,message", [
+    ("seed=1:2:0.5", "bad --param key 'seed': seed holds an integer, got 1.5"),
+    ("agents.0.script.0.window=1:2:0.25",
+     "bad --param key 'agents.0.script.0.window': agents.0.script.0.window holds an "
+     "integer, got 1.25"),
+    ("vaults.0.delta_gamma=2:2.0000000003:0.0000000001",
+     "bad --param: two points of '2:2.0000000003:0.0000000001' quantize to 2"),
+    ("vaults.0.delta_gamma=0:0.0000000012:0.0000000006",
+     "bad --param: two points of '0:0.0000000012:0.0000000006' quantize to 0.000000001"),
+    ("vaults.0.delta_gamma=1:2:0.0000000001",
+     "bad --param: '1:2:0.0000000001' has 10000000001 points, more than 10000"),
+    ("vaults.0.delta_gamma=0:10000:1",
+     "bad --param: '0:10000:1' has 10001 points, more than 10000"),
+    ("vaults.0.delta_gamma=1e19:1e19:1",
+     "bad --param: '1e19:1e19:1': fixed-point overflow: "
+     "raw=10000000000000000000000000000"),
+], ids=["fractional-seed", "fractional-window", "four-points-one-value",
+        "two-points-one-value", "ten-billion-points", "one-past-the-limit",
+        "past-the-amount-range"])
+def test_sweep_refuses_a_bad_range_before_any_run(tmp_path, capsys, param, message):
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),
+                 "--param", param]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+
+
+def test_sweep_runs_the_largest_range_it_allows():
+    key, values = cli._parse_range(f"x=1:{cli.MAX_SWEEP_POINTS}:1")
+    assert (key, len(values), values[-1]) == ("x", cli.MAX_SWEEP_POINTS,
+                                              cli.MAX_SWEEP_POINTS)
+
+
+def test_sweep_does_not_treat_a_bool_field_as_numeric():
+    doc = {"perps": {"revalue_collateral": False, "interval_blocks": 4}}
+    with pytest.raises(TypeError, match="not a numeric field"):
+        cli._set_path(doc, "perps.revalue_collateral", Fraction(1))
+    cli._set_path(doc, "perps.interval_blocks", Fraction(6))
+    assert doc["perps"] == {"revalue_collateral": False, "interval_blocks": 6}
 
 
 def test_schema_prints_json(capsys):
@@ -263,6 +323,13 @@ LOAD_PROBES = [
                  "agents[0].noise.max_size", id="noise-float-size"),
     pytest.param("reference", _set("agents", 0, "noise", "pool", value="nope"),
                  "agents[0].noise.pool", id="noise-unknown-pool"),
+    pytest.param("reference", _set("agents", 0, "noise", "max_size", value="0"),
+                 "agents[0].noise.max_size", id="noise-zero-size"),
+    pytest.param("reference", _set("agents", 1, "noise", "max_size", value="-2"),
+                 "agents[1].noise.max_size", id="noise-negative-size"),
+    pytest.param("reference", _set("agents", 0, "noise", "max_size",
+                                   value="0.0000000004"),
+                 "agents[0].noise.max_size", id="noise-size-below-a-quantum"),
     pytest.param("scam", _set("agents", 2, "protects", value=["ghost"]),
                  "agents[2].protects", id="detector-protects-unknown-account"),
     pytest.param("scam", _set("agents", 2, "backrun_budget", value=100.0),

@@ -1,8 +1,10 @@
 """Monitors, risk signals, intervention planners, and the intent/solver
 system."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rugsim.core import (
     MAX_RAW,
@@ -11,6 +13,7 @@ from rugsim.core import (
     FixedAmount,
     ParameterError,
     RangeError,
+    SCALE,
     amt,
     fsum,
 )
@@ -20,6 +23,7 @@ from rugsim.detection import (
     IntentBook,
     IntentStatus,
     PoolMonitor,
+    RiskSignal,
     SignalKind,
     SolverBid,
     TooLateError,
@@ -70,20 +74,20 @@ def test_observe_requires_increasing_heights():
 
 
 def test_aux_monitor_signals():
+    # scan takes raw quanta
     aux = AuxMonitor(mint_spike_factor=amt(3), wallet_outflow_fraction=amt("0.5"),
                      volume_spike_factor=amt(4))
-    zero = amt(0)
-    assert aux.scan(1, zero, zero, zero, zero, zero) == []
+    assert aux.scan(1, 0, 0, 0, 0, 0) == []
     # set a trailing baseline of 10 mint / 10 volume
-    aux.scan(2, amt(10), zero, zero, amt(10), zero)
-    signals = aux.scan(3, amt(100), zero, zero, amt(10), zero)
+    aux.scan(2, amt(10).raw, 0, 0, amt(10).raw, 0)
+    signals = aux.scan(3, amt(100).raw, 0, 0, amt(10).raw, 0)
     assert [s.kind for s in signals] == [SignalKind.MINT_SPIKE]
     aux2 = AuxMonitor(amt(3), amt("0.5"), amt(4))
-    aux2.scan(1, zero, zero, zero, amt(10), zero)
-    signals = aux2.scan(2, zero, zero, zero, amt(50), amt(-1))
+    aux2.scan(1, 0, 0, 0, amt(10).raw, 0)
+    signals = aux2.scan(2, 0, 0, 0, amt(50).raw, amt(-1).raw)
     assert [s.kind for s in signals] == [SignalKind.VOLUME_ANOMALY]
     aux3 = AuxMonitor(amt(3), amt("0.5"), amt(4))
-    signals = aux3.scan(1, zero, amt(80), amt(100), zero, zero)
+    signals = aux3.scan(1, 0, amt(80).raw, amt(100).raw, 0, 0)
     assert [s.kind for s in signals] == [SignalKind.WALLET_OUTFLOW]
 
 
@@ -92,7 +96,7 @@ def _mean_or_error(compute):
         mean = compute()
     except RangeError:
         return "RangeError"
-    return None if mean is None else mean.raw
+    return mean.raw if isinstance(mean, FixedAmount) else mean
 
 
 @settings(max_examples=300)
@@ -107,12 +111,124 @@ def test_trailing_window_mean_equals_resummed_mean(size, raws):
     kept: list[FixedAmount] = []
     for raw in raws:
         value = FixedAmount(raw)
-        window.push(value)
+        window.push(raw)
         kept = (kept + [value])[-size:] if size else []
-        assert list(window.values) == kept
+        assert list(window.values) == [v.raw for v in kept]
         expected = _mean_or_error(
             lambda: fsum(kept) / len(kept) if kept else None)
         assert _mean_or_error(window.mean) == expected
+
+
+class _FixedWindow:
+    """A trailing window of FixedAmounts, re-summed on every mean."""
+
+    def __init__(self, size):
+        self.values = deque(maxlen=size)
+
+    def mean(self):
+        return fsum(self.values) / len(self.values) if self.values else None
+
+
+class _FixedAux:
+    """AuxMonitor.scan written with FixedAmount arithmetic: each input is
+    built as a FixedAmount, and each comparison is the FixedAmount
+    expression."""
+
+    def __init__(self, mint_factor, outflow_fraction, volume_factor, window):
+        self.mint_factor, self.outflow_fraction = mint_factor, outflow_fraction
+        self.volume_factor = volume_factor
+        self.mints, self.volumes = _FixedWindow(window), _FixedWindow(window)
+
+    def scan(self, height, *raws):
+        minted, outflow, before, volume, delta = (FixedAmount(r) for r in raws)
+        signals = []
+        mean_mint = self.mints.mean()
+        if mean_mint is not None and minted.raw > 0:
+            if mean_mint.raw == 0 or minted > self.mint_factor * mean_mint:
+                magnitude = minted / mean_mint if mean_mint.raw > 0 else minted
+                signals.append(RiskSignal(SignalKind.MINT_SPIKE, magnitude, height))
+        if before.raw > 0 and outflow.raw > 0:
+            fraction = outflow / before
+            if fraction > self.outflow_fraction:
+                signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW, fraction, height))
+        mean_vol = self.volumes.mean()
+        if (mean_vol is not None and mean_vol.raw > 0 and delta.raw <= 0
+                and volume > self.volume_factor * mean_vol):
+            signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY, volume / mean_vol, height))
+        self.mints.values.append(minted)
+        self.volumes.values.append(volume)
+        return [(s.kind, s.magnitude.raw, s.height) for s in signals]
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (ParameterError, RangeError) as exc:
+        return type(exc).__name__, str(exc)
+    return result
+
+
+# raw amounts: everyday sizes, and sizes at and past the FixedAmount range
+_raws = st.one_of(st.integers(min_value=-3, max_value=3),
+                  st.integers(min_value=-10**13, max_value=10**13),
+                  st.integers(min_value=MAX_RAW - 10**9, max_value=MAX_RAW + 10**9),
+                  st.integers(min_value=-2 * MAX_RAW, max_value=2 * MAX_RAW))
+_factors = st.one_of(st.integers(min_value=0, max_value=10 * SCALE),
+                     st.integers(min_value=-SCALE, max_value=MAX_RAW)).map(FixedAmount)
+
+
+# each range check of scan, forced: a mint spike, an outflow and a volume
+# spike whose magnitude passes MAX_RAW, and a window sum past it
+@example(factors=(amt(3), amt("0.5"), amt(4)), window=1,
+         scans=[(1, 0, 0, 1, 0), (MAX_RAW, MAX_RAW, 1, MAX_RAW, 0)])
+@example(factors=(amt(3), amt("0.5"), amt(4)), window=1,
+         scans=[(0, 0, 0, 1, 0), (0, 0, 0, MAX_RAW, -1)])
+@example(factors=(amt(3), amt("0.5"), amt(4)), window=2,
+         scans=[(MAX_RAW, 0, 0, 0, 0), (MAX_RAW, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+@settings(max_examples=300)
+@given(factors=st.tuples(_factors, _factors, _factors),
+       window=st.integers(min_value=1, max_value=4),
+       scans=st.lists(st.tuples(_raws, _raws, _raws, _raws, _raws), max_size=12))
+def test_raw_aux_scan_matches_the_fixed_amount_expressions(factors, window, scans):
+    # signals, magnitudes and RangeError texts, scan by scan; a scan that
+    # raises leaves both monitors as they were
+    aux, model = AuxMonitor(*factors, window=window), _FixedAux(*factors, window)
+    for height, raws in enumerate(scans, start=1):
+        got = _outcome(lambda: [(s.kind, s.magnitude.raw, s.height)
+                                for s in aux.scan(height, *raws)])
+        assert got == _outcome(lambda: model.scan(height, *raws))
+
+
+def _fixed_observe(prev, l_pool, threshold):
+    """PoolMonitor's drop test as the FixedAmount expression."""
+    if prev.raw > 0 and l_pool < prev:
+        drop = (prev - l_pool) / prev
+        if drop > threshold:
+            return drop.raw
+    return None
+
+
+# a fall of more than MAX_RAW overflows before the ratio is taken
+@example(threshold=SCALE // 5, levels=[MAX_RAW // 2, -(MAX_RAW * 9 // 10)])
+@settings(max_examples=300)
+@given(threshold=st.integers(min_value=1, max_value=2 * SCALE),
+       levels=st.lists(st.one_of(st.integers(min_value=-10**13, max_value=10**13),
+                                 st.integers(min_value=-MAX_RAW, max_value=MAX_RAW)),
+                       min_size=1, max_size=12))
+def test_raw_pool_monitor_matches_the_fixed_amount_expression(threshold, levels):
+    monitor = PoolMonitor("p", FixedAmount(threshold))
+    prev = None
+    for height, raw in enumerate(levels, start=1):
+        level = FixedAmount(raw)
+        got = _outcome(lambda: monitor.observe(height, level))
+        if prev is None:
+            assert got is None
+        else:
+            expected = _outcome(lambda: _fixed_observe(prev, level, FixedAmount(threshold)))
+            assert (got if got is None or isinstance(got, tuple)
+                    else got.magnitude.raw) == expected
+        if not isinstance(got, tuple):  # an observation that raises is not kept
+            prev = level
 
 
 # -- planners --------------------------------------------------------------------
@@ -232,3 +348,16 @@ def test_backrun_dust_capped_by_quantum_rules():
     plan = plan_backrun(drain, pool, "RUG", ALICE, budget=amt("0.000000001"),
                         value_cap=amt("0.000000001"), now=3)
     assert plan is None
+
+
+class _UnrankableBids(list):
+    """Bids that fail the test if anything iterates over them."""
+
+    def __iter__(self):
+        raise AssertionError("bids were ranked")
+
+
+def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
+    book = IntentBook()
+    bids = _UnrankableBids([SolverBid(AccountId.solo("s"), 30)])
+    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids) == []

@@ -778,3 +778,18 @@ def test_scan_sums_raise_where_fixed_amounts_would():
                                  ("trudy", "mallory", "950000000000000000"))]
     with pytest.raises(RangeError, match="raw=1450000000000000000000000000"):
         run_scenario(doc)
+
+
+def test_noise_defaults_are_a_tenth_and_one_unit():
+    # a noise trader without prob or max_size trades as one that names
+    # prob 0.1 and max_size 1, and not as one with another prob
+    def noise_hash(noise):
+        doc = reference_scenario(blocks=150)
+        for agent in doc["agents"]:
+            if "noise" in agent:
+                agent["noise"] = {"pool": "rug-usdn", **noise}
+        return run_scenario(doc)[1].trace_hash()
+
+    implicit = noise_hash({})
+    assert implicit == noise_hash({"prob": "0.1", "max_size": "1"})
+    assert implicit != noise_hash({"prob": "0.2", "max_size": "1"})

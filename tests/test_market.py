@@ -132,6 +132,23 @@ def test_price_paths_never_fall_back_to_decimal_exp(monkeypatch, doc, evaluation
     assert counts == {"kernel": evaluations, "decimal": 0}
 
 
+def test_reference_run_builds_few_fixed_amounts(monkeypatch):
+    # the per-block path (ledger, monitors, noise and peg-keeper parameters)
+    # carries raw ints: the 2,000-block reference run builds about 25
+    # FixedAmounts a block, where building one per intermediate took 53
+    built = [0]
+    init = FixedAmount.__init__
+
+    def counted(self, raw):
+        built[0] += 1
+        init(self, raw)
+
+    doc = reference_scenario(blocks=2000)
+    monkeypatch.setattr(FixedAmount, "__init__", counted)
+    run_scenario(doc)
+    assert built[0] <= 55_000
+
+
 # -- swaps ------------------------------------------------------------------
 
 

@@ -338,3 +338,13 @@ def test_verify_never_ends_in_a_traceback(tmp_path, capsys, damage, code, messag
     first, *rest = capsys.readouterr().err.splitlines()
     assert first.startswith(f"verification failed: {message}")
     assert all(line.startswith("first violation at line ") for line in rest)
+
+
+def test_hash_mismatch_message_stays_on_one_line(tmp_path, capsys):
+    trace = short_trace()
+    trace.write(str(tmp_path))
+    (tmp_path / "hash.txt").write_text("abc\ndef\n")
+    assert main(["verify", "--trace", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        f"verification failed: hash mismatch: recorded abc\\ndef, "
+        f"recomputed {trace.trace_hash()}\n")

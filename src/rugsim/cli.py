@@ -8,6 +8,7 @@ Exit codes are stable API: 0 ok, 2 input error, 3 strict-mode failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -16,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import FixedAmount, RugsimError, amt, quantize, safe_exp
-from .harness import run_scenario
+from .harness import Simulation, run_scenario
 from .scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -143,6 +144,21 @@ def _set_path(doc: dict, dotted: str, value: Fraction) -> None:
         raise ValueError(f"{dotted} holds an integer, got {str(quantize(value))}")
 
 
+def _copy_path(doc: dict, dotted: str) -> dict:
+    """A copy of ``doc`` that shares every object but those on the path
+    ``dotted``, so that a point written there leaves ``doc`` as it was. A
+    path that leaves the document is left for ``_set_path`` to refuse."""
+    top = node = copy.copy(doc)
+    for part in dotted.split(".")[:-1]:
+        try:
+            key = int(part) if isinstance(node, list) else part
+            node[key] = child = copy.copy(node[key])
+        except (KeyError, IndexError, TypeError, ValueError):
+            break
+        node = child
+    return top
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         key, values = _parse_range(args.param)
@@ -153,23 +169,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
 
-    # every point is written into one copy first, so that a bad key or value
-    # is refused before any run
-    probe = json.loads(json.dumps(base))
-    try:
-        for value in values:
-            _set_path(probe, key, value)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
-
-    rows = []
+    # every point is written into its own copy and loaded before any run,
+    # so that a bad key, value or point is refused before anything is written
+    points = []
     for value in values:
         text = str(quantize(value))
-        doc = json.loads(json.dumps(base))  # deep copy
-        _set_path(doc, key, value)
+        doc = _copy_path(base, key)
         try:
-            sim, trace = run_scenario(doc, blocks=args.blocks)
-        except (ScenarioError, RugsimError) as exc:
+            _set_path(doc, key, value)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
+        try:
+            points.append((text, load_scenario(doc)))
+        except ScenarioError as exc:
+            return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
+
+    rows = []
+    for text, scenario in points:
+        try:
+            sim = Simulation(scenario)
+            trace = sim.run(args.blocks)
+        except RugsimError as exc:
             return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
         sub_dir = os.path.join(args.out, f"{key}={text}")
         trace.write(sub_dir)

@@ -99,7 +99,19 @@ class FixedAmount:
 
     @classmethod
     def parse(cls, text: str) -> "FixedAmount":
-        return FixedAmount(_parse_raw(text))
+        """A decimal literal, rounded to the nearest quantum."""
+        try:
+            dec = Decimal(text)
+        except Exception:
+            raise ParameterError(f"not a decimal literal: {text!r}") from None
+        if not dec.is_finite():
+            raise ParameterError(f"not a finite decimal literal: {text!r}")
+        if dec.adjusted() > 18:
+            # at least 1e19 units, past MAX_RAW: refused before a huge exponent
+            # builds a huge int (or one too long for the error message's str)
+            raise RangeError(f"fixed-point overflow: {text!r}")
+        num, den = dec.as_integer_ratio()
+        return FixedAmount(_div_round_half_even(num * SCALE, den))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.raw, SCALE)
@@ -200,23 +212,6 @@ def quantize(value: AmountLike) -> FixedAmount:
     if isinstance(value, Fraction):
         return FixedAmount(_div_round_half_even(value.numerator * SCALE, value.denominator))
     raise TypeError(f"cannot quantize {type(value).__name__}")
-
-
-@lru_cache(maxsize=1024)
-def _parse_raw(text: str) -> int:
-    """Raw quanta of a decimal literal; scenario literals are re-read every
-    block, so each is parsed once. Errors are raised, never cached."""
-    try:
-        dec = Decimal(text)
-    except Exception:
-        raise ParameterError(f"not a decimal literal: {text!r}") from None
-    if not dec.is_finite():
-        raise ParameterError(f"not a finite decimal literal: {text!r}")
-    if dec.adjusted() > 18:
-        # at least 1e19 units, past MAX_RAW: refused before a huge exponent
-        # builds a huge int (or one too long for the error message's str)
-        raise RangeError(f"fixed-point overflow: {text!r}")
-    return quantize(Fraction(dec)).raw
 
 
 def amt(value: AmountLike) -> FixedAmount:

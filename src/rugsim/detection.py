@@ -345,7 +345,7 @@ class IntentBook:
                  theta_price: FixedAmount, theta_liquidity: FixedAmount,
                  action: IntentAction, price_ref: FixedAmount,
                  liquidity_ref: FixedAmount, vault: Optional[VaultId] = None,
-                 solver_fee_bps: int = 10000) -> Intent:
+                 solver_fee_bps: int = Intent.solver_fee_bps) -> Intent:
         intent = Intent(intent_id=self._next_id, owner=owner, pool=pool,
                         token=token, vault=vault, theta_price=theta_price,
                         theta_liquidity=theta_liquidity, action=action,

@@ -16,6 +16,11 @@ chain step runs a fixed phase order:
   8. supply emission and the burn controller (home chain)
   9. telemetry
 
+The engine reads a parsed ``Scenario``: ``load_scenario`` has already
+checked every field, turned it into its value (amounts, ints, enums) and
+filled in every default, so materialize and the scripted ops read fields
+and parse or default none themselves.
+
 What a chain's step visits (price processes, pools, monitors, noise
 traders, peg keepers, perp books) is listed per chain once, at materialize,
 in the order a scan of the whole world would meet it. Each scripted step
@@ -45,7 +50,6 @@ from .core import (
     TokenId,
     ZERO,
     _checked,
-    amt,
 )
 from .detection import (
     AuxMonitor,
@@ -56,12 +60,12 @@ from .detection import (
 )
 from .insurance import InsuranceBook, InsuranceParams
 from .ledger import BalanceError, Ledger
-from .market import DrainEvent, PoolState, RugKind
-from .perps import Direction, FundingParams, MaintenanceRule, PerpBook
+from .market import DrainEvent, PoolState
+from .perps import FundingParams, MaintenanceRule, PerpBook
 from .rugproof import RugproofBook, SlashParams
 from .scenario import SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace
-from .vault import ReceiptKind, VaultRegistry, anticoin_value
+from .vault import VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
 HOME_TOKEN = "R"
@@ -178,30 +182,23 @@ class Simulation:
     def _materialize(self) -> None:
         sc = self.scenario
         for entry in sc.accounts:
-            account = AccountId(value=entry["id"], owner=entry.get("owner", entry["id"]))
+            account = AccountId(value=entry["id"], owner=entry["owner"])
             self.accounts[account.value] = account
             self.owner_accounts.setdefault(account.owner, []).append(account.value)
-            for token, balance in entry.get("balances", {}).items():
-                self.ledger.mint(account.value, token, amt(balance), memo="genesis")
+            for token, balance in entry["balances"].items():
+                self.ledger.mint(account.value, token, balance, memo="genesis")
 
         for entry in sc.tokens:
             token = entry["id"]
             self.token_chain[token] = entry["chain"]
-            process = entry.get("price_process")
-            if process is not None:
-                kind = RugKind(process["kind"])
-                self.processes[token] = market.PriceProcess(
-                    kind=kind, p0=amt(process["p0"]),
-                    tau_rug=amt(process.get("tau_rug", 0)),
-                    lam=amt(process.get("lam", 0)),
-                    alpha_sent=amt(process.get("alpha_sent", 0)),
-                    epsilon_floor=amt(process.get("epsilon_floor", "0.000000001")))
+            if entry["price_process"] is not None:
+                self.processes[token] = market.PriceProcess(**entry["price_process"])
                 self.prices[token] = market.price_at(self.processes[token], 0)
 
         for entry in sc.pools:
             pool = PoolState(entry["id"], entry["token_x"], entry["token_y"],
-                             amt(entry["reserve_x"]), amt(entry["reserve_y"]),
-                             fee_bps=entry.get("fee_bps", 0))
+                             entry["reserve_x"], entry["reserve_y"],
+                             fee_bps=entry["fee_bps"])
             self.pools[pool.pool_id] = pool
             self.pool_chain[pool.pool_id] = entry["chain"]
             account = self._pool_account(pool.pool_id)
@@ -215,86 +212,63 @@ class Simulation:
             chain = entry["chain"]
             token = entry["rugged_token"]
             vault = self.registries[chain].create_vault(
-                token, ReceiptKind(entry.get("receipt_kind", "fungible")),
-                amt(entry["omega"]), amt(entry["theta"]), amt(entry["penalty_k"]),
-                amt(entry["penalty_lambda"]), amt(entry["gamma_base"]),
-                amt(entry["delta_gamma"]), self.prices[token], vault_id=entry["id"])
+                token, entry["receipt_kind"], entry["omega"], entry["theta"],
+                entry["penalty_k"], entry["penalty_lambda"], entry["gamma_base"],
+                entry["delta_gamma"], self.prices[token], vault_id=entry["id"])
             self.vault_chain[vault.vault_id] = chain
             self.token_chain[vault.anticoin] = chain
 
         tk = sc.tokenomics
         self.supply_params = tokenomics.SupplyParams(
-            s0=amt(tk["s0"]), epsilon_rate=amt(tk["epsilon_rate"]),
-            beta_burn=amt(tk["beta_burn"]), kappa=amt(tk["kappa"]))
-        self.supply = tokenomics.SupplyState(current_supply=amt(tk["initial_supply"]))
-        self.ledger.mint(TREASURY, HOME_TOKEN, amt(tk["initial_supply"]),
-                         memo="genesis-supply")
+            s0=tk["s0"], epsilon_rate=tk["epsilon_rate"], beta_burn=tk["beta_burn"],
+            kappa=tk["kappa"])
+        self.supply = tokenomics.SupplyState(current_supply=tk["initial_supply"])
+        self.ledger.mint(TREASURY, HOME_TOKEN, tk["initial_supply"], memo="genesis-supply")
 
-        if sc.perps:
-            funding = FundingParams(alpha_base=amt(sc.perps["alpha_base"]),
-                                    l_min=amt(sc.perps["l_min"]),
-                                    interval_blocks=sc.perps["interval_blocks"])
+        perp = sc.perps
+        if perp is not None:
+            funding = FundingParams(alpha_base=perp["alpha_base"], l_min=perp["l_min"],
+                                    interval_blocks=perp["interval_blocks"])
             rule = MaintenanceRule(
-                maintenance_fraction=amt(sc.perps.get("maintenance_fraction", "0.1")),
-                liquidator_deadline_blocks=int(
-                    sc.perps.get("liquidator_deadline_blocks", 5)),
-                liquidator_fee_fraction=amt(sc.perps.get("liquidator_fee_fraction", "0.05")))
-            max_leverage = amt(sc.perps.get("max_leverage", 10))
-            revalue = bool(sc.perps.get("revalue_collateral", False))
-            self.perp_amm = sc.perps.get("amm_pool")
-            for vault_id in sc.perps.get("enabled_vaults", []):
+                maintenance_fraction=perp["maintenance_fraction"],
+                liquidator_deadline_blocks=perp["liquidator_deadline_blocks"],
+                liquidator_fee_fraction=perp["liquidator_fee_fraction"])
+            self.perp_amm = perp["amm_pool"]
+            for vault_id in perp["enabled_vaults"]:
                 chain = self.vault_chain[vault_id]
                 vault = self.registries[chain].vault(vault_id)
-                self.perp_books[vault_id] = PerpBook(vault_id, vault.anticoin,
-                                                     funding, rule, max_leverage,
-                                                     revalue_collateral=revalue)
+                self.perp_books[vault_id] = PerpBook(
+                    vault_id, vault.anticoin, funding, rule, perp["max_leverage"],
+                    revalue_collateral=perp["revalue_collateral"])
 
-        rp = sc.rugproof or {}
-        self.rugproof = RugproofBook(SlashParams(
-            alpha_slash=amt(rp.get("alpha_slash", "0.5")),
-            gamma_slash=amt(rp.get("gamma_slash", "0.5")),
-            claimant_share=amt(rp.get("claimant_share", "0.5")),
-            z_min=amt(rp.get("z_min", 1)),
-            challenge_blocks=int(rp.get("challenge_blocks", 10)),
-            x_min=amt(rp.get("x_min", "0.01"))), treasury=TREASURY)
-
-        ins = sc.insurance or {}
-        self.insurance = InsuranceBook(InsuranceParams(
-            alpha_comp=amt(ins.get("alpha_comp", "0.2")),
-            gamma_pen=amt(ins.get("gamma_pen", "0.5")),
-            escalation_bond_multiplier=amt(ins.get("escalation_bond_multiplier", 2)),
-            max_escalations=int(ins.get("max_escalations", 2)),
-            tau_challenge=int(ins.get("tau_challenge", 10)),
-            tau_vote=int(ins.get("tau_vote", 10)),
-            escalation_window=int(ins.get("escalation_window", 5)),
-            x_min=amt(ins.get("x_min", "0.01"))), sc.numeraire, treasury=TREASURY)
+        # the dispute sections' fields are the parameter records' fields
+        self.rugproof = RugproofBook(SlashParams(**sc.rugproof), treasury=TREASURY)
+        self.insurance = InsuranceBook(InsuranceParams(**sc.insurance), sc.numeraire,
+                                       treasury=TREASURY)
 
         det = sc.detection
         # protocol transactions outbid drains by this much (the fee
         # escalation knob); protective plans use it, salvage stays below
-        self.priority_boost = max(1, int(det.get("protocol_priority_boost", 20)))
-        self.sandwich_treasury_fraction = amt(det.get("sandwich_treasury_fraction", 1))
-        drop = amt(det.get("drop_threshold", "0.2"))
+        self.priority_boost = max(1, det["protocol_priority_boost"])
+        self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
         for pool_id, pool in self.pools.items():
             if sc.numeraire in (pool.token_x, pool.token_y):
-                self.monitors[pool_id] = PoolMonitor(pool_id, drop)
+                self.monitors[pool_id] = PoolMonitor(pool_id, det["drop_threshold"])
         for chain in sc.chains:
             self.aux_monitors[chain] = AuxMonitor(
-                mint_spike_factor=amt(det.get("mint_spike_factor", 3)),
-                wallet_outflow_fraction=amt(det.get("wallet_outflow_fraction", "0.5")),
-                volume_spike_factor=amt(det.get("volume_spike_factor", 4)))
+                mint_spike_factor=det["mint_spike_factor"],
+                wallet_outflow_fraction=det["wallet_outflow_fraction"],
+                volume_spike_factor=det["volume_spike_factor"])
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
                     "token": self.token_chain, "home": {}}
         for entry in sc.agents:
-            agent = Agent(
-                kind=entry["kind"], account=self.accounts[entry["account"]],
-                params={k: v for k, v in entry.items()
-                        if k not in ("kind", "account", "script")})
+            agent = Agent(kind=entry["kind"], account=self.accounts[entry["account"]],
+                          params=entry)
             self.agents.append(agent)
             self.agents_by_kind.setdefault(agent.kind, []).append(agent)
-            for step in entry.get("script", []):
+            for step in entry["script"]:
                 entity = SCRIPT_OPS[step["op"]][0]
                 chain = chain_of[entity].get(step.get(entity), sc.home_chain)
                 self._script_steps.setdefault((step["block"], chain), []).append(
@@ -310,9 +284,7 @@ class Simulation:
         self._scanned_outflows = dict(self._outflow_totals)
 
     def _build_step_plan(self) -> None:
-        """Fill the per-chain views. The agent parameters read every block
-        (noise ``prob`` and ``max_size``, peg-keeper ``budget`` and
-        ``tolerance``) are parsed here, once, with their defaults."""
+        """Fill the per-chain views."""
         sc = self.scenario
         self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
         views = self._chain_views = {chain: ChainView() for chain in sc.chains}
@@ -330,23 +302,20 @@ class Simulation:
                 views[self.token_chain[token]].outflow_keys.append(
                     (creator.account.value, token))
         for agent in self.agents:
-            noise = agent.params.get("noise")
-            if noise:
+            noise = agent.params["noise"]
+            if noise is not None:
                 views[self.pool_chain[noise["pool"]]].noise.append(
-                    (agent, noise["pool"], float(amt(noise.get("prob", "0.1"))),
-                     amt(noise.get("max_size", 1)).raw,
+                    (agent, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
                      self.rng.stream("noise", agent.account.value)))
         for keeper in self.agents_by_kind.get("pegkeeper", []):
             params = keeper.params
             views[self.pool_chain[params["pool"]]].pegkeepers.append(
-                (keeper, amt(params.get("budget", 0)),
-                 amt(params.get("tolerance", "0.005"))))
+                (keeper, params["budget"], params["tolerance"]))
         for vault_id, book in self.perp_books.items():
             views[self.vault_chain[vault_id]].perp_books.append((vault_id, book))
         solvers = sorted(self.agents_by_kind.get("solver", []),
                          key=lambda a: a.account.value)
-        self._solver_bids = [SolverBid(a.account, int(a.params.get("fee_bps", 0)))
-                             for a in solvers]
+        self._solver_bids = [SolverBid(a.account, a.params["fee_bps"]) for a in solvers]
         liquidators = sorted(self.agents_by_kind.get("liquidator", []),
                              key=lambda a: a.account.value)
         # the first liquidator by account id bids on every flagged position
@@ -358,16 +327,13 @@ class Simulation:
         token = entry["token"]
         self.intent_book.register(
             owner=self.accounts[owner], pool=pool_id, token=token,
-            theta_price=amt(entry["theta_price"]),
-            theta_liquidity=amt(entry["theta_liquidity"]),
-            action=IntentAction(entry["action"]),
-            price_ref=self.prices.get(token, ZERO),
-            liquidity_ref=self._pool_liquidity(pool),
-            vault=entry.get("vault"),
-            solver_fee_bps=int(entry.get("solver_fee_bps", 10000)))
+            theta_price=entry["theta_price"], theta_liquidity=entry["theta_liquidity"],
+            action=entry["action"], price_ref=self.prices.get(token, ZERO),
+            liquidity_ref=self._pool_liquidity(pool), vault=entry["vault"],
+            solver_fee_bps=entry["solver_fee_bps"])
         self._event("intent_registered", owner=owner, pool=pool_id,
-                    theta_price=str(amt(entry["theta_price"])),
-                    theta_liquidity=str(amt(entry["theta_liquidity"])))
+                    theta_price=str(entry["theta_price"]),
+                    theta_liquidity=str(entry["theta_liquidity"]))
 
     # -- small helpers -------------------------------------------------------
 
@@ -555,7 +521,7 @@ class Simulation:
             rug_token = pool.token_x if pool.token_y == numeraire else pool.token_y
             for det in detectors:
                 if height < ev.executes_at.height:
-                    for name in det.params.get("protects", []):
+                    for name in det.params["protects"]:
                         if name in pending.frontrun_planned:
                             continue
                         holdings = self.ledger.balance(name, rug_token)
@@ -575,7 +541,7 @@ class Simulation:
                                        "token": rug_token,
                                        "amount": plan.leg.amount_in,
                                        "plan": "frontrun"})
-                budget = amt(det.params.get("sandwich_budget", 0))
+                budget = det.params["sandwich_budget"]
                 if (budget.raw > 0 and not pending.sandwich_planned
                         and height == ev.executes_at.height - 1):
                     pending.sandwich_planned = True
@@ -601,7 +567,7 @@ class Simulation:
                                        "rug_token": rug_token,
                                        "target_out": plan.post.leg.quoted_out,
                                        "shared": shared})
-                back_budget = amt(det.params.get("backrun_budget", 0))
+                back_budget = det.params["backrun_budget"]
                 if (back_budget.raw > 0 and not pending.backrun_planned
                         and height == ev.executes_at.height):
                     pending.backrun_planned = True
@@ -609,7 +575,7 @@ class Simulation:
                                   "backrun",
                                   {"event": ev, "account": det.account,
                                    "rug_token": rug_token, "budget": back_budget,
-                                   "cap": amt(det.params.get("backrun_cap", 0))})
+                                   "cap": det.params["backrun_cap"]})
 
         # intents; prices and liquidity are gathered only while one is pending
         chain_prices = chain_liquidity = {}
@@ -758,7 +724,7 @@ class Simulation:
                          tolerance: FixedAmount) -> None:
         pool_id = agent.params["pool"]
         pool = self.pools[pool_id]
-        vault_id = agent.params.get("vault")
+        vault_id = agent.params["vault"]
         if vault_id is None:
             return
         chain = self.vault_chain[vault_id]
@@ -787,12 +753,10 @@ class Simulation:
 
     def _op_drain(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        window = int(step.get("window", 1))
         ev = DrainEvent(pool=pool_id, creator=agent.account,
-                        t_rug_supply=amt(step["t_rug"]),
-                        t_total_supply=amt(step["t_total"]),
+                        t_rug_supply=step["t_rug"], t_total_supply=step["t_total"],
                         submitted_at=at,
-                        executes_at=BlockTime(at.height + window, at.chain))
+                        executes_at=BlockTime(at.height + step["window"], at.chain))
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
@@ -807,7 +771,7 @@ class Simulation:
     def _op_deposit(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
         minted, receipt, reward = self.registries[at.chain].deposit(
-            self.ledger, vault_id, agent.account, amt(step["amount"]))
+            self.ledger, vault_id, agent.account, step["amount"])
         self._queue_reward(reward)
         self._event("deposit", vault=vault_id, account=agent.account.value,
                     amount=str(minted), receipt_kind=receipt.kind.value,
@@ -816,37 +780,36 @@ class Simulation:
     def _op_burn(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
         supply, reward = self.registries[at.chain].burn_anticoins(
-            self.ledger, vault_id, agent.account, amt(step["amount"]))
+            self.ledger, vault_id, agent.account, step["amount"])
         self._queue_reward(reward)
         self._event("anticoin_burn", vault=vault_id, account=agent.account.value,
-                    amount=str(amt(step["amount"])), supply_after=str(supply))
+                    amount=str(step["amount"]), supply_after=str(supply))
 
     def _op_withdraw(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
         related = self.owner_accounts.get(agent.account.owner, [agent.account.value])
         result = self.registries[at.chain].withdraw(
-            self.ledger, vault_id, agent.account, amt(step["amount"]), TREASURY,
+            self.ledger, vault_id, agent.account, step["amount"], TREASURY,
             related_accounts=related)
         self.total_penalties = self.total_penalties + result.penalty
         self._event("withdraw", vault=vault_id, account=agent.account.value,
-                    amount=str(amt(step["amount"])), returned=str(result.returned),
+                    amount=str(step["amount"]), returned=str(result.returned),
                     penalty=str(result.penalty), rate=str(result.rate),
                     index=result.withdrawal_index)
 
     def _op_transfer(self, agent: Agent, step: dict, at: BlockTime) -> None:
         self.ledger.transfer(agent.account.value, step["to"], step["token"],
-                             amt(step["amount"]), memo="script-transfer")
+                             step["amount"], memo="script-transfer")
 
     def _op_swap(self, agent: Agent, step: dict, at: BlockTime) -> None:
         self._apply_swap(step["pool"], agent.account.value, step["token_in"],
-                         amt(step["amount"]), memo="script-swap")
+                         step["amount"], memo="script-swap")
 
     def _op_add_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
-        dx = amt(step["dx"])
-        dy = pool.reserve_y * dx / pool.reserve_x if step.get("dy") == "auto" \
-            else amt(step["dy"])
+        dx = step["dx"]
+        dy = pool.reserve_y * dx / pool.reserve_x if step["dy"] == "auto" else step["dy"]
         account = agent.account.value
         new_pool = market.pool_add_liquidity(pool, dx, dy)
         pool_account = self._pool_account(pool_id)
@@ -864,7 +827,7 @@ class Simulation:
 
     def _op_remove_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        share = amt(step["share"])
+        share = step["share"]
         account = agent.account.value
         shares = self.lp_shares[pool_id]
         owned = shares.get(account, Fraction(0))
@@ -897,12 +860,11 @@ class Simulation:
         mark = self._mark_price(vault.rugged_token)
         unit_value = anticoin_value(vault, mark)
         position = book.open_position(
-            self.ledger, agent.account, amt(step["collateral"]),
-            amt(step["leverage"]), Direction(step["direction"]), mark,
-            unit_value, at)
+            self.ledger, agent.account, step["collateral"], step["leverage"],
+            step["direction"], mark, unit_value, at)
         self._event("position_opened", vault=vault_id, account=agent.account.value,
                     position=position.position_id, collateral=str(position.collateral_ca),
-                    leverage=str(position.leverage), direction=step["direction"],
+                    leverage=str(position.leverage), direction=step["direction"].value,
                     entry=str(mark))
 
     def _op_register_intent(self, agent: Agent, step: dict, at: BlockTime) -> None:
@@ -910,8 +872,7 @@ class Simulation:
 
     def _op_issue_bonded(self, agent: Agent, step: dict, at: BlockTime) -> None:
         issuance = self.rugproof.issue_bonded_token(
-            self.ledger, agent.account, step["token"], amt(step["total_issued"]),
-            amt(step["x"]))
+            self.ledger, agent.account, step["token"], step["total_issued"], step["x"])
         self._event("bonded_issuance", issuance=issuance.issuance_id,
                     issuer=agent.account.value, token=step["token"],
                     bond=str(issuance.bond))
@@ -919,7 +880,7 @@ class Simulation:
     def _op_rug_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.submit_rug_claim(self.ledger, agent.account,
-                                               issuance_id, amt(step["y"]), at)
+                                               issuance_id, step["y"], at)
         self._event("rug_claim", claim=claim.claim_id, issuance=issuance_id,
                     claimant=agent.account.value, bond=str(claim.claim_bond),
                     challenge_end=claim.challenge_end)
@@ -937,30 +898,29 @@ class Simulation:
         if claim is None:
             raise StateError(f"no open claim on {issuance_id}")
         self.rugproof.cast_vote(self.ledger, claim, agent.account,
-                                amt(step["deposit"]), step["side"], at)
+                                step["deposit"], step["side"], at)
         self._event("rug_vote", claim=claim.claim_id, voter=agent.account.value,
-                    side=step["side"], deposit=str(amt(step["deposit"])))
+                    side=step["side"], deposit=str(step["deposit"]))
 
     def _op_issue_policy(self, agent: Agent, step: dict, at: BlockTime) -> None:
         policy = self.insurance.issue_policy(
             self.ledger, agent.account, self.accounts[step["insured"]],
-            amt(step["insured_value"]), amt(step["x"]), int(step["duration"]), at)
+            step["insured_value"], step["x"], step["duration"], at)
         self._event("policy_issued", policy=policy.policy_id,
                     insurer=agent.account.value, insured=step["insured"],
                     bond=str(policy.insurer_bond))
 
     def _op_submit_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
-        loss = amt(step["loss"]) if "loss" in step else None
         claim = self.insurance.submit_claim(self.ledger, step["policy"],
-                                            agent.account, amt(step["y"]), at,
-                                            loss_claimed=loss)
+                                            agent.account, step["y"], at,
+                                            loss_claimed=step["loss"])
         self._event("insurance_claim", claim=claim.claim_id, policy=step["policy"],
                     claimant=agent.account.value, bond=str(claim.claim_bond))
 
     def _op_join_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         joiner = self.insurance.join_claim(self.ledger, claim, agent.account,
-                                           amt(step["loss"]), amt(step["w"]), at)
+                                           step["loss"], step["w"], at)
         self._event("claim_joined", claim=claim.claim_id,
                     account=agent.account.value, bond=str(joiner.bond))
 
@@ -973,14 +933,14 @@ class Simulation:
     def _op_dispute_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         dispute = self.insurance.dispute_claim(self.ledger, claim, agent.account,
-                                               amt(step["z"]), at)
+                                               step["z"], at)
         self._event("claim_disputed", claim=claim.claim_id,
                     challenger=agent.account.value, bond=str(dispute.bond))
 
     def _op_vote_insurance(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.cast_vote(self.ledger, claim, agent.account,
-                                 amt(step["deposit"]), step["side"], at)
+                                 step["deposit"], step["side"], at)
         self._event("insurance_vote", claim=claim.claim_id,
                     voter=agent.account.value, side=step["side"])
 

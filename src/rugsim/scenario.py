@@ -1,42 +1,61 @@
 """Scenario documents: the JSON-compatible configuration tree that fully
-determines a simulation run, its eager validation, and the built-in
-reference scenarios.
+determines a simulation run, its parse into checked and defaulted values,
+and the built-in reference scenarios.
 
 All monetary fields are decimal strings (or ints); bare JSON floats are
-rejected so a scenario byte-for-byte determines the run. Validation errors
-name the offending path, e.g. ``vaults[0].theta``.
+rejected so a scenario byte-for-byte determines the run. Every field is
+described by one table entry, which gives its kind and, for an optional
+field, its default; ``load_scenario`` parses each field by its table once,
+and the engine reads only the parsed values. Errors name the offending
+path, e.g. ``vaults[0].theta``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import SCALE, FixedAmount, ParameterError, RugsimError, amt
-from .vault import anticoin_id
+from .core import ONE, SCALE, FixedAmount, RugsimError, amt
+from .detection import Intent, IntentAction
+from .insurance import InsuranceParams
+from .market import DEFAULT_PEG_TOLERANCE, PoolState, PriceProcess, RugKind
+from .perps import DEFAULT_MAX_LEVERAGE, Direction, MaintenanceRule
+from .rugproof import SlashParams
+from .vault import ReceiptKind, anticoin_id
 
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
-RECEIPT_KINDS = ("fungible", "non_fungible", "refungible")
-PRICE_KINDS = ("scam", "catastrophic", "sentiment")
-INTENT_ACTIONS = ("exit_to_numeraire", "swap_to_anticoin")
-DIRECTIONS = ("long", "short")
 
-# argument kinds: a value check, a declared id of a reference kind, a tuple
-# of allowed strings, a one-element list for a list of that kind, or a dict
-# for a nested object; an argument whose key ends in "?" is optional
-AMOUNT, INT, COUNT, TEXT = "amount", "int", "int >= 1", "string"
-FRACTION, AMOUNT_OR_AUTO = "fraction in (0, 1)", "amount or 'auto'"
-SIZE = "amount >= 0.000000001"  # at least one quantum
-REF_KINDS = CHAIN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
-    "chain", "priced token", "pool token", "pool", "vault", "perps vault", "account")
+# Argument kinds. A scalar kind is its schema text: a ranged amount or int,
+# a string, a bool, a declared id of a reference kind, or a new id that
+# declares one. An enum class takes its values (and parses to its member),
+# a tuple takes its strings, a one-element list is a list of that kind and
+# a dict is a nested object with a table of its own. A table key ending in
+# "?" is optional and maps to (kind, default): an absent or null field
+# takes the default, written as a document would and parsed by the kind;
+# a default of None stays None.
+AMOUNT, NONNEG, POSITIVE, FRACTION, UNIT = (
+    "amount", "amount >= 0", "amount > 0", "amount in (0, 1)", "amount in [0, 1]")
+INT, NAT, COUNT, BPS = "int", "int >= 0", "int >= 1", "int in [0, 10000]"
+# the least and greatest value each ranged kind accepts (raw quanta for
+# amounts); None leaves that side open
+AMOUNT_RANGES = {AMOUNT: (None, None), NONNEG: (0, None), POSITIVE: (1, None),
+                 FRACTION: (1, SCALE - 1), UNIT: (0, SCALE)}
+INT_RANGES = {INT: (None, None), NAT: (0, None), COUNT: (1, None), BPS: (0, 10000)}
+TEXT, BOOL, AMOUNT_OR_AUTO = "string", "true|false", "amount or 'auto'"
+BALANCES = "{token id: amount >= 0}"
+REF_KINDS = CHAIN, TOKEN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
+    "chain", "token", "priced token", "pool token", "pool", "vault", "perps vault",
+    "account")
+NEW_IDS = {f"new {kind} id": kind for kind in (CHAIN, TOKEN, POOL, VAULT, ACCOUNT)}
+NEW_CHAIN, NEW_TOKEN, NEW_POOL, NEW_VAULT, NEW_ACCOUNT = NEW_IDS
 
 # op -> (the entity whose chain runs it: "pool", "vault", "token" or "home",
 #        the kinds of its arguments)
 SCRIPT_OPS = {
     "drain": ("pool", {"pool": POOL, "t_rug": AMOUNT, "t_total": AMOUNT,
-                       "window?": COUNT}),
+                       "window?": (COUNT, 1)}),
     "deposit": ("vault", {"vault": VAULT, "amount": AMOUNT}),
     "burn": ("vault", {"vault": VAULT, "amount": AMOUNT}),
     "withdraw": ("vault", {"vault": VAULT, "amount": AMOUNT}),
@@ -46,43 +65,94 @@ SCRIPT_OPS = {
     "add_liquidity": ("pool", {"pool": POOL, "dx": AMOUNT, "dy": AMOUNT_OR_AUTO}),
     "remove_liquidity": ("pool", {"pool": POOL, "share": AMOUNT}),
     "open_position": ("vault", {"vault": PERPS_VAULT, "collateral": AMOUNT,
-                                "leverage": AMOUNT, "direction": DIRECTIONS}),
+                                "leverage": AMOUNT, "direction": Direction}),
     # the top-level intents take these arguments too, plus their owner
     "register_intent": ("pool", {
-        "pool": POOL, "token": TEXT, "action": INTENT_ACTIONS, "theta_price": FRACTION,
-        "theta_liquidity": FRACTION, "vault?": VAULT, "solver_fee_bps?": INT}),
+        "pool": POOL, "token": TEXT, "action": IntentAction, "theta_price": FRACTION,
+        "theta_liquidity": FRACTION, "vault?": (VAULT, None),
+        "solver_fee_bps?": (BPS, Intent.solver_fee_bps)}),
     "issue_bonded": ("home", {"token": TEXT, "total_issued": AMOUNT, "x": AMOUNT}),
     "rug_claim": ("home", {"token": TEXT, "y": AMOUNT}),
     "vote_rug": ("home", {"token": TEXT, "deposit": AMOUNT, "side": TEXT}),
     "issue_policy": ("home", {"insured": ACCOUNT, "insured_value": AMOUNT,
                               "x": AMOUNT, "duration": INT}),
     # policy and claim ids are issued during the run
-    "submit_claim": ("home", {"policy": TEXT, "y": AMOUNT, "loss?": AMOUNT}),
+    "submit_claim": ("home", {"policy": TEXT, "y": AMOUNT, "loss?": (AMOUNT, None)}),
     "join_claim": ("home", {"claim": TEXT, "loss": AMOUNT, "w": AMOUNT}),
     "dispute_claim": ("home", {"claim": TEXT, "z": AMOUNT}),
     "vote_insurance": ("home", {"claim": TEXT, "deposit": AMOUNT, "side": TEXT}),
     "escalate": ("home", {"claim": TEXT}),
 }
+STEP_FIELDS = {"block": NAT, "op": tuple(SCRIPT_OPS)}
 
-PRICE_PROCESS_ARGS = {"kind": PRICE_KINDS, "p0": AMOUNT, "tau_rug?": AMOUNT, "lam?": AMOUNT,
-                      "alpha_sent?": AMOUNT, "epsilon_floor?": AMOUNT}
+# the fields of the document itself, then of each entry of its lists
+SCENARIO_FIELDS = {"seed": NAT, "blocks": COUNT, "bridge_delay_blocks?": (NAT, 1),
+                   "chains": [NEW_CHAIN], "home_chain": CHAIN, "numeraire": NEW_TOKEN}
+PRICE_PROCESS_ARGS = {"kind": RugKind, "p0": POSITIVE,
+                      "tau_rug?": (AMOUNT, PriceProcess.tau_rug),
+                      "lam?": (AMOUNT, PriceProcess.lam),
+                      "alpha_sent?": (AMOUNT, PriceProcess.alpha_sent),
+                      "epsilon_floor?": (POSITIVE, PriceProcess.epsilon_floor)}
+# the rate each price kind reads, and the kind of value it must hold
+PRICE_RATES = {RugKind.SCAM: ("tau_rug", POSITIVE), RugKind.CATASTROPHIC: ("lam", NONNEG),
+               RugKind.SENTIMENT: ("alpha_sent", NONNEG)}
+TOKEN_FIELDS = {"id": NEW_TOKEN, "chain": CHAIN,
+                "price_process?": (PRICE_PROCESS_ARGS, None)}
+# an account without an owner is its own beneficial owner
+ACCOUNT_FIELDS = {"id": NEW_ACCOUNT, "owner?": (TEXT, None), "balances?": (BALANCES, {})}
+VAULT_FIELDS = {"id": NEW_VAULT, "chain": CHAIN, "rugged_token": PRICED_TOKEN,
+                "receipt_kind?": (ReceiptKind, ReceiptKind.FUNGIBLE.value),
+                "omega": AMOUNT, "theta": AMOUNT, "penalty_k": NONNEG,
+                "penalty_lambda": AMOUNT, "gamma_base": NONNEG, "delta_gamma": NONNEG}
+# a pool trades declared tokens and the anticoins of declared vaults
+POOL_FIELDS = {"id": NEW_POOL, "chain": CHAIN, "token_x": POOL_TOKEN,
+               "token_y": POOL_TOKEN, "reserve_x": POSITIVE, "reserve_y": POSITIVE,
+               "fee_bps?": (BPS, PoolState.fee_bps)}
 INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
 AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
-              "noise?": {"pool": POOL, "prob?": AMOUNT, "max_size?": SIZE}}
+              "noise?": ({"pool": POOL, "prob?": (AMOUNT, "0.1"),
+                          "max_size?": (POSITIVE, 1)}, None)}
 AGENT_PARAMS = {
-    "pegkeeper": {"pool": POOL, "vault?": VAULT, "budget?": AMOUNT, "tolerance?": AMOUNT},
-    "detector": {"protects?": [ACCOUNT], "sandwich_budget?": AMOUNT,
-                 "backrun_budget?": AMOUNT, "backrun_cap?": AMOUNT},
-    "solver": {"fee_bps?": INT},
+    "pegkeeper": {"pool": POOL, "vault?": (VAULT, None), "budget?": (AMOUNT, 0),
+                  "tolerance?": (AMOUNT, DEFAULT_PEG_TOLERANCE)},
+    "detector": {"protects?": ([ACCOUNT], []), "sandwich_budget?": (AMOUNT, 0),
+                 "backrun_budget?": (AMOUNT, 0), "backrun_cap?": (AMOUNT, 0)},
+    "solver": {"fee_bps?": (BPS, 0)},
 }
-# the optional dispute sections
+# the object sections: tokenomics is required, a document without perps has
+# no perp books, and the others take every default when absent
 SECTION_FIELDS = {
-    "rugproof": {"alpha_slash?": AMOUNT, "gamma_slash?": AMOUNT, "claimant_share?": AMOUNT,
-                 "z_min?": AMOUNT, "challenge_blocks?": INT, "x_min?": AMOUNT},
-    "insurance": {"alpha_comp?": AMOUNT, "gamma_pen?": AMOUNT,
-                  "escalation_bond_multiplier?": AMOUNT, "max_escalations?": INT,
-                  "tau_challenge?": INT, "tau_vote?": INT, "escalation_window?": INT,
-                  "x_min?": AMOUNT},
+    "tokenomics": {"initial_supply": NONNEG, "s0": NONNEG, "epsilon_rate": NONNEG,
+                   "beta_burn": NONNEG, "kappa": UNIT},
+    "perps?": ({
+        "enabled_vaults?": ([VAULT], []), "alpha_base": POSITIVE, "l_min": POSITIVE,
+        "interval_blocks": COUNT, "amm_pool?": (POOL, None),
+        "maintenance_fraction?": (FRACTION, MaintenanceRule.maintenance_fraction),
+        "max_leverage?": (AMOUNT, DEFAULT_MAX_LEVERAGE),
+        "liquidator_deadline_blocks?": (INT, MaintenanceRule.liquidator_deadline_blocks),
+        "liquidator_fee_fraction?": (AMOUNT, MaintenanceRule.liquidator_fee_fraction),
+        "revalue_collateral?": (BOOL, False)}, None),
+    "detection?": ({
+        "drop_threshold?": (POSITIVE, "0.2"), "mint_spike_factor?": (AMOUNT, 3),
+        "wallet_outflow_fraction?": (AMOUNT, "0.5"), "volume_spike_factor?": (AMOUNT, 4),
+        # protective plans outbid drains by this much
+        "protocol_priority_boost?": (INT, 20),
+        # the share of a sandwich's profit sent to the treasury
+        "sandwich_treasury_fraction?": (UNIT, 1)}, {}),
+    "rugproof?": ({
+        "alpha_slash?": (UNIT, "0.5"), "gamma_slash?": (UNIT, "0.5"),
+        "claimant_share?": (UNIT, SlashParams.claimant_share),
+        "z_min?": (AMOUNT, SlashParams.z_min),
+        "challenge_blocks?": (COUNT, SlashParams.challenge_blocks),
+        "x_min?": (UNIT, SlashParams.x_min)}, {}),
+    "insurance?": ({
+        "alpha_comp?": (UNIT, "0.2"), "gamma_pen?": (UNIT, "0.5"),
+        "escalation_bond_multiplier?": (AMOUNT, InsuranceParams.escalation_bond_multiplier),
+        "max_escalations?": (NAT, InsuranceParams.max_escalations),
+        "tau_challenge?": (COUNT, InsuranceParams.tau_challenge),
+        "tau_vote?": (COUNT, InsuranceParams.tau_vote),
+        "escalation_window?": (COUNT, InsuranceParams.escalation_window),
+        "x_min?": (AMOUNT, InsuranceParams.x_min)}, {}),
 }
 
 
@@ -94,30 +164,29 @@ class ScenarioError(RugsimError):
         self.path = path
 
 
-def _need(doc: dict, key: str, path: str) -> Any:
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, f"expected an object, got {type(doc).__name__}")
-    if key not in doc:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
-    return doc[key]
-
-
 def _as_amount(value: Any, path: str) -> FixedAmount:
+    try:
+        if isinstance(value, str):
+            return FixedAmount.parse(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return amt(value)
+    except RugsimError as exc:
+        raise ScenarioError(path, f"not a valid amount: {exc}") from None
+    if isinstance(value, FixedAmount):  # a table default taken from its module
+        return value
     if isinstance(value, float):
         raise ScenarioError(path, "floats are not exact; use a decimal string")
-    if not isinstance(value, (str, int)):
-        raise ScenarioError(path, f"expected a decimal string or int, got {type(value).__name__}")
-    try:
-        return amt(value)
-    except (ParameterError, Exception) as exc:
-        raise ScenarioError(path, f"not a valid amount: {exc}") from None
+    raise ScenarioError(path, f"expected a decimal string or int, got {type(value).__name__}")
 
 
-def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
+def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, str):
+        try:  # a digit string, such as "duration": "7", is an int
+            value = int(value)
+        except ValueError:
+            raise ScenarioError(path, f"expected an integer, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -135,227 +204,182 @@ def _as_ref(value: Any, path: str, known: Any, what: str) -> str:
     return value
 
 
-def _new_id(entry: Any, key: str, path: str, seen: set, what: str) -> str:
-    value = _as_str(_need(entry, key, path), f"{path}.{key}")
-    if value in seen:
-        raise ScenarioError(f"{path}.{key}", f"duplicate {what} {value!r}")
-    seen.add(value)
-    return value
+def _in_range(kind: str, ranges: dict, number: int, shown: Any, path: str) -> None:
+    least, greatest = ranges[kind]
+    if (least is not None and number < least) or (greatest is not None and number > greatest):
+        raise ScenarioError(path, f"must be {kind.partition(' ')[2]}, got {shown!r}")
 
 
-def _check_arg(kind: Any, value: Any, path: str, refs: dict) -> None:
-    if kind == AMOUNT or (kind == AMOUNT_OR_AUTO and value != "auto"):
-        _as_amount(value, path)
-    elif kind in REF_KINDS:
-        _as_ref(value, path, refs[kind], kind)
-    elif kind == TEXT:
-        _as_str(value, path)
-    elif kind in (INT, COUNT):
-        if isinstance(value, str):
-            try:  # the engine reads these with int(), so "duration": "7" is an int
-                value = int(value)
-            except ValueError:
-                raise ScenarioError(path, f"expected an integer, got {value!r}") from None
-        _as_int(value, path, 1 if kind == COUNT else None)
-    elif kind == FRACTION:
-        if not 0 < _as_amount(value, path).raw < SCALE:
-            raise ScenarioError(path, "must be in (0, 1)")
-    elif kind == SIZE:
-        if _as_amount(value, path).raw < 1:
-            raise ScenarioError(path, "must be at least one quantum (0.000000001)")
-    elif isinstance(kind, tuple):
-        _as_str(value, path, kind)
-    elif isinstance(kind, dict):
-        _check_args(value, kind, path, refs)
-    elif isinstance(kind, list):
+def _parse(kind: Any, value: Any, path: str, refs: dict) -> Any:
+    """One field's parsed value; refs holds the ids declared so far, by
+    reference kind."""
+    if isinstance(kind, str):
+        if kind in AMOUNT_RANGES:
+            amount = _as_amount(value, path)
+            _in_range(kind, AMOUNT_RANGES, amount.raw, value, path)
+            return amount
+        if kind in REF_KINDS:
+            return _as_ref(value, path, refs[kind], kind)
+        if kind == TEXT:
+            return _as_str(value, path)
+        if kind in INT_RANGES:
+            number = _as_int(value, path)
+            _in_range(kind, INT_RANGES, number, value, path)
+            return number
+        if kind in NEW_IDS:
+            declared = refs[NEW_IDS[kind]]
+            if _as_str(value, path) in declared:
+                raise ScenarioError(path, f"duplicate {NEW_IDS[kind]} {value!r}")
+            declared.add(value)
+            return value
+        if kind == BALANCES:
+            if not isinstance(value, dict):
+                raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
+            return {_as_ref(token, f"{path}.{token}", refs[TOKEN], "token"):
+                    _parse(NONNEG, balance, f"{path}.{token}", refs)
+                    for token, balance in value.items()}
+        if kind == BOOL:
+            if not isinstance(value, bool):
+                raise ScenarioError(path, f"expected true or false, got {value!r}")
+            return value
+        return value if value == "auto" else _as_amount(value, path)  # AMOUNT_OR_AUTO
+    if isinstance(kind, dict):
+        return _parse_args(value, kind, path, refs)
+    if isinstance(kind, list):
         if not isinstance(value, list):
             raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
-        for item in value:
-            _check_arg(kind[0], item, path, refs)
+        return [_parse(kind[0], item, path, refs) for item in value]
+    if isinstance(kind, tuple):
+        return _as_str(value, path, kind)
+    return kind(_as_str(value, path, tuple(member.value for member in kind)))  # an enum
 
 
-def _check_args(entry: Any, args: dict, path: str, refs: dict) -> None:
+def _parse_args(entry: Any, args: dict, path: str, refs: dict) -> dict:
+    """The fields of ``args`` parsed from the object ``entry``, keyed by
+    their names; an absent optional field takes its default."""
     if not isinstance(entry, dict):
         raise ScenarioError(path, f"expected an object, got {type(entry).__name__}")
+    parsed = {}
     for key, kind in args.items():
         name = key.rstrip("?")
-        if name == key or name in entry:
-            _check_arg(kind, _need(entry, name, path), f"{path}.{name}", refs)
+        field_path = f"{path}.{name}" if path else name
+        if name == key:
+            if name not in entry:
+                raise ScenarioError(field_path, "missing required field")
+            value = entry[name]
+        else:
+            kind, default = kind
+            value = entry.get(name)
+            if value is None:
+                value = default
+        parsed[name] = None if value is None else _parse(kind, value, field_path, refs)
+    return parsed
+
+
+def _entries(doc: dict, key: str, path: str = "") -> list:
+    """The list at ``doc[key]``; an absent or null list is empty."""
+    entries = doc.get(key)
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise ScenarioError(f"{path}.{key}" if path else key,
+                            f"expected a list, got {type(entries).__name__}")
+    return entries
+
+
+def _parse_list(doc: dict, key: str, fields: dict, refs: dict) -> list[dict]:
+    return [_parse_args(entry, fields, f"{key}[{i}]", refs)
+            for i, entry in enumerate(_entries(doc, key))]
 
 
 @dataclass
 class Scenario:
-    """Validated scenario, still close to the raw document shape; the
-    engine materializes module objects from it."""
+    """A parsed scenario: every field checked and defaulted by its table,
+    amounts as FixedAmount, ints as int and choices as their enums. Each
+    section keeps the document's shape and keys; ``doc`` is the raw
+    document."""
 
     doc: dict
     seed: int
     blocks: int
     bridge_delay_blocks: int
+    chains: list[str]
     home_chain: str
     numeraire: str
-    chains: list[str]
     tokens: list[dict]
     accounts: list[dict]
-    pools: list[dict]
     vaults: list[dict]
+    pools: list[dict]
     tokenomics: dict
     perps: Optional[dict]
     detection: dict
-    rugproof: Optional[dict]
-    insurance: Optional[dict]
+    rugproof: dict
+    insurance: dict
     agents: list[dict]
-    intents: list[dict] = field(default_factory=list)
+    intents: list[dict]
 
 
 def load_scenario(doc: dict) -> Scenario:
-    """Validate a scenario document eagerly; every module invariant that
-    can be checked statically is checked here, by path."""
+    """Parse a scenario document by its tables, then check the rules that
+    join fields; every module invariant that can be checked statically is
+    checked here, by path."""
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario must be a JSON object")
-    seed = _as_int(_need(doc, "seed", ""), "seed", minimum=0)
-    blocks = _as_int(_need(doc, "blocks", ""), "blocks", minimum=1)
-    bridge_delay = _as_int(doc.get("bridge_delay_blocks", 1), "bridge_delay_blocks", 0)
-    home_chain = _as_str(_need(doc, "home_chain", ""), "home_chain")
-    numeraire = _as_str(_need(doc, "numeraire", ""), "numeraire")
+    refs: dict[str, set] = {kind: set() for kind in REF_KINDS}
+    top = _parse_args(doc, SCENARIO_FIELDS, "", refs)
 
-    chains = _need(doc, "chains", "")
-    if not isinstance(chains, list) or not chains:
-        raise ScenarioError("chains", "expected a non-empty list of chain ids")
-    chains = [_as_str(c, f"chains[{i}]") for i, c in enumerate(chains)]
-    if home_chain not in chains:
-        raise ScenarioError("home_chain", f"{home_chain!r} is not in chains")
-    if len(set(chains)) != len(chains):
-        raise ScenarioError("chains", "duplicate chain ids")
+    tokens = _parse_list(doc, "tokens", TOKEN_FIELDS, refs)
+    for i, token in enumerate(tokens):
+        process = token["price_process"]
+        if process is None:
+            continue
+        refs[PRICED_TOKEN].add(token["id"])
+        rate, kind = PRICE_RATES[process["kind"]]
+        path = f"tokens[{i}].price_process.{rate}"
+        if process["kind"] is RugKind.SCAM and rate not in doc["tokens"][i]["price_process"]:
+            raise ScenarioError(path, "scam process needs tau_rug")
+        _in_range(kind, AMOUNT_RANGES, process[rate].raw, str(process[rate]), path)
 
-    token_ids, account_ids, pool_ids, vault_ids = {numeraire}, set(), set(), set()
-    refs = {CHAIN: chains, PRICED_TOKEN: set(), POOL_TOKEN: set(), POOL: pool_ids,
-            VAULT: vault_ids, ACCOUNT: account_ids, PERPS_VAULT: set()}
+    accounts = _parse_list(doc, "accounts", ACCOUNT_FIELDS, refs)
+    for account in accounts:
+        if account["owner"] is None:
+            account["owner"] = account["id"]
 
-    tokens = list(doc.get("tokens", []))
-    for i, entry in enumerate(tokens):
-        path = f"tokens[{i}]"
-        _new_id(entry, "id", path, token_ids, "token")
-        _check_args(entry, {"chain": CHAIN, "price_process?": PRICE_PROCESS_ARGS},
-                    path, refs)
-        process = entry.get("price_process")
-        if process is not None:
-            refs[PRICED_TOKEN].add(entry["id"])
-            if process["kind"] == "scam" and "tau_rug" not in process:
-                raise ScenarioError(f"{path}.price_process.tau_rug",
-                                    "scam process needs tau_rug")
-            # every kind reads p0 and the floor, and one rate of its own
-            rate, least = {"scam": ("tau_rug", 1), "catastrophic": ("lam", 0),
-                           "sentiment": ("alpha_sent", 0)}[process["kind"]]
-            for key, low in (("p0", 1), ("epsilon_floor", 1), (rate, least)):
-                key_path = f"{path}.price_process.{key}"
-                if key in process and _as_amount(process[key], key_path).raw < low:
-                    raise ScenarioError(key_path, "must be > 0" if low else "must be >= 0")
+    refs[POOL_TOKEN].update(refs[TOKEN])
+    vaults = _parse_list(doc, "vaults", VAULT_FIELDS, refs)
+    for i, vault in enumerate(vaults):
+        if vault["theta"] <= vault["omega"]:
+            raise ScenarioError(f"vaults[{i}].theta", f"burn reward {vault['theta']} must "
+                                f"exceed deposit reward {vault['omega']}")
+        if vault["penalty_lambda"] <= ONE:
+            raise ScenarioError(f"vaults[{i}].penalty_lambda",
+                                f"must be > 1, got {vault['penalty_lambda']}")
+        refs[POOL_TOKEN].add(anticoin_id(vault["rugged_token"], vault["chain"]))
+    pools = _parse_list(doc, "pools", POOL_FIELDS, refs)
 
-    accounts = list(doc.get("accounts", []))
-    for i, entry in enumerate(accounts):
-        path = f"accounts[{i}]"
-        _new_id(entry, "id", path, account_ids, "account")
-        _check_args(entry, {"owner?": TEXT}, path, refs)
-        for token, balance in entry.get("balances", {}).items():
-            _as_ref(token, f"{path}.balances.{token}", token_ids, "token")
-            value = _as_amount(balance, f"{path}.balances.{token}")
-            if value.raw < 0:
-                raise ScenarioError(f"{path}.balances.{token}", "negative balance")
+    sections = _parse_args(doc, SECTION_FIELDS, "", refs)
+    if sections["perps"] is not None:
+        refs[PERPS_VAULT].update(sections["perps"]["enabled_vaults"])
 
-    # a pool trades declared tokens and the anticoins of declared vaults
-    refs[POOL_TOKEN].update(token_ids)
-    vaults = list(doc.get("vaults", []))
-    for i, entry in enumerate(vaults):
-        path = f"vaults[{i}]"
-        _new_id(entry, "id", path, vault_ids, "vault")
-        _check_args(entry, {"chain": CHAIN, "rugged_token": PRICED_TOKEN,
-                            "receipt_kind?": RECEIPT_KINDS}, path, refs)
-        refs[POOL_TOKEN].add(anticoin_id(entry["rugged_token"], entry["chain"]))
-        omega = _as_amount(_need(entry, "omega", path), f"{path}.omega")
-        theta = _as_amount(_need(entry, "theta", path), f"{path}.theta")
-        if theta <= omega:
-            raise ScenarioError(f"{path}.theta",
-                                f"burn reward {theta} must exceed deposit reward {omega}")
-        lam = _as_amount(_need(entry, "penalty_lambda", path), f"{path}.penalty_lambda")
-        if lam <= amt(1):
-            raise ScenarioError(f"{path}.penalty_lambda", f"must be > 1, got {lam}")
-        for key in ("penalty_k", "gamma_base", "delta_gamma"):
-            value = _as_amount(_need(entry, key, path), f"{path}.{key}")
-            if value.raw < 0:
-                raise ScenarioError(f"{path}.{key}", "must be >= 0")
-
-    pools = list(doc.get("pools", []))
-    for i, entry in enumerate(pools):
-        path = f"pools[{i}]"
-        _new_id(entry, "id", path, pool_ids, "pool")
-        _check_args(entry, {"chain": CHAIN, "token_x": POOL_TOKEN, "token_y": POOL_TOKEN},
-                    path, refs)
-        for side in ("reserve_x", "reserve_y"):
-            value = _as_amount(_need(entry, side, path), f"{path}.{side}")
-            if value.raw <= 0:
-                raise ScenarioError(f"{path}.{side}", "reserves must be > 0")
-        fee = _as_int(entry.get("fee_bps", 0), f"{path}.fee_bps", 0)
-        if fee > 10000:
-            raise ScenarioError(f"{path}.fee_bps", "fee above 100%")
-
-    tk_path = "tokenomics"
-    tokenomics = _need(doc, "tokenomics", "")
-    for key in ("initial_supply", "s0", "epsilon_rate", "beta_burn", "kappa"):
-        value = _as_amount(_need(tokenomics, key, tk_path), f"{tk_path}.{key}")
-        if value.raw < 0:
-            raise ScenarioError(f"{tk_path}.{key}", "must be >= 0")
-    if _as_amount(tokenomics["kappa"], f"{tk_path}.kappa") > amt(1):
-        raise ScenarioError(f"{tk_path}.kappa", "must be <= 1")
-
-    perps = doc.get("perps")
-    if perps is not None:
-        path = "perps"
-        for key in ("alpha_base", "l_min"):
-            value = _as_amount(_need(perps, key, path), f"{path}.{key}")
-            if value.raw <= 0:
-                raise ScenarioError(f"{path}.{key}", "must be > 0")
-        _as_int(_need(perps, "interval_blocks", path), f"{path}.interval_blocks", 1)
-        _check_args(perps, {"enabled_vaults?": [VAULT], "amm_pool?": POOL,
-                            "maintenance_fraction?": AMOUNT, "max_leverage?": AMOUNT,
-                            "liquidator_deadline_blocks?": INT,
-                            "liquidator_fee_fraction?": AMOUNT}, path, refs)
-        refs[PERPS_VAULT] = set(perps.get("enabled_vaults", []))
-
-    detection = doc.get("detection", {})
-    _check_args(detection, {"drop_threshold?": AMOUNT, "mint_spike_factor?": AMOUNT,
-                            "wallet_outflow_fraction?": AMOUNT,
-                            "volume_spike_factor?": AMOUNT, "protocol_priority_boost?": INT,
-                            "sandwich_treasury_fraction?": AMOUNT}, "detection", refs)
-    for name, fields in SECTION_FIELDS.items():
-        if doc.get(name) is not None:
-            _check_args(doc[name], fields, name, refs)
-
-    agents = list(doc.get("agents", []))
-    seen_agent_accounts = set()
-    for i, entry in enumerate(agents):
+    agents = _parse_list(doc, "agents", AGENT_ARGS, refs)
+    agent_accounts: set[str] = set()
+    for i, (agent, entry) in enumerate(zip(agents, _entries(doc, "agents"))):
         path = f"agents[{i}]"
-        _check_args(entry, AGENT_ARGS, path, refs)
-        _new_id(entry, "account", path, seen_agent_accounts, "agent for")
-        if entry["kind"] in AGENT_PARAMS:
-            _check_args(entry, AGENT_PARAMS[entry["kind"]], path, refs)
-        for j, step in enumerate(entry.get("script", [])):
-            spath = f"{path}.script[{j}]"
-            _as_int(_need(step, "block", spath), f"{spath}.block", 0)
-            op = _as_ref(_need(step, "op", spath), f"{spath}.op", SCRIPT_OPS, "op")
-            _check_args(step, SCRIPT_OPS[op][1], spath, refs)
+        if agent["account"] in agent_accounts:
+            raise ScenarioError(f"{path}.account",
+                                f"duplicate agent for {agent['account']!r}")
+        agent_accounts.add(agent["account"])
+        agent.update(_parse_args(entry, AGENT_PARAMS.get(agent["kind"], {}), path, refs))
+        agent["script"] = []
+        for j, step in enumerate(_entries(entry, "script", path)):
+            step_path = f"{path}.script[{j}]"
+            parsed = _parse_args(step, STEP_FIELDS, step_path, refs)
+            parsed.update(_parse_args(step, SCRIPT_OPS[parsed["op"]][1], step_path, refs))
+            agent["script"].append(parsed)
 
-    intents = list(doc.get("intents", []))
-    for i, entry in enumerate(intents):
-        _check_args(entry, INTENT_ARGS, f"intents[{i}]", refs)
-
-    return Scenario(
-        doc=doc, seed=seed, blocks=blocks, bridge_delay_blocks=bridge_delay,
-        home_chain=home_chain, numeraire=numeraire, chains=chains,
-        tokens=tokens, accounts=accounts, pools=pools, vaults=vaults,
-        tokenomics=tokenomics, perps=perps, detection=detection,
-        rugproof=doc.get("rugproof"), insurance=doc.get("insurance"),
-        agents=agents, intents=intents)
+    intents = _parse_list(doc, "intents", INTENT_ARGS, refs)
+    return Scenario(doc=doc, **top, tokens=tokens, accounts=accounts, vaults=vaults,
+                    pools=pools, **sections, agents=agents, intents=intents)
 
 
 def load_scenario_file(path: str) -> Scenario:
@@ -368,7 +392,10 @@ def load_scenario_file(path: str) -> Scenario:
 
 
 def _describe(kind: Any) -> Any:
-    """Schema text for an argument kind; a dict of kinds maps key by key."""
+    """Schema text for an argument kind; a dict of kinds maps key by key,
+    and an optional field's text ends with its default."""
+    if isinstance(kind, type):
+        kind = tuple(member.value for member in kind)
     if isinstance(kind, tuple):
         return "|".join(kind)
     if isinstance(kind, list):
@@ -378,47 +405,30 @@ def _describe(kind: Any) -> Any:
     described = {}
     for key, value in kind.items():
         name = key.rstrip("?")
+        if name == key:
+            described[name] = _describe(value)
+            continue
+        value, default = value
         described[name] = _describe(value)
-        if name != key and not isinstance(value, dict):
+        if isinstance(value, dict):
+            continue
+        if default is None:
             described[name] += " (optional)"
+        else:
+            shown = json.dumps(default) if isinstance(default, (bool, list, dict)) else default
+            described[name] += f" (optional, default {shown})"
     return described
 
 
 SCENARIO_SCHEMA = {
-    "seed": "int >= 0: master seed for all randomness substreams",
-    "blocks": "int >= 1: blocks to simulate on every chain (lockstep clock)",
-    "bridge_delay_blocks": "int >= 0: blocks before satellite events reach the home chain",
-    "home_chain": "chain id receiving emissions, rewards, and supply control",
-    "numeraire": "token id of the liquid quote asset",
-    "chains": ["chain id", "..."],
-    "tokens": [{"id": "token id", "chain": "chain id",
-                "price_process": _describe(PRICE_PROCESS_ARGS)}],
-    "accounts": [{"id": "account id", "owner": "beneficial owner (default: id)",
-                  "balances": {"token id": "amount"}}],
-    "pools": [{"id": "pool id", "chain": "chain id",
-               "token_x": "token id, or a vault's anticoin anti:<token>@<chain>",
-               "token_y": "token id, or a vault's anticoin anti:<token>@<chain>",
-               "reserve_x": "amount", "reserve_y": "amount", "fee_bps": "int 0..10000"}],
-    "vaults": [{"id": "vault id", "chain": "chain id", "rugged_token": "token id",
-                "receipt_kind": "fungible|non_fungible|refungible",
-                "omega": "amount", "theta": "amount (> omega)",
-                "penalty_k": "amount", "penalty_lambda": "amount (> 1)",
-                "gamma_base": "amount", "delta_gamma": "amount"}],
-    "tokenomics": {"initial_supply": "amount", "s0": "amount",
-                   "epsilon_rate": "amount", "beta_burn": "amount",
-                   "kappa": "amount in (0, 1]"},
-    "perps": {"enabled_vaults": ["vault id"], "alpha_base": "amount",
-              "l_min": "amount", "interval_blocks": "int", "amm_pool": "pool id",
-              "maintenance_fraction": "amount", "liquidator_deadline_blocks": "int",
-              "liquidator_fee_fraction": "amount", "max_leverage": "amount",
-              "revalue_collateral": "bool (default false): mark collateral live"},
-    "detection": {"drop_threshold": "amount", "mint_spike_factor": "amount",
-                  "wallet_outflow_fraction": "amount", "volume_spike_factor": "amount",
-                  "protocol_priority_boost": "int: protective plans outbid drains by this",
-                  "sandwich_treasury_fraction": "fraction of sandwich profit to treasury"},
-    **{name: _describe(fields) for name, fields in SECTION_FIELDS.items()},
+    **_describe(SCENARIO_FIELDS),
+    "tokens": [_describe(TOKEN_FIELDS)],
+    "accounts": [_describe(ACCOUNT_FIELDS)],
+    "vaults": [_describe(VAULT_FIELDS)],
+    "pools": [_describe(POOL_FIELDS)],
+    **_describe(SECTION_FIELDS),
     "agents": [{**_describe(AGENT_ARGS),
-                "script": [{"block": "int >= 0", "op": name,
+                "script": [{**_describe(STEP_FIELDS), "op": name,
                             "(runs on)": f"the chain of its {chain}"
                             if chain != "home" else "the home chain",
                             **_describe(args)}

@@ -8,7 +8,35 @@ import pytest
 from rugsim import cli
 from rugsim.cli import main
 from rugsim.core import amt
-from rugsim.scenario import reference_scenario, scam_scenario
+from rugsim.scenario import (
+    ACCOUNT,
+    ACCOUNT_FIELDS,
+    AGENT_ARGS,
+    AGENT_PARAMS,
+    AMOUNT_OR_AUTO,
+    BALANCES,
+    BOOL,
+    BPS,
+    CHAIN,
+    FRACTION,
+    INT_RANGES,
+    INTENT_ARGS,
+    PERPS_VAULT,
+    POOL,
+    POOL_FIELDS,
+    SCENARIO_FIELDS,
+    SCRIPT_OPS,
+    SECTION_FIELDS,
+    STEP_FIELDS,
+    TEXT,
+    TOKEN_FIELDS,
+    UNIT,
+    VAULT,
+    VAULT_FIELDS,
+    load_scenario,
+    reference_scenario,
+    scam_scenario,
+)
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -166,9 +194,12 @@ def test_sweep_writes_ints_into_integer_fields(tmp_path):
     ("vaults.0.delta_gamma=1e19:1e19:1",
      "bad --param: '1e19:1e19:1': fixed-point overflow: "
      "raw=10000000000000000000000000000"),
+    ("tokenomics.kappa=0.5:1.5:0.5",
+     "scenario error at tokenomics.kappa=1.5: tokenomics.kappa: must be in [0, 1], "
+     "got '1.5'"),
 ], ids=["fractional-seed", "fractional-window", "four-points-one-value",
         "two-points-one-value", "ten-billion-points", "one-past-the-limit",
-        "past-the-amount-range"])
+        "past-the-amount-range", "a-later-point-fails-to-load"])
 def test_sweep_refuses_a_bad_range_before_any_run(tmp_path, capsys, param, message):
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),
@@ -191,10 +222,41 @@ def test_sweep_does_not_treat_a_bool_field_as_numeric():
     assert doc["perps"] == {"revalue_collateral": False, "interval_blocks": 6}
 
 
+def test_each_sweep_point_copies_only_its_path():
+    base = reference_scenario(blocks=5)
+    before = json.dumps(base)
+    doc = cli._copy_path(base, "vaults.0.delta_gamma")
+    cli._set_path(doc, "vaults.0.delta_gamma", Fraction(1, 2))
+    assert doc["vaults"][0]["delta_gamma"] == "0.5"
+    assert json.dumps(base) == before
+    assert doc["agents"] is base["agents"] and doc["vaults"] is not base["vaults"]
+    # a path that leaves the document copies what it can and raises nothing
+    for dotted in ("nope.x", "vaults.9.theta", "chains.a.b", "seed.x"):
+        assert cli._copy_path(base, dotted) == base
+
+
 def test_schema_prints_json(capsys):
     assert main(["schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
     assert "vaults" in schema and "agents" in schema
+    # every default of every table is printed beside its field
+    texts = set()
+
+    def collect(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if isinstance(value, str):
+                texts.add((key, value))
+            else:
+                collect(value)
+
+    collect(schema)
+    for _, name, kind, default in OPTIONAL_FIELDS:
+        if default is None or isinstance(kind, dict):
+            continue
+        shown = json.dumps(default) if isinstance(default, (bool, list, dict)) else default
+        assert any(key == name and text.endswith(f"(optional, default {shown})")
+                   for key, text in texts), name
 
 
 def test_regen_golden_round_trips(tmp_path, monkeypatch):
@@ -288,6 +350,8 @@ LOAD_PROBES = [
                  "agents[0].script[2].amount", id="deposit-without-amount"),
     pytest.param("reference", _script_step(op="deposit", vault="v-rug", amount=1.5),
                  "agents[0].script[2].amount", id="float-amount"),
+    pytest.param("reference", _script_step(op="deposit", vault="v-rug", amount=True),
+                 "agents[0].script[2].amount", id="bool-amount"),
     pytest.param("reference", _script_step(op="open_position", vault="v-rug",
                                            collateral="10", leverage="2",
                                            direction="long"),
@@ -357,6 +421,28 @@ LOAD_PROBES = [
                  "pools[1].token_y", id="undeclared-pool-token-y"),
     pytest.param("reference", _set("pools", 1, "token_x", value="anti:RUG@home"),
                  "pools[1].token_x", id="anticoin-of-no-vault"),
+    pytest.param("scam", _set("perps", value={
+        "enabled_vaults": ["v-rug"], "alpha_base": "0.01", "l_min": "100",
+        "interval_blocks": 4, "revalue_collateral": "false"}),
+                 "perps.revalue_collateral", id="revalue-collateral-string"),
+    pytest.param("reference", _set("accounts", 0, "balances", value=[]),
+                 "accounts[0].balances", id="balances-not-an-object"),
+    pytest.param("reference", _set("agents", 0, "script", value={}),
+                 "agents[0].script", id="script-not-a-list"),
+    pytest.param("reference", _set("rugproof", value={"challenge_blocks": -3}),
+                 "rugproof.challenge_blocks", id="negative-challenge-blocks"),
+    pytest.param("reference", _set("detection", "drop_threshold", value="-1"),
+                 "detection.drop_threshold", id="negative-drop-threshold"),
+    pytest.param("scam", _set("intents", 0, "solver_fee_bps", value=-5),
+                 "intents[0].solver_fee_bps", id="negative-solver-fee-cap"),
+    pytest.param("reference", _set("pools", 0, "fee_bps", value=10001),
+                 "pools[0].fee_bps", id="pool-fee-above-all"),
+    pytest.param("scam", _set("agents", 1, "fee_bps", value=-1),
+                 "agents[1].fee_bps", id="negative-solver-fee"),
+    pytest.param("scam", _set("detection", "sandwich_treasury_fraction", value="2"),
+                 "detection.sandwich_treasury_fraction", id="treasury-fraction-above-1"),
+    pytest.param("scam", _set("detection", "sandwich_treasury_fraction", value="-1"),
+                 "detection.sandwich_treasury_fraction", id="negative-treasury-fraction"),
 ]
 
 
@@ -371,3 +457,129 @@ def test_run_rejects_bad_documents_at_load_with_a_path(tmp_path, capsys, builtin
     assert code == 2
     assert err.startswith(f"scenario error: {path}: ")
     assert "Traceback" not in err
+
+
+# -- load tests walked from the tables: a field added to a table is covered
+# with no new test code
+
+
+def example(kind):
+    """A valid document value of an argument kind, in builtin:reference,
+    with every optional field left out."""
+    if isinstance(kind, dict):
+        return {key: example(value) for key, value in kind.items()
+                if not key.endswith("?")}
+    if isinstance(kind, list):
+        return [example(kind[0])]
+    if isinstance(kind, type):
+        return next(iter(kind)).value
+    if isinstance(kind, tuple):
+        return kind[0]
+    known = {CHAIN: "alpha", POOL: "rug-usdn", VAULT: "v-rug", PERPS_VAULT: "v-rug",
+             ACCOUNT: "alice", AMOUNT_OR_AUTO: "auto", TEXT: "RUG", BOOL: False,
+             FRACTION: "0.5", UNIT: "0.5", BPS: 30}
+    return known.get(kind, 1 if kind in INT_RANGES else "1")
+
+
+def full_doc():
+    """builtin:reference with every table in use: a second priced token that
+    no vault takes, a perps section, the dispute sections, an intent, and
+    alice running a step of every op."""
+    doc = reference_scenario(blocks=10)
+    doc["tokens"].append({"id": "ALT", "chain": "alpha",
+                          "price_process": {"kind": "sentiment", "p0": "1",
+                                            "alpha_sent": "0.01"}})
+    doc["perps"] = {**example(SECTION_FIELDS["perps?"][0]), "enabled_vaults": ["v-rug"]}
+    doc["rugproof"], doc["insurance"] = {}, {}
+    doc["intents"] = [example(INTENT_ARGS)]
+    doc["agents"][0]["script"] += [{"block": 3, "op": op, **example(args)}
+                                   for op, (_, args) in SCRIPT_OPS.items()]
+    return doc
+
+
+def table_sites(doc):
+    """(path, table) for every table that ``doc`` fills, nested ones too."""
+    sites = [("", SCENARIO_FIELDS), ("", SECTION_FIELDS), ("tokens[1]", TOKEN_FIELDS),
+             ("accounts[0]", ACCOUNT_FIELDS), ("vaults[0]", VAULT_FIELDS),
+             ("pools[0]", POOL_FIELDS), ("intents[0]", INTENT_ARGS)]
+    for i, agent in enumerate(doc["agents"]):
+        sites += [(f"agents[{i}]", AGENT_ARGS),
+                  (f"agents[{i}]", AGENT_PARAMS.get(agent["kind"], {}))]
+        sites += [(f"agents[{i}].script[{j}]", {**STEP_FIELDS, **SCRIPT_OPS[step["op"]][1]})
+                  for j, step in enumerate(agent.get("script", []))]
+    for path, table in sites:  # grows as nested tables are found
+        for key, kind in table.items():
+            name = key.rstrip("?")
+            kind = kind[0] if name != key else kind
+            nested = f"{path}.{name}" if path else name
+            if isinstance(kind, dict) and at(doc, nested) is not None:
+                sites.append((nested, kind))
+    return sites
+
+
+def at(node, path):
+    """The value at a document path, in a document or a loaded Scenario;
+    None where an object lacks the key."""
+    for part in filter(None, path.replace("[", ".").replace("]", "").split(".")):
+        if part.isdigit():
+            node = node[int(part)]
+        elif isinstance(node, dict):
+            node = node.get(part)
+        else:
+            node = getattr(node, part)
+    return node
+
+
+def parsed_default(kind, default):
+    """What a default loads as, worked out apart from the loader."""
+    if default is None:
+        return None
+    if isinstance(kind, dict):  # a section of optional fields
+        return {key.rstrip("?"): parsed_default(*spec) for key, spec in kind.items()}
+    if isinstance(kind, list) or kind == BALANCES:
+        return type(default)(default)
+    if isinstance(kind, type):
+        return kind(default)
+    if kind in INT_RANGES or kind == BOOL:
+        return default
+    return amt(default)
+
+
+SITES = table_sites(full_doc())
+OPTIONAL_FIELDS = [(path, key[:-1], *spec) for path, table in SITES
+                   for key, spec in table.items() if key.endswith("?")]
+REQUIRED_FIELDS = [(path, key) for path, table in SITES
+                   for key in table if not key.endswith("?")]
+
+
+@pytest.mark.parametrize(
+    "path,name,kind,default",
+    [field for field in OPTIONAL_FIELDS if field[3] is not None],
+    ids=[f"{path}.{name}" if path else name
+         for path, name, _, default in OPTIONAL_FIELDS if default is not None])
+def test_an_absent_optional_field_loads_as_its_default(path, name, kind, default):
+    doc = full_doc()
+    at(doc, path).pop(name, None)
+    if not (doc.get("perps") or {}).get("enabled_vaults"):
+        # no perps vault: an open_position step would not load
+        for agent in doc["agents"]:
+            agent["script"] = [step for step in agent.get("script", [])
+                               if step["op"] != "open_position"]
+    loaded = at(load_scenario(doc), f"{path}.{name}")
+    expected = parsed_default(kind, default)
+    assert loaded == expected
+    assert type(loaded) is type(expected)
+
+
+@pytest.mark.parametrize("path,name", REQUIRED_FIELDS,
+                         ids=[f"{path}.{name}" if path else name
+                              for path, name in REQUIRED_FIELDS])
+def test_an_absent_required_field_exits_2_with_its_path(tmp_path, capsys, path, name):
+    doc = full_doc()
+    del at(doc, path)[name]
+    code = main(["run", "--scenario", write_scenario(tmp_path, doc),
+                 "--out", str(tmp_path / "o")])
+    field_path = f"{path}.{name}" if path else name
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"scenario error: {field_path}: missing required field\n"

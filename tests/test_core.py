@@ -108,10 +108,10 @@ def test_literals_past_the_range_are_range_errors():
         amt("1000000000000000000.000000001")
 
 
-def test_parse_caches_the_raw_value_not_the_amount():
+def test_each_parse_builds_its_own_amount():
     first, second = amt("0.25"), amt("0.25")
     assert first == second and first is not second
-    first.raw = 0  # a caller mutating its amount must not reach the cache
+    first.raw = 0  # a caller mutating its amount must not reach another parse
     assert amt("0.25").raw == 250_000_000
     with pytest.raises(ParameterError):
         amt("1.2.3")

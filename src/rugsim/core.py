@@ -110,6 +110,10 @@ class FixedAmount:
             # at least 1e19 units, past MAX_RAW: refused before a huge exponent
             # builds a huge int (or one too long for the error message's str)
             raise RangeError(f"fixed-point overflow: {text!r}")
+        if dec.adjusted() < -10:
+            # below a tenth of a quantum: rounds to 0 before a huge exponent
+            # builds a huge int
+            return FixedAmount(0)
         num, den = dec.as_integer_ratio()
         return FixedAmount(_div_round_half_even(num * SCALE, den))
 

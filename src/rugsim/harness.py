@@ -28,6 +28,10 @@ runs on the one chain that its pool, vault or token fixes (home for the
 rest), so steps are indexed by height and chain. After every block the
 ledger re-sums every balance per token against that token's supply.
 
+A queued transaction is a bound action; its kind names it in the ``failed``
+event if it raises. A pending drain leaves ``pending_drains`` when its
+transaction runs, at ``executes_at``, whether the drain succeeds or fails.
+
 Module errors never crash a run; they are recorded as failed events.
 """
 
@@ -36,7 +40,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from . import detection, market, perps, tokenomics
 from .core import (
@@ -65,7 +70,7 @@ from .perps import FundingParams, MaintenanceRule, PerpBook
 from .rugproof import RugproofBook, SlashParams
 from .scenario import SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace
-from .vault import VaultRegistry, anticoin_value
+from .vault import RewardEvent, VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
 HOME_TOKEN = "R"
@@ -86,13 +91,13 @@ class QueuedTx:
     priority: int
     seq: int
     kind: str
-    payload: dict
+    action: Callable[[], None]
 
 
 @dataclass
 class PendingDrain:
     event: DrainEvent
-    chain: str
+    rug_token: TokenId
     frontrun_planned: set = field(default_factory=set)
     sandwich_planned: bool = False
     backrun_planned: bool = False
@@ -162,7 +167,7 @@ class Simulation:
         self._chain_views: dict[str, ChainView] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
-        self.bridge: list[tuple[int, dict]] = []
+        self.bridge: list[tuple[int, RewardEvent]] = []
         self.total_penalties = ZERO
         # per-pool LP share ledger: exact pool fractions per account,
         # genesis liquidity held by the synthetic "protocol" holder
@@ -365,19 +370,19 @@ class Simulation:
             return
         totals[key] = _checked(totals.get(key, 0) + amount.raw)
 
-    def _event(self, event_type: str, **payload: Any) -> None:
+    def _event(self, event_type: str, **fields: Any) -> None:
         event = {"type": event_type, "h": self.height, "chain": self._chain_ctx}
-        event.update(payload)
+        event.update(fields)
         self.trace.record(event)
 
-    def _failed(self, op: str, error: Exception, **payload: Any) -> None:
+    def _failed(self, op: str, error: Exception, **fields: Any) -> None:
         self._event("failed", op=op, error=type(error).__name__,
-                    detail=str(error), **payload)
+                    detail=str(error), **fields)
 
     def _enqueue(self, chain: str, execute_at: int, priority: int, kind: str,
-                 payload: dict) -> None:
+                 action: Callable[[], None]) -> None:
         self.queue.append(QueuedTx(chain, execute_at, priority, self._seq,
-                                   kind, payload))
+                                   kind, action))
         self._seq += 1
 
     def _mark_price(self, token: TokenId) -> FixedAmount:
@@ -436,7 +441,7 @@ class Simulation:
                       if not (tx.chain == chain and tx.execute_at <= height)]
         due.sort(key=lambda tx: (-tx.priority, tx.seq))
         for tx in due:
-            self._execute_tx(tx, height)
+            self._execute_tx(tx)
 
         # (4) scripted agent operations due on this chain
         for agent, step in self._script_steps.get((height, chain), ()):
@@ -449,16 +454,11 @@ class Simulation:
         # (5) perps funding and liquidation
         self._phase_perps(chain, view, at)
 
-        # (6) dispute deadlines fire on the home chain
+        # (6) dispute deadlines fire, (7) the bridge delivers and (8) supply
+        # emission and the burn controller run, all on the home chain
         if chain == self.scenario.home_chain:
             self._phase_dispute_deadlines(at)
-
-        # (7) bridge delivery to the home chain
-        if chain == self.scenario.home_chain:
             self._phase_bridge(height)
-
-        # (8) supply emission and burn controller
-        if chain == self.scenario.home_chain:
             self._phase_tokenomics(height)
 
         # (9) telemetry is the per-block row written in _phase_tokenomics
@@ -466,7 +466,6 @@ class Simulation:
     # -- phases ----------------------------------------------------------------
 
     def _phase_detection(self, chain: str, view: ChainView, height: int) -> None:
-        numeraire = self.scenario.numeraire
         detectors = self.agents_by_kind.get("detector", [])
 
         for pool_id, monitor in view.monitors:
@@ -510,15 +509,14 @@ class Simulation:
                 self._event("risk_signal", kind=signal.kind.value,
                             magnitude=str(signal.magnitude))
 
-        # planners against pending drains
+        # planners against this chain's pending drains, up to and including
+        # the height each executes at
         for pending in self.pending_drains:
-            if pending.chain != chain:
-                continue
             ev = pending.event
-            if height < ev.submitted_at.height or height > ev.executes_at.height:
+            if ev.submitted_at.chain != chain:
                 continue
             pool = self.pools[ev.pool]
-            rug_token = pool.token_x if pool.token_y == numeraire else pool.token_y
+            rug_token = pending.rug_token
             for det in detectors:
                 if height < ev.executes_at.height:
                     for name in det.params["protects"]:
@@ -537,10 +535,8 @@ class Simulation:
                         self._enqueue(chain, height,
                                       PRIORITY_DRAIN + self.priority_boost,
                                       "plan_swap",
-                                      {"pool": ev.pool, "account": name,
-                                       "token": rug_token,
-                                       "amount": plan.leg.amount_in,
-                                       "plan": "frontrun"})
+                                      partial(self._apply_swap, ev.pool, name, rug_token,
+                                              plan.leg.amount_in, memo="frontrun"))
                 budget = det.params["sandwich_budget"]
                 if (budget.raw > 0 and not pending.sandwich_planned
                         and height == ev.executes_at.height - 1):
@@ -553,29 +549,26 @@ class Simulation:
                         self._event("plan", kind="sandwich", account=det.account.value,
                                     pool=ev.pool,
                                     expected_profit=str(plan.expected_profit))
-                        shared: dict = {}
+                        # the post leg settles against the pre leg's output
+                        pre_out: list[FixedAmount] = []
+                        legs = (ev.pool, det.account.value, rug_token)
                         self._enqueue(chain, ev.executes_at.height,
                                       PRIORITY_DRAIN + self.priority_boost,
                                       "sandwich_pre",
-                                      {"pool": ev.pool, "account": det.account.value,
-                                       "token": rug_token,
-                                       "amount": plan.pre.leg.amount_in,
-                                       "shared": shared})
+                                      partial(self._exec_sandwich_pre, pre_out, *legs,
+                                              plan.pre.leg.amount_in))
                         self._enqueue(chain, ev.executes_at.height,
                                       PRIORITY_SANDWICH_POST, "sandwich_post",
-                                      {"pool": ev.pool, "account": det.account.value,
-                                       "rug_token": rug_token,
-                                       "target_out": plan.post.leg.quoted_out,
-                                       "shared": shared})
+                                      partial(self._exec_sandwich_post, pre_out, *legs,
+                                              plan.post.leg.quoted_out))
                 back_budget = det.params["backrun_budget"]
                 if (back_budget.raw > 0 and not pending.backrun_planned
                         and height == ev.executes_at.height):
                     pending.backrun_planned = True
                     self._enqueue(chain, ev.executes_at.height, PRIORITY_BACKRUN,
                                   "backrun",
-                                  {"event": ev, "account": det.account,
-                                   "rug_token": rug_token, "budget": back_budget,
-                                   "cap": det.params["backrun_cap"]})
+                                  partial(self._exec_backrun, ev, det.account, rug_token,
+                                          back_budget, det.params["backrun_cap"]))
 
         # intents; prices and liquidity are gathered only while one is pending
         chain_prices = chain_liquidity = {}
@@ -591,51 +584,30 @@ class Simulation:
                         solver=execution.solver.value, fee_bps=execution.fee_bps)
             self._enqueue(chain, height,
                           PRIORITY_DRAIN + max(1, self.priority_boost - 5),
-                          "intent", {"execution": execution})
+                          "intent", partial(self._exec_intent, execution))
 
         # peg keeper planning
         for keeper in view.pegkeepers:
             self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
-                          {"keeper": keeper})
+                          partial(self._exec_peg_keeper, *keeper))
 
-    def _execute_tx(self, tx: QueuedTx, height: int) -> None:
+    def _execute_tx(self, tx: QueuedTx) -> None:
         try:
-            if tx.kind == "drain":
-                self._exec_drain(tx, height)
-            elif tx.kind == "plan_swap":
-                payload = tx.payload
-                self._apply_swap(payload["pool"], payload["account"],
-                                 payload["token"], payload["amount"],
-                                 memo=payload["plan"])
-            elif tx.kind == "sandwich_pre":
-                payload = tx.payload
-                payload["shared"]["pre_out"] = self._apply_swap(
-                    payload["pool"], payload["account"], payload["token"],
-                    payload["amount"], memo="sandwich_pre")
-            elif tx.kind == "sandwich_post":
-                self._exec_sandwich_post(tx.payload)
-            elif tx.kind == "backrun":
-                self._exec_backrun(tx.payload, height)
-            elif tx.kind == "intent":
-                self._exec_intent(tx.payload["execution"])
-            elif tx.kind == "peg_keeper":
-                self._exec_peg_keeper(*tx.payload["keeper"])
-            else:
-                raise StateError(f"unknown queued tx kind {tx.kind!r}")
+            tx.action()
         except RugsimError as exc:
             self._failed(tx.kind, exc)
 
-    def _exec_drain(self, tx: QueuedTx, height: int) -> None:
-        pending: PendingDrain = tx.payload["pending"]
+    def _exec_drain(self, pending: PendingDrain) -> None:
+        self.pending_drains.remove(pending)
         ev = pending.event
         pool = self.pools[ev.pool]
-        rug_token = tx.payload["rug_token"]
+        rug_token = pending.rug_token
         creator = ev.creator.value
         held = self.ledger.balance(creator, rug_token)
         if held < ev.t_rug_supply:
             raise BalanceError(
                 f"creator holds {held} {rug_token}, cannot drain {ev.t_rug_supply}")
-        result = market.execute_drain(ev, pool, rug_token, height)
+        result = market.execute_drain(ev, pool, rug_token, self.height)
         if result.liquid_out.raw > 0:
             pool_account = self._pool_account(ev.pool)
             liquid_token = pool.other(rug_token)
@@ -644,44 +616,43 @@ class Simulation:
             self.ledger.transfer(pool_account, creator, liquid_token,
                                  result.liquid_out, memo="drain")
             self.pools[ev.pool] = result.pool
-        self.pending_drains.remove(pending)
         self._event("drain_executed", pool=ev.pool, creator=creator,
                     naive_target=str(result.naive_target),
                     realized=str(result.liquid_out),
                     spot_after=str(market.spot_price(self.pools[ev.pool])))
 
-    def _exec_sandwich_post(self, payload: dict) -> None:
-        pool = self.pools[payload["pool"]]
-        target = payload["target_out"]
-        liquid_token = pool.other(payload["rug_token"])
-        cost = market.pool_quote_exact_out(pool, payload["rug_token"], target)
-        held = self.ledger.balance(payload["account"], liquid_token)
+    def _exec_sandwich_pre(self, pre_out: list, pool_id: str, account: str,
+                           rug_token: TokenId, amount: FixedAmount) -> None:
+        pre_out.append(self._apply_swap(pool_id, account, rug_token, amount,
+                                        memo="sandwich_pre"))
+
+    def _exec_sandwich_post(self, pre_out: list, pool_id: str, account: str,
+                            rug_token: TokenId, target: FixedAmount) -> None:
+        pool = self.pools[pool_id]
+        liquid_token = pool.other(rug_token)
+        cost = market.pool_quote_exact_out(pool, rug_token, target)
+        held = self.ledger.balance(account, liquid_token)
         if held < cost:
             raise StateError(f"sandwich post-leg needs {cost}, holds {held}")
-        self._apply_swap(payload["pool"], payload["account"], liquid_token,
-                         cost, memo="sandwich_post")
-        pre_out = payload["shared"].get("pre_out")
-        if pre_out is None:
+        self._apply_swap(pool_id, account, liquid_token, cost, memo="sandwich_post")
+        if not pre_out:
             return
-        profit = pre_out - cost
+        profit = pre_out[0] - cost
         if profit.raw > 0 and self.sandwich_treasury_fraction.raw > 0:
             cut = profit * self.sandwich_treasury_fraction
-            self.ledger.transfer(payload["account"], TREASURY, liquid_token,
-                                 cut, memo="sandwich-profit")
-            self._event("sandwich_settled", account=payload["account"],
+            self.ledger.transfer(account, TREASURY, liquid_token, cut,
+                                 memo="sandwich-profit")
+            self._event("sandwich_settled", account=account,
                         profit=str(profit), to_treasury=str(cut))
 
-    def _exec_backrun(self, payload: dict, height: int) -> None:
+    def _exec_backrun(self, ev: DrainEvent, account: AccountId, rug_token: TokenId,
+                      budget: FixedAmount, cap: FixedAmount) -> None:
         # planned at execution time: the quote needs the post-drain reserves
-        ev: DrainEvent = payload["event"]
         pool = self.pools[ev.pool]
-        account: AccountId = payload["account"]
-        rug_token = payload["rug_token"]
         numeraire = pool.other(rug_token)
-        budget = min(payload["budget"],
-                     self.ledger.balance(account.value, numeraire))
-        plan = detection.plan_backrun(ev, pool, rug_token, account, budget,
-                                      payload["cap"], now=height)
+        budget = min(budget, self.ledger.balance(account.value, numeraire))
+        plan = detection.plan_backrun(ev, pool, rug_token, account, budget, cap,
+                                      now=self.height)
         if plan is None:
             return
         self._apply_swap(ev.pool, account.value, plan.leg.input_token,
@@ -760,10 +731,10 @@ class Simulation:
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
-        pending = PendingDrain(event=ev, chain=at.chain)
+        pending = PendingDrain(event=ev, rug_token=rug_token)
         self.pending_drains.append(pending)
         self._enqueue(at.chain, ev.executes_at.height, PRIORITY_DRAIN, "drain",
-                      {"pending": pending, "rug_token": rug_token})
+                      partial(self._exec_drain, pending))
         self._event("drain_submitted", pool=pool_id, creator=agent.account.value,
                     t_rug=str(ev.t_rug_supply), t_total=str(ev.t_total_supply),
                     executes_at=ev.executes_at.height)
@@ -1033,11 +1004,9 @@ class Simulation:
                 self.insurance.expire_policy(self.ledger, policy_id, at)
                 self._event("policy_expired", policy=policy_id)
 
-    def _queue_reward(self, reward) -> None:
+    def _queue_reward(self, reward: RewardEvent) -> None:
         deliver_at = self.height + self.scenario.bridge_delay_blocks
-        self.bridge.append((deliver_at, {
-            "kind": reward.kind, "vault": reward.vault, "chain": reward.chain,
-            "account": reward.account.value, "amount": reward.amount}))
+        self.bridge.append((deliver_at, reward))
         self._event("reward_emitted", kind=reward.kind, vault=reward.vault,
                     account=reward.account.value, amount=str(reward.amount),
                     deliver_at=deliver_at)
@@ -1046,13 +1015,12 @@ class Simulation:
         due = [(t, r) for t, r in self.bridge if t <= height]
         self.bridge = [(t, r) for t, r in self.bridge if t > height]
         for _, reward in due:
-            amount: FixedAmount = reward["amount"]
-            self.ledger.mint(reward["account"], HOME_TOKEN, amount,
-                             memo=f"reward:{reward['kind']}")
-            self.supply.record_mint(amount)
-            self._event("bridge_delivery", kind=reward["kind"],
-                        vault=reward["vault"], account=reward["account"],
-                        amount=str(amount))
+            account = reward.account.value
+            self.ledger.mint(account, HOME_TOKEN, reward.amount,
+                             memo=f"reward:{reward.kind}")
+            self.supply.record_mint(reward.amount)
+            self._event("bridge_delivery", kind=reward.kind, vault=reward.vault,
+                        account=account, amount=str(reward.amount))
 
     def _phase_tokenomics(self, height: int) -> None:
         emission = self.supply_params.epsilon_rate

@@ -51,9 +51,6 @@ class Ledger:
     def total_supply(self, token: TokenId) -> FixedAmount:
         return FixedAmount(self._supply.get(token, 0))
 
-    def accounts_holding(self, token: TokenId) -> list[str]:
-        return sorted(a for a, v in self._balances.get(token, {}).items() if v != 0)
-
     def mint(self, account: str, token: TokenId, amount: FixedAmount, memo: str = "") -> None:
         raw = amount.raw
         if raw < 0:

@@ -31,7 +31,6 @@ SIDE_NOT_RUGGING = "not_rugging"
 class IssuanceStatus(enum.Enum):
     ACTIVE = "active"
     SLASHED = "slashed"
-    RELEASED = "released"
 
 
 class ClaimStatus(enum.Enum):
@@ -235,15 +234,3 @@ class RugproofBook:
             issuance_escrow.close()
         return Resolution(outcome=claim.status.value, slashed=slashed,
                           transfers=transfers)
-
-    def release_bond(self, issuance_id: str) -> None:
-        """Voluntary wind-down of an active, unclaimed issuance."""
-        issuance = self.issuances.get(issuance_id)
-        if issuance is None or issuance.status is not IssuanceStatus.ACTIVE:
-            raise StateError(f"issuance {issuance_id} cannot be released")
-        if self.open_claim_for(issuance_id) is not None:
-            raise StateError(f"issuance {issuance_id} has an open claim")
-        escrow = self._escrows[issuance_id]
-        escrow.pay(issuance.issuer.value, issuance.bond, "bond-release")
-        escrow.close()
-        issuance.status = IssuanceStatus.RELEASED

@@ -347,6 +347,7 @@ def load_scenario(doc: dict) -> Scenario:
 
     refs[POOL_TOKEN].update(refs[TOKEN])
     vaults = _parse_list(doc, "vaults", VAULT_FIELDS, refs)
+    anticoins: set[str] = set()
     for i, vault in enumerate(vaults):
         if vault["theta"] <= vault["omega"]:
             raise ScenarioError(f"vaults[{i}].theta", f"burn reward {vault['theta']} must "
@@ -354,12 +355,28 @@ def load_scenario(doc: dict) -> Scenario:
         if vault["penalty_lambda"] <= ONE:
             raise ScenarioError(f"vaults[{i}].penalty_lambda",
                                 f"must be > 1, got {vault['penalty_lambda']}")
-        refs[POOL_TOKEN].add(anticoin_id(vault["rugged_token"], vault["chain"]))
+        # one vault per rugged token and chain: the pair names its anticoin
+        anticoin = anticoin_id(vault["rugged_token"], vault["chain"])
+        if anticoin in anticoins:
+            raise ScenarioError(f"vaults[{i}].rugged_token",
+                                f"a vault for {vault['rugged_token']} already exists "
+                                f"on {vault['chain']}")
+        anticoins.add(anticoin)
+    refs[POOL_TOKEN].update(anticoins)
     pools = _parse_list(doc, "pools", POOL_FIELDS, refs)
 
     sections = _parse_args(doc, SECTION_FIELDS, "", refs)
-    if sections["perps"] is not None:
-        refs[PERPS_VAULT].update(sections["perps"]["enabled_vaults"])
+    perps = sections["perps"]
+    if perps is not None:
+        refs[PERPS_VAULT].update(perps["enabled_vaults"])
+        if perps["liquidator_fee_fraction"] >= perps["maintenance_fraction"]:
+            raise ScenarioError("perps.liquidator_fee_fraction", "must be below "
+                                f"maintenance_fraction {perps['maintenance_fraction']}, "
+                                f"got {perps['liquidator_fee_fraction']}")
+    multiplier = sections["insurance"]["escalation_bond_multiplier"]
+    if multiplier <= ONE:
+        raise ScenarioError("insurance.escalation_bond_multiplier",
+                            f"must be > 1, got {multiplier}")
 
     agents = _parse_list(doc, "agents", AGENT_ARGS, refs)
     agent_accounts: set[str] = set()

@@ -289,9 +289,6 @@ class VaultRegistry:
         return WithdrawResult(returned=returned, penalty=penalty, rate=rate,
                               withdrawal_index=index)
 
-    def receipts_for(self, vault_id: VaultId) -> list[Receipt]:
-        return [r for r in self.receipts if r.vault == vault_id]
-
     def snapshot(self) -> dict:
         return {
             vid: {

@@ -208,6 +208,18 @@ def test_sweep_refuses_a_bad_range_before_any_run(tmp_path, capsys, param, messa
     assert not out.exists()
 
 
+def test_sweep_refuses_a_point_that_breaks_a_module_invariant(tmp_path, capsys):
+    doc = scam_scenario()
+    doc["perps"] = dict(PERPS_SECTION, liquidator_fee_fraction="0.05")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", write_scenario(tmp_path, doc), "--out", str(out),
+                 "--param", "perps.liquidator_fee_fraction=0.05:0.15:0.05"]) == 2
+    assert capsys.readouterr().err == (
+        "scenario error at perps.liquidator_fee_fraction=0.1: "
+        "perps.liquidator_fee_fraction: must be below maintenance_fraction 0.1, got 0.1\n")
+    assert not out.exists()
+
+
 def test_sweep_runs_the_largest_range_it_allows():
     key, values = cli._parse_range(f"x=1:{cli.MAX_SWEEP_POINTS}:1")
     assert (key, len(values), values[-1]) == ("x", cli.MAX_SWEEP_POINTS,
@@ -331,9 +343,12 @@ def _set(*keys, value):
     return mutate
 
 
+PERPS_SECTION = {"enabled_vaults": ["v-rug"], "alpha_base": "0.01", "l_min": "100",
+                 "interval_blocks": 4}
+
+
 def _with_perps(doc):
-    doc["perps"] = {"enabled_vaults": ["v-rug"], "alpha_base": "0.01",
-                    "l_min": "100", "interval_blocks": 4}
+    doc["perps"] = dict(PERPS_SECTION)
     _script_step(op="open_position", vault="v-rug", collateral="10",
                  leverage="2", direction="up")(doc)
 
@@ -421,9 +436,8 @@ LOAD_PROBES = [
                  "pools[1].token_y", id="undeclared-pool-token-y"),
     pytest.param("reference", _set("pools", 1, "token_x", value="anti:RUG@home"),
                  "pools[1].token_x", id="anticoin-of-no-vault"),
-    pytest.param("scam", _set("perps", value={
-        "enabled_vaults": ["v-rug"], "alpha_base": "0.01", "l_min": "100",
-        "interval_blocks": 4, "revalue_collateral": "false"}),
+    pytest.param("scam", _set("perps",
+                              value=dict(PERPS_SECTION, revalue_collateral="false")),
                  "perps.revalue_collateral", id="revalue-collateral-string"),
     pytest.param("reference", _set("accounts", 0, "balances", value=[]),
                  "accounts[0].balances", id="balances-not-an-object"),
@@ -443,6 +457,14 @@ LOAD_PROBES = [
                  "detection.sandwich_treasury_fraction", id="treasury-fraction-above-1"),
     pytest.param("scam", _set("detection", "sandwich_treasury_fraction", value="-1"),
                  "detection.sandwich_treasury_fraction", id="negative-treasury-fraction"),
+    pytest.param("scam", _set("perps",
+                              value=dict(PERPS_SECTION, liquidator_fee_fraction="0.1")),
+                 "perps.liquidator_fee_fraction", id="liquidator-fee-at-maintenance"),
+    pytest.param("reference", _set("insurance", value={"escalation_bond_multiplier": "1"}),
+                 "insurance.escalation_bond_multiplier", id="escalation-multiplier-one"),
+    pytest.param("reference", lambda doc: doc["vaults"].append(
+        dict(doc["vaults"][0], id="v-rug-2")), "vaults[1].rugged_token",
+                 id="second-vault-for-a-token-and-chain"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Fixed-point arithmetic and transcendental determinism checks against an
 independent mpmath oracle."""
 
+import time
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
@@ -106,6 +107,18 @@ def test_literals_past_the_range_are_range_errors():
     assert amt("1e18") == FixedAmount(MAX_RAW)
     with pytest.raises(RangeError, match="raw="):
         amt("1000000000000000000.000000001")
+
+
+def test_literals_below_a_tenth_of_a_quantum_round_to_zero_quickly():
+    # the exponent would otherwise build 10**999999999 before rounding
+    start = time.perf_counter()
+    assert FixedAmount.parse("1e-999999999").raw == 0
+    assert FixedAmount.parse("-1e-400000").raw == 0
+    assert time.perf_counter() - start < 1.0
+    # the literals at and above a tenth of a quantum still round half-even
+    for text, raw in (("9.99e-11", 0), ("5e-10", 0), ("5.000001e-10", 1), ("1.5e-9", 2),
+                      ("-5.000001e-10", -1)):
+        assert FixedAmount.parse(text).raw == raw
 
 
 def test_each_parse_builds_its_own_amount():

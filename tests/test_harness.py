@@ -201,6 +201,44 @@ def test_sandwich_planner_matches_realized():
     assert amt(post["amount_out"]) >= amt(pre["amount_in"])  # inventory restored
 
 
+def test_a_failed_drain_is_recorded_and_no_longer_pending():
+    doc = scam_scenario()
+    # mallory gives away the tokens the drain sells, so the drain fails
+    doc["agents"][0]["script"].append({"block": 4, "op": "transfer", "to": "unprotected",
+                                       "token": "RUG", "amount": "800"})
+    sim, trace = run_scenario(doc)
+    failures = [e for e in trace.events if e["type"] == "failed"]
+    assert [(e["h"], e["op"], e["error"]) for e in failures] == \
+        [(7, "drain", "BalanceError")]
+    assert not any(e["type"] == "drain_executed" for e in trace.events)
+    assert sim.pending_drains == []
+    assert trace.trace_hash() == "a023642219a54e57"
+
+
+def test_two_detectors_plan_each_move_against_a_drain_once():
+    # both detectors guard one account and hold sandwich and back-run
+    # budgets; each move is planned once per drain, by the first detector
+    doc = scam_scenario()
+    for account in doc["accounts"]:
+        if account["id"] == "guard":
+            account["balances"] = {"RUG": "50", "USDN": "500"}
+    doc["accounts"].append({"id": "guard-2", "balances": {"RUG": "50", "USDN": "500"}})
+    budgets = {"protects": ["frontrun-user"], "sandwich_budget": "50",
+               "backrun_budget": "100", "backrun_cap": "50"}
+    doc["agents"][2].update(budgets)
+    doc["agents"].append({"kind": "detector", "account": "guard-2", **budgets})
+    sim, trace = run_scenario(doc)
+    plans = [(e["h"], e["kind"], e["account"]) for e in trace.events if e["type"] == "plan"]
+    assert plans == [(5, "frontrun", "frontrun-user"), (6, "sandwich", "guard")]
+    moves = [(e["h"], e["memo"], e["account"]) for e in trace.events
+             if e["type"] == "swap" and e["memo"] != "intent"]
+    assert moves == [(5, "frontrun", "frontrun-user"), (7, "sandwich_pre", "guard"),
+                     (7, "sandwich_post", "guard"), (7, "backrun", "guard")]
+    assert sim.pending_drains == [] and trace.failed_events == 0
+    # measured before queued transactions carried their own actions
+    assert trace.trace_hash() == "20ba62fcfb8daa2b"
+
+
 def test_intents_protect_via_swap_to_anticoin():
     doc = scam_scenario()
     doc["intents"][0]["action"] = "swap_to_anticoin"

@@ -186,15 +186,6 @@ def test_escrow_conservation_exact(ledger):
     ledger.check_conservation()
 
 
-def test_release_bond_roundtrip(ledger):
-    book = mk_book()
-    issuer = fund(ledger, "issuer", TOKEN, 10**6)
-    issuance = book.issue_bonded_token(ledger, issuer, TOKEN, amt(10**6), amt("0.05"))
-    book.release_bond(issuance.issuance_id)
-    assert issuance.status is IssuanceStatus.RELEASED
-    assert ledger.balance("issuer", TOKEN) == amt(10**6)
-
-
 def test_claim_requires_funded_claimant(ledger):
     book = mk_book()
     issuer = fund(ledger, "issuer", TOKEN, 10**6)

@@ -117,7 +117,7 @@ def test_receipt_amounts_track_total_deposited(ledger):
     alice = fund(ledger, "alice", "RUG", 1000)
     for chunk in (100, 250, 650):
         registry.deposit(ledger, vault.vault_id, alice, amt(chunk))
-        total = sum((r.amount for r in registry.receipts_for(vault.vault_id)),
+        total = sum((r.amount for r in registry.receipts if r.vault == vault.vault_id),
                     start=amt(0))
         assert total == vault.total_deposited
 

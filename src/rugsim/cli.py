@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import FixedAmount, RugsimError, amt, quantize, safe_exp
-from .harness import Simulation, run_scenario
+from .harness import HOME_TOKEN, Simulation, run_scenario
 from .scenario import (
     SCENARIO_SCHEMA,
     ScenarioError,
@@ -196,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append({
             "param": key, "value": text,
             "trace_hash": trace.trace_hash(),
-            "current_supply": str(sim.supply.current_supply),
+            "current_supply": str(sim.ledger.total_supply(HOME_TOKEN)),
             "total_penalties": str(sim.total_penalties),
             "failed_events": trace.failed_events,
         })

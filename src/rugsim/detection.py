@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -191,7 +191,6 @@ class TxPlan:
     account: AccountId
     priority: int
     leg: SwapLeg
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,7 @@ def plan_sandwich(pending: DrainEvent, pool: PoolState, rug_token: TokenId,
     pre = TxPlan(kind="sandwich_pre", account=account, priority=drain_priority + 1,
                  leg=SwapLeg(pool.pool_id, rug_token, budget, pre_out))
     post = TxPlan(kind="sandwich_post", account=account, priority=drain_priority - 1,
-                  leg=SwapLeg(pool.pool_id, liquid_token, post_cost, budget),
-                  meta={"target_out": str(budget)})
+                  leg=SwapLeg(pool.pool_id, liquid_token, post_cost, budget))
     return SandwichPlan(pre=pre, post=post, expected_profit=profit)
 
 
@@ -271,8 +269,7 @@ def plan_backrun(executed: DrainEvent, pool: PoolState, rug_token: TokenId,
     except (DustError, IlliquidError):
         return None
     return TxPlan(kind="backrun", account=account, priority=priority,
-                  leg=SwapLeg(pool.pool_id, liquid_token, spend, quoted),
-                  meta={"salvage": True})
+                  leg=SwapLeg(pool.pool_id, liquid_token, spend, quoted))
 
 
 # -- intents and solvers -----------------------------------------------------

@@ -10,7 +10,7 @@ is empty with total-in equal to total-out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     AccountId,
@@ -142,14 +142,6 @@ def pro_rata(total: FixedAmount, weights: list[tuple[str, FixedAmount]],
 
 
 @dataclass
-class Transfer:
-    to: str
-    amount: FixedAmount
-    reason: str
-
-
-@dataclass
 class Resolution:
     outcome: str
     slashed: FixedAmount
-    transfers: list[Transfer] = field(default_factory=list)

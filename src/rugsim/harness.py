@@ -30,7 +30,9 @@ ledger re-sums every balance per token against that token's supply.
 
 A queued transaction is a bound action; its kind names it in the ``failed``
 event if it raises. A pending drain leaves ``pending_drains`` when its
-transaction runs, at ``executes_at``, whether the drain succeeds or fails.
+transaction runs, at ``executes_at``, whether the drain succeeds or fails;
+the sandwich post leg and the back-run planned against it fail unless it
+executed.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -101,6 +103,7 @@ class PendingDrain:
     frontrun_planned: set = field(default_factory=set)
     sandwich_planned: bool = False
     backrun_planned: bool = False
+    executed: bool = False
 
 
 @dataclass
@@ -172,11 +175,10 @@ class Simulation:
         # per-pool LP share ledger: exact pool fractions per account,
         # genesis liquidity held by the synthetic "protocol" holder
         self.lp_shares: dict[str, dict[str, Fraction]] = {}
-        # cumulative raw totals, diffed against per-chain snapshots at scan time
-        self._mint_totals: dict[str, int] = {}
-        self._outflow_totals: dict[tuple[str, str], int] = {}
-        self._scanned_mints: dict[str, int] = {}
-        self._scanned_outflows: dict[tuple[str, str], int] = {}
+        # raw mints per token and outflows per (sender, token) since the
+        # aux scan that reads them last took them
+        self._unscanned_mints: dict[str, int] = {}
+        self._unscanned_outflows: dict[tuple[str, str], int] = {}
         self._prev_volumes: dict[str, int] = {}
         self._prev_liquidity: dict[str, int] = {}
 
@@ -227,7 +229,6 @@ class Simulation:
         self.supply_params = tokenomics.SupplyParams(
             s0=tk["s0"], epsilon_rate=tk["epsilon_rate"], beta_burn=tk["beta_burn"],
             kappa=tk["kappa"])
-        self.supply = tokenomics.SupplyState(current_supply=tk["initial_supply"])
         self.ledger.mint(TREASURY, HOME_TOKEN, tk["initial_supply"], memo="genesis-supply")
 
         perp = sc.perps
@@ -283,10 +284,9 @@ class Simulation:
         for entry in sc.intents:
             self._register_intent(entry, entry["owner"])
 
-        # aux scans diff against these snapshots; genesis funding is not
-        # block activity
-        self._scanned_mints = dict(self._mint_totals)
-        self._scanned_outflows = dict(self._outflow_totals)
+        # genesis funding is not block activity
+        self._unscanned_mints.clear()
+        self._unscanned_outflows.clear()
 
     def _build_step_plan(self) -> None:
         """Fill the per-chain views."""
@@ -363,9 +363,9 @@ class Simulation:
         event["chain"] = self._chain_ctx
         self.trace.record(event)
         if event["type"] == "mint":
-            totals, key = self._mint_totals, event["token"]
+            totals, key = self._unscanned_mints, event["token"]
         elif event["type"] == "transfer":
-            totals, key = self._outflow_totals, (event["src"], event["token"])
+            totals, key = self._unscanned_outflows, (event["src"], event["token"])
         else:
             return
         totals[key] = _checked(totals.get(key, 0) + amount.raw)
@@ -416,7 +416,6 @@ class Simulation:
 
     def step(self) -> None:
         self.height += 1
-        self.supply.begin_block(self.height)
         for chain in self._chain_order:
             self._step_chain(chain)
         self.ledger.check_conservation()
@@ -458,8 +457,7 @@ class Simulation:
         # emission and the burn controller run, all on the home chain
         if chain == self.scenario.home_chain:
             self._phase_dispute_deadlines(at)
-            self._phase_bridge(height)
-            self._phase_tokenomics(height)
+            self._phase_tokenomics(height, self._phase_bridge(height))
 
         # (9) telemetry is the per-block row written in _phase_tokenomics
 
@@ -476,21 +474,17 @@ class Simulation:
 
         # auxiliary metrics over activity since this chain's last scan
         # (everything the previous block did, nothing of this one yet), in
-        # raw ints; totals only grow, so the scan range-checks the mint and
-        # volume sums once
+        # raw ints; no term is negative, so the scan range-checks the mint
+        # and volume sums once
         aux = self.aux_monitors.get(chain)
         if aux is not None:
             minted = 0
             for token in view.mint_tokens:
-                total = self._mint_totals.get(token, 0)
-                minted += total - self._scanned_mints.get(token, 0)
-                self._scanned_mints[token] = total
+                minted += self._unscanned_mints.pop(token, 0)
             # largest single creator-wallet outflow of a chain token
             outflow = balance_before = 0
             for key in view.outflow_keys:
-                total = self._outflow_totals.get(key, 0)
-                moved = total - self._scanned_outflows.get(key, 0)
-                self._scanned_outflows[key] = total
+                moved = self._unscanned_outflows.pop(key, 0)
                 if moved > outflow:
                     outflow = moved
                     balance_before = _checked(self.ledger.balance_raw(*key) + moved)
@@ -559,15 +553,15 @@ class Simulation:
                                               plan.pre.leg.amount_in))
                         self._enqueue(chain, ev.executes_at.height,
                                       PRIORITY_SANDWICH_POST, "sandwich_post",
-                                      partial(self._exec_sandwich_post, pre_out, *legs,
-                                              plan.post.leg.quoted_out))
+                                      partial(self._exec_sandwich_post, pending, pre_out,
+                                              *legs, plan.post.leg.quoted_out))
                 back_budget = det.params["backrun_budget"]
                 if (back_budget.raw > 0 and not pending.backrun_planned
                         and height == ev.executes_at.height):
                     pending.backrun_planned = True
                     self._enqueue(chain, ev.executes_at.height, PRIORITY_BACKRUN,
                                   "backrun",
-                                  partial(self._exec_backrun, ev, det.account, rug_token,
+                                  partial(self._exec_backrun, pending, det.account,
                                           back_budget, det.params["backrun_cap"]))
 
         # intents; prices and liquidity are gathered only while one is pending
@@ -620,14 +614,17 @@ class Simulation:
                     naive_target=str(result.naive_target),
                     realized=str(result.liquid_out),
                     spot_after=str(market.spot_price(self.pools[ev.pool])))
+        pending.executed = True
 
     def _exec_sandwich_pre(self, pre_out: list, pool_id: str, account: str,
                            rug_token: TokenId, amount: FixedAmount) -> None:
         pre_out.append(self._apply_swap(pool_id, account, rug_token, amount,
                                         memo="sandwich_pre"))
 
-    def _exec_sandwich_post(self, pre_out: list, pool_id: str, account: str,
-                            rug_token: TokenId, target: FixedAmount) -> None:
+    def _exec_sandwich_post(self, pending: PendingDrain, pre_out: list, pool_id: str,
+                            account: str, rug_token: TokenId, target: FixedAmount) -> None:
+        if not pending.executed:
+            raise StateError(f"the drain on {pool_id} did not execute")
         pool = self.pools[pool_id]
         liquid_token = pool.other(rug_token)
         cost = market.pool_quote_exact_out(pool, rug_token, target)
@@ -645,9 +642,12 @@ class Simulation:
             self._event("sandwich_settled", account=account,
                         profit=str(profit), to_treasury=str(cut))
 
-    def _exec_backrun(self, ev: DrainEvent, account: AccountId, rug_token: TokenId,
+    def _exec_backrun(self, pending: PendingDrain, account: AccountId,
                       budget: FixedAmount, cap: FixedAmount) -> None:
         # planned at execution time: the quote needs the post-drain reserves
+        ev, rug_token = pending.event, pending.rug_token
+        if not pending.executed:
+            raise StateError(f"the drain on {ev.pool} did not execute")
         pool = self.pools[ev.pool]
         numeraire = pool.other(rug_token)
         budget = min(budget, self.ledger.balance(account.value, numeraire))
@@ -954,7 +954,7 @@ class Simulation:
                     self._event("funding_round", vault=vault_id,
                                 rate=str(round_.rate),
                                 paying_side=round_.paying_side.value,
-                                transfers=len(round_.transfers),
+                                transfers=round_.transfer_count,
                                 dust=str(round_.treasury_remainder))
             bids: dict[int, str] = {}
             if self._liquidation_bidder is not None:
@@ -1011,35 +1011,39 @@ class Simulation:
                     account=reward.account.value, amount=str(reward.amount),
                     deliver_at=deliver_at)
 
-    def _phase_bridge(self, height: int) -> None:
+    def _phase_bridge(self, height: int) -> int:
+        """Deliver the matured rewards; returns the raw R they minted."""
         due = [(t, r) for t, r in self.bridge if t <= height]
         self.bridge = [(t, r) for t, r in self.bridge if t > height]
+        minted = 0
         for _, reward in due:
             account = reward.account.value
             self.ledger.mint(account, HOME_TOKEN, reward.amount,
                              memo=f"reward:{reward.kind}")
-            self.supply.record_mint(reward.amount)
+            minted += reward.amount.raw
             self._event("bridge_delivery", kind=reward.kind, vault=reward.vault,
                         account=account, amount=str(reward.amount))
+        return minted
 
-    def _phase_tokenomics(self, height: int) -> None:
+    def _phase_tokenomics(self, height: int, minted: int) -> None:
+        """Emit, then burn toward the target; ``minted`` is the raw R the
+        bridge minted this block. The ledger holds the only count of R."""
         emission = self.supply_params.epsilon_rate
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
-            self.supply.record_mint(emission)
         vaulted_value = tokenomics.aggregate_vault_stats(
             list(self.registries.values()), self.ledger, self._mark_price)
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
         target = tokenomics.target_supply(vaulted_value, self.supply_params.s0)
-        burned = tokenomics.burn_step(self.supply, self.supply_params, target,
-                                      available=treasury_held)
+        burned = tokenomics.burn_step(self.ledger.total_supply(HOME_TOKEN),
+                                      self.supply_params, target, available=treasury_held)
         if burned.raw > 0:
             self.ledger.burn(TREASURY, HOME_TOKEN, burned, memo="supply-burn")
         self.trace.telemetry.append({
             "height": height,
-            "emission": str(self.supply.block_minted),
-            "burned": str(self.supply.block_burned),
-            "current_supply": str(self.supply.current_supply),
+            "emission": str(FixedAmount(minted + emission.raw)),
+            "burned": str(burned),
+            "current_supply": str(self.ledger.total_supply(HOME_TOKEN)),
             "target_supply": str(target),
         })
 
@@ -1072,7 +1076,7 @@ class Simulation:
             "perps": {vid: book.snapshot()
                       for vid, book in sorted(self.perp_books.items())},
             "insurance": self.insurance.snapshot(),
-            "home_token_supply": str(self.supply.current_supply),
+            "home_token_supply": str(self.ledger.total_supply(HOME_TOKEN)),
             "total_penalties": str(self.total_penalties),
             "failed_events": self.trace.failed_events,
         }

@@ -26,7 +26,7 @@ from .core import (
     ZERO,
     amt,
 )
-from .disputes import CaseEscrow, Resolution, Transfer, VoteBox, pro_rata
+from .disputes import CaseEscrow, Resolution, VoteBox, pro_rata
 from .ledger import BalanceError, Ledger
 
 SIDE_APPROVE = "approve"
@@ -338,12 +338,10 @@ class InsuranceBook:
         params = self.params
         escrow = self._escrows[claim.claim_id]
         policy_escrow = self._escrows[claim.policy_id]
-        transfers: list[Transfer] = []
 
         def payout(src: CaseEscrow, to: str, amount: FixedAmount, reason: str):
             if amount.raw > 0:
                 src.pay(to, amount, reason)
-                transfers.append(Transfer(to, amount, reason))
 
         def return_votes_and_dispute():
             rounds = claim.past_votes + ([claim.votes] if claim.votes else [])
@@ -416,8 +414,7 @@ class InsuranceBook:
             return_votes_and_dispute()
 
         escrow.close()
-        return Resolution(outcome=claim.phase.value, slashed=slashed,
-                          transfers=transfers)
+        return Resolution(outcome=claim.phase.value, slashed=slashed)
 
     def snapshot(self) -> dict:
         """JSON-ready policy book with per-claim lifecycle states."""

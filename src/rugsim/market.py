@@ -127,7 +127,6 @@ class PoolState:
     reserve_x: FixedAmount
     reserve_y: FixedAmount
     fee_bps: int = 0
-    k_last_raw: int = 0  # exact raw_x * raw_y product after the last mutation
     volume_x: FixedAmount = ZERO
     volume_y: FixedAmount = ZERO
 
@@ -136,8 +135,6 @@ class PoolState:
             raise ParameterError(f"fee_bps out of range: {self.fee_bps}")
         if self.reserve_x.raw < 0 or self.reserve_y.raw < 0:
             raise ParameterError("negative reserve")
-        if self.k_last_raw == 0:
-            object.__setattr__(self, "k_last_raw", self.reserve_x.raw * self.reserve_y.raw)
 
     def reserve_of(self, token: TokenId) -> FixedAmount:
         if token == self.token_x:
@@ -200,7 +197,7 @@ def pool_swap(pool: PoolState, input_token: TokenId,
         new_x, new_y = new_out, new_in
         vol_x, vol_y = pool.volume_x, pool.volume_y + dx
     new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                         pool.fee_bps, new_x.raw * new_y.raw, vol_x, vol_y)
+                         pool.fee_bps, vol_x, vol_y)
     return dy, new_pool
 
 
@@ -242,7 +239,7 @@ def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: FixedAmount) -> Poo
     new_x = pool.reserve_x + dx
     new_y = pool.reserve_y + dy
     return PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                     pool.fee_bps, new_x.raw * new_y.raw, pool.volume_x, pool.volume_y)
+                     pool.fee_bps, pool.volume_x, pool.volume_y)
 
 
 def pool_remove_liquidity(pool: PoolState,
@@ -256,8 +253,7 @@ def pool_remove_liquidity(pool: PoolState,
     out_x = pool.reserve_x - new_x
     out_y = pool.reserve_y - new_y
     new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                         pool.fee_bps, new_x.raw * new_y.raw, pool.volume_x,
-                         pool.volume_y)
+                         pool.fee_bps, pool.volume_x, pool.volume_y)
     return out_x, out_y, new_pool
 
 

@@ -146,16 +146,10 @@ def funding_rate_final(rate: FixedAmount, l_min: FixedAmount,
 
 
 @dataclass(frozen=True)
-class FundingTransfer:
-    position_id: int
-    amount_ca: FixedAmount  # positive: received; negative: paid
-
-
-@dataclass(frozen=True)
 class FundingRound:
     rate: FixedAmount
     paying_side: Direction
-    transfers: tuple[FundingTransfer, ...]
+    transfer_count: int  # positions that paid or received funding
     treasury_remainder: FixedAmount
 
 
@@ -242,7 +236,7 @@ class PerpBook:
         payers.sort(key=lambda p: p.position_id)
         receivers.sort(key=lambda p: p.position_id)
 
-        transfers: list[FundingTransfer] = []
+        transfer_count = 0
         pot = ZERO
         for p in payers:
             owed = min(rate * p.notional_ca, p.collateral_ca)
@@ -250,7 +244,7 @@ class PerpBook:
                 continue
             p.collateral_ca = p.collateral_ca - owed
             pot = pot + owed
-            transfers.append(FundingTransfer(p.position_id, -owed))
+            transfer_count += 1
 
         total_weight = sum(r.notional_ca.raw for r in receivers)
         distributed = ZERO
@@ -261,13 +255,13 @@ class PerpBook:
                     continue
                 r.collateral_ca = r.collateral_ca + share
                 distributed = distributed + share
-                transfers.append(FundingTransfer(r.position_id, share))
+                transfer_count += 1
         remainder = pot - distributed
         if remainder.raw > 0:
             ledger.transfer(self.escrow_account, treasury, self.anticoin,
                             remainder, memo=f"funding-dust:{self.vault_id}")
         return FundingRound(rate=rate, paying_side=paying,
-                            transfers=tuple(transfers), treasury_remainder=remainder)
+                            transfer_count=transfer_count, treasury_remainder=remainder)
 
     def flag_and_liquidate(self, ledger: Ledger, mark_price: FixedAmount,
                            bids: dict[int, str], at: BlockTime, treasury: str,

@@ -21,7 +21,7 @@ from .core import (
     ZERO,
     amt,
 )
-from .disputes import CaseEscrow, Resolution, Transfer, VoteBox, pro_rata
+from .disputes import CaseEscrow, Resolution, VoteBox, pro_rata
 from .ledger import BalanceError, Ledger
 
 SIDE_RUGGING = "rugging"
@@ -181,12 +181,10 @@ class RugproofBook:
         claim_escrow = self._escrows[claim.claim_id]
         issuance_escrow = self._escrows[claim.issuance_id]
         winner = claim.votes.winner(tie_side=SIDE_NOT_RUGGING)
-        transfers: list[Transfer] = []
 
         def payout(escrow: CaseEscrow, to: str, amount: FixedAmount, reason: str):
             if amount.raw > 0:
                 escrow.pay(to, amount, reason)
-                transfers.append(Transfer(to, amount, reason))
 
         if winner == SIDE_RUGGING:
             claim.status = ClaimStatus.UPHELD_RUG
@@ -232,5 +230,4 @@ class RugproofBook:
         claim_escrow.close()
         if winner == SIDE_RUGGING:
             issuance_escrow.close()
-        return Resolution(outcome=claim.status.value, slashed=slashed,
-                          transfers=transfers)
+        return Resolution(outcome=claim.status.value, slashed=slashed)

@@ -361,6 +361,10 @@ def load_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"vaults[{i}].rugged_token",
                                 f"a vault for {vault['rugged_token']} already exists "
                                 f"on {vault['chain']}")
+        # the vault alone issues its anticoin
+        if anticoin in refs[TOKEN]:
+            raise ScenarioError(f"vaults[{i}].rugged_token",
+                                f"its anticoin {anticoin} is a declared token")
         anticoins.add(anticoin)
     refs[POOL_TOKEN].update(anticoins)
     pools = _parse_list(doc, "pools", POOL_FIELDS, refs)

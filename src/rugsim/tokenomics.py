@@ -2,10 +2,12 @@
 
 The inverse-log supply law is reified as a *target*: a one-sided
 proportional controller burns toward s0 / ln(vaulted value) at rate kappa,
-never exceeding the per-block burn cap. Emissions are a flat per-block rate
-plus bridged reward mints, so the per-block identity
+never exceeding the per-block burn cap. The supply it reads is the
+ledger's supply of the home token R, the only count of R. A block's
+emission is all the R it mints: the flat per-block rate plus bridged
+reward mints. So the per-block identity
 
-    delta(current_supply) == minted_this_block - burned_this_block
+    delta(current_supply) == emission - burned
 
 holds exactly in every run.
 """
@@ -44,32 +46,6 @@ class SupplyParams:
             raise ParameterError(f"kappa must be <= 1, got {self.kappa}")
 
 
-@dataclass
-class SupplyState:
-    current_supply: FixedAmount
-    minted_total: FixedAmount = ZERO
-    burned_total: FixedAmount = ZERO
-    last_height: int = 0
-    # accumulates every mint in the current block (emission + rewards)
-    block_minted: FixedAmount = ZERO
-    block_burned: FixedAmount = ZERO
-
-    def record_mint(self, amount: FixedAmount) -> None:
-        self.current_supply = self.current_supply + amount
-        self.minted_total = self.minted_total + amount
-        self.block_minted = self.block_minted + amount
-
-    def record_burn(self, amount: FixedAmount) -> None:
-        self.current_supply = self.current_supply - amount
-        self.burned_total = self.burned_total + amount
-        self.block_burned = self.block_burned + amount
-
-    def begin_block(self, height: int) -> None:
-        self.last_height = height
-        self.block_minted = ZERO
-        self.block_burned = ZERO
-
-
 def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:
     """s0 / max(1, ln(sum)): the inverse-log supply setpoint.
 
@@ -84,20 +60,18 @@ def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:
     return s0 / max(ONE, log)
 
 
-def burn_step(state: SupplyState, params: SupplyParams, target: FixedAmount,
+def burn_step(current_supply: FixedAmount, params: SupplyParams, target: FixedAmount,
               available: FixedAmount | None = None) -> FixedAmount:
-    """One-sided controller step: burn kappa * excess over `target` (the
-    block's `target_supply`), capped at beta_burn (and at `available`, the
-    burnable treasury holding, when given). Never un-burns when supply is
-    below target."""
-    excess = state.current_supply - target
+    """One-sided controller step: the burn of kappa * excess of
+    `current_supply` over `target` (the block's `target_supply`), capped at
+    beta_burn (and at `available`, the burnable treasury holding, when
+    given). Never un-burns when supply is below target."""
+    excess = current_supply - target
     if excess.raw <= 0:
         return ZERO
     burned = min(params.kappa * excess, params.beta_burn)
     if available is not None:
         burned = min(burned, available)
-    if burned.raw > 0:
-        state.record_burn(burned)
     return burned
 
 

@@ -400,5 +400,5 @@ def test_10_tokenomics_identity_and_scarcity():
         burned_base = sim_base.registries["alpha"].vault("v-rug").total_burned
         burned_more = sim_burn.registries["alpha"].vault("v-rug").total_burned
         assert burned_more > burned_base
-        assert sim_burn.supply.current_supply <= sim_base.supply.current_supply
+        assert sim_burn.ledger.total_supply("R") <= sim_base.ledger.total_supply("R")
     report(10, "tokenomics identity and scarcity", timer)

@@ -353,6 +353,11 @@ def _with_perps(doc):
                  leverage="2", direction="up")(doc)
 
 
+def _token_named_like_an_anticoin(doc):
+    doc["tokens"].append({"id": "anti:RUG@alpha", "chain": "alpha"})
+    doc["accounts"][0]["balances"]["anti:RUG@alpha"] = "50"
+
+
 LOAD_PROBES = [
     pytest.param("reference", _script_step(op="swap", pool="nope", token_in="RUG",
                                            amount="1"),
@@ -465,6 +470,8 @@ LOAD_PROBES = [
     pytest.param("reference", lambda doc: doc["vaults"].append(
         dict(doc["vaults"][0], id="v-rug-2")), "vaults[1].rugged_token",
                  id="second-vault-for-a-token-and-chain"),
+    pytest.param("reference", _token_named_like_an_anticoin, "vaults[0].rugged_token",
+                 id="declared-token-named-like-an-anticoin"),
 ]
 
 

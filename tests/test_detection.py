@@ -277,7 +277,6 @@ def test_backrun_buys_the_dip():
                         value_cap=amt(25), now=3)
     assert plan.leg.input_token == "USD"
     assert plan.leg.amount_in == amt(25)  # capped
-    assert plan.meta["salvage"] is True
     assert plan_backrun(drain, pool, "RUG", ALICE, amt(0), amt(25), now=3) is None
 
 

@@ -142,6 +142,27 @@ def test_supply_identity_from_telemetry():
         prev = current
 
 
+def test_the_ledger_is_the_only_count_of_the_home_token(tmp_path):
+    # R minted at genesis to an account is R supply too: the controller,
+    # the telemetry and state.json all read the ledger's count of it
+    from rugsim.trace import verify_trace
+    doc = reference_scenario(blocks=5)
+    doc["tokens"].append({"id": "R", "chain": "home"})
+    next(a for a in doc["accounts"] if a["id"] == "alice")["balances"]["R"] = "100"
+    sim, trace = run_scenario(doc)
+    assert trace.failed_events == 0
+    state = trace.final_state
+    assert state["home_token_supply"] == state["supply"]["R"] == \
+        trace.telemetry[-1]["current_supply"]
+    previous = amt("1000100")
+    for row in trace.telemetry:
+        current = amt(row["current_supply"])
+        assert current == previous + amt(row["emission"]) - amt(row["burned"])
+        previous = current
+    trace.write(str(tmp_path / "trace"))
+    assert verify_trace(str(tmp_path / "trace")).ok
+
+
 def test_failed_ops_recorded_not_raised():
     doc = minimal_doc(agents=[
         {"kind": "retail", "account": "alice",
@@ -201,18 +222,41 @@ def test_sandwich_planner_matches_realized():
     assert amt(post["amount_out"]) >= amt(pre["amount_in"])  # inventory restored
 
 
-def test_a_failed_drain_is_recorded_and_no_longer_pending():
+def failed_drain_doc():
     doc = scam_scenario()
     # mallory gives away the tokens the drain sells, so the drain fails
     doc["agents"][0]["script"].append({"block": 4, "op": "transfer", "to": "unprotected",
                                        "token": "RUG", "amount": "800"})
-    sim, trace = run_scenario(doc)
+    return doc
+
+
+def test_a_failed_drain_is_recorded_and_no_longer_pending():
+    # the back-run planned against the drain fails too: it buys no salvage
+    # at the un-drained price
+    sim, trace = run_scenario(failed_drain_doc())
     failures = [e for e in trace.events if e["type"] == "failed"]
     assert [(e["h"], e["op"], e["error"]) for e in failures] == \
-        [(7, "drain", "BalanceError")]
+        [(7, "drain", "BalanceError"), (7, "backrun", "StateError")]
     assert not any(e["type"] == "drain_executed" for e in trace.events)
+    assert not any(e["type"] == "swap" and e["memo"] == "backrun" for e in trace.events)
     assert sim.pending_drains == []
-    assert trace.trace_hash() == "a023642219a54e57"
+    assert trace.trace_hash() == "6704bc0acf26ea2f"
+
+
+def test_a_failed_drain_leaves_the_sandwich_post_leg_unswapped():
+    doc = failed_drain_doc()
+    for account in doc["accounts"]:
+        if account["id"] == "guard":
+            account["balances"] = {"RUG": "50", "USDN": "500"}
+    doc["agents"][2]["sandwich_budget"] = "50"
+    _, trace = run_scenario(doc)
+    failures = [(e["h"], e["op"], e["error"]) for e in trace.events if e["type"] == "failed"]
+    assert failures == [(7, "drain", "BalanceError"), (7, "sandwich_post", "StateError"),
+                        (7, "backrun", "StateError")]
+    # the pre leg runs ahead of the drain; nothing runs after it
+    moves = [(e["h"], e["memo"]) for e in trace.events
+             if e["type"] == "swap" and e["memo"] not in ("noise", "intent")]
+    assert moves == [(5, "frontrun"), (7, "sandwich_pre")]
 
 
 def test_two_detectors_plan_each_move_against_a_drain_once():

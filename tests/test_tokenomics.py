@@ -6,7 +6,6 @@ from rugsim.core import FixedAmount, RangeError, SCALE, amt, fsum, safe_exp
 from rugsim.ledger import Ledger
 from rugsim.tokenomics import (
     SupplyParams,
-    SupplyState,
     aggregate_vault_stats,
     burn_step,
     target_supply,
@@ -46,22 +45,17 @@ def test_burn_step_controller():
     params = mk_params(s0=1000, kappa="0.5")
     # vaulted value e^1 -> target 1000; at setpoint: no burn
     target = target_supply(safe_exp(amt(1)), params.s0)
-    at_target = SupplyState(current_supply=amt(1000))
-    assert burn_step(at_target, params, target) == amt(0)
+    assert burn_step(amt(1000), params, target) == amt(0)
     # 100 over target, kappa 0.5 -> burn 50
-    over = SupplyState(current_supply=amt(1100))
-    assert burn_step(over, params, target) == amt(50)
-    assert over.current_supply == amt(1050)
+    assert burn_step(amt(1100), params, target) == amt(50)
     # below target: one-sided, never un-burns
-    under = SupplyState(current_supply=amt(900))
-    assert burn_step(under, params, target) == amt(0)
+    assert burn_step(amt(900), params, target) == amt(0)
 
 
 def test_burn_step_respects_cap():
     params = mk_params(s0=1000, kappa="1", cap="10")
-    state = SupplyState(current_supply=amt(5000))
     target = target_supply(safe_exp(amt(1)), params.s0)
-    assert burn_step(state, params, target) == amt(10)
+    assert burn_step(amt(5000), params, target) == amt(10)
 
 
 def mk_registry(chain, ledger, price=100, deposit=None):
@@ -123,19 +117,3 @@ def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
     assert aggregate_vault_stats([registry], ledger, lambda token: amt(1)) == amt(900)
     assert vault.total_deposited == amt(1000)
 
-
-def test_supply_identity_over_steps():
-    params = mk_params(s0=100, eps="5", kappa="0.25")
-    state = SupplyState(current_supply=amt(500))
-    target = target_supply(safe_exp(amt(2)), params.s0)  # 50
-    for height in range(1, 50):
-        state.begin_block(height)
-        before = state.current_supply
-        emission = params.epsilon_rate
-        state.record_mint(emission)
-        burned = burn_step(state, params, target)
-        assert state.current_supply == before + emission - burned
-        assert state.block_minted == emission
-        assert state.block_burned == burned
-    assert state.current_supply == \
-        amt(500) + state.minted_total - state.burned_total

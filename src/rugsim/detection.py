@@ -78,28 +78,28 @@ def _scaled(factor: FixedAmount, raw: int) -> int:
 class PoolMonitor:
     """Tracks the liquid-side reserve of one pool and alerts on drops."""
 
-    def __init__(self, pool_id: PoolId, drop_threshold: FixedAmount,
-                 window: int = 16):
+    def __init__(self, pool_id: PoolId, drop_threshold: FixedAmount):
         if not (0 < drop_threshold.raw):
             raise ParameterError("drop threshold must be > 0")
         self.pool_id = pool_id
         self.drop_threshold = drop_threshold
-        self.observations: deque[tuple[int, FixedAmount]] = deque(maxlen=window)
+        # (height, liquidity) of the latest observation
+        self.last: Optional[tuple[int, FixedAmount]] = None
 
     def observe(self, height: int, l_pool: FixedAmount) -> Optional[RiskSignal]:
-        if self.observations and height <= self.observations[-1][0]:
+        last = self.last
+        if last is not None and height <= last[0]:
             raise ParameterError(
-                f"observation heights must increase: {height} after "
-                f"{self.observations[-1][0]}")
+                f"observation heights must increase: {height} after {last[0]}")
         signal = None
-        if self.observations:
-            prev = self.observations[-1][1].raw
+        if last is not None:
+            prev = last[1].raw
             if 0 < prev and l_pool.raw < prev:
                 drop = _ratio(_checked(prev - l_pool.raw), prev)
                 if drop > self.drop_threshold.raw:
                     signal = RiskSignal(SignalKind.LIQUIDITY_DROP, FixedAmount(drop),
                                         height)
-        self.observations.append((height, l_pool))
+        self.last = (height, l_pool)
         return signal
 
 

@@ -3,9 +3,11 @@ and insurance claims). Both differ only in their payout tables, so the
 escrow bookkeeping, deposit-weighted vote tally, and exact pro-rata
 distribution live here, in one audited place.
 
-Escrow conservation is structural: every deposit lands in the case's own
-ledger account, every payout leaves it, and ``close`` asserts the account
-is empty with total-in equal to total-out.
+Each case (a bonded issuance, a rug claim, a policy, an insurance claim)
+holds its own ``CaseEscrow``, made with the case. Escrow conservation is
+structural: every deposit lands in the case's own ledger account, every
+payout leaves it, and ``close`` asserts the account is empty with total-in
+equal to total-out.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class VoteBox:
         votes.sort(key=lambda v: (-v.deposit.raw, v.voter.value))
         return votes
 
+    def weights(self, side: str) -> list[tuple[str, FixedAmount]]:
+        """(voter, deposit) pairs of a side, in ``voters_for`` order."""
+        return [(v.voter.value, v.deposit) for v in self.voters_for(side)]
+
     def winner(self, tie_side: str) -> str:
         first, second = self.sides
         a, b = self.mass(first), self.mass(second)
@@ -104,6 +110,12 @@ class CaseEscrow:
         self.ledger.transfer(self.account, party, self.token, amount,
                              memo=f"payout:{tag}")
         self.total_out = self.total_out + amount
+
+    def award(self, total: FixedAmount, weights: list[tuple[str, FixedAmount]],
+              remainder_key: str, tag: str) -> None:
+        """Pay ``total`` out of the escrow, split by ``pro_rata``."""
+        for key, cut in pro_rata(total, weights, remainder_key):
+            self.pay(key, cut, tag)
 
     def close(self) -> None:
         if self.balance.raw != 0 or self.total_in != self.total_out:

@@ -65,11 +65,11 @@ from .detection import (
     PoolMonitor,
     SolverBid,
 )
-from .insurance import InsuranceBook, InsuranceParams
+from .insurance import ClaimPhase, InsuranceBook, InsuranceParams, PolicyStatus
 from .ledger import BalanceError, Ledger
 from .market import DrainEvent, PoolState
 from .perps import FundingParams, MaintenanceRule, PerpBook
-from .rugproof import RugproofBook, SlashParams
+from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook, SlashParams
 from .scenario import SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace
 from .vault import RewardEvent, VaultRegistry, anticoin_value
@@ -175,8 +175,8 @@ class Simulation:
         # per-pool LP share ledger: exact pool fractions per account,
         # genesis liquidity held by the synthetic "protocol" holder
         self.lp_shares: dict[str, dict[str, Fraction]] = {}
-        # raw mints per token and outflows per (sender, token) since the
-        # aux scan that reads them last took them
+        # raw mints per scanned token and outflows per scanned (sender, token)
+        # since the aux scan that reads them last took them; keyed at materialize
         self._unscanned_mints: dict[str, int] = {}
         self._unscanned_outflows: dict[tuple[str, str], int] = {}
         self._prev_volumes: dict[str, int] = {}
@@ -285,8 +285,9 @@ class Simulation:
             self._register_intent(entry, entry["owner"])
 
         # genesis funding is not block activity
-        self._unscanned_mints.clear()
-        self._unscanned_outflows.clear()
+        for view in self._chain_views.values():
+            self._unscanned_mints.update(dict.fromkeys(view.mint_tokens, 0))
+            self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
 
     def _build_step_plan(self) -> None:
         """Fill the per-chain views."""
@@ -368,7 +369,9 @@ class Simulation:
             totals, key = self._unscanned_outflows, (event["src"], event["token"])
         else:
             return
-        totals[key] = _checked(totals.get(key, 0) + amount.raw)
+        unscanned = totals.get(key)
+        if unscanned is not None:
+            totals[key] = _checked(unscanned + amount.raw)
 
     def _event(self, event_type: str, **fields: Any) -> None:
         event = {"type": event_type, "h": self.height, "chain": self._chain_ctx}
@@ -479,12 +482,15 @@ class Simulation:
         aux = self.aux_monitors.get(chain)
         if aux is not None:
             minted = 0
+            mints, outflows = self._unscanned_mints, self._unscanned_outflows
             for token in view.mint_tokens:
-                minted += self._unscanned_mints.pop(token, 0)
+                minted += mints[token]
+                mints[token] = 0
             # largest single creator-wallet outflow of a chain token
             outflow = balance_before = 0
             for key in view.outflow_keys:
-                moved = self._unscanned_outflows.pop(key, 0)
+                moved = outflows[key]
+                outflows[key] = 0
                 if moved > outflow:
                     outflow = moved
                     balance_before = _checked(self.ledger.balance_raw(*key) + moved)
@@ -832,7 +838,7 @@ class Simulation:
         unit_value = anticoin_value(vault, mark)
         position = book.open_position(
             self.ledger, agent.account, step["collateral"], step["leverage"],
-            step["direction"], mark, unit_value, at)
+            step["direction"], mark, unit_value)
         self._event("position_opened", vault=vault_id, account=agent.account.value,
                     position=position.position_id, collateral=str(position.collateral_ca),
                     leverage=str(position.leverage), direction=step["direction"].value,
@@ -859,7 +865,7 @@ class Simulation:
     def _issuance_for_token(self, token: TokenId) -> str:
         for issuance_id in sorted(self.rugproof.issuances):
             issuance = self.rugproof.issuances[issuance_id]
-            if issuance.token == token and issuance.status.value == "active":
+            if issuance.token == token and issuance.status is IssuanceStatus.ACTIVE:
                 return issuance_id
         raise StateError(f"no active issuance for {token}")
 
@@ -983,14 +989,14 @@ class Simulation:
     def _phase_dispute_deadlines(self, at: BlockTime) -> None:
         for claim_id in sorted(self.rugproof.claims):
             claim = self.rugproof.claims[claim_id]
-            if claim.status.value == "voting" and at.height >= claim.challenge_end:
+            if claim.status is ClaimStatus.VOTING and at.height >= claim.challenge_end:
                 resolution = self.rugproof.resolve_claim(claim, at)
                 self._event("rug_claim_resolved", claim=claim_id,
                             outcome=resolution.outcome,
                             slashed=str(resolution.slashed))
         for claim_id in sorted(self.insurance.claims):
             claim = self.insurance.claims[claim_id]
-            if claim.phase.value in ("approved", "rejected"):
+            if claim.phase in (ClaimPhase.APPROVED, ClaimPhase.REJECTED):
                 continue
             resolution = self.insurance.step_deadlines(self.ledger, claim, at)
             if resolution is not None:
@@ -999,7 +1005,7 @@ class Simulation:
                             slashed=str(resolution.slashed))
         for policy_id in sorted(self.insurance.policies):
             policy = self.insurance.policies[policy_id]
-            if policy.status.value == "active" and at.height >= policy.expires_at \
+            if policy.status is PolicyStatus.ACTIVE and at.height >= policy.expires_at \
                     and self.insurance.open_claim_for(policy_id) is None:
                 self.insurance.expire_policy(self.ledger, policy_id, at)
                 self._event("policy_expired", policy=policy_id)

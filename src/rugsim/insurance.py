@@ -25,8 +25,9 @@ from .core import (
     TokenId,
     ZERO,
     amt,
+    fsum,
 )
-from .disputes import CaseEscrow, Resolution, VoteBox, pro_rata
+from .disputes import CaseEscrow, Resolution, VoteBox
 from .ledger import BalanceError, Ledger
 
 SIDE_APPROVE = "approve"
@@ -57,7 +58,6 @@ class InsuranceParams:
     tau_vote: int = 10
     escalation_window: int = 5
     x_min: FixedAmount = amt("0.01")
-    vote_min_deposit: FixedAmount = QUANTUM
 
     def __post_init__(self):
         for name in ("alpha_comp", "gamma_pen"):
@@ -79,13 +79,9 @@ class Policy:
     insured: AccountId
     insured_value: FixedAmount
     insurer_bond: FixedAmount
-    duration_blocks: int
-    issued_at: int
+    expires_at: int
+    escrow: CaseEscrow
     status: PolicyStatus = PolicyStatus.ACTIVE
-
-    @property
-    def expires_at(self) -> int:
-        return self.issued_at + self.duration_blocks
 
 
 @dataclass
@@ -99,14 +95,12 @@ class Joiner:
 class Dispute:
     challenger: AccountId
     bond: FixedAmount
-    opened_at: int
 
 
 @dataclass
 class EscalationBond:
     party: str  # account id of the posting party
     amount: FixedAmount
-    level: int
 
 
 @dataclass
@@ -116,8 +110,8 @@ class InsuranceClaim:
     claimant: AccountId
     claim_bond: FixedAmount
     loss_claimed: FixedAmount
-    opened_at: int
     challenge_end: int
+    escrow: CaseEscrow
     phase: ClaimPhase = ClaimPhase.CHALLENGEABLE
     joiners: list[Joiner] = field(default_factory=list)
     dispute: Optional[Dispute] = None
@@ -141,15 +135,7 @@ class InsuranceBook:
         self.treasury = treasury
         self.policies: dict[str, Policy] = {}
         self.claims: dict[str, InsuranceClaim] = {}
-        self._escrows: dict[str, CaseEscrow] = {}
         self._counter = 1
-
-    def _escrow_for(self, ledger: Ledger, case_id: str) -> CaseEscrow:
-        escrow = self._escrows.get(case_id)
-        if escrow is None:
-            escrow = CaseEscrow(ledger, f"icase:{case_id}", self.token)
-            self._escrows[case_id] = escrow
-        return escrow
 
     # -- issuance --------------------------------------------------------
 
@@ -168,11 +154,11 @@ class InsuranceBook:
             raise BalanceError(f"insurer cannot cover the bond of {bond}")
         policy_id = f"pol-{self._counter}"
         self._counter += 1
-        escrow = self._escrow_for(ledger, policy_id)
+        escrow = CaseEscrow(ledger, f"icase:{policy_id}", self.token)
         escrow.take(insurer.value, bond, "insurer-bond")
         policy = Policy(policy_id=policy_id, insurer=insurer, insured=insured,
                         insured_value=insured_value, insurer_bond=bond,
-                        duration_blocks=duration_blocks, issued_at=at.height)
+                        expires_at=at.height + duration_blocks, escrow=escrow)
         self.policies[policy_id] = policy
         return policy
 
@@ -191,9 +177,8 @@ class InsuranceBook:
             raise StateError(f"policy {policy_id} runs until {policy.expires_at}")
         if self.open_claim_for(policy_id) is not None:
             raise StateError(f"policy {policy_id} has an open claim")
-        escrow = self._escrows[policy_id]
-        escrow.pay(policy.insurer.value, policy.insurer_bond, "bond-release")
-        escrow.close()
+        policy.escrow.pay(policy.insurer.value, policy.insurer_bond, "bond-release")
+        policy.escrow.close()
         policy.status = PolicyStatus.EXPIRED
 
     # -- claim lifecycle ---------------------------------------------------
@@ -218,12 +203,12 @@ class InsuranceBook:
             raise ParameterError("claimed loss must be > 0")
         claim_id = f"icl-{self._counter}"
         self._counter += 1
-        escrow = self._escrow_for(ledger, claim_id)
+        escrow = CaseEscrow(ledger, f"icase:{claim_id}", self.token)
         escrow.take(claimant.value, bond, "claim-bond")
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
-            claim_bond=bond, loss_claimed=loss, opened_at=at.height,
-            challenge_end=at.height + self.params.tau_challenge)
+            claim_bond=bond, loss_claimed=loss,
+            challenge_end=at.height + self.params.tau_challenge, escrow=escrow)
         claim.last_bond[claimant.value] = bond
         self.claims[claim_id] = claim
         return claim
@@ -244,7 +229,7 @@ class InsuranceBook:
         bond = w_fraction * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("join bond must be > 0")
-        self._escrow_for(ledger, claim.claim_id).take(account.value, bond, "join-bond")
+        claim.escrow.take(account.value, bond, "join-bond")
         joiner = Joiner(account=account, loss_claimed=loss_claimed, bond=bond)
         claim.joiners.append(joiner)
         return joiner
@@ -264,14 +249,12 @@ class InsuranceBook:
         bond = z_fraction * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("dispute bond must be > 0")
-        self._escrow_for(ledger, claim.claim_id).take(
-            challenger.value, bond, "dispute-bond")
-        claim.dispute = Dispute(challenger=challenger, bond=bond, opened_at=at.height)
+        claim.escrow.take(challenger.value, bond, "dispute-bond")
+        claim.dispute = Dispute(challenger=challenger, bond=bond)
         claim.last_bond[challenger.value] = bond
         claim.phase = ClaimPhase.VOTING
         claim.vote_end = at.height + self.params.tau_vote
-        claim.votes = VoteBox(at.height, claim.vote_end,
-                              self.params.vote_min_deposit,
+        claim.votes = VoteBox(at.height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
         return claim.dispute
 
@@ -280,8 +263,7 @@ class InsuranceBook:
         if claim.phase is not ClaimPhase.VOTING or claim.votes is None:
             raise StateError(f"claim {claim.claim_id} is not in a voting round")
         vote = claim.votes.cast(voter, deposit, side, at.height)
-        self._escrow_for(ledger, claim.claim_id).take(
-            voter.value, vote.deposit, f"vote:{side}")
+        claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
 
     def escalate(self, ledger: Ledger, claim: InsuranceClaim, party: AccountId,
                  at: BlockTime) -> None:
@@ -296,19 +278,18 @@ class InsuranceBook:
         if party.value not in (claim.claimant.value, claim.dispute.challenger.value):
             raise ParameterError(f"{party.value} is not a party to the claim")
         bond = claim.last_bond[party.value] * self.params.escalation_bond_multiplier
-        self._escrow_for(ledger, claim.claim_id).take(
-            party.value, bond, f"escalation-bond:L{claim.escalation_level + 1}")
+        claim.escrow.take(party.value, bond,
+                          f"escalation-bond:L{claim.escalation_level + 1}")
         claim.last_bond[party.value] = bond
         claim.escalation_level += 1
         claim.escalation_bonds.append(
-            EscalationBond(party=party.value, amount=bond, level=claim.escalation_level))
+            EscalationBond(party=party.value, amount=bond))
         claim.pending_outcome = None
         if claim.votes is not None:
             claim.past_votes.append(claim.votes)
         claim.phase = ClaimPhase.VOTING
         claim.vote_end = at.height + self.params.tau_vote
-        claim.votes = VoteBox(at.height, claim.vote_end,
-                              self.params.vote_min_deposit,
+        claim.votes = VoteBox(at.height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
 
     def step_deadlines(self, ledger: Ledger, claim: InsuranceClaim,
@@ -335,84 +316,62 @@ class InsuranceBook:
     def _finalize(self, ledger: Ledger, claim: InsuranceClaim,
                   outcome: str) -> Resolution:
         policy = self.policies[claim.policy_id]
-        params = self.params
-        escrow = self._escrows[claim.claim_id]
-        policy_escrow = self._escrows[claim.policy_id]
-
-        def payout(src: CaseEscrow, to: str, amount: FixedAmount, reason: str):
-            if amount.raw > 0:
-                src.pay(to, amount, reason)
-
-        def return_votes_and_dispute():
-            rounds = claim.past_votes + ([claim.votes] if claim.votes else [])
-            for votebox in rounds:
-                for vote in votebox.votes:
-                    payout(escrow, vote.voter.value, vote.deposit, "deposit-return")
-            if claim.dispute is not None:
-                payout(escrow, claim.dispute.challenger.value, claim.dispute.bond,
-                       "dispute-bond-return")
+        escrow = claim.escrow
+        challenger = claim.dispute.challenger.value if claim.dispute else None
 
         if outcome == SIDE_APPROVE:
             claim.phase = ClaimPhase.APPROVED
-            bond_cut = params.alpha_comp * policy.insurer_bond
+            slashed = self.params.alpha_comp * policy.insurer_bond
             principal = min(policy.insured_value,
                             ledger.balance(policy.insurer.value, self.token))
-            if principal.raw > 0:
-                escrow.take(policy.insurer.value, principal, "compensation-principal")
-            policy_escrow.pay(escrow.account, bond_cut, "insurer-bond-slash")
-            escrow.total_in = escrow.total_in + bond_cut
-            compensation = principal + bond_cut
+            escrow.take(policy.insurer.value, principal, "compensation-principal")
+            policy.escrow.pay(escrow.account, slashed, "insurer-bond-slash")
+            escrow.total_in = escrow.total_in + slashed
             weights = [(claim.claimant.value, claim.loss_claimed)]
             weights += [(j.account.value, j.loss_claimed) for j in claim.joiners]
-            for key, cut in pro_rata(compensation, weights, claim.claimant.value):
-                payout(escrow, key, cut, "compensation")
-            payout(escrow, claim.claimant.value, claim.claim_bond, "bond-return")
+            escrow.award(principal + slashed, weights, claim.claimant.value,
+                         "compensation")
+            escrow.pay(claim.claimant.value, claim.claim_bond, "bond-return")
             for joiner in claim.joiners:
-                payout(escrow, joiner.account.value, joiner.bond, "bond-return")
-            for esc in claim.escalation_bonds:
-                if esc.party == claim.claimant.value:
-                    payout(escrow, esc.party, esc.amount, "escalation-return")
-                else:
-                    payout(escrow, claim.claimant.value, esc.amount,
-                           "escalation-forfeit")
-            return_votes_and_dispute()
-            # an approved claim consumes the policy; the rest of the bond returns
-            payout(policy_escrow, policy.insurer.value,
-                   policy.insurer_bond - bond_cut, "bond-release")
-            policy.status = PolicyStatus.CLAIMED
-            policy_escrow.close()
-            slashed = bond_cut
+                escrow.pay(joiner.account.value, joiner.bond, "bond-return")
+            winner = forfeit_to = claim.claimant.value
         else:
             claim.phase = ClaimPhase.REJECTED
             # floor-rounded per-bond slashes keep the pooled penalty at or
             # below gamma * (claim bond + joined bonds)
-            gamma = params.gamma_pen.as_fraction()
+            gamma = self.params.gamma_pen.as_fraction()
             cut_claim = FixedAmount(int(gamma * claim.claim_bond.raw))
             cuts = [(j, FixedAmount(int(gamma * j.bond.raw))) for j in claim.joiners]
-            slashed = cut_claim
-            for _, cut in cuts:
-                slashed = slashed + cut
-            challenger = claim.dispute.challenger if claim.dispute else None
+            slashed = fsum([cut_claim] + [cut for _, cut in cuts])
             weights = []
             if challenger is not None:
-                weights.append((challenger.value, claim.dispute.bond))
+                weights.append((challenger, claim.dispute.bond))
             if claim.votes is not None:
-                weights += [(v.voter.value, v.deposit)
-                            for v in claim.votes.voters_for(SIDE_REJECT)]
-            fallback = challenger.value if challenger is not None else self.treasury
-            for key, cut in pro_rata(slashed, weights, fallback):
-                payout(escrow, key, cut, "penalty-award")
-            payout(escrow, claim.claimant.value, claim.claim_bond - cut_claim,
-                   "bond-return")
+                weights += claim.votes.weights(SIDE_REJECT)
+            fallback = challenger if challenger is not None else self.treasury
+            escrow.award(slashed, weights, fallback, "penalty-award")
+            escrow.pay(claim.claimant.value, claim.claim_bond - cut_claim,
+                       "bond-return")
             for joiner, cut in cuts:
-                payout(escrow, joiner.account.value, joiner.bond - cut, "bond-return")
-            for esc in claim.escalation_bonds:
-                if challenger is not None and esc.party == challenger.value:
-                    payout(escrow, esc.party, esc.amount, "escalation-return")
-                else:
-                    payout(escrow, fallback, esc.amount, "escalation-forfeit")
-            return_votes_and_dispute()
+                escrow.pay(joiner.account.value, joiner.bond - cut, "bond-return")
+            winner, forfeit_to = challenger, fallback
 
+        for esc in claim.escalation_bonds:
+            if esc.party == winner:
+                escrow.pay(esc.party, esc.amount, "escalation-return")
+            else:
+                escrow.pay(forfeit_to, esc.amount, "escalation-forfeit")
+        for votebox in claim.past_votes + ([claim.votes] if claim.votes else []):
+            for vote in votebox.votes:
+                escrow.pay(vote.voter.value, vote.deposit, "deposit-return")
+        if challenger is not None:
+            escrow.pay(challenger, claim.dispute.bond, "dispute-bond-return")
+        if outcome == SIDE_APPROVE:
+            # an approved claim consumes the policy; the rest of the bond returns
+            policy.escrow.pay(policy.insurer.value, policy.insurer_bond - slashed,
+                              "bond-release")
+            policy.status = PolicyStatus.CLAIMED
+            policy.escrow.close()
         escrow.close()
         return Resolution(outcome=claim.phase.value, slashed=slashed)
 

@@ -1,9 +1,12 @@
 """Global token ledger: balances, escrow accounts, mint/burn bookkeeping.
 
-Pools, vaults, bonds, and perp margin all live in ordinary ledger accounts
-(with conventional ``pool:``/``vault:``/``escrow:`` id prefixes), so the
-system-wide conservation check is a single identity: per token, the sum of
-all balances equals cumulative mints minus cumulative burns, exactly.
+Pools, vaults, bonds, and perp margin all live in ordinary ledger accounts,
+so the system-wide conservation check is a single identity: per token, the
+sum of all balances equals cumulative mints minus cumulative burns, exactly.
+The engine owns the accounts named by ``ENGINE_ACCOUNT_PREFIXES``: pool
+reserves (``pool:``), vault escrows (``vault:``), perp margin (``perps:``),
+dispute case escrows (``case:``, ``icase:``) and the perps settlement
+account; a scenario may neither declare one nor transfer into one.
 
 Balances and supplies are kept as raw ints (counts of 1e-9 quanta), per
 token, so each token's sum is one pass over plain ints. Every credit is
@@ -24,6 +27,10 @@ from .core import FixedAmount, ParameterError, RugsimError, TokenId, _checked
 class BalanceError(RugsimError):
     """An account lacks the funds for a debit."""
 
+
+# an account id that starts with one of these is the engine's
+ENGINE_ACCOUNT_PREFIXES = ("pool:", "vault:", "perps:", "case:", "icase:",
+                           "perps-settlement")
 
 # receives each movement's event and its amount (the event carries the
 # amount as a decimal string; the recorder gets the value itself)

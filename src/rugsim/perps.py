@@ -80,13 +80,8 @@ class Position:
     direction: Direction
     entry_price: FixedAmount
     unit_value_at_entry: FixedAmount  # anticoin value per unit, frozen
-    opened_at: BlockTime
     status: PositionStatus = PositionStatus.OPEN
     flagged_at: Optional[int] = None
-
-    @property
-    def collateral_value(self) -> FixedAmount:
-        return self.collateral_ca * self.unit_value_at_entry
 
     @property
     def notional_ca(self) -> FixedAmount:
@@ -185,7 +180,7 @@ class PerpBook:
     def open_position(self, ledger: Ledger, user: AccountId,
                       collateral_ca: FixedAmount, leverage: FixedAmount,
                       direction: Direction, mark_price: FixedAmount,
-                      unit_value: FixedAmount, at: BlockTime) -> Position:
+                      unit_value: FixedAmount) -> Position:
         if collateral_ca.raw <= 0:
             raise ParameterError("collateral must be > 0")
         if not (amt(1) <= leverage <= self.max_leverage):
@@ -201,7 +196,7 @@ class PerpBook:
         position = Position(
             position_id=self._next_id, owner=user, vault=self.vault_id,
             collateral_ca=collateral_ca, leverage=leverage, direction=direction,
-            entry_price=mark_price, unit_value_at_entry=unit_value, opened_at=at)
+            entry_price=mark_price, unit_value_at_entry=unit_value)
         self.positions[position.position_id] = position
         self._next_id += 1
         return position

@@ -15,13 +15,14 @@ from .core import (
     AccountId,
     BlockTime,
     FixedAmount,
+    ONE,
     ParameterError,
     StateError,
     TokenId,
     ZERO,
     amt,
 )
-from .disputes import CaseEscrow, Resolution, VoteBox, pro_rata
+from .disputes import CaseEscrow, Resolution, VoteBox
 from .ledger import BalanceError, Ledger
 
 SIDE_RUGGING = "rugging"
@@ -47,13 +48,11 @@ class SlashParams:
     z_min: FixedAmount = amt(1)       # minimum vote deposit
     challenge_blocks: int = 10
     x_min: FixedAmount = amt("0.01")  # "nontrivial" issuance bond floor
-    forfeit_losing_deposits: bool = False
 
     def __post_init__(self):
-        one = amt(1)
         for name in ("alpha_slash", "gamma_slash", "claimant_share", "x_min"):
             v = getattr(self, name)
-            if not (ZERO <= v <= one):
+            if not (ZERO <= v <= ONE):
                 raise ParameterError(f"{name} must be in [0, 1], got {v}")
         if self.challenge_blocks <= 0:
             raise ParameterError("challenge_blocks must be > 0")
@@ -65,8 +64,8 @@ class BondedIssuance:
     issuer: AccountId
     token: TokenId
     total_issued: FixedAmount
-    bond_fraction: FixedAmount
     bond: FixedAmount
+    escrow: CaseEscrow
     status: IssuanceStatus = IssuanceStatus.ACTIVE
 
 
@@ -76,9 +75,9 @@ class RugClaim:
     issuance_id: str
     claimant: AccountId
     claim_bond: FixedAmount
-    opened_at: int
     challenge_end: int
     votes: VoteBox
+    escrow: CaseEscrow
     status: ClaimStatus = ClaimStatus.VOTING
 
 
@@ -90,15 +89,7 @@ class RugproofBook:
         self.treasury = treasury
         self.issuances: dict[str, BondedIssuance] = {}
         self.claims: dict[str, RugClaim] = {}
-        self._escrows: dict[str, CaseEscrow] = {}
         self._counter = 1
-
-    def _escrow_for(self, ledger: Ledger, case_id: str, token: TokenId) -> CaseEscrow:
-        escrow = self._escrows.get(case_id)
-        if escrow is None:
-            escrow = CaseEscrow(ledger, f"case:{case_id}", token)
-            self._escrows[case_id] = escrow
-        return escrow
 
     def issue_bonded_token(self, ledger: Ledger, issuer: AccountId, token: TokenId,
                            total_issued: FixedAmount,
@@ -114,11 +105,11 @@ class RugproofBook:
             raise BalanceError(f"issuer cannot cover the bond of {bond}")
         issuance_id = f"iss-{self._counter}"
         self._counter += 1
-        escrow = self._escrow_for(ledger, issuance_id, token)
+        escrow = CaseEscrow(ledger, f"case:{issuance_id}", token)
         escrow.take(issuer.value, bond, "issuer-bond")
         issuance = BondedIssuance(
             issuance_id=issuance_id, issuer=issuer, token=token,
-            total_issued=total_issued, bond_fraction=bond_fraction, bond=bond)
+            total_issued=total_issued, bond=bond, escrow=escrow)
         self.issuances[issuance_id] = issuance
         return issuance
 
@@ -142,12 +133,12 @@ class RugproofBook:
             raise ParameterError("claim bond must be > 0")
         claim_id = f"claim-{self._counter}"
         self._counter += 1
-        escrow = self._escrow_for(ledger, claim_id, issuance.token)
+        escrow = CaseEscrow(ledger, f"case:{claim_id}", issuance.token)
         escrow.take(user.value, bond, "claim-bond")
         end = at.height + self.params.challenge_blocks
         claim = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,
-            claim_bond=bond, opened_at=at.height, challenge_end=end,
+            claim_bond=bond, challenge_end=end, escrow=escrow,
             votes=VoteBox(at.height, end, self.params.z_min,
                           (SIDE_RUGGING, SIDE_NOT_RUGGING)))
         self.claims[claim_id] = claim
@@ -158,9 +149,7 @@ class RugproofBook:
         if claim.status is not ClaimStatus.VOTING:
             raise StateError(f"claim {claim.claim_id} is not accepting votes")
         vote = claim.votes.cast(voter, deposit, side, at.height)
-        issuance = self.issuances[claim.issuance_id]
-        self._escrow_for(ledger, claim.claim_id, issuance.token).take(
-            voter.value, vote.deposit, f"vote:{side}")
+        claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
 
     def resolve_claim(self, claim: RugClaim, at: BlockTime) -> Resolution:
         """Settle at the end of the challenge window.
@@ -177,57 +166,35 @@ class RugproofBook:
             raise StateError(
                 f"challenge window open until {claim.challenge_end}, now {at.height}")
         issuance = self.issuances[claim.issuance_id]
-        params = self.params
-        claim_escrow = self._escrows[claim.claim_id]
-        issuance_escrow = self._escrows[claim.issuance_id]
         winner = claim.votes.winner(tie_side=SIDE_NOT_RUGGING)
-
-        def payout(escrow: CaseEscrow, to: str, amount: FixedAmount, reason: str):
-            if amount.raw > 0:
-                escrow.pay(to, amount, reason)
 
         if winner == SIDE_RUGGING:
             claim.status = ClaimStatus.UPHELD_RUG
             issuance.status = IssuanceStatus.SLASHED
-            slashed = params.alpha_slash * issuance.bond
-            claimant_cut = params.claimant_share * slashed
-            payout(issuance_escrow, claim.claimant.value, claimant_cut, "claimant-award")
-            voter_pool = slashed - claimant_cut
-            weights = [(v.voter.value, v.deposit)
-                       for v in claim.votes.voters_for(SIDE_RUGGING)]
-            for key, cut in pro_rata(voter_pool, weights, claim.claimant.value):
-                payout(issuance_escrow, key, cut, "voter-award")
+            slashed = self.params.alpha_slash * issuance.bond
+            claimant_cut = self.params.claimant_share * slashed
+            issuance.escrow.pay(claim.claimant.value, claimant_cut, "claimant-award")
+            issuance.escrow.award(slashed - claimant_cut, claim.votes.weights(SIDE_RUGGING),
+                                  claim.claimant.value, "voter-award")
             # unslashed remainder leaves escrow; the issuer keeps no claim on it
-            payout(issuance_escrow, issuance.issuer.value, issuance.bond - slashed,
-                   "bond-remainder")
-            payout(claim_escrow, claim.claimant.value, claim.claim_bond, "bond-return")
+            issuance.escrow.pay(issuance.issuer.value, issuance.bond - slashed,
+                                "bond-remainder")
+            claim.escrow.pay(claim.claimant.value, claim.claim_bond, "bond-return")
         else:
             claim.status = ClaimStatus.REJECTED_FRAUD
-            slashed = params.gamma_slash * claim.claim_bond
-            weights = [(v.voter.value, v.deposit)
-                       for v in claim.votes.voters_for(SIDE_NOT_RUGGING)]
+            slashed = self.params.gamma_slash * claim.claim_bond
+            weights = claim.votes.weights(SIDE_NOT_RUGGING)
             fallback = weights[0][0] if weights else self.treasury
-            for key, cut in pro_rata(slashed, weights, fallback):
-                payout(claim_escrow, key, cut, "voter-award")
-            payout(claim_escrow, claim.claimant.value, claim.claim_bond - slashed,
-                   "bond-return")
+            claim.escrow.award(slashed, weights, fallback, "voter-award")
+            claim.escrow.pay(claim.claimant.value, claim.claim_bond - slashed,
+                             "bond-return")
 
         losing = SIDE_NOT_RUGGING if winner == SIDE_RUGGING else SIDE_RUGGING
-        for vote in claim.votes.voters_for(winner):
-            payout(claim_escrow, vote.voter.value, vote.deposit, "deposit-return")
-        if params.forfeit_losing_deposits:
-            forfeited = ZERO
-            for vote in claim.votes.voters_for(losing):
-                forfeited = forfeited + vote.deposit
-            weights = [(v.voter.value, v.deposit) for v in claim.votes.voters_for(winner)]
-            fallback = weights[0][0] if weights else self.treasury
-            for key, cut in pro_rata(forfeited, weights, fallback):
-                payout(claim_escrow, key, cut, "forfeit-award")
-        else:
-            for vote in claim.votes.voters_for(losing):
-                payout(claim_escrow, vote.voter.value, vote.deposit, "deposit-return")
+        for side in (winner, losing):
+            for vote in claim.votes.voters_for(side):
+                claim.escrow.pay(vote.voter.value, vote.deposit, "deposit-return")
 
-        claim_escrow.close()
+        claim.escrow.close()
         if winner == SIDE_RUGGING:
-            issuance_escrow.close()
+            issuance.escrow.close()
         return Resolution(outcome=claim.status.value, slashed=slashed)

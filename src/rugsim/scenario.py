@@ -19,6 +19,7 @@ from typing import Any, Optional
 from .core import ONE, SCALE, FixedAmount, RugsimError, amt
 from .detection import Intent, IntentAction
 from .insurance import InsuranceParams
+from .ledger import ENGINE_ACCOUNT_PREFIXES
 from .market import DEFAULT_PEG_TOLERANCE, PoolState, PriceProcess, RugKind
 from .perps import DEFAULT_MAX_LEVERAGE, Direction, MaintenanceRule
 from .rugproof import SlashParams
@@ -287,6 +288,12 @@ def _entries(doc: dict, key: str, path: str = "") -> list:
     return entries
 
 
+def _not_engine_account(account: str, path: str) -> None:
+    """Refuse an account whose balance only the engine's bookkeeping moves."""
+    if account.startswith(ENGINE_ACCOUNT_PREFIXES):
+        raise ScenarioError(path, f"{account!r} names an engine-owned account")
+
+
 def _parse_list(doc: dict, key: str, fields: dict, refs: dict) -> list[dict]:
     return [_parse_args(entry, fields, f"{key}[{i}]", refs)
             for i, entry in enumerate(_entries(doc, key))]
@@ -341,7 +348,8 @@ def load_scenario(doc: dict) -> Scenario:
         _in_range(kind, AMOUNT_RANGES, process[rate].raw, str(process[rate]), path)
 
     accounts = _parse_list(doc, "accounts", ACCOUNT_FIELDS, refs)
-    for account in accounts:
+    for i, account in enumerate(accounts):
+        _not_engine_account(account["id"], f"accounts[{i}].id")
         if account["owner"] is None:
             account["owner"] = account["id"]
 
@@ -396,6 +404,8 @@ def load_scenario(doc: dict) -> Scenario:
             step_path = f"{path}.script[{j}]"
             parsed = _parse_args(step, STEP_FIELDS, step_path, refs)
             parsed.update(_parse_args(step, SCRIPT_OPS[parsed["op"]][1], step_path, refs))
+            if parsed["op"] == "transfer":
+                _not_engine_account(parsed["to"], f"{step_path}.to")
             agent["script"].append(parsed)
 
     intents = _parse_list(doc, "intents", INTENT_ARGS, refs)

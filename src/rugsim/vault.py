@@ -155,7 +155,6 @@ class VaultRegistry:
         self.chain = chain
         self.vaults: dict[VaultId, Vault] = {}
         self._by_token: dict[TokenId, VaultId] = {}
-        self.receipts: list[Receipt] = []
         # (owner, vault_id) -> executed withdrawal count
         self.withdrawal_counts: dict[tuple[str, VaultId], int] = {}
 
@@ -221,7 +220,6 @@ class VaultRegistry:
             shares = amount
         receipt = Receipt(vault=vault_id, holder=user, kind=vault.receipt_kind,
                           amount=amount, nft_serial=serial, rft_shares=shares)
-        self.receipts.append(receipt)
         reward = RewardEvent("deposit", vault_id, self.chain, user, vault.omega * amount)
         return amount, receipt, reward
 

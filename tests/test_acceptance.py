@@ -195,7 +195,7 @@ def test_06_funding_bounds():
                 direction = Direction.LONG if rng.random() < 0.5 else Direction.SHORT
                 book.open_position(ledger, user, amt(rng.randint(1, 500)),
                                    amt(rng.randint(1, 5)), direction, amt(1),
-                                   amt(1), BlockTime(0, "a"))
+                                   amt(1))
             escrow_before = ledger.balance(book.escrow_account, "CA")
             collateral_before = sum(p.collateral_ca.raw for p in book.positions.values())
             book.apply_funding(ledger, FixedAmount(rng.randint(l_min.raw, 10**14)),
@@ -219,8 +219,8 @@ def _fuzz_rugproof(cases: int) -> None:
             alpha_slash=quantize(Fraction(rng.randint(0, 100), 100)),
             gamma_slash=quantize(Fraction(rng.randint(0, 100), 100)),
             claimant_share=quantize(Fraction(rng.randint(0, 100), 100)),
-            z_min=amt(1), challenge_blocks=5,
-            forfeit_losing_deposits=rng.random() < 0.3)
+            z_min=amt(1), challenge_blocks=5)
+        rng.random()  # a draw each case has always made, so the same cases run
         book = RugproofBook(params)
         issuer = AccountId.solo("issuer")
         ledger.mint("issuer", "T", amt(10**6))
@@ -246,11 +246,11 @@ def _fuzz_rugproof(cases: int) -> None:
         else:
             assert resolution.slashed <= claim.claim_bond
         # escrow conservation, exactly
-        claim_escrow = book._escrows[claim.claim_id]
+        claim_escrow = claim.escrow
         assert claim_escrow.total_in == claim_escrow.total_out
         assert ledger.balance(claim_escrow.account, "T").raw == 0
         if resolution.outcome == "upheld_rug":
-            iss_escrow = book._escrows[issuance.issuance_id]
+            iss_escrow = issuance.escrow
             assert iss_escrow.total_in == iss_escrow.total_out
         ledger.check_conservation()
 
@@ -332,7 +332,7 @@ def _fuzz_insurance(cases: int) -> None:
             gained = sum(((ledger.balance(k, "USD") - v)
                           for k, v in claim_side_before.items()), start=amt(0))
             assert gained == i_v + alpha * policy.insurer_bond + bonds_total
-        escrow = book._escrows[claim.claim_id]
+        escrow = claim.escrow
         assert escrow.total_in == escrow.total_out
         assert ledger.balance(escrow.account, "USD").raw == 0
         ledger.check_conservation()

@@ -358,6 +358,18 @@ def _token_named_like_an_anticoin(doc):
     doc["accounts"][0]["balances"]["anti:RUG@alpha"] = "50"
 
 
+def _transfer_into_a_case_escrow(doc):
+    # a donation to a claim's escrow would leave it unbalanced at close
+    doc["tokens"].append({"id": "BND", "chain": "home"})
+    doc["accounts"][0]["balances"]["BND"] = "1000"
+    doc["agents"][0]["script"] += [
+        {"block": 1, "op": "issue_bonded", "token": "BND", "total_issued": "1000",
+         "x": "0.01"},
+        {"block": 2, "op": "rug_claim", "token": "BND", "y": "0.01"},
+        {"block": 3, "op": "transfer", "token": "BND", "to": "case:claim-2",
+         "amount": "1"}]
+
+
 LOAD_PROBES = [
     pytest.param("reference", _script_step(op="swap", pool="nope", token_in="RUG",
                                            amount="1"),
@@ -472,6 +484,12 @@ LOAD_PROBES = [
                  id="second-vault-for-a-token-and-chain"),
     pytest.param("reference", _token_named_like_an_anticoin, "vaults[0].rugged_token",
                  id="declared-token-named-like-an-anticoin"),
+    pytest.param("reference", _transfer_into_a_case_escrow, "agents[0].script[4].to",
+                 id="transfer-into-a-case-escrow"),
+    # a declared pool account's balance would not be the pool's reserve
+    pytest.param("reference", lambda doc: doc["accounts"].append(
+        {"id": "pool:rug-usdn", "balances": {"RUG": "7"}}), "accounts[6].id",
+                 id="declared-pool-account"),
 ]
 
 

@@ -2,10 +2,14 @@
 conservation, determinism, and the dispute/perps flows driven end-to-end
 through scripted scenarios."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.harness import Simulation, run_scenario
+from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
 from rugsim.scenario import (
     SCRIPT_OPS,
     ScenarioError,
@@ -436,14 +440,13 @@ def test_perps_collateral_revaluation_toggle():
     from rugsim.ledger import Ledger
     from rugsim.perps import (Direction, FundingParams, MaintenanceRule,
                               PerpBook, position_health, position_pnl)
-    from rugsim.core import AccountId, BlockTime
+    from rugsim.core import AccountId
     ledger = Ledger()
     ledger.mint("a", "CA", amt(100))
     book = PerpBook("v", "CA", FundingParams(amt("0.01"), amt(100), 4),
                     MaintenanceRule(), revalue_collateral=True)
     position = book.open_position(ledger, AccountId.solo("a"), amt(100), amt(2),
-                                  Direction.LONG, amt(1), amt(1),
-                                  BlockTime(0, "x"))
+                                  Direction.LONG, amt(1), amt(1))
     frozen = position_pnl(position, amt("0.75"))
     live = position_pnl(position, amt("0.75"), unit_value=amt(2))
     assert live == frozen * 2
@@ -514,6 +517,22 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
 def test_script_op_table_names_every_handler():
     handlers = {name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")}
     assert set(SCRIPT_OPS) == handlers
+
+
+def test_every_benchmark_traced_name_resolves():
+    # the benchmark's traced run wraps each WRAPPED callable where it is
+    # defined (a method from its class's own __dict__); a rename fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (module_name, attr, _) in tracing.WRAPPED.items():
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            class_name, method = attr.split(".")
+            assert callable(getattr(owner, class_name).__dict__.get(method)), name
+        else:
+            assert callable(getattr(owner, attr, None)), name
 
 
 def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():
@@ -779,6 +798,26 @@ def test_multichain_visit_order_is_pinned():
     assert trace.trace_hash() == "d8330d7f6b33575e"
 
 
+def test_every_undeclared_account_is_engine_owned():
+    # the multi-chain market plus both dispute games: every account the run
+    # makes is the treasury or one that load refuses to a scenario
+    doc, disputes = multichain_doc(), dispute_doc()
+    doc["tokens"].append({"id": "NEW", "chain": "home"})
+    doc["accounts"] += disputes["accounts"]
+    doc["agents"] += disputes["agents"]
+    doc["rugproof"], doc["insurance"] = disputes["rugproof"], disputes["insurance"]
+    _, trace = run_scenario(doc)
+    declared = {entry["id"] for entry in doc["accounts"]}
+    made = {event[key] for event in trace.events for key in ("account", "src", "dst")
+            if event["type"] in ("mint", "transfer") and key in event} - declared
+    assert {account for account in made if not account.startswith(ENGINE_ACCOUNT_PREFIXES)} \
+        == {"treasury"}
+    # the run opens every kind of engine-owned account
+    assert {prefix for prefix in ENGINE_ACCOUNT_PREFIXES
+            if any(account.startswith(prefix) for account in made)} \
+        == set(ENGINE_ACCOUNT_PREFIXES)
+
+
 def test_each_chain_scans_the_mints_of_its_own_tokens():
     # the aux mint-spike scan reads these lists instead of filtering every
     # minted token by chain; R is not scanned, even where it is declared
@@ -791,20 +830,41 @@ def test_each_chain_scans_the_mints_of_its_own_tokens():
 
 
 def test_running_totals_raise_where_fixed_amounts_would():
-    # the cumulative mint and outflow totals are raw ints, range checked as
+    # the cumulative mint and outflow totals the aux scan reads (USDN's
+    # mints, creator alice's RUG outflows) are raw ints, range checked as
     # the FixedAmount sums they replace were: a second mint or send of the
     # whole range passes MAX_RAW though no balance or supply does
-    sim = Simulation(load_scenario(minimal_doc()))
+    sim = Simulation(load_scenario(minimal_doc(
+        accounts=[{"id": "alice"}], agents=[{"kind": "creator", "account": "alice"}])))
     whole = FixedAmount(MAX_RAW)
-    sim.ledger.mint("x", "T", whole)
-    sim.ledger.burn("x", "T", whole)
+    sim.ledger.mint("x", "USDN", whole)
+    sim.ledger.burn("x", "USDN", whole)
     with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
-        sim.ledger.mint("x", "T", QUANTUM)
-    sim.ledger.mint("y", "U", whole)
-    sim.ledger.transfer("y", "z", "U", whole)
-    sim.ledger.transfer("z", "y", "U", whole)
+        sim.ledger.mint("x", "USDN", QUANTUM)
+    sim.ledger.mint("alice", "RUG", whole)
+    sim.ledger.transfer("alice", "z", "RUG", whole)
+    sim.ledger.transfer("z", "alice", "RUG", whole)
     with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
-        sim.ledger.transfer("y", "z", "U", QUANTUM)
+        sim.ledger.transfer("alice", "z", "RUG", QUANTUM)
+
+
+def test_unscanned_sums_are_not_kept():
+    # two retail agents pass 0.6 of the range of an unpriced home token
+    # back and forth: no aux scan reads a retail wallet's outflows, so no
+    # lifetime sum of them is kept to pass the range at block 3
+    doc = reference_scenario(blocks=5)
+    doc["tokens"].append({"id": "BIG", "chain": "home"})
+    doc["accounts"][0]["balances"]["BIG"] = "600000000000000000"
+
+    def send(block, to):
+        return {"block": block, "op": "transfer", "token": "BIG", "to": to,
+                "amount": "600000000000000000"}
+    alice, bob = doc["agents"][:2]
+    alice["script"] = [send(1, "bob"), send(3, "bob")]
+    bob["script"] = [send(2, "alice")]
+    sim, trace = run_scenario(doc)
+    assert [e for e in trace.events if e["type"] == "failed"] == []
+    assert sim.ledger.balance("bob", "BIG") == amt("600000000000000000")
 
 
 def big_pools_doc(script: list, pools: list, balances: dict) -> dict:

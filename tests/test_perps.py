@@ -29,11 +29,10 @@ def mk_book(interval=4, alpha="0.01", l_min="100", deadline=5):
 
 
 def open_pos(book, ledger, name, collateral, leverage, direction,
-             entry=1, unit_value=1, height=0):
+             entry=1, unit_value=1):
     user = fund(ledger, name, ANTI, collateral)
     return book.open_position(ledger, user, amt(collateral), amt(leverage),
-                              direction, amt(entry), amt(unit_value),
-                              BlockTime(height, "alpha"))
+                              direction, amt(entry), amt(unit_value))
 
 
 # -- opening ------------------------------------------------------------------
@@ -50,16 +49,15 @@ def test_open_position_basics(ledger):
 def test_open_position_rejects_bad_inputs(ledger):
     book = mk_book()
     user = fund(ledger, "bob", ANTI, 100)
-    at = BlockTime(0, "alpha")
     with pytest.raises(ParameterError):  # leverage above the cap
         book.open_position(ledger, user, amt(10), amt(11), Direction.LONG,
-                           amt(1), amt(1), at)
+                           amt(1), amt(1))
     with pytest.raises(ParameterError):  # zero collateral
         book.open_position(ledger, user, amt(0), amt(2), Direction.LONG,
-                           amt(1), amt(1), at)
+                           amt(1), amt(1))
     with pytest.raises(BalanceError):
         book.open_position(ledger, user, amt(500), amt(2), Direction.LONG,
-                           amt(1), amt(1), at)
+                           amt(1), amt(1))
 
 
 # -- pnl ----------------------------------------------------------------------

@@ -19,11 +19,11 @@ TOKEN = "NEWCOIN"
 
 
 def mk_book(alpha="0.5", gamma="0.5", claimant_share="0.5", z_min=10,
-            challenge=10, forfeit=False):
+            challenge=10):
     return RugproofBook(SlashParams(
         alpha_slash=amt(alpha), gamma_slash=amt(gamma),
         claimant_share=amt(claimant_share), z_min=amt(z_min),
-        challenge_blocks=challenge, forfeit_losing_deposits=forfeit))
+        challenge_blocks=challenge))
 
 
 def at(height):

@@ -115,11 +115,11 @@ def test_rft_receipts_carry_shares(ledger):
 def test_receipt_amounts_track_total_deposited(ledger):
     registry, vault = mk_vault(kind=ReceiptKind.NON_FUNGIBLE)
     alice = fund(ledger, "alice", "RUG", 1000)
+    receipts = []
     for chunk in (100, 250, 650):
-        registry.deposit(ledger, vault.vault_id, alice, amt(chunk))
-        total = sum((r.amount for r in registry.receipts if r.vault == vault.vault_id),
-                    start=amt(0))
-        assert total == vault.total_deposited
+        _, receipt, _ = registry.deposit(ledger, vault.vault_id, alice, amt(chunk))
+        receipts.append(receipt)
+        assert sum((r.amount for r in receipts), start=amt(0)) == vault.total_deposited
 
 
 # -- valuation ----------------------------------------------------------------

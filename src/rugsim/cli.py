@@ -64,13 +64,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
     try:
-        sim, trace = run_scenario(doc, blocks=args.blocks, seed=args.seed)
+        sim, trace = run_scenario(doc, blocks=args.blocks, seed=args.seed,
+                                  out_dir=args.out)
     except (ScenarioError, RugsimError) as exc:
         return _fail(f"scenario error: {exc}", EXIT_INPUT)
-    out_dir = args.out
-    trace.write(out_dir)
-    print(f"blocks={sim.height} events={len(trace.events)} "
-          f"failed={trace.failed_events} hash={trace.trace_hash()} out={out_dir}")
+    trace.write()
+    print(f"blocks={sim.height} events={trace.event_count} "
+          f"failed={trace.failed_events} hash={trace.trace_hash()} out={args.out}")
     if args.strict and trace.failed_events > 0:
         return _fail(f"{trace.failed_events} failed events under --strict",
                      EXIT_STRICT)
@@ -187,12 +187,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for text, scenario in points:
         try:
-            sim = Simulation(scenario)
+            sim = Simulation(scenario, os.path.join(args.out, f"{key}={text}"))
             trace = sim.run(args.blocks)
         except RugsimError as exc:
             return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
-        sub_dir = os.path.join(args.out, f"{key}={text}")
-        trace.write(sub_dir)
+        trace.write()
         rows.append({
             "param": key, "value": text,
             "trace_hash": trace.trace_hash(),

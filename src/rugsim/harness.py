@@ -70,12 +70,11 @@ from .ledger import BalanceError, Ledger
 from .market import DrainEvent, PoolState
 from .perps import FundingParams, MaintenanceRule, PerpBook
 from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook, SlashParams
-from .scenario import SCRIPT_OPS, Scenario, load_scenario
+from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace
 from .vault import RewardEvent, VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
-HOME_TOKEN = "R"
 PERP_SETTLEMENT = "perps-settlement"
 
 # queue priorities: higher executes first within a block; protective plans
@@ -136,10 +135,11 @@ class ChainView:
 class Simulation:
     """Materialized world state plus the per-block step loop."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, out_dir: Optional[str] = None):
         self.scenario = scenario
         self.rng = SeededRng(scenario.seed)
-        self.trace = Trace()
+        # given out_dir, the trace streams there as the run records it
+        self.trace = Trace(out_dir)
         self.height = 0
         self._chain_ctx = "genesis"
         self._seq = 0
@@ -182,7 +182,11 @@ class Simulation:
         self._prev_volumes: dict[str, int] = {}
         self._prev_liquidity: dict[str, int] = {}
 
-        self._materialize()
+        try:
+            self._materialize()
+        except BaseException:
+            self.trace.discard()
+            raise
 
     # -- construction -------------------------------------------------------
 
@@ -409,12 +413,18 @@ class Simulation:
     # -- run loop -------------------------------------------------------------
 
     def run(self, blocks: Optional[int] = None) -> Trace:
+        """Step ``blocks`` blocks (the scenario's by default) and finalize;
+        a run that raises leaves no streamed files behind."""
         total = blocks if blocks is not None else self.scenario.blocks
-        if total < 1:
-            raise ParameterError("need at least one block")
-        for _ in range(total):
-            self.step()
-        self.finalize()
+        try:
+            if total < 1:
+                raise ParameterError("need at least one block")
+            for _ in range(total):
+                self.step()
+            self.finalize()
+        except BaseException:
+            self.trace.discard()
+            raise
         return self.trace
 
     def step(self) -> None:
@@ -1045,7 +1055,7 @@ class Simulation:
                                       self.supply_params, target, available=treasury_held)
         if burned.raw > 0:
             self.ledger.burn(TREASURY, HOME_TOKEN, burned, memo="supply-burn")
-        self.trace.telemetry.append({
+        self.trace.record_telemetry({
             "height": height,
             "emission": str(FixedAmount(minted + emission.raw)),
             "burned": str(burned),
@@ -1088,13 +1098,15 @@ class Simulation:
         }
 
 
-def run_scenario(doc: dict, blocks: Optional[int] = None,
-                 seed: Optional[int] = None) -> tuple[Simulation, Trace]:
-    """Load, run, and finalize a scenario document in one call."""
+def run_scenario(doc: dict, blocks: Optional[int] = None, seed: Optional[int] = None,
+                 out_dir: Optional[str] = None) -> tuple[Simulation, Trace]:
+    """Load, run, and finalize a scenario document in one call; with
+    ``out_dir`` the trace streams there (see ``Trace``), opened only once
+    the document has loaded."""
     if seed is not None:
         doc = dict(doc)
         doc["seed"] = seed
     scenario = load_scenario(doc)
-    sim = Simulation(scenario)
+    sim = Simulation(scenario, out_dir)
     trace = sim.run(blocks)
     return sim, trace

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import ONE, SCALE, FixedAmount, RugsimError, amt
+from .core import MAX_RAW, ONE, SCALE, FixedAmount, RugsimError, amt
 from .detection import Intent, IntentAction
 from .insurance import InsuranceParams
 from .ledger import ENGINE_ACCOUNT_PREFIXES
@@ -24,6 +24,9 @@ from .market import DEFAULT_PEG_TOLERANCE, PoolState, PriceProcess, RugKind
 from .perps import DEFAULT_MAX_LEVERAGE, Direction, MaintenanceRule
 from .rugproof import SlashParams
 from .vault import ReceiptKind, anticoin_id
+
+# the home chain's token: the treasury is minted tokenomics.initial_supply of it
+HOME_TOKEN = "R"
 
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
@@ -294,6 +297,25 @@ def _not_engine_account(account: str, path: str) -> None:
         raise ScenarioError(path, f"{account!r} names an engine-owned account")
 
 
+def _check_genesis_totals(accounts: list[dict], pools: list[dict],
+                          tokenomics: dict) -> None:
+    """Each token's genesis mints, summed in the order the engine makes
+    them, stay in the amount range; the mint that would push a total past
+    it is refused at its path."""
+    mints = [(f"accounts[{i}].balances.{token}", token, amount)
+             for i, account in enumerate(accounts)
+             for token, amount in account["balances"].items()]
+    mints += [(f"pools[{i}].reserve_{side}", pool[f"token_{side}"], pool[f"reserve_{side}"])
+              for i, pool in enumerate(pools) for side in "xy"]
+    mints.append(("tokenomics.initial_supply", HOME_TOKEN, tokenomics["initial_supply"]))
+    totals: dict[str, int] = {}
+    for path, token, amount in mints:
+        total = totals[token] = totals.get(token, 0) + amount.raw
+        if total > MAX_RAW:
+            raise ScenarioError(path, f"the genesis total of {token} would exceed "
+                                      f"{FixedAmount(MAX_RAW)}")
+
+
 def _parse_list(doc: dict, key: str, fields: dict, refs: dict) -> list[dict]:
     return [_parse_args(entry, fields, f"{key}[{i}]", refs)
             for i, entry in enumerate(_entries(doc, key))]
@@ -378,6 +400,7 @@ def load_scenario(doc: dict) -> Scenario:
     pools = _parse_list(doc, "pools", POOL_FIELDS, refs)
 
     sections = _parse_args(doc, SECTION_FIELDS, "", refs)
+    _check_genesis_totals(accounts, pools, sections["tokenomics"])
     perps = sections["perps"]
     if perps is not None:
         refs[PERPS_VAULT].update(perps["enabled_vaults"])

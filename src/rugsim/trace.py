@@ -1,6 +1,7 @@
 """Run outputs: the canonical JSONL event log, per-block telemetry CSV,
 terminal state snapshot, and the 64-bit FNV-1a trace hash over canonical
-event bytes. Also the independent verifier that replays a written trace.
+event bytes, written and hashed in batches as the run records them. Also
+the independent verifier that replays a written trace.
 
 Canonical form: one JSON object per line, keys sorted, compact separators,
 all amounts as decimal strings. Identical (scenario, engine) pairs produce
@@ -13,9 +14,9 @@ import csv
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, fnv1a_64
 
@@ -36,58 +37,121 @@ def canonical_line(event: dict) -> str:
     return _CANONICAL.encode(event)
 
 
-@dataclass
+# a streaming trace encodes, hashes and writes its events this many at a time
+FLUSH_EVENTS = 1024
+# a streaming trace writes events.jsonl and telemetry.csv under these
+# suffixed names and renames them at write(), so a run that fails leaves
+# none of its four files under their names
+PARTIAL = ".partial"
+
+
 class Trace:
-    events: list[dict] = field(default_factory=list)
-    telemetry: list[dict] = field(default_factory=list)
-    final_state: dict = field(default_factory=dict)
-    failed_events: int = 0
-    # (len(events), hex digest) of the last hash pass; a later record()
-    # changes the length, so a stale digest is never returned
-    _digest: Optional[tuple[int, str]] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    """A run's events, in order, and its per-block telemetry rows.
+
+    Given ``out_dir``, the trace streams: once FLUSH_EVENTS events are
+    pending, they are encoded as one chunk of canonical lines, folded into
+    the running FNV-1a state and appended to events.jsonl, then dropped;
+    each telemetry row goes to telemetry.csv as it is recorded. So
+    ``events`` holds at most FLUSH_EVENTS pending events and ``telemetry``
+    stays empty, however long the run. write() ends a streaming trace.
+
+    Without a directory the trace keeps every event and row for the
+    caller to read. trace_hash() folds the events not yet hashed through
+    the same flush, and write(out_dir) streams a copy of the whole trace.
+    """
+
+    def __init__(self, out_dir: Optional[str] = None,
+                 events: Optional[list[dict]] = None) -> None:
+        self.out_dir = out_dir
+        self.events: list[dict] = [] if events is None else events
+        self.telemetry: list[dict] = []
+        self.final_state: dict = {}
+        self.failed_events = 0
+        self._state = FNV_OFFSET
+        self._hashed = 0   # events[:_hashed] are in _state (kept traces only)
+        self._written = 0  # events written and dropped (streaming traces only)
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            self._events_file = open(os.path.join(out_dir, EVENTS_FILE + PARTIAL), "wb")
+            self._telemetry_file = open(os.path.join(out_dir, TELEMETRY_FILE + PARTIAL),
+                                        "w", encoding="utf-8", newline="")
+            self._rows = csv.DictWriter(self._telemetry_file, fieldnames=TELEMETRY_COLUMNS)
+            self._rows.writeheader()
+
+    @property
+    def event_count(self) -> int:
+        return self._written + len(self.events)
 
     def record(self, event: dict) -> None:
-        self.events.append(event)
+        events = self.events
+        events.append(event)
         if event.get("type") == "failed":
             self.failed_events += 1
+        if len(events) >= FLUSH_EVENTS and self.out_dir is not None:
+            self._flush()
 
-    def _hash_events(self, sink: Optional[Callable[[bytes], object]] = None) -> str:
-        """One pass over the events: each canonical line's exact bytes go
-        to ``sink`` (when given) and into the FNV-1a state. Caches the
-        digest."""
-        state = FNV_OFFSET
-        for event in self.events:
-            line = (canonical_line(event) + "\n").encode("utf-8")
-            if sink is not None:
-                sink(line)
-            state = fnv1a_64(line, state)
-        digest = f"{state:016x}"
-        self._digest = (len(self.events), digest)
-        return digest
+    def record_telemetry(self, row: dict) -> None:
+        if self.out_dir is None:
+            self.telemetry.append(row)
+        else:
+            self._rows.writerow(row)
+
+    def _flush(self) -> None:
+        """Encode the events not yet hashed as one chunk, fold it into the
+        FNV-1a state (FNV-1a is sequential, so this equals hashing line by
+        line) and, for a streaming trace, append it to events.jsonl and
+        drop the events."""
+        pending = self.events[self._hashed:]
+        if not pending:
+            return
+        chunk = ("\n".join(map(_CANONICAL.encode, pending)) + "\n").encode("utf-8")
+        self._state = fnv1a_64(chunk, self._state)
+        if self.out_dir is None:
+            self._hashed = len(self.events)
+        else:
+            self._events_file.write(chunk)
+            self._written += len(pending)
+            self.events = []
 
     def trace_hash(self) -> str:
-        if self._digest is not None and self._digest[0] == len(self.events):
-            return self._digest[1]
-        return self._hash_events()
+        self._flush()
+        return f"{self._state:016x}"
 
-    def write(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, EVENTS_FILE), "wb") as handle:
-            digest = self._hash_events(handle.write)
-        with open(os.path.join(out_dir, TELEMETRY_FILE), "w", encoding="utf-8",
-                  newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=TELEMETRY_COLUMNS)
-            writer.writeheader()
+    def write(self, out_dir: Optional[str] = None) -> None:
+        """Finish the four files: the events still pending, then state.json
+        and hash.txt. A streaming trace finishes its own directory and
+        ignores ``out_dir``; a kept trace is written to ``out_dir`` through
+        a streaming copy."""
+        if self.out_dir is None:
+            if out_dir is None:
+                raise ValueError("a trace without a directory is written to out_dir")
+            copy = Trace(out_dir, events=list(self.events))
             for row in self.telemetry:
-                writer.writerow(row)
+                copy.record_telemetry(row)
+            copy.final_state = self.final_state
+            copy.write()
+            return
+        self._flush()
+        digest = f"{self._state:016x}"
+        for handle in (self._events_file, self._telemetry_file):
+            handle.close()
+            os.replace(handle.name, handle.name.removesuffix(PARTIAL))
         state = dict(self.final_state)
         state["trace_hash"] = digest
-        with open(os.path.join(out_dir, STATE_FILE), "w", encoding="utf-8") as handle:
+        with open(os.path.join(self.out_dir, STATE_FILE), "w", encoding="utf-8") as handle:
             json.dump(state, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        with open(os.path.join(out_dir, HASH_FILE), "w", encoding="utf-8") as handle:
+        with open(os.path.join(self.out_dir, HASH_FILE), "w", encoding="utf-8") as handle:
             handle.write(digest + "\n")
+
+    def discard(self) -> None:
+        """Close a streaming trace's files and delete them, for a run that
+        failed; a trace without a directory has none."""
+        if self.out_dir is None:
+            return
+        for handle in (self._events_file, self._telemetry_file):
+            handle.close()
+            os.remove(handle.name)
 
 
 @dataclass

@@ -7,7 +7,8 @@ import pytest
 
 from rugsim import cli
 from rugsim.cli import main
-from rugsim.core import amt
+from rugsim.core import RugsimError, amt
+from rugsim.harness import Simulation
 from rugsim.scenario import (
     ACCOUNT,
     ACCOUNT_FIELDS,
@@ -37,6 +38,10 @@ from rugsim.scenario import (
     reference_scenario,
     scam_scenario,
 )
+from rugsim.trace import FLUSH_EVENTS
+
+
+TRACE_FILES = ("events.jsonl", "telemetry.csv", "state.json", "hash.txt")
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -49,7 +54,7 @@ def test_run_writes_four_files(tmp_path):
     out = tmp_path / "trace"
     code = main(["run", "--scenario", "builtin:scam", "--out", str(out)])
     assert code == 0
-    for name in ("events.jsonl", "telemetry.csv", "state.json", "hash.txt"):
+    for name in TRACE_FILES:
         assert (out / name).exists()
 
 
@@ -220,6 +225,42 @@ def test_sweep_refuses_a_point_that_breaks_a_module_invariant(tmp_path, capsys):
     assert not out.exists()
 
 
+def fail_after_a_flush(monkeypatch, when=lambda sim: True):
+    """Make the tokenomics phase of each simulation that ``when`` picks
+    raise once its trace has streamed a batch of events to disk."""
+    phase = Simulation._phase_tokenomics
+
+    def failing(sim, height, minted):
+        if when(sim) and sim.trace.event_count > FLUSH_EVENTS:
+            raise RugsimError("injected failure")
+        phase(sim, height, minted)
+    monkeypatch.setattr(Simulation, "_phase_tokenomics", failing)
+
+
+def test_a_run_that_fails_leaves_no_trace_files(tmp_path, capsys, monkeypatch):
+    fail_after_a_flush(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "builtin:reference", "--blocks", "1000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "scenario error: injected failure\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch):
+    fail_after_a_flush(monkeypatch, lambda sim: sim.scenario.vaults[0]["penalty_lambda"]
+                       == amt("1.2"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", "builtin:reference", "--blocks", "1000",
+                 "--out", str(out), "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
+    assert capsys.readouterr().err == (
+        "scenario error at vaults.0.penalty_lambda=1.2: injected failure\n")
+    assert sorted(path.name for path in out.iterdir()) == [
+        "vaults.0.penalty_lambda=1.1", "vaults.0.penalty_lambda=1.2"]
+    assert sorted(path.name for path in (out / "vaults.0.penalty_lambda=1.1").iterdir()) \
+        == sorted(TRACE_FILES)
+    assert list((out / "vaults.0.penalty_lambda=1.2").iterdir()) == []
+
+
 def test_sweep_runs_the_largest_range_it_allows():
     key, values = cli._parse_range(f"x=1:{cli.MAX_SWEEP_POINTS}:1")
     assert (key, len(values), values[-1]) == ("x", cli.MAX_SWEEP_POINTS,
@@ -370,6 +411,14 @@ def _transfer_into_a_case_escrow(doc):
          "amount": "1"}]
 
 
+def _genesis_rug(*balances):
+    """Give the first accounts of the document these RUG balances."""
+    def mutate(doc):
+        for account, balance in zip(doc["accounts"], balances):
+            account["balances"]["RUG"] = balance
+    return mutate
+
+
 LOAD_PROBES = [
     pytest.param("reference", _script_step(op="swap", pool="nope", token_in="RUG",
                                            amount="1"),
@@ -490,6 +539,17 @@ LOAD_PROBES = [
     pytest.param("reference", lambda doc: doc["accounts"].append(
         {"id": "pool:rug-usdn", "balances": {"RUG": "7"}}), "accounts[6].id",
                  id="declared-pool-account"),
+    # each balance is in range; bob's takes RUG's genesis total past it
+    pytest.param("reference", _genesis_rug("600000000000000000", "600000000000000000"),
+                 "accounts[1].balances.RUG", id="genesis-total-past-the-amount-range"),
+    # the accounts hold 999999999999994000 RUG; the pool's 10000 are minted last
+    pytest.param("reference", _genesis_rug("999999999999970000"), "pools[0].reserve_x",
+                 id="genesis-pool-reserve-past-the-amount-range"),
+    # the treasury's initial supply of R is minted last of all
+    pytest.param("reference", lambda doc: (
+        doc["tokens"].append({"id": "R", "chain": "home"}),
+        doc["accounts"][0]["balances"].update(R="1000000000000000000")),
+                 "tokenomics.initial_supply", id="genesis-home-token-past-the-amount-range"),
 ]
 
 

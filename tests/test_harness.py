@@ -3,10 +3,13 @@ conservation, determinism, and the dispute/perps flows driven end-to-end
 through scripted scenarios."""
 
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.harness import Simulation, run_scenario
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
@@ -533,6 +536,49 @@ def test_every_benchmark_traced_name_resolves():
             assert callable(getattr(owner, class_name).__dict__.get(method)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of each ``module.callable`` or ``module.Class.method``
+    of rugsim, wrapped as the benchmark's tracer wraps them: a function at
+    every binding of it in a rugsim module, a method on its class."""
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [module for key, module in sorted(sys.modules.items())
+               if key.startswith("rugsim.")]
+    for name in names:
+        module_name, _, attr = name.partition(".")
+        owner = importlib.import_module(f"rugsim.{module_name}")
+        if "." in attr:
+            class_name, method = attr.split(".")
+            cls = getattr(owner, class_name)
+            monkeypatch.setattr(cls, method, counting(name, cls.__dict__[method]))
+            continue
+        original = getattr(owner, attr)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting(name, original))
+    return counts
+
+
+def test_the_commands_call_the_names_the_benchmark_guards(tmp_path, monkeypatch):
+    # perfbench/run.py's check_guards fails a traced run in which one of
+    # these is never called; a refactor that stops calling one fails here
+    names = ("harness.run_scenario", "trace.Trace.write", "trace.Trace.trace_hash")
+    counts = count_calls(monkeypatch, names)
+    assert main(["run", "--scenario", "builtin:scam", "--out", str(tmp_path / "r")]) == 0
+    assert counts == dict.fromkeys(names, 1)
+    counts.clear()
+    assert main(["sweep", "--scenario", "builtin:scam", "--out", str(tmp_path / "s"),
+                 "--param", "vaults.0.delta_gamma=0:0.02:0.01"]) == 0
+    assert counts == {"trace.Trace.write": 3, "trace.Trace.trace_hash": 3}
 
 
 def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():

@@ -1,19 +1,22 @@
-"""The trace writer hashes what it writes, once, and caches the digest;
-the verifier streams the trace in bounded memory and names the first event
-that breaks conservation, with its line."""
+"""The trace writes and hashes its events in batches as a run records
+them, so a run's memory does not grow with its length; the verifier
+streams the trace in bounded memory and names the first event that breaks
+conservation, with its line."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rugsim import trace as trace_module
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, SCALE, amt, fnv1a_64
-from rugsim.harness import run_scenario
+from rugsim.harness import Simulation, run_scenario
 from rugsim.scenario import reference_scenario
-from rugsim.trace import Trace, _amount_raw, canonical_line, verify_trace
+from rugsim.trace import FLUSH_EVENTS, Trace, _amount_raw, canonical_line, verify_trace
 
 
 def short_trace() -> Trace:
@@ -63,6 +66,51 @@ def test_canonical_line_is_sorted_compact_json(event):
     # st.text() draws non-ASCII and surrogate code points, escaped as \uXXXX
     assert canonical_line(event) == json.dumps(event, sort_keys=True,
                                                separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(events=st.lists(st.dictionaries(st.text(), json_values, max_size=3), max_size=12),
+       flush_events=st.integers(1, 5), probe=st.integers(0, 12))
+def test_streaming_matches_the_canonical_bytes_at_every_batch_size(events, flush_events,
+                                                                   probe):
+    def digest(count: int) -> str:
+        return f"{fnv1a_64(b''.join(lines[:count])):016x}"
+
+    lines = [(canonical_line(event) + "\n").encode("utf-8") for event in events]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.setattr(trace_module, "FLUSH_EVENTS", flush_events)
+        trace = Trace(out)
+        for i, event in enumerate(events):
+            if i == probe:  # a hash asked for mid-run
+                assert trace.trace_hash() == digest(i)
+            trace.record(event)
+        assert len(trace.events) < flush_events
+        trace.write()
+        assert Path(out, "events.jsonl").read_bytes() == b"".join(lines)
+        whole = digest(len(events))
+        assert Path(out, "hash.txt").read_text() == whole + "\n"
+        assert json.loads(Path(out, "state.json").read_text())["trace_hash"] == whole
+        assert trace.trace_hash() == whole == Trace(events=events).trace_hash()
+
+
+def test_a_streaming_run_holds_one_batch_and_no_telemetry(tmp_path, monkeypatch):
+    held = []
+    step = Simulation.step
+
+    def checked_step(sim):
+        step(sim)
+        held.append((len(sim.trace.events), len(sim.trace.telemetry)))
+    monkeypatch.setattr(Simulation, "step", checked_step)
+    trace = run_scenario(reference_scenario(blocks=300), out_dir=str(tmp_path / "s"))[1]
+    trace.write()
+    assert trace.event_count > FLUSH_EVENTS
+    assert max(events for events, _ in held) <= FLUSH_EVENTS
+    assert {rows for _, rows in held} == {0}
+    # the same bytes as the run that keeps every event
+    monkeypatch.undo()
+    run_scenario(reference_scenario(blocks=300))[1].write(str(tmp_path / "k"))
+    for name in ("events.jsonl", "telemetry.csv", "state.json", "hash.txt"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "k" / name).read_bytes()
 
 
 def tamper(trace_dir, index: int, drop: tuple = (), whole: object = None,

@@ -66,9 +66,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         sim, trace = run_scenario(doc, blocks=args.blocks, seed=args.seed,
                                   out_dir=args.out)
+        trace.write()
     except (ScenarioError, RugsimError) as exc:
         return _fail(f"scenario error: {exc}", EXIT_INPUT)
-    trace.write()
+    except OSError as exc:
+        return _fail(f"cannot write trace: {exc}", EXIT_INPUT)
     print(f"blocks={sim.height} events={trace.event_count} "
           f"failed={trace.failed_events} hash={trace.trace_hash()} out={args.out}")
     if args.strict and trace.failed_events > 0:
@@ -189,9 +191,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         try:
             sim = Simulation(scenario, os.path.join(args.out, f"{key}={text}"))
             trace = sim.run(args.blocks)
+            trace.write()
         except RugsimError as exc:
             return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
-        trace.write()
+        except OSError as exc:
+            return _fail(f"cannot write trace: {exc}", EXIT_INPUT)
         rows.append({
             "param": key, "value": text,
             "trace_hash": trace.trace_hash(),
@@ -202,12 +206,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{key}={text}: hash={rows[-1]['trace_hash']} "
               f"penalties={rows[-1]['total_penalties']}")
 
-    os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(summary, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        return _fail(f"cannot write summary: {exc}", EXIT_INPUT)
     print(f"summary: {summary}")
     return EXIT_OK
 

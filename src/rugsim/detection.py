@@ -2,10 +2,10 @@
 (front-run, sandwich, back-run) against pending drain events, and the
 intent/solver safeguard system.
 
-Planners are read-only: they quote against copies of pool state and return
-transaction plans; the harness queues and executes plans in priority
-order. The mempool model gives every drain a declared execution height, so
-a plan's priority relative to the drain decides who trades first.
+The planners only price a move against a pending drain: each quotes
+against a copy of pool state and returns the one amount the harness needs,
+or None to withhold the move. The harness alone decides when each move is
+planned and at what priority it trades around the drain.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .core import (
     IlliquidError,
     ParameterError,
     PoolId,
-    RugsimError,
     SCALE,
-    StateError,
     TokenId,
     VaultId,
     ZERO,
@@ -32,16 +30,11 @@ from .core import (
     _div_round_half_even,
 )
 from .market import (
-    DrainEvent,
     PoolState,
     pool_quote,
     pool_quote_exact_out,
     pool_swap,
 )
-
-
-class TooLateError(RugsimError):
-    """The intervention window for a pending drain has closed."""
 
 
 class SignalKind(enum.Enum):
@@ -177,99 +170,51 @@ class AuxMonitor:
 # -- intervention planners -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwapLeg:
-    pool: PoolId
-    input_token: TokenId
-    amount_in: FixedAmount
-    quoted_out: FixedAmount
-
-
-@dataclass(frozen=True)
-class TxPlan:
-    kind: str                    # "frontrun" | "sandwich_pre" | "sandwich_post" | "backrun"
-    account: AccountId
-    priority: int
-    leg: SwapLeg
-
-
-@dataclass(frozen=True)
-class SandwichPlan:
-    pre: TxPlan
-    post: TxPlan
-    expected_profit: FixedAmount
-
-
-def _check_window(pending: DrainEvent, now: int) -> None:
-    if now >= pending.executes_at.height:
-        raise TooLateError(
-            f"drain executes at {pending.executes_at.height}; now {now}")
-
-
-def plan_frontrun(pending: DrainEvent, pool: PoolState, rug_token: TokenId,
-                  account: AccountId, holdings: FixedAmount, now: int,
-                  drain_priority: int) -> Optional[TxPlan]:
-    """Sell protected rug holdings ahead of the drain, at pre-drain
-    reserves. Returns None when there is nothing to protect."""
-    _check_window(pending, now)
+def plan_frontrun(pool: PoolState, rug_token: TokenId,
+                  holdings: FixedAmount) -> Optional[FixedAmount]:
+    """The quote for selling protected rug holdings ahead of the drain, at
+    pre-drain reserves; None when there is nothing to protect."""
     if holdings.raw <= 0:
         return None
     try:
-        quoted = pool_quote(pool, rug_token, holdings)
+        return pool_quote(pool, rug_token, holdings)
     except (DustError, IlliquidError):
         return None
-    return TxPlan(kind="frontrun", account=account, priority=drain_priority + 1,
-                  leg=SwapLeg(pool.pool_id, rug_token, holdings, quoted))
 
 
-def plan_sandwich(pending: DrainEvent, pool: PoolState, rug_token: TokenId,
-                  account: AccountId, budget: FixedAmount, now: int,
-                  drain_priority: int) -> Optional[SandwichPlan]:
-    """Sell before the drain, buy the same quantity back after it.
+def plan_sandwich(pool: PoolState, rug_token: TokenId, budget: FixedAmount,
+                  t_rug: FixedAmount) -> Optional[FixedAmount]:
+    """The profit of selling ``budget`` before a drain of ``t_rug`` and
+    buying the same quantity back after it.
 
-    The expected profit is computed by simulating all three swaps in
-    sequence on a pool copy; an unprofitable sandwich is withheld.
+    The profit is computed by simulating all three swaps in sequence on a
+    pool copy; None withholds an unprofitable sandwich.
     """
-    _check_window(pending, now)
-    if budget.raw <= 0 or pending.t_rug_supply.raw <= 0:
+    if budget.raw <= 0 or t_rug.raw <= 0:
         return None
     try:
         pre_out, pool_after_pre = pool_swap(pool, rug_token, budget)
-        _, pool_after_drain = pool_swap(pool_after_pre, rug_token,
-                                        pending.t_rug_supply)
+        _, pool_after_drain = pool_swap(pool_after_pre, rug_token, t_rug)
         post_cost = pool_quote_exact_out(pool_after_drain, rug_token, budget)
     except (DustError, IlliquidError):
         return None
     profit = pre_out - post_cost
-    if profit.raw <= 0:
-        return None
-    liquid_token = pool.other(rug_token)
-    pre = TxPlan(kind="sandwich_pre", account=account, priority=drain_priority + 1,
-                 leg=SwapLeg(pool.pool_id, rug_token, budget, pre_out))
-    post = TxPlan(kind="sandwich_post", account=account, priority=drain_priority - 1,
-                  leg=SwapLeg(pool.pool_id, liquid_token, post_cost, budget))
-    return SandwichPlan(pre=pre, post=post, expected_profit=profit)
+    return profit if profit.raw > 0 else None
 
 
-def plan_backrun(executed: DrainEvent, pool: PoolState, rug_token: TokenId,
-                 account: AccountId, budget: FixedAmount, value_cap: FixedAmount,
-                 now: int, priority: int = 0) -> Optional[TxPlan]:
-    """Buy the collapsed token right after the drain, up to a value cap,
-    as salvage for later vault deposit."""
-    if now != executed.executes_at.height:
-        raise StateError(
-            f"backrun plans only against a drain executed this block "
-            f"(drain at {executed.executes_at.height}, now {now})")
-    spend = min(budget, value_cap)
+def plan_backrun(pool: PoolState, rug_token: TokenId, budget: FixedAmount,
+                 cap: FixedAmount) -> Optional[FixedAmount]:
+    """The numeraire to spend buying the collapsed token right after the
+    drain, up to a value cap, as salvage for later vault deposit; None
+    when that buys nothing."""
+    spend = min(budget, cap)
     if spend.raw <= 0:
         return None
-    liquid_token = pool.other(rug_token)
     try:
-        quoted = pool_quote(pool, liquid_token, spend)
+        pool_quote(pool, pool.other(rug_token), spend)
     except (DustError, IlliquidError):
         return None
-    return TxPlan(kind="backrun", account=account, priority=priority,
-                  leg=SwapLeg(pool.pool_id, liquid_token, spend, quoted))
+    return spend
 
 
 # -- intents and solvers -----------------------------------------------------

@@ -32,7 +32,11 @@ A queued transaction is a bound action; its kind names it in the ``failed``
 event if it raises. A pending drain leaves ``pending_drains`` when its
 transaction runs, at ``executes_at``, whether the drain succeeds or fails;
 the sandwich post leg and the back-run planned against it fail unless it
-executed.
+executed. The engine alone times the moves against a drain; the detection
+planners only price them. Protected accounts are front-run at
+``submitted_at + 1`` if that is before ``executes_at``; the first detector
+with a sandwich budget plans its sandwich at ``executes_at - 1``, and the
+first with a back-run budget its back-run at ``executes_at``.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -67,7 +71,7 @@ from .detection import (
 )
 from .insurance import ClaimPhase, InsuranceBook, InsuranceParams, PolicyStatus
 from .ledger import BalanceError, Ledger
-from .market import DrainEvent, PoolState
+from .market import PoolState
 from .perps import FundingParams, MaintenanceRule, PerpBook
 from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook, SlashParams
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
@@ -97,12 +101,20 @@ class QueuedTx:
 
 @dataclass
 class PendingDrain:
-    event: DrainEvent
+    """A creator's drain of ``t_rug`` of a ``t_total`` supply, visible on
+    its pool's chain from the block it is submitted until the block it
+    executes at."""
+
+    pool: str
+    creator: str
     rug_token: TokenId
-    frontrun_planned: set = field(default_factory=set)
-    sandwich_planned: bool = False
-    backrun_planned: bool = False
+    t_rug: FixedAmount
+    t_total: FixedAmount
+    submitted_at: int
+    executes_at: int
     executed: bool = False
+    # what the sandwich pre leg bought, once it has swapped
+    pre_out: Optional[FixedAmount] = None
 
 
 @dataclass
@@ -118,6 +130,7 @@ class ChainView:
     would meet it. Pools, tokens, vaults and agents never change chain, so
     the views are built once, at materialize."""
 
+    aux: AuxMonitor
     processes: list[tuple[TokenId, market.PriceProcess]] = field(default_factory=list)
     pool_ids: list[str] = field(default_factory=list)
     monitors: list[tuple[str, PoolMonitor]] = field(default_factory=list)
@@ -159,7 +172,6 @@ class Simulation:
         self.perp_amm: Optional[str] = None
         self.intent_book = IntentBook()
         self.monitors: dict[str, PoolMonitor] = {}
-        self.aux_monitors: dict[str, AuxMonitor] = {}
         self.agents: list[Agent] = []
         # agents of each kind, in self.agents order; filled at materialize
         self.agents_by_kind: dict[str, list[Agent]] = {}
@@ -264,11 +276,6 @@ class Simulation:
         for pool_id, pool in self.pools.items():
             if sc.numeraire in (pool.token_x, pool.token_y):
                 self.monitors[pool_id] = PoolMonitor(pool_id, det["drop_threshold"])
-        for chain in sc.chains:
-            self.aux_monitors[chain] = AuxMonitor(
-                mint_spike_factor=det["mint_spike_factor"],
-                wallet_outflow_fraction=det["wallet_outflow_fraction"],
-                volume_spike_factor=det["volume_spike_factor"])
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
@@ -297,7 +304,11 @@ class Simulation:
         """Fill the per-chain views."""
         sc = self.scenario
         self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
-        views = self._chain_views = {chain: ChainView() for chain in sc.chains}
+        det = sc.detection
+        views = self._chain_views = {chain: ChainView(AuxMonitor(
+            mint_spike_factor=det["mint_spike_factor"],
+            wallet_outflow_fraction=det["wallet_outflow_fraction"],
+            volume_spike_factor=det["volume_spike_factor"])) for chain in sc.chains}
         for token, process in self.processes.items():
             views[self.token_chain[token]].processes.append((token, process))
         for pool_id in self.pools:
@@ -330,6 +341,13 @@ class Simulation:
                              key=lambda a: a.account.value)
         # the first liquidator by account id bids on every flagged position
         self._liquidation_bidder = liquidators[0].account.value if liquidators else None
+        # the first detector with a sandwich budget sandwiches every drain, and
+        # the first with a back-run budget back-runs every drain
+        detectors = self.agents_by_kind.get("detector", [])
+        self._sandwicher = next(
+            (d for d in detectors if d.params["sandwich_budget"].raw > 0), None)
+        self._backrunner = next(
+            (d for d in detectors if d.params["backrun_budget"].raw > 0), None)
 
     def _register_intent(self, entry: dict, owner: str) -> None:
         pool_id = entry["pool"]
@@ -489,96 +507,82 @@ class Simulation:
         # (everything the previous block did, nothing of this one yet), in
         # raw ints; no term is negative, so the scan range-checks the mint
         # and volume sums once
-        aux = self.aux_monitors.get(chain)
-        if aux is not None:
-            minted = 0
-            mints, outflows = self._unscanned_mints, self._unscanned_outflows
-            for token in view.mint_tokens:
-                minted += mints[token]
-                mints[token] = 0
-            # largest single creator-wallet outflow of a chain token
-            outflow = balance_before = 0
-            for key in view.outflow_keys:
-                moved = outflows[key]
-                outflows[key] = 0
-                if moved > outflow:
-                    outflow = moved
-                    balance_before = _checked(self.ledger.balance_raw(*key) + moved)
-            volume = delta_liq = 0
-            prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
-            for pool_id in view.pool_ids:
-                pool = self.pools[pool_id]
-                current = _checked(pool.volume_x.raw + pool.volume_y.raw)
-                volume += current - prev_volumes[pool_id]
-                prev_volumes[pool_id] = current
-                liquidity = self._pool_liquidity(pool).raw
-                delta_liq = _checked(delta_liq + liquidity - prev_liquidity[pool_id])
-                prev_liquidity[pool_id] = liquidity
-            for signal in aux.scan(height, minted, outflow, balance_before, volume,
-                                   delta_liq):
-                self._event("risk_signal", kind=signal.kind.value,
-                            magnitude=str(signal.magnitude))
+        minted = 0
+        mints, outflows = self._unscanned_mints, self._unscanned_outflows
+        for token in view.mint_tokens:
+            minted += mints[token]
+            mints[token] = 0
+        # largest single creator-wallet outflow of a chain token
+        outflow = balance_before = 0
+        for key in view.outflow_keys:
+            moved = outflows[key]
+            outflows[key] = 0
+            if moved > outflow:
+                outflow = moved
+                balance_before = _checked(self.ledger.balance_raw(*key) + moved)
+        volume = delta_liq = 0
+        prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
+        for pool_id in view.pool_ids:
+            pool = self.pools[pool_id]
+            current = _checked(pool.volume_x.raw + pool.volume_y.raw)
+            volume += current - prev_volumes[pool_id]
+            prev_volumes[pool_id] = current
+            liquidity = self._pool_liquidity(pool).raw
+            delta_liq = _checked(delta_liq + liquidity - prev_liquidity[pool_id])
+            prev_liquidity[pool_id] = liquidity
+        for signal in view.aux.scan(height, minted, outflow, balance_before, volume,
+                                    delta_liq):
+            self._event("risk_signal", kind=signal.kind.value,
+                        magnitude=str(signal.magnitude))
 
-        # planners against this chain's pending drains, up to and including
-        # the height each executes at
+        # the moves against this chain's pending drains, timed as the module
+        # docstring states; detector by detector, its front-runs, then the
+        # sandwich, then the back-run
         for pending in self.pending_drains:
-            ev = pending.event
-            if ev.submitted_at.chain != chain:
+            if self.pool_chain[pending.pool] != chain:
                 continue
-            pool = self.pools[ev.pool]
+            frontrun = height == pending.submitted_at + 1 < pending.executes_at
+            pool = self.pools[pending.pool]
             rug_token = pending.rug_token
+            protected = set()  # each account is front-run once per drain
             for det in detectors:
-                if height < ev.executes_at.height:
+                if frontrun:
                     for name in det.params["protects"]:
-                        if name in pending.frontrun_planned:
+                        if name in protected:
                             continue
+                        protected.add(name)
                         holdings = self.ledger.balance(name, rug_token)
-                        plan = detection.plan_frontrun(
-                            ev, pool, rug_token, self.accounts[name], holdings,
-                            height, PRIORITY_DRAIN)
-                        pending.frontrun_planned.add(name)
-                        if plan is None:
+                        quoted = detection.plan_frontrun(pool, rug_token, holdings)
+                        if quoted is None:
                             continue
                         self._event("plan", kind="frontrun", account=name,
-                                    pool=ev.pool, amount=str(plan.leg.amount_in),
-                                    quoted=str(plan.leg.quoted_out))
-                        self._enqueue(chain, height,
-                                      PRIORITY_DRAIN + self.priority_boost,
+                                    pool=pending.pool, amount=str(holdings),
+                                    quoted=str(quoted))
+                        self._enqueue(chain, height, PRIORITY_DRAIN + self.priority_boost,
                                       "plan_swap",
-                                      partial(self._apply_swap, ev.pool, name, rug_token,
-                                              plan.leg.amount_in, memo="frontrun"))
-                budget = det.params["sandwich_budget"]
-                if (budget.raw > 0 and not pending.sandwich_planned
-                        and height == ev.executes_at.height - 1):
-                    pending.sandwich_planned = True
-                    own = self.ledger.balance(det.account.value, rug_token)
-                    plan = detection.plan_sandwich(
-                        ev, pool, rug_token, det.account, min(budget, own),
-                        height, PRIORITY_DRAIN)
-                    if plan is not None:
-                        self._event("plan", kind="sandwich", account=det.account.value,
-                                    pool=ev.pool,
-                                    expected_profit=str(plan.expected_profit))
-                        # the post leg settles against the pre leg's output
-                        pre_out: list[FixedAmount] = []
-                        legs = (ev.pool, det.account.value, rug_token)
-                        self._enqueue(chain, ev.executes_at.height,
-                                      PRIORITY_DRAIN + self.priority_boost,
-                                      "sandwich_pre",
-                                      partial(self._exec_sandwich_pre, pre_out, *legs,
-                                              plan.pre.leg.amount_in))
-                        self._enqueue(chain, ev.executes_at.height,
-                                      PRIORITY_SANDWICH_POST, "sandwich_post",
-                                      partial(self._exec_sandwich_post, pending, pre_out,
-                                              *legs, plan.post.leg.quoted_out))
-                back_budget = det.params["backrun_budget"]
-                if (back_budget.raw > 0 and not pending.backrun_planned
-                        and height == ev.executes_at.height):
-                    pending.backrun_planned = True
-                    self._enqueue(chain, ev.executes_at.height, PRIORITY_BACKRUN,
-                                  "backrun",
-                                  partial(self._exec_backrun, pending, det.account,
-                                          back_budget, det.params["backrun_cap"]))
+                                      partial(self._apply_swap, pending.pool, name,
+                                              rug_token, holdings, memo="frontrun"))
+                if det is self._sandwicher and height == pending.executes_at - 1:
+                    account = det.account.value
+                    budget = min(det.params["sandwich_budget"],
+                                 self.ledger.balance(account, rug_token))
+                    profit = detection.plan_sandwich(pool, rug_token, budget, pending.t_rug)
+                    if profit is not None:
+                        self._event("plan", kind="sandwich", account=account,
+                                    pool=pending.pool, expected_profit=str(profit))
+                        self._enqueue(chain, pending.executes_at,
+                                      PRIORITY_DRAIN + self.priority_boost, "sandwich_pre",
+                                      partial(self._exec_sandwich_pre, pending, account,
+                                              budget))
+                        self._enqueue(chain, pending.executes_at, PRIORITY_SANDWICH_POST,
+                                      "sandwich_post",
+                                      partial(self._exec_sandwich_post, pending, account,
+                                              budget))
+                if det is self._backrunner and height == pending.executes_at:
+                    self._enqueue(chain, height, PRIORITY_BACKRUN, "backrun",
+                                  partial(self._exec_backrun, pending, det.account.value,
+                                          det.params["backrun_budget"],
+                                          det.params["backrun_cap"]))
 
         # intents; prices and liquidity are gathered only while one is pending
         chain_prices = chain_liquidity = {}
@@ -609,36 +613,35 @@ class Simulation:
 
     def _exec_drain(self, pending: PendingDrain) -> None:
         self.pending_drains.remove(pending)
-        ev = pending.event
-        pool = self.pools[ev.pool]
-        rug_token = pending.rug_token
-        creator = ev.creator.value
+        pool_id, rug_token, creator = pending.pool, pending.rug_token, pending.creator
+        pool = self.pools[pool_id]
         held = self.ledger.balance(creator, rug_token)
-        if held < ev.t_rug_supply:
+        if held < pending.t_rug:
             raise BalanceError(
-                f"creator holds {held} {rug_token}, cannot drain {ev.t_rug_supply}")
-        result = market.execute_drain(ev, pool, rug_token, self.height)
+                f"creator holds {held} {rug_token}, cannot drain {pending.t_rug}")
+        result = market.execute_drain(pool, rug_token, pending.t_rug, pending.t_total)
         if result.liquid_out.raw > 0:
-            pool_account = self._pool_account(ev.pool)
+            pool_account = self._pool_account(pool_id)
             liquid_token = pool.other(rug_token)
             self.ledger.transfer(creator, pool_account, rug_token,
-                                 ev.t_rug_supply, memo="drain")
+                                 pending.t_rug, memo="drain")
             self.ledger.transfer(pool_account, creator, liquid_token,
                                  result.liquid_out, memo="drain")
-            self.pools[ev.pool] = result.pool
-        self._event("drain_executed", pool=ev.pool, creator=creator,
+            self.pools[pool_id] = result.pool
+        self._event("drain_executed", pool=pool_id, creator=creator,
                     naive_target=str(result.naive_target),
                     realized=str(result.liquid_out),
-                    spot_after=str(market.spot_price(self.pools[ev.pool])))
+                    spot_after=str(market.spot_price(self.pools[pool_id])))
         pending.executed = True
 
-    def _exec_sandwich_pre(self, pre_out: list, pool_id: str, account: str,
-                           rug_token: TokenId, amount: FixedAmount) -> None:
-        pre_out.append(self._apply_swap(pool_id, account, rug_token, amount,
-                                        memo="sandwich_pre"))
+    def _exec_sandwich_pre(self, pending: PendingDrain, account: str,
+                           amount: FixedAmount) -> None:
+        pending.pre_out = self._apply_swap(pending.pool, account, pending.rug_token,
+                                           amount, memo="sandwich_pre")
 
-    def _exec_sandwich_post(self, pending: PendingDrain, pre_out: list, pool_id: str,
-                            account: str, rug_token: TokenId, target: FixedAmount) -> None:
+    def _exec_sandwich_post(self, pending: PendingDrain, account: str,
+                            target: FixedAmount) -> None:
+        pool_id, rug_token = pending.pool, pending.rug_token
         if not pending.executed:
             raise StateError(f"the drain on {pool_id} did not execute")
         pool = self.pools[pool_id]
@@ -648,9 +651,9 @@ class Simulation:
         if held < cost:
             raise StateError(f"sandwich post-leg needs {cost}, holds {held}")
         self._apply_swap(pool_id, account, liquid_token, cost, memo="sandwich_post")
-        if not pre_out:
+        if pending.pre_out is None:
             return
-        profit = pre_out[0] - cost
+        profit = pending.pre_out - cost
         if profit.raw > 0 and self.sandwich_treasury_fraction.raw > 0:
             cut = profit * self.sandwich_treasury_fraction
             self.ledger.transfer(account, TREASURY, liquid_token, cut,
@@ -658,21 +661,17 @@ class Simulation:
             self._event("sandwich_settled", account=account,
                         profit=str(profit), to_treasury=str(cut))
 
-    def _exec_backrun(self, pending: PendingDrain, account: AccountId,
+    def _exec_backrun(self, pending: PendingDrain, account: str,
                       budget: FixedAmount, cap: FixedAmount) -> None:
-        # planned at execution time: the quote needs the post-drain reserves
-        ev, rug_token = pending.event, pending.rug_token
+        # priced at execution time: the quote needs the post-drain reserves
         if not pending.executed:
-            raise StateError(f"the drain on {ev.pool} did not execute")
-        pool = self.pools[ev.pool]
-        numeraire = pool.other(rug_token)
-        budget = min(budget, self.ledger.balance(account.value, numeraire))
-        plan = detection.plan_backrun(ev, pool, rug_token, account, budget, cap,
-                                      now=self.height)
-        if plan is None:
-            return
-        self._apply_swap(ev.pool, account.value, plan.leg.input_token,
-                         plan.leg.amount_in, memo="backrun")
+            raise StateError(f"the drain on {pending.pool} did not execute")
+        pool = self.pools[pending.pool]
+        numeraire = pool.other(pending.rug_token)
+        budget = min(budget, self.ledger.balance(account, numeraire))
+        spend = detection.plan_backrun(pool, pending.rug_token, budget, cap)
+        if spend is not None:
+            self._apply_swap(pending.pool, account, numeraire, spend, memo="backrun")
 
     def _exec_intent(self, execution: detection.IntentExecution) -> None:
         intent = execution.intent
@@ -740,20 +739,17 @@ class Simulation:
 
     def _op_drain(self, agent: Agent, step: dict, at: BlockTime) -> None:
         pool_id = step["pool"]
-        ev = DrainEvent(pool=pool_id, creator=agent.account,
-                        t_rug_supply=step["t_rug"], t_total_supply=step["t_total"],
-                        submitted_at=at,
-                        executes_at=BlockTime(at.height + step["window"], at.chain))
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
-        pending = PendingDrain(event=ev, rug_token=rug_token)
+        pending = PendingDrain(pool_id, agent.account.value, rug_token, step["t_rug"],
+                               step["t_total"], at.height, at.height + step["window"])
         self.pending_drains.append(pending)
-        self._enqueue(at.chain, ev.executes_at.height, PRIORITY_DRAIN, "drain",
+        self._enqueue(at.chain, pending.executes_at, PRIORITY_DRAIN, "drain",
                       partial(self._exec_drain, pending))
-        self._event("drain_submitted", pool=pool_id, creator=agent.account.value,
-                    t_rug=str(ev.t_rug_supply), t_total=str(ev.t_total_supply),
-                    executes_at=ev.executes_at.height)
+        self._event("drain_submitted", pool=pool_id, creator=pending.creator,
+                    t_rug=str(pending.t_rug), t_total=str(pending.t_total),
+                    executes_at=pending.executes_at)
 
     def _op_deposit(self, agent: Agent, step: dict, at: BlockTime) -> None:
         vault_id = step["vault"]
@@ -884,7 +880,7 @@ class Simulation:
         claim = self.rugproof.open_claim_for(issuance_id)
         if claim is None:
             raise StateError(f"no open claim on {issuance_id}")
-        self.rugproof.cast_vote(self.ledger, claim, agent.account,
+        self.rugproof.cast_vote(claim, agent.account,
                                 step["deposit"], step["side"], at)
         self._event("rug_vote", claim=claim.claim_id, voter=agent.account.value,
                     side=step["side"], deposit=str(step["deposit"]))
@@ -906,7 +902,7 @@ class Simulation:
 
     def _op_join_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
-        joiner = self.insurance.join_claim(self.ledger, claim, agent.account,
+        joiner = self.insurance.join_claim(claim, agent.account,
                                            step["loss"], step["w"], at)
         self._event("claim_joined", claim=claim.claim_id,
                     account=agent.account.value, bond=str(joiner.bond))
@@ -919,21 +915,21 @@ class Simulation:
 
     def _op_dispute_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
-        dispute = self.insurance.dispute_claim(self.ledger, claim, agent.account,
+        dispute = self.insurance.dispute_claim(claim, agent.account,
                                                step["z"], at)
         self._event("claim_disputed", claim=claim.claim_id,
                     challenger=agent.account.value, bond=str(dispute.bond))
 
     def _op_vote_insurance(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
-        self.insurance.cast_vote(self.ledger, claim, agent.account,
+        self.insurance.cast_vote(claim, agent.account,
                                  step["deposit"], step["side"], at)
         self._event("insurance_vote", claim=claim.claim_id,
                     voter=agent.account.value, side=step["side"])
 
     def _op_escalate(self, agent: Agent, step: dict, at: BlockTime) -> None:
         claim = self._insurance_claim(step["claim"])
-        self.insurance.escalate(self.ledger, claim, agent.account, at)
+        self.insurance.escalate(claim, agent.account, at)
         self._event("claim_escalated", claim=claim.claim_id,
                     party=agent.account.value, level=claim.escalation_level)
 
@@ -1017,7 +1013,7 @@ class Simulation:
             policy = self.insurance.policies[policy_id]
             if policy.status is PolicyStatus.ACTIVE and at.height >= policy.expires_at \
                     and self.insurance.open_claim_for(policy_id) is None:
-                self.insurance.expire_policy(self.ledger, policy_id, at)
+                self.insurance.expire_policy(policy_id, at)
                 self._event("policy_expired", policy=policy_id)
 
     def _queue_reward(self, reward: RewardEvent) -> None:

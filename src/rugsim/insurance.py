@@ -169,7 +169,7 @@ class InsuranceBook:
                 return claim
         return None
 
-    def expire_policy(self, ledger: Ledger, policy_id: str, at: BlockTime) -> None:
+    def expire_policy(self, policy_id: str, at: BlockTime) -> None:
         policy = self.policies[policy_id]
         if policy.status is not PolicyStatus.ACTIVE:
             raise StateError(f"policy {policy_id} is {policy.status.value}")
@@ -213,7 +213,7 @@ class InsuranceBook:
         self.claims[claim_id] = claim
         return claim
 
-    def join_claim(self, ledger: Ledger, claim: InsuranceClaim, account: AccountId,
+    def join_claim(self, claim: InsuranceClaim, account: AccountId,
                    loss_claimed: FixedAmount, w_fraction: FixedAmount,
                    at: BlockTime) -> Joiner:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
@@ -234,9 +234,8 @@ class InsuranceBook:
         claim.joiners.append(joiner)
         return joiner
 
-    def dispute_claim(self, ledger: Ledger, claim: InsuranceClaim,
-                      challenger: AccountId, z_fraction: FixedAmount,
-                      at: BlockTime) -> Dispute:
+    def dispute_claim(self, claim: InsuranceClaim, challenger: AccountId,
+                      z_fraction: FixedAmount, at: BlockTime) -> Dispute:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} is not challengeable")
         if at.height >= claim.challenge_end:
@@ -258,14 +257,14 @@ class InsuranceBook:
                               (SIDE_APPROVE, SIDE_REJECT))
         return claim.dispute
 
-    def cast_vote(self, ledger: Ledger, claim: InsuranceClaim, voter: AccountId,
+    def cast_vote(self, claim: InsuranceClaim, voter: AccountId,
                   deposit: FixedAmount, side: str, at: BlockTime) -> None:
         if claim.phase is not ClaimPhase.VOTING or claim.votes is None:
             raise StateError(f"claim {claim.claim_id} is not in a voting round")
         vote = claim.votes.cast(voter, deposit, side, at.height)
         claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
 
-    def escalate(self, ledger: Ledger, claim: InsuranceClaim, party: AccountId,
+    def escalate(self, claim: InsuranceClaim, party: AccountId,
                  at: BlockTime) -> None:
         """Buy a fresh voting round; only the claimant or challenger may,
         posting their previous bond scaled by the escalation multiplier."""

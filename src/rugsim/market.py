@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    AccountId,
     BlockTime,
     DustError,
     FixedAmount,
@@ -261,50 +260,28 @@ def pool_remove_liquidity(pool: PoolState,
 
 
 @dataclass(frozen=True)
-class DrainEvent:
-    """A creator's pending liquidity drain, visible one or more blocks
-    before it executes (the detection window)."""
-
-    pool: PoolId
-    creator: AccountId
-    t_rug_supply: FixedAmount
-    t_total_supply: FixedAmount
-    submitted_at: BlockTime
-    executes_at: BlockTime
-
-    def __post_init__(self):
-        if self.t_rug_supply.raw < 0 or self.t_rug_supply > self.t_total_supply:
-            raise ParameterError(
-                f"need 0 <= T_rug <= T_total, got {self.t_rug_supply}/{self.t_total_supply}")
-        if self.executes_at.height < self.submitted_at.height:
-            raise ParameterError("executes_at before submitted_at")
-
-
-@dataclass(frozen=True)
 class DrainResult:
     liquid_out: FixedAmount       # realized via the swap, slippage included
     naive_target: FixedAmount     # (T_rug/T_total) * L_pool, the optimistic figure
     pool: PoolState
 
 
-def execute_drain(ev: DrainEvent, pool: PoolState, rug_token: TokenId,
-                  now: Union[BlockTime, int]) -> DrainResult:
-    """Realize a drain by swapping the creator's rug holdings through the
-    pool. Both the naive proportional figure and the slippage-reduced
-    realized proceeds are reported; the swap is ground truth.
+def execute_drain(pool: PoolState, rug_token: TokenId, t_rug: FixedAmount,
+                  t_total: FixedAmount) -> DrainResult:
+    """Realize a drain by swapping the creator's ``t_rug`` of a ``t_total``
+    supply through the pool. Both the naive proportional figure and the
+    slippage-reduced realized proceeds are reported; the swap is ground
+    truth.
     """
-    if _height(now) < ev.executes_at.height:
-        raise ParameterError(
-            f"drain executes at {ev.executes_at.height}, now {_height(now)}")
     liquid_token = pool.other(rug_token)
     l_pool = pool.reserve_of(liquid_token)
-    if ev.t_total_supply.raw > 0:
-        naive = l_pool * ev.t_rug_supply / ev.t_total_supply
+    if t_total.raw > 0:
+        naive = l_pool * t_rug / t_total
     else:
         naive = ZERO
-    if ev.t_rug_supply.raw == 0:
+    if t_rug.raw == 0:
         return DrainResult(ZERO, naive, pool)
-    liquid_out, new_pool = pool_swap(pool, rug_token, ev.t_rug_supply)
+    liquid_out, new_pool = pool_swap(pool, rug_token, t_rug)
     return DrainResult(liquid_out, naive, new_pool)
 
 

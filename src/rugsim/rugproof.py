@@ -144,7 +144,7 @@ class RugproofBook:
         self.claims[claim_id] = claim
         return claim
 
-    def cast_vote(self, ledger: Ledger, claim: RugClaim, voter: AccountId,
+    def cast_vote(self, claim: RugClaim, voter: AccountId,
                   deposit: FixedAmount, side: str, at: BlockTime) -> None:
         if claim.status is not ClaimStatus.VOTING:
             raise StateError(f"claim {claim.claim_id} is not accepting votes")

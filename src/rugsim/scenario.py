@@ -429,6 +429,11 @@ def load_scenario(doc: dict) -> Scenario:
             parsed.update(_parse_args(step, SCRIPT_OPS[parsed["op"]][1], step_path, refs))
             if parsed["op"] == "transfer":
                 _not_engine_account(parsed["to"], f"{step_path}.to")
+            elif (parsed["op"] == "drain"
+                  and not 0 <= parsed["t_rug"].raw <= parsed["t_total"].raw):
+                raise ScenarioError(f"{step_path}.t_rug",
+                                    f"need 0 <= t_rug <= t_total, got "
+                                    f"{parsed['t_rug']}/{parsed['t_total']}")
             agent["script"].append(parsed)
 
     intents = _parse_list(doc, "intents", INTENT_ARGS, refs)

@@ -237,7 +237,7 @@ def _fuzz_rugproof(cases: int) -> None:
             voter = AccountId.solo(f"v{v}")
             ledger.mint(f"v{v}", "T", amt(1000))
             side = SIDE_RUGGING if rng.random() < 0.5 else SIDE_NOT_RUGGING
-            book.cast_vote(ledger, claim, voter, amt(rng.randint(1, 500)),
+            book.cast_vote(claim, voter, amt(rng.randint(1, 500)),
                            side, BlockTime(rng.randint(0, 4), "r"))
         resolution = book.resolve_claim(claim, BlockTime(5, "r"))
         # slash never exceeds the corresponding bond
@@ -286,20 +286,20 @@ def _fuzz_insurance(cases: int) -> None:
             account = AccountId.solo(f"j{j}")
             ledger.mint(f"j{j}", "USD", amt(10**4))
             joiners.append(book.join_claim(
-                ledger, claim, account, amt(rng.randint(10, 500)),
+                claim, account, amt(rng.randint(10, 500)),
                 quantize(Fraction(rng.randint(1, 5), 100)), BlockTime(2, "r")))
         disputed = rng.random() < 0.6
         if disputed:
             challenger = AccountId.solo("challenger")
             ledger.mint("challenger", "USD", amt(10**5))
-            book.dispute_claim(ledger, claim, challenger,
+            book.dispute_claim(claim, challenger,
                                quantize(Fraction(rng.randint(1, 8), 100)),
                                BlockTime(3, "r"))
             for v in range(rng.randint(0, 5)):
                 voter = AccountId.solo(f"w{v}")
                 ledger.mint(f"w{v}", "USD", amt(1000))
                 side = SIDE_APPROVE if rng.random() < 0.5 else SIDE_REJECT
-                book.cast_vote(ledger, claim, voter, amt(rng.randint(1, 300)),
+                book.cast_vote(claim, voter, amt(rng.randint(1, 300)),
                                side, BlockTime(rng.randint(3, 6), "r"))
         claim_side_before = {
             "insured": ledger.balance("insured", "USD"),
@@ -316,7 +316,7 @@ def _fuzz_insurance(cases: int) -> None:
                 party = claim.claimant if rng.random() < 0.5 \
                     else claim.dispute.challenger
                 try:
-                    book.escalate(ledger, claim, party, BlockTime(height, "r"))
+                    book.escalate(claim, party, BlockTime(height, "r"))
                 except Exception:
                     pass
             height += 1

@@ -261,6 +261,32 @@ def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch)
     assert list((out / "vaults.0.penalty_lambda=1.2").iterdir()) == []
 
 
+def _file_in_the_way(tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    return str(blocker / "x")
+
+
+def _directory_in_the_way(tmp_path):
+    # the run streams into o; its last write, hash.txt, cannot replace a directory
+    (tmp_path / "o" / "hash.txt").mkdir(parents=True)
+    return str(tmp_path / "o")
+
+
+@pytest.mark.parametrize("out", [_file_in_the_way, _directory_in_the_way])
+def test_run_reports_an_unwritable_out_in_one_line(tmp_path, capsys, out):
+    assert main(["run", "--scenario", "builtin:scam", "--out", out(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write trace: ") and err.count("\n") == 1
+
+
+def test_sweep_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
+    assert main(["sweep", "--scenario", "builtin:scam", "--out", _file_in_the_way(tmp_path),
+                 "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write trace: ") and err.count("\n") == 1
+
+
 def test_sweep_runs_the_largest_range_it_allows():
     key, values = cli._parse_range(f"x=1:{cli.MAX_SWEEP_POINTS}:1")
     assert (key, len(values), values[-1]) == ("x", cli.MAX_SWEEP_POINTS,
@@ -550,6 +576,12 @@ LOAD_PROBES = [
         doc["tokens"].append({"id": "R", "chain": "home"}),
         doc["accounts"][0]["balances"].update(R="1000000000000000000")),
                  "tokenomics.initial_supply", id="genesis-home-token-past-the-amount-range"),
+    # a drain sells between none and all of the supply it names
+    pytest.param("scam", lambda doc: doc["agents"][0]["script"][0].update(
+        t_rug="900", t_total="800"), "agents[0].script[0].t_rug",
+                 id="drain-above-its-total"),
+    pytest.param("scam", _set("agents", 0, "script", 0, "t_rug", value="-5"),
+                 "agents[0].script[0].t_rug", id="negative-drain"),
 ]
 
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from rugsim.core import (
     MAX_RAW,
     AccountId,
-    BlockTime,
     FixedAmount,
     ParameterError,
     RangeError,
@@ -26,25 +25,19 @@ from rugsim.detection import (
     RiskSignal,
     SignalKind,
     SolverBid,
-    TooLateError,
     TrailingWindow,
     plan_backrun,
     plan_frontrun,
     plan_sandwich,
     solver_step,
 )
-from rugsim.market import DrainEvent, PoolState, pool_swap
+from rugsim.market import PoolState, pool_quote_exact_out, pool_swap
 
 ALICE = AccountId.solo("alice")
 
 
 def mk_pool(rx=1000, ry=1000, fee=0):
     return PoolState("p", "RUG", "USD", amt(rx), amt(ry), fee_bps=fee)
-
-
-def mk_drain(t_rug=800, t_total=1000, submitted=0, executes=3):
-    return DrainEvent("p", AccountId.solo("mallory"), amt(t_rug), amt(t_total),
-                      BlockTime(submitted, "a"), BlockTime(executes, "a"))
 
 
 # -- observation ---------------------------------------------------------------
@@ -235,49 +228,35 @@ def test_raw_pool_monitor_matches_the_fixed_amount_expression(threshold, levels)
 
 
 def test_frontrun_quotes_predrain_reserves():
-    plan = plan_frontrun(mk_drain(), mk_pool(), "RUG", ALICE, amt(100),
-                         now=1, drain_priority=0)
-    assert plan.leg.quoted_out == amt("90.909090909")
-    assert plan.priority > 0
+    assert plan_frontrun(mk_pool(), "RUG", amt(100)) == amt("90.909090909")
 
 
 def test_frontrun_empty_and_late():
-    assert plan_frontrun(mk_drain(), mk_pool(), "RUG", ALICE, amt(0), 1, 0) is None
-    with pytest.raises(TooLateError):
-        plan_frontrun(mk_drain(executes=3), mk_pool(), "RUG", ALICE, amt(10), 3, 0)
+    assert plan_frontrun(mk_pool(), "RUG", amt(0)) is None
 
 
 def test_sandwich_profitable_on_large_drain():
-    plan = plan_sandwich(mk_drain(t_rug=800), mk_pool(), "RUG", ALICE,
-                         amt(50), now=1, drain_priority=0)
-    assert plan is not None
-    assert plan.expected_profit.raw > 0
-    assert plan.pre.priority > 0 > plan.post.priority
-    # replay: pre swap, drain swap, buy back -> pocket exactly the plan profit
+    profit = plan_sandwich(mk_pool(), "RUG", amt(50), t_rug=amt(800))
+    assert profit is not None and profit.raw > 0
+    # replay: pre swap, drain swap, buy back -> pocket exactly the profit
     pool = mk_pool()
     pre_out, pool = pool_swap(pool, "RUG", amt(50))
     _, pool = pool_swap(pool, "RUG", amt(800))
-    back, pool = pool_swap(pool, "USD", plan.post.leg.amount_in)
+    post_cost = pool_quote_exact_out(pool, "RUG", amt(50))
+    back, pool = pool_swap(pool, "USD", post_cost)
     assert back >= amt(50)
-    assert pre_out - plan.post.leg.amount_in == plan.expected_profit
+    assert pre_out - post_cost == profit
 
 
 def test_sandwich_withheld_cases():
-    assert plan_sandwich(mk_drain(t_rug=0, t_total=1000), mk_pool(), "RUG",
-                         ALICE, amt(50), 1, 0) is None
-    assert plan_sandwich(mk_drain(), mk_pool(), "RUG", ALICE, amt(0), 1, 0) is None
-    with pytest.raises(TooLateError):
-        plan_sandwich(mk_drain(executes=2), mk_pool(), "RUG", ALICE, amt(50), 2, 0)
+    assert plan_sandwich(mk_pool(), "RUG", amt(50), t_rug=amt(0)) is None
+    assert plan_sandwich(mk_pool(), "RUG", amt(0), t_rug=amt(800)) is None
 
 
 def test_backrun_buys_the_dip():
-    drain = mk_drain(executes=3)
     _, pool = pool_swap(mk_pool(), "RUG", amt(800))  # the drain just happened
-    plan = plan_backrun(drain, pool, "RUG", ALICE, budget=amt(40),
-                        value_cap=amt(25), now=3)
-    assert plan.leg.input_token == "USD"
-    assert plan.leg.amount_in == amt(25)  # capped
-    assert plan_backrun(drain, pool, "RUG", ALICE, amt(0), amt(25), now=3) is None
+    assert plan_backrun(pool, "RUG", budget=amt(40), cap=amt(25)) == amt(25)  # capped
+    assert plan_backrun(pool, "RUG", amt(0), amt(25)) is None
 
 
 # -- intents -----------------------------------------------------------------------
@@ -341,12 +320,10 @@ def test_solver_auction_lowest_fee_then_id():
 
 
 def test_backrun_dust_capped_by_quantum_rules():
-    drain = mk_drain(executes=3)
-    # a quantum of numeraire buys no output at this ratio: plan withheld
+    # a quantum of numeraire buys no output at this ratio: back-run withheld
     pool = mk_pool("0.00000001", 1000)
-    plan = plan_backrun(drain, pool, "RUG", ALICE, budget=amt("0.000000001"),
-                        value_cap=amt("0.000000001"), now=3)
-    assert plan is None
+    assert plan_backrun(pool, "RUG", budget=amt("0.000000001"),
+                        cap=amt("0.000000001")) is None
 
 
 class _UnrankableBids(list):

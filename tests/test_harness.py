@@ -290,6 +290,51 @@ def test_two_detectors_plan_each_move_against_a_drain_once():
     assert trace.trace_hash() == "20ba62fcfb8daa2b"
 
 
+def overlapping_detectors_doc(window):
+    # guard protects one name twice and sandwiches; guard-2, listed second,
+    # protects that name again and is the first with a back-run budget
+    doc = scam_scenario()
+    doc["agents"][0]["script"][0]["window"] = window
+    for account in doc["accounts"]:
+        if account["id"] == "guard":
+            account["balances"] = {"RUG": "50", "USDN": "500"}
+    doc["accounts"].append({"id": "guard-2", "balances": {"USDN": "500"}})
+    doc["agents"][2].update(protects=["frontrun-user", "frontrun-user"],
+                            sandwich_budget="50", backrun_budget="0")
+    doc["agents"].append({"kind": "detector", "account": "guard-2",
+                          "protects": ["frontrun-user", "unprotected"],
+                          "backrun_budget": "100", "backrun_cap": "50"})
+    return doc
+
+
+@pytest.mark.parametrize("window,plans,moves,digest", [
+    # the drain executes the block after it is submitted: no block lies
+    # before it, so nothing is front-run or sandwiched; the back-run runs
+    (1, [], [(5, "backrun", "guard-2")], "f9e4ffa4975d9407"),
+    # the block after submission is the block before execution: front-runs
+    # and the sandwich are planned together, in detector order
+    (2, [(5, "frontrun", "frontrun-user"), (5, "sandwich", "guard"),
+         (5, "frontrun", "unprotected")],
+     [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
+      (6, "sandwich_pre", "guard"), (6, "sandwich_post", "guard"),
+      (6, "backrun", "guard-2")], "92aa5522b81b50ec"),
+    (3, [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
+         (6, "sandwich", "guard")],
+     [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
+      (7, "sandwich_pre", "guard"), (7, "sandwich_post", "guard"),
+      (7, "backrun", "guard-2")], "dec2f70bed1a4aab"),
+])
+def test_drain_windows_time_each_move_once(window, plans, moves, digest):
+    # measured before the engine alone timed the moves against a drain
+    sim, trace = run_scenario(overlapping_detectors_doc(window))
+    assert [(e["h"], e["kind"], e["account"]) for e in trace.events
+            if e["type"] == "plan"] == plans
+    assert [(e["h"], e["memo"], e["account"]) for e in trace.events
+            if e["type"] == "swap" and e["memo"] != "intent"] == moves
+    assert sim.pending_drains == [] and trace.failed_events == 0
+    assert trace.trace_hash() == digest
+
+
 def test_intents_protect_via_swap_to_anticoin():
     doc = scam_scenario()
     doc["intents"][0]["action"] = "swap_to_anticoin"

@@ -76,7 +76,7 @@ def test_joiners_post_bonds(ledger):
                               amt("0.05"), at(1))
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
-        record = book.join_claim(ledger, claim, joiner, amt(100), amt("0.02"), at(2))
+        record = book.join_claim(claim, joiner, amt(100), amt("0.02"), at(2))
         assert record.bond == amt(20)
     assert len(claim.joiners) == 3
 
@@ -87,10 +87,10 @@ def test_join_after_dispute_rejected(ledger):
     claim = book.submit_claim(ledger, policy.policy_id, AccountId.solo("insured"),
                               amt("0.05"), at(1))
     challenger = fund(ledger, "chal", USD, 100)
-    book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
     late = fund(ledger, "late", USD, 100)
     with pytest.raises(StateError):
-        book.join_claim(ledger, claim, late, amt(50), amt("0.02"), at(3))
+        book.join_claim(claim, late, amt(50), amt("0.02"), at(3))
 
 
 # -- disputes ---------------------------------------------------------------------
@@ -102,10 +102,10 @@ def test_dispute_bond_and_rules(ledger):
     claim = book.submit_claim(ledger, policy.policy_id, AccountId.solo("insured"),
                               amt("0.05"), at(1))
     challenger = fund(ledger, "chal", USD, 100)
-    dispute = book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(2))
+    dispute = book.dispute_claim(claim, challenger, amt("0.03"), at(2))
     assert dispute.bond == amt(30)
     with pytest.raises(StateError):  # one dispute per level
-        book.dispute_claim(ledger, claim, fund(ledger, "c2", USD, 100),
+        book.dispute_claim(claim, fund(ledger, "c2", USD, 100),
                            amt("0.03"), at(3))
 
 
@@ -118,7 +118,7 @@ def test_late_dispute_rejected_and_claim_auto_approves(ledger):
     assert resolution is not None and claim.phase is ClaimPhase.APPROVED
     challenger = fund(ledger, "chal", USD, 100)
     with pytest.raises(StateError):
-        book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(11))
+        book.dispute_claim(claim, challenger, amt("0.03"), at(11))
 
 
 # -- resolution --------------------------------------------------------------------
@@ -146,9 +146,9 @@ def test_rejected_pooled_penalty(ledger):
                               amt("0.05"), at(1))
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
-        book.join_claim(ledger, claim, joiner, amt(100), amt("0.02"), at(2))
+        book.join_claim(claim, joiner, amt(100), amt("0.02"), at(2))
     challenger = fund(ledger, "chal", USD, 1000)
-    book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(3))
+    book.dispute_claim(claim, challenger, amt("0.03"), at(3))
     # nobody votes: tie goes to reject
     resolution = book.step_deadlines(ledger, claim, at(13))
     assert claim.phase is ClaimPhase.PENDING_FINAL
@@ -171,11 +171,11 @@ def test_disputed_vote_decides(ledger):
     claim = book.submit_claim(ledger, policy.policy_id, AccountId.solo("insured"),
                               amt("0.05"), at(1))
     challenger = fund(ledger, "chal", USD, 100)
-    book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
     alice = fund(ledger, "alice", USD, 100)
     bob = fund(ledger, "bob", USD, 100)
-    book.cast_vote(ledger, claim, alice, amt(60), SIDE_APPROVE, at(3))
-    book.cast_vote(ledger, claim, bob, amt(40), SIDE_REJECT, at(3))
+    book.cast_vote(claim, alice, amt(60), SIDE_APPROVE, at(3))
+    book.cast_vote(claim, bob, amt(40), SIDE_REJECT, at(3))
     book.step_deadlines(ledger, claim, at(12))
     assert claim.pending_outcome == SIDE_APPROVE
     book.step_deadlines(ledger, claim, at(17))
@@ -195,7 +195,7 @@ def setup_disputed(ledger, book):
     claim = book.submit_claim(ledger, policy.policy_id, AccountId.solo("insured"),
                               amt("0.05"), at(1))
     challenger = fund(ledger, "chal", USD, 1000)
-    book.dispute_claim(ledger, claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
     return policy, claim, challenger
 
 
@@ -204,7 +204,7 @@ def test_escalation_bond_doubles(ledger):
     policy, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, at(12))  # reject pending (no votes)
     before = ledger.balance("insured", USD)
-    book.escalate(ledger, claim, AccountId.solo("insured"), at(13))
+    book.escalate(claim, AccountId.solo("insured"), at(13))
     assert claim.escalation_level == 1
     assert ledger.balance("insured", USD) == before - amt(100)  # 2 x 50 bond
     assert claim.phase is ClaimPhase.VOTING
@@ -216,19 +216,19 @@ def test_escalation_only_parties(ledger):
     book.step_deadlines(ledger, claim, at(12))
     outsider = fund(ledger, "outsider", USD, 10_000)
     with pytest.raises(ParameterError):
-        book.escalate(ledger, claim, outsider, at(13))
+        book.escalate(claim, outsider, at(13))
 
 
 def test_escalation_limit_is_final(ledger):
     book = mk_book(max_escalations=1)
     _, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, at(12))
-    book.escalate(ledger, claim, AccountId.solo("insured"), at(13))
+    book.escalate(claim, AccountId.solo("insured"), at(13))
     # level 1 == max: the vote-end resolution is immediately final
     resolution = book.step_deadlines(ledger, claim, at(23))
     assert resolution is not None and claim.phase is ClaimPhase.REJECTED
     with pytest.raises(StateError):
-        book.escalate(ledger, claim, AccountId.solo("insured"), at(24))
+        book.escalate(claim, AccountId.solo("insured"), at(24))
     ledger.check_conservation()
 
 
@@ -236,9 +236,9 @@ def test_loser_escalation_bonds_forfeit_to_winner(ledger):
     book = mk_book(max_escalations=2)
     policy, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, at(12))          # pending reject
-    book.escalate(ledger, claim, AccountId.solo("insured"), at(13))  # posts 100
+    book.escalate(claim, AccountId.solo("insured"), at(13))  # posts 100
     voter = fund(ledger, "voter", USD, 500)
-    book.cast_vote(ledger, claim, voter, amt(200), SIDE_APPROVE, at(14))
+    book.cast_vote(claim, voter, amt(200), SIDE_APPROVE, at(14))
     book.step_deadlines(ledger, claim, at(23))          # pending approve
     book.step_deadlines(ledger, claim, at(28))          # final approve
     assert claim.phase is ClaimPhase.APPROVED
@@ -252,7 +252,7 @@ def test_expire_policy_returns_bond(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book, duration=10)
     with pytest.raises(StateError):
-        book.expire_policy(ledger, policy.policy_id, at(5))
-    book.expire_policy(ledger, policy.policy_id, at(10))
+        book.expire_policy(policy.policy_id, at(5))
+    book.expire_policy(policy.policy_id, at(10))
     assert policy.status is PolicyStatus.EXPIRED
     assert ledger.balance("insurer", USD) == amt(10_000)

@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from rugsim import core, market
 from rugsim.core import (
-    AccountId,
-    BlockTime,
     DustError,
     FixedAmount,
     IlliquidError,
@@ -28,7 +26,6 @@ from rugsim.core import (
 from rugsim.market import (
     DEFAULT_PEG_TOLERANCE,
     PEG_BISECTION_ITERATIONS,
-    DrainEvent,
     PegTrade,
     PoolState,
     PriceProcess,
@@ -242,24 +239,19 @@ def test_add_liquidity_ratio_guard():
 # -- drains -----------------------------------------------------------------
 
 
-def drain_event(t_rug, t_total, at=3):
-    return DrainEvent("p", AccountId.solo("mallory"), amt(t_rug), amt(t_total),
-                      BlockTime(0, "a"), BlockTime(at, "a"))
-
-
 def test_drain_zero_is_noop():
     pool = mk_pool(1000, 2000)
-    res = execute_drain(drain_event(0, 1000), pool, "RUG", 3)
+    res = execute_drain(pool, "RUG", amt(0), amt(1000))
     assert res.liquid_out == amt(0)
     assert res.pool == pool
 
 
 def test_drain_realized_below_naive():
     pool = mk_pool(1000, 2000)
-    res = execute_drain(drain_event(1000, 1000), pool, "RUG", 3)
+    res = execute_drain(pool, "RUG", amt(1000), amt(1000))
     assert res.naive_target == amt(2000)
     assert res.liquid_out < res.naive_target
-    half = execute_drain(drain_event(500, 1000), pool, "RUG", 3)
+    half = execute_drain(pool, "RUG", amt(500), amt(1000))
     assert half.naive_target == amt(1000)
     assert half.liquid_out < half.naive_target
 
@@ -267,16 +259,8 @@ def test_drain_realized_below_naive():
 def test_drain_collapses_spot():
     pool = mk_pool(1000, 2000)
     before = spot_price(pool)
-    res = execute_drain(drain_event(900, 1000), pool, "RUG", 3)
+    res = execute_drain(pool, "RUG", amt(900), amt(1000))
     assert spot_price(res.pool) < before
-
-
-def test_drain_respects_window():
-    with pytest.raises(ParameterError):
-        execute_drain(drain_event(10, 100, at=5), mk_pool(1000, 1000), "RUG", 4)
-    with pytest.raises(ParameterError):
-        DrainEvent("p", AccountId.solo("m"), amt(2), amt(1),
-                   BlockTime(0, "a"), BlockTime(1, "a"))
 
 
 # -- peg keeper --------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_claim_on_slashed_issuance_rejected(ledger):
     book = mk_book()
     issuance, claim, _ = setup_claim(ledger, book)
     voter = fund(ledger, "voter", TOKEN, 1000)
-    book.cast_vote(ledger, claim, voter, amt(100), SIDE_RUGGING, at(1))
+    book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, at(1))
     book.resolve_claim(claim, at(10))
     assert issuance.status is IssuanceStatus.SLASHED
     late = fund(ledger, "late", TOKEN, 50_000)
@@ -94,13 +94,13 @@ def test_vote_window_and_deposit_rules(ledger):
     _, claim, _ = setup_claim(ledger, book)
     voter = fund(ledger, "voter", TOKEN, 1000)
     with pytest.raises(Exception):
-        book.cast_vote(ledger, claim, voter, amt(9), SIDE_RUGGING, at(1))  # below z
-    book.cast_vote(ledger, claim, voter, amt(10), SIDE_RUGGING, at(1))    # boundary
+        book.cast_vote(claim, voter, amt(9), SIDE_RUGGING, at(1))  # below z
+    book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, at(1))    # boundary
     with pytest.raises(Exception):
-        book.cast_vote(ledger, claim, voter, amt(10), SIDE_RUGGING, at(2))  # double
+        book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, at(2))  # double
     late = fund(ledger, "late-voter", TOKEN, 1000)
     with pytest.raises(Exception):
-        book.cast_vote(ledger, claim, late, amt(10), SIDE_RUGGING, at(10))  # window end
+        book.cast_vote(claim, late, amt(10), SIDE_RUGGING, at(10))  # window end
 
 
 def test_resolve_rugging_distribution(ledger):
@@ -108,7 +108,7 @@ def test_resolve_rugging_distribution(ledger):
     issuance, claim, claimant = setup_claim(ledger, book)
     voters = [fund(ledger, f"v{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
-        book.cast_vote(ledger, claim, voter, amt(100), SIDE_RUGGING, at(1))
+        book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, at(1))
     resolution = book.resolve_claim(claim, at(10))
     assert claim.status is ClaimStatus.UPHELD_RUG
     assert resolution.slashed == amt(25_000)  # 50% of the 50k bond
@@ -137,7 +137,7 @@ def test_resolve_not_rugging_distribution(ledger):
     _, claim, _ = setup_claim(ledger, book)
     voters = [fund(ledger, f"nv{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
-        book.cast_vote(ledger, claim, voter, amt(50), SIDE_NOT_RUGGING, at(2))
+        book.cast_vote(claim, voter, amt(50), SIDE_NOT_RUGGING, at(2))
     resolution = book.resolve_claim(claim, at(10))
     assert resolution.slashed == amt(10_000)
     for i in range(2):
@@ -157,7 +157,7 @@ def test_resolution_is_order_independent(ledger):
             votes = list(reversed(votes))
         for name, deposit, side in votes:
             voter = fund(led, name, TOKEN, 1000)
-            book.cast_vote(led, claim, voter, amt(deposit), side, at(1))
+            book.cast_vote(claim, voter, amt(deposit), side, at(1))
         book.resolve_claim(claim, at(10))
         results.append({name: str(led.balance(name, TOKEN)) for name in "abc"})
     assert results[0] == results[1]
@@ -178,7 +178,7 @@ def test_escrow_conservation_exact(ledger):
     deposits = ["33.000000007", "11.5", "17.000000001"]
     for name, side, deposit in zip(names, sides, deposits):
         voter = fund(ledger, name, TOKEN, 1000)
-        book.cast_vote(ledger, claim, voter, amt(deposit), side, at(3))
+        book.cast_vote(claim, voter, amt(deposit), side, at(3))
     book.resolve_claim(claim, at(10))
     # both case escrow accounts drained to exactly zero
     assert ledger.balance(f"case:{claim.claim_id}", TOKEN) == amt(0)

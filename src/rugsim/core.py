@@ -447,10 +447,6 @@ class AccountId:
     value: str
     owner: str
 
-    @classmethod
-    def solo(cls, name: str) -> "AccountId":
-        return cls(value=name, owner=name)
-
     def __str__(self) -> str:
         return self.value
 

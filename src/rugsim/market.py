@@ -11,6 +11,7 @@ constant-product solution stays below one quantum per operation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -306,25 +307,26 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
     without crossing it. Returns None when already in band or budget is 0.
 
     Spot above peg: sell token_x (the pegged asset); below: spend token_y.
-    Trade size is found by bounded bisection at quantum granularity.
+    The size starts at the constant-product root and is made exact by a local
+    search; it equals a bisection over [0, budget] capped at
+    PEG_BISECTION_ITERATIONS halvings.
     """
     if peg_value.raw < 0:
         raise ParameterError("peg_value must be >= 0")
     if budget.raw <= 0 or pool.is_closed():
         return None
-    spot = spot_price(pool)
-    band = peg_value * tolerance
-    gap = spot - peg_value
-    if abs(gap) <= band:
+    spot_raw = spot_price(pool).raw
+    peg_raw, band_raw = peg_value.raw, (peg_value * tolerance).raw
+    above = spot_raw > peg_raw
+    if abs(spot_raw - peg_raw) <= band_raw:
         return None
-    input_token = pool.token_x if gap.raw > 0 else pool.token_y
+    input_token = pool.token_x if above else pool.token_y
     x_in = input_token == pool.token_x
     r_in = pool.reserve_of(input_token).raw
     r_out = pool.reserve_of(pool.other(input_token)).raw
     volume_in = (pool.volume_x if x_in else pool.volume_y).raw
     illiquid = r_in <= QUANTUM.raw or r_out <= QUANTUM.raw
     fee_bps = pool.fee_bps
-    above, peg_raw, band_raw = gap.raw > 0, peg_value.raw, band.raw
 
     def crosses(amount_raw: int) -> bool:
         # pool_swap then spot_price, in raw integers: an illiquid pool or a
@@ -348,14 +350,37 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
 
     lo, hi = 0, budget.raw
     if crosses(hi):
-        for _ in range(PEG_BISECTION_ITERATIONS):
-            if hi - lo <= 1:
-                break
+        # crosses is monotone in the amount, so its first crossing is unique.
+        # Guess it as the root of G*a^2 + (D+G)*r_in*a + D*r_in^2 = K (D = 10000,
+        # G = D - fee > 0), the trade moving the spot half a quantum past the band
+        # edge t > 0 as new_spot rounds half-even; gallop from it to a bracket
+        gain = 10000 - fee_bps
+        if above:   # K = D*r_in*r_out*SCALE/(t - 1/2)
+            four_gk = 80000 * gain * r_in * r_out * SCALE // (2 * (peg_raw - band_raw) - 1)
+        else:       # K = D*r_in*r_out*(t + 1/2)/SCALE
+            four_gk = 20000 * gain * r_in * r_out * (2 * (peg_raw + band_raw) + 1) // SCALE
+        root = math.isqrt(max((fee_bps * r_in) ** 2 + four_gk, 0))
+        guess = min(max((root - (10000 + gain) * r_in) // (2 * gain), 0), hi - 1)
+        if guess and crosses(guess):
+            hi, step = guess, 1
+            while hi > step and crosses(hi - step):
+                hi, step = hi - step, 2 * step
+            lo = max(hi - step, 0)
+        else:
+            lo, step = guess, 1
+            while lo + step < hi and not crosses(lo + step):
+                lo, step = lo + step, 2 * step
+            hi = min(lo + step, hi)
+        while hi - lo > 1:
             mid = (lo + hi) // 2
-            if crosses(mid):
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+        # hi is the first crossing amount. The capped bisection from the budget
+        # stops short of it past 2**64 quanta: replay its halvings against hi
+        if budget.raw > 1 << PEG_BISECTION_ITERATIONS:
+            first, lo, hi = hi, 0, budget.raw
+            for _ in range(PEG_BISECTION_ITERATIONS):
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if mid >= first else (mid, hi)
     else:
         lo = hi
     if lo <= 0:

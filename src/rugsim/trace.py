@@ -10,6 +10,7 @@ identical bytes, hence identical hashes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -39,9 +40,9 @@ def canonical_line(event: dict) -> str:
 
 # a streaming trace encodes, hashes and writes its events this many at a time
 FLUSH_EVENTS = 1024
-# a streaming trace writes events.jsonl and telemetry.csv under these
-# suffixed names and renames them at write(), so a run that fails leaves
-# none of its four files under their names
+# a streaming trace writes its four files under these suffixed names and
+# renames them at write(), hash.txt last, so a run or write() that fails
+# leaves none of them under their names
 PARTIAL = ".partial"
 
 
@@ -119,9 +120,9 @@ class Trace:
 
     def write(self, out_dir: Optional[str] = None) -> None:
         """Finish the four files: the events still pending, then state.json
-        and hash.txt. A streaming trace finishes its own directory and
-        ignores ``out_dir``; a kept trace is written to ``out_dir`` through
-        a streaming copy."""
+        and hash.txt; if that fails, delete them all and re-raise. A
+        streaming trace finishes its own directory and ignores ``out_dir``;
+        a kept trace is written to ``out_dir`` through a streaming copy."""
         if self.out_dir is None:
             if out_dir is None:
                 raise ValueError("a trace without a directory is written to out_dir")
@@ -131,18 +132,26 @@ class Trace:
             copy.final_state = self.final_state
             copy.write()
             return
-        self._flush()
-        digest = f"{self._state:016x}"
-        for handle in (self._events_file, self._telemetry_file):
-            handle.close()
-            os.replace(handle.name, handle.name.removesuffix(PARTIAL))
-        state = dict(self.final_state)
-        state["trace_hash"] = digest
-        with open(os.path.join(self.out_dir, STATE_FILE), "w", encoding="utf-8") as handle:
-            json.dump(state, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        with open(os.path.join(self.out_dir, HASH_FILE), "w", encoding="utf-8") as handle:
-            handle.write(digest + "\n")
+        paths = [os.path.join(self.out_dir, name)
+                 for name in (EVENTS_FILE, TELEMETRY_FILE, STATE_FILE, HASH_FILE)]
+        renamed = 0
+        try:
+            self._flush()
+            digest = f"{self._state:016x}"
+            for handle in (self._events_file, self._telemetry_file):
+                handle.close()
+            state = json.dumps(dict(self.final_state, trace_hash=digest), indent=2,
+                               sort_keys=True)
+            for path, text in ((paths[2], state), (paths[3], digest)):
+                with open(path + PARTIAL, "w", encoding="utf-8") as handle:
+                    handle.write(text + "\n")
+            for renamed, path in enumerate(paths):  # hash.txt last
+                os.replace(path + PARTIAL, path)
+        except BaseException:
+            for path in paths[:renamed] + [path + PARTIAL for path in paths]:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
     def discard(self) -> None:
         """Close a streaming trace's files and delete them, for a run that

@@ -9,7 +9,12 @@ def ledger():
     return Ledger()
 
 
+def solo(name: str) -> AccountId:
+    """An account that is its own beneficial owner."""
+    return AccountId(value=name, owner=name)
+
+
 def fund(ledger: Ledger, account: str, token: str, amount) -> AccountId:
     """Mint a starting balance and return a solo-owner AccountId."""
     ledger.mint(account, token, amt(amount))
-    return AccountId.solo(account)
+    return solo(account)

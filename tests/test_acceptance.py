@@ -208,7 +208,8 @@ def test_06_funding_bounds():
 
 
 def _fuzz_rugproof(cases: int) -> None:
-    from rugsim.core import AccountId, BlockTime
+    from conftest import solo
+    from rugsim.core import BlockTime
     from rugsim.rugproof import RugproofBook, SlashParams, SIDE_NOT_RUGGING, \
         SIDE_RUGGING
 
@@ -222,19 +223,19 @@ def _fuzz_rugproof(cases: int) -> None:
             z_min=amt(1), challenge_blocks=5)
         rng.random()  # a draw each case has always made, so the same cases run
         book = RugproofBook(params)
-        issuer = AccountId.solo("issuer")
+        issuer = solo("issuer")
         ledger.mint("issuer", "T", amt(10**6))
         total = amt(rng.randint(1000, 100_000))
         issuance = book.issue_bonded_token(
             ledger, issuer, "T", total,
             quantize(Fraction(rng.randint(1, 20), 100)))
-        claimant = AccountId.solo("claimant")
+        claimant = solo("claimant")
         ledger.mint("claimant", "T", amt(10**5))
         claim = book.submit_rug_claim(ledger, claimant, issuance.issuance_id,
                                       quantize(Fraction(rng.randint(1, 10), 100)),
                                       BlockTime(0, "r"))
         for v in range(rng.randint(0, 6)):
-            voter = AccountId.solo(f"v{v}")
+            voter = solo(f"v{v}")
             ledger.mint(f"v{v}", "T", amt(1000))
             side = SIDE_RUGGING if rng.random() < 0.5 else SIDE_NOT_RUGGING
             book.cast_vote(claim, voter, amt(rng.randint(1, 500)),
@@ -256,7 +257,8 @@ def _fuzz_rugproof(cases: int) -> None:
 
 
 def _fuzz_insurance(cases: int) -> None:
-    from rugsim.core import AccountId, BlockTime
+    from conftest import solo
+    from rugsim.core import BlockTime
     from rugsim.insurance import InsuranceBook, InsuranceParams, SIDE_APPROVE, \
         SIDE_REJECT
 
@@ -270,9 +272,9 @@ def _fuzz_insurance(cases: int) -> None:
             tau_challenge=4, tau_vote=4, escalation_window=3,
             max_escalations=rng.randint(0, 2))
         book = InsuranceBook(params, "USD")
-        insurer = AccountId.solo("insurer")
+        insurer = solo("insurer")
         ledger.mint("insurer", "USD", amt(10**6))
-        insured = AccountId.solo("insured")
+        insured = solo("insured")
         ledger.mint("insured", "USD", amt(10**4))
         i_v = amt(rng.randint(100, 5000))
         policy = book.issue_policy(ledger, insurer, insured, i_v,
@@ -283,20 +285,20 @@ def _fuzz_insurance(cases: int) -> None:
                                   BlockTime(1, "r"))
         joiners = []
         for j in range(rng.randint(0, 3)):
-            account = AccountId.solo(f"j{j}")
+            account = solo(f"j{j}")
             ledger.mint(f"j{j}", "USD", amt(10**4))
             joiners.append(book.join_claim(
                 claim, account, amt(rng.randint(10, 500)),
                 quantize(Fraction(rng.randint(1, 5), 100)), BlockTime(2, "r")))
         disputed = rng.random() < 0.6
         if disputed:
-            challenger = AccountId.solo("challenger")
+            challenger = solo("challenger")
             ledger.mint("challenger", "USD", amt(10**5))
             book.dispute_claim(claim, challenger,
                                quantize(Fraction(rng.randint(1, 8), 100)),
                                BlockTime(3, "r"))
             for v in range(rng.randint(0, 5)):
-                voter = AccountId.solo(f"w{v}")
+                voter = solo(f"w{v}")
                 ledger.mint(f"w{v}", "USD", amt(1000))
                 side = SIDE_APPROVE if rng.random() < 0.5 else SIDE_REJECT
                 book.cast_vote(claim, voter, amt(rng.randint(1, 300)),

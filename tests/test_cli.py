@@ -278,6 +278,9 @@ def test_run_reports_an_unwritable_out_in_one_line(tmp_path, capsys, out):
     assert main(["run", "--scenario", "builtin:scam", "--out", out(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write trace: ") and err.count("\n") == 1
+    # hash.txt is renamed last: the files renamed before it and every
+    # .partial are deleted, so no file is left
+    assert not any(path.is_file() for path in (tmp_path / "o").rglob("*"))
 
 
 def test_sweep_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
@@ -285,6 +288,20 @@ def test_sweep_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
                  "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write trace: ") and err.count("\n") == 1
+
+
+def test_a_sweep_point_that_cannot_be_finished_leaves_no_file_behind(tmp_path, capsys):
+    # the second point's hash.txt cannot replace a directory; the first
+    # point's trace stays whole
+    out = tmp_path / "o"
+    point = out / "vaults.0.penalty_lambda=1.2"
+    (point / "hash.txt").mkdir(parents=True)
+    assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),
+                 "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
+    assert capsys.readouterr().err.startswith("cannot write trace: ")
+    assert [path.name for path in point.iterdir()] == ["hash.txt"]
+    assert sorted(path.name for path in (out / "vaults.0.penalty_lambda=1.1").iterdir()) \
+        == sorted(TRACE_FILES)
 
 
 def test_sweep_runs_the_largest_range_it_allows():

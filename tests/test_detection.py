@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from rugsim.core import (
     MAX_RAW,
-    AccountId,
     FixedAmount,
     ParameterError,
     RangeError,
@@ -33,7 +32,9 @@ from rugsim.detection import (
 )
 from rugsim.market import PoolState, pool_quote_exact_out, pool_swap
 
-ALICE = AccountId.solo("alice")
+from conftest import solo
+
+ALICE = solo("alice")
 
 
 def mk_pool(rx=1000, ry=1000, fee=0):
@@ -279,7 +280,7 @@ def test_intent_threshold_validation():
 def test_intent_triggers_on_price():
     book = IntentBook()
     intent = mk_intent(book)
-    bids = [SolverBid(AccountId.solo("sol1"), 30)]
+    bids = [SolverBid(solo("sol1"), 30)]
     quiet = solver_step(book, {"RUG": amt("0.6")}, {"p": amt(1000)}, 5, bids)
     assert quiet == [] and intent.status is IntentStatus.PENDING
     hits = solver_step(book, {"RUG": amt("0.4")}, {"p": amt(1000)}, 6, bids)
@@ -290,7 +291,7 @@ def test_intent_triggers_on_price():
 def test_intent_triggers_on_liquidity():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid(AccountId.solo("sol1"), 30)]
+    bids = [SolverBid(solo("sol1"), 30)]
     hits = solver_step(book, {"RUG": amt(1)}, {"p": amt(200)}, 5, bids)
     assert len(hits) == 1
 
@@ -298,7 +299,7 @@ def test_intent_triggers_on_liquidity():
 def test_intents_are_one_shot():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid(AccountId.solo("sol1"), 30)]
+    bids = [SolverBid(solo("sol1"), 30)]
     assert len(solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids)) == 1
     assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 6, bids) == []
 
@@ -306,16 +307,16 @@ def test_intents_are_one_shot():
 def test_solver_auction_lowest_fee_then_id():
     book = IntentBook()
     mk_intent(book)
-    cheap = SolverBid(AccountId.solo("zed"), 10)
-    pricey = SolverBid(AccountId.solo("ann"), 20)
+    cheap = SolverBid(solo("zed"), 10)
+    pricey = SolverBid(solo("ann"), 20)
     [hit] = solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
                         [pricey, cheap])
     assert hit.solver.value == "zed" and hit.fee_bps == 10
     book2 = IntentBook()
     mk_intent(book2)
     [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
-                         [SolverBid(AccountId.solo("bob"), 10),
-                          SolverBid(AccountId.solo("ann"), 10)])
+                         [SolverBid(solo("bob"), 10),
+                          SolverBid(solo("ann"), 10)])
     assert hit2.solver.value == "ann"  # fee tie: lower id wins
 
 
@@ -335,5 +336,5 @@ class _UnrankableBids(list):
 
 def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
     book = IntentBook()
-    bids = _UnrankableBids([SolverBid(AccountId.solo("s"), 30)])
+    bids = _UnrankableBids([SolverBid(solo("s"), 30)])
     assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids) == []

@@ -4,9 +4,11 @@ escrow accounting."""
 import pytest
 from hypothesis import given, strategies as st
 
-from rugsim.core import AccountId, FixedAmount, amt, fsum
+from rugsim.core import FixedAmount, amt, fsum
 from rugsim.disputes import CaseEscrow, VoteBox, VoteError, pro_rata
 from rugsim.ledger import Ledger
+
+from conftest import solo
 
 
 def test_pro_rata_examples():
@@ -30,33 +32,33 @@ def test_pro_rata_sums_exactly(total, weights):
 
 def test_votebox_window_and_tally():
     box = VoteBox(5, 10, amt(2), ("yes", "no"))
-    box.cast(AccountId.solo("a"), amt(10), "yes", at=5)
-    box.cast(AccountId.solo("b"), amt(3), "no", at=9)
-    box.cast(AccountId.solo("c"), amt(3), "no", at=9)
+    box.cast(solo("a"), amt(10), "yes", at=5)
+    box.cast(solo("b"), amt(3), "no", at=9)
+    box.cast(solo("c"), amt(3), "no", at=9)
     assert box.mass("yes") == amt(10)
     assert box.mass("no") == amt(6)
     assert box.winner(tie_side="no") == "yes"
     with pytest.raises(VoteError):
-        box.cast(AccountId.solo("d"), amt(2), "yes", at=10)  # window closed
+        box.cast(solo("d"), amt(2), "yes", at=10)  # window closed
     with pytest.raises(VoteError):
-        box.cast(AccountId.solo("a"), amt(2), "no", at=9)    # double vote
+        box.cast(solo("a"), amt(2), "no", at=9)    # double vote
     with pytest.raises(VoteError):
-        box.cast(AccountId.solo("e"), amt(1), "no", at=9)    # below floor
+        box.cast(solo("e"), amt(1), "no", at=9)    # below floor
 
 
 def test_votebox_tie_goes_to_tie_side():
     box = VoteBox(0, 10, amt(1), ("yes", "no"))
     assert box.winner(tie_side="no") == "no"  # empty vote is a tie
-    box.cast(AccountId.solo("a"), amt(5), "yes", at=1)
-    box.cast(AccountId.solo("b"), amt(5), "no", at=1)
+    box.cast(solo("a"), amt(5), "yes", at=1)
+    box.cast(solo("b"), amt(5), "no", at=1)
     assert box.winner(tie_side="no") == "no"
 
 
 def test_voters_for_orders_deterministically():
     box = VoteBox(0, 10, amt(1), ("yes", "no"))
-    box.cast(AccountId.solo("zed"), amt(5), "yes", at=1)
-    box.cast(AccountId.solo("ann"), amt(5), "yes", at=2)
-    box.cast(AccountId.solo("mid"), amt(9), "yes", at=3)
+    box.cast(solo("zed"), amt(5), "yes", at=1)
+    box.cast(solo("ann"), amt(5), "yes", at=2)
+    box.cast(solo("mid"), amt(9), "yes", at=3)
     names = [v.voter.value for v in box.voters_for("yes")]
     assert names == ["mid", "ann", "zed"]  # deposit desc, then account id
 

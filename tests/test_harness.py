@@ -488,12 +488,12 @@ def test_perps_collateral_revaluation_toggle():
     from rugsim.ledger import Ledger
     from rugsim.perps import (Direction, FundingParams, MaintenanceRule,
                               PerpBook, position_health, position_pnl)
-    from rugsim.core import AccountId
+    from conftest import solo
     ledger = Ledger()
     ledger.mint("a", "CA", amt(100))
     book = PerpBook("v", "CA", FundingParams(amt("0.01"), amt(100), 4),
                     MaintenanceRule(), revalue_collateral=True)
-    position = book.open_position(ledger, AccountId.solo("a"), amt(100), amt(2),
+    position = book.open_position(ledger, solo("a"), amt(100), amt(2),
                                   Direction.LONG, amt(1), amt(1))
     frozen = position_pnl(position, amt("0.75"))
     live = position_pnl(position, amt("0.75"), unit_value=amt(2))

@@ -401,3 +401,77 @@ raws = st.one_of(st.integers(0, 3), st.integers(1, 10**13), st.integers(1, MAX_R
        tolerance=st.sampled_from(["0", "0.005", "0.5", "2"]))
 def test_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, tolerance):
     assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, amt(tolerance))
+
+
+def record_swap_outputs(monkeypatch):
+    """The amounts market._swap_output_raw is called with, in call order."""
+    amounts = []
+    swap_output_raw = market._swap_output_raw
+
+    def recorded(r_in, r_out, dx, fee_bps):
+        amounts.append(dx)
+        return swap_output_raw(r_in, r_out, dx, fee_bps)
+
+    monkeypatch.setattr(market, "_swap_output_raw", recorded)
+    return amounts
+
+
+def test_peg_keeper_matches_oracle_near_the_band_edges(monkeypatch):
+    # a trade calls _swap_output_raw for crosses(budget), for each probe of
+    # the search, then in pool_swap; the first probe is the guess, or 1 for
+    # a guess of 0
+    amounts = record_swap_outputs(monkeypatch)
+    paths, sides = set(), set()
+
+    def check(pool, peg, budget, tolerance):
+        args = (pool, FixedAmount(peg), FixedAmount(budget), tolerance)
+        amounts.clear()
+        got = peg_keeper_step(*args)
+        probes = amounts[1:-1]
+        assert got == oracle_peg_keeper_step(*args)
+        if got is not None:
+            found = got.amount_in.raw
+            sides.add(got.input_token)
+            paths.add("exact" if probes == [found, found + 1]
+                      else "high" if probes[0] > found else "low")
+        return got
+
+    for fee in (0, 30, 9999):
+        for peg in (SCALE, 7 * SCALE // 3):
+            band = (FixedAmount(peg) * DEFAULT_PEG_TOLERANCE).raw
+            for spot in [edge + k for edge in (peg - band, peg + band) for k in range(-3, 4)]:
+                for rx in (10**9, 37 * 10**12, 10**18):
+                    pool = PoolState("p", "RUG", "USD", FixedAmount(rx),
+                                     FixedAmount(spot * rx // SCALE), fee_bps=fee)
+                    check(pool, peg, rx, DEFAULT_PEG_TOLERANCE)
+    assert paths == {"exact", "low"} and sides == {"RUG", "USD"}
+    # selling SCALE lands the spot exactly on t - 1/2 (t = 500000001 with no
+    # band), which rounds half-even to t - 1 and crosses: the guess is the
+    # first crossing amount itself, one too high
+    pool = PoolState("p", "RUG", "USD", FixedAmount(SCALE), FixedAmount(2 * SCALE + 2))
+    check(pool, 500000001, 10 * SCALE, amt(0))
+    assert paths == {"exact", "low", "high"}
+    # the largest trade that does not cross is 1999999997 here; past 2**64
+    # quanta of budget, the capped bisection the keeper reproduces stops short
+    pool = PoolState("p", "RUG", "USD", FixedAmount(2), FixedAmount(2))
+    for budget, found in ((2**64, 1999999997), (2**65, 1999999996),
+                          (MAX_RAW - 2, 1951563909)):
+        assert check(pool, 1, budget, amt(0)).amount_in.raw == found
+
+
+def test_peg_keeper_prices_a_trade_in_few_swap_evaluations(monkeypatch):
+    # a deterministic work count: a capped bisection over the budget makes
+    # ~30-60 calls per trade, the guessed search about 4
+    amounts = record_swap_outputs(monkeypatch)
+    rng = SeededRng(16).stream("peg-work")
+    trades = 0
+    for _ in range(200):
+        rx = rng.randint(10**9, 10**15)
+        peg = rng.randint(SCALE // 10, 10 * SCALE)
+        spot = peg * rng.randint(500, 1500) // 1000
+        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(spot * rx // SCALE),
+                         fee_bps=rng.choice([0, 30, 100]))
+        budget = rng.randint(1, 2 * rx) if rng.random() < 0.8 else rng.randint(1, rx // 100)
+        trades += peg_keeper_step(pool, FixedAmount(peg), FixedAmount(budget)) is not None
+    assert trades >= 190
+    assert len(amounts) <= 5 * trades

@@ -30,7 +30,7 @@ from rugsim.vault import (
     whale_penalty,
 )
 
-from conftest import fund
+from conftest import fund, solo
 
 
 def mk_vault(registry=None, price=100, kind=ReceiptKind.FUNGIBLE, k="0",
@@ -230,7 +230,7 @@ def test_withdraw_first_small_is_near_gamma(ledger):
 
 def test_withdraw_sybil_split_costs_more_than_one_shot(ledger):
     registry, vault = mk_vault(k="0")
-    whale = AccountId.solo("whale")
+    whale = solo("whale")
     ledger.mint("whale", "RUG", amt(100))
     registry.deposit(ledger, vault.vault_id, whale, amt(100))
     sybils = [AccountId(value=f"sock{i}", owner="whale") for i in range(4)]
@@ -259,7 +259,7 @@ def test_withdraw_whale_surcharge_scales(ledger):
 
 def test_withdraw_without_anticoins_rejected(ledger):
     registry, vault = mk_vault()
-    nobody = AccountId.solo("nobody")
+    nobody = solo("nobody")
     with pytest.raises(BalanceError):
         registry.withdraw(ledger, vault.vault_id, nobody, amt(1), "treasury")
 

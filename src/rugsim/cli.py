@@ -47,6 +47,9 @@ def _default_out() -> str:
 
 
 def _load_doc(spec: str) -> dict:
+    """The document a builtin name or a file path names. Raises OSError for
+    a file that cannot be read, ValueError for one that is not UTF-8 JSON
+    and RecursionError for JSON nested too deeply to decode."""
     if spec in BUILTINS:
         return BUILTINS[spec]()
     with open(spec, "r", encoding="utf-8") as handle:
@@ -61,7 +64,7 @@ def _fail(message: str, code: int) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         doc = _load_doc(args.scenario)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
     try:
         sim, trace = run_scenario(doc, blocks=args.blocks, seed=args.seed,
@@ -168,7 +171,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(f"bad --param: {exc}", EXIT_INPUT)
     try:
         base = _load_doc(args.scenario)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
 
     # every point is written into its own copy and loaded before any run,
@@ -271,12 +274,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
         header, rows = figure_rows(args.which)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"figure_{args.which}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        return _fail(f"cannot write figure: {exc}", EXIT_INPUT)
     print(path)
     return EXIT_OK
 

@@ -16,11 +16,10 @@ Results are bit-identical across platforms -- no libm involved anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class RugsimError(Exception):
@@ -436,8 +435,7 @@ VaultId = str
 PoolId = str
 
 
-@dataclass(frozen=True)
-class AccountId:
+class AccountId(NamedTuple):
     """Opaque account identifier with a ground-truth beneficial-owner link.
 
     The simulator is omniscient about which accounts share an owner; this
@@ -451,14 +449,14 @@ class AccountId:
         return self.value
 
 
-@dataclass(frozen=True)
 class BlockTime:
-    height: int
-    chain: ChainId = "main"
+    __slots__ = ("height", "chain")
 
-    def __post_init__(self):
-        if self.height < 0:
-            raise ParameterError(f"negative block height: {self.height}")
+    def __init__(self, height: int, chain: ChainId = "main"):
+        if height < 0:
+            raise ParameterError(f"negative block height: {height}")
+        self.height = height
+        self.chain = chain
 
     def next(self) -> "BlockTime":
         return BlockTime(self.height + 1, self.chain)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     AccountId,
@@ -44,15 +43,13 @@ class SignalKind(enum.Enum):
     VOLUME_ANOMALY = "volume_anomaly"
 
 
-@dataclass(frozen=True)
 class RiskSignal:
-    kind: SignalKind
-    magnitude: FixedAmount
-    height: int
+    __slots__ = ("kind", "magnitude", "height")
 
-    def __post_init__(self):
-        if self.magnitude.raw < 0:
+    def __init__(self, kind: SignalKind, magnitude: FixedAmount, height: int):
+        if magnitude.raw < 0:
             raise ParameterError("signal magnitude must be >= 0")
+        self.kind, self.magnitude, self.height = kind, magnitude, height
 
 
 def _ratio(num: int, den: int) -> int:
@@ -230,29 +227,34 @@ class IntentStatus(enum.Enum):
     EXECUTED = "executed"
 
 
-@dataclass
-class Intent:
-    intent_id: int
-    owner: AccountId
-    pool: PoolId
-    token: TokenId
-    vault: Optional[VaultId]
-    theta_price: FixedAmount       # trigger: price <= theta_price * price_ref
-    theta_liquidity: FixedAmount   # trigger: liquidity <= theta_liquidity * liq_ref
-    action: IntentAction
-    price_ref: FixedAmount
-    liquidity_ref: FixedAmount
-    solver_fee_bps: int = 10000  # highest fee the owner accepts
-    status: IntentStatus = IntentStatus.PENDING
+# the highest solver fee an intent accepts unless its owner says otherwise
+DEFAULT_SOLVER_FEE_BPS = 10000
 
-    def __post_init__(self):
+
+class Intent:
+    __slots__ = ("intent_id", "owner", "pool", "token", "vault", "theta_price",
+                 "theta_liquidity", "action", "price_ref", "liquidity_ref", "solver_fee_bps",
+                 "status")
+
+    def __init__(self, intent_id: int, owner: AccountId, pool: PoolId, token: TokenId,
+                 vault: Optional[VaultId], theta_price: FixedAmount,
+                 theta_liquidity: FixedAmount, action: IntentAction, price_ref: FixedAmount,
+                 liquidity_ref: FixedAmount, solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS):
         one_raw = 10**9
-        for name, frac in (("theta_price", self.theta_price),
-                           ("theta_liquidity", self.theta_liquidity)):
+        for name, frac in (("theta_price", theta_price),
+                           ("theta_liquidity", theta_liquidity)):
             if not (0 < frac.raw < one_raw):
                 raise ParameterError(f"{name} must be in (0, 1), got {frac}")
-        if not (0 <= self.solver_fee_bps <= 10000):
-            raise ParameterError(f"solver fee cap out of range: {self.solver_fee_bps}")
+        if not (0 <= solver_fee_bps <= 10000):
+            raise ParameterError(f"solver fee cap out of range: {solver_fee_bps}")
+        self.intent_id, self.owner, self.pool = intent_id, owner, pool
+        self.token, self.vault, self.action = token, vault, action
+        # triggers: price <= theta_price * price_ref, or
+        # liquidity <= theta_liquidity * liquidity_ref
+        self.theta_price, self.theta_liquidity = theta_price, theta_liquidity
+        self.price_ref, self.liquidity_ref = price_ref, liquidity_ref
+        self.solver_fee_bps = solver_fee_bps  # highest fee the owner accepts
+        self.status = IntentStatus.PENDING
 
     def triggered(self, price: FixedAmount, liquidity: FixedAmount) -> bool:
         price_hit = price <= self.theta_price * self.price_ref
@@ -260,18 +262,16 @@ class Intent:
         return price_hit or liq_hit
 
 
-@dataclass(frozen=True)
 class SolverBid:
-    solver: AccountId
-    fee_bps: int
+    __slots__ = ("solver", "fee_bps")
 
-    def __post_init__(self):
-        if not (0 <= self.fee_bps <= 10000):
-            raise ParameterError(f"solver fee out of range: {self.fee_bps}")
+    def __init__(self, solver: AccountId, fee_bps: int):
+        if not (0 <= fee_bps <= 10000):
+            raise ParameterError(f"solver fee out of range: {fee_bps}")
+        self.solver, self.fee_bps = solver, fee_bps
 
 
-@dataclass(frozen=True)
-class IntentExecution:
+class IntentExecution(NamedTuple):
     intent: Intent
     solver: AccountId
     fee_bps: int
@@ -287,7 +287,7 @@ class IntentBook:
                  theta_price: FixedAmount, theta_liquidity: FixedAmount,
                  action: IntentAction, price_ref: FixedAmount,
                  liquidity_ref: FixedAmount, vault: Optional[VaultId] = None,
-                 solver_fee_bps: int = Intent.solver_fee_bps) -> Intent:
+                 solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS) -> Intent:
         intent = Intent(intent_id=self._next_id, owner=owner, pool=pool,
                         token=token, vault=vault, theta_price=theta_price,
                         theta_liquidity=theta_liquidity, action=action,

@@ -12,8 +12,6 @@ equal to total-out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     AccountId,
     FixedAmount,
@@ -30,11 +28,11 @@ class VoteError(RugsimError):
     """A vote violates the window, deposit floor, or one-vote rule."""
 
 
-@dataclass(frozen=True)
 class Vote:
-    voter: AccountId
-    deposit: FixedAmount
-    side: str
+    __slots__ = ("voter", "deposit", "side")
+
+    def __init__(self, voter: AccountId, deposit: FixedAmount, side: str):
+        self.voter, self.deposit, self.side = voter, deposit, side
 
 
 class VoteBox:
@@ -153,7 +151,8 @@ def pro_rata(total: FixedAmount, weights: list[tuple[str, FixedAmount]],
     return shares
 
 
-@dataclass
 class Resolution:
-    outcome: str
-    slashed: FixedAmount
+    __slots__ = ("outcome", "slashed")
+
+    def __init__(self, outcome: str, slashed: FixedAmount):
+        self.outcome, self.slashed = outcome, slashed

@@ -44,7 +44,6 @@ Module errors never crash a run; they are recorded as failed events.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
@@ -89,60 +88,66 @@ PRIORITY_SANDWICH_POST = -10
 PRIORITY_BACKRUN = -20
 
 
-@dataclass
 class QueuedTx:
-    chain: str
-    execute_at: int
-    priority: int
-    seq: int
-    kind: str
-    action: Callable[[], None]
+    __slots__ = ("chain", "execute_at", "priority", "seq", "kind", "action")
+
+    def __init__(self, chain: str, execute_at: int, priority: int, seq: int, kind: str,
+                 action: Callable[[], None]):
+        self.chain = chain
+        self.execute_at = execute_at
+        self.priority = priority
+        self.seq = seq
+        self.kind = kind
+        self.action = action
 
 
-@dataclass
 class PendingDrain:
     """A creator's drain of ``t_rug`` of a ``t_total`` supply, visible on
     its pool's chain from the block it is submitted until the block it
     executes at."""
 
-    pool: str
-    creator: str
-    rug_token: TokenId
-    t_rug: FixedAmount
-    t_total: FixedAmount
-    submitted_at: int
-    executes_at: int
-    executed: bool = False
-    # what the sandwich pre leg bought, once it has swapped
-    pre_out: Optional[FixedAmount] = None
+    __slots__ = ("pool", "creator", "rug_token", "t_rug", "t_total", "submitted_at",
+                 "executes_at", "executed", "pre_out")
+
+    def __init__(self, pool: str, creator: str, rug_token: TokenId, t_rug: FixedAmount,
+                 t_total: FixedAmount, submitted_at: int, executes_at: int):
+        self.pool, self.creator, self.rug_token = pool, creator, rug_token
+        self.t_rug, self.t_total = t_rug, t_total
+        self.submitted_at, self.executes_at = submitted_at, executes_at
+        self.executed = False
+        # what the sandwich pre leg bought, once it has swapped
+        self.pre_out: Optional[FixedAmount] = None
 
 
-@dataclass
 class Agent:
-    kind: str
-    account: AccountId
-    params: dict
+    __slots__ = ("kind", "account", "params")
+
+    def __init__(self, kind: str, account: AccountId, params: dict):
+        self.kind, self.account, self.params = kind, account, params
 
 
-@dataclass
 class ChainView:
     """What one chain's step visits, in the order a scan of the whole world
     would meet it. Pools, tokens, vaults and agents never change chain, so
     the views are built once, at materialize."""
 
-    aux: AuxMonitor
-    processes: list[tuple[TokenId, market.PriceProcess]] = field(default_factory=list)
-    pool_ids: list[str] = field(default_factory=list)
-    monitors: list[tuple[str, PoolMonitor]] = field(default_factory=list)
-    # (creator account, chain token) pairs whose outflows the aux scan reads
-    outflow_keys: list[tuple[str, TokenId]] = field(default_factory=list)
-    # chain tokens whose mints the aux scan reads (R is excluded)
-    mint_tokens: list[TokenId] = field(default_factory=list)
-    # (agent, pool id, trade probability, largest size in raw quanta, rng)
-    noise: list[tuple[Agent, str, float, int, random.Random]] = field(default_factory=list)
-    # (agent, budget, tolerance)
-    pegkeepers: list[tuple[Agent, FixedAmount, FixedAmount]] = field(default_factory=list)
-    perp_books: list[tuple[str, PerpBook]] = field(default_factory=list)
+    __slots__ = ("aux", "processes", "pool_ids", "monitors", "outflow_keys", "mint_tokens",
+                 "noise", "pegkeepers", "perp_books")
+
+    def __init__(self, aux: AuxMonitor):
+        self.aux = aux
+        self.processes: list[tuple[TokenId, market.PriceProcess]] = []
+        self.pool_ids: list[str] = []
+        self.monitors: list[tuple[str, PoolMonitor]] = []
+        # (creator account, chain token) pairs whose outflows the aux scan reads
+        self.outflow_keys: list[tuple[str, TokenId]] = []
+        # chain tokens whose mints the aux scan reads (R is excluded)
+        self.mint_tokens: list[TokenId] = []
+        # (agent, pool id, trade probability, largest size in raw quanta, rng)
+        self.noise: list[tuple[Agent, str, float, int, random.Random]] = []
+        # (agent, budget, tolerance)
+        self.pegkeepers: list[tuple[Agent, FixedAmount, FixedAmount]] = []
+        self.perp_books: list[tuple[str, PerpBook]] = []
 
 
 class Simulation:
@@ -619,18 +624,18 @@ class Simulation:
         if held < pending.t_rug:
             raise BalanceError(
                 f"creator holds {held} {rug_token}, cannot drain {pending.t_rug}")
-        result = market.execute_drain(pool, rug_token, pending.t_rug, pending.t_total)
-        if result.liquid_out.raw > 0:
+        liquid_out, naive_target, new_pool = market.execute_drain(
+            pool, rug_token, pending.t_rug, pending.t_total)
+        if liquid_out.raw > 0:
             pool_account = self._pool_account(pool_id)
             liquid_token = pool.other(rug_token)
             self.ledger.transfer(creator, pool_account, rug_token,
                                  pending.t_rug, memo="drain")
             self.ledger.transfer(pool_account, creator, liquid_token,
-                                 result.liquid_out, memo="drain")
-            self.pools[pool_id] = result.pool
+                                 liquid_out, memo="drain")
+            self.pools[pool_id] = new_pool
         self._event("drain_executed", pool=pool_id, creator=creator,
-                    naive_target=str(result.naive_target),
-                    realized=str(result.liquid_out),
+                    naive_target=str(naive_target), realized=str(liquid_out),
                     spot_after=str(market.spot_price(self.pools[pool_id])))
         pending.executed = True
 

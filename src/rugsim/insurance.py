@@ -11,7 +11,6 @@ escalation bonds are forfeited to the winning party.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -48,18 +47,31 @@ class ClaimPhase(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class InsuranceParams:
-    alpha_comp: FixedAmount            # insurer-bond share paid to the claim side
-    gamma_pen: FixedAmount             # slash fraction on claim-side bonds
-    escalation_bond_multiplier: FixedAmount = amt(2)
-    max_escalations: int = 2
-    tau_challenge: int = 10
-    tau_vote: int = 10
-    escalation_window: int = 5
-    x_min: FixedAmount = amt("0.01")
+# InsuranceParams' defaults, which the scenario loader's table also reads
+DEFAULT_ESCALATION_BOND_MULTIPLIER = amt(2)
+DEFAULT_MAX_ESCALATIONS = 2
+DEFAULT_TAU_CHALLENGE = 10
+DEFAULT_TAU_VOTE = 10
+DEFAULT_ESCALATION_WINDOW = 5
+DEFAULT_X_MIN = amt("0.01")
 
-    def __post_init__(self):
+
+class InsuranceParams:
+    __slots__ = ("alpha_comp", "gamma_pen", "escalation_bond_multiplier", "max_escalations",
+                 "tau_challenge", "tau_vote", "escalation_window", "x_min")
+
+    def __init__(self, alpha_comp: FixedAmount, gamma_pen: FixedAmount,
+                 escalation_bond_multiplier: FixedAmount = DEFAULT_ESCALATION_BOND_MULTIPLIER,
+                 max_escalations: int = DEFAULT_MAX_ESCALATIONS,
+                 tau_challenge: int = DEFAULT_TAU_CHALLENGE, tau_vote: int = DEFAULT_TAU_VOTE,
+                 escalation_window: int = DEFAULT_ESCALATION_WINDOW,
+                 x_min: FixedAmount = DEFAULT_X_MIN):
+        self.alpha_comp = alpha_comp  # insurer-bond share paid to the claim side
+        self.gamma_pen = gamma_pen    # slash fraction on claim-side bonds
+        self.escalation_bond_multiplier = escalation_bond_multiplier
+        self.max_escalations = max_escalations
+        self.tau_challenge, self.tau_vote = tau_challenge, tau_vote
+        self.escalation_window, self.x_min = escalation_window, x_min
         for name in ("alpha_comp", "gamma_pen"):
             v = getattr(self, name)
             if not (ZERO <= v <= ONE):
@@ -72,57 +84,67 @@ class InsuranceParams:
             raise ParameterError("max_escalations must be >= 0")
 
 
-@dataclass
 class Policy:
-    policy_id: str
-    insurer: AccountId
-    insured: AccountId
-    insured_value: FixedAmount
-    insurer_bond: FixedAmount
-    expires_at: int
-    escrow: CaseEscrow
-    status: PolicyStatus = PolicyStatus.ACTIVE
+    __slots__ = ("policy_id", "insurer", "insured", "insured_value", "insurer_bond",
+                 "expires_at", "escrow", "status")
+
+    def __init__(self, policy_id: str, insurer: AccountId, insured: AccountId,
+                 insured_value: FixedAmount, insurer_bond: FixedAmount, expires_at: int,
+                 escrow: CaseEscrow):
+        self.policy_id, self.insurer, self.insured = policy_id, insurer, insured
+        self.insured_value, self.insurer_bond = insured_value, insurer_bond
+        self.expires_at, self.escrow = expires_at, escrow
+        self.status = PolicyStatus.ACTIVE
 
 
-@dataclass
 class Joiner:
-    account: AccountId
-    loss_claimed: FixedAmount
-    bond: FixedAmount
+    __slots__ = ("account", "loss_claimed", "bond")
+
+    def __init__(self, account: AccountId, loss_claimed: FixedAmount, bond: FixedAmount):
+        self.account, self.loss_claimed, self.bond = account, loss_claimed, bond
 
 
-@dataclass
 class Dispute:
-    challenger: AccountId
-    bond: FixedAmount
+    __slots__ = ("challenger", "bond")
+
+    def __init__(self, challenger: AccountId, bond: FixedAmount):
+        self.challenger, self.bond = challenger, bond
 
 
-@dataclass
 class EscalationBond:
-    party: str  # account id of the posting party
-    amount: FixedAmount
+    __slots__ = ("party", "amount")
+
+    def __init__(self, party: str, amount: FixedAmount):
+        self.party = party  # account id of the posting party
+        self.amount = amount
 
 
-@dataclass
 class InsuranceClaim:
-    claim_id: str
-    policy_id: str
-    claimant: AccountId
-    claim_bond: FixedAmount
-    loss_claimed: FixedAmount
-    challenge_end: int
-    escrow: CaseEscrow
-    phase: ClaimPhase = ClaimPhase.CHALLENGEABLE
-    joiners: list[Joiner] = field(default_factory=list)
-    dispute: Optional[Dispute] = None
-    votes: Optional[VoteBox] = None
-    vote_end: int = 0
-    escalation_level: int = 0
-    escalation_bonds: list[EscalationBond] = field(default_factory=list)
-    past_votes: list[VoteBox] = field(default_factory=list)
-    pending_outcome: Optional[str] = None
-    decided_at: int = 0
-    last_bond: dict[str, FixedAmount] = field(default_factory=dict)
+    """A claim on a policy; every field after escrow is the claim's state,
+    which starts as below."""
+
+    __slots__ = ("claim_id", "policy_id", "claimant", "claim_bond", "loss_claimed",
+                 "challenge_end", "escrow", "phase", "joiners", "dispute", "votes",
+                 "vote_end", "escalation_level", "escalation_bonds", "past_votes",
+                 "pending_outcome", "decided_at", "last_bond")
+
+    def __init__(self, claim_id: str, policy_id: str, claimant: AccountId,
+                 claim_bond: FixedAmount, loss_claimed: FixedAmount, challenge_end: int,
+                 escrow: CaseEscrow):
+        self.claim_id, self.policy_id, self.claimant = claim_id, policy_id, claimant
+        self.claim_bond, self.loss_claimed = claim_bond, loss_claimed
+        self.challenge_end, self.escrow = challenge_end, escrow
+        self.phase = ClaimPhase.CHALLENGEABLE
+        self.joiners: list[Joiner] = []
+        self.dispute: Optional[Dispute] = None
+        self.votes: Optional[VoteBox] = None
+        self.vote_end = 0
+        self.escalation_level = 0
+        self.escalation_bonds: list[EscalationBond] = []
+        self.past_votes: list[VoteBox] = []
+        self.pending_outcome: Optional[str] = None
+        self.decided_at = 0
+        self.last_bond: dict[str, FixedAmount] = {}
 
 
 class InsuranceBook:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     BlockTime,
@@ -40,6 +39,8 @@ class RatioError(RugsimError):
 
 
 DEFAULT_EPSILON_FLOOR = QUANTUM  # residual price floor: one quantum
+DEFAULT_PRICE_RATE = ZERO  # the rates a price process's kind does not read
+DEFAULT_FEE_BPS = 0
 
 
 class RugKind(enum.Enum):
@@ -48,7 +49,6 @@ class RugKind(enum.Enum):
     SENTIMENT = "sentiment"
 
 
-@dataclass(frozen=True)
 class PriceProcess:
     """Deterministic price path of a rugged token.
 
@@ -56,18 +56,19 @@ class PriceProcess:
     scam uses tau_rug, catastrophic uses lam, sentiment uses alpha_sent.
     """
 
-    kind: RugKind
-    p0: FixedAmount
-    tau_rug: FixedAmount = ZERO
-    lam: FixedAmount = ZERO
-    alpha_sent: FixedAmount = ZERO
-    epsilon_floor: FixedAmount = DEFAULT_EPSILON_FLOOR
+    __slots__ = ("kind", "p0", "tau_rug", "lam", "alpha_sent", "epsilon_floor")
 
-    def __post_init__(self):
-        if self.p0.raw <= 0:
-            raise ParameterError(f"initial price must be > 0, got {self.p0}")
-        if self.epsilon_floor.raw <= 0:
+    def __init__(self, kind: RugKind, p0: FixedAmount,
+                 tau_rug: FixedAmount = DEFAULT_PRICE_RATE,
+                 lam: FixedAmount = DEFAULT_PRICE_RATE,
+                 alpha_sent: FixedAmount = DEFAULT_PRICE_RATE,
+                 epsilon_floor: FixedAmount = DEFAULT_EPSILON_FLOOR):
+        if p0.raw <= 0:
+            raise ParameterError(f"initial price must be > 0, got {p0}")
+        if epsilon_floor.raw <= 0:
             raise ParameterError("epsilon floor must be > 0")
+        self.kind, self.p0, self.tau_rug = kind, p0, tau_rug
+        self.lam, self.alpha_sent, self.epsilon_floor = lam, alpha_sent, epsilon_floor
 
 
 def _height(t: Union[BlockTime, int]) -> int:
@@ -119,22 +120,34 @@ def price_at(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
 # -- constant-product pool ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PoolState:
-    pool_id: PoolId
-    token_x: TokenId
-    token_y: TokenId
-    reserve_x: FixedAmount
-    reserve_y: FixedAmount
-    fee_bps: int = 0
-    volume_x: FixedAmount = ZERO
-    volume_y: FixedAmount = ZERO
+    """One pool's reserves, fee and cumulative volumes; a value, never
+    changed once made, and equal to another with the same fields."""
 
-    def __post_init__(self):
-        if not (0 <= self.fee_bps <= 10000):
-            raise ParameterError(f"fee_bps out of range: {self.fee_bps}")
-        if self.reserve_x.raw < 0 or self.reserve_y.raw < 0:
+    __slots__ = ("pool_id", "token_x", "token_y", "reserve_x", "reserve_y", "fee_bps",
+                 "volume_x", "volume_y")
+
+    def __init__(self, pool_id: PoolId, token_x: TokenId, token_y: TokenId,
+                 reserve_x: FixedAmount, reserve_y: FixedAmount,
+                 fee_bps: int = DEFAULT_FEE_BPS, volume_x: FixedAmount = ZERO,
+                 volume_y: FixedAmount = ZERO):
+        if not (0 <= fee_bps <= 10000):
+            raise ParameterError(f"fee_bps out of range: {fee_bps}")
+        if reserve_x.raw < 0 or reserve_y.raw < 0:
             raise ParameterError("negative reserve")
+        self.pool_id = pool_id
+        self.token_x = token_x
+        self.token_y = token_y
+        self.reserve_x = reserve_x
+        self.reserve_y = reserve_y
+        self.fee_bps = fee_bps
+        self.volume_x = volume_x
+        self.volume_y = volume_y
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PoolState:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def reserve_of(self, token: TokenId) -> FixedAmount:
         if token == self.token_x:
@@ -260,19 +273,12 @@ def pool_remove_liquidity(pool: PoolState,
 # -- liquidity drains ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DrainResult:
-    liquid_out: FixedAmount       # realized via the swap, slippage included
-    naive_target: FixedAmount     # (T_rug/T_total) * L_pool, the optimistic figure
-    pool: PoolState
-
-
 def execute_drain(pool: PoolState, rug_token: TokenId, t_rug: FixedAmount,
-                  t_total: FixedAmount) -> DrainResult:
+                  t_total: FixedAmount) -> tuple[FixedAmount, FixedAmount, PoolState]:
     """Realize a drain by swapping the creator's ``t_rug`` of a ``t_total``
-    supply through the pool. Both the naive proportional figure and the
-    slippage-reduced realized proceeds are reported; the swap is ground
-    truth.
+    supply through the pool. Returns (liquid_out, naive_target, new pool):
+    the proceeds realized by the swap, slippage included, which is ground
+    truth; and the naive proportional figure (T_rug/T_total) * L_pool.
     """
     liquid_token = pool.other(rug_token)
     l_pool = pool.reserve_of(liquid_token)
@@ -281,16 +287,15 @@ def execute_drain(pool: PoolState, rug_token: TokenId, t_rug: FixedAmount,
     else:
         naive = ZERO
     if t_rug.raw == 0:
-        return DrainResult(ZERO, naive, pool)
+        return ZERO, naive, pool
     liquid_out, new_pool = pool_swap(pool, rug_token, t_rug)
-    return DrainResult(liquid_out, naive, new_pool)
+    return liquid_out, naive, new_pool
 
 
 # -- peg keeper ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PegTrade:
+class PegTrade(NamedTuple):
     input_token: TokenId
     amount_in: FixedAmount
     amount_out: FixedAmount

@@ -12,9 +12,8 @@ seized anticoins through the protocol-owned AMM.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     AccountId,
@@ -44,44 +43,50 @@ class PositionStatus(enum.Enum):
 
 
 DEFAULT_MAX_LEVERAGE = amt(10)
+# MaintenanceRule's defaults, which the scenario loader's table also reads
+DEFAULT_MAINTENANCE_FRACTION = amt("0.1")
+DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS = 5
+DEFAULT_LIQUIDATOR_FEE_FRACTION = amt("0.05")
 
 
-@dataclass(frozen=True)
 class FundingParams:
-    alpha_base: FixedAmount
-    l_min: FixedAmount
-    interval_blocks: int
+    __slots__ = ("alpha_base", "l_min", "interval_blocks")
 
-    def __post_init__(self):
-        if self.alpha_base.raw <= 0 or self.l_min.raw <= 0 or self.interval_blocks <= 0:
+    def __init__(self, alpha_base: FixedAmount, l_min: FixedAmount, interval_blocks: int):
+        if alpha_base.raw <= 0 or l_min.raw <= 0 or interval_blocks <= 0:
             raise ParameterError("funding parameters must be > 0")
+        self.alpha_base, self.l_min, self.interval_blocks = alpha_base, l_min, interval_blocks
 
 
-@dataclass(frozen=True)
 class MaintenanceRule:
-    maintenance_fraction: FixedAmount = amt("0.1")
-    liquidator_deadline_blocks: int = 5
-    liquidator_fee_fraction: FixedAmount = amt("0.05")
+    __slots__ = ("maintenance_fraction", "liquidator_deadline_blocks",
+                 "liquidator_fee_fraction")
 
-    def __post_init__(self):
-        if not (0 < self.maintenance_fraction.raw < 10**9):
+    def __init__(self, maintenance_fraction: FixedAmount = DEFAULT_MAINTENANCE_FRACTION,
+                 liquidator_deadline_blocks: int = DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS,
+                 liquidator_fee_fraction: FixedAmount = DEFAULT_LIQUIDATOR_FEE_FRACTION):
+        if not (0 < maintenance_fraction.raw < 10**9):
             raise ParameterError("maintenance_fraction must be in (0, 1)")
-        if self.liquidator_fee_fraction >= self.maintenance_fraction:
+        if liquidator_fee_fraction >= maintenance_fraction:
             raise ParameterError("liquidator fee must be below the maintenance fraction")
+        self.maintenance_fraction = maintenance_fraction
+        self.liquidator_deadline_blocks = liquidator_deadline_blocks
+        self.liquidator_fee_fraction = liquidator_fee_fraction
 
 
-@dataclass
 class Position:
-    position_id: int
-    owner: AccountId
-    vault: VaultId
-    collateral_ca: FixedAmount
-    leverage: FixedAmount
-    direction: Direction
-    entry_price: FixedAmount
-    unit_value_at_entry: FixedAmount  # anticoin value per unit, frozen
-    status: PositionStatus = PositionStatus.OPEN
-    flagged_at: Optional[int] = None
+    __slots__ = ("position_id", "owner", "vault", "collateral_ca", "leverage", "direction",
+                 "entry_price", "unit_value_at_entry", "status", "flagged_at")
+
+    def __init__(self, position_id: int, owner: AccountId, vault: VaultId,
+                 collateral_ca: FixedAmount, leverage: FixedAmount, direction: Direction,
+                 entry_price: FixedAmount, unit_value_at_entry: FixedAmount):
+        self.position_id, self.owner, self.vault = position_id, owner, vault
+        self.collateral_ca, self.leverage, self.direction = collateral_ca, leverage, direction
+        self.entry_price = entry_price
+        self.unit_value_at_entry = unit_value_at_entry  # anticoin value per unit, frozen
+        self.status = PositionStatus.OPEN
+        self.flagged_at: Optional[int] = None
 
     @property
     def notional_ca(self) -> FixedAmount:
@@ -140,16 +145,14 @@ def funding_rate_final(rate: FixedAmount, l_min: FixedAmount,
     return quantize(scaled)
 
 
-@dataclass(frozen=True)
-class FundingRound:
+class FundingRound(NamedTuple):
     rate: FixedAmount
     paying_side: Direction
     transfer_count: int  # positions that paid or received funding
     treasury_remainder: FixedAmount
 
 
-@dataclass(frozen=True)
-class LiquidationEvent:
+class LiquidationEvent(NamedTuple):
     position_id: int
     kind: str                    # "flagged" | "liquidated" | "auto_liquidated" | "invalid_bid"
     liquidator: Optional[str] = None

@@ -8,7 +8,6 @@ the case escrow, so conservation is checked exactly at resolution.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -40,16 +39,28 @@ class ClaimStatus(enum.Enum):
     REJECTED_FRAUD = "rejected_fraud"
 
 
-@dataclass(frozen=True)
-class SlashParams:
-    alpha_slash: FixedAmount          # fraction of the issuer bond slashed
-    gamma_slash: FixedAmount          # fraction of the claim bond slashed
-    claimant_share: FixedAmount = amt("0.5")
-    z_min: FixedAmount = amt(1)       # minimum vote deposit
-    challenge_blocks: int = 10
-    x_min: FixedAmount = amt("0.01")  # "nontrivial" issuance bond floor
+# SlashParams' defaults, which the scenario loader's table also reads
+DEFAULT_CLAIMANT_SHARE = amt("0.5")
+DEFAULT_Z_MIN = amt(1)
+DEFAULT_CHALLENGE_BLOCKS = 10
+DEFAULT_X_MIN = amt("0.01")
 
-    def __post_init__(self):
+
+class SlashParams:
+    __slots__ = ("alpha_slash", "gamma_slash", "claimant_share", "z_min", "challenge_blocks",
+                 "x_min")
+
+    def __init__(self, alpha_slash: FixedAmount, gamma_slash: FixedAmount,
+                 claimant_share: FixedAmount = DEFAULT_CLAIMANT_SHARE,
+                 z_min: FixedAmount = DEFAULT_Z_MIN,
+                 challenge_blocks: int = DEFAULT_CHALLENGE_BLOCKS,
+                 x_min: FixedAmount = DEFAULT_X_MIN):
+        self.alpha_slash = alpha_slash  # fraction of the issuer bond slashed
+        self.gamma_slash = gamma_slash  # fraction of the claim bond slashed
+        self.claimant_share = claimant_share
+        self.z_min = z_min              # minimum vote deposit
+        self.challenge_blocks = challenge_blocks
+        self.x_min = x_min              # "nontrivial" issuance bond floor
         for name in ("alpha_slash", "gamma_slash", "claimant_share", "x_min"):
             v = getattr(self, name)
             if not (ZERO <= v <= ONE):
@@ -58,27 +69,27 @@ class SlashParams:
             raise ParameterError("challenge_blocks must be > 0")
 
 
-@dataclass
 class BondedIssuance:
-    issuance_id: str
-    issuer: AccountId
-    token: TokenId
-    total_issued: FixedAmount
-    bond: FixedAmount
-    escrow: CaseEscrow
-    status: IssuanceStatus = IssuanceStatus.ACTIVE
+    __slots__ = ("issuance_id", "issuer", "token", "total_issued", "bond", "escrow", "status")
+
+    def __init__(self, issuance_id: str, issuer: AccountId, token: TokenId,
+                 total_issued: FixedAmount, bond: FixedAmount, escrow: CaseEscrow):
+        self.issuance_id, self.issuer, self.token = issuance_id, issuer, token
+        self.total_issued, self.bond, self.escrow = total_issued, bond, escrow
+        self.status = IssuanceStatus.ACTIVE
 
 
-@dataclass
 class RugClaim:
-    claim_id: str
-    issuance_id: str
-    claimant: AccountId
-    claim_bond: FixedAmount
-    challenge_end: int
-    votes: VoteBox
-    escrow: CaseEscrow
-    status: ClaimStatus = ClaimStatus.VOTING
+    __slots__ = ("claim_id", "issuance_id", "claimant", "claim_bond", "challenge_end", "votes",
+                 "escrow", "status")
+
+    def __init__(self, claim_id: str, issuance_id: str, claimant: AccountId,
+                 claim_bond: FixedAmount, challenge_end: int, votes: VoteBox,
+                 escrow: CaseEscrow):
+        self.claim_id, self.issuance_id, self.claimant = claim_id, issuance_id, claimant
+        self.claim_bond, self.challenge_end = claim_bond, challenge_end
+        self.votes, self.escrow = votes, escrow
+        self.status = ClaimStatus.VOTING
 
 
 class RugproofBook:

@@ -13,16 +13,16 @@ path, e.g. ``vaults[0].theta``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
+from . import insurance, rugproof
 from .core import MAX_RAW, ONE, SCALE, FixedAmount, RugsimError, amt
-from .detection import Intent, IntentAction
-from .insurance import InsuranceParams
+from .detection import DEFAULT_SOLVER_FEE_BPS, IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
-from .market import DEFAULT_PEG_TOLERANCE, PoolState, PriceProcess, RugKind
-from .perps import DEFAULT_MAX_LEVERAGE, Direction, MaintenanceRule
-from .rugproof import SlashParams
+from .market import (DEFAULT_EPSILON_FLOOR, DEFAULT_FEE_BPS, DEFAULT_PEG_TOLERANCE,
+                     DEFAULT_PRICE_RATE, RugKind)
+from .perps import (DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS, DEFAULT_LIQUIDATOR_FEE_FRACTION,
+                    DEFAULT_MAINTENANCE_FRACTION, DEFAULT_MAX_LEVERAGE, Direction)
 from .vault import ReceiptKind, anticoin_id
 
 # the home chain's token: the treasury is minted tokenomics.initial_supply of it
@@ -74,7 +74,7 @@ SCRIPT_OPS = {
     "register_intent": ("pool", {
         "pool": POOL, "token": TEXT, "action": IntentAction, "theta_price": FRACTION,
         "theta_liquidity": FRACTION, "vault?": (VAULT, None),
-        "solver_fee_bps?": (BPS, Intent.solver_fee_bps)}),
+        "solver_fee_bps?": (BPS, DEFAULT_SOLVER_FEE_BPS)}),
     "issue_bonded": ("home", {"token": TEXT, "total_issued": AMOUNT, "x": AMOUNT}),
     "rug_claim": ("home", {"token": TEXT, "y": AMOUNT}),
     "vote_rug": ("home", {"token": TEXT, "deposit": AMOUNT, "side": TEXT}),
@@ -93,10 +93,10 @@ STEP_FIELDS = {"block": NAT, "op": tuple(SCRIPT_OPS)}
 SCENARIO_FIELDS = {"seed": NAT, "blocks": COUNT, "bridge_delay_blocks?": (NAT, 1),
                    "chains": [NEW_CHAIN], "home_chain": CHAIN, "numeraire": NEW_TOKEN}
 PRICE_PROCESS_ARGS = {"kind": RugKind, "p0": POSITIVE,
-                      "tau_rug?": (AMOUNT, PriceProcess.tau_rug),
-                      "lam?": (AMOUNT, PriceProcess.lam),
-                      "alpha_sent?": (AMOUNT, PriceProcess.alpha_sent),
-                      "epsilon_floor?": (POSITIVE, PriceProcess.epsilon_floor)}
+                      "tau_rug?": (AMOUNT, DEFAULT_PRICE_RATE),
+                      "lam?": (AMOUNT, DEFAULT_PRICE_RATE),
+                      "alpha_sent?": (AMOUNT, DEFAULT_PRICE_RATE),
+                      "epsilon_floor?": (POSITIVE, DEFAULT_EPSILON_FLOOR)}
 # the rate each price kind reads, and the kind of value it must hold
 PRICE_RATES = {RugKind.SCAM: ("tau_rug", POSITIVE), RugKind.CATASTROPHIC: ("lam", NONNEG),
                RugKind.SENTIMENT: ("alpha_sent", NONNEG)}
@@ -111,7 +111,7 @@ VAULT_FIELDS = {"id": NEW_VAULT, "chain": CHAIN, "rugged_token": PRICED_TOKEN,
 # a pool trades declared tokens and the anticoins of declared vaults
 POOL_FIELDS = {"id": NEW_POOL, "chain": CHAIN, "token_x": POOL_TOKEN,
                "token_y": POOL_TOKEN, "reserve_x": POSITIVE, "reserve_y": POSITIVE,
-               "fee_bps?": (BPS, PoolState.fee_bps)}
+               "fee_bps?": (BPS, DEFAULT_FEE_BPS)}
 INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
 AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
               "noise?": ({"pool": POOL, "prob?": (AMOUNT, "0.1"),
@@ -131,10 +131,10 @@ SECTION_FIELDS = {
     "perps?": ({
         "enabled_vaults?": ([VAULT], []), "alpha_base": POSITIVE, "l_min": POSITIVE,
         "interval_blocks": COUNT, "amm_pool?": (POOL, None),
-        "maintenance_fraction?": (FRACTION, MaintenanceRule.maintenance_fraction),
+        "maintenance_fraction?": (FRACTION, DEFAULT_MAINTENANCE_FRACTION),
         "max_leverage?": (AMOUNT, DEFAULT_MAX_LEVERAGE),
-        "liquidator_deadline_blocks?": (INT, MaintenanceRule.liquidator_deadline_blocks),
-        "liquidator_fee_fraction?": (AMOUNT, MaintenanceRule.liquidator_fee_fraction),
+        "liquidator_deadline_blocks?": (INT, DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS),
+        "liquidator_fee_fraction?": (AMOUNT, DEFAULT_LIQUIDATOR_FEE_FRACTION),
         "revalue_collateral?": (BOOL, False)}, None),
     "detection?": ({
         "drop_threshold?": (POSITIVE, "0.2"), "mint_spike_factor?": (AMOUNT, 3),
@@ -145,18 +145,18 @@ SECTION_FIELDS = {
         "sandwich_treasury_fraction?": (UNIT, 1)}, {}),
     "rugproof?": ({
         "alpha_slash?": (UNIT, "0.5"), "gamma_slash?": (UNIT, "0.5"),
-        "claimant_share?": (UNIT, SlashParams.claimant_share),
-        "z_min?": (AMOUNT, SlashParams.z_min),
-        "challenge_blocks?": (COUNT, SlashParams.challenge_blocks),
-        "x_min?": (UNIT, SlashParams.x_min)}, {}),
+        "claimant_share?": (UNIT, rugproof.DEFAULT_CLAIMANT_SHARE),
+        "z_min?": (AMOUNT, rugproof.DEFAULT_Z_MIN),
+        "challenge_blocks?": (COUNT, rugproof.DEFAULT_CHALLENGE_BLOCKS),
+        "x_min?": (UNIT, rugproof.DEFAULT_X_MIN)}, {}),
     "insurance?": ({
         "alpha_comp?": (UNIT, "0.2"), "gamma_pen?": (UNIT, "0.5"),
-        "escalation_bond_multiplier?": (AMOUNT, InsuranceParams.escalation_bond_multiplier),
-        "max_escalations?": (NAT, InsuranceParams.max_escalations),
-        "tau_challenge?": (COUNT, InsuranceParams.tau_challenge),
-        "tau_vote?": (COUNT, InsuranceParams.tau_vote),
-        "escalation_window?": (COUNT, InsuranceParams.escalation_window),
-        "x_min?": (AMOUNT, InsuranceParams.x_min)}, {}),
+        "escalation_bond_multiplier?": (AMOUNT, insurance.DEFAULT_ESCALATION_BOND_MULTIPLIER),
+        "max_escalations?": (NAT, insurance.DEFAULT_MAX_ESCALATIONS),
+        "tau_challenge?": (COUNT, insurance.DEFAULT_TAU_CHALLENGE),
+        "tau_vote?": (COUNT, insurance.DEFAULT_TAU_VOTE),
+        "escalation_window?": (COUNT, insurance.DEFAULT_ESCALATION_WINDOW),
+        "x_min?": (AMOUNT, insurance.DEFAULT_X_MIN)}, {}),
 }
 
 
@@ -321,8 +321,7 @@ def _parse_list(doc: dict, key: str, fields: dict, refs: dict) -> list[dict]:
             for i, entry in enumerate(_entries(doc, key))]
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A parsed scenario: every field checked and defaulted by its table,
     amounts as FixedAmount, ints as int and choices as their enums. Each
     section keeps the document's shape and keys; ``doc`` is the raw
@@ -398,6 +397,10 @@ def load_scenario(doc: dict) -> Scenario:
         anticoins.add(anticoin)
     refs[POOL_TOKEN].update(anticoins)
     pools = _parse_list(doc, "pools", POOL_FIELDS, refs)
+    for i, pool in enumerate(pools):
+        if pool["token_y"] == pool["token_x"]:
+            raise ScenarioError(f"pools[{i}].token_y",
+                                f"a pool trades two tokens, got {pool['token_x']!r} twice")
 
     sections = _parse_args(doc, SECTION_FIELDS, "", refs)
     _check_genesis_totals(accounts, pools, sections["tokenomics"])
@@ -445,8 +448,10 @@ def load_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioError("", f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("", f"not UTF-8 text: {exc}") from None
     return load_scenario(doc)
 
 

@@ -14,7 +14,6 @@ holds exactly in every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -31,14 +30,15 @@ from .ledger import Ledger
 from .vault import VaultRegistry
 
 
-@dataclass(frozen=True)
 class SupplyParams:
-    s0: FixedAmount            # scale of the supply target
-    epsilon_rate: FixedAmount  # tokens emitted per block
-    beta_burn: FixedAmount     # per-block burn cap
-    kappa: FixedAmount         # controller convergence rate in (0, 1]
+    __slots__ = ("s0", "epsilon_rate", "beta_burn", "kappa")
 
-    def __post_init__(self):
+    def __init__(self, s0: FixedAmount, epsilon_rate: FixedAmount, beta_burn: FixedAmount,
+                 kappa: FixedAmount):
+        self.s0 = s0                      # scale of the supply target
+        self.epsilon_rate = epsilon_rate  # tokens emitted per block
+        self.beta_burn = beta_burn        # per-block burn cap
+        self.kappa = kappa                # controller convergence rate in (0, 1]
         for name in ("s0", "epsilon_rate", "beta_burn", "kappa"):
             if getattr(self, name).raw < 0:
                 raise ParameterError(f"{name} must be >= 0")

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional
 
@@ -163,15 +162,17 @@ class Trace:
             os.remove(handle.name)
 
 
-@dataclass
 class VerifyResult:
-    ok: bool
-    error: Optional[str] = None
-    first_violation: Optional[str] = None
-    # 1-based line of events.jsonl the first violation sits on, if any
-    line: Optional[int] = None
-    # the trace could not be read (as opposed to read and found wrong)
-    unreadable: bool = False
+    __slots__ = ("ok", "error", "first_violation", "line", "unreadable")
+
+    def __init__(self, ok: bool, error: Optional[str] = None,
+                 first_violation: Optional[str] = None, line: Optional[int] = None,
+                 unreadable: bool = False):
+        self.ok, self.error, self.first_violation = ok, error, first_violation
+        # 1-based line of events.jsonl the first violation sits on, if any
+        self.line = line
+        # the trace could not be read (as opposed to read and found wrong)
+        self.unreadable = unreadable
 
 
 # an amount as the writer emits it: str(FixedAmount)

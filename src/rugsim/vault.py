@@ -10,9 +10,8 @@ holdings across sybil accounts strictly raises the total penalty.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     AccountId,
@@ -48,24 +47,27 @@ class ReceiptKind(enum.Enum):
     REFUNGIBLE = "refungible"
 
 
-@dataclass
 class Vault:
-    vault_id: VaultId
-    chain: ChainId
-    rugged_token: TokenId
-    anticoin: TokenId
-    receipt_kind: ReceiptKind
-    price_at_creation: FixedAmount
-    omega: FixedAmount           # deposit reward rate
-    theta: FixedAmount           # burn reward rate, must exceed omega
-    penalty_k: FixedAmount
-    penalty_lambda: FixedAmount  # > 1: superlinear whale penalty
-    gamma_base: FixedAmount
-    delta_gamma: FixedAmount
-    total_deposited: FixedAmount = ZERO
-    total_burned: FixedAmount = ZERO
-    total_withdrawn: FixedAmount = ZERO
-    next_serial: int = 1
+    __slots__ = ("vault_id", "chain", "rugged_token", "anticoin", "receipt_kind",
+                 "price_at_creation", "omega", "theta", "penalty_k", "penalty_lambda",
+                 "gamma_base", "delta_gamma", "total_deposited", "total_burned",
+                 "total_withdrawn", "next_serial")
+
+    def __init__(self, vault_id: VaultId, chain: ChainId, rugged_token: TokenId,
+                 anticoin: TokenId, receipt_kind: ReceiptKind, price_at_creation: FixedAmount,
+                 omega: FixedAmount, theta: FixedAmount, penalty_k: FixedAmount,
+                 penalty_lambda: FixedAmount, gamma_base: FixedAmount,
+                 delta_gamma: FixedAmount):
+        self.vault_id, self.chain, self.rugged_token = vault_id, chain, rugged_token
+        self.anticoin, self.receipt_kind = anticoin, receipt_kind
+        self.price_at_creation = price_at_creation
+        self.omega = omega                    # deposit reward rate
+        self.theta = theta                    # burn reward rate, must exceed omega
+        self.penalty_k = penalty_k
+        self.penalty_lambda = penalty_lambda  # > 1: superlinear whale penalty
+        self.gamma_base, self.delta_gamma = gamma_base, delta_gamma
+        self.total_deposited = self.total_burned = self.total_withdrawn = ZERO
+        self.next_serial = 1
 
     @property
     def escrow_account(self) -> str:
@@ -76,8 +78,7 @@ class Vault:
         return self.total_deposited - self.total_burned - self.total_withdrawn
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     vault: VaultId
     holder: AccountId
     kind: ReceiptKind
@@ -86,8 +87,7 @@ class Receipt:
     rft_shares: Optional[FixedAmount] = None
 
 
-@dataclass(frozen=True)
-class RewardEvent:
+class RewardEvent(NamedTuple):
     """A reward earned on a satellite chain, minted on the home chain after
     the bridge delay."""
 
@@ -98,8 +98,7 @@ class RewardEvent:
     amount: FixedAmount
 
 
-@dataclass
-class WithdrawResult:
+class WithdrawResult(NamedTuple):
     returned: FixedAmount
     penalty: FixedAmount
     rate: FixedAmount

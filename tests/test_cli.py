@@ -1,14 +1,23 @@
 """CLI surface: subcommands, exit codes, and output files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import rugsim
 from rugsim import cli
 from rugsim.cli import main
 from rugsim.core import RugsimError, amt
+from rugsim.detection import Intent
 from rugsim.harness import Simulation
+from rugsim.insurance import InsuranceParams
+from rugsim.market import PoolState, PriceProcess
+from rugsim.perps import MaintenanceRule
+from rugsim.rugproof import SlashParams
 from rugsim.scenario import (
     ACCOUNT,
     ACCOUNT_FIELDS,
@@ -283,6 +292,25 @@ def test_run_reports_an_unwritable_out_in_one_line(tmp_path, capsys, out):
     assert not any(path.is_file() for path in (tmp_path / "o").rglob("*"))
 
 
+def test_figures_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
+    assert main(["figures", "--which", "peg", "--out", _file_in_the_way(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write figure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-too-deeply"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]], ids=["run", "sweep"])
+def test_an_unreadable_scenario_is_reported_in_one_line(tmp_path, capsys, command, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main([command[0], "--scenario", str(path), "--out", str(tmp_path / "o"),
+                 *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load scenario: ") and err.count("\n") == 1
+
+
 def test_sweep_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
     assert main(["sweep", "--scenario", "builtin:scam", "--out", _file_in_the_way(tmp_path),
                  "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
@@ -329,6 +357,19 @@ def test_each_sweep_point_copies_only_its_path():
     # a path that leaves the document copies what it can and raises nothing
     for dotted in ("nope.x", "vaults.9.theta", "chains.a.b", "seed.x"):
         assert cli._copy_path(base, dotted) == base
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # each record is a plain class: importing dataclasses (which loads
+    # inspect, ast, dis and tokenize) and running its code generation was
+    # a third of start-up
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(rugsim.__file__)))
+    probe = ("import sys, rugsim.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_schema_prints_json(capsys):
@@ -545,6 +586,9 @@ LOAD_PROBES = [
                  "pools[1].token_y", id="undeclared-pool-token-y"),
     pytest.param("reference", _set("pools", 1, "token_x", value="anti:RUG@home"),
                  "pools[1].token_x", id="anticoin-of-no-vault"),
+    # its reserves would be two balances of one token in one pool account
+    pytest.param("reference", _set("pools", 0, "token_y", value="RUG"),
+                 "pools[0].token_y", id="pool-trades-a-token-for-itself"),
     pytest.param("scam", _set("perps",
                               value=dict(PERPS_SECTION, revalue_collateral="false")),
                  "perps.revalue_collateral", id="revalue-collateral-string"),
@@ -725,6 +769,33 @@ def test_an_absent_optional_field_loads_as_its_default(path, name, kind, default
     expected = parsed_default(kind, default)
     assert loaded == expected
     assert type(loaded) is type(expected)
+
+
+def constructor_defaults(cls):
+    """The parameters of ``cls.__init__`` that have defaults, with them."""
+    code, defaults = cls.__init__.__code__, cls.__init__.__defaults__
+    names = code.co_varnames[1:code.co_argcount]
+    return dict(zip(names[len(names) - len(defaults):], defaults))
+
+
+def test_an_omitted_field_loads_as_its_record_constructor_default():
+    # each record's constructor and the loader's table read one name per
+    # default, so a field a document leaves out is what the record leaves out
+    doc = full_doc()
+    del doc["tokens"][1]["price_process"]["alpha_sent"]
+    del doc["pools"][0]["fee_bps"]
+    scenario = load_scenario(doc)
+    compared = []
+    for path, cls in (("tokens[1].price_process", PriceProcess), ("pools[0]", PoolState),
+                      ("perps", MaintenanceRule), ("rugproof", SlashParams),
+                      ("insurance", InsuranceParams), ("intents[0]", Intent)):
+        loaded = at(scenario, path)
+        for name, default in constructor_defaults(cls).items():
+            if name in loaded:
+                assert name not in at(doc, path)
+                assert loaded[name] == default, f"{path}.{name}"
+                compared.append(name)
+    assert len(compared) == 19
 
 
 @pytest.mark.parametrize("path,name", REQUIRED_FIELDS,

@@ -17,6 +17,7 @@ from rugsim.scenario import (
     SCRIPT_OPS,
     ScenarioError,
     load_scenario,
+    load_scenario_file,
     reference_scenario,
     scam_scenario,
 )
@@ -54,6 +55,16 @@ def test_minimal_scenario_loads():
     scenario = load_scenario(minimal_doc())
     assert scenario.blocks == 5
     assert scenario.home_chain == "home"
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe{}", "not UTF-8 text"), (b"[" * 100_000 + b"]" * 100_000, "not valid JSON")],
+    ids=["not-utf8", "nested-too-deeply"])
+def test_load_scenario_file_refuses_an_unreadable_file(tmp_path, content, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario_file(str(path))
 
 
 def test_load_rejects_theta_at_most_omega():

@@ -241,26 +241,26 @@ def test_add_liquidity_ratio_guard():
 
 def test_drain_zero_is_noop():
     pool = mk_pool(1000, 2000)
-    res = execute_drain(pool, "RUG", amt(0), amt(1000))
-    assert res.liquid_out == amt(0)
-    assert res.pool == pool
+    liquid_out, _, after = execute_drain(pool, "RUG", amt(0), amt(1000))
+    assert liquid_out == amt(0)
+    assert after is pool
 
 
 def test_drain_realized_below_naive():
     pool = mk_pool(1000, 2000)
-    res = execute_drain(pool, "RUG", amt(1000), amt(1000))
-    assert res.naive_target == amt(2000)
-    assert res.liquid_out < res.naive_target
-    half = execute_drain(pool, "RUG", amt(500), amt(1000))
-    assert half.naive_target == amt(1000)
-    assert half.liquid_out < half.naive_target
+    liquid_out, naive_target, _ = execute_drain(pool, "RUG", amt(1000), amt(1000))
+    assert naive_target == amt(2000)
+    assert liquid_out < naive_target
+    liquid_out, naive_target, _ = execute_drain(pool, "RUG", amt(500), amt(1000))
+    assert naive_target == amt(1000)
+    assert liquid_out < naive_target
 
 
 def test_drain_collapses_spot():
     pool = mk_pool(1000, 2000)
     before = spot_price(pool)
-    res = execute_drain(pool, "RUG", amt(900), amt(1000))
-    assert spot_price(res.pool) < before
+    _, _, after = execute_drain(pool, "RUG", amt(900), amt(1000))
+    assert spot_price(after) < before
 
 
 # -- peg keeper --------------------------------------------------------------

@@ -42,11 +42,14 @@ KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
 AMOUNT, NONNEG, POSITIVE, FRACTION, UNIT = (
     "amount", "amount >= 0", "amount > 0", "amount in (0, 1)", "amount in [0, 1]")
 INT, NAT, COUNT, BPS = "int", "int >= 0", "int >= 1", "int in [0, 10000]"
+# the seed is taken mod 2**64 (SeededRng), so a larger one would alias a smaller
+SEED = "int in [0, 2**64 - 1]"
 # the least and greatest value each ranged kind accepts (raw quanta for
 # amounts); None leaves that side open
 AMOUNT_RANGES = {AMOUNT: (None, None), NONNEG: (0, None), POSITIVE: (1, None),
                  FRACTION: (1, SCALE - 1), UNIT: (0, SCALE)}
-INT_RANGES = {INT: (None, None), NAT: (0, None), COUNT: (1, None), BPS: (0, 10000)}
+INT_RANGES = {INT: (None, None), NAT: (0, None), COUNT: (1, None), BPS: (0, 10000),
+              SEED: (0, 2**64 - 1)}
 TEXT, BOOL, AMOUNT_OR_AUTO = "string", "true|false", "amount or 'auto'"
 BALANCES = "{token id: amount >= 0}"
 REF_KINDS = CHAIN, TOKEN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
@@ -90,7 +93,7 @@ SCRIPT_OPS = {
 STEP_FIELDS = {"block": NAT, "op": tuple(SCRIPT_OPS)}
 
 # the fields of the document itself, then of each entry of its lists
-SCENARIO_FIELDS = {"seed": NAT, "blocks": COUNT, "bridge_delay_blocks?": (NAT, 1),
+SCENARIO_FIELDS = {"seed": SEED, "blocks": COUNT, "bridge_delay_blocks?": (NAT, 1),
                    "chains": [NEW_CHAIN], "home_chain": CHAIN, "numeraire": NEW_TOKEN}
 PRICE_PROCESS_ARGS = {"kind": RugKind, "p0": POSITIVE,
                       "tau_rug?": (AMOUNT, DEFAULT_PRICE_RATE),

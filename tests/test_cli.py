@@ -292,6 +292,16 @@ def test_run_reports_an_unwritable_out_in_one_line(tmp_path, capsys, out):
     assert not any(path.is_file() for path in (tmp_path / "o").rglob("*"))
 
 
+def test_a_seed_past_64_bits_is_refused_in_one_line(tmp_path, capsys):
+    # the run takes its seed mod 2**64, so 2**64 + 42 would replay seed 42
+    assert main(["run", "--scenario", "builtin:reference", "--blocks", "50",
+                 "--seed", str(2**64 + 42), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "scenario error: seed: must be in [0, 2**64 - 1], got 18446744073709551658\n")
+    assert not (tmp_path / "o").exists()
+    assert load_scenario({**reference_scenario(), "seed": 2**64 - 1}).seed == 2**64 - 1
+
+
 def test_figures_reports_an_unwritable_out_in_one_line(tmp_path, capsys):
     assert main(["figures", "--which", "peg", "--out", _file_in_the_way(tmp_path)]) == 2
     err = capsys.readouterr().err

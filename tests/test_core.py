@@ -1,6 +1,7 @@
 """Fixed-point arithmetic and transcendental determinism checks against an
 independent mpmath oracle."""
 
+import hashlib
 import time
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -402,7 +403,7 @@ def fnv1a_per_byte(data: bytes, state: int) -> int:
     return state
 
 
-def test_fnv1a_unrolled_matches_per_byte_loop_at_every_length():
+def test_fnv1a_matches_per_byte_loop_at_every_short_length():
     assert fnv1a_per_byte(b"", 0xCBF29CE484222325) == 0xCBF29CE484222325
     assert fnv1a_per_byte(b"a", 0xCBF29CE484222325) == 0xAF63DC4C8601EC8C
     data = bytes((37 * i + 255) % 256 for i in range(40))
@@ -413,15 +414,63 @@ def test_fnv1a_unrolled_matches_per_byte_loop_at_every_length():
 
 @given(st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=4),
        st.integers(min_value=0, max_value=2**64 - 1))
-def test_fnv1a_unrolled_matches_per_byte_loop(chunks, state):
-    # every length 0..40 hits each remainder of the 8-byte groups; the
-    # state is chained through the chunks as the trace writer chains lines
+def test_fnv1a_matches_per_byte_loop_on_chained_chunks(chunks, state):
+    # the state is chained through the chunks as the trace writer chains lines
     expected = got = state
     for chunk in chunks:
         expected = fnv1a_per_byte(chunk, expected)
         got = fnv1a_64(chunk, got)
         assert got == expected
     assert fnv1a_64(b"".join(chunks), state) == expected
+
+
+# the bulk kernel hashes inputs of _FNV_BULK_MIN bytes or more, in slices
+BULK, SLICE = core._FNV_BULK_MIN, core._FNV_SLICE
+BULK_DATA = hashlib.shake_128(b"rugsim fnv1a").digest(100_000)
+
+
+@pytest.mark.parametrize("length", [BULK - 1, BULK, BULK + 1, SLICE - 1, SLICE, SLICE + 1,
+                                    3 * SLICE + 7])
+def test_fnv1a_bulk_matches_per_byte_loop_around_the_cutoff_and_slice(length):
+    data = BULK_DATA[:length]
+    for state in (0, 0xCBF29CE484222325, 2**64 - 1, 2**70 + 0x1234):
+        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
+
+
+def test_fnv1a_bulk_matches_per_byte_loop_from_every_low_byte():
+    # the kernel solves the low byte's automaton from the state's low byte
+    data = BULK_DATA[:BULK + 9]
+    for low in range(256):
+        state = 0x9E3779B97F4A7C00 | low
+        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
+
+
+@pytest.mark.parametrize("pattern", [b"\x00", b"\xff", b"\x55", b"\xaa", b"\x55\xaa"],
+                         ids=["00", "ff", "55", "aa", "55aa"])
+def test_fnv1a_bulk_matches_per_byte_loop_on_long_carry_chains(pattern):
+    data = pattern * (SLICE + BULK)
+    for state in (0, 0xCBF29CE484222325, 0xFF, 2**64 - 1):
+        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
+
+
+def test_fnv1a_bulk_takes_any_bytes_like_and_chains_across_chunks():
+    # chunks on each side of the cutoff and the slice size
+    sizes = (BULK + 3, 5, SLICE + 1, BULK - 1, SLICE, 2 * BULK)
+    data = BULK_DATA[:sum(sizes)]
+    expected = fnv1a_per_byte(data, 0xCBF29CE484222325)
+    for wrap in (bytes, bytearray, memoryview):
+        assert fnv1a_64(wrap(data)) == expected
+    state, start = 0xCBF29CE484222325, 0
+    for size in sizes:
+        state = fnv1a_64(memoryview(data)[start:start + size], state)
+        start += size
+    assert state == expected
+
+
+def test_fnv1a_bulk_digest_is_pinned():
+    # 100 KB hashed by the per-byte loop when the kernel was written
+    assert fnv1a_64(BULK_DATA) == 0x6ECAF7548553F94B
+    assert fnv1a_per_byte(BULK_DATA, 0xCBF29CE484222325) == 0x6ECAF7548553F94B
 
 
 def test_substreams_are_independent():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rugsim import trace as trace_module
+from rugsim import core, trace as trace_module
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, SCALE, amt, fnv1a_64
 from rugsim.harness import Simulation, run_scenario
@@ -111,6 +111,30 @@ def test_a_streaming_run_holds_one_batch_and_no_telemetry(tmp_path, monkeypatch)
     run_scenario(reference_scenario(blocks=300))[1].write(str(tmp_path / "k"))
     for name in ("events.jsonl", "telemetry.csv", "state.json", "hash.txt"):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "k" / name).read_bytes()
+
+
+def test_each_flush_and_read_block_is_hashed_in_one_call(tmp_path, monkeypatch):
+    # the benchmark counts fnv1a_64 calls and bytes at every binding of the
+    # name, as here: slicing inside the kernel must not show in the count
+    sizes = []
+
+    def counted(data, state=core.FNV_OFFSET):
+        sizes.append(len(data))
+        return fnv1a_64(data, state)
+    monkeypatch.setattr(core, "fnv1a_64", counted)
+    monkeypatch.setattr(trace_module, "fnv1a_64", counted)
+    trace = Trace(str(tmp_path))
+    for i in range(2 * FLUSH_EVENTS + 5):
+        trace.record({"type": "note", "i": i, "memo": "m" * 40})
+    trace.write()
+    events = (tmp_path / "events.jsonl").read_bytes()
+    assert sizes[0] > 3 * core._FNV_SLICE
+    assert len(sizes) == 3 and sum(sizes) == len(events)
+    assert trace.trace_hash() == f"{fnv1a_64(events):016x}"
+    sizes.clear()
+    assert verify_trace(str(tmp_path)).ok
+    block = trace_module.READ_BLOCK
+    assert sizes == [min(block, len(events) - at) for at in range(0, len(events), block)]
 
 
 def tamper(trace_dir, index: int, drop: tuple = (), whole: object = None,

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import FixedAmount, RugsimError, amt, quantize, safe_exp
+from .core import FixedAmount, RangeError, RugsimError, amt, quantize, safe_exp
 from .harness import HOME_TOKEN, Simulation, run_scenario
 from .scenario import (
     SCENARIO_SCHEMA,
@@ -88,10 +88,8 @@ MAX_SWEEP_POINTS = 10_000
 
 
 def _parse_range(spec: str) -> tuple[str, list[Fraction]]:
-    """KEY and the points of the inclusive range A:B:STEP. Refused: more
-    than MAX_SWEEP_POINTS points, a point past the amount range, and two
-    points that quantize to the same amount (they would share a run
-    directory and a summary row)."""
+    """KEY and the points of the inclusive range A:B:STEP; more than
+    MAX_SWEEP_POINTS points are refused."""
     if "=" not in spec:
         raise ValueError("expected KEY=A:B:STEP")
     key, _, rest = spec.partition("=")
@@ -107,20 +105,13 @@ def _parse_range(spec: str) -> tuple[str, list[Fraction]]:
     count = (stop - start) // step + 1
     if count > MAX_SWEEP_POINTS:
         raise ValueError(f"{rest!r} has {count} points, more than {MAX_SWEEP_POINTS}")
-    values = [start + i * step for i in range(count)]
-    try:
-        texts = [str(quantize(value)) for value in values]
-    except RugsimError as exc:
-        raise ValueError(f"{rest!r}: {exc}") from None
-    for text, following in zip(texts, texts[1:]):
-        if text == following:
-            raise ValueError(f"two points of {rest!r} quantize to {text}")
-    return key, values
+    return key, [start + i * step for i in range(count)]
 
 
-def _set_path(doc: dict, dotted: str, value: Fraction) -> None:
-    """Write a sweep point into the field at ``dotted``: an int into a field
-    that holds an int, else the quantized decimal text. A bool field is not
+def _set_path(doc: dict, dotted: str, value: Fraction) -> str:
+    """Write a sweep point into the field at ``dotted`` and return its text:
+    an int into a field that holds an int, else the quantized decimal text,
+    which raises a RangeError past the amount range. A bool field is not
     numeric."""
     node = doc
     parts = dotted.split(".")
@@ -147,6 +138,7 @@ def _set_path(doc: dict, dotted: str, value: Fraction) -> None:
         node[leaf] = int(value)
     else:
         raise ValueError(f"{dotted} holds an integer, got {str(quantize(value))}")
+    return str(node[leaf])
 
 
 def _copy_path(doc: dict, dotted: str) -> dict:
@@ -175,15 +167,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
 
     # every point is written into its own copy and loaded before any run,
-    # so that a bad key, value or point is refused before anything is written
+    # so that a bad key, value or point is refused before anything is written;
+    # two points with one text would share a run directory and a summary row
+    rest = args.param.partition("=")[2]
     points = []
     for value in values:
-        text = str(quantize(value))
         doc = _copy_path(base, key)
         try:
-            _set_path(doc, key, value)
+            text = _set_path(doc, key, value)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
+        except RangeError as exc:
+            return _fail(f"bad --param: {rest!r}: {exc}", EXIT_INPUT)
+        if points and points[-1][0] == text:
+            return _fail(f"bad --param: two points of {rest!r} quantize to {text}",
+                         EXIT_INPUT)
         try:
             points.append((text, load_scenario(doc)))
         except ScenarioError as exc:

@@ -427,7 +427,7 @@ def fixed_pow(base: FixedAmount, exponent: FixedAmount) -> FixedAmount:
     return _from_context_decimal(d)
 
 
-# -- identifiers and time ----------------------------------------------
+# -- identifiers --------------------------------------------------------
 
 ChainId = str
 TokenId = str
@@ -447,19 +447,6 @@ class AccountId(NamedTuple):
 
     def __str__(self) -> str:
         return self.value
-
-
-class BlockTime:
-    __slots__ = ("height", "chain")
-
-    def __init__(self, height: int, chain: ChainId = "main"):
-        if height < 0:
-            raise ParameterError(f"negative block height: {height}")
-        self.height = height
-        self.chain = chain
-
-    def next(self) -> "BlockTime":
-        return BlockTime(self.height + 1, self.chain)
 
 
 # -- seeded randomness --------------------------------------------------

@@ -22,11 +22,14 @@ filled in every default, so materialize and the scripted ops read fields
 and parse or default none themselves.
 
 What a chain's step visits (price processes, pools, monitors, noise
-traders, peg keepers, perp books) is listed per chain once, at materialize,
-in the order a scan of the whole world would meet it. Each scripted step
-runs on the one chain that its pool, vault or token fixes (home for the
-rest), so steps are indexed by height and chain. After every block the
-ledger re-sums every balance per token against that token's supply.
+traders, peg keepers, perp books) is listed per chain where materialize
+makes each entity, in the order a scan of the whole world would meet it.
+Each scripted step runs on the one chain that its pool, vault or token
+fixes (home for the rest), so steps are indexed by height and chain.
+Handlers read the clock, the int ``self.height``, and the chain being
+stepped, ``self._chain_ctx``; books and price functions take only the
+height. After every block the ledger re-sums every balance per token
+against that token's supply.
 
 A queued transaction is a bound action; its kind names it in the ``failed``
 event if it raises. A pending drain leaves ``pending_drains`` when its
@@ -48,10 +51,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
 
-from . import detection, market, perps, tokenomics
+from . import detection, market, tokenomics
 from .core import (
     AccountId,
-    BlockTime,
     FixedAmount,
     ParameterError,
     RugsimError,
@@ -165,8 +167,6 @@ class Simulation:
 
         self.accounts: dict[str, AccountId] = {}
         self.owner_accounts: dict[str, list[str]] = {}
-        self.token_chain: dict[TokenId, str] = {scenario.numeraire: scenario.home_chain}
-        self.processes: dict[TokenId, market.PriceProcess] = {}
         self.prices: dict[TokenId, FixedAmount] = {}
         self.pools: dict[str, PoolState] = {}
         self.pool_chain: dict[str, str] = {}
@@ -176,15 +176,11 @@ class Simulation:
         self.perp_books: dict[str, PerpBook] = {}
         self.perp_amm: Optional[str] = None
         self.intent_book = IntentBook()
-        self.monitors: dict[str, PoolMonitor] = {}
         self.agents: list[Agent] = []
         # agents of each kind, in self.agents order; filled at materialize
         self.agents_by_kind: dict[str, list[Agent]] = {}
         # (height, chain) -> (agent, step) in self.agents order, then script order
         self._script_steps: dict[tuple[int, str], list[tuple[Agent, dict]]] = {}
-        # satellites in scenario order, then home; per-chain views
-        self._chain_order: list[str] = []
-        self._chain_views: dict[str, ChainView] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
         self.bridge: list[tuple[int, RewardEvent]] = []
@@ -209,6 +205,14 @@ class Simulation:
 
     def _materialize(self) -> None:
         sc = self.scenario
+        det = sc.detection
+        # satellites in scenario order, then home; per-chain views
+        self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
+        views = self._chain_views = {chain: ChainView(AuxMonitor(
+            mint_spike_factor=det["mint_spike_factor"],
+            wallet_outflow_fraction=det["wallet_outflow_fraction"],
+            volume_spike_factor=det["volume_spike_factor"])) for chain in sc.chains}
+
         for entry in sc.accounts:
             account = AccountId(value=entry["id"], owner=entry["owner"])
             self.accounts[account.value] = account
@@ -216,12 +220,14 @@ class Simulation:
             for token, balance in entry["balances"].items():
                 self.ledger.mint(account.value, token, balance, memo="genesis")
 
+        token_chain = {sc.numeraire: sc.home_chain}
         for entry in sc.tokens:
             token = entry["id"]
-            self.token_chain[token] = entry["chain"]
+            token_chain[token] = entry["chain"]
             if entry["price_process"] is not None:
-                self.processes[token] = market.PriceProcess(**entry["price_process"])
-                self.prices[token] = market.price_at(self.processes[token], 0)
+                process = market.PriceProcess(**entry["price_process"])
+                self.prices[token] = market.price_at(process, 0)
+                views[entry["chain"]].processes.append((token, process))
 
         for entry in sc.pools:
             pool = PoolState(entry["id"], entry["token_x"], entry["token_y"],
@@ -235,6 +241,11 @@ class Simulation:
             self.lp_shares[pool.pool_id] = {"protocol": Fraction(1)}
             self._prev_volumes[pool.pool_id] = 0
             self._prev_liquidity[pool.pool_id] = self._pool_liquidity(pool).raw
+            view = views[entry["chain"]]
+            view.pool_ids.append(pool.pool_id)
+            if sc.numeraire in (pool.token_x, pool.token_y):
+                view.monitors.append(
+                    (pool.pool_id, PoolMonitor(pool.pool_id, det["drop_threshold"])))
 
         for entry in sc.vaults:
             chain = entry["chain"]
@@ -244,7 +255,7 @@ class Simulation:
                 entry["penalty_k"], entry["penalty_lambda"], entry["gamma_base"],
                 entry["delta_gamma"], self.prices[token], vault_id=entry["id"])
             self.vault_chain[vault.vault_id] = chain
-            self.token_chain[vault.anticoin] = chain
+            token_chain[vault.anticoin] = chain
 
         tk = sc.tokenomics
         self.supply_params = tokenomics.SupplyParams(
@@ -264,27 +275,24 @@ class Simulation:
             for vault_id in perp["enabled_vaults"]:
                 chain = self.vault_chain[vault_id]
                 vault = self.registries[chain].vault(vault_id)
-                self.perp_books[vault_id] = PerpBook(
+                book = self.perp_books[vault_id] = PerpBook(
                     vault_id, vault.anticoin, funding, rule, perp["max_leverage"],
                     revalue_collateral=perp["revalue_collateral"])
+                views[chain].perp_books.append((vault_id, book))
 
         # the dispute sections' fields are the parameter records' fields
         self.rugproof = RugproofBook(SlashParams(**sc.rugproof), treasury=TREASURY)
         self.insurance = InsuranceBook(InsuranceParams(**sc.insurance), sc.numeraire,
                                        treasury=TREASURY)
 
-        det = sc.detection
         # protocol transactions outbid drains by this much (the fee
         # escalation knob); protective plans use it, salvage stays below
         self.priority_boost = max(1, det["protocol_priority_boost"])
         self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
-        for pool_id, pool in self.pools.items():
-            if sc.numeraire in (pool.token_x, pool.token_y):
-                self.monitors[pool_id] = PoolMonitor(pool_id, det["drop_threshold"])
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
-                    "token": self.token_chain, "home": {}}
+                    "token": token_chain, "home": {}}
         for entry in sc.agents:
             agent = Agent(kind=entry["kind"], account=self.accounts[entry["account"]],
                           params=entry)
@@ -295,50 +303,15 @@ class Simulation:
                 chain = chain_of[entity].get(step.get(entity), sc.home_chain)
                 self._script_steps.setdefault((step["block"], chain), []).append(
                     (agent, step))
-        self._build_step_plan()
-
-        for entry in sc.intents:
-            self._register_intent(entry, entry["owner"])
-
-        # genesis funding is not block activity
-        for view in self._chain_views.values():
-            self._unscanned_mints.update(dict.fromkeys(view.mint_tokens, 0))
-            self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
-
-    def _build_step_plan(self) -> None:
-        """Fill the per-chain views."""
-        sc = self.scenario
-        self._chain_order = [c for c in sc.chains if c != sc.home_chain] + [sc.home_chain]
-        det = sc.detection
-        views = self._chain_views = {chain: ChainView(AuxMonitor(
-            mint_spike_factor=det["mint_spike_factor"],
-            wallet_outflow_fraction=det["wallet_outflow_fraction"],
-            volume_spike_factor=det["volume_spike_factor"])) for chain in sc.chains}
-        for token, process in self.processes.items():
-            views[self.token_chain[token]].processes.append((token, process))
-        for pool_id in self.pools:
-            views[self.pool_chain[pool_id]].pool_ids.append(pool_id)
-        for pool_id, monitor in self.monitors.items():
-            views[self.pool_chain[pool_id]].monitors.append((pool_id, monitor))
-        for token, chain in self.token_chain.items():
-            if token != HOME_TOKEN:
-                views[chain].mint_tokens.append(token)
-        for creator in self.agents_by_kind.get("creator", []):
-            for token in self.processes:
-                views[self.token_chain[token]].outflow_keys.append(
-                    (creator.account.value, token))
-        for agent in self.agents:
-            noise = agent.params["noise"]
+            noise = entry["noise"]
             if noise is not None:
                 views[self.pool_chain[noise["pool"]]].noise.append(
                     (agent, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
                      self.rng.stream("noise", agent.account.value)))
-        for keeper in self.agents_by_kind.get("pegkeeper", []):
-            params = keeper.params
-            views[self.pool_chain[params["pool"]]].pegkeepers.append(
-                (keeper, params["budget"], params["tolerance"]))
-        for vault_id, book in self.perp_books.items():
-            views[self.vault_chain[vault_id]].perp_books.append((vault_id, book))
+            if agent.kind == "pegkeeper":
+                views[self.pool_chain[entry["pool"]]].pegkeepers.append(
+                    (agent, entry["budget"], entry["tolerance"]))
+
         solvers = sorted(self.agents_by_kind.get("solver", []),
                          key=lambda a: a.account.value)
         self._solver_bids = [SolverBid(a.account, a.params["fee_bps"]) for a in solvers]
@@ -353,6 +326,20 @@ class Simulation:
             (d for d in detectors if d.params["sandwich_budget"].raw > 0), None)
         self._backrunner = next(
             (d for d in detectors if d.params["backrun_budget"].raw > 0), None)
+
+        for entry in sc.intents:
+            self._register_intent(entry, entry["owner"])
+
+        # what each chain's aux scan reads; genesis funding is not block activity
+        for token, chain in token_chain.items():
+            if token != HOME_TOKEN:
+                views[chain].mint_tokens.append(token)
+        creators = self.agents_by_kind.get("creator", [])
+        for view in views.values():
+            view.outflow_keys = [(creator.account.value, token)
+                                 for creator in creators for token, _ in view.processes]
+            self._unscanned_mints.update(dict.fromkeys(view.mint_tokens, 0))
+            self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
 
     def _register_intent(self, entry: dict, owner: str) -> None:
         pool_id = entry["pool"]
@@ -460,7 +447,6 @@ class Simulation:
         self._chain_ctx = chain
         view = self._chain_views[chain]
         height = self.height
-        at = BlockTime(height, chain)
 
         # (1) price processes advance
         for token, process in view.processes:
@@ -480,19 +466,19 @@ class Simulation:
 
         # (4) scripted agent operations due on this chain
         for agent, step in self._script_steps.get((height, chain), ()):
-            self._run_script_op(agent, step, at)
+            self._run_script_op(agent, step)
 
         # (4b) parametric noise traders
         for noise in view.noise:
             self._noise_trade(*noise)
 
         # (5) perps funding and liquidation
-        self._phase_perps(chain, view, at)
+        self._phase_perps(chain, view, height)
 
         # (6) dispute deadlines fire, (7) the bridge delivers and (8) supply
         # emission and the burn controller run, all on the home chain
         if chain == self.scenario.home_chain:
-            self._phase_dispute_deadlines(at)
+            self._phase_dispute_deadlines(height)
             self._phase_tokenomics(height, self._phase_bridge(height))
 
         # (9) telemetry is the per-block row written in _phase_tokenomics
@@ -735,48 +721,48 @@ class Simulation:
 
     # -- scripted ops ------------------------------------------------------------
 
-    def _run_script_op(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _run_script_op(self, agent: Agent, step: dict) -> None:
         op = step["op"]
         try:
-            getattr(self, f"_op_{op}")(agent, step, at)
+            getattr(self, f"_op_{op}")(agent, step)
         except RugsimError as exc:
             self._failed(op, exc, account=agent.account.value)
 
-    def _op_drain(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_drain(self, agent: Agent, step: dict) -> None:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
         pending = PendingDrain(pool_id, agent.account.value, rug_token, step["t_rug"],
-                               step["t_total"], at.height, at.height + step["window"])
+                               step["t_total"], self.height, self.height + step["window"])
         self.pending_drains.append(pending)
-        self._enqueue(at.chain, pending.executes_at, PRIORITY_DRAIN, "drain",
+        self._enqueue(self._chain_ctx, pending.executes_at, PRIORITY_DRAIN, "drain",
                       partial(self._exec_drain, pending))
         self._event("drain_submitted", pool=pool_id, creator=pending.creator,
                     t_rug=str(pending.t_rug), t_total=str(pending.t_total),
                     executes_at=pending.executes_at)
 
-    def _op_deposit(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_deposit(self, agent: Agent, step: dict) -> None:
         vault_id = step["vault"]
-        minted, receipt, reward = self.registries[at.chain].deposit(
+        minted, receipt, reward = self.registries[self._chain_ctx].deposit(
             self.ledger, vault_id, agent.account, step["amount"])
         self._queue_reward(reward)
         self._event("deposit", vault=vault_id, account=agent.account.value,
                     amount=str(minted), receipt_kind=receipt.kind.value,
                     serial=receipt.nft_serial)
 
-    def _op_burn(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_burn(self, agent: Agent, step: dict) -> None:
         vault_id = step["vault"]
-        supply, reward = self.registries[at.chain].burn_anticoins(
+        supply, reward = self.registries[self._chain_ctx].burn_anticoins(
             self.ledger, vault_id, agent.account, step["amount"])
         self._queue_reward(reward)
         self._event("anticoin_burn", vault=vault_id, account=agent.account.value,
                     amount=str(step["amount"]), supply_after=str(supply))
 
-    def _op_withdraw(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_withdraw(self, agent: Agent, step: dict) -> None:
         vault_id = step["vault"]
         related = self.owner_accounts.get(agent.account.owner, [agent.account.value])
-        result = self.registries[at.chain].withdraw(
+        result = self.registries[self._chain_ctx].withdraw(
             self.ledger, vault_id, agent.account, step["amount"], TREASURY,
             related_accounts=related)
         self.total_penalties = self.total_penalties + result.penalty
@@ -785,15 +771,15 @@ class Simulation:
                     penalty=str(result.penalty), rate=str(result.rate),
                     index=result.withdrawal_index)
 
-    def _op_transfer(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_transfer(self, agent: Agent, step: dict) -> None:
         self.ledger.transfer(agent.account.value, step["to"], step["token"],
                              step["amount"], memo="script-transfer")
 
-    def _op_swap(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_swap(self, agent: Agent, step: dict) -> None:
         self._apply_swap(step["pool"], agent.account.value, step["token_in"],
                          step["amount"], memo="script-swap")
 
-    def _op_add_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_add_liquidity(self, agent: Agent, step: dict) -> None:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
         dx = step["dx"]
@@ -813,7 +799,7 @@ class Simulation:
         self._event("add_liquidity", pool=pool_id, account=account,
                     dx=str(dx), dy=str(dy))
 
-    def _op_remove_liquidity(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_remove_liquidity(self, agent: Agent, step: dict) -> None:
         pool_id = step["pool"]
         share = step["share"]
         account = agent.account.value
@@ -841,10 +827,10 @@ class Simulation:
         self._event("remove_liquidity", pool=pool_id, account=account,
                     out_x=str(out_x), out_y=str(out_y))
 
-    def _op_open_position(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_open_position(self, agent: Agent, step: dict) -> None:
         vault_id = step["vault"]
         book = self.perp_books[vault_id]
-        vault = self.registries[at.chain].vault(vault_id)
+        vault = self.registries[self._chain_ctx].vault(vault_id)
         mark = self._mark_price(vault.rugged_token)
         unit_value = anticoin_value(vault, mark)
         position = book.open_position(
@@ -855,20 +841,20 @@ class Simulation:
                     leverage=str(position.leverage), direction=step["direction"].value,
                     entry=str(mark))
 
-    def _op_register_intent(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_register_intent(self, agent: Agent, step: dict) -> None:
         self._register_intent(step, agent.account.value)
 
-    def _op_issue_bonded(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_issue_bonded(self, agent: Agent, step: dict) -> None:
         issuance = self.rugproof.issue_bonded_token(
             self.ledger, agent.account, step["token"], step["total_issued"], step["x"])
         self._event("bonded_issuance", issuance=issuance.issuance_id,
                     issuer=agent.account.value, token=step["token"],
                     bond=str(issuance.bond))
 
-    def _op_rug_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_rug_claim(self, agent: Agent, step: dict) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.submit_rug_claim(self.ledger, agent.account,
-                                               issuance_id, step["y"], at)
+                                               issuance_id, step["y"], self.height)
         self._event("rug_claim", claim=claim.claim_id, issuance=issuance_id,
                     claimant=agent.account.value, bond=str(claim.claim_bond),
                     challenge_end=claim.challenge_end)
@@ -880,35 +866,35 @@ class Simulation:
                 return issuance_id
         raise StateError(f"no active issuance for {token}")
 
-    def _op_vote_rug(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_vote_rug(self, agent: Agent, step: dict) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.open_claim_for(issuance_id)
         if claim is None:
             raise StateError(f"no open claim on {issuance_id}")
         self.rugproof.cast_vote(claim, agent.account,
-                                step["deposit"], step["side"], at)
+                                step["deposit"], step["side"], self.height)
         self._event("rug_vote", claim=claim.claim_id, voter=agent.account.value,
                     side=step["side"], deposit=str(step["deposit"]))
 
-    def _op_issue_policy(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_issue_policy(self, agent: Agent, step: dict) -> None:
         policy = self.insurance.issue_policy(
             self.ledger, agent.account, self.accounts[step["insured"]],
-            step["insured_value"], step["x"], step["duration"], at)
+            step["insured_value"], step["x"], step["duration"], self.height)
         self._event("policy_issued", policy=policy.policy_id,
                     insurer=agent.account.value, insured=step["insured"],
                     bond=str(policy.insurer_bond))
 
-    def _op_submit_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_submit_claim(self, agent: Agent, step: dict) -> None:
         claim = self.insurance.submit_claim(self.ledger, step["policy"],
-                                            agent.account, step["y"], at,
+                                            agent.account, step["y"], self.height,
                                             loss_claimed=step["loss"])
         self._event("insurance_claim", claim=claim.claim_id, policy=step["policy"],
                     claimant=agent.account.value, bond=str(claim.claim_bond))
 
-    def _op_join_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_join_claim(self, agent: Agent, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         joiner = self.insurance.join_claim(claim, agent.account,
-                                           step["loss"], step["w"], at)
+                                           step["loss"], step["w"], self.height)
         self._event("claim_joined", claim=claim.claim_id,
                     account=agent.account.value, bond=str(joiner.bond))
 
@@ -918,23 +904,23 @@ class Simulation:
             raise StateError(f"no insurance claim {claim_id}")
         return claim
 
-    def _op_dispute_claim(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_dispute_claim(self, agent: Agent, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         dispute = self.insurance.dispute_claim(claim, agent.account,
-                                               step["z"], at)
+                                               step["z"], self.height)
         self._event("claim_disputed", claim=claim.claim_id,
                     challenger=agent.account.value, bond=str(dispute.bond))
 
-    def _op_vote_insurance(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_vote_insurance(self, agent: Agent, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.cast_vote(claim, agent.account,
-                                 step["deposit"], step["side"], at)
+                                 step["deposit"], step["side"], self.height)
         self._event("insurance_vote", claim=claim.claim_id,
                     voter=agent.account.value, side=step["side"])
 
-    def _op_escalate(self, agent: Agent, step: dict, at: BlockTime) -> None:
+    def _op_escalate(self, agent: Agent, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
-        self.insurance.escalate(claim, agent.account, at)
+        self.insurance.escalate(claim, agent.account, self.height)
         self._event("claim_escalated", claim=claim.claim_id,
                     party=agent.account.value, level=claim.escalation_level)
 
@@ -956,7 +942,7 @@ class Simulation:
 
     # -- perps, disputes, bridge, tokenomics phases -------------------------------
 
-    def _phase_perps(self, chain: str, view: ChainView, at: BlockTime) -> None:
+    def _phase_perps(self, chain: str, view: ChainView, height: int) -> None:
         for vault_id, book in view.perp_books:
             vault = self.registries[chain].vault(vault_id)
             mark = self._mark_price(vault.rugged_token)
@@ -965,22 +951,17 @@ class Simulation:
             l_pool = ZERO
             if self.perp_amm is not None:
                 l_pool = self._pool_liquidity(self.pools[self.perp_amm])
-            if at.height % book.funding.interval_blocks == 0 and l_pool.raw > 0:
-                round_ = book.apply_funding(self.ledger, l_pool, at, TREASURY)
+            if height % book.funding.interval_blocks == 0 and l_pool.raw > 0:
+                round_ = book.apply_funding(self.ledger, l_pool, height, TREASURY)
                 if round_ is not None:
                     self._event("funding_round", vault=vault_id,
                                 rate=str(round_.rate),
                                 paying_side=round_.paying_side.value,
                                 transfers=round_.transfer_count,
                                 dust=str(round_.treasury_remainder))
-            bids: dict[int, str] = {}
-            if self._liquidation_bidder is not None:
-                for position in book.positions.values():
-                    if position.status is perps.PositionStatus.FLAGGED:
-                        bids[position.position_id] = self._liquidation_bidder
             unit_value = anticoin_value(vault, mark)
-            events = book.flag_and_liquidate(self.ledger, mark, bids, at,
-                                             TREASURY, PERP_SETTLEMENT,
+            events = book.flag_and_liquidate(self.ledger, mark, self._liquidation_bidder,
+                                             height, TREASURY, PERP_SETTLEMENT,
                                              unit_value=unit_value)
             for event in events:
                 self._event("liquidation", vault=vault_id, position=event.position_id,
@@ -997,11 +978,11 @@ class Simulation:
                     except RugsimError as exc:
                         self._failed("liquidation_swap", exc, vault=vault_id)
 
-    def _phase_dispute_deadlines(self, at: BlockTime) -> None:
+    def _phase_dispute_deadlines(self, height: int) -> None:
         for claim_id in sorted(self.rugproof.claims):
             claim = self.rugproof.claims[claim_id]
-            if claim.status is ClaimStatus.VOTING and at.height >= claim.challenge_end:
-                resolution = self.rugproof.resolve_claim(claim, at)
+            if claim.status is ClaimStatus.VOTING and height >= claim.challenge_end:
+                resolution = self.rugproof.resolve_claim(claim, height)
                 self._event("rug_claim_resolved", claim=claim_id,
                             outcome=resolution.outcome,
                             slashed=str(resolution.slashed))
@@ -1009,16 +990,16 @@ class Simulation:
             claim = self.insurance.claims[claim_id]
             if claim.phase in (ClaimPhase.APPROVED, ClaimPhase.REJECTED):
                 continue
-            resolution = self.insurance.step_deadlines(self.ledger, claim, at)
+            resolution = self.insurance.step_deadlines(self.ledger, claim, height)
             if resolution is not None:
                 self._event("insurance_resolved", claim=claim_id,
                             outcome=resolution.outcome,
                             slashed=str(resolution.slashed))
         for policy_id in sorted(self.insurance.policies):
             policy = self.insurance.policies[policy_id]
-            if policy.status is PolicyStatus.ACTIVE and at.height >= policy.expires_at \
+            if policy.status is PolicyStatus.ACTIVE and height >= policy.expires_at \
                     and self.insurance.open_claim_for(policy_id) is None:
-                self.insurance.expire_policy(policy_id, at)
+                self.insurance.expire_policy(policy_id, height)
                 self._event("policy_expired", policy=policy_id)
 
     def _queue_reward(self, reward: RewardEvent) -> None:

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .core import (
     AccountId,
-    BlockTime,
     FixedAmount,
     ONE,
     ParameterError,
@@ -163,7 +162,7 @@ class InsuranceBook:
 
     def issue_policy(self, ledger: Ledger, insurer: AccountId, insured: AccountId,
                      insured_value: FixedAmount, x_fraction: FixedAmount,
-                     duration_blocks: int, at: BlockTime) -> Policy:
+                     duration_blocks: int, height: int) -> Policy:
         if insured_value.raw <= 0:
             raise ParameterError("insured value must be > 0")
         if duration_blocks <= 0:
@@ -180,7 +179,7 @@ class InsuranceBook:
         escrow.take(insurer.value, bond, "insurer-bond")
         policy = Policy(policy_id=policy_id, insurer=insurer, insured=insured,
                         insured_value=insured_value, insurer_bond=bond,
-                        expires_at=at.height + duration_blocks, escrow=escrow)
+                        expires_at=height + duration_blocks, escrow=escrow)
         self.policies[policy_id] = policy
         return policy
 
@@ -191,11 +190,11 @@ class InsuranceBook:
                 return claim
         return None
 
-    def expire_policy(self, policy_id: str, at: BlockTime) -> None:
+    def expire_policy(self, policy_id: str, height: int) -> None:
         policy = self.policies[policy_id]
         if policy.status is not PolicyStatus.ACTIVE:
             raise StateError(f"policy {policy_id} is {policy.status.value}")
-        if at.height < policy.expires_at:
+        if height < policy.expires_at:
             raise StateError(f"policy {policy_id} runs until {policy.expires_at}")
         if self.open_claim_for(policy_id) is not None:
             raise StateError(f"policy {policy_id} has an open claim")
@@ -206,14 +205,14 @@ class InsuranceBook:
     # -- claim lifecycle ---------------------------------------------------
 
     def submit_claim(self, ledger: Ledger, policy_id: str, claimant: AccountId,
-                     y_fraction: FixedAmount, at: BlockTime,
+                     y_fraction: FixedAmount, height: int,
                      loss_claimed: Optional[FixedAmount] = None) -> InsuranceClaim:
         policy = self.policies.get(policy_id)
         if policy is None:
             raise StateError(f"no policy {policy_id}")
         if policy.status is not PolicyStatus.ACTIVE:
             raise StateError(f"policy {policy_id} is {policy.status.value}")
-        if at.height >= policy.expires_at:
+        if height >= policy.expires_at:
             raise StateError(f"policy {policy_id} expired at {policy.expires_at}")
         if self.open_claim_for(policy_id) is not None:
             raise StateError(f"policy {policy_id} already has an open claim")
@@ -230,17 +229,17 @@ class InsuranceBook:
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
             claim_bond=bond, loss_claimed=loss,
-            challenge_end=at.height + self.params.tau_challenge, escrow=escrow)
+            challenge_end=height + self.params.tau_challenge, escrow=escrow)
         claim.last_bond[claimant.value] = bond
         self.claims[claim_id] = claim
         return claim
 
     def join_claim(self, claim: InsuranceClaim, account: AccountId,
                    loss_claimed: FixedAmount, w_fraction: FixedAmount,
-                   at: BlockTime) -> Joiner:
+                   height: int) -> Joiner:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} no longer accepts joiners")
-        if at.height >= claim.challenge_end:
+        if height >= claim.challenge_end:
             raise StateError("challenge window closed")
         if loss_claimed.raw <= 0:
             raise ParameterError("claimed loss must be > 0")
@@ -257,10 +256,10 @@ class InsuranceBook:
         return joiner
 
     def dispute_claim(self, claim: InsuranceClaim, challenger: AccountId,
-                      z_fraction: FixedAmount, at: BlockTime) -> Dispute:
+                      z_fraction: FixedAmount, height: int) -> Dispute:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} is not challengeable")
-        if at.height >= claim.challenge_end:
+        if height >= claim.challenge_end:
             raise StateError("challenge window closed; claim auto-approves")
         if claim.dispute is not None:
             raise StateError("claim already disputed at this level")
@@ -274,20 +273,20 @@ class InsuranceBook:
         claim.dispute = Dispute(challenger=challenger, bond=bond)
         claim.last_bond[challenger.value] = bond
         claim.phase = ClaimPhase.VOTING
-        claim.vote_end = at.height + self.params.tau_vote
-        claim.votes = VoteBox(at.height, claim.vote_end, QUANTUM,
+        claim.vote_end = height + self.params.tau_vote
+        claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
         return claim.dispute
 
     def cast_vote(self, claim: InsuranceClaim, voter: AccountId,
-                  deposit: FixedAmount, side: str, at: BlockTime) -> None:
+                  deposit: FixedAmount, side: str, height: int) -> None:
         if claim.phase is not ClaimPhase.VOTING or claim.votes is None:
             raise StateError(f"claim {claim.claim_id} is not in a voting round")
-        vote = claim.votes.cast(voter, deposit, side, at.height)
+        vote = claim.votes.cast(voter, deposit, side, height)
         claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
 
     def escalate(self, claim: InsuranceClaim, party: AccountId,
-                 at: BlockTime) -> None:
+                 height: int) -> None:
         """Buy a fresh voting round; only the claimant or challenger may,
         posting their previous bond scaled by the escalation multiplier."""
         if claim.phase is not ClaimPhase.PENDING_FINAL:
@@ -309,26 +308,26 @@ class InsuranceBook:
         if claim.votes is not None:
             claim.past_votes.append(claim.votes)
         claim.phase = ClaimPhase.VOTING
-        claim.vote_end = at.height + self.params.tau_vote
-        claim.votes = VoteBox(at.height, claim.vote_end, QUANTUM,
+        claim.vote_end = height + self.params.tau_vote
+        claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
 
     def step_deadlines(self, ledger: Ledger, claim: InsuranceClaim,
-                       at: BlockTime) -> Optional[Resolution]:
+                       height: int) -> Optional[Resolution]:
         """Advance the claim when a window expires; returns the final
         resolution when one is executed this block."""
-        if claim.phase is ClaimPhase.CHALLENGEABLE and at.height >= claim.challenge_end:
+        if claim.phase is ClaimPhase.CHALLENGEABLE and height >= claim.challenge_end:
             return self._finalize(ledger, claim, SIDE_APPROVE)
-        if claim.phase is ClaimPhase.VOTING and at.height >= claim.vote_end:
+        if claim.phase is ClaimPhase.VOTING and height >= claim.vote_end:
             outcome = claim.votes.winner(tie_side=SIDE_REJECT)
             if claim.escalation_level >= self.params.max_escalations:
                 return self._finalize(ledger, claim, outcome)
             claim.pending_outcome = outcome
-            claim.decided_at = at.height
+            claim.decided_at = height
             claim.phase = ClaimPhase.PENDING_FINAL
             return None
         if claim.phase is ClaimPhase.PENDING_FINAL and \
-                at.height >= claim.decided_at + self.params.escalation_window:
+                height >= claim.decided_at + self.params.escalation_window:
             return self._finalize(ledger, claim, claim.pending_outcome)
         return None
 

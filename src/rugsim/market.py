@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .core import (
-    BlockTime,
     DustError,
     FixedAmount,
     IlliquidError,
@@ -71,50 +70,45 @@ class PriceProcess:
         self.lam, self.alpha_sent, self.epsilon_floor = lam, alpha_sent, epsilon_floor
 
 
-def _height(t: Union[BlockTime, int]) -> int:
-    return t.height if isinstance(t, BlockTime) else int(t)
-
-
 def _decay(proc: PriceProcess, x_num: int, x_den: int) -> FixedAmount:
     # max(p0 * e**-x, floor) for x = x_num / x_den, from the exact integer kernel
     return max(FixedAmount(_exp_neg_raw(proc.p0.raw, x_num, x_den)), proc.epsilon_floor)
 
 
-def price_scam(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
+def price_scam(proc: PriceProcess, height: int) -> FixedAmount:
     """max(p0 * e**(-t/tau_rug), floor): near-instant collapse."""
     if proc.kind is not RugKind.SCAM:
         raise ParameterError(f"not a scam process: {proc.kind}")
     if proc.tau_rug.raw <= 0:
         raise ParameterError("tau_rug must be > 0")
-    return _decay(proc, _height(t) * SCALE, proc.tau_rug.raw)
+    return _decay(proc, height * SCALE, proc.tau_rug.raw)
 
 
-def price_catastrophic(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
+def price_catastrophic(proc: PriceProcess, height: int) -> FixedAmount:
     """max(p0 * e**(-lam*t), floor): gradual exponential failure."""
     if proc.kind is not RugKind.CATASTROPHIC:
         raise ParameterError(f"not a catastrophic process: {proc.kind}")
     if proc.lam.raw < 0:
         raise ParameterError("lam must be >= 0")
-    return _decay(proc, proc.lam.raw * _height(t), SCALE)
+    return _decay(proc, proc.lam.raw * height, SCALE)
 
 
-def price_sentiment(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
+def price_sentiment(proc: PriceProcess, height: int) -> FixedAmount:
     """max(p0 / (1 + alpha*t), floor): hyperbolic sentiment decay."""
     if proc.kind is not RugKind.SENTIMENT:
         raise ParameterError(f"not a sentiment process: {proc.kind}")
     if proc.alpha_sent.raw < 0:
         raise ParameterError("alpha_sent must be >= 0")
-    height = _height(t)
     denom = FixedAmount(SCALE + proc.alpha_sent.raw * height)
     return max(proc.p0 / denom, proc.epsilon_floor)
 
 
-def price_at(proc: PriceProcess, t: Union[BlockTime, int]) -> FixedAmount:
+def price_at(proc: PriceProcess, height: int) -> FixedAmount:
     if proc.kind is RugKind.SCAM:
-        return price_scam(proc, t)
+        return price_scam(proc, height)
     if proc.kind is RugKind.CATASTROPHIC:
-        return price_catastrophic(proc, t)
-    return price_sentiment(proc, t)
+        return price_catastrophic(proc, height)
+    return price_sentiment(proc, height)
 
 
 # -- constant-product pool ------------------------------------------------
@@ -303,7 +297,6 @@ class PegTrade(NamedTuple):
 
 
 DEFAULT_PEG_TOLERANCE = amt("0.005")
-PEG_BISECTION_ITERATIONS = 64
 
 
 def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount,
@@ -313,8 +306,7 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
 
     Spot above peg: sell token_x (the pegged asset); below: spend token_y.
     The size starts at the constant-product root and is made exact by a local
-    search; it equals a bisection over [0, budget] capped at
-    PEG_BISECTION_ITERATIONS halvings.
+    search.
     """
     if peg_value.raw < 0:
         raise ParameterError("peg_value must be >= 0")
@@ -379,13 +371,6 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
-        # hi is the first crossing amount. The capped bisection from the budget
-        # stops short of it past 2**64 quanta: replay its halvings against hi
-        if budget.raw > 1 << PEG_BISECTION_ITERATIONS:
-            first, lo, hi = hi, 0, budget.raw
-            for _ in range(PEG_BISECTION_ITERATIONS):
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if mid >= first else (mid, hi)
     else:
         lo = hi
     if lo <= 0:

@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 
 from .core import (
     AccountId,
-    BlockTime,
     FixedAmount,
     IlliquidError,
     ParameterError,
@@ -212,15 +211,15 @@ class PerpBook:
         shorts = sum(1 for p in self.open_positions() if p.direction is Direction.SHORT)
         return longs, shorts
 
-    def apply_funding(self, ledger: Ledger, l_pool: FixedAmount, at: BlockTime,
+    def apply_funding(self, ledger: Ledger, l_pool: FixedAmount, height: int,
                       treasury: str) -> Optional[FundingRound]:
         """Charge the majority side, distribute to the minority pro-rata by
         notional. Collateral moves inside the escrow account, so the round
         is zero-sum by construction; the rounding remainder goes to the
         treasury. A single-sided or tied book accrues nothing."""
-        if at.height % self.funding.interval_blocks != 0:
+        if height % self.funding.interval_blocks != 0:
             raise ParameterError(
-                f"height {at.height} is not a funding boundary "
+                f"height {height} is not a funding boundary "
                 f"(interval {self.funding.interval_blocks})")
         n_long, n_short = self.side_counts()
         if n_long == 0 or n_short == 0 or n_long == n_short:
@@ -262,16 +261,17 @@ class PerpBook:
                             transfer_count=transfer_count, treasury_remainder=remainder)
 
     def flag_and_liquidate(self, ledger: Ledger, mark_price: FixedAmount,
-                           bids: dict[int, str], at: BlockTime, treasury: str,
+                           bidder: Optional[str], height: int, treasury: str,
                            settlement_account: str,
                            unit_value: Optional[FixedAmount] = None) -> list[LiquidationEvent]:
         """Flag unhealthy positions and execute due liquidations.
 
-        bids maps position id -> liquidator account. A wiped-out position
-        (health 0) is seized the same block; a merely unhealthy one gives
-        liquidators a bounty window before the protocol steps in. Seized
-        anticoins, minus the liquidator fee, are moved to the settlement
-        account for the protocol AMM swap (swap_ca on the event).
+        The bidder, if any, liquidates every position flagged before
+        ``height``. A wiped-out position (health 0) is seized the same
+        block; a merely unhealthy one gives liquidators a bounty window
+        before the protocol steps in. Seized anticoins, minus the liquidator
+        fee, are moved to the settlement account for the protocol AMM swap
+        (swap_ca on the event).
         """
         events: list[LiquidationEvent] = []
         rule = self.rule
@@ -282,18 +282,14 @@ class PerpBook:
                 health = position_health(p, mark_price, live)
                 if health <= rule.maintenance_fraction:
                     p.status = PositionStatus.FLAGGED
-                    p.flagged_at = at.height
+                    p.flagged_at = height
                     events.append(LiquidationEvent(pid, "flagged"))
             if p.status is not PositionStatus.FLAGGED:
-                if pid in bids:
-                    events.append(LiquidationEvent(pid, "invalid_bid",
-                                                   liquidator=bids[pid]))
                 continue
 
-            bidder = bids.get(pid)
             wiped = position_health(p, mark_price, live).raw == 0
-            deadline_passed = at.height >= (p.flagged_at or 0) + rule.liquidator_deadline_blocks
-            if bidder is not None:
+            deadline_passed = height >= p.flagged_at + rule.liquidator_deadline_blocks
+            if bidder is not None and p.flagged_at < height:
                 fee = rule.liquidator_fee_fraction * p.collateral_ca
                 rest = p.collateral_ca - fee
                 if fee.raw > 0:

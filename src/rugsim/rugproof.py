@@ -12,7 +12,6 @@ from typing import Optional
 
 from .core import (
     AccountId,
-    BlockTime,
     FixedAmount,
     ONE,
     ParameterError,
@@ -131,7 +130,7 @@ class RugproofBook:
         return None
 
     def submit_rug_claim(self, ledger: Ledger, user: AccountId, issuance_id: str,
-                         y_fraction: FixedAmount, at: BlockTime) -> RugClaim:
+                         y_fraction: FixedAmount, height: int) -> RugClaim:
         issuance = self.issuances.get(issuance_id)
         if issuance is None:
             raise StateError(f"no issuance {issuance_id}")
@@ -146,23 +145,23 @@ class RugproofBook:
         self._counter += 1
         escrow = CaseEscrow(ledger, f"case:{claim_id}", issuance.token)
         escrow.take(user.value, bond, "claim-bond")
-        end = at.height + self.params.challenge_blocks
+        end = height + self.params.challenge_blocks
         claim = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,
             claim_bond=bond, challenge_end=end, escrow=escrow,
-            votes=VoteBox(at.height, end, self.params.z_min,
+            votes=VoteBox(height, end, self.params.z_min,
                           (SIDE_RUGGING, SIDE_NOT_RUGGING)))
         self.claims[claim_id] = claim
         return claim
 
     def cast_vote(self, claim: RugClaim, voter: AccountId,
-                  deposit: FixedAmount, side: str, at: BlockTime) -> None:
+                  deposit: FixedAmount, side: str, height: int) -> None:
         if claim.status is not ClaimStatus.VOTING:
             raise StateError(f"claim {claim.claim_id} is not accepting votes")
-        vote = claim.votes.cast(voter, deposit, side, at.height)
+        vote = claim.votes.cast(voter, deposit, side, height)
         claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
 
-    def resolve_claim(self, claim: RugClaim, at: BlockTime) -> Resolution:
+    def resolve_claim(self, claim: RugClaim, height: int) -> Resolution:
         """Settle at the end of the challenge window.
 
         Rugging upheld: slash alpha% of the issuer bond; the claimant takes
@@ -173,9 +172,9 @@ class RugproofBook:
         """
         if claim.status is not ClaimStatus.VOTING:
             raise StateError(f"claim {claim.claim_id} already resolved")
-        if at.height < claim.challenge_end:
+        if height < claim.challenge_end:
             raise StateError(
-                f"challenge window open until {claim.challenge_end}, now {at.height}")
+                f"challenge window open until {claim.challenge_end}, now {height}")
         issuance = self.issuances[claim.issuance_id]
         winner = claim.votes.winner(tie_side=SIDE_NOT_RUGGING)
 

@@ -185,7 +185,6 @@ def test_06_funding_bounds():
             l_pool = FixedAmount(rng.randint(l_min.raw, 10**6 * SCALE))
             assert funding_rate_final(rate, l_min, l_pool) <= rate * 2
         # randomized books: transfers are zero-sum, exactly
-        from rugsim.core import BlockTime
         for case in range(60):
             ledger = Ledger()
             book = PerpBook("v", "CA", FundingParams(alpha, l_min, 1),
@@ -199,7 +198,7 @@ def test_06_funding_bounds():
             escrow_before = ledger.balance(book.escrow_account, "CA")
             collateral_before = sum(p.collateral_ca.raw for p in book.positions.values())
             book.apply_funding(ledger, FixedAmount(rng.randint(l_min.raw, 10**14)),
-                               BlockTime(1, "a"), "treasury")
+                               1, "treasury")
             collateral_after = sum(p.collateral_ca.raw for p in book.positions.values())
             treasury = ledger.balance("treasury", "CA")
             assert collateral_after + treasury.raw == collateral_before
@@ -209,7 +208,6 @@ def test_06_funding_bounds():
 
 def _fuzz_rugproof(cases: int) -> None:
     from conftest import solo
-    from rugsim.core import BlockTime
     from rugsim.rugproof import RugproofBook, SlashParams, SIDE_NOT_RUGGING, \
         SIDE_RUGGING
 
@@ -233,14 +231,14 @@ def _fuzz_rugproof(cases: int) -> None:
         ledger.mint("claimant", "T", amt(10**5))
         claim = book.submit_rug_claim(ledger, claimant, issuance.issuance_id,
                                       quantize(Fraction(rng.randint(1, 10), 100)),
-                                      BlockTime(0, "r"))
+                                      0)
         for v in range(rng.randint(0, 6)):
             voter = solo(f"v{v}")
             ledger.mint(f"v{v}", "T", amt(1000))
             side = SIDE_RUGGING if rng.random() < 0.5 else SIDE_NOT_RUGGING
             book.cast_vote(claim, voter, amt(rng.randint(1, 500)),
-                           side, BlockTime(rng.randint(0, 4), "r"))
-        resolution = book.resolve_claim(claim, BlockTime(5, "r"))
+                           side, rng.randint(0, 4))
+        resolution = book.resolve_claim(claim, 5)
         # slash never exceeds the corresponding bond
         if resolution.outcome == "upheld_rug":
             assert resolution.slashed <= issuance.bond
@@ -258,7 +256,6 @@ def _fuzz_rugproof(cases: int) -> None:
 
 def _fuzz_insurance(cases: int) -> None:
     from conftest import solo
-    from rugsim.core import BlockTime
     from rugsim.insurance import InsuranceBook, InsuranceParams, SIDE_APPROVE, \
         SIDE_REJECT
 
@@ -279,30 +276,30 @@ def _fuzz_insurance(cases: int) -> None:
         i_v = amt(rng.randint(100, 5000))
         policy = book.issue_policy(ledger, insurer, insured, i_v,
                                    quantize(Fraction(rng.randint(1, 20), 100)),
-                                   60, BlockTime(0, "r"))
+                                   60, 0)
         claim = book.submit_claim(ledger, policy.policy_id, insured,
                                   quantize(Fraction(rng.randint(1, 10), 100)),
-                                  BlockTime(1, "r"))
+                                  1)
         joiners = []
         for j in range(rng.randint(0, 3)):
             account = solo(f"j{j}")
             ledger.mint(f"j{j}", "USD", amt(10**4))
             joiners.append(book.join_claim(
                 claim, account, amt(rng.randint(10, 500)),
-                quantize(Fraction(rng.randint(1, 5), 100)), BlockTime(2, "r")))
+                quantize(Fraction(rng.randint(1, 5), 100)), 2))
         disputed = rng.random() < 0.6
         if disputed:
             challenger = solo("challenger")
             ledger.mint("challenger", "USD", amt(10**5))
             book.dispute_claim(claim, challenger,
                                quantize(Fraction(rng.randint(1, 8), 100)),
-                               BlockTime(3, "r"))
+                               3)
             for v in range(rng.randint(0, 5)):
                 voter = solo(f"w{v}")
                 ledger.mint(f"w{v}", "USD", amt(1000))
                 side = SIDE_APPROVE if rng.random() < 0.5 else SIDE_REJECT
                 book.cast_vote(claim, voter, amt(rng.randint(1, 300)),
-                               side, BlockTime(rng.randint(3, 6), "r"))
+                               side, rng.randint(3, 6))
         claim_side_before = {
             "insured": ledger.balance("insured", "USD"),
             **{f"j{j}": ledger.balance(f"j{j}", "USD")
@@ -311,14 +308,14 @@ def _fuzz_insurance(cases: int) -> None:
         escalations = rng.randint(0, 2)
         resolution = None
         while resolution is None and height < 100:
-            resolution = book.step_deadlines(ledger, claim, BlockTime(height, "r"))
+            resolution = book.step_deadlines(ledger, claim, height)
             if (resolution is None and claim.phase.value == "pending_final"
                     and escalations > 0 and disputed):
                 escalations -= 1
                 party = claim.claimant if rng.random() < 0.5 \
                     else claim.dispute.challenger
                 try:
-                    book.escalate(claim, party, BlockTime(height, "r"))
+                    book.escalate(claim, party, height)
                 except Exception:
                     pass
             height += 1

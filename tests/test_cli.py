@@ -192,6 +192,21 @@ def test_sweep_writes_ints_into_integer_fields(tmp_path):
     assert submitted["executes_at"] == submitted["h"] + 2
 
 
+def test_sweep_reads_an_int_field_point_as_an_int(tmp_path):
+    # seeds past the amount range (10**18 whole units) are ints, not amounts:
+    # each point runs as `run --seed` does
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", "builtin:reference", "--blocks", "5",
+                 "--out", str(out), "--param",
+                 "seed=1000000000000000001:1000000000000000002:1"]) == 0
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["1000000000000000001", "1000000000000000002"]
+    for seed, row in zip(("1000000000000000001", "1000000000000000002"), rows):
+        assert main(["run", "--scenario", "builtin:reference", "--blocks", "5",
+                     "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        assert (tmp_path / seed / "hash.txt").read_text().strip() == row[2]
+
+
 @pytest.mark.parametrize("param,message", [
     ("seed=1:2:0.5", "bad --param key 'seed': seed holds an integer, got 1.5"),
     ("agents.0.script.0.window=1:2:0.25",
@@ -211,9 +226,12 @@ def test_sweep_writes_ints_into_integer_fields(tmp_path):
     ("tokenomics.kappa=0.5:1.5:0.5",
      "scenario error at tokenomics.kappa=1.5: tokenomics.kappa: must be in [0, 1], "
      "got '1.5'"),
+    ("seed=18446744073709551615:18446744073709551616:1",
+     "scenario error at seed=18446744073709551616: seed: must be in [0, 2**64 - 1], "
+     "got 18446744073709551616"),
 ], ids=["fractional-seed", "fractional-window", "four-points-one-value",
         "two-points-one-value", "ten-billion-points", "one-past-the-limit",
-        "past-the-amount-range", "a-later-point-fails-to-load"])
+        "past-the-amount-range", "a-later-point-fails-to-load", "a-seed-past-64-bits"])
 def test_sweep_refuses_a_bad_range_before_any_run(tmp_path, capsys, param, message):
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),

@@ -918,6 +918,8 @@ def test_every_undeclared_account_is_engine_owned():
     assert {prefix for prefix in ENGINE_ACCOUNT_PREFIXES
             if any(account.startswith(prefix) for account in made)} \
         == set(ENGINE_ACCOUNT_PREFIXES)
+    # rug-claim, insurance-claim, policy-expiry and bidder-liquidation timing
+    assert trace.trace_hash() == "ed4fdfcae39994af"
 
 
 def test_each_chain_scans_the_mints_of_its_own_tokens():

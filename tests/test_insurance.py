@@ -2,7 +2,7 @@
 
 import pytest
 
-from rugsim.core import BlockTime, ParameterError, StateError, amt
+from rugsim.core import ParameterError, StateError, amt
 from rugsim.insurance import (
     SIDE_APPROVE,
     SIDE_REJECT,
@@ -26,15 +26,11 @@ def mk_book(alpha="0.2", gamma="0.5", tau_challenge=10, tau_vote=10,
     return InsuranceBook(params, USD)
 
 
-def at(height):
-    return BlockTime(height, "home")
-
-
 def mk_policy(ledger, book, i_v=1000, x="0.1", duration=100):
     insurer = fund(ledger, "insurer", USD, 10_000)
     insured = fund(ledger, "insured", USD, 1_000)
     return book.issue_policy(ledger, insurer, insured, amt(i_v), amt(x),
-                             duration, at(0))
+                             duration, 0)
 
 
 # -- issuance -----------------------------------------------------------------
@@ -52,9 +48,9 @@ def test_issue_policy_floors(ledger):
     insurer = fund(ledger, "insurer", USD, 10_000)
     insured = solo("insured")
     with pytest.raises(ParameterError):  # default floor x_min = 1%
-        book.issue_policy(ledger, insurer, insured, amt(1000), amt(0), 100, at(0))
+        book.issue_policy(ledger, insurer, insured, amt(1000), amt(0), 100, 0)
     with pytest.raises(ParameterError):  # zero duration
-        book.issue_policy(ledger, insurer, insured, amt(1000), amt("0.1"), 0, at(0))
+        book.issue_policy(ledger, insurer, insured, amt(1000), amt("0.1"), 0, 0)
 
 
 # -- claims and joiners ----------------------------------------------------------
@@ -64,7 +60,7 @@ def test_submit_claim_bond(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     assert claim.claim_bond == amt(50)
     assert claim.challenge_end == 11
 
@@ -73,10 +69,10 @@ def test_joiners_post_bonds(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
-        record = book.join_claim(claim, joiner, amt(100), amt("0.02"), at(2))
+        record = book.join_claim(claim, joiner, amt(100), amt("0.02"), 2)
         assert record.bond == amt(20)
     assert len(claim.joiners) == 3
 
@@ -85,12 +81,12 @@ def test_join_after_dispute_rejected(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
-    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), 2)
     late = fund(ledger, "late", USD, 100)
     with pytest.raises(StateError):
-        book.join_claim(claim, late, amt(50), amt("0.02"), at(3))
+        book.join_claim(claim, late, amt(50), amt("0.02"), 3)
 
 
 # -- disputes ---------------------------------------------------------------------
@@ -100,25 +96,25 @@ def test_dispute_bond_and_rules(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
-    dispute = book.dispute_claim(claim, challenger, amt("0.03"), at(2))
+    dispute = book.dispute_claim(claim, challenger, amt("0.03"), 2)
     assert dispute.bond == amt(30)
     with pytest.raises(StateError):  # one dispute per level
         book.dispute_claim(claim, fund(ledger, "c2", USD, 100),
-                           amt("0.03"), at(3))
+                           amt("0.03"), 3)
 
 
 def test_late_dispute_rejected_and_claim_auto_approves(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
-    resolution = book.step_deadlines(ledger, claim, at(11))
+                              amt("0.05"), 1)
+    resolution = book.step_deadlines(ledger, claim, 11)
     assert resolution is not None and claim.phase is ClaimPhase.APPROVED
     challenger = fund(ledger, "chal", USD, 100)
     with pytest.raises(StateError):
-        book.dispute_claim(claim, challenger, amt("0.03"), at(11))
+        book.dispute_claim(claim, challenger, amt("0.03"), 11)
 
 
 # -- resolution --------------------------------------------------------------------
@@ -129,8 +125,8 @@ def test_approved_undisputed_compensation_exact(ledger):
     policy = mk_policy(ledger, book, i_v=1000, x="0.1")
     insured_before = ledger.balance("insured", USD)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
-    book.step_deadlines(ledger, claim, at(11))
+                              amt("0.05"), 1)
+    book.step_deadlines(ledger, claim, 11)
     # claimant nets I_v + alpha * bond = 1000 + 20 (their own bond returns too)
     assert ledger.balance("insured", USD) == insured_before + amt(1020)
     # insurer paid the principal and lost the bond cut, rest of bond back
@@ -143,16 +139,16 @@ def test_rejected_pooled_penalty(ledger):
     book = mk_book(gamma="0.5", tau_vote=10)
     policy = mk_policy(ledger, book, i_v=1000)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
-        book.join_claim(claim, joiner, amt(100), amt("0.02"), at(2))
+        book.join_claim(claim, joiner, amt(100), amt("0.02"), 2)
     challenger = fund(ledger, "chal", USD, 1000)
-    book.dispute_claim(claim, challenger, amt("0.03"), at(3))
+    book.dispute_claim(claim, challenger, amt("0.03"), 3)
     # nobody votes: tie goes to reject
-    resolution = book.step_deadlines(ledger, claim, at(13))
+    resolution = book.step_deadlines(ledger, claim, 13)
     assert claim.phase is ClaimPhase.PENDING_FINAL
-    resolution = book.step_deadlines(ledger, claim, at(18))
+    resolution = book.step_deadlines(ledger, claim, 18)
     assert claim.phase is ClaimPhase.REJECTED
     # penalty = 0.5 * (50 + 3*20) = 55, all to the sole challenger
     assert resolution.slashed == amt(55)
@@ -169,16 +165,16 @@ def test_disputed_vote_decides(ledger):
     book = mk_book(tau_vote=10)
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
-    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), 2)
     alice = fund(ledger, "alice", USD, 100)
     bob = fund(ledger, "bob", USD, 100)
-    book.cast_vote(claim, alice, amt(60), SIDE_APPROVE, at(3))
-    book.cast_vote(claim, bob, amt(40), SIDE_REJECT, at(3))
-    book.step_deadlines(ledger, claim, at(12))
+    book.cast_vote(claim, alice, amt(60), SIDE_APPROVE, 3)
+    book.cast_vote(claim, bob, amt(40), SIDE_REJECT, 3)
+    book.step_deadlines(ledger, claim, 12)
     assert claim.pending_outcome == SIDE_APPROVE
-    book.step_deadlines(ledger, claim, at(17))
+    book.step_deadlines(ledger, claim, 17)
     assert claim.phase is ClaimPhase.APPROVED
     # voters on both sides got deposits back; challenger got the bond back
     assert ledger.balance("alice", USD) == amt(100)
@@ -193,18 +189,18 @@ def test_disputed_vote_decides(ledger):
 def setup_disputed(ledger, book):
     policy = mk_policy(ledger, book)
     claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
-                              amt("0.05"), at(1))
+                              amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 1000)
-    book.dispute_claim(claim, challenger, amt("0.03"), at(2))
+    book.dispute_claim(claim, challenger, amt("0.03"), 2)
     return policy, claim, challenger
 
 
 def test_escalation_bond_doubles(ledger):
     book = mk_book()
     policy, claim, challenger = setup_disputed(ledger, book)
-    book.step_deadlines(ledger, claim, at(12))  # reject pending (no votes)
+    book.step_deadlines(ledger, claim, 12)  # reject pending (no votes)
     before = ledger.balance("insured", USD)
-    book.escalate(claim, solo("insured"), at(13))
+    book.escalate(claim, solo("insured"), 13)
     assert claim.escalation_level == 1
     assert ledger.balance("insured", USD) == before - amt(100)  # 2 x 50 bond
     assert claim.phase is ClaimPhase.VOTING
@@ -213,34 +209,34 @@ def test_escalation_bond_doubles(ledger):
 def test_escalation_only_parties(ledger):
     book = mk_book()
     _, claim, _ = setup_disputed(ledger, book)
-    book.step_deadlines(ledger, claim, at(12))
+    book.step_deadlines(ledger, claim, 12)
     outsider = fund(ledger, "outsider", USD, 10_000)
     with pytest.raises(ParameterError):
-        book.escalate(claim, outsider, at(13))
+        book.escalate(claim, outsider, 13)
 
 
 def test_escalation_limit_is_final(ledger):
     book = mk_book(max_escalations=1)
     _, claim, challenger = setup_disputed(ledger, book)
-    book.step_deadlines(ledger, claim, at(12))
-    book.escalate(claim, solo("insured"), at(13))
+    book.step_deadlines(ledger, claim, 12)
+    book.escalate(claim, solo("insured"), 13)
     # level 1 == max: the vote-end resolution is immediately final
-    resolution = book.step_deadlines(ledger, claim, at(23))
+    resolution = book.step_deadlines(ledger, claim, 23)
     assert resolution is not None and claim.phase is ClaimPhase.REJECTED
     with pytest.raises(StateError):
-        book.escalate(claim, solo("insured"), at(24))
+        book.escalate(claim, solo("insured"), 24)
     ledger.check_conservation()
 
 
 def test_loser_escalation_bonds_forfeit_to_winner(ledger):
     book = mk_book(max_escalations=2)
     policy, claim, challenger = setup_disputed(ledger, book)
-    book.step_deadlines(ledger, claim, at(12))          # pending reject
-    book.escalate(claim, solo("insured"), at(13))  # posts 100
+    book.step_deadlines(ledger, claim, 12)          # pending reject
+    book.escalate(claim, solo("insured"), 13)  # posts 100
     voter = fund(ledger, "voter", USD, 500)
-    book.cast_vote(claim, voter, amt(200), SIDE_APPROVE, at(14))
-    book.step_deadlines(ledger, claim, at(23))          # pending approve
-    book.step_deadlines(ledger, claim, at(28))          # final approve
+    book.cast_vote(claim, voter, amt(200), SIDE_APPROVE, 14)
+    book.step_deadlines(ledger, claim, 23)          # pending approve
+    book.step_deadlines(ledger, claim, 28)          # final approve
     assert claim.phase is ClaimPhase.APPROVED
     # claimant recovered the escalation bond (returned to the winning party)
     assert ledger.balance("insured", USD) == \
@@ -252,7 +248,7 @@ def test_expire_policy_returns_bond(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book, duration=10)
     with pytest.raises(StateError):
-        book.expire_policy(policy.policy_id, at(5))
-    book.expire_policy(policy.policy_id, at(10))
+        book.expire_policy(policy.policy_id, 5)
+    book.expire_policy(policy.policy_id, 10)
     assert policy.status is PolicyStatus.EXPIRED
     assert ledger.balance("insurer", USD) == amt(10_000)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rugsim.core import BlockTime, IlliquidError, ParameterError, amt
+from rugsim.core import IlliquidError, ParameterError, amt
 from rugsim.ledger import BalanceError
 from rugsim.perps import (
     Direction,
@@ -128,14 +128,14 @@ def test_apply_funding_balanced_book_is_noop(ledger):
     book = mk_book(interval=4)
     open_pos(book, ledger, "a", 100, 2, Direction.LONG)
     open_pos(book, ledger, "b", 100, 2, Direction.SHORT)
-    round_ = book.apply_funding(ledger, amt(1000), BlockTime(4, "alpha"), "treasury")
+    round_ = book.apply_funding(ledger, amt(1000), 4, "treasury")
     assert round_ is None
 
 
 def test_apply_funding_single_sided_is_noop(ledger):
     book = mk_book(interval=4)
     open_pos(book, ledger, "a", 100, 2, Direction.LONG)
-    assert book.apply_funding(ledger, amt(1000), BlockTime(4, "alpha"), "treasury") is None
+    assert book.apply_funding(ledger, amt(1000), 4, "treasury") is None
 
 
 def test_apply_funding_majority_pays_minority(ledger):
@@ -144,7 +144,7 @@ def test_apply_funding_majority_pays_minority(ledger):
              for i in range(3)]
     short = open_pos(book, ledger, "solo-short", 100, 2, Direction.SHORT)
     escrow_before = ledger.balance(book.escrow_account, ANTI)
-    round_ = book.apply_funding(ledger, amt(400), BlockTime(4, "alpha"), "treasury")
+    round_ = book.apply_funding(ledger, amt(400), 4, "treasury")
     assert round_.paying_side is Direction.LONG
     # rate: 0.01 * 3/4 * (1 + 100/400) = 0.009375 on notional 200
     paid_each = amt("0.009375") * amt(200)
@@ -160,7 +160,7 @@ def test_apply_funding_majority_pays_minority(ledger):
 def test_apply_funding_requires_boundary(ledger):
     book = mk_book(interval=4)
     with pytest.raises(ParameterError):
-        book.apply_funding(ledger, amt(1000), BlockTime(3, "alpha"), "treasury")
+        book.apply_funding(ledger, amt(1000), 3, "treasury")
 
 
 # -- liquidation ------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_apply_funding_requires_boundary(ledger):
 def test_healthy_book_produces_no_events(ledger):
     book = mk_book()
     open_pos(book, ledger, "a", 100, 2, Direction.LONG, entry=1)
-    events = book.flag_and_liquidate(ledger, amt(1), {}, BlockTime(1, "alpha"),
+    events = book.flag_and_liquidate(ledger, amt(1), "liq1", 1,
                                      "treasury", "amm")
     assert events == []
 
@@ -177,7 +177,8 @@ def test_healthy_book_produces_no_events(ledger):
 def test_wiped_out_position_liquidates_same_block(ledger):
     book = mk_book()
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
-    events = book.flag_and_liquidate(ledger, amt("0.75"), {}, BlockTime(2, "alpha"),
+    # a bidder takes only positions flagged in an earlier call
+    events = book.flag_and_liquidate(ledger, amt("0.75"), "liq1", 2,
                                      "treasury", "amm")
     kinds = [e.kind for e in events]
     assert kinds == ["flagged", "auto_liquidated"]
@@ -190,15 +191,15 @@ def test_flag_then_deadline_auto_liquidation(ledger):
     book = mk_book(deadline=5)
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
     # -22.5% on x4 leverage leaves exactly 10% equity: at the maintenance line
-    events = book.flag_and_liquidate(ledger, amt("0.775"), {}, BlockTime(10, "alpha"),
+    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 10,
                                      "treasury", "amm")
     assert [e.kind for e in events] == ["flagged"]
     assert p.status is PositionStatus.FLAGGED
     for height in range(11, 15):
-        assert book.flag_and_liquidate(ledger, amt("0.775"), {},
-                                       BlockTime(height, "alpha"),
+        assert book.flag_and_liquidate(ledger, amt("0.775"), None,
+                                       height,
                                        "treasury", "amm") == []
-    events = book.flag_and_liquidate(ledger, amt("0.775"), {}, BlockTime(15, "alpha"),
+    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 15,
                                      "treasury", "amm")
     assert [e.kind for e in events] == ["auto_liquidated"]
 
@@ -206,10 +207,11 @@ def test_flag_then_deadline_auto_liquidation(ledger):
 def test_liquidator_earns_fee_and_conservation(ledger):
     book = mk_book()
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
-    book.flag_and_liquidate(ledger, amt("0.775"), {}, BlockTime(10, "alpha"),
-                            "treasury", "amm")
-    events = book.flag_and_liquidate(ledger, amt("0.775"), {p.position_id: "liq1"},
-                                     BlockTime(11, "alpha"), "treasury", "amm")
+    flagged = book.flag_and_liquidate(ledger, amt("0.775"), "liq1", 10,
+                                      "treasury", "amm")
+    assert [e.kind for e in flagged] == ["flagged"]
+    events = book.flag_and_liquidate(ledger, amt("0.775"), "liq1",
+                                     11, "treasury", "amm")
     [event] = events
     assert event.kind == "liquidated" and event.liquidator == "liq1"
     assert event.fee_ca == amt(5)       # 5% of remaining collateral
@@ -217,15 +219,6 @@ def test_liquidator_earns_fee_and_conservation(ledger):
     assert event.fee_ca + event.swap_ca == amt(100)
     assert ledger.balance("liq1", ANTI) == amt(5)
     assert ledger.balance("amm", ANTI) == amt(95)
-
-
-def test_bid_on_healthy_position_is_invalid(ledger):
-    book = mk_book()
-    p = open_pos(book, ledger, "a", 100, 2, Direction.LONG, entry=1)
-    events = book.flag_and_liquidate(ledger, amt(1), {p.position_id: "liq1"},
-                                     BlockTime(1, "alpha"), "treasury", "amm")
-    assert [e.kind for e in events] == ["invalid_bid"]
-    assert p.status is PositionStatus.OPEN
 
 
 def test_funding_rate_final_approaches_base_in_deep_pools():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rugsim.core import BlockTime, ParameterError, StateError, amt
+from rugsim.core import ParameterError, StateError, amt
 from rugsim.ledger import BalanceError, Ledger
 from rugsim.rugproof import (
     SIDE_NOT_RUGGING,
@@ -24,10 +24,6 @@ def mk_book(alpha="0.5", gamma="0.5", claimant_share="0.5", z_min=10,
         alpha_slash=amt(alpha), gamma_slash=amt(gamma),
         claimant_share=amt(claimant_share), z_min=amt(z_min),
         challenge_blocks=challenge))
-
-
-def at(height):
-    return BlockTime(height, "home")
 
 
 def test_issue_bond_arithmetic(ledger):
@@ -57,7 +53,7 @@ def setup_claim(ledger, book, y="0.02"):
     issuance = book.issue_bonded_token(ledger, issuer, TOKEN, amt(10**6), amt("0.05"))
     claimant = fund(ledger, "claimant", TOKEN, 50_000)
     claim = book.submit_rug_claim(ledger, claimant, issuance.issuance_id,
-                                  amt(y), at(0))
+                                  amt(y), 0)
     return issuance, claim, claimant
 
 
@@ -74,19 +70,19 @@ def test_no_second_open_claim(ledger):
     issuance, _, _ = setup_claim(ledger, book)
     rival = fund(ledger, "rival", TOKEN, 50_000)
     with pytest.raises(StateError):
-        book.submit_rug_claim(ledger, rival, issuance.issuance_id, amt("0.02"), at(1))
+        book.submit_rug_claim(ledger, rival, issuance.issuance_id, amt("0.02"), 1)
 
 
 def test_claim_on_slashed_issuance_rejected(ledger):
     book = mk_book()
     issuance, claim, _ = setup_claim(ledger, book)
     voter = fund(ledger, "voter", TOKEN, 1000)
-    book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, at(1))
-    book.resolve_claim(claim, at(10))
+    book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, 1)
+    book.resolve_claim(claim, 10)
     assert issuance.status is IssuanceStatus.SLASHED
     late = fund(ledger, "late", TOKEN, 50_000)
     with pytest.raises(StateError):
-        book.submit_rug_claim(ledger, late, issuance.issuance_id, amt("0.02"), at(11))
+        book.submit_rug_claim(ledger, late, issuance.issuance_id, amt("0.02"), 11)
 
 
 def test_vote_window_and_deposit_rules(ledger):
@@ -94,13 +90,13 @@ def test_vote_window_and_deposit_rules(ledger):
     _, claim, _ = setup_claim(ledger, book)
     voter = fund(ledger, "voter", TOKEN, 1000)
     with pytest.raises(Exception):
-        book.cast_vote(claim, voter, amt(9), SIDE_RUGGING, at(1))  # below z
-    book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, at(1))    # boundary
+        book.cast_vote(claim, voter, amt(9), SIDE_RUGGING, 1)  # below z
+    book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, 1)    # boundary
     with pytest.raises(Exception):
-        book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, at(2))  # double
+        book.cast_vote(claim, voter, amt(10), SIDE_RUGGING, 2)  # double
     late = fund(ledger, "late-voter", TOKEN, 1000)
     with pytest.raises(Exception):
-        book.cast_vote(claim, late, amt(10), SIDE_RUGGING, at(10))  # window end
+        book.cast_vote(claim, late, amt(10), SIDE_RUGGING, 10)  # window end
 
 
 def test_resolve_rugging_distribution(ledger):
@@ -108,8 +104,8 @@ def test_resolve_rugging_distribution(ledger):
     issuance, claim, claimant = setup_claim(ledger, book)
     voters = [fund(ledger, f"v{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
-        book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, at(1))
-    resolution = book.resolve_claim(claim, at(10))
+        book.cast_vote(claim, voter, amt(100), SIDE_RUGGING, 1)
+    resolution = book.resolve_claim(claim, 10)
     assert claim.status is ClaimStatus.UPHELD_RUG
     assert resolution.slashed == amt(25_000)  # 50% of the 50k bond
     # claimant: half the slash + their bond back; voters split the rest + deposits
@@ -123,7 +119,7 @@ def test_resolve_rugging_distribution(ledger):
 def test_resolve_no_votes_defaults_to_fraud(ledger):
     book = mk_book(gamma="0.5")
     issuance, claim, _ = setup_claim(ledger, book)
-    resolution = book.resolve_claim(claim, at(10))
+    resolution = book.resolve_claim(claim, 10)
     assert claim.status is ClaimStatus.REJECTED_FRAUD
     assert resolution.slashed == amt(10_000)
     # nobody voted against: the slash lands in the treasury
@@ -137,8 +133,8 @@ def test_resolve_not_rugging_distribution(ledger):
     _, claim, _ = setup_claim(ledger, book)
     voters = [fund(ledger, f"nv{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
-        book.cast_vote(claim, voter, amt(50), SIDE_NOT_RUGGING, at(2))
-    resolution = book.resolve_claim(claim, at(10))
+        book.cast_vote(claim, voter, amt(50), SIDE_NOT_RUGGING, 2)
+    resolution = book.resolve_claim(claim, 10)
     assert resolution.slashed == amt(10_000)
     for i in range(2):
         assert ledger.balance(f"nv{i}", TOKEN) == amt(950 + 5000 + 50)
@@ -157,8 +153,8 @@ def test_resolution_is_order_independent(ledger):
             votes = list(reversed(votes))
         for name, deposit, side in votes:
             voter = fund(led, name, TOKEN, 1000)
-            book.cast_vote(claim, voter, amt(deposit), side, at(1))
-        book.resolve_claim(claim, at(10))
+            book.cast_vote(claim, voter, amt(deposit), side, 1)
+        book.resolve_claim(claim, 10)
         results.append({name: str(led.balance(name, TOKEN)) for name in "abc"})
     assert results[0] == results[1]
 
@@ -167,7 +163,7 @@ def test_early_resolution_refused(ledger):
     book = mk_book()
     _, claim, _ = setup_claim(ledger, book)
     with pytest.raises(StateError):
-        book.resolve_claim(claim, at(9))
+        book.resolve_claim(claim, 9)
 
 
 def test_escrow_conservation_exact(ledger):
@@ -178,8 +174,8 @@ def test_escrow_conservation_exact(ledger):
     deposits = ["33.000000007", "11.5", "17.000000001"]
     for name, side, deposit in zip(names, sides, deposits):
         voter = fund(ledger, name, TOKEN, 1000)
-        book.cast_vote(claim, voter, amt(deposit), side, at(3))
-    book.resolve_claim(claim, at(10))
+        book.cast_vote(claim, voter, amt(deposit), side, 3)
+    book.resolve_claim(claim, 10)
     # both case escrow accounts drained to exactly zero
     assert ledger.balance(f"case:{claim.claim_id}", TOKEN) == amt(0)
     assert ledger.balance(f"case:{issuance.issuance_id}", TOKEN) == amt(0)
@@ -192,4 +188,4 @@ def test_claim_requires_funded_claimant(ledger):
     issuance = book.issue_bonded_token(ledger, issuer, TOKEN, amt(10**6), amt("0.05"))
     broke = fund(ledger, "broke", TOKEN, 10)
     with pytest.raises(BalanceError):
-        book.submit_rug_claim(ledger, broke, issuance.issuance_id, amt("0.02"), at(0))
+        book.submit_rug_claim(ledger, broke, issuance.issuance_id, amt("0.02"), 0)

@@ -4,12 +4,11 @@ anticoins, supply regulation, penalty games, perpetuals, drain detection
 and intervention, and bonded dispute resolution.
 """
 
-from .core import AccountId, FixedAmount, amt, quantize
+from .core import FixedAmount, amt, quantize
 from .harness import Simulation, run_scenario
 from .scenario import load_scenario, load_scenario_file, reference_scenario, scam_scenario
 
 __all__ = [
-    "AccountId",
     "FixedAmount",
     "Simulation",
     "amt",

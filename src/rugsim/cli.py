@@ -26,7 +26,7 @@ from .scenario import (
     scam_scenario,
 )
 from .trace import verify_trace
-from .vault import Vault, anticoin_value, cumulative_penalty, whale_penalty
+from .vault import anticoin_value, cumulative_penalty, whale_penalty
 from .tokenomics import target_supply
 
 EXIT_OK = 0
@@ -219,16 +219,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _figure_vault() -> Vault:
-    # a throwaway vault record purely to evaluate the peg at C_r(0) = 100
-    from .vault import ReceiptKind
-    return Vault(
-        vault_id="fig", chain="fig", rugged_token="CR", anticoin="CA",
-        receipt_kind=ReceiptKind.FUNGIBLE, price_at_creation=amt(100),
-        omega=amt("0.01"), theta=amt("0.02"), penalty_k=amt(1),
-        penalty_lambda=amt(2), gamma_base=amt("0.1"), delta_gamma=amt("0.01"))
-
-
 def peg_grid(points: int = 200) -> list[FixedAmount]:
     """Evenly spaced C_r grid over [0.01, 200]."""
     lo, hi = amt("0.01"), amt(200)
@@ -238,10 +228,10 @@ def peg_grid(points: int = 200) -> list[FixedAmount]:
 
 def figure_rows(which: str) -> tuple[list[str], list[list[str]]]:
     if which == "peg":
-        vault = _figure_vault()
-        grid = peg_grid()
-        rows = [["rising", str(cr), str(anticoin_value(vault, cr))] for cr in grid]
-        rows += [["falling", str(cr), str(anticoin_value(vault, cr))]
+        # the peg of a token created at C_r(0) = 100
+        created, grid = amt(100), peg_grid()
+        rows = [["rising", str(cr), str(anticoin_value(created, cr))] for cr in grid]
+        rows += [["falling", str(cr), str(anticoin_value(created, cr))]
                  for cr in reversed(grid)]
         return ["series", "cr", "ca"], rows
     if which == "supply":

@@ -19,7 +19,7 @@ import random
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 
 class RugsimError(Exception):
@@ -433,20 +433,6 @@ ChainId = str
 TokenId = str
 VaultId = str
 PoolId = str
-
-
-class AccountId(NamedTuple):
-    """Opaque account identifier with a ground-truth beneficial-owner link.
-
-    The simulator is omniscient about which accounts share an owner; this
-    is what makes owner-aggregated penalty accounting possible at all.
-    """
-
-    value: str
-    owner: str
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # -- seeded randomness --------------------------------------------------

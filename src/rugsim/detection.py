@@ -15,7 +15,6 @@ from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
-    AccountId,
     DustError,
     FixedAmount,
     IlliquidError,
@@ -236,7 +235,7 @@ class Intent:
                  "theta_liquidity", "action", "price_ref", "liquidity_ref", "solver_fee_bps",
                  "status")
 
-    def __init__(self, intent_id: int, owner: AccountId, pool: PoolId, token: TokenId,
+    def __init__(self, intent_id: int, owner: str, pool: PoolId, token: TokenId,
                  vault: Optional[VaultId], theta_price: FixedAmount,
                  theta_liquidity: FixedAmount, action: IntentAction, price_ref: FixedAmount,
                  liquidity_ref: FixedAmount, solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS):
@@ -265,7 +264,7 @@ class Intent:
 class SolverBid:
     __slots__ = ("solver", "fee_bps")
 
-    def __init__(self, solver: AccountId, fee_bps: int):
+    def __init__(self, solver: str, fee_bps: int):
         if not (0 <= fee_bps <= 10000):
             raise ParameterError(f"solver fee out of range: {fee_bps}")
         self.solver, self.fee_bps = solver, fee_bps
@@ -273,7 +272,7 @@ class SolverBid:
 
 class IntentExecution(NamedTuple):
     intent: Intent
-    solver: AccountId
+    solver: str
     fee_bps: int
     height: int
 
@@ -283,7 +282,7 @@ class IntentBook:
         self.intents: dict[int, Intent] = {}
         self._next_id = 1
 
-    def register(self, owner: AccountId, pool: PoolId, token: TokenId,
+    def register(self, owner: str, pool: PoolId, token: TokenId,
                  theta_price: FixedAmount, theta_liquidity: FixedAmount,
                  action: IntentAction, price_ref: FixedAmount,
                  liquidity_ref: FixedAmount, vault: Optional[VaultId] = None,
@@ -314,7 +313,7 @@ def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
     pending = book.pending()
     if not bids or not pending:
         return []
-    ranked = sorted(bids, key=lambda b: (b.fee_bps, b.solver.value))
+    ranked = sorted(bids, key=lambda b: (b.fee_bps, b.solver))
     executions: list[IntentExecution] = []
     for intent in sorted(pending, key=lambda i: i.intent_id):
         price = prices.get(intent.token)

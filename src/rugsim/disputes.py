@@ -13,7 +13,6 @@ equal to total-out.
 from __future__ import annotations
 
 from .core import (
-    AccountId,
     FixedAmount,
     ParameterError,
     RugsimError,
@@ -31,7 +30,7 @@ class VoteError(RugsimError):
 class Vote:
     __slots__ = ("voter", "deposit", "side")
 
-    def __init__(self, voter: AccountId, deposit: FixedAmount, side: str):
+    def __init__(self, voter: str, deposit: FixedAmount, side: str):
         self.voter, self.deposit, self.side = voter, deposit, side
 
 
@@ -48,18 +47,18 @@ class VoteBox:
         self.votes: list[Vote] = []
         self._voters: set[str] = set()
 
-    def cast(self, voter: AccountId, deposit: FixedAmount, side: str, at: int) -> Vote:
+    def cast(self, voter: str, deposit: FixedAmount, side: str, at: int) -> Vote:
         if side not in self.sides:
             raise ParameterError(f"unknown side {side!r}; expected one of {self.sides}")
         if not (self.start <= at < self.end):
             raise VoteError(f"vote at height {at} outside [{self.start}, {self.end})")
         if deposit < self.min_deposit:
             raise VoteError(f"deposit {deposit} below the minimum {self.min_deposit}")
-        if voter.value in self._voters:
-            raise VoteError(f"{voter.value} already voted")
+        if voter in self._voters:
+            raise VoteError(f"{voter} already voted")
         vote = Vote(voter=voter, deposit=deposit, side=side)
         self.votes.append(vote)
-        self._voters.add(voter.value)
+        self._voters.add(voter)
         return vote
 
     def mass(self, side: str) -> FixedAmount:
@@ -68,12 +67,12 @@ class VoteBox:
     def voters_for(self, side: str) -> list[Vote]:
         """Votes on a side, ordered deposit-descending then by account id."""
         votes = [v for v in self.votes if v.side == side]
-        votes.sort(key=lambda v: (-v.deposit.raw, v.voter.value))
+        votes.sort(key=lambda v: (-v.deposit.raw, v.voter))
         return votes
 
     def weights(self, side: str) -> list[tuple[str, FixedAmount]]:
         """(voter, deposit) pairs of a side, in ``voters_for`` order."""
-        return [(v.voter.value, v.deposit) for v in self.voters_for(side)]
+        return [(v.voter, v.deposit) for v in self.voters_for(side)]
 
     def winner(self, tie_side: str) -> str:
         first, second = self.sides

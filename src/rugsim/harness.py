@@ -53,7 +53,6 @@ from typing import Any, Callable, Optional
 
 from . import detection, market, tokenomics
 from .core import (
-    AccountId,
     FixedAmount,
     ParameterError,
     RugsimError,
@@ -121,13 +120,6 @@ class PendingDrain:
         self.pre_out: Optional[FixedAmount] = None
 
 
-class Agent:
-    __slots__ = ("kind", "account", "params")
-
-    def __init__(self, kind: str, account: AccountId, params: dict):
-        self.kind, self.account, self.params = kind, account, params
-
-
 class ChainView:
     """What one chain's step visits, in the order a scan of the whole world
     would meet it. Pools, tokens, vaults and agents never change chain, so
@@ -145,10 +137,10 @@ class ChainView:
         self.outflow_keys: list[tuple[str, TokenId]] = []
         # chain tokens whose mints the aux scan reads (R is excluded)
         self.mint_tokens: list[TokenId] = []
-        # (agent, pool id, trade probability, largest size in raw quanta, rng)
-        self.noise: list[tuple[Agent, str, float, int, random.Random]] = []
-        # (agent, budget, tolerance)
-        self.pegkeepers: list[tuple[Agent, FixedAmount, FixedAmount]] = []
+        # (account, pool id, trade probability, largest size in raw quanta, rng)
+        self.noise: list[tuple[str, str, float, int, random.Random]] = []
+        # the peg keepers' parsed agent entries
+        self.pegkeepers: list[dict] = []
         self.perp_books: list[tuple[str, PerpBook]] = []
 
 
@@ -165,8 +157,9 @@ class Simulation:
         self._seq = 0
         self.ledger = Ledger(recorder=self._record_ledger_event)
 
-        self.accounts: dict[str, AccountId] = {}
-        self.owner_accounts: dict[str, list[str]] = {}
+        # account -> (its beneficial owner, that owner's accounts in scenario
+        # order); only the withdrawal penalty reads it
+        self._owners: dict[str, tuple[str, list[str]]] = {}
         self.prices: dict[TokenId, FixedAmount] = {}
         self.pools: dict[str, PoolState] = {}
         self.pool_chain: dict[str, str] = {}
@@ -176,11 +169,10 @@ class Simulation:
         self.perp_books: dict[str, PerpBook] = {}
         self.perp_amm: Optional[str] = None
         self.intent_book = IntentBook()
-        self.agents: list[Agent] = []
-        # agents of each kind, in self.agents order; filled at materialize
-        self.agents_by_kind: dict[str, list[Agent]] = {}
-        # (height, chain) -> (agent, step) in self.agents order, then script order
-        self._script_steps: dict[tuple[int, str], list[tuple[Agent, dict]]] = {}
+        # the parsed agent entries of each kind, in scenario order
+        self.agents_by_kind: dict[str, list[dict]] = {}
+        # (height, chain) -> (account, step) in agent order, then script order
+        self._script_steps: dict[tuple[int, str], list[tuple[str, dict]]] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
         self.bridge: list[tuple[int, RewardEvent]] = []
@@ -213,12 +205,14 @@ class Simulation:
             wallet_outflow_fraction=det["wallet_outflow_fraction"],
             volume_spike_factor=det["volume_spike_factor"])) for chain in sc.chains}
 
+        owned: dict[str, list[str]] = {}
         for entry in sc.accounts:
-            account = AccountId(value=entry["id"], owner=entry["owner"])
-            self.accounts[account.value] = account
-            self.owner_accounts.setdefault(account.owner, []).append(account.value)
+            account, owner = entry["id"], entry["owner"]
+            related = owned.setdefault(owner, [])
+            related.append(account)
+            self._owners[account] = owner, related
             for token, balance in entry["balances"].items():
-                self.ledger.mint(account.value, token, balance, memo="genesis")
+                self.ledger.mint(account, token, balance, memo="genesis")
 
         token_chain = {sc.numeraire: sc.home_chain}
         for entry in sc.tokens:
@@ -293,39 +287,34 @@ class Simulation:
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
                     "token": token_chain, "home": {}}
-        for entry in sc.agents:
-            agent = Agent(kind=entry["kind"], account=self.accounts[entry["account"]],
-                          params=entry)
-            self.agents.append(agent)
-            self.agents_by_kind.setdefault(agent.kind, []).append(agent)
-            for step in entry["script"]:
+        for agent in sc.agents:
+            account = agent["account"]
+            self.agents_by_kind.setdefault(agent["kind"], []).append(agent)
+            for step in agent["script"]:
                 entity = SCRIPT_OPS[step["op"]][0]
                 chain = chain_of[entity].get(step.get(entity), sc.home_chain)
                 self._script_steps.setdefault((step["block"], chain), []).append(
-                    (agent, step))
-            noise = entry["noise"]
+                    (account, step))
+            noise = agent["noise"]
             if noise is not None:
                 views[self.pool_chain[noise["pool"]]].noise.append(
-                    (agent, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
-                     self.rng.stream("noise", agent.account.value)))
-            if agent.kind == "pegkeeper":
-                views[self.pool_chain[entry["pool"]]].pegkeepers.append(
-                    (agent, entry["budget"], entry["tolerance"]))
+                    (account, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
+                     self.rng.stream("noise", account)))
+            if agent["kind"] == "pegkeeper":
+                views[self.pool_chain[agent["pool"]]].pegkeepers.append(agent)
 
-        solvers = sorted(self.agents_by_kind.get("solver", []),
-                         key=lambda a: a.account.value)
-        self._solver_bids = [SolverBid(a.account, a.params["fee_bps"]) for a in solvers]
-        liquidators = sorted(self.agents_by_kind.get("liquidator", []),
-                             key=lambda a: a.account.value)
+        solvers = sorted(self.agents_by_kind.get("solver", []), key=lambda a: a["account"])
+        self._solver_bids = [SolverBid(a["account"], a["fee_bps"]) for a in solvers]
         # the first liquidator by account id bids on every flagged position
-        self._liquidation_bidder = liquidators[0].account.value if liquidators else None
+        self._liquidation_bidder = min(
+            (a["account"] for a in self.agents_by_kind.get("liquidator", [])), default=None)
         # the first detector with a sandwich budget sandwiches every drain, and
         # the first with a back-run budget back-runs every drain
         detectors = self.agents_by_kind.get("detector", [])
         self._sandwicher = next(
-            (d for d in detectors if d.params["sandwich_budget"].raw > 0), None)
+            (d for d in detectors if d["sandwich_budget"].raw > 0), None)
         self._backrunner = next(
-            (d for d in detectors if d.params["backrun_budget"].raw > 0), None)
+            (d for d in detectors if d["backrun_budget"].raw > 0), None)
 
         for entry in sc.intents:
             self._register_intent(entry, entry["owner"])
@@ -336,7 +325,7 @@ class Simulation:
                 views[chain].mint_tokens.append(token)
         creators = self.agents_by_kind.get("creator", [])
         for view in views.values():
-            view.outflow_keys = [(creator.account.value, token)
+            view.outflow_keys = [(creator["account"], token)
                                  for creator in creators for token, _ in view.processes]
             self._unscanned_mints.update(dict.fromkeys(view.mint_tokens, 0))
             self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
@@ -346,7 +335,7 @@ class Simulation:
         pool = self.pools[pool_id]
         token = entry["token"]
         self.intent_book.register(
-            owner=self.accounts[owner], pool=pool_id, token=token,
+            owner=owner, pool=pool_id, token=token,
             theta_price=entry["theta_price"], theta_liquidity=entry["theta_liquidity"],
             action=entry["action"], price_ref=self.prices.get(token, ZERO),
             liquidity_ref=self._pool_liquidity(pool), vault=entry["vault"],
@@ -465,8 +454,8 @@ class Simulation:
             self._execute_tx(tx)
 
         # (4) scripted agent operations due on this chain
-        for agent, step in self._script_steps.get((height, chain), ()):
-            self._run_script_op(agent, step)
+        for account, step in self._script_steps.get((height, chain), ()):
+            self._run_script_op(account, step)
 
         # (4b) parametric noise traders
         for noise in view.noise:
@@ -538,7 +527,7 @@ class Simulation:
             protected = set()  # each account is front-run once per drain
             for det in detectors:
                 if frontrun:
-                    for name in det.params["protects"]:
+                    for name in det["protects"]:
                         if name in protected:
                             continue
                         protected.add(name)
@@ -554,8 +543,8 @@ class Simulation:
                                       partial(self._apply_swap, pending.pool, name,
                                               rug_token, holdings, memo="frontrun"))
                 if det is self._sandwicher and height == pending.executes_at - 1:
-                    account = det.account.value
-                    budget = min(det.params["sandwich_budget"],
+                    account = det["account"]
+                    budget = min(det["sandwich_budget"],
                                  self.ledger.balance(account, rug_token))
                     profit = detection.plan_sandwich(pool, rug_token, budget, pending.t_rug)
                     if profit is not None:
@@ -571,9 +560,8 @@ class Simulation:
                                               budget))
                 if det is self._backrunner and height == pending.executes_at:
                     self._enqueue(chain, height, PRIORITY_BACKRUN, "backrun",
-                                  partial(self._exec_backrun, pending, det.account.value,
-                                          det.params["backrun_budget"],
-                                          det.params["backrun_cap"]))
+                                  partial(self._exec_backrun, pending, det["account"],
+                                          det["backrun_budget"], det["backrun_cap"]))
 
         # intents; prices and liquidity are gathered only while one is pending
         chain_prices = chain_liquidity = {}
@@ -585,8 +573,8 @@ class Simulation:
                                                chain_liquidity, height,
                                                self._solver_bids):
             self._event("intent_triggered", intent=execution.intent.intent_id,
-                        owner=execution.intent.owner.value,
-                        solver=execution.solver.value, fee_bps=execution.fee_bps)
+                        owner=execution.intent.owner,
+                        solver=execution.solver, fee_bps=execution.fee_bps)
             self._enqueue(chain, height,
                           PRIORITY_DRAIN + max(1, self.priority_boost - 5),
                           "intent", partial(self._exec_intent, execution))
@@ -594,7 +582,7 @@ class Simulation:
         # peg keeper planning
         for keeper in view.pegkeepers:
             self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
-                          partial(self._exec_peg_keeper, *keeper))
+                          partial(self._exec_peg_keeper, keeper))
 
     def _execute_tx(self, tx: QueuedTx) -> None:
         try:
@@ -666,7 +654,7 @@ class Simulation:
 
     def _exec_intent(self, execution: detection.IntentExecution) -> None:
         intent = execution.intent
-        owner = intent.owner.value
+        owner = intent.owner
         holdings = self.ledger.balance(owner, intent.token)
         if holdings.raw <= 0:
             self._event("intent_skipped", intent=intent.intent_id, owner=owner,
@@ -678,7 +666,7 @@ class Simulation:
             fee = proceeds * execution.fee_bps / 10000
             out_token = self.pools[intent.pool].other(intent.token)
             if fee.raw > 0:
-                self.ledger.transfer(owner, execution.solver.value, out_token,
+                self.ledger.transfer(owner, execution.solver, out_token,
                                      fee, memo="solver-fee")
         else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
             vault_id = intent.vault or self._vault_for_token(intent.token)
@@ -687,33 +675,32 @@ class Simulation:
             chain = self.vault_chain[vault_id]
             registry = self.registries[chain]
             minted, _, reward = registry.deposit(self.ledger, vault_id,
-                                                 intent.owner, holdings)
+                                                 owner, holdings)
             self._queue_reward(reward)
             fee = minted * execution.fee_bps / 10000
             anticoin = registry.vault(vault_id).anticoin
             if fee.raw > 0:
-                self.ledger.transfer(owner, execution.solver.value, anticoin,
+                self.ledger.transfer(owner, execution.solver, anticoin,
                                      fee, memo="solver-fee")
         self._event("intent_executed", intent=intent.intent_id, owner=owner,
-                    solver=execution.solver.value, fee_bps=execution.fee_bps)
+                    solver=execution.solver, fee_bps=execution.fee_bps)
 
-    def _exec_peg_keeper(self, agent: Agent, budget: FixedAmount,
-                         tolerance: FixedAmount) -> None:
-        pool_id = agent.params["pool"]
+    def _exec_peg_keeper(self, agent: dict) -> None:
+        pool_id = agent["pool"]
         pool = self.pools[pool_id]
-        vault_id = agent.params["vault"]
+        vault_id = agent["vault"]
         if vault_id is None:
             return
         chain = self.vault_chain[vault_id]
         vault = self.registries[chain].vault(vault_id)
-        peg = anticoin_value(vault, self._mark_price(vault.rugged_token))
+        peg = anticoin_value(vault.price_at_creation, self._mark_price(vault.rugged_token))
         spot = market.spot_price(pool)
         input_token = pool.token_x if spot > peg else pool.token_y
-        budget = min(budget, self.ledger.balance(agent.account.value, input_token))
-        trade = market.peg_keeper_step(pool, peg, budget, tolerance)
+        budget = min(agent["budget"], self.ledger.balance(agent["account"], input_token))
+        trade = market.peg_keeper_step(pool, peg, budget, agent["tolerance"])
         if trade is None:
             return
-        self._apply_swap(pool_id, agent.account.value, trade.input_token,
+        self._apply_swap(pool_id, agent["account"], trade.input_token,
                          trade.amount_in, memo="peg_keeper")
         self._event("peg_trade", pool=pool_id, peg=str(peg),
                     amount_in=str(trade.amount_in), token_in=trade.input_token,
@@ -721,19 +708,19 @@ class Simulation:
 
     # -- scripted ops ------------------------------------------------------------
 
-    def _run_script_op(self, agent: Agent, step: dict) -> None:
+    def _run_script_op(self, account: str, step: dict) -> None:
         op = step["op"]
         try:
-            getattr(self, f"_op_{op}")(agent, step)
+            getattr(self, f"_op_{op}")(account, step)
         except RugsimError as exc:
-            self._failed(op, exc, account=agent.account.value)
+            self._failed(op, exc, account=account)
 
-    def _op_drain(self, agent: Agent, step: dict) -> None:
+    def _op_drain(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
-        pending = PendingDrain(pool_id, agent.account.value, rug_token, step["t_rug"],
+        pending = PendingDrain(pool_id, account, rug_token, step["t_rug"],
                                step["t_total"], self.height, self.height + step["window"])
         self.pending_drains.append(pending)
         self._enqueue(self._chain_ctx, pending.executes_at, PRIORITY_DRAIN, "drain",
@@ -742,49 +729,48 @@ class Simulation:
                     t_rug=str(pending.t_rug), t_total=str(pending.t_total),
                     executes_at=pending.executes_at)
 
-    def _op_deposit(self, agent: Agent, step: dict) -> None:
+    def _op_deposit(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         minted, receipt, reward = self.registries[self._chain_ctx].deposit(
-            self.ledger, vault_id, agent.account, step["amount"])
+            self.ledger, vault_id, account, step["amount"])
         self._queue_reward(reward)
-        self._event("deposit", vault=vault_id, account=agent.account.value,
+        self._event("deposit", vault=vault_id, account=account,
                     amount=str(minted), receipt_kind=receipt.kind.value,
                     serial=receipt.nft_serial)
 
-    def _op_burn(self, agent: Agent, step: dict) -> None:
+    def _op_burn(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         supply, reward = self.registries[self._chain_ctx].burn_anticoins(
-            self.ledger, vault_id, agent.account, step["amount"])
+            self.ledger, vault_id, account, step["amount"])
         self._queue_reward(reward)
-        self._event("anticoin_burn", vault=vault_id, account=agent.account.value,
+        self._event("anticoin_burn", vault=vault_id, account=account,
                     amount=str(step["amount"]), supply_after=str(supply))
 
-    def _op_withdraw(self, agent: Agent, step: dict) -> None:
+    def _op_withdraw(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
-        related = self.owner_accounts.get(agent.account.owner, [agent.account.value])
+        owner, related = self._owners[account]
         result = self.registries[self._chain_ctx].withdraw(
-            self.ledger, vault_id, agent.account, step["amount"], TREASURY,
-            related_accounts=related)
+            self.ledger, vault_id, account, step["amount"], TREASURY,
+            related_accounts=related, owner=owner)
         self.total_penalties = self.total_penalties + result.penalty
-        self._event("withdraw", vault=vault_id, account=agent.account.value,
+        self._event("withdraw", vault=vault_id, account=account,
                     amount=str(step["amount"]), returned=str(result.returned),
                     penalty=str(result.penalty), rate=str(result.rate),
                     index=result.withdrawal_index)
 
-    def _op_transfer(self, agent: Agent, step: dict) -> None:
-        self.ledger.transfer(agent.account.value, step["to"], step["token"],
+    def _op_transfer(self, account: str, step: dict) -> None:
+        self.ledger.transfer(account, step["to"], step["token"],
                              step["amount"], memo="script-transfer")
 
-    def _op_swap(self, agent: Agent, step: dict) -> None:
-        self._apply_swap(step["pool"], agent.account.value, step["token_in"],
+    def _op_swap(self, account: str, step: dict) -> None:
+        self._apply_swap(step["pool"], account, step["token_in"],
                          step["amount"], memo="script-swap")
 
-    def _op_add_liquidity(self, agent: Agent, step: dict) -> None:
+    def _op_add_liquidity(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
         dx = step["dx"]
         dy = pool.reserve_y * dx / pool.reserve_x if step["dy"] == "auto" else step["dy"]
-        account = agent.account.value
         new_pool = market.pool_add_liquidity(pool, dx, dy)
         pool_account = self._pool_account(pool_id)
         self.ledger.transfer(account, pool_account, pool.token_x, dx, memo="add-liq")
@@ -799,10 +785,9 @@ class Simulation:
         self._event("add_liquidity", pool=pool_id, account=account,
                     dx=str(dx), dy=str(dy))
 
-    def _op_remove_liquidity(self, agent: Agent, step: dict) -> None:
+    def _op_remove_liquidity(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
         share = step["share"]
-        account = agent.account.value
         shares = self.lp_shares[pool_id]
         owned = shares.get(account, Fraction(0))
         if Fraction(share.raw, 10**9) > owned:
@@ -827,36 +812,36 @@ class Simulation:
         self._event("remove_liquidity", pool=pool_id, account=account,
                     out_x=str(out_x), out_y=str(out_y))
 
-    def _op_open_position(self, agent: Agent, step: dict) -> None:
+    def _op_open_position(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         book = self.perp_books[vault_id]
         vault = self.registries[self._chain_ctx].vault(vault_id)
         mark = self._mark_price(vault.rugged_token)
-        unit_value = anticoin_value(vault, mark)
+        unit_value = anticoin_value(vault.price_at_creation, mark)
         position = book.open_position(
-            self.ledger, agent.account, step["collateral"], step["leverage"],
+            self.ledger, account, step["collateral"], step["leverage"],
             step["direction"], mark, unit_value)
-        self._event("position_opened", vault=vault_id, account=agent.account.value,
+        self._event("position_opened", vault=vault_id, account=account,
                     position=position.position_id, collateral=str(position.collateral_ca),
                     leverage=str(position.leverage), direction=step["direction"].value,
                     entry=str(mark))
 
-    def _op_register_intent(self, agent: Agent, step: dict) -> None:
-        self._register_intent(step, agent.account.value)
+    def _op_register_intent(self, account: str, step: dict) -> None:
+        self._register_intent(step, account)
 
-    def _op_issue_bonded(self, agent: Agent, step: dict) -> None:
+    def _op_issue_bonded(self, account: str, step: dict) -> None:
         issuance = self.rugproof.issue_bonded_token(
-            self.ledger, agent.account, step["token"], step["total_issued"], step["x"])
+            self.ledger, account, step["token"], step["total_issued"], step["x"])
         self._event("bonded_issuance", issuance=issuance.issuance_id,
-                    issuer=agent.account.value, token=step["token"],
+                    issuer=account, token=step["token"],
                     bond=str(issuance.bond))
 
-    def _op_rug_claim(self, agent: Agent, step: dict) -> None:
+    def _op_rug_claim(self, account: str, step: dict) -> None:
         issuance_id = self._issuance_for_token(step["token"])
-        claim = self.rugproof.submit_rug_claim(self.ledger, agent.account,
+        claim = self.rugproof.submit_rug_claim(self.ledger, account,
                                                issuance_id, step["y"], self.height)
         self._event("rug_claim", claim=claim.claim_id, issuance=issuance_id,
-                    claimant=agent.account.value, bond=str(claim.claim_bond),
+                    claimant=account, bond=str(claim.claim_bond),
                     challenge_end=claim.challenge_end)
 
     def _issuance_for_token(self, token: TokenId) -> str:
@@ -866,37 +851,37 @@ class Simulation:
                 return issuance_id
         raise StateError(f"no active issuance for {token}")
 
-    def _op_vote_rug(self, agent: Agent, step: dict) -> None:
+    def _op_vote_rug(self, account: str, step: dict) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.open_claim_for(issuance_id)
         if claim is None:
             raise StateError(f"no open claim on {issuance_id}")
-        self.rugproof.cast_vote(claim, agent.account,
+        self.rugproof.cast_vote(claim, account,
                                 step["deposit"], step["side"], self.height)
-        self._event("rug_vote", claim=claim.claim_id, voter=agent.account.value,
+        self._event("rug_vote", claim=claim.claim_id, voter=account,
                     side=step["side"], deposit=str(step["deposit"]))
 
-    def _op_issue_policy(self, agent: Agent, step: dict) -> None:
+    def _op_issue_policy(self, account: str, step: dict) -> None:
         policy = self.insurance.issue_policy(
-            self.ledger, agent.account, self.accounts[step["insured"]],
+            self.ledger, account, step["insured"],
             step["insured_value"], step["x"], step["duration"], self.height)
         self._event("policy_issued", policy=policy.policy_id,
-                    insurer=agent.account.value, insured=step["insured"],
+                    insurer=account, insured=step["insured"],
                     bond=str(policy.insurer_bond))
 
-    def _op_submit_claim(self, agent: Agent, step: dict) -> None:
+    def _op_submit_claim(self, account: str, step: dict) -> None:
         claim = self.insurance.submit_claim(self.ledger, step["policy"],
-                                            agent.account, step["y"], self.height,
+                                            account, step["y"], self.height,
                                             loss_claimed=step["loss"])
         self._event("insurance_claim", claim=claim.claim_id, policy=step["policy"],
-                    claimant=agent.account.value, bond=str(claim.claim_bond))
+                    claimant=account, bond=str(claim.claim_bond))
 
-    def _op_join_claim(self, agent: Agent, step: dict) -> None:
+    def _op_join_claim(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
-        joiner = self.insurance.join_claim(claim, agent.account,
+        joiner = self.insurance.join_claim(claim, account,
                                            step["loss"], step["w"], self.height)
         self._event("claim_joined", claim=claim.claim_id,
-                    account=agent.account.value, bond=str(joiner.bond))
+                    account=account, bond=str(joiner.bond))
 
     def _insurance_claim(self, claim_id: str):
         claim = self.insurance.claims.get(claim_id)
@@ -904,41 +889,41 @@ class Simulation:
             raise StateError(f"no insurance claim {claim_id}")
         return claim
 
-    def _op_dispute_claim(self, agent: Agent, step: dict) -> None:
+    def _op_dispute_claim(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
-        dispute = self.insurance.dispute_claim(claim, agent.account,
+        dispute = self.insurance.dispute_claim(claim, account,
                                                step["z"], self.height)
         self._event("claim_disputed", claim=claim.claim_id,
-                    challenger=agent.account.value, bond=str(dispute.bond))
+                    challenger=account, bond=str(dispute.bond))
 
-    def _op_vote_insurance(self, agent: Agent, step: dict) -> None:
+    def _op_vote_insurance(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
-        self.insurance.cast_vote(claim, agent.account,
+        self.insurance.cast_vote(claim, account,
                                  step["deposit"], step["side"], self.height)
         self._event("insurance_vote", claim=claim.claim_id,
-                    voter=agent.account.value, side=step["side"])
+                    voter=account, side=step["side"])
 
-    def _op_escalate(self, agent: Agent, step: dict) -> None:
+    def _op_escalate(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
-        self.insurance.escalate(claim, agent.account, self.height)
+        self.insurance.escalate(claim, account, self.height)
         self._event("claim_escalated", claim=claim.claim_id,
-                    party=agent.account.value, level=claim.escalation_level)
+                    party=account, level=claim.escalation_level)
 
-    def _noise_trade(self, agent: Agent, pool_id: str, prob: float, max_raw: int,
+    def _noise_trade(self, account: str, pool_id: str, prob: float, max_raw: int,
                      rng: random.Random) -> None:
         if rng.random() >= prob:
             return
         pool = self.pools[pool_id]
         size = rng.randint(1, max_raw)
         token = pool.token_x if rng.random() < 0.5 else pool.token_y
-        size = min(size, self.ledger.balance_raw(agent.account.value, token))
+        size = min(size, self.ledger.balance_raw(account, token))
         if size <= 0:
             return
         try:
-            self._apply_swap(pool_id, agent.account.value, token, FixedAmount(size),
+            self._apply_swap(pool_id, account, token, FixedAmount(size),
                              memo="noise")
         except RugsimError as exc:
-            self._failed("noise", exc, account=agent.account.value)
+            self._failed("noise", exc, account=account)
 
     # -- perps, disputes, bridge, tokenomics phases -------------------------------
 
@@ -959,10 +944,9 @@ class Simulation:
                                 paying_side=round_.paying_side.value,
                                 transfers=round_.transfer_count,
                                 dust=str(round_.treasury_remainder))
-            unit_value = anticoin_value(vault, mark)
+            unit_value = anticoin_value(vault.price_at_creation, mark)
             events = book.flag_and_liquidate(self.ledger, mark, self._liquidation_bidder,
-                                             height, TREASURY, PERP_SETTLEMENT,
-                                             unit_value=unit_value)
+                                             height, PERP_SETTLEMENT, unit_value=unit_value)
             for event in events:
                 self._event("liquidation", vault=vault_id, position=event.position_id,
                             kind=event.kind, liquidator=event.liquidator,
@@ -1006,7 +990,7 @@ class Simulation:
         deliver_at = self.height + self.scenario.bridge_delay_blocks
         self.bridge.append((deliver_at, reward))
         self._event("reward_emitted", kind=reward.kind, vault=reward.vault,
-                    account=reward.account.value, amount=str(reward.amount),
+                    account=reward.account, amount=str(reward.amount),
                     deliver_at=deliver_at)
 
     def _phase_bridge(self, height: int) -> int:
@@ -1015,7 +999,7 @@ class Simulation:
         self.bridge = [(t, r) for t, r in self.bridge if t > height]
         minted = 0
         for _, reward in due:
-            account = reward.account.value
+            account = reward.account
             self.ledger.mint(account, HOME_TOKEN, reward.amount,
                              memo=f"reward:{reward.kind}")
             minted += reward.amount.raw

@@ -14,7 +14,6 @@ import enum
 from typing import Optional
 
 from .core import (
-    AccountId,
     FixedAmount,
     ONE,
     ParameterError,
@@ -87,7 +86,7 @@ class Policy:
     __slots__ = ("policy_id", "insurer", "insured", "insured_value", "insurer_bond",
                  "expires_at", "escrow", "status")
 
-    def __init__(self, policy_id: str, insurer: AccountId, insured: AccountId,
+    def __init__(self, policy_id: str, insurer: str, insured: str,
                  insured_value: FixedAmount, insurer_bond: FixedAmount, expires_at: int,
                  escrow: CaseEscrow):
         self.policy_id, self.insurer, self.insured = policy_id, insurer, insured
@@ -99,14 +98,14 @@ class Policy:
 class Joiner:
     __slots__ = ("account", "loss_claimed", "bond")
 
-    def __init__(self, account: AccountId, loss_claimed: FixedAmount, bond: FixedAmount):
+    def __init__(self, account: str, loss_claimed: FixedAmount, bond: FixedAmount):
         self.account, self.loss_claimed, self.bond = account, loss_claimed, bond
 
 
 class Dispute:
     __slots__ = ("challenger", "bond")
 
-    def __init__(self, challenger: AccountId, bond: FixedAmount):
+    def __init__(self, challenger: str, bond: FixedAmount):
         self.challenger, self.bond = challenger, bond
 
 
@@ -127,7 +126,7 @@ class InsuranceClaim:
                  "vote_end", "escalation_level", "escalation_bonds", "past_votes",
                  "pending_outcome", "decided_at", "last_bond")
 
-    def __init__(self, claim_id: str, policy_id: str, claimant: AccountId,
+    def __init__(self, claim_id: str, policy_id: str, claimant: str,
                  claim_bond: FixedAmount, loss_claimed: FixedAmount, challenge_end: int,
                  escrow: CaseEscrow):
         self.claim_id, self.policy_id, self.claimant = claim_id, policy_id, claimant
@@ -160,7 +159,7 @@ class InsuranceBook:
 
     # -- issuance --------------------------------------------------------
 
-    def issue_policy(self, ledger: Ledger, insurer: AccountId, insured: AccountId,
+    def issue_policy(self, ledger: Ledger, insurer: str, insured: str,
                      insured_value: FixedAmount, x_fraction: FixedAmount,
                      duration_blocks: int, height: int) -> Policy:
         if insured_value.raw <= 0:
@@ -171,12 +170,12 @@ class InsuranceBook:
             raise ParameterError(
                 f"bond fraction {x_fraction} below floor {self.params.x_min}")
         bond = x_fraction * insured_value
-        if ledger.balance(insurer.value, self.token) < bond:
+        if ledger.balance(insurer, self.token) < bond:
             raise BalanceError(f"insurer cannot cover the bond of {bond}")
         policy_id = f"pol-{self._counter}"
         self._counter += 1
         escrow = CaseEscrow(ledger, f"icase:{policy_id}", self.token)
-        escrow.take(insurer.value, bond, "insurer-bond")
+        escrow.take(insurer, bond, "insurer-bond")
         policy = Policy(policy_id=policy_id, insurer=insurer, insured=insured,
                         insured_value=insured_value, insurer_bond=bond,
                         expires_at=height + duration_blocks, escrow=escrow)
@@ -198,13 +197,13 @@ class InsuranceBook:
             raise StateError(f"policy {policy_id} runs until {policy.expires_at}")
         if self.open_claim_for(policy_id) is not None:
             raise StateError(f"policy {policy_id} has an open claim")
-        policy.escrow.pay(policy.insurer.value, policy.insurer_bond, "bond-release")
+        policy.escrow.pay(policy.insurer, policy.insurer_bond, "bond-release")
         policy.escrow.close()
         policy.status = PolicyStatus.EXPIRED
 
     # -- claim lifecycle ---------------------------------------------------
 
-    def submit_claim(self, ledger: Ledger, policy_id: str, claimant: AccountId,
+    def submit_claim(self, ledger: Ledger, policy_id: str, claimant: str,
                      y_fraction: FixedAmount, height: int,
                      loss_claimed: Optional[FixedAmount] = None) -> InsuranceClaim:
         policy = self.policies.get(policy_id)
@@ -225,16 +224,16 @@ class InsuranceBook:
         claim_id = f"icl-{self._counter}"
         self._counter += 1
         escrow = CaseEscrow(ledger, f"icase:{claim_id}", self.token)
-        escrow.take(claimant.value, bond, "claim-bond")
+        escrow.take(claimant, bond, "claim-bond")
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
             claim_bond=bond, loss_claimed=loss,
             challenge_end=height + self.params.tau_challenge, escrow=escrow)
-        claim.last_bond[claimant.value] = bond
+        claim.last_bond[claimant] = bond
         self.claims[claim_id] = claim
         return claim
 
-    def join_claim(self, claim: InsuranceClaim, account: AccountId,
+    def join_claim(self, claim: InsuranceClaim, account: str,
                    loss_claimed: FixedAmount, w_fraction: FixedAmount,
                    height: int) -> Joiner:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
@@ -243,19 +242,19 @@ class InsuranceBook:
             raise StateError("challenge window closed")
         if loss_claimed.raw <= 0:
             raise ParameterError("claimed loss must be > 0")
-        parties = {claim.claimant.value} | {j.account.value for j in claim.joiners}
-        if account.value in parties:
-            raise StateError(f"{account.value} is already part of the claim")
+        parties = {claim.claimant} | {j.account for j in claim.joiners}
+        if account in parties:
+            raise StateError(f"{account} is already part of the claim")
         policy = self.policies[claim.policy_id]
         bond = w_fraction * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("join bond must be > 0")
-        claim.escrow.take(account.value, bond, "join-bond")
+        claim.escrow.take(account, bond, "join-bond")
         joiner = Joiner(account=account, loss_claimed=loss_claimed, bond=bond)
         claim.joiners.append(joiner)
         return joiner
 
-    def dispute_claim(self, claim: InsuranceClaim, challenger: AccountId,
+    def dispute_claim(self, claim: InsuranceClaim, challenger: str,
                       z_fraction: FixedAmount, height: int) -> Dispute:
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} is not challengeable")
@@ -263,29 +262,29 @@ class InsuranceBook:
             raise StateError("challenge window closed; claim auto-approves")
         if claim.dispute is not None:
             raise StateError("claim already disputed at this level")
-        if challenger.value == claim.claimant.value:
+        if challenger == claim.claimant:
             raise ParameterError("claimant cannot dispute their own claim")
         policy = self.policies[claim.policy_id]
         bond = z_fraction * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("dispute bond must be > 0")
-        claim.escrow.take(challenger.value, bond, "dispute-bond")
+        claim.escrow.take(challenger, bond, "dispute-bond")
         claim.dispute = Dispute(challenger=challenger, bond=bond)
-        claim.last_bond[challenger.value] = bond
+        claim.last_bond[challenger] = bond
         claim.phase = ClaimPhase.VOTING
         claim.vote_end = height + self.params.tau_vote
         claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
         return claim.dispute
 
-    def cast_vote(self, claim: InsuranceClaim, voter: AccountId,
+    def cast_vote(self, claim: InsuranceClaim, voter: str,
                   deposit: FixedAmount, side: str, height: int) -> None:
         if claim.phase is not ClaimPhase.VOTING or claim.votes is None:
             raise StateError(f"claim {claim.claim_id} is not in a voting round")
         vote = claim.votes.cast(voter, deposit, side, height)
-        claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
+        claim.escrow.take(voter, vote.deposit, f"vote:{side}")
 
-    def escalate(self, claim: InsuranceClaim, party: AccountId,
+    def escalate(self, claim: InsuranceClaim, party: str,
                  height: int) -> None:
         """Buy a fresh voting round; only the claimant or challenger may,
         posting their previous bond scaled by the escalation multiplier."""
@@ -295,15 +294,15 @@ class InsuranceBook:
             raise StateError("escalation limit reached; outcome is final")
         if claim.dispute is None:
             raise StateError("undisputed claims cannot be escalated")
-        if party.value not in (claim.claimant.value, claim.dispute.challenger.value):
-            raise ParameterError(f"{party.value} is not a party to the claim")
-        bond = claim.last_bond[party.value] * self.params.escalation_bond_multiplier
-        claim.escrow.take(party.value, bond,
+        if party not in (claim.claimant, claim.dispute.challenger):
+            raise ParameterError(f"{party} is not a party to the claim")
+        bond = claim.last_bond[party] * self.params.escalation_bond_multiplier
+        claim.escrow.take(party, bond,
                           f"escalation-bond:L{claim.escalation_level + 1}")
-        claim.last_bond[party.value] = bond
+        claim.last_bond[party] = bond
         claim.escalation_level += 1
         claim.escalation_bonds.append(
-            EscalationBond(party=party.value, amount=bond))
+            EscalationBond(party=party, amount=bond))
         claim.pending_outcome = None
         if claim.votes is not None:
             claim.past_votes.append(claim.votes)
@@ -337,24 +336,24 @@ class InsuranceBook:
                   outcome: str) -> Resolution:
         policy = self.policies[claim.policy_id]
         escrow = claim.escrow
-        challenger = claim.dispute.challenger.value if claim.dispute else None
+        challenger = claim.dispute.challenger if claim.dispute else None
 
         if outcome == SIDE_APPROVE:
             claim.phase = ClaimPhase.APPROVED
             slashed = self.params.alpha_comp * policy.insurer_bond
             principal = min(policy.insured_value,
-                            ledger.balance(policy.insurer.value, self.token))
-            escrow.take(policy.insurer.value, principal, "compensation-principal")
+                            ledger.balance(policy.insurer, self.token))
+            escrow.take(policy.insurer, principal, "compensation-principal")
             policy.escrow.pay(escrow.account, slashed, "insurer-bond-slash")
             escrow.total_in = escrow.total_in + slashed
-            weights = [(claim.claimant.value, claim.loss_claimed)]
-            weights += [(j.account.value, j.loss_claimed) for j in claim.joiners]
-            escrow.award(principal + slashed, weights, claim.claimant.value,
+            weights = [(claim.claimant, claim.loss_claimed)]
+            weights += [(j.account, j.loss_claimed) for j in claim.joiners]
+            escrow.award(principal + slashed, weights, claim.claimant,
                          "compensation")
-            escrow.pay(claim.claimant.value, claim.claim_bond, "bond-return")
+            escrow.pay(claim.claimant, claim.claim_bond, "bond-return")
             for joiner in claim.joiners:
-                escrow.pay(joiner.account.value, joiner.bond, "bond-return")
-            winner = forfeit_to = claim.claimant.value
+                escrow.pay(joiner.account, joiner.bond, "bond-return")
+            winner = forfeit_to = claim.claimant
         else:
             claim.phase = ClaimPhase.REJECTED
             # floor-rounded per-bond slashes keep the pooled penalty at or
@@ -370,10 +369,10 @@ class InsuranceBook:
                 weights += claim.votes.weights(SIDE_REJECT)
             fallback = challenger if challenger is not None else self.treasury
             escrow.award(slashed, weights, fallback, "penalty-award")
-            escrow.pay(claim.claimant.value, claim.claim_bond - cut_claim,
+            escrow.pay(claim.claimant, claim.claim_bond - cut_claim,
                        "bond-return")
             for joiner, cut in cuts:
-                escrow.pay(joiner.account.value, joiner.bond - cut, "bond-return")
+                escrow.pay(joiner.account, joiner.bond - cut, "bond-return")
             winner, forfeit_to = challenger, fallback
 
         for esc in claim.escalation_bonds:
@@ -383,12 +382,12 @@ class InsuranceBook:
                 escrow.pay(forfeit_to, esc.amount, "escalation-forfeit")
         for votebox in claim.past_votes + ([claim.votes] if claim.votes else []):
             for vote in votebox.votes:
-                escrow.pay(vote.voter.value, vote.deposit, "deposit-return")
+                escrow.pay(vote.voter, vote.deposit, "deposit-return")
         if challenger is not None:
             escrow.pay(challenger, claim.dispute.bond, "dispute-bond-return")
         if outcome == SIDE_APPROVE:
             # an approved claim consumes the policy; the rest of the bond returns
-            policy.escrow.pay(policy.insurer.value, policy.insurer_bond - slashed,
+            policy.escrow.pay(policy.insurer, policy.insurer_bond - slashed,
                               "bond-release")
             policy.status = PolicyStatus.CLAIMED
             policy.escrow.close()
@@ -399,15 +398,15 @@ class InsuranceBook:
         """JSON-ready policy book with per-claim lifecycle states."""
         return {
             pid: {
-                "insurer": p.insurer.value,
-                "insured": p.insured.value,
+                "insurer": p.insurer,
+                "insured": p.insured,
                 "insured_value": str(p.insured_value),
                 "insurer_bond": str(p.insurer_bond),
                 "expires_at": p.expires_at,
                 "status": p.status.value,
                 "claims": {
                     cid: {"phase": c.phase.value,
-                          "claimant": c.claimant.value,
+                          "claimant": c.claimant,
                           "claim_bond": str(c.claim_bond),
                           "joiners": len(c.joiners),
                           "escalation_level": c.escalation_level}

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import (
-    AccountId,
     FixedAmount,
     IlliquidError,
     ParameterError,
@@ -77,7 +76,7 @@ class Position:
     __slots__ = ("position_id", "owner", "vault", "collateral_ca", "leverage", "direction",
                  "entry_price", "unit_value_at_entry", "status", "flagged_at")
 
-    def __init__(self, position_id: int, owner: AccountId, vault: VaultId,
+    def __init__(self, position_id: int, owner: str, vault: VaultId,
                  collateral_ca: FixedAmount, leverage: FixedAmount, direction: Direction,
                  entry_price: FixedAmount, unit_value_at_entry: FixedAmount):
         self.position_id, self.owner, self.vault = position_id, owner, vault
@@ -153,7 +152,7 @@ class FundingRound(NamedTuple):
 
 class LiquidationEvent(NamedTuple):
     position_id: int
-    kind: str                    # "flagged" | "liquidated" | "auto_liquidated" | "invalid_bid"
+    kind: str                    # "flagged" | "liquidated" | "auto_liquidated"
     liquidator: Optional[str] = None
     fee_ca: FixedAmount = ZERO
     swap_ca: FixedAmount = ZERO  # anticoins handed to the protocol AMM
@@ -179,7 +178,7 @@ class PerpBook:
     def escrow_account(self) -> str:
         return f"perps:{self.vault_id}"
 
-    def open_position(self, ledger: Ledger, user: AccountId,
+    def open_position(self, ledger: Ledger, user: str,
                       collateral_ca: FixedAmount, leverage: FixedAmount,
                       direction: Direction, mark_price: FixedAmount,
                       unit_value: FixedAmount) -> Position:
@@ -190,10 +189,10 @@ class PerpBook:
                 f"leverage {leverage} outside [1, {self.max_leverage}]")
         if mark_price.raw <= 0:
             raise ParameterError("mark price must be > 0")
-        balance = ledger.balance(user.value, self.anticoin)
+        balance = ledger.balance(user, self.anticoin)
         if balance < collateral_ca:
-            raise BalanceError(f"{user.value} holds {balance}, needs {collateral_ca}")
-        ledger.transfer(user.value, self.escrow_account, self.anticoin,
+            raise BalanceError(f"{user} holds {balance}, needs {collateral_ca}")
+        ledger.transfer(user, self.escrow_account, self.anticoin,
                         collateral_ca, memo=f"perp-open:{self.vault_id}")
         position = Position(
             position_id=self._next_id, owner=user, vault=self.vault_id,
@@ -261,8 +260,7 @@ class PerpBook:
                             transfer_count=transfer_count, treasury_remainder=remainder)
 
     def flag_and_liquidate(self, ledger: Ledger, mark_price: FixedAmount,
-                           bidder: Optional[str], height: int, treasury: str,
-                           settlement_account: str,
+                           bidder: Optional[str], height: int, settlement_account: str,
                            unit_value: Optional[FixedAmount] = None) -> list[LiquidationEvent]:
         """Flag unhealthy positions and execute due liquidations.
 
@@ -317,7 +315,7 @@ class PerpBook:
     def snapshot(self) -> dict:
         return {
             str(pid): {
-                "owner": p.owner.value,
+                "owner": p.owner,
                 "collateral_ca": str(p.collateral_ca),
                 "leverage": str(p.leverage),
                 "direction": p.direction.value,

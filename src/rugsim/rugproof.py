@@ -11,7 +11,6 @@ import enum
 from typing import Optional
 
 from .core import (
-    AccountId,
     FixedAmount,
     ONE,
     ParameterError,
@@ -71,7 +70,7 @@ class SlashParams:
 class BondedIssuance:
     __slots__ = ("issuance_id", "issuer", "token", "total_issued", "bond", "escrow", "status")
 
-    def __init__(self, issuance_id: str, issuer: AccountId, token: TokenId,
+    def __init__(self, issuance_id: str, issuer: str, token: TokenId,
                  total_issued: FixedAmount, bond: FixedAmount, escrow: CaseEscrow):
         self.issuance_id, self.issuer, self.token = issuance_id, issuer, token
         self.total_issued, self.bond, self.escrow = total_issued, bond, escrow
@@ -82,7 +81,7 @@ class RugClaim:
     __slots__ = ("claim_id", "issuance_id", "claimant", "claim_bond", "challenge_end", "votes",
                  "escrow", "status")
 
-    def __init__(self, claim_id: str, issuance_id: str, claimant: AccountId,
+    def __init__(self, claim_id: str, issuance_id: str, claimant: str,
                  claim_bond: FixedAmount, challenge_end: int, votes: VoteBox,
                  escrow: CaseEscrow):
         self.claim_id, self.issuance_id, self.claimant = claim_id, issuance_id, claimant
@@ -101,7 +100,7 @@ class RugproofBook:
         self.claims: dict[str, RugClaim] = {}
         self._counter = 1
 
-    def issue_bonded_token(self, ledger: Ledger, issuer: AccountId, token: TokenId,
+    def issue_bonded_token(self, ledger: Ledger, issuer: str, token: TokenId,
                            total_issued: FixedAmount,
                            bond_fraction: FixedAmount) -> BondedIssuance:
         if total_issued.raw <= 0:
@@ -111,12 +110,12 @@ class RugproofBook:
                 f"bond fraction {bond_fraction} below the nontrivial floor "
                 f"{self.params.x_min}")
         bond = bond_fraction * total_issued
-        if ledger.balance(issuer.value, token) < bond:
+        if ledger.balance(issuer, token) < bond:
             raise BalanceError(f"issuer cannot cover the bond of {bond}")
         issuance_id = f"iss-{self._counter}"
         self._counter += 1
         escrow = CaseEscrow(ledger, f"case:{issuance_id}", token)
-        escrow.take(issuer.value, bond, "issuer-bond")
+        escrow.take(issuer, bond, "issuer-bond")
         issuance = BondedIssuance(
             issuance_id=issuance_id, issuer=issuer, token=token,
             total_issued=total_issued, bond=bond, escrow=escrow)
@@ -129,7 +128,7 @@ class RugproofBook:
                 return claim
         return None
 
-    def submit_rug_claim(self, ledger: Ledger, user: AccountId, issuance_id: str,
+    def submit_rug_claim(self, ledger: Ledger, user: str, issuance_id: str,
                          y_fraction: FixedAmount, height: int) -> RugClaim:
         issuance = self.issuances.get(issuance_id)
         if issuance is None:
@@ -144,7 +143,7 @@ class RugproofBook:
         claim_id = f"claim-{self._counter}"
         self._counter += 1
         escrow = CaseEscrow(ledger, f"case:{claim_id}", issuance.token)
-        escrow.take(user.value, bond, "claim-bond")
+        escrow.take(user, bond, "claim-bond")
         end = height + self.params.challenge_blocks
         claim = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,
@@ -154,12 +153,12 @@ class RugproofBook:
         self.claims[claim_id] = claim
         return claim
 
-    def cast_vote(self, claim: RugClaim, voter: AccountId,
+    def cast_vote(self, claim: RugClaim, voter: str,
                   deposit: FixedAmount, side: str, height: int) -> None:
         if claim.status is not ClaimStatus.VOTING:
             raise StateError(f"claim {claim.claim_id} is not accepting votes")
         vote = claim.votes.cast(voter, deposit, side, height)
-        claim.escrow.take(voter.value, vote.deposit, f"vote:{side}")
+        claim.escrow.take(voter, vote.deposit, f"vote:{side}")
 
     def resolve_claim(self, claim: RugClaim, height: int) -> Resolution:
         """Settle at the end of the challenge window.
@@ -183,26 +182,26 @@ class RugproofBook:
             issuance.status = IssuanceStatus.SLASHED
             slashed = self.params.alpha_slash * issuance.bond
             claimant_cut = self.params.claimant_share * slashed
-            issuance.escrow.pay(claim.claimant.value, claimant_cut, "claimant-award")
+            issuance.escrow.pay(claim.claimant, claimant_cut, "claimant-award")
             issuance.escrow.award(slashed - claimant_cut, claim.votes.weights(SIDE_RUGGING),
-                                  claim.claimant.value, "voter-award")
+                                  claim.claimant, "voter-award")
             # unslashed remainder leaves escrow; the issuer keeps no claim on it
-            issuance.escrow.pay(issuance.issuer.value, issuance.bond - slashed,
+            issuance.escrow.pay(issuance.issuer, issuance.bond - slashed,
                                 "bond-remainder")
-            claim.escrow.pay(claim.claimant.value, claim.claim_bond, "bond-return")
+            claim.escrow.pay(claim.claimant, claim.claim_bond, "bond-return")
         else:
             claim.status = ClaimStatus.REJECTED_FRAUD
             slashed = self.params.gamma_slash * claim.claim_bond
             weights = claim.votes.weights(SIDE_NOT_RUGGING)
             fallback = weights[0][0] if weights else self.treasury
             claim.escrow.award(slashed, weights, fallback, "voter-award")
-            claim.escrow.pay(claim.claimant.value, claim.claim_bond - slashed,
+            claim.escrow.pay(claim.claimant, claim.claim_bond - slashed,
                              "bond-return")
 
         losing = SIDE_NOT_RUGGING if winner == SIDE_RUGGING else SIDE_RUGGING
         for side in (winner, losing):
             for vote in claim.votes.voters_for(side):
-                claim.escrow.pay(vote.voter.value, vote.deposit, "deposit-return")
+                claim.escrow.pay(vote.voter, vote.deposit, "deposit-return")
 
         claim.escrow.close()
         if winner == SIDE_RUGGING:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
-    AccountId,
     ChainId,
     DustError,
     FixedAmount,
@@ -80,7 +79,7 @@ class Vault:
 
 class Receipt(NamedTuple):
     vault: VaultId
-    holder: AccountId
+    holder: str
     kind: ReceiptKind
     amount: FixedAmount
     nft_serial: Optional[int] = None
@@ -94,7 +93,7 @@ class RewardEvent(NamedTuple):
     kind: str  # "deposit" | "burn"
     vault: VaultId
     chain: ChainId
-    account: AccountId
+    account: str
     amount: FixedAmount
 
 
@@ -110,15 +109,15 @@ def anticoin_id(token: TokenId, chain: ChainId) -> TokenId:
     return f"anti:{token}@{chain}"
 
 
-def anticoin_value(vault: Vault, current_price: FixedAmount,
-                   epsilon_floor: FixedAmount = QUANTUM) -> FixedAmount:
+def anticoin_value(price_at_creation: FixedAmount,
+                   current_price: FixedAmount) -> FixedAmount:
     """Inverse-log peg: ln(price_at_creation / price), clamped at zero.
 
     Rises as the rugged token falls; zero at or above the creation price
-    (a negative token value is unrepresentable).
+    (a negative token value is unrepresentable). A price below one quantum
+    is read as one quantum.
     """
-    clamped = max(current_price, epsilon_floor)
-    value = safe_ln(vault.price_at_creation / clamped)
+    value = safe_ln(price_at_creation / max(current_price, QUANTUM))
     return max(ZERO, value)
 
 
@@ -199,15 +198,15 @@ class VaultRegistry:
         self._by_token[rugged_token] = vid
         return vault
 
-    def deposit(self, ledger: Ledger, vault_id: VaultId, user: AccountId,
+    def deposit(self, ledger: Ledger, vault_id: VaultId, user: str,
                 amount: FixedAmount) -> tuple[FixedAmount, Receipt, RewardEvent]:
         """Deposit rugged tokens; mint anticoins 1:1 plus a typed receipt."""
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"deposit must be > 0, got {amount}")
-        ledger.transfer(user.value, vault.escrow_account, vault.rugged_token,
+        ledger.transfer(user, vault.escrow_account, vault.rugged_token,
                         amount, memo=f"deposit:{vault_id}")
-        ledger.mint(user.value, vault.anticoin, amount, memo=f"anticoin:{vault_id}")
+        ledger.mint(user, vault.anticoin, amount, memo=f"anticoin:{vault_id}")
         vault.total_deposited = vault.total_deposited + amount
 
         serial = None
@@ -222,13 +221,13 @@ class VaultRegistry:
         reward = RewardEvent("deposit", vault_id, self.chain, user, vault.omega * amount)
         return amount, receipt, reward
 
-    def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: AccountId,
+    def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: str,
                        amount: FixedAmount) -> tuple[FixedAmount, RewardEvent]:
         """Burn anticoins, permanently extinguishing the withdrawal claim."""
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"burn must be > 0, got {amount}")
-        ledger.burn(user.value, vault.anticoin, amount, memo=f"burn:{vault_id}")
+        ledger.burn(user, vault.anticoin, amount, memo=f"burn:{vault_id}")
         vault.total_burned = vault.total_burned + amount
         reward = RewardEvent("burn", vault_id, self.chain, user, vault.theta * amount)
         return vault.anticoin_supply, reward
@@ -236,28 +235,30 @@ class VaultRegistry:
     def withdrawal_count(self, owner: str, vault_id: VaultId) -> int:
         return self.withdrawal_counts.get((owner, vault_id), 0)
 
-    def withdraw(self, ledger: Ledger, vault_id: VaultId, account: AccountId,
+    def withdraw(self, ledger: Ledger, vault_id: VaultId, account: str,
                  amount: FixedAmount, treasury: str,
-                 related_accounts: Optional[Sequence[str]] = None) -> WithdrawResult:
+                 related_accounts: Optional[Sequence[str]] = None,
+                 owner: Optional[str] = None) -> WithdrawResult:
         """Redeem anticoins for vaulted rugged tokens, minus the penalty.
 
         The surcharge rate is the whale term k*(H/H_ref)**lambda (H is the
-        owner-aggregated anticoin holding, H_ref the vault's total deposits)
-        plus the escalating per-withdrawal term gamma + delta_gamma*i, where
-        i counts the owner's withdrawals from this vault starting at 1.
+        anticoin holding of ``related_accounts``, the account alone by
+        default; H_ref the vault's total deposits) plus the escalating
+        per-withdrawal term gamma + delta_gamma*i, where i counts ``owner``'s
+        (the account's by default) withdrawals from this vault from 1.
         """
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"withdrawal must be > 0, got {amount}")
-        balance = ledger.balance(account.value, vault.anticoin)
+        balance = ledger.balance(account, vault.anticoin)
         if balance < amount:
             raise BalanceError(
-                f"{account.value} holds {balance} anticoins, cannot withdraw {amount}")
+                f"{account} holds {balance} anticoins, cannot withdraw {amount}")
         escrow = ledger.balance(vault.escrow_account, vault.rugged_token)
         if escrow < amount:
             raise BalanceError(f"vault {vault_id} holds only {escrow} rugged tokens")
 
-        accounts = list(related_accounts) if related_accounts else [account.value]
+        accounts = list(related_accounts) if related_accounts else [account]
         holdings = ZERO
         for acct in accounts:
             holdings = holdings + ledger.balance(acct, vault.anticoin)
@@ -266,8 +267,9 @@ class VaultRegistry:
         if vault.total_deposited.raw > 0 and vault.penalty_k.raw > 0:
             ratio = holdings / vault.total_deposited
             whale_rate = min(MAX_WHALE_RATE,
-                             vault.penalty_k * fixed_pow(ratio, vault.penalty_lambda))
-        index = self.withdrawal_count(account.owner, vault_id) + 1
+                             whale_penalty(ratio, vault.penalty_k, vault.penalty_lambda))
+        owner = owner if owner is not None else account
+        index = self.withdrawal_count(owner, vault_id) + 1
         step_rate = vault.gamma_base + vault.delta_gamma * index
         rate = whale_rate + step_rate
         penalty = amount * rate
@@ -276,13 +278,13 @@ class VaultRegistry:
                 f"penalty {penalty} would consume the whole withdrawal of {amount}")
 
         returned = amount - penalty
-        ledger.burn(account.value, vault.anticoin, amount, memo=f"withdraw:{vault_id}")
-        ledger.transfer(vault.escrow_account, account.value, vault.rugged_token,
+        ledger.burn(account, vault.anticoin, amount, memo=f"withdraw:{vault_id}")
+        ledger.transfer(vault.escrow_account, account, vault.rugged_token,
                         returned, memo=f"withdraw:{vault_id}")
         ledger.transfer(vault.escrow_account, treasury, vault.rugged_token,
                         penalty, memo=f"penalty:{vault_id}")
         vault.total_withdrawn = vault.total_withdrawn + amount
-        self.withdrawal_counts[(account.owner, vault_id)] = index
+        self.withdrawal_counts[(owner, vault_id)] = index
         return WithdrawResult(returned=returned, penalty=penalty, rate=rate,
                               withdrawal_index=index)
 

@@ -1,4 +1,4 @@
-from rugsim.core import AccountId, amt
+from rugsim.core import amt
 from rugsim.ledger import Ledger
 
 import pytest
@@ -9,12 +9,7 @@ def ledger():
     return Ledger()
 
 
-def solo(name: str) -> AccountId:
-    """An account that is its own beneficial owner."""
-    return AccountId(value=name, owner=name)
-
-
-def fund(ledger: Ledger, account: str, token: str, amount) -> AccountId:
-    """Mint a starting balance and return a solo-owner AccountId."""
+def fund(ledger: Ledger, account: str, token: str, amount) -> str:
+    """Mint a starting balance and return the account's id."""
     ledger.mint(account, token, amt(amount))
-    return solo(account)
+    return account

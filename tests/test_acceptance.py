@@ -72,7 +72,7 @@ def test_01_peg_curve():
         grid = [lo + span * i / 199 for i in range(200)]
         previous = None
         for cr in grid:
-            value = anticoin_value(vault, cr)
+            value = anticoin_value(vault.price_at_creation, cr)
             if cr >= amt(100):
                 assert value == amt(0), f"not clamped at {cr}"
             else:
@@ -207,7 +207,6 @@ def test_06_funding_bounds():
 
 
 def _fuzz_rugproof(cases: int) -> None:
-    from conftest import solo
     from rugsim.rugproof import RugproofBook, SlashParams, SIDE_NOT_RUGGING, \
         SIDE_RUGGING
 
@@ -221,19 +220,19 @@ def _fuzz_rugproof(cases: int) -> None:
             z_min=amt(1), challenge_blocks=5)
         rng.random()  # a draw each case has always made, so the same cases run
         book = RugproofBook(params)
-        issuer = solo("issuer")
+        issuer = "issuer"
         ledger.mint("issuer", "T", amt(10**6))
         total = amt(rng.randint(1000, 100_000))
         issuance = book.issue_bonded_token(
             ledger, issuer, "T", total,
             quantize(Fraction(rng.randint(1, 20), 100)))
-        claimant = solo("claimant")
+        claimant = "claimant"
         ledger.mint("claimant", "T", amt(10**5))
         claim = book.submit_rug_claim(ledger, claimant, issuance.issuance_id,
                                       quantize(Fraction(rng.randint(1, 10), 100)),
                                       0)
         for v in range(rng.randint(0, 6)):
-            voter = solo(f"v{v}")
+            voter = f"v{v}"
             ledger.mint(f"v{v}", "T", amt(1000))
             side = SIDE_RUGGING if rng.random() < 0.5 else SIDE_NOT_RUGGING
             book.cast_vote(claim, voter, amt(rng.randint(1, 500)),
@@ -255,7 +254,6 @@ def _fuzz_rugproof(cases: int) -> None:
 
 
 def _fuzz_insurance(cases: int) -> None:
-    from conftest import solo
     from rugsim.insurance import InsuranceBook, InsuranceParams, SIDE_APPROVE, \
         SIDE_REJECT
 
@@ -269,9 +267,9 @@ def _fuzz_insurance(cases: int) -> None:
             tau_challenge=4, tau_vote=4, escalation_window=3,
             max_escalations=rng.randint(0, 2))
         book = InsuranceBook(params, "USD")
-        insurer = solo("insurer")
+        insurer = "insurer"
         ledger.mint("insurer", "USD", amt(10**6))
-        insured = solo("insured")
+        insured = "insured"
         ledger.mint("insured", "USD", amt(10**4))
         i_v = amt(rng.randint(100, 5000))
         policy = book.issue_policy(ledger, insurer, insured, i_v,
@@ -282,20 +280,20 @@ def _fuzz_insurance(cases: int) -> None:
                                   1)
         joiners = []
         for j in range(rng.randint(0, 3)):
-            account = solo(f"j{j}")
+            account = f"j{j}"
             ledger.mint(f"j{j}", "USD", amt(10**4))
             joiners.append(book.join_claim(
                 claim, account, amt(rng.randint(10, 500)),
                 quantize(Fraction(rng.randint(1, 5), 100)), 2))
         disputed = rng.random() < 0.6
         if disputed:
-            challenger = solo("challenger")
+            challenger = "challenger"
             ledger.mint("challenger", "USD", amt(10**5))
             book.dispute_claim(claim, challenger,
                                quantize(Fraction(rng.randint(1, 8), 100)),
                                3)
             for v in range(rng.randint(0, 5)):
-                voter = solo(f"w{v}")
+                voter = f"w{v}"
                 ledger.mint(f"w{v}", "USD", amt(1000))
                 side = SIDE_APPROVE if rng.random() < 0.5 else SIDE_REJECT
                 book.cast_vote(claim, voter, amt(rng.randint(1, 300)),

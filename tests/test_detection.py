@@ -32,9 +32,7 @@ from rugsim.detection import (
 )
 from rugsim.market import PoolState, pool_quote_exact_out, pool_swap
 
-from conftest import solo
-
-ALICE = solo("alice")
+ALICE = "alice"
 
 
 def mk_pool(rx=1000, ry=1000, fee=0):
@@ -280,18 +278,18 @@ def test_intent_threshold_validation():
 def test_intent_triggers_on_price():
     book = IntentBook()
     intent = mk_intent(book)
-    bids = [SolverBid(solo("sol1"), 30)]
+    bids = [SolverBid("sol1", 30)]
     quiet = solver_step(book, {"RUG": amt("0.6")}, {"p": amt(1000)}, 5, bids)
     assert quiet == [] and intent.status is IntentStatus.PENDING
     hits = solver_step(book, {"RUG": amt("0.4")}, {"p": amt(1000)}, 6, bids)
-    assert len(hits) == 1 and hits[0].solver.value == "sol1"
+    assert len(hits) == 1 and hits[0].solver == "sol1"
     assert intent.status is IntentStatus.EXECUTED
 
 
 def test_intent_triggers_on_liquidity():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid(solo("sol1"), 30)]
+    bids = [SolverBid("sol1", 30)]
     hits = solver_step(book, {"RUG": amt(1)}, {"p": amt(200)}, 5, bids)
     assert len(hits) == 1
 
@@ -299,7 +297,7 @@ def test_intent_triggers_on_liquidity():
 def test_intents_are_one_shot():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid(solo("sol1"), 30)]
+    bids = [SolverBid("sol1", 30)]
     assert len(solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids)) == 1
     assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 6, bids) == []
 
@@ -307,17 +305,17 @@ def test_intents_are_one_shot():
 def test_solver_auction_lowest_fee_then_id():
     book = IntentBook()
     mk_intent(book)
-    cheap = SolverBid(solo("zed"), 10)
-    pricey = SolverBid(solo("ann"), 20)
+    cheap = SolverBid("zed", 10)
+    pricey = SolverBid("ann", 20)
     [hit] = solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
                         [pricey, cheap])
-    assert hit.solver.value == "zed" and hit.fee_bps == 10
+    assert hit.solver == "zed" and hit.fee_bps == 10
     book2 = IntentBook()
     mk_intent(book2)
     [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
-                         [SolverBid(solo("bob"), 10),
-                          SolverBid(solo("ann"), 10)])
-    assert hit2.solver.value == "ann"  # fee tie: lower id wins
+                         [SolverBid("bob", 10),
+                          SolverBid("ann", 10)])
+    assert hit2.solver == "ann"  # fee tie: lower id wins
 
 
 def test_backrun_dust_capped_by_quantum_rules():
@@ -336,5 +334,5 @@ class _UnrankableBids(list):
 
 def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
     book = IntentBook()
-    bids = _UnrankableBids([SolverBid(solo("s"), 30)])
+    bids = _UnrankableBids([SolverBid("s", 30)])
     assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids) == []

@@ -8,8 +8,6 @@ from rugsim.core import FixedAmount, amt, fsum
 from rugsim.disputes import CaseEscrow, VoteBox, VoteError, pro_rata
 from rugsim.ledger import Ledger
 
-from conftest import solo
-
 
 def test_pro_rata_examples():
     split = pro_rata(amt(100), [("a", amt(1)), ("b", amt(1)), ("c", amt(1))], "a")
@@ -32,34 +30,34 @@ def test_pro_rata_sums_exactly(total, weights):
 
 def test_votebox_window_and_tally():
     box = VoteBox(5, 10, amt(2), ("yes", "no"))
-    box.cast(solo("a"), amt(10), "yes", at=5)
-    box.cast(solo("b"), amt(3), "no", at=9)
-    box.cast(solo("c"), amt(3), "no", at=9)
+    box.cast("a", amt(10), "yes", at=5)
+    box.cast("b", amt(3), "no", at=9)
+    box.cast("c", amt(3), "no", at=9)
     assert box.mass("yes") == amt(10)
     assert box.mass("no") == amt(6)
     assert box.winner(tie_side="no") == "yes"
     with pytest.raises(VoteError):
-        box.cast(solo("d"), amt(2), "yes", at=10)  # window closed
+        box.cast("d", amt(2), "yes", at=10)  # window closed
     with pytest.raises(VoteError):
-        box.cast(solo("a"), amt(2), "no", at=9)    # double vote
+        box.cast("a", amt(2), "no", at=9)    # double vote
     with pytest.raises(VoteError):
-        box.cast(solo("e"), amt(1), "no", at=9)    # below floor
+        box.cast("e", amt(1), "no", at=9)    # below floor
 
 
 def test_votebox_tie_goes_to_tie_side():
     box = VoteBox(0, 10, amt(1), ("yes", "no"))
     assert box.winner(tie_side="no") == "no"  # empty vote is a tie
-    box.cast(solo("a"), amt(5), "yes", at=1)
-    box.cast(solo("b"), amt(5), "no", at=1)
+    box.cast("a", amt(5), "yes", at=1)
+    box.cast("b", amt(5), "no", at=1)
     assert box.winner(tie_side="no") == "no"
 
 
 def test_voters_for_orders_deterministically():
     box = VoteBox(0, 10, amt(1), ("yes", "no"))
-    box.cast(solo("zed"), amt(5), "yes", at=1)
-    box.cast(solo("ann"), amt(5), "yes", at=2)
-    box.cast(solo("mid"), amt(9), "yes", at=3)
-    names = [v.voter.value for v in box.voters_for("yes")]
+    box.cast("zed", amt(5), "yes", at=1)
+    box.cast("ann", amt(5), "yes", at=2)
+    box.cast("mid", amt(9), "yes", at=3)
+    names = [v.voter for v in box.voters_for("yes")]
     assert names == ["mid", "ann", "zed"]  # deposit desc, then account id
 
 

@@ -192,6 +192,38 @@ def test_failed_ops_recorded_not_raised():
     assert failures[0]["error"] == "BalanceError"
 
 
+def owner_doc(owner):
+    """Two accounts deposit 80 RUG each, then withdraw 30 on blocks 2 and 3;
+    ``owner`` is their shared beneficial owner, or None for none."""
+    accounts = [{"id": name, "balances": {"RUG": "100"}} for name in ("sock-a", "sock-b")]
+    if owner is not None:
+        for entry in accounts:
+            entry["owner"] = owner
+    agents = [{"kind": "retail", "account": entry["id"],
+               "script": [{"block": 1, "op": "deposit", "vault": "v", "amount": "80"},
+                          {"block": 2 + i, "op": "withdraw", "vault": "v", "amount": "30"}]}
+              for i, entry in enumerate(accounts)]
+    doc = minimal_doc(accounts=accounts, agents=agents)
+    doc["vaults"][0]["penalty_k"] = "0.2"
+    return doc
+
+
+def test_withdrawals_of_one_owner_count_and_hold_together():
+    # the second withdrawal is the owner's second (gamma 0.05 + 0.01 * 2),
+    # and its whale term reads both accounts' holdings: 0.2 * (130 / 160)^2
+    _, trace = run_scenario(owner_doc("whale"))
+    first, second = [e for e in trace.events if e["type"] == "withdraw"]
+    assert (first["account"], first["index"], first["rate"]) == ("sock-a", 1, "0.26")
+    assert (second["account"], second["index"]) == ("sock-b", 2)
+    assert (second["rate"], second["penalty"], second["returned"]) \
+        == ("0.20203125", "6.0609375", "23.9390625")
+    assert trace.trace_hash() == "2441a43f60281a86"
+    # each account its own owner: two first withdrawals at the same rate
+    _, trace = run_scenario(owner_doc(None))
+    assert [(e["index"], e["rate"]) for e in trace.events if e["type"] == "withdraw"] \
+        == [(1, "0.11"), (1, "0.11")]
+
+
 # -- ordering around drains --------------------------------------------------------
 
 
@@ -499,12 +531,11 @@ def test_perps_collateral_revaluation_toggle():
     from rugsim.ledger import Ledger
     from rugsim.perps import (Direction, FundingParams, MaintenanceRule,
                               PerpBook, position_health, position_pnl)
-    from conftest import solo
     ledger = Ledger()
     ledger.mint("a", "CA", amt(100))
     book = PerpBook("v", "CA", FundingParams(amt("0.01"), amt(100), 4),
                     MaintenanceRule(), revalue_collateral=True)
-    position = book.open_position(ledger, solo("a"), amt(100), amt(2),
+    position = book.open_position(ledger, "a", amt(100), amt(2),
                                   Direction.LONG, amt(1), amt(1))
     frozen = position_pnl(position, amt("0.75"))
     live = position_pnl(position, amt("0.75"), unit_value=amt(2))

@@ -12,7 +12,7 @@ from rugsim.insurance import (
     PolicyStatus,
 )
 
-from conftest import fund, solo
+from conftest import fund
 
 USD = "USD"
 
@@ -46,7 +46,7 @@ def test_issue_policy_bond(ledger):
 def test_issue_policy_floors(ledger):
     book = mk_book()
     insurer = fund(ledger, "insurer", USD, 10_000)
-    insured = solo("insured")
+    insured = "insured"
     with pytest.raises(ParameterError):  # default floor x_min = 1%
         book.issue_policy(ledger, insurer, insured, amt(1000), amt(0), 100, 0)
     with pytest.raises(ParameterError):  # zero duration
@@ -59,7 +59,7 @@ def test_issue_policy_floors(ledger):
 def test_submit_claim_bond(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     assert claim.claim_bond == amt(50)
     assert claim.challenge_end == 11
@@ -68,7 +68,7 @@ def test_submit_claim_bond(ledger):
 def test_joiners_post_bonds(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
@@ -80,7 +80,7 @@ def test_joiners_post_bonds(ledger):
 def test_join_after_dispute_rejected(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
     book.dispute_claim(claim, challenger, amt("0.03"), 2)
@@ -95,7 +95,7 @@ def test_join_after_dispute_rejected(ledger):
 def test_dispute_bond_and_rules(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
     dispute = book.dispute_claim(claim, challenger, amt("0.03"), 2)
@@ -108,7 +108,7 @@ def test_dispute_bond_and_rules(ledger):
 def test_late_dispute_rejected_and_claim_auto_approves(ledger):
     book = mk_book()
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     resolution = book.step_deadlines(ledger, claim, 11)
     assert resolution is not None and claim.phase is ClaimPhase.APPROVED
@@ -124,7 +124,7 @@ def test_approved_undisputed_compensation_exact(ledger):
     book = mk_book(alpha="0.2")
     policy = mk_policy(ledger, book, i_v=1000, x="0.1")
     insured_before = ledger.balance("insured", USD)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     book.step_deadlines(ledger, claim, 11)
     # claimant nets I_v + alpha * bond = 1000 + 20 (their own bond returns too)
@@ -138,7 +138,7 @@ def test_approved_undisputed_compensation_exact(ledger):
 def test_rejected_pooled_penalty(ledger):
     book = mk_book(gamma="0.5", tau_vote=10)
     policy = mk_policy(ledger, book, i_v=1000)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     for i in range(3):
         joiner = fund(ledger, f"j{i}", USD, 100)
@@ -164,7 +164,7 @@ def test_rejected_pooled_penalty(ledger):
 def test_disputed_vote_decides(ledger):
     book = mk_book(tau_vote=10)
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 100)
     book.dispute_claim(claim, challenger, amt("0.03"), 2)
@@ -188,7 +188,7 @@ def test_disputed_vote_decides(ledger):
 
 def setup_disputed(ledger, book):
     policy = mk_policy(ledger, book)
-    claim = book.submit_claim(ledger, policy.policy_id, solo("insured"),
+    claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)
     challenger = fund(ledger, "chal", USD, 1000)
     book.dispute_claim(claim, challenger, amt("0.03"), 2)
@@ -200,7 +200,7 @@ def test_escalation_bond_doubles(ledger):
     policy, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, 12)  # reject pending (no votes)
     before = ledger.balance("insured", USD)
-    book.escalate(claim, solo("insured"), 13)
+    book.escalate(claim, "insured", 13)
     assert claim.escalation_level == 1
     assert ledger.balance("insured", USD) == before - amt(100)  # 2 x 50 bond
     assert claim.phase is ClaimPhase.VOTING
@@ -219,12 +219,12 @@ def test_escalation_limit_is_final(ledger):
     book = mk_book(max_escalations=1)
     _, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, 12)
-    book.escalate(claim, solo("insured"), 13)
+    book.escalate(claim, "insured", 13)
     # level 1 == max: the vote-end resolution is immediately final
     resolution = book.step_deadlines(ledger, claim, 23)
     assert resolution is not None and claim.phase is ClaimPhase.REJECTED
     with pytest.raises(StateError):
-        book.escalate(claim, solo("insured"), 24)
+        book.escalate(claim, "insured", 24)
     ledger.check_conservation()
 
 
@@ -232,7 +232,7 @@ def test_loser_escalation_bonds_forfeit_to_winner(ledger):
     book = mk_book(max_escalations=2)
     policy, claim, challenger = setup_disputed(ledger, book)
     book.step_deadlines(ledger, claim, 12)          # pending reject
-    book.escalate(claim, solo("insured"), 13)  # posts 100
+    book.escalate(claim, "insured", 13)  # posts 100
     voter = fund(ledger, "voter", USD, 500)
     book.cast_vote(claim, voter, amt(200), SIDE_APPROVE, 14)
     book.step_deadlines(ledger, claim, 23)          # pending approve

@@ -169,8 +169,7 @@ def test_apply_funding_requires_boundary(ledger):
 def test_healthy_book_produces_no_events(ledger):
     book = mk_book()
     open_pos(book, ledger, "a", 100, 2, Direction.LONG, entry=1)
-    events = book.flag_and_liquidate(ledger, amt(1), "liq1", 1,
-                                     "treasury", "amm")
+    events = book.flag_and_liquidate(ledger, amt(1), "liq1", 1, "amm")
     assert events == []
 
 
@@ -178,8 +177,7 @@ def test_wiped_out_position_liquidates_same_block(ledger):
     book = mk_book()
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
     # a bidder takes only positions flagged in an earlier call
-    events = book.flag_and_liquidate(ledger, amt("0.75"), "liq1", 2,
-                                     "treasury", "amm")
+    events = book.flag_and_liquidate(ledger, amt("0.75"), "liq1", 2, "amm")
     kinds = [e.kind for e in events]
     assert kinds == ["flagged", "auto_liquidated"]
     assert p.status is PositionStatus.LIQUIDATED
@@ -191,27 +189,21 @@ def test_flag_then_deadline_auto_liquidation(ledger):
     book = mk_book(deadline=5)
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
     # -22.5% on x4 leverage leaves exactly 10% equity: at the maintenance line
-    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 10,
-                                     "treasury", "amm")
+    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 10, "amm")
     assert [e.kind for e in events] == ["flagged"]
     assert p.status is PositionStatus.FLAGGED
     for height in range(11, 15):
-        assert book.flag_and_liquidate(ledger, amt("0.775"), None,
-                                       height,
-                                       "treasury", "amm") == []
-    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 15,
-                                     "treasury", "amm")
+        assert book.flag_and_liquidate(ledger, amt("0.775"), None, height, "amm") == []
+    events = book.flag_and_liquidate(ledger, amt("0.775"), None, 15, "amm")
     assert [e.kind for e in events] == ["auto_liquidated"]
 
 
 def test_liquidator_earns_fee_and_conservation(ledger):
     book = mk_book()
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
-    flagged = book.flag_and_liquidate(ledger, amt("0.775"), "liq1", 10,
-                                      "treasury", "amm")
+    flagged = book.flag_and_liquidate(ledger, amt("0.775"), "liq1", 10, "amm")
     assert [e.kind for e in flagged] == ["flagged"]
-    events = book.flag_and_liquidate(ledger, amt("0.775"), "liq1",
-                                     11, "treasury", "amm")
+    events = book.flag_and_liquidate(ledger, amt("0.775"), "liq1", 11, "amm")
     [event] = events
     assert event.kind == "liquidated" and event.liquidator == "liq1"
     assert event.fee_ca == amt(5)       # 5% of remaining collateral

@@ -12,7 +12,7 @@ from rugsim.tokenomics import (
 )
 from rugsim.vault import ReceiptKind, VaultRegistry
 
-from conftest import fund, solo
+from conftest import fund
 
 
 def mk_params(s0=1000, eps="5", cap="1000", kappa="0.5"):
@@ -111,7 +111,7 @@ def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
     registry = mk_registry("alpha", ledger, deposit=1000)
     vault = next(iter(registry.vaults.values()))
     # mk_registry's depositor
-    registry.withdraw(ledger, vault.vault_id, solo("user-alpha"), amt(100),
+    registry.withdraw(ledger, vault.vault_id, "user-alpha", amt(100),
                       "treasury")
     assert aggregate_vault_stats([registry], ledger, lambda token: amt(1)) == amt(900)
     assert vault.total_deposited == amt(1000)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rugsim.core import (
-    AccountId,
     DustError,
     FixedAmount,
     ParameterError,
@@ -30,7 +29,7 @@ from rugsim.vault import (
     whale_penalty,
 )
 
-from conftest import fund, solo
+from conftest import fund
 
 
 def mk_vault(registry=None, price=100, kind=ReceiptKind.FUNGIBLE, k="0",
@@ -126,16 +125,15 @@ def test_receipt_amounts_track_total_deposited(ledger):
 
 
 def test_anticoin_value_examples():
-    _, vault = mk_vault(price=100)
-    assert anticoin_value(vault, amt(100)) == amt(0)
-    assert anticoin_value(vault, amt(10)) == amt("2.302585093")
-    assert anticoin_value(vault, amt(200)) == amt(0)  # clamped, never negative
+    created = amt(100)
+    assert anticoin_value(created, amt(100)) == amt(0)
+    assert anticoin_value(created, amt(10)) == amt("2.302585093")
+    assert anticoin_value(created, amt(200)) == amt(0)  # clamped, never negative
 
 
 def test_anticoin_value_strictly_decreasing():
-    _, vault = mk_vault(price=100)
     grid = [FixedAmount(raw) for raw in range(SCALE // 100, 100 * SCALE, SCALE)]
-    values = [anticoin_value(vault, p) for p in grid]
+    values = [anticoin_value(amt(100), p) for p in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -230,16 +228,16 @@ def test_withdraw_first_small_is_near_gamma(ledger):
 
 def test_withdraw_sybil_split_costs_more_than_one_shot(ledger):
     registry, vault = mk_vault(k="0")
-    whale = solo("whale")
+    whale = "whale"
     ledger.mint("whale", "RUG", amt(100))
     registry.deposit(ledger, vault.vault_id, whale, amt(100))
-    sybils = [AccountId(value=f"sock{i}", owner="whale") for i in range(4)]
+    sybils = [f"sock{i}" for i in range(4)]
     for sock in sybils:
-        ledger.transfer("whale", sock.value, vault.anticoin, amt(25))
+        ledger.transfer("whale", sock, vault.anticoin, amt(25))
     total_penalty = amt(0)
     for sock in sybils:
         res = registry.withdraw(ledger, vault.vault_id, sock, amt(25), "treasury",
-                                related_accounts=[s.value for s in sybils])
+                                related_accounts=sybils, owner="whale")
         total_penalty = total_penalty + res.penalty
     assert total_penalty == amt("12.5")  # summation oracle: > 10 one-shot
     assert total_penalty > amt(100) * amt("0.1")
@@ -259,7 +257,7 @@ def test_withdraw_whale_surcharge_scales(ledger):
 
 def test_withdraw_without_anticoins_rejected(ledger):
     registry, vault = mk_vault()
-    nobody = solo("nobody")
+    nobody = "nobody"
     with pytest.raises(BalanceError):
         registry.withdraw(ledger, vault.vault_id, nobody, amt(1), "treasury")
 

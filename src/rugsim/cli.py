@@ -368,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "blocks", None) is not None and args.blocks < 1:  # nothing made yet
+        parser.error(f"argument --blocks: need at least one block, got {args.blocks}")
     return args.func(args)
 
 

@@ -75,7 +75,7 @@ from .market import PoolState
 from .perps import FundingParams, MaintenanceRule, PerpBook
 from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook, SlashParams
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
-from .trace import Trace
+from .trace import Trace, make_event
 from .vault import RewardEvent, VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
@@ -340,9 +340,8 @@ class Simulation:
             action=entry["action"], price_ref=self.prices.get(token, ZERO),
             liquidity_ref=self._pool_liquidity(pool), vault=entry["vault"],
             solver_fee_bps=entry["solver_fee_bps"])
-        self._event("intent_registered", owner=owner, pool=pool_id,
-                    theta_price=str(entry["theta_price"]),
-                    theta_liquidity=str(entry["theta_liquidity"]))
+        self._event("intent_registered", owner, pool_id, entry["theta_price"],
+                    entry["theta_liquidity"])
 
     # -- small helpers -------------------------------------------------------
 
@@ -362,28 +361,27 @@ class Simulation:
             return pool.reserve_x
         return pool.reserve_y
 
-    def _record_ledger_event(self, event: dict, amount: FixedAmount) -> None:
-        event["h"] = self.height
-        event["chain"] = self._chain_ctx
-        self.trace.record(event)
-        if event["type"] == "mint":
-            totals, key = self._unscanned_mints, event["token"]
-        elif event["type"] == "transfer":
-            totals, key = self._unscanned_outflows, (event["src"], event["token"])
+    def _record_ledger_event(self, event_type: str, *values: Any) -> None:
+        self.trace.record(make_event(event_type, self.height, self._chain_ctx, values, {}))
+        if event_type == "mint":
+            _, token, amount, _ = values
+            totals, key = self._unscanned_mints, token
+        elif event_type == "transfer":
+            src, _, token, amount, _ = values
+            totals, key = self._unscanned_outflows, (src, token)
         else:
             return
         unscanned = totals.get(key)
         if unscanned is not None:
             totals[key] = _checked(unscanned + amount.raw)
 
-    def _event(self, event_type: str, **fields: Any) -> None:
-        event = {"type": event_type, "h": self.height, "chain": self._chain_ctx}
-        event.update(fields)
-        self.trace.record(event)
+    def _event(self, event_type: str, *values: Any, **optional: Any) -> None:
+        """Record an event of this height and chain (see ``make_event``)."""
+        self.trace.record(make_event(event_type, self.height, self._chain_ctx, values,
+                                     optional))
 
-    def _failed(self, op: str, error: Exception, **fields: Any) -> None:
-        self._event("failed", op=op, error=type(error).__name__,
-                    detail=str(error), **fields)
+    def _failed(self, op: str, error: Exception, **optional: Any) -> None:
+        self._event("failed", op, type(error).__name__, str(error), **optional)
 
     def _enqueue(self, chain: str, execute_at: int, priority: int, kind: str,
                  action: Callable[[], None]) -> None:
@@ -404,9 +402,7 @@ class Simulation:
         self.ledger.transfer(account, pool_account, input_token, dx, memo=memo)
         self.ledger.transfer(pool_account, account, out_token, dy, memo=memo)
         self.pools[pool_id] = new_pool
-        self._event("swap", pool=pool_id, account=account, token_in=input_token,
-                    amount_in=str(dx), token_out=out_token, amount_out=str(dy),
-                    memo=memo)
+        self._event("swap", pool_id, account, input_token, dx, out_token, dy, memo)
         return dy
 
     # -- run loop -------------------------------------------------------------
@@ -480,8 +476,7 @@ class Simulation:
         for pool_id, monitor in view.monitors:
             signal = monitor.observe(height, self._pool_liquidity(self.pools[pool_id]))
             if signal is not None:
-                self._event("risk_signal", kind=signal.kind.value, pool=pool_id,
-                            magnitude=str(signal.magnitude))
+                self._event("risk_signal", signal.kind.value, signal.magnitude, pool=pool_id)
 
         # auxiliary metrics over activity since this chain's last scan
         # (everything the previous block did, nothing of this one yet), in
@@ -512,8 +507,7 @@ class Simulation:
             prev_liquidity[pool_id] = liquidity
         for signal in view.aux.scan(height, minted, outflow, balance_before, volume,
                                     delta_liq):
-            self._event("risk_signal", kind=signal.kind.value,
-                        magnitude=str(signal.magnitude))
+            self._event("risk_signal", signal.kind.value, signal.magnitude)
 
         # the moves against this chain's pending drains, timed as the module
         # docstring states; detector by detector, its front-runs, then the
@@ -535,9 +529,8 @@ class Simulation:
                         quoted = detection.plan_frontrun(pool, rug_token, holdings)
                         if quoted is None:
                             continue
-                        self._event("plan", kind="frontrun", account=name,
-                                    pool=pending.pool, amount=str(holdings),
-                                    quoted=str(quoted))
+                        self._event("plan", "frontrun", name, pending.pool,
+                                    amount=holdings, quoted=quoted)
                         self._enqueue(chain, height, PRIORITY_DRAIN + self.priority_boost,
                                       "plan_swap",
                                       partial(self._apply_swap, pending.pool, name,
@@ -548,8 +541,8 @@ class Simulation:
                                  self.ledger.balance(account, rug_token))
                     profit = detection.plan_sandwich(pool, rug_token, budget, pending.t_rug)
                     if profit is not None:
-                        self._event("plan", kind="sandwich", account=account,
-                                    pool=pending.pool, expected_profit=str(profit))
+                        self._event("plan", "sandwich", account, pending.pool,
+                                    expected_profit=profit)
                         self._enqueue(chain, pending.executes_at,
                                       PRIORITY_DRAIN + self.priority_boost, "sandwich_pre",
                                       partial(self._exec_sandwich_pre, pending, account,
@@ -572,9 +565,8 @@ class Simulation:
         for execution in detection.solver_step(self.intent_book, chain_prices,
                                                chain_liquidity, height,
                                                self._solver_bids):
-            self._event("intent_triggered", intent=execution.intent.intent_id,
-                        owner=execution.intent.owner,
-                        solver=execution.solver, fee_bps=execution.fee_bps)
+            self._event("intent_triggered", execution.intent.intent_id,
+                        execution.intent.owner, execution.solver, execution.fee_bps)
             self._enqueue(chain, height,
                           PRIORITY_DRAIN + max(1, self.priority_boost - 5),
                           "intent", partial(self._exec_intent, execution))
@@ -608,9 +600,8 @@ class Simulation:
             self.ledger.transfer(pool_account, creator, liquid_token,
                                  liquid_out, memo="drain")
             self.pools[pool_id] = new_pool
-        self._event("drain_executed", pool=pool_id, creator=creator,
-                    naive_target=str(naive_target), realized=str(liquid_out),
-                    spot_after=str(market.spot_price(self.pools[pool_id])))
+        self._event("drain_executed", pool_id, creator, naive_target, liquid_out,
+                    market.spot_price(self.pools[pool_id]))
         pending.executed = True
 
     def _exec_sandwich_pre(self, pending: PendingDrain, account: str,
@@ -637,8 +628,7 @@ class Simulation:
             cut = profit * self.sandwich_treasury_fraction
             self.ledger.transfer(account, TREASURY, liquid_token, cut,
                                  memo="sandwich-profit")
-            self._event("sandwich_settled", account=account,
-                        profit=str(profit), to_treasury=str(cut))
+            self._event("sandwich_settled", account, profit, cut)
 
     def _exec_backrun(self, pending: PendingDrain, account: str,
                       budget: FixedAmount, cap: FixedAmount) -> None:
@@ -657,8 +647,7 @@ class Simulation:
         owner = intent.owner
         holdings = self.ledger.balance(owner, intent.token)
         if holdings.raw <= 0:
-            self._event("intent_skipped", intent=intent.intent_id, owner=owner,
-                        reason="no holdings")
+            self._event("intent_skipped", intent.intent_id, owner, "no holdings")
             return
         if intent.action is IntentAction.EXIT_TO_NUMERAIRE:
             proceeds = self._apply_swap(intent.pool, owner, intent.token, holdings,
@@ -674,16 +663,15 @@ class Simulation:
                 raise StateError(f"no vault accepts {intent.token}")
             chain = self.vault_chain[vault_id]
             registry = self.registries[chain]
-            minted, _, reward = registry.deposit(self.ledger, vault_id,
-                                                 owner, holdings)
+            _, reward = registry.deposit(self.ledger, vault_id, owner, holdings)
             self._queue_reward(reward)
-            fee = minted * execution.fee_bps / 10000
+            fee = holdings * execution.fee_bps / 10000
             anticoin = registry.vault(vault_id).anticoin
             if fee.raw > 0:
                 self.ledger.transfer(owner, execution.solver, anticoin,
                                      fee, memo="solver-fee")
-        self._event("intent_executed", intent=intent.intent_id, owner=owner,
-                    solver=execution.solver, fee_bps=execution.fee_bps)
+        self._event("intent_executed", intent.intent_id, owner, execution.solver,
+                    execution.fee_bps)
 
     def _exec_peg_keeper(self, agent: dict) -> None:
         pool_id = agent["pool"]
@@ -702,9 +690,8 @@ class Simulation:
             return
         self._apply_swap(pool_id, agent["account"], trade.input_token,
                          trade.amount_in, memo="peg_keeper")
-        self._event("peg_trade", pool=pool_id, peg=str(peg),
-                    amount_in=str(trade.amount_in), token_in=trade.input_token,
-                    spot_after=str(market.spot_price(self.pools[pool_id])))
+        self._event("peg_trade", pool_id, peg, trade.amount_in, trade.input_token,
+                    market.spot_price(self.pools[pool_id]))
 
     # -- scripted ops ------------------------------------------------------------
 
@@ -725,26 +712,23 @@ class Simulation:
         self.pending_drains.append(pending)
         self._enqueue(self._chain_ctx, pending.executes_at, PRIORITY_DRAIN, "drain",
                       partial(self._exec_drain, pending))
-        self._event("drain_submitted", pool=pool_id, creator=pending.creator,
-                    t_rug=str(pending.t_rug), t_total=str(pending.t_total),
-                    executes_at=pending.executes_at)
+        self._event("drain_submitted", pool_id, account, pending.t_rug, pending.t_total,
+                    pending.executes_at)
 
     def _op_deposit(self, account: str, step: dict) -> None:
-        vault_id = step["vault"]
-        minted, receipt, reward = self.registries[self._chain_ctx].deposit(
-            self.ledger, vault_id, account, step["amount"])
+        vault_id, amount = step["vault"], step["amount"]
+        registry = self.registries[self._chain_ctx]
+        serial, reward = registry.deposit(self.ledger, vault_id, account, amount)
         self._queue_reward(reward)
-        self._event("deposit", vault=vault_id, account=account,
-                    amount=str(minted), receipt_kind=receipt.kind.value,
-                    serial=receipt.nft_serial)
+        self._event("deposit", vault_id, account, amount,
+                    registry.vault(vault_id).receipt_kind.value, serial)
 
     def _op_burn(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         supply, reward = self.registries[self._chain_ctx].burn_anticoins(
             self.ledger, vault_id, account, step["amount"])
         self._queue_reward(reward)
-        self._event("anticoin_burn", vault=vault_id, account=account,
-                    amount=str(step["amount"]), supply_after=str(supply))
+        self._event("anticoin_burn", vault_id, account, step["amount"], supply)
 
     def _op_withdraw(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
@@ -753,10 +737,8 @@ class Simulation:
             self.ledger, vault_id, account, step["amount"], TREASURY,
             related_accounts=related, owner=owner)
         self.total_penalties = self.total_penalties + result.penalty
-        self._event("withdraw", vault=vault_id, account=account,
-                    amount=str(step["amount"]), returned=str(result.returned),
-                    penalty=str(result.penalty), rate=str(result.rate),
-                    index=result.withdrawal_index)
+        self._event("withdraw", vault_id, account, step["amount"], result.returned,
+                    result.penalty, result.rate, result.withdrawal_index)
 
     def _op_transfer(self, account: str, step: dict) -> None:
         self.ledger.transfer(account, step["to"], step["token"],
@@ -782,8 +764,7 @@ class Simulation:
             shares[holder] *= 1 - added
         shares[account] = shares.get(account, Fraction(0)) + added
         self.pools[pool_id] = new_pool
-        self._event("add_liquidity", pool=pool_id, account=account,
-                    dx=str(dx), dy=str(dy))
+        self._event("add_liquidity", pool_id, account, dx, dy)
 
     def _op_remove_liquidity(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
@@ -809,8 +790,7 @@ class Simulation:
             for holder in list(shares):
                 shares[holder] /= 1 - removed
         self.pools[pool_id] = new_pool
-        self._event("remove_liquidity", pool=pool_id, account=account,
-                    out_x=str(out_x), out_y=str(out_y))
+        self._event("remove_liquidity", pool_id, account, out_x, out_y)
 
     def _op_open_position(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
@@ -821,10 +801,8 @@ class Simulation:
         position = book.open_position(
             self.ledger, account, step["collateral"], step["leverage"],
             step["direction"], mark, unit_value)
-        self._event("position_opened", vault=vault_id, account=account,
-                    position=position.position_id, collateral=str(position.collateral_ca),
-                    leverage=str(position.leverage), direction=step["direction"].value,
-                    entry=str(mark))
+        self._event("position_opened", vault_id, account, position.position_id,
+                    position.collateral_ca, position.leverage, step["direction"].value, mark)
 
     def _op_register_intent(self, account: str, step: dict) -> None:
         self._register_intent(step, account)
@@ -832,17 +810,15 @@ class Simulation:
     def _op_issue_bonded(self, account: str, step: dict) -> None:
         issuance = self.rugproof.issue_bonded_token(
             self.ledger, account, step["token"], step["total_issued"], step["x"])
-        self._event("bonded_issuance", issuance=issuance.issuance_id,
-                    issuer=account, token=step["token"],
-                    bond=str(issuance.bond))
+        self._event("bonded_issuance", issuance.issuance_id, account, step["token"],
+                    issuance.bond)
 
     def _op_rug_claim(self, account: str, step: dict) -> None:
         issuance_id = self._issuance_for_token(step["token"])
         claim = self.rugproof.submit_rug_claim(self.ledger, account,
                                                issuance_id, step["y"], self.height)
-        self._event("rug_claim", claim=claim.claim_id, issuance=issuance_id,
-                    claimant=account, bond=str(claim.claim_bond),
-                    challenge_end=claim.challenge_end)
+        self._event("rug_claim", claim.claim_id, issuance_id, account, claim.claim_bond,
+                    claim.challenge_end)
 
     def _issuance_for_token(self, token: TokenId) -> str:
         for issuance_id in sorted(self.rugproof.issuances):
@@ -858,30 +834,27 @@ class Simulation:
             raise StateError(f"no open claim on {issuance_id}")
         self.rugproof.cast_vote(claim, account,
                                 step["deposit"], step["side"], self.height)
-        self._event("rug_vote", claim=claim.claim_id, voter=account,
-                    side=step["side"], deposit=str(step["deposit"]))
+        self._event("rug_vote", claim.claim_id, account, step["side"], step["deposit"])
 
     def _op_issue_policy(self, account: str, step: dict) -> None:
         policy = self.insurance.issue_policy(
             self.ledger, account, step["insured"],
             step["insured_value"], step["x"], step["duration"], self.height)
-        self._event("policy_issued", policy=policy.policy_id,
-                    insurer=account, insured=step["insured"],
-                    bond=str(policy.insurer_bond))
+        self._event("policy_issued", policy.policy_id, account, step["insured"],
+                    policy.insurer_bond)
 
     def _op_submit_claim(self, account: str, step: dict) -> None:
         claim = self.insurance.submit_claim(self.ledger, step["policy"],
                                             account, step["y"], self.height,
                                             loss_claimed=step["loss"])
-        self._event("insurance_claim", claim=claim.claim_id, policy=step["policy"],
-                    claimant=account, bond=str(claim.claim_bond))
+        self._event("insurance_claim", claim.claim_id, step["policy"], account,
+                    claim.claim_bond)
 
     def _op_join_claim(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         joiner = self.insurance.join_claim(claim, account,
                                            step["loss"], step["w"], self.height)
-        self._event("claim_joined", claim=claim.claim_id,
-                    account=account, bond=str(joiner.bond))
+        self._event("claim_joined", claim.claim_id, account, joiner.bond)
 
     def _insurance_claim(self, claim_id: str):
         claim = self.insurance.claims.get(claim_id)
@@ -893,21 +866,18 @@ class Simulation:
         claim = self._insurance_claim(step["claim"])
         dispute = self.insurance.dispute_claim(claim, account,
                                                step["z"], self.height)
-        self._event("claim_disputed", claim=claim.claim_id,
-                    challenger=account, bond=str(dispute.bond))
+        self._event("claim_disputed", claim.claim_id, account, dispute.bond)
 
     def _op_vote_insurance(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.cast_vote(claim, account,
                                  step["deposit"], step["side"], self.height)
-        self._event("insurance_vote", claim=claim.claim_id,
-                    voter=account, side=step["side"])
+        self._event("insurance_vote", claim.claim_id, account, step["side"])
 
     def _op_escalate(self, account: str, step: dict) -> None:
         claim = self._insurance_claim(step["claim"])
         self.insurance.escalate(claim, account, self.height)
-        self._event("claim_escalated", claim=claim.claim_id,
-                    party=account, level=claim.escalation_level)
+        self._event("claim_escalated", claim.claim_id, account, claim.escalation_level)
 
     def _noise_trade(self, account: str, pool_id: str, prob: float, max_raw: int,
                      rng: random.Random) -> None:
@@ -939,18 +909,15 @@ class Simulation:
             if height % book.funding.interval_blocks == 0 and l_pool.raw > 0:
                 round_ = book.apply_funding(self.ledger, l_pool, height, TREASURY)
                 if round_ is not None:
-                    self._event("funding_round", vault=vault_id,
-                                rate=str(round_.rate),
-                                paying_side=round_.paying_side.value,
-                                transfers=round_.transfer_count,
-                                dust=str(round_.treasury_remainder))
+                    self._event("funding_round", vault_id, round_.rate,
+                                round_.paying_side.value, round_.transfer_count,
+                                round_.treasury_remainder)
             unit_value = anticoin_value(vault.price_at_creation, mark)
             events = book.flag_and_liquidate(self.ledger, mark, self._liquidation_bidder,
                                              height, PERP_SETTLEMENT, unit_value=unit_value)
             for event in events:
-                self._event("liquidation", vault=vault_id, position=event.position_id,
-                            kind=event.kind, liquidator=event.liquidator,
-                            fee_ca=str(event.fee_ca), swap_ca=str(event.swap_ca))
+                self._event("liquidation", vault_id, event.position_id, event.kind,
+                            event.liquidator, event.fee_ca, event.swap_ca)
                 if event.swap_ca.raw > 0 and self.perp_amm is not None:
                     try:
                         proceeds = self._apply_swap(self.perp_amm, PERP_SETTLEMENT,
@@ -967,31 +934,28 @@ class Simulation:
             claim = self.rugproof.claims[claim_id]
             if claim.status is ClaimStatus.VOTING and height >= claim.challenge_end:
                 resolution = self.rugproof.resolve_claim(claim, height)
-                self._event("rug_claim_resolved", claim=claim_id,
-                            outcome=resolution.outcome,
-                            slashed=str(resolution.slashed))
+                self._event("rug_claim_resolved", claim_id, resolution.outcome,
+                            resolution.slashed)
         for claim_id in sorted(self.insurance.claims):
             claim = self.insurance.claims[claim_id]
             if claim.phase in (ClaimPhase.APPROVED, ClaimPhase.REJECTED):
                 continue
             resolution = self.insurance.step_deadlines(self.ledger, claim, height)
             if resolution is not None:
-                self._event("insurance_resolved", claim=claim_id,
-                            outcome=resolution.outcome,
-                            slashed=str(resolution.slashed))
+                self._event("insurance_resolved", claim_id, resolution.outcome,
+                            resolution.slashed)
         for policy_id in sorted(self.insurance.policies):
             policy = self.insurance.policies[policy_id]
             if policy.status is PolicyStatus.ACTIVE and height >= policy.expires_at \
                     and self.insurance.open_claim_for(policy_id) is None:
                 self.insurance.expire_policy(policy_id, height)
-                self._event("policy_expired", policy=policy_id)
+                self._event("policy_expired", policy_id)
 
     def _queue_reward(self, reward: RewardEvent) -> None:
         deliver_at = self.height + self.scenario.bridge_delay_blocks
         self.bridge.append((deliver_at, reward))
-        self._event("reward_emitted", kind=reward.kind, vault=reward.vault,
-                    account=reward.account, amount=str(reward.amount),
-                    deliver_at=deliver_at)
+        self._event("reward_emitted", reward.kind, reward.vault, reward.account,
+                    reward.amount, deliver_at)
 
     def _phase_bridge(self, height: int) -> int:
         """Deliver the matured rewards; returns the raw R they minted."""
@@ -1003,8 +967,7 @@ class Simulation:
             self.ledger.mint(account, HOME_TOKEN, reward.amount,
                              memo=f"reward:{reward.kind}")
             minted += reward.amount.raw
-            self._event("bridge_delivery", kind=reward.kind, vault=reward.vault,
-                        account=account, amount=str(reward.amount))
+            self._event("bridge_delivery", reward.kind, reward.vault, account, reward.amount)
         return minted
 
     def _phase_tokenomics(self, height: int, minted: int) -> None:

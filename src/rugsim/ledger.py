@@ -13,7 +13,8 @@ token, so each token's sum is one pass over plain ints. Every credit is
 range-checked as a ``FixedAmount`` would be, before anything is written,
 so a failed operation changes nothing. Amounts enter and leave as
 ``FixedAmount``: one is built only in ``balance``, ``total_supply`` and
-``snapshot``.
+``snapshot``. Each movement goes to the recorder, if one is given, as its
+event type and fields; the ledger formats none of them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ class BalanceError(RugsimError):
 ENGINE_ACCOUNT_PREFIXES = ("pool:", "vault:", "perps:", "case:", "icase:",
                            "perps-settlement")
 
-# receives each movement's event and its amount (the event carries the
-# amount as a decimal string; the recorder gets the value itself)
-EventRecorder = Callable[[dict, FixedAmount], None]
+# receives each movement as its event type and fields, in the order
+# trace.EVENT_TYPES lists them, the amount as the FixedAmount itself
+EventRecorder = Callable[..., None]
 
 
 class Ledger:
@@ -42,11 +43,7 @@ class Ledger:
         # token -> account -> raw balance
         self._balances: defaultdict[TokenId, dict[str, int]] = defaultdict(dict)
         self._supply: dict[TokenId, int] = {}
-        self.recorder = recorder
-
-    def _record(self, event: dict, amount: FixedAmount) -> None:
-        if self.recorder is not None:
-            self.recorder(event, amount)
+        self._record = recorder if recorder is not None else lambda *event: None
 
     def balance_raw(self, account: str, token: TokenId) -> int:
         held = self._balances.get(token)
@@ -69,8 +66,7 @@ class Ledger:
         supply = _checked(self._supply.get(token, 0) + raw)
         held[account] = credited
         self._supply[token] = supply
-        self._record({"type": "mint", "account": account, "token": token,
-                      "amount": str(amount), "memo": memo}, amount)
+        self._record("mint", account, token, amount, memo)
 
     def burn(self, account: str, token: TokenId, amount: FixedAmount, memo: str = "") -> None:
         raw = amount.raw
@@ -84,8 +80,7 @@ class Ledger:
                 f"{account} holds {FixedAmount(bal)} {token}, cannot burn {amount}")
         self._balances[token][account] = bal - raw
         self._supply[token] -= raw
-        self._record({"type": "burn", "account": account, "token": token,
-                      "amount": str(amount), "memo": memo}, amount)
+        self._record("burn", account, token, amount, memo)
 
     def transfer(self, src: str, dst: str, token: TokenId, amount: FixedAmount,
                  memo: str = "") -> None:
@@ -102,8 +97,7 @@ class Ledger:
         credited = _checked(held.get(dst, 0) + raw)
         held[src] = bal - raw
         held[dst] = credited
-        self._record({"type": "transfer", "src": src, "dst": dst, "token": token,
-                      "amount": str(amount), "memo": memo}, amount)
+        self._record("transfer", src, dst, token, amount, memo)
 
     def check_conservation(self) -> None:
         """Assert sum of balances == recorded supply for every token; every

@@ -23,6 +23,7 @@ from .market import (DEFAULT_EPSILON_FLOOR, DEFAULT_FEE_BPS, DEFAULT_PEG_TOLERAN
                      DEFAULT_PRICE_RATE, RugKind)
 from .perps import (DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS, DEFAULT_LIQUIDATOR_FEE_FRACTION,
                     DEFAULT_MAINTENANCE_FRACTION, DEFAULT_MAX_LEVERAGE, Direction)
+from .trace import EVENT_TYPES
 from .vault import ReceiptKind, anticoin_id
 
 # the home chain's token: the treasury is minted tokenomics.initial_supply of it
@@ -502,6 +503,8 @@ SCENARIO_SCHEMA = {
                            for name, (chain, args) in SCRIPT_OPS.items()],
                 "...": {kind: _describe(params) for kind, params in AGENT_PARAMS.items()}}],
     "intents": [_describe(INTENT_ARGS)],
+    # what a run writes: each event type's fields beside type, h and chain
+    "(events)": {name: _describe(fields) for name, fields in EVENT_TYPES.items()},
 }
 
 

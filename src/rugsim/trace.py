@@ -3,9 +3,10 @@ terminal state snapshot, and the 64-bit FNV-1a trace hash over canonical
 event bytes, written and hashed in batches as the run records them. Also
 the independent verifier that replays a written trace.
 
-Canonical form: one JSON object per line, keys sorted, compact separators,
-all amounts as decimal strings. Identical (scenario, engine) pairs produce
-identical bytes, hence identical hashes.
+Canonical form: one JSON object per line, keys sorted, compact separators.
+``EVENT_TYPES`` declares every event's fields, and ``make_event`` builds
+each line from it, writing every amount as ``str(FixedAmount)``. Identical
+(scenario, engine) pairs produce identical bytes, hence identical hashes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,99 @@ STATE_FILE = "state.json"
 HASH_FILE = "hash.txt"
 
 TELEMETRY_COLUMNS = ("height", "emission", "burned", "current_supply", "target_supply")
+
+# Event field kinds: an amount is written as str(FixedAmount), an int as a
+# JSON number, a string as a JSON string. A fungible deposit's serial is
+# null, as is the liquidator of a flagged or auto-liquidated position.
+AMOUNT, INT, TEXT = "amount", "int", "string"
+INT_OR_NULL, TEXT_OR_NULL = "int or null", "string or null"
+
+# event type -> its fields, in the order the engine passes them, and their
+# kinds; every line also holds "type", "h" (the block height, an int) and
+# "chain" (a string). A field ending in "?" is optional and maps to (kind,
+# None), as in scenario.SCRIPT_OPS: it is passed by keyword, or omitted.
+EVENT_TYPES = {
+    "mint": {"account": TEXT, "token": TEXT, "amount": AMOUNT, "memo": TEXT},
+    "burn": {"account": TEXT, "token": TEXT, "amount": AMOUNT, "memo": TEXT},
+    "transfer": {"src": TEXT, "dst": TEXT, "token": TEXT, "amount": AMOUNT, "memo": TEXT},
+    "failed": {"op": TEXT, "error": TEXT, "detail": TEXT, "account?": (TEXT, None),
+               "vault?": (TEXT, None)},
+    "swap": {"pool": TEXT, "account": TEXT, "token_in": TEXT, "amount_in": AMOUNT,
+             "token_out": TEXT, "amount_out": AMOUNT, "memo": TEXT},
+    "add_liquidity": {"pool": TEXT, "account": TEXT, "dx": AMOUNT, "dy": AMOUNT},
+    "remove_liquidity": {"pool": TEXT, "account": TEXT, "out_x": AMOUNT, "out_y": AMOUNT},
+    "peg_trade": {"pool": TEXT, "peg": AMOUNT, "amount_in": AMOUNT, "token_in": TEXT,
+                  "spot_after": AMOUNT},
+    "drain_submitted": {"pool": TEXT, "creator": TEXT, "t_rug": AMOUNT, "t_total": AMOUNT,
+                        "executes_at": INT},
+    "drain_executed": {"pool": TEXT, "creator": TEXT, "naive_target": AMOUNT,
+                       "realized": AMOUNT, "spot_after": AMOUNT},
+    "risk_signal": {"kind": TEXT, "magnitude": AMOUNT, "pool?": (TEXT, None)},
+    # a frontrun plan quotes its amount, a sandwich plan its profit
+    "plan": {"kind": TEXT, "account": TEXT, "pool": TEXT, "amount?": (AMOUNT, None),
+             "quoted?": (AMOUNT, None), "expected_profit?": (AMOUNT, None)},
+    "sandwich_settled": {"account": TEXT, "profit": AMOUNT, "to_treasury": AMOUNT},
+    "intent_registered": {"owner": TEXT, "pool": TEXT, "theta_price": AMOUNT,
+                          "theta_liquidity": AMOUNT},
+    "intent_triggered": {"intent": INT, "owner": TEXT, "solver": TEXT, "fee_bps": INT},
+    "intent_skipped": {"intent": INT, "owner": TEXT, "reason": TEXT},
+    "intent_executed": {"intent": INT, "owner": TEXT, "solver": TEXT, "fee_bps": INT},
+    "deposit": {"vault": TEXT, "account": TEXT, "amount": AMOUNT, "receipt_kind": TEXT,
+                "serial": INT_OR_NULL},
+    "anticoin_burn": {"vault": TEXT, "account": TEXT, "amount": AMOUNT,
+                      "supply_after": AMOUNT},
+    "withdraw": {"vault": TEXT, "account": TEXT, "amount": AMOUNT, "returned": AMOUNT,
+                 "penalty": AMOUNT, "rate": AMOUNT, "index": INT},
+    "reward_emitted": {"kind": TEXT, "vault": TEXT, "account": TEXT, "amount": AMOUNT,
+                       "deliver_at": INT},
+    "bridge_delivery": {"kind": TEXT, "vault": TEXT, "account": TEXT, "amount": AMOUNT},
+    "position_opened": {"vault": TEXT, "account": TEXT, "position": INT,
+                        "collateral": AMOUNT, "leverage": AMOUNT, "direction": TEXT,
+                        "entry": AMOUNT},
+    "funding_round": {"vault": TEXT, "rate": AMOUNT, "paying_side": TEXT, "transfers": INT,
+                      "dust": AMOUNT},
+    "liquidation": {"vault": TEXT, "position": INT, "kind": TEXT, "liquidator": TEXT_OR_NULL,
+                    "fee_ca": AMOUNT, "swap_ca": AMOUNT},
+    "bonded_issuance": {"issuance": TEXT, "issuer": TEXT, "token": TEXT, "bond": AMOUNT},
+    "rug_claim": {"claim": TEXT, "issuance": TEXT, "claimant": TEXT, "bond": AMOUNT,
+                  "challenge_end": INT},
+    "rug_vote": {"claim": TEXT, "voter": TEXT, "side": TEXT, "deposit": AMOUNT},
+    "rug_claim_resolved": {"claim": TEXT, "outcome": TEXT, "slashed": AMOUNT},
+    "policy_issued": {"policy": TEXT, "insurer": TEXT, "insured": TEXT, "bond": AMOUNT},
+    "insurance_claim": {"claim": TEXT, "policy": TEXT, "claimant": TEXT, "bond": AMOUNT},
+    "claim_joined": {"claim": TEXT, "account": TEXT, "bond": AMOUNT},
+    "claim_disputed": {"claim": TEXT, "challenger": TEXT, "bond": AMOUNT},
+    "insurance_vote": {"claim": TEXT, "voter": TEXT, "side": TEXT},
+    "claim_escalated": {"claim": TEXT, "party": TEXT, "level": INT},
+    "insurance_resolved": {"claim": TEXT, "outcome": TEXT, "slashed": AMOUNT},
+    "policy_expired": {"policy": TEXT},
+}
+
+# event type -> (its required fields in order, the amounts among them, its
+# optional fields -> whether each is an amount)
+_LAYOUTS = {kind: (tuple(name for name in fields if name[-1] != "?"),
+                   tuple(name for name, field in fields.items() if field == AMOUNT),
+                   {name[:-1]: field[0] == AMOUNT
+                    for name, field in fields.items() if name[-1] == "?"})
+            for kind, fields in EVENT_TYPES.items()}
+
+
+def make_event(event_type: str, height: int, chain: str, values: tuple,
+               optional: dict) -> dict:
+    """An event's line: its required fields' ``values`` in table order, its
+    ``optional`` ones by name, and only the table's amounts formatted, with
+    str(). An unknown type or field, or a wrong count of values, raises."""
+    names, amounts, optionals = _LAYOUTS[event_type]
+    if len(values) != len(names):  # zip(strict=True) made the whole call ~15% slower
+        raise ValueError(f"{event_type} takes {len(names)} values, got {len(values)}")
+    event = dict(zip(names, values))
+    event["type"], event["h"], event["chain"] = event_type, height, chain
+    for name in amounts:
+        event[name] = str(event[name])
+    if optional:
+        for name, value in optional.items():
+            event[name] = str(value) if optionals[name] else value
+    return event
 
 
 # json.dumps(..., sort_keys=True, separators=(",", ":")) without building an
@@ -177,8 +271,8 @@ class VerifyResult:
 
 # an amount as the writer emits it: str(FixedAmount)
 _AMOUNT = re.compile(r"-?[0-9]+(?:\.[0-9]{1,9})?")
-# the accounts each ledger movement names
-_MOVES = {"mint": ("account",), "burn": ("account",), "transfer": ("src", "dst")}
+# the accounts each ledger movement names: its fields before token, amount, memo
+_MOVES = {kind: tuple(EVENT_TYPES[kind])[:-3] for kind in ("mint", "burn", "transfer")}
 
 
 def _amount_raw(value: object) -> Optional[int]:

@@ -1,6 +1,6 @@
-"""Vault registry: deposits of rugged tokens with 1:1 anticoin issuance and
-receipts, anticoin valuation under the inverse logarithmic peg, burns, and
-the whale / cumulative withdrawal-penalty game.
+"""Vault registry: deposits of rugged tokens with 1:1 anticoin issuance (the
+anticoins are the deposit's receipt), anticoin valuation under the inverse
+logarithmic peg, burns, and the whale / cumulative withdrawal-penalty game.
 
 Withdrawal penalties are owner-aggregated: the registry counts prior
 withdrawals per beneficial owner (simulator ground truth), so splitting
@@ -75,15 +75,6 @@ class Vault:
     @property
     def anticoin_supply(self) -> FixedAmount:
         return self.total_deposited - self.total_burned - self.total_withdrawn
-
-
-class Receipt(NamedTuple):
-    vault: VaultId
-    holder: str
-    kind: ReceiptKind
-    amount: FixedAmount
-    nft_serial: Optional[int] = None
-    rft_shares: Optional[FixedAmount] = None
 
 
 class RewardEvent(NamedTuple):
@@ -199,8 +190,10 @@ class VaultRegistry:
         return vault
 
     def deposit(self, ledger: Ledger, vault_id: VaultId, user: str,
-                amount: FixedAmount) -> tuple[FixedAmount, Receipt, RewardEvent]:
-        """Deposit rugged tokens; mint anticoins 1:1 plus a typed receipt."""
+                amount: FixedAmount) -> tuple[Optional[int], RewardEvent]:
+        """Deposit rugged tokens and mint anticoins 1:1. Returns the
+        deposit's serial (None in a fungible vault, which numbers none) and
+        its reward."""
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"deposit must be > 0, got {amount}")
@@ -210,16 +203,11 @@ class VaultRegistry:
         vault.total_deposited = vault.total_deposited + amount
 
         serial = None
-        shares = None
         if vault.receipt_kind is not ReceiptKind.FUNGIBLE:
             serial = vault.next_serial
             vault.next_serial += 1
-        if vault.receipt_kind is ReceiptKind.REFUNGIBLE:
-            shares = amount
-        receipt = Receipt(vault=vault_id, holder=user, kind=vault.receipt_kind,
-                          amount=amount, nft_serial=serial, rft_shares=shares)
         reward = RewardEvent("deposit", vault_id, self.chain, user, vault.omega * amount)
-        return amount, receipt, reward
+        return serial, reward
 
     def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: str,
                        amount: FixedAmount) -> tuple[FixedAmount, RewardEvent]:

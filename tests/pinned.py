@@ -47,28 +47,30 @@ CORPUS: dict[str, tuple[str | Callable[[], dict], list[str], str]] = {
 }
 
 
+def run_entry(name: str, work: Path) -> tuple[str, Path]:
+    """Run one corpus entry in a directory of its own under ``work``;
+    returns its digest and that directory. Raises RuntimeError if the
+    command exits non-zero."""
+    source, extra, command = CORPUS[name]
+    out = work / f"run-{list(CORPUS).index(name)}"
+    if callable(source):
+        spec = out.with_suffix(".json")
+        spec.write_text(json.dumps(source()), encoding="utf-8")
+    else:
+        spec = source
+    argv = [command, "--scenario", str(spec), "--out", str(out), *extra]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"{name}: `rugsim {' '.join(argv)}` exited {code}")
+    if command == "run":
+        return (out / "hash.txt").read_text(encoding="utf-8").strip(), out
+    return hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest(), out
+
+
 def run_corpus(work: Path) -> dict[str, tuple[str, Path]]:
-    """Run every corpus entry under ``work``; name -> (digest, the run's
-    output directory). Raises RuntimeError if a command exits non-zero."""
-    results = {}
-    for i, (name, (source, extra, command)) in enumerate(CORPUS.items()):
-        out = work / f"run-{i}"
-        if callable(source):
-            spec = work / f"doc-{i}.json"
-            spec.write_text(json.dumps(source()), encoding="utf-8")
-        else:
-            spec = source
-        argv = [command, "--scenario", str(spec), "--out", str(out), *extra]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        if code != 0:
-            raise RuntimeError(f"{name}: `rugsim {' '.join(argv)}` exited {code}")
-        if command == "run":
-            digest = (out / "hash.txt").read_text(encoding="utf-8").strip()
-        else:
-            digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
-        results[name] = digest, out
-    return results
+    """name -> (digest, output directory) of every corpus entry, run in turn."""
+    return {name: run_entry(name, work) for name in CORPUS}
 
 
 def load_pins() -> dict[str, str]:

@@ -288,6 +288,21 @@ def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch)
     assert list((out / "vaults.0.penalty_lambda=1.2").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("blocks", ["0", "-3"])
+def test_blocks_below_one_are_refused_before_anything_is_created(tmp_path, capsys,
+                                                                 command, blocks):
+    argv = [command, "--scenario", "builtin:scam", "--blocks", blocks,
+            "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--param", "seed=1:2:1"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"need at least one block, got {blocks}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _file_in_the_way(tmp_path):
     blocker = tmp_path / "F"
     blocker.write_text("")

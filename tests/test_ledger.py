@@ -84,7 +84,8 @@ class _FixedLedger:
     def __init__(self):
         self.balances: dict[tuple[str, str], FixedAmount] = {}
         self.supply: dict[str, FixedAmount] = {}
-        self.events: list[tuple[dict, FixedAmount]] = []
+        # each movement as the ledger's recorder receives it
+        self.events: list[tuple] = []
 
     def get(self, account, token):
         return self.balances.get((account, token), FixedAmount(0))
@@ -97,8 +98,7 @@ class _FixedLedger:
         credited = self.get(account, token) + amount
         supply = self.supply.get(token, FixedAmount(0)) + amount
         self.balances[(account, token)], self.supply[token] = credited, supply
-        self.events.append(({"type": "mint", "account": account, "token": token,
-                             "amount": str(amount), "memo": ""}, amount))
+        self.events.append(("mint", account, token, amount, ""))
 
     def burn(self, account, token, amount):
         if amount.raw < 0:
@@ -110,8 +110,7 @@ class _FixedLedger:
             raise BalanceError(f"{account} holds {bal} {token}, cannot burn {amount}")
         self.balances[(account, token)] = bal - amount
         self.supply[token] = self.supply[token] - amount
-        self.events.append(({"type": "burn", "account": account, "token": token,
-                             "amount": str(amount), "memo": ""}, amount))
+        self.events.append(("burn", account, token, amount, ""))
 
     def transfer(self, src, dst, token, amount):
         if amount.raw < 0:
@@ -123,8 +122,7 @@ class _FixedLedger:
             raise BalanceError(f"{src} holds {bal} {token}, cannot send {amount}")
         credited = self.get(dst, token) + amount
         self.balances[(src, token)], self.balances[(dst, token)] = bal - amount, credited
-        self.events.append(({"type": "transfer", "src": src, "dst": dst, "token": token,
-                             "amount": str(amount), "memo": ""}, amount))
+        self.events.append(("transfer", src, dst, token, amount, ""))
 
 
 def _outcome(call):
@@ -150,8 +148,8 @@ fixed_ops = st.lists(st.tuples(st.sampled_from(("mint", "burn", "transfer")),
 def test_raw_ledger_matches_a_fixed_amount_ledger(ops):
     # outcomes and error texts op by op, then balances, supply, snapshot
     # and the recorded movements
-    events: list[tuple[dict, FixedAmount]] = []
-    ledger = Ledger(recorder=lambda event, amount: events.append((event, amount)))
+    events: list[tuple] = []
+    ledger = Ledger(recorder=lambda *event: events.append(event))
     model = _FixedLedger()
     for op, src, dst, token, raw in ops:
         amount = FixedAmount(raw)

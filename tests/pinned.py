@@ -44,6 +44,11 @@ CORPUS: dict[str, tuple[str | Callable[[], dict], list[str], str]] = {
     "storm_doc(31337)": (lambda: workloads.storm_doc(31337), [], "run"),
     "builtin:reference lambda sweep (summary.csv sha256)": (
         "builtin:reference", ["--param", workloads.SWEEP_PARAM], "sweep"),
+    # points share the parsed lists their path leaves alone: this one
+    # re-parses `pools` and reuses `agents` and `accounts`
+    "storm_doc(777) pools.0.fee_bps sweep (summary.csv sha256)": (
+        lambda: workloads.storm_doc(777),
+        ["--param", "pools.0.fee_bps=10:50:10", "--blocks", "10"], "sweep"),
 }
 
 

@@ -168,9 +168,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # every point is written into its own copy and loaded before any run,
     # so that a bad key, value or point is refused before anything is written;
-    # two points with one text would share a run directory and a summary row
+    # two points with one text would share a run directory and a summary row;
+    # the points share the memo, so each parses only the lists its path copied
     rest = args.param.partition("=")[2]
     points = []
+    memo: dict = {}
     for value in values:
         doc = _copy_path(base, key)
         try:
@@ -183,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return _fail(f"bad --param: two points of {rest!r} quantize to {text}",
                          EXIT_INPUT)
         try:
-            points.append((text, load_scenario(doc)))
+            points.append((text, load_scenario(doc, memo)))
         except ScenarioError as exc:
             return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
 

@@ -395,9 +395,15 @@ class Simulation:
     def _apply_swap(self, pool_id: str, account: str, input_token: TokenId,
                     dx: FixedAmount, memo: str) -> Optional[FixedAmount]:
         """Execute a swap against a pool, mirroring reserves in the ledger."""
-        pool = self.pools[pool_id]
-        dy, new_pool = market.pool_swap(pool, input_token, dx)
-        out_token = pool.other(input_token)
+        dy, new_pool = market.pool_swap(self.pools[pool_id], input_token, dx)
+        return self._settle_swap(pool_id, account, input_token, dx, dy, new_pool, memo)
+
+    def _settle_swap(self, pool_id: str, account: str, input_token: TokenId,
+                     dx: FixedAmount, dy: FixedAmount, new_pool: PoolState,
+                     memo: str) -> FixedAmount:
+        """Move a sized swap's two legs through the ledger, set the pool to
+        ``new_pool`` and record the swap."""
+        out_token = new_pool.other(input_token)
         pool_account = self._pool_account(pool_id)
         self.ledger.transfer(account, pool_account, input_token, dx, memo=memo)
         self.ledger.transfer(pool_account, account, out_token, dy, memo=memo)
@@ -688,8 +694,8 @@ class Simulation:
         trade = market.peg_keeper_step(pool, peg, budget, agent["tolerance"])
         if trade is None:
             return
-        self._apply_swap(pool_id, agent["account"], trade.input_token,
-                         trade.amount_in, memo="peg_keeper")
+        self._settle_swap(pool_id, agent["account"], trade.input_token, trade.amount_in,
+                          trade.amount_out, trade.pool, memo="peg_keeper")
         self._event("peg_trade", pool_id, peg, trade.amount_in, trade.input_token,
                     market.spot_price(self.pools[pool_id]))
 

@@ -13,7 +13,7 @@ path, e.g. ``vaults[0].theta``.
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import insurance, rugproof
 from .core import MAX_RAW, ONE, SCALE, FixedAmount, RugsimError, amt
@@ -320,9 +320,9 @@ def _check_genesis_totals(accounts: list[dict], pools: list[dict],
                                       f"{FixedAmount(MAX_RAW)}")
 
 
-def _parse_list(doc: dict, key: str, fields: dict, refs: dict) -> list[dict]:
+def _parse_list(entries: list, key: str, fields: dict, refs: dict) -> list[dict]:
     return [_parse_args(entry, fields, f"{key}[{i}]", refs)
-            for i, entry in enumerate(_entries(doc, key))]
+            for i, entry in enumerate(entries)]
 
 
 class Scenario(NamedTuple):
@@ -351,16 +351,11 @@ class Scenario(NamedTuple):
     intents: list[dict]
 
 
-def load_scenario(doc: dict) -> Scenario:
-    """Parse a scenario document by its tables, then check the rules that
-    join fields; every module invariant that can be checked statically is
-    checked here, by path."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("", "scenario must be a JSON object")
-    refs: dict[str, set] = {kind: set() for kind in REF_KINDS}
-    top = _parse_args(doc, SCENARIO_FIELDS, "", refs)
+# Each list section's parse and checks, from its document list and the ids
+# declared before it; the ids it declares go into refs.
 
-    tokens = _parse_list(doc, "tokens", TOKEN_FIELDS, refs)
+def _load_tokens(entries: list, refs: dict) -> list[dict]:
+    tokens = _parse_list(entries, "tokens", TOKEN_FIELDS, refs)
     for i, token in enumerate(tokens):
         process = token["price_process"]
         if process is None:
@@ -368,18 +363,23 @@ def load_scenario(doc: dict) -> Scenario:
         refs[PRICED_TOKEN].add(token["id"])
         rate, kind = PRICE_RATES[process["kind"]]
         path = f"tokens[{i}].price_process.{rate}"
-        if process["kind"] is RugKind.SCAM and rate not in doc["tokens"][i]["price_process"]:
+        if process["kind"] is RugKind.SCAM and rate not in entries[i]["price_process"]:
             raise ScenarioError(path, "scam process needs tau_rug")
         _in_range(kind, AMOUNT_RANGES, process[rate].raw, str(process[rate]), path)
+    return tokens
 
-    accounts = _parse_list(doc, "accounts", ACCOUNT_FIELDS, refs)
+
+def _load_accounts(entries: list, refs: dict) -> list[dict]:
+    accounts = _parse_list(entries, "accounts", ACCOUNT_FIELDS, refs)
     for i, account in enumerate(accounts):
         _not_engine_account(account["id"], f"accounts[{i}].id")
         if account["owner"] is None:
             account["owner"] = account["id"]
+    return accounts
 
-    refs[POOL_TOKEN].update(refs[TOKEN])
-    vaults = _parse_list(doc, "vaults", VAULT_FIELDS, refs)
+
+def _load_vaults(entries: list, refs: dict) -> list[dict]:
+    vaults = _parse_list(entries, "vaults", VAULT_FIELDS, refs)
     anticoins: set[str] = set()
     for i, vault in enumerate(vaults):
         if vault["theta"] <= vault["omega"]:
@@ -400,29 +400,22 @@ def load_scenario(doc: dict) -> Scenario:
                                 f"its anticoin {anticoin} is a declared token")
         anticoins.add(anticoin)
     refs[POOL_TOKEN].update(anticoins)
-    pools = _parse_list(doc, "pools", POOL_FIELDS, refs)
+    return vaults
+
+
+def _load_pools(entries: list, refs: dict) -> list[dict]:
+    pools = _parse_list(entries, "pools", POOL_FIELDS, refs)
     for i, pool in enumerate(pools):
         if pool["token_y"] == pool["token_x"]:
             raise ScenarioError(f"pools[{i}].token_y",
                                 f"a pool trades two tokens, got {pool['token_x']!r} twice")
+    return pools
 
-    sections = _parse_args(doc, SECTION_FIELDS, "", refs)
-    _check_genesis_totals(accounts, pools, sections["tokenomics"])
-    perps = sections["perps"]
-    if perps is not None:
-        refs[PERPS_VAULT].update(perps["enabled_vaults"])
-        if perps["liquidator_fee_fraction"] >= perps["maintenance_fraction"]:
-            raise ScenarioError("perps.liquidator_fee_fraction", "must be below "
-                                f"maintenance_fraction {perps['maintenance_fraction']}, "
-                                f"got {perps['liquidator_fee_fraction']}")
-    multiplier = sections["insurance"]["escalation_bond_multiplier"]
-    if multiplier <= ONE:
-        raise ScenarioError("insurance.escalation_bond_multiplier",
-                            f"must be > 1, got {multiplier}")
 
-    agents = _parse_list(doc, "agents", AGENT_ARGS, refs)
+def _load_agents(entries: list, refs: dict) -> list[dict]:
+    agents = _parse_list(entries, "agents", AGENT_ARGS, refs)
     agent_accounts: set[str] = set()
-    for i, (agent, entry) in enumerate(zip(agents, _entries(doc, "agents"))):
+    for i, (agent, entry) in enumerate(zip(agents, entries)):
         path = f"agents[{i}]"
         if agent["account"] in agent_accounts:
             raise ScenarioError(f"{path}.account",
@@ -442,8 +435,76 @@ def load_scenario(doc: dict) -> Scenario:
                                     f"need 0 <= t_rug <= t_total, got "
                                     f"{parsed['t_rug']}/{parsed['t_total']}")
             agent["script"].append(parsed)
+    return agents
 
-    intents = _parse_list(doc, "intents", INTENT_ARGS, refs)
+
+def _load_intents(entries: list, refs: dict) -> list[dict]:
+    return _parse_list(entries, "intents", INTENT_ARGS, refs)
+
+
+def _section(memo: Optional[dict], key: str, entries: list, refs: dict,
+             load: Callable[[list, dict], list[dict]]) -> list[dict]:
+    """``load(entries, refs)``. With a memo, a list that an earlier load
+    parsed from equal refs is not parsed again: that parse is returned and
+    the ids it declared are added to refs. The memo keeps each key's last
+    parse that succeeded."""
+    if memo is None:
+        return load(entries, refs)
+    kept = memo.get(key)
+    if kept is not None and kept[0] is entries and kept[1] == refs:
+        for kind, ids in kept[3].items():
+            refs[kind] |= ids
+        return kept[2]
+    before = {kind: set(ids) for kind, ids in refs.items()}
+    parsed = load(entries, refs)
+    memo[key] = (entries, before, parsed,
+                 {kind: ids - before[kind] for kind, ids in refs.items()})
+    return parsed
+
+
+def load_scenario(doc: dict, memo: Optional[dict] = None) -> Scenario:
+    """Parse a scenario document by its tables, then check the rules that
+    join fields; every module invariant that can be checked statically is
+    checked here, by path.
+
+    ``memo``, an initially empty dict shared by the loads of documents that
+    share lists (a sweep's points), lets a load reuse the parse of a list
+    section (tokens, accounts, vaults, pools, agents, intents) when its list
+    is the very object an earlier load parsed and the ids declared before it
+    are equal. The other fields and every check that joins sections run as
+    without it, so a load returns the same value, or raises the same error,
+    with or without a memo. The reused parse is shared, so a caller must not
+    change the lists and dicts of a returned scenario."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("", "scenario must be a JSON object")
+    refs: dict[str, set] = {kind: set() for kind in REF_KINDS}
+    top = _parse_args(doc, SCENARIO_FIELDS, "", refs)
+
+    def section(key: str, load: Callable[[list, dict], list[dict]]) -> list[dict]:
+        return _section(memo, key, _entries(doc, key), refs, load)
+
+    tokens = section("tokens", _load_tokens)
+    accounts = section("accounts", _load_accounts)
+    refs[POOL_TOKEN].update(refs[TOKEN])
+    vaults = section("vaults", _load_vaults)
+    pools = section("pools", _load_pools)
+
+    sections = _parse_args(doc, SECTION_FIELDS, "", refs)
+    _check_genesis_totals(accounts, pools, sections["tokenomics"])
+    perps = sections["perps"]
+    if perps is not None:
+        refs[PERPS_VAULT].update(perps["enabled_vaults"])
+        if perps["liquidator_fee_fraction"] >= perps["maintenance_fraction"]:
+            raise ScenarioError("perps.liquidator_fee_fraction", "must be below "
+                                f"maintenance_fraction {perps['maintenance_fraction']}, "
+                                f"got {perps['liquidator_fee_fraction']}")
+    multiplier = sections["insurance"]["escalation_bond_multiplier"]
+    if multiplier <= ONE:
+        raise ScenarioError("insurance.escalation_bond_multiplier",
+                            f"must be > 1, got {multiplier}")
+
+    agents = section("agents", _load_agents)
+    intents = section("intents", _load_intents)
     return Scenario(doc=doc, **top, tokens=tokens, accounts=accounts, vaults=vaults,
                     pools=pools, **sections, agents=agents, intents=intents)
 

@@ -164,7 +164,13 @@ class Trace:
         self._state = FNV_OFFSET
         self._hashed = 0   # events[:_hashed] are in _state (kept traces only)
         self._written = 0  # events written and dropped (streaming traces only)
+        # the directories os.makedirs creates, deepest first; discard() removes them
+        self._made_dirs: list[str] = []
         if out_dir is not None:
+            path = os.path.abspath(out_dir)
+            while not os.path.exists(path):
+                self._made_dirs.append(path)
+                path = os.path.dirname(path)
             os.makedirs(out_dir, exist_ok=True)
             self._events_file = open(os.path.join(out_dir, EVENTS_FILE + PARTIAL), "wb")
             self._telemetry_file = open(os.path.join(out_dir, TELEMETRY_FILE + PARTIAL),
@@ -248,12 +254,16 @@ class Trace:
 
     def discard(self) -> None:
         """Close a streaming trace's files and delete them, for a run that
-        failed; a trace without a directory has none."""
+        failed, then each directory the trace created that is left empty; a
+        trace without a directory has none."""
         if self.out_dir is None:
             return
         for handle in (self._events_file, self._telemetry_file):
             handle.close()
             os.remove(handle.name)
+        for path in self._made_dirs:
+            with contextlib.suppress(OSError):  # not empty
+                os.rmdir(path)
 
 
 class VerifyResult:

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+import pinned
 import rugsim
 from rugsim import cli
 from rugsim.cli import main
-from rugsim.core import RugsimError, amt
+from rugsim.core import RangeError, RugsimError, amt
 from rugsim.detection import Intent
 from rugsim.harness import Simulation
 from rugsim.insurance import InsuranceParams
@@ -43,6 +44,7 @@ from rugsim.scenario import (
     UNIT,
     VAULT,
     VAULT_FIELDS,
+    ScenarioError,
     load_scenario,
     reference_scenario,
     scam_scenario,
@@ -270,7 +272,7 @@ def test_a_run_that_fails_leaves_no_trace_files(tmp_path, capsys, monkeypatch):
     assert main(["run", "--scenario", "builtin:reference", "--blocks", "1000",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "scenario error: injected failure\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # the run made it, and left it empty
 
 
 def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch):
@@ -281,11 +283,9 @@ def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch)
                  "--out", str(out), "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2
     assert capsys.readouterr().err == (
         "scenario error at vaults.0.penalty_lambda=1.2: injected failure\n")
-    assert sorted(path.name for path in out.iterdir()) == [
-        "vaults.0.penalty_lambda=1.1", "vaults.0.penalty_lambda=1.2"]
+    assert [path.name for path in out.iterdir()] == ["vaults.0.penalty_lambda=1.1"]
     assert sorted(path.name for path in (out / "vaults.0.penalty_lambda=1.1").iterdir()) \
         == sorted(TRACE_FILES)
-    assert list((out / "vaults.0.penalty_lambda=1.2").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -400,6 +400,79 @@ def test_each_sweep_point_copies_only_its_path():
     # a path that leaves the document copies what it can and raises nothing
     for dotted in ("nope.x", "vaults.9.theta", "chains.a.b", "seed.x"):
         assert cli._copy_path(base, dotted) == base
+
+
+def _scalar_leaves(node, prefix=""):
+    """The dotted path of every string or int (not bool) in a document."""
+    for key, value in enumerate(node) if isinstance(node, list) else node.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, (dict, list)):
+            yield from _scalar_leaves(value, path + ".")
+        elif isinstance(value, (str, int)) and not isinstance(value, bool):
+            yield path
+
+
+def _load_outcome(doc, memo=None):
+    try:
+        return load_scenario(doc, memo)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def test_a_memo_load_equals_a_fresh_load():
+    # sweep points, built as cmd_sweep builds them, at every scalar leaf of
+    # the builtins and at the first leaf of each storm section plus every
+    # 500th; an id leaf receives numeric text, which changes the ids the
+    # later lists are checked against. One memo serves every point of a base.
+    storm = pinned.workloads.storm_doc(777)
+    storm_leaves, sections = [], set()
+    for i, path in enumerate(_scalar_leaves(storm)):
+        section = path.partition(".")[0]
+        if section not in sections or i % 500 == 0:
+            storm_leaves.append(path)
+        sections.add(section)
+    bases = [(reference_scenario(), list(_scalar_leaves(reference_scenario()))),
+             (scam_scenario(), list(_scalar_leaves(scam_scenario()))),
+             (storm, storm_leaves)]
+    loads = failures = 0
+    for base, leaves in bases:
+        memo = {}
+        for path in leaves:
+            for value in (Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(10**19)):
+                doc = cli._copy_path(base, path)
+                try:
+                    cli._set_path(doc, path, value)
+                except (RangeError, ValueError):  # refused before any load
+                    continue
+                fresh = _load_outcome(doc)
+                assert _load_outcome(doc, memo) == fresh, (path, value)
+                loads += 1
+                failures += isinstance(fresh, str)
+    assert "tokens.0.id" in storm_leaves and "agents.0.kind" in storm_leaves
+    assert 0 < failures < loads
+
+
+def test_a_sweep_whose_base_fails_to_load_runs_points_that_load(tmp_path):
+    doc = scam_scenario()
+    doc["vaults"][0]["penalty_lambda"] = "1"  # must be > 1
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "run")]) == 2
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", path, "--out", str(out),
+                 "--param", "vaults.0.penalty_lambda=1.5:2:0.5"]) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1.5", "2"]
+
+
+def test_a_sweep_point_that_fails_in_a_parsed_list_writes_nothing(tmp_path, capsys):
+    # the first point fills the memo; the second re-parses vaults and fails
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", "builtin:scam", "--out", str(out),
+                 "--param", "vaults.0.omega=0.01:0.02:0.01"]) == 2
+    assert capsys.readouterr() == ("", "scenario error at vaults.0.omega=0.02: "
+                                       "vaults[0].theta: burn reward 0.02 must exceed "
+                                       "deposit reward 0.02\n")
+    assert not out.exists()
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():

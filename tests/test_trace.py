@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from rugsim import core, trace as trace_module
 from rugsim.cli import main
-from rugsim.core import MAX_RAW, SCALE, amt, fnv1a_64
+from rugsim.core import MAX_RAW, SCALE, ParameterError, amt, fnv1a_64
 from rugsim.harness import Simulation, run_scenario
-from rugsim.scenario import reference_scenario
+from rugsim.scenario import load_scenario, reference_scenario, scam_scenario
 from rugsim.trace import FLUSH_EVENTS, Trace, _amount_raw, canonical_line, verify_trace
 
 
@@ -111,6 +111,24 @@ def test_a_streaming_run_holds_one_batch_and_no_telemetry(tmp_path, monkeypatch)
     run_scenario(reference_scenario(blocks=300))[1].write(str(tmp_path / "k"))
     for name in ("events.jsonl", "telemetry.csv", "state.json", "hash.txt"):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "k" / name).read_bytes()
+
+
+def test_a_failed_run_removes_only_the_directories_its_trace_made(tmp_path):
+    made = tmp_path / "a" / "b"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (made, kept):
+        with pytest.raises(ParameterError, match="need at least one block"):
+            run_scenario(scam_scenario(), blocks=0, out_dir=str(out))
+    # a and a/b were made by the trace; kept existed before it
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kept"]
+    assert list(kept.iterdir()) == []
+    # a directory that holds another file is not removed
+    sim = Simulation(load_scenario(scam_scenario()), str(made))
+    (made.parent / "other").write_text("")
+    with pytest.raises(ParameterError):
+        sim.run(0)
+    assert [path.name for path in made.parent.iterdir()] == ["other"]
 
 
 def test_each_flush_and_read_block_is_hashed_in_one_call(tmp_path, monkeypatch):

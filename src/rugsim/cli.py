@@ -108,28 +108,36 @@ def _parse_range(spec: str) -> tuple[str, list[Fraction]]:
     return key, [start + i * step for i in range(count)]
 
 
-def _set_path(doc: dict, dotted: str, value: Fraction) -> str:
-    """Write a sweep point into the field at ``dotted`` and return its text:
-    an int into a field that holds an int, else the quantized decimal text,
-    which raises a RangeError past the amount range. A bool field is not
-    numeric."""
-    node = doc
-    parts = dotted.split(".")
-    for part in parts[:-1]:
+def _list_index(part: str) -> int:
+    """A sweep path's list index: a plain non-negative decimal ("-1" would alias)."""
+    index = int(part)  # text that is no number keeps int()'s message
+    if index < 0 or str(index) != part:
+        raise ValueError(f"list index {part!r} is not a plain non-negative decimal")
+    return index
+
+
+def _sweep_point(doc: dict, dotted: str, value: Fraction) -> tuple[dict, str]:
+    """A copy of ``doc`` with a sweep point written into the field at
+    ``dotted``, and the point's text. The copy shares every object but those
+    on the path, so ``doc`` is left as it was. An int goes into a field that
+    holds an int, else the quantized decimal text, which raises a RangeError
+    past the amount range. A bool field is not numeric."""
+    top = node = copy.copy(doc)
+    *path, leaf = dotted.split(".")
+    for part in path:
         if isinstance(node, list):
-            node = node[int(part)]
+            key = _list_index(part)
         elif part in node:
-            node = node[part]
+            key = part
         else:
             raise KeyError(dotted)
-    leaf = parts[-1]
+        node[key] = child = copy.copy(node[key])
+        node = child
     if isinstance(node, list):
-        leaf = int(leaf)
-        current = node[leaf]
-    elif leaf in node:
-        current = node[leaf]
-    else:
+        leaf = _list_index(leaf)
+    elif leaf not in node:
         raise TypeError(f"{dotted} is not a numeric field")
+    current = node[leaf]
     if isinstance(current, bool) or not isinstance(current, (str, int)):
         raise TypeError(f"{dotted} is not a numeric field")
     if isinstance(current, str):
@@ -138,22 +146,7 @@ def _set_path(doc: dict, dotted: str, value: Fraction) -> str:
         node[leaf] = int(value)
     else:
         raise ValueError(f"{dotted} holds an integer, got {str(quantize(value))}")
-    return str(node[leaf])
-
-
-def _copy_path(doc: dict, dotted: str) -> dict:
-    """A copy of ``doc`` that shares every object but those on the path
-    ``dotted``, so that a point written there leaves ``doc`` as it was. A
-    path that leaves the document is left for ``_set_path`` to refuse."""
-    top = node = copy.copy(doc)
-    for part in dotted.split(".")[:-1]:
-        try:
-            key = int(part) if isinstance(node, list) else part
-            node[key] = child = copy.copy(node[key])
-        except (KeyError, IndexError, TypeError, ValueError):
-            break
-        node = child
-    return top
+    return top, str(node[leaf])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -174,9 +167,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = []
     memo: dict = {}
     for value in values:
-        doc = _copy_path(base, key)
         try:
-            text = _set_path(doc, key, value)
+            doc, text = _sweep_point(base, key, value)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             return _fail(f"bad --param key {key!r}: {exc}", EXIT_INPUT)
         except RangeError as exc:

@@ -47,7 +47,6 @@ Module errors never crash a run; they are recorded as failed events.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -177,9 +176,6 @@ class Simulation:
         self.pending_drains: list[PendingDrain] = []
         self.bridge: list[tuple[int, RewardEvent]] = []
         self.total_penalties = ZERO
-        # per-pool LP share ledger: exact pool fractions per account,
-        # genesis liquidity held by the synthetic "protocol" holder
-        self.lp_shares: dict[str, dict[str, Fraction]] = {}
         # raw mints per scanned token and outflows per scanned (sender, token)
         # since the aux scan that reads them last took them; keyed at materialize
         self._unscanned_mints: dict[str, int] = {}
@@ -224,15 +220,18 @@ class Simulation:
                 views[entry["chain"]].processes.append((token, process))
 
         for entry in sc.pools:
-            pool = PoolState(entry["id"], entry["token_x"], entry["token_y"],
-                             entry["reserve_x"], entry["reserve_y"],
-                             fee_bps=entry["fee_bps"])
+            # the genesis reserves are the first deposit into an empty pool
+            empty = PoolState(entry["id"], entry["token_x"], entry["token_y"], ZERO, ZERO,
+                              fee_bps=entry["fee_bps"])
+            minted, pool = market.pool_add_liquidity(empty, entry["reserve_x"],
+                                                     entry["reserve_y"], ZERO)
             self.pools[pool.pool_id] = pool
             self.pool_chain[pool.pool_id] = entry["chain"]
             account = self._pool_account(pool.pool_id)
             self.ledger.mint(account, pool.token_x, pool.reserve_x, memo="genesis-pool")
             self.ledger.mint(account, pool.token_y, pool.reserve_y, memo="genesis-pool")
-            self.lp_shares[pool.pool_id] = {"protocol": Fraction(1)}
+            self.ledger.mint(TREASURY, market.LP_TOKEN_PREFIX + pool.pool_id, minted,
+                             memo="genesis-lp")
             self._prev_volumes[pool.pool_id] = 0
             self._prev_liquidity[pool.pool_id] = self._pool_liquidity(pool).raw
             view = views[entry["chain"]]
@@ -759,42 +758,32 @@ class Simulation:
         pool = self.pools[pool_id]
         dx = step["dx"]
         dy = pool.reserve_y * dx / pool.reserve_x if step["dy"] == "auto" else step["dy"]
-        new_pool = market.pool_add_liquidity(pool, dx, dy)
+        lp = market.LP_TOKEN_PREFIX + pool_id
+        minted, new_pool = market.pool_add_liquidity(pool, dx, dy,
+                                                     self.ledger.total_supply(lp))
+        for token, amount in ((pool.token_x, dx), (pool.token_y, dy)):
+            held = self.ledger.balance(account, token)
+            if held < amount:
+                raise BalanceError(f"{account} holds {held} {token}, cannot send {amount}")
+        # checks first; the mint, the one write that can still fail, goes first
+        self.ledger.mint(account, lp, minted, memo="add-liq")
         pool_account = self._pool_account(pool_id)
         self.ledger.transfer(account, pool_account, pool.token_x, dx, memo="add-liq")
         self.ledger.transfer(account, pool_account, pool.token_y, dy, memo="add-liq")
-        # dilute existing holders by the growth, credit the rest to the depositor
-        added = Fraction(dx.raw, new_pool.reserve_x.raw)
-        shares = self.lp_shares[pool_id]
-        for holder in list(shares):
-            shares[holder] *= 1 - added
-        shares[account] = shares.get(account, Fraction(0)) + added
         self.pools[pool_id] = new_pool
         self._event("add_liquidity", pool_id, account, dx, dy)
 
     def _op_remove_liquidity(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
-        share = step["share"]
-        shares = self.lp_shares[pool_id]
-        owned = shares.get(account, Fraction(0))
-        if Fraction(share.raw, 10**9) > owned:
-            raise ParameterError(
-                f"{account} owns {float(owned):.4f} of {pool_id}, "
-                f"cannot remove {share}")
-        out_x, out_y, new_pool = market.pool_remove_liquidity(
-            self.pools[pool_id], share)
+        lp = market.LP_TOKEN_PREFIX + pool_id
+        out_x, out_y, burned, new_pool = market.pool_remove_liquidity(
+            self.pools[pool_id], step["share"], self.ledger.total_supply(lp))
+        self.ledger.burn(account, lp, burned, memo="remove-liq")
         pool_account = self._pool_account(pool_id)
         self.ledger.transfer(pool_account, account, new_pool.token_x, out_x,
                              memo="remove-liq")
         self.ledger.transfer(pool_account, account, new_pool.token_y, out_y,
                              memo="remove-liq")
-        removed = Fraction(share.raw, 10**9)
-        if removed == 1:
-            shares.clear()
-        else:
-            shares[account] = owned - removed
-            for holder in list(shares):
-                shares[holder] /= 1 - removed
         self.pools[pool_id] = new_pool
         self._event("remove_liquidity", pool_id, account, out_x, out_y)
 

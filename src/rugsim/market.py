@@ -40,6 +40,8 @@ class RatioError(RugsimError):
 DEFAULT_EPSILON_FLOOR = QUANTUM  # residual price floor: one quantum
 DEFAULT_PRICE_RATE = ZERO  # the rates a price process's kind does not read
 DEFAULT_FEE_BPS = 0
+# a pool's LP token is lp:<pool id>; the engine alone issues it
+LP_TOKEN_PREFIX = "lp:"
 
 
 class RugKind(enum.Enum):
@@ -234,34 +236,51 @@ def pool_quote_exact_out(pool: PoolState, out_token: TokenId,
     return FixedAmount(dx_raw)
 
 
-def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: FixedAmount) -> PoolState:
-    """Deposit both tokens at the current reserve ratio (1-quantum slack)."""
+def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: FixedAmount,
+                       lp_supply: FixedAmount) -> tuple[FixedAmount, PoolState]:
+    """Deposit both tokens at the current reserve ratio (1-quantum slack).
+    Returns the LP tokens minted, the smaller pro-rata claim on ``lp_supply``
+    rounded down so the pool never over-issues (with no supply, as at
+    genesis or once closed, isqrt(dx*dy)), and the new pool."""
     if dx.raw <= 0 or dy.raw <= 0:
         raise ParameterError("liquidity amounts must be > 0")
-    if not pool.is_closed() and pool.reserve_x.raw > 0:
+    if pool.reserve_x.raw > 0:
         expected_dy = dx * pool.reserve_y / pool.reserve_x
         if abs(dy - expected_dy) > QUANTUM:
             raise RatioError(
                 f"deposit ratio mismatch: got dy={dy}, expected {expected_dy}")
-    new_x = pool.reserve_x + dx
-    new_y = pool.reserve_y + dy
-    return PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                     pool.fee_bps, pool.volume_x, pool.volume_y)
+    if lp_supply.raw == 0:
+        minted = math.isqrt(dx.raw * dy.raw)
+    elif pool.reserve_x.raw == 0 or pool.reserve_y.raw == 0:
+        raise IlliquidError(f"pool {pool.pool_id} is drained")
+    else:
+        minted = min(dx.raw * lp_supply.raw // pool.reserve_x.raw,
+                     dy.raw * lp_supply.raw // pool.reserve_y.raw)
+        if minted == 0:
+            raise DustError(f"a deposit of {dx} and {dy} mints no LP token")
+    return FixedAmount(minted), PoolState(
+        pool.pool_id, pool.token_x, pool.token_y, pool.reserve_x + dx, pool.reserve_y + dy,
+        pool.fee_bps, pool.volume_x, pool.volume_y)
 
 
-def pool_remove_liquidity(pool: PoolState,
-                          share: FixedAmount) -> tuple[FixedAmount, FixedAmount, PoolState]:
-    """Withdraw a fraction of both reserves; share=1 closes the pool."""
+def pool_remove_liquidity(pool: PoolState, share: FixedAmount, lp_supply: FixedAmount
+                          ) -> tuple[FixedAmount, FixedAmount, FixedAmount, PoolState]:
+    """Withdraw a fraction of both reserves; share=1 closes the pool.
+    Returns (out_x, out_y, the LP tokens burned, the new pool): each reserve
+    and ``lp_supply`` keep their amount*(1 - share), rounded alike."""
     if not (0 < share.raw <= SCALE):
         raise ParameterError(f"share must be in (0, 1], got {share}")
     keep = FixedAmount(SCALE) - share
+    burned = lp_supply - lp_supply * keep
+    if burned.raw == 0:
+        raise DustError(f"removing {share} of {pool.pool_id} burns no LP token")
     new_x = pool.reserve_x * keep
     new_y = pool.reserve_y * keep
     out_x = pool.reserve_x - new_x
     out_y = pool.reserve_y - new_y
     new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
                          pool.fee_bps, pool.volume_x, pool.volume_y)
-    return out_x, out_y, new_pool
+    return out_x, out_y, burned, new_pool
 
 
 # -- liquidity drains ------------------------------------------------------

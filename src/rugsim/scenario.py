@@ -20,7 +20,7 @@ from .core import MAX_RAW, ONE, SCALE, FixedAmount, RugsimError, amt
 from .detection import DEFAULT_SOLVER_FEE_BPS, IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
 from .market import (DEFAULT_EPSILON_FLOOR, DEFAULT_FEE_BPS, DEFAULT_PEG_TOLERANCE,
-                     DEFAULT_PRICE_RATE, RugKind)
+                     DEFAULT_PRICE_RATE, LP_TOKEN_PREFIX, RugKind)
 from .perps import (DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS, DEFAULT_LIQUIDATOR_FEE_FRACTION,
                     DEFAULT_MAINTENANCE_FRACTION, DEFAULT_MAX_LEVERAGE, Direction)
 from .trace import EVENT_TYPES
@@ -40,18 +40,19 @@ KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
 # "?" is optional and maps to (kind, default): an absent or null field
 # takes the default, written as a document would and parsed by the kind;
 # a default of None stays None.
-AMOUNT, NONNEG, POSITIVE, FRACTION, UNIT = (
-    "amount", "amount >= 0", "amount > 0", "amount in (0, 1)", "amount in [0, 1]")
+AMOUNT, NONNEG, POSITIVE, FRACTION, SHARE, UNIT = (
+    "amount", "amount >= 0", "amount > 0", "amount in (0, 1)", "amount in (0, 1]",
+    "amount in [0, 1]")
 INT, NAT, COUNT, BPS = "int", "int >= 0", "int >= 1", "int in [0, 10000]"
 # the seed is taken mod 2**64 (SeededRng), so a larger one would alias a smaller
 SEED = "int in [0, 2**64 - 1]"
 # the least and greatest value each ranged kind accepts (raw quanta for
 # amounts); None leaves that side open
 AMOUNT_RANGES = {AMOUNT: (None, None), NONNEG: (0, None), POSITIVE: (1, None),
-                 FRACTION: (1, SCALE - 1), UNIT: (0, SCALE)}
+                 FRACTION: (1, SCALE - 1), SHARE: (1, SCALE), UNIT: (0, SCALE)}
 INT_RANGES = {INT: (None, None), NAT: (0, None), COUNT: (1, None), BPS: (0, 10000),
               SEED: (0, 2**64 - 1)}
-TEXT, BOOL, AMOUNT_OR_AUTO = "string", "true|false", "amount or 'auto'"
+TEXT, BOOL, AMOUNT_OR_AUTO = "string", "true|false", f"{POSITIVE} or 'auto'"
 BALANCES = "{token id: amount >= 0}"
 REF_KINDS = CHAIN, TOKEN, PRICED_TOKEN, POOL_TOKEN, POOL, VAULT, PERPS_VAULT, ACCOUNT = (
     "chain", "token", "priced token", "pool token", "pool", "vault", "perps vault",
@@ -70,8 +71,8 @@ SCRIPT_OPS = {
     # token and recipient may come into being during the run (R, bonded tokens)
     "transfer": ("token", {"token": TEXT, "to": TEXT, "amount": AMOUNT}),
     "swap": ("pool", {"pool": POOL, "token_in": TEXT, "amount": AMOUNT}),
-    "add_liquidity": ("pool", {"pool": POOL, "dx": AMOUNT, "dy": AMOUNT_OR_AUTO}),
-    "remove_liquidity": ("pool", {"pool": POOL, "share": AMOUNT}),
+    "add_liquidity": ("pool", {"pool": POOL, "dx": POSITIVE, "dy": AMOUNT_OR_AUTO}),
+    "remove_liquidity": ("pool", {"pool": POOL, "share": SHARE}),
     "open_position": ("vault", {"vault": PERPS_VAULT, "collateral": AMOUNT,
                                 "leverage": AMOUNT, "direction": Direction}),
     # the top-level intents take these arguments too, plus their owner
@@ -238,6 +239,8 @@ def _parse(kind: Any, value: Any, path: str, refs: dict) -> Any:
             declared = refs[NEW_IDS[kind]]
             if _as_str(value, path) in declared:
                 raise ScenarioError(path, f"duplicate {NEW_IDS[kind]} {value!r}")
+            if kind == NEW_TOKEN and value.startswith(LP_TOKEN_PREFIX):
+                raise ScenarioError(path, f"{value!r} names a pool's LP token")
             declared.add(value)
             return value
         if kind == BALANCES:
@@ -250,7 +253,7 @@ def _parse(kind: Any, value: Any, path: str, refs: dict) -> Any:
             if not isinstance(value, bool):
                 raise ScenarioError(path, f"expected true or false, got {value!r}")
             return value
-        return value if value == "auto" else _as_amount(value, path)  # AMOUNT_OR_AUTO
+        return value if value == "auto" else _parse(POSITIVE, value, path, refs)
     if isinstance(kind, dict):
         return _parse_args(value, kind, path, refs)
     if isinstance(kind, list):

@@ -384,22 +384,25 @@ def test_sweep_runs_the_largest_range_it_allows():
 def test_sweep_does_not_treat_a_bool_field_as_numeric():
     doc = {"perps": {"revalue_collateral": False, "interval_blocks": 4}}
     with pytest.raises(TypeError, match="not a numeric field"):
-        cli._set_path(doc, "perps.revalue_collateral", Fraction(1))
-    cli._set_path(doc, "perps.interval_blocks", Fraction(6))
-    assert doc["perps"] == {"revalue_collateral": False, "interval_blocks": 6}
+        cli._sweep_point(doc, "perps.revalue_collateral", Fraction(1))
+    point, text = cli._sweep_point(doc, "perps.interval_blocks", Fraction(6))
+    assert point["perps"] == {"revalue_collateral": False, "interval_blocks": 6}
+    assert text == "6"
 
 
 def test_each_sweep_point_copies_only_its_path():
     base = reference_scenario(blocks=5)
     before = json.dumps(base)
-    doc = cli._copy_path(base, "vaults.0.delta_gamma")
-    cli._set_path(doc, "vaults.0.delta_gamma", Fraction(1, 2))
-    assert doc["vaults"][0]["delta_gamma"] == "0.5"
+    doc, text = cli._sweep_point(base, "vaults.0.delta_gamma", Fraction(1, 2))
+    assert doc["vaults"][0]["delta_gamma"] == text == "0.5"
     assert json.dumps(base) == before
     assert doc["agents"] is base["agents"] and doc["vaults"] is not base["vaults"]
-    # a path that leaves the document copies what it can and raises nothing
-    for dotted in ("nope.x", "vaults.9.theta", "chains.a.b", "seed.x"):
-        assert cli._copy_path(base, dotted) == base
+    # a path that leaves the document raises and leaves it as it was
+    for dotted, error in (("nope.x", KeyError), ("vaults.9.theta", IndexError),
+                          ("chains.a.b", ValueError), ("seed.x", TypeError)):
+        with pytest.raises(error):
+            cli._sweep_point(base, dotted, Fraction(1))
+        assert json.dumps(base) == before
 
 
 def _scalar_leaves(node, prefix=""):
@@ -439,9 +442,8 @@ def test_a_memo_load_equals_a_fresh_load():
         memo = {}
         for path in leaves:
             for value in (Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(10**19)):
-                doc = cli._copy_path(base, path)
                 try:
-                    cli._set_path(doc, path, value)
+                    doc, _ = cli._sweep_point(base, path, value)
                 except (RangeError, ValueError):  # refused before any load
                     continue
                 fresh = _load_outcome(doc)
@@ -759,6 +761,21 @@ LOAD_PROBES = [
                  id="drain-above-its-total"),
     pytest.param("scam", _set("agents", 0, "script", 0, "t_rug", value="-5"),
                  "agents[0].script[0].t_rug", id="negative-drain"),
+    # a deposit of liquidity is of both tokens, a removal a share of the pool
+    *(pytest.param("reference", _script_step(op="add_liquidity", pool="rug-usdn",
+                                             **{"dx": "10", "dy": "auto", field: value}),
+                   f"agents[0].script[2].{field}", id=f"add-liquidity-{field}-{value}")
+      for field, value in (("dx", "0"), ("dx", "-5"), ("dy", "0"), ("dy", "-5"))),
+    *(pytest.param("reference", _script_step(op="remove_liquidity", pool="rug-usdn",
+                                             share=value),
+                   "agents[0].script[2].share", id=f"remove-liquidity-share-{value}")
+      for value in ("0", "1.5")),
+    # the engine alone issues a pool's LP token
+    pytest.param("reference", lambda doc: doc["tokens"].append(
+        {"id": "lp:x", "chain": "alpha"}), "tokens[1].id",
+                 id="declared-token-named-like-an-lp-token"),
+    pytest.param("reference", _set("numeraire", value="lp:x"), "numeraire",
+                 id="numeraire-named-like-an-lp-token"),
 ]
 
 

@@ -3,6 +3,7 @@ conservation, determinism, and the dispute/perps flows driven end-to-end
 through scripted scenarios."""
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -290,7 +291,7 @@ def test_a_failed_drain_is_recorded_and_no_longer_pending():
     assert not any(e["type"] == "drain_executed" for e in trace.events)
     assert not any(e["type"] == "swap" and e["memo"] == "backrun" for e in trace.events)
     assert sim.pending_drains == []
-    assert trace.trace_hash() == "6704bc0acf26ea2f"
+    assert trace.trace_hash() == "6565cb7fb56d10f8"
 
 
 def test_a_failed_drain_leaves_the_sandwich_post_leg_unswapped():
@@ -330,7 +331,7 @@ def test_two_detectors_plan_each_move_against_a_drain_once():
                      (7, "sandwich_post", "guard"), (7, "backrun", "guard")]
     assert sim.pending_drains == [] and trace.failed_events == 0
     # measured before queued transactions carried their own actions
-    assert trace.trace_hash() == "20ba62fcfb8daa2b"
+    assert trace.trace_hash() == "d0ef312b97d7952c"
 
 
 def overlapping_detectors_doc(window):
@@ -353,19 +354,19 @@ def overlapping_detectors_doc(window):
 @pytest.mark.parametrize("window,plans,moves,digest", [
     # the drain executes the block after it is submitted: no block lies
     # before it, so nothing is front-run or sandwiched; the back-run runs
-    (1, [], [(5, "backrun", "guard-2")], "f9e4ffa4975d9407"),
+    (1, [], [(5, "backrun", "guard-2")], "7136b6c9e5cf4d24"),
     # the block after submission is the block before execution: front-runs
     # and the sandwich are planned together, in detector order
     (2, [(5, "frontrun", "frontrun-user"), (5, "sandwich", "guard"),
          (5, "frontrun", "unprotected")],
      [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
       (6, "sandwich_pre", "guard"), (6, "sandwich_post", "guard"),
-      (6, "backrun", "guard-2")], "92aa5522b81b50ec"),
+      (6, "backrun", "guard-2")], "0d2629949f901089"),
     (3, [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
          (6, "sandwich", "guard")],
      [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
       (7, "sandwich_pre", "guard"), (7, "sandwich_post", "guard"),
-      (7, "backrun", "guard-2")], "dec2f70bed1a4aab"),
+      (7, "backrun", "guard-2")], "b49d8403de69654a"),
 ])
 def test_drain_windows_time_each_move_once(window, plans, moves, digest):
     # measured before the engine alone timed the moves against a drain
@@ -699,7 +700,24 @@ def test_multi_seed_stress_and_verify_roundtrip(tmp_path):
     assert len(hashes) == 5  # distinct seeds, distinct traces
 
 
-def test_lp_share_ledger_enforced():
+def lp_pool_doc(blocks, reserve_x="1000", reserve_y="1000"):
+    """minimal_doc with one fee-free RUG/USDN pool, p, on alpha."""
+    doc = minimal_doc(blocks=blocks)
+    doc["pools"] = [{"id": "p", "chain": "alpha", "token_x": "RUG", "token_y": "USDN",
+                     "reserve_x": reserve_x, "reserve_y": reserve_y, "fee_bps": 0}]
+    return doc
+
+
+def assert_pools_hold_their_reserves(sim):
+    for pool_id, pool in sim.pools.items():
+        account = f"pool:{pool_id}"
+        assert sim.ledger.balance(account, pool.token_x) == pool.reserve_x
+        assert sim.ledger.balance(account, pool.token_y) == pool.reserve_y
+
+
+def test_lp_share_ledger_enforced(tmp_path):
+    from rugsim.trace import verify_trace
+
     doc = minimal_doc(blocks=12)
     doc["accounts"].append({"id": "lp-1", "balances": {"RUG": "5000", "USDN": "5000"}})
     doc["accounts"].append({"id": "freeloader", "balances": {}})
@@ -725,6 +743,94 @@ def test_lp_share_ledger_enforced():
     assert removed["account"] == "lp-1"
     assert amt(removed["out_x"]) == amt(1000)
     sim.ledger.check_conservation()
+    # the shares are lp:p on the ledger: isqrt(1000 * 1000) to the treasury at
+    # genesis, as much again to lp-1 for doubling the pool, and lp-1's burn of
+    # half the supply; the freeloader holds none to burn
+    assert [(e["type"], e["account"], e["amount"]) for e in trace.events
+            if e.get("token") == "lp:p"] == [("mint", "treasury", "1000"),
+                                             ("mint", "lp-1", "1000"),
+                                             ("burn", "lp-1", "1000")]
+    assert failures[0]["error"] == "BalanceError"
+    trace.write(str(tmp_path))
+    assert verify_trace(str(tmp_path)).ok
+    state = json.loads((tmp_path / "state.json").read_text())
+    assert state["supply"]["lp:p"] == state["balances"]["treasury"]["lp:p"] == "1000"
+
+
+def test_liquidity_churn_keeps_lp_supply_on_the_ledger(tmp_path):
+    # lp-1 adds 10 RUG and removes 0.0001 of the pool on alternate blocks
+    from rugsim.trace import verify_trace
+
+    doc = lp_pool_doc(blocks=200)
+    doc["accounts"].append({"id": "lp-1", "balances": {"RUG": "5000", "USDN": "5000"}})
+    doc["agents"] = [{"kind": "lp", "account": "lp-1", "script": [
+        {"block": block, "op": "add_liquidity", "pool": "p", "dx": "10", "dy": "auto"}
+        if block % 2 else {"block": block, "op": "remove_liquidity", "pool": "p",
+                           "share": "0.0001"}
+        for block in range(1, 201)]}]
+    sim, trace = run_scenario(doc)
+    assert trace.failed_events == 0
+    assert sum(e["type"] == "remove_liquidity" for e in trace.events) == 100
+    assert_pools_hold_their_reserves(sim)
+    trace.write(str(tmp_path))
+    assert verify_trace(str(tmp_path)).ok
+    state = json.loads((tmp_path / "state.json").read_text())
+    held = [amt(balances["lp:p"]) for balances in state["balances"].values()
+            if "lp:p" in balances]
+    assert len(held) == 2 and amt(state["supply"]["lp:p"]) == held[0] + held[1]
+
+
+def test_a_failed_add_liquidity_changes_nothing():
+    # lp-1 cannot pay the 2,000 USDN that its 1,000 RUG need at block 10
+    doc = reference_scenario(blocks=12)
+    for account in doc["accounts"]:
+        if account["id"] == "lp-1":
+            account["balances"]["USDN"] = "100"
+    sim, trace = run_scenario(doc)
+    assert [(e["h"], e["op"], e["error"]) for e in trace.events if e["type"] == "failed"] \
+        == [(10, "add_liquidity", "BalanceError")]
+    assert_pools_hold_their_reserves(sim)
+    assert sim.ledger.balance("lp-1", "RUG") == amt(20000)
+    assert sim.ledger.balance("lp-1", "lp:rug-usdn") == amt(0)
+
+
+@pytest.mark.parametrize("pool,step,error", [
+    # 1e-9 RUG of a 1e9 RUG pool would earn 1e-18 of its 1 LP token
+    (("1000000000", "0.000000001"),
+     {"op": "add_liquidity", "dx": "0.000000001", "dy": "0.000000001"}, "DustError"),
+    # 1e-9 of an LP supply of 0.0316 rounds to no quantum, yet would pay
+    # 0.001 RUG to an account that holds none
+    (("1000000", "0.000000001"), {"op": "remove_liquidity", "share": "0.000000001"},
+     "DustError"),
+], ids=["add-mints-no-lp", "remove-burns-no-lp"])
+def test_a_liquidity_op_that_moves_no_lp_quantum_fails(pool, step, error):
+    doc = lp_pool_doc(3, *pool)
+    doc["agents"] = [{"kind": "lp", "account": "alice",
+                      "script": [{"block": 1, "pool": "p", **step}]}]
+    sim, trace = run_scenario(doc)
+    assert [(e["op"], e["error"]) for e in trace.events if e["type"] == "failed"] \
+        == [(step["op"], error)]
+    assert sim.ledger.balance("alice", "RUG") == amt(100)
+    assert sim.ledger.balance("alice", "USDN") == amt(100)
+    assert_pools_hold_their_reserves(sim)
+
+
+def test_an_add_into_an_emptied_reserve_fails():
+    # the treasury, holding every LP token, takes 0.9 of a pool with 1e-9
+    # RUG: the RUG reserve rounds to 0, and alice's add has no ratio to keep
+    doc = lp_pool_doc(4, "0.000000001", "1000")
+    doc["accounts"].append({"id": "treasury"})
+    doc["agents"] = [
+        {"kind": "lp", "account": "treasury",
+         "script": [{"block": 1, "op": "remove_liquidity", "pool": "p", "share": "0.9"}]},
+        {"kind": "lp", "account": "alice",
+         "script": [{"block": 2, "op": "add_liquidity", "pool": "p",
+                     "dx": "0.000000001", "dy": "0.000000001"}]}]
+    sim, trace = run_scenario(doc)
+    assert [(e["op"], e["error"]) for e in trace.events if e["type"] == "failed"] \
+        == [("add_liquidity", "IlliquidError")]
+    assert sim.pools["p"].reserve_x == amt(0)
+    assert_pools_hold_their_reserves(sim)
 
 
 def test_chaos_scripts_never_crash_the_engine(tmp_path):
@@ -928,7 +1034,7 @@ def test_multichain_visit_order_is_pinned():
     assert seen[("liquidation", "alpha", None)] == 4
     assert seen[("swap", "beta", "intent")] == 1
     assert trace.failed_events == 1
-    assert trace.trace_hash() == "d8330d7f6b33575e"
+    assert trace.trace_hash() == "e30bc0a32306b408"
 
 
 def test_every_undeclared_account_is_engine_owned():
@@ -950,7 +1056,7 @@ def test_every_undeclared_account_is_engine_owned():
             if any(account.startswith(prefix) for account in made)} \
         == set(ENGINE_ACCOUNT_PREFIXES)
     # rug-claim, insurance-claim, policy-expiry and bidder-liquidation timing
-    assert trace.trace_hash() == "ed4fdfcae39994af"
+    assert trace.trace_hash() == "bb12b9bb83e810bb"
 
 
 def test_each_chain_scans_the_mints_of_its_own_tokens():

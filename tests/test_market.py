@@ -219,20 +219,24 @@ def test_exact_out_quote_roundtrip():
 
 def test_add_remove_liquidity_examples():
     pool = mk_pool(1000, 2000)
-    grown = pool_add_liquidity(pool, amt(100), amt(200))
+    minted, grown = pool_add_liquidity(pool, amt(100), amt(200), amt(50))
     assert (grown.reserve_x, grown.reserve_y) == (amt(1100), amt(2200))
-    out_x, out_y, half = pool_remove_liquidity(pool, amt("0.5"))
-    assert (out_x, out_y) == (amt(500), amt(1000))
+    assert minted == amt(5)  # a tenth of the pool, a tenth of its LP supply
+    out_x, out_y, burned, half = pool_remove_liquidity(pool, amt("0.5"), amt(50))
+    assert (out_x, out_y, burned) == (amt(500), amt(1000), amt(25))
     assert (half.reserve_x, half.reserve_y) == (amt(500), amt(1000))
-    _, _, closed = pool_remove_liquidity(pool, amt(1))
-    assert closed.is_closed()
+    _, _, burned, closed = pool_remove_liquidity(pool, amt(1), amt(50))
+    assert closed.is_closed() and burned == amt(50)
+    # into a pool with no LP supply, a deposit mints isqrt(dx * dy)
+    minted, _ = pool_add_liquidity(closed, amt(4), amt(9), amt(0))
+    assert minted == amt(6)
 
 
 def test_add_liquidity_ratio_guard():
     with pytest.raises(RatioError):
-        pool_add_liquidity(mk_pool(1000, 2000), amt(100), amt(150))
+        pool_add_liquidity(mk_pool(1000, 2000), amt(100), amt(150), amt(50))
     with pytest.raises(ParameterError):
-        pool_remove_liquidity(mk_pool(1, 1), amt(0))
+        pool_remove_liquidity(mk_pool(1, 1), amt(0), amt(1))
 
 
 # -- drains -----------------------------------------------------------------

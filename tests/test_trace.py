@@ -265,7 +265,7 @@ def test_reference_hash_is_pinned(reference_2000):
     # rounded value changes this hash
     trace = reference_2000
     assert sum(event["type"] == "peg_trade" for event in trace.events) == 349
-    assert trace.trace_hash() == "2d6dd5df99c6ebbe"
+    assert trace.trace_hash() == "4370c2c334aa399b"
 
 
 def verify_peak(trace_dir) -> int:

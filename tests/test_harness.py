@@ -367,7 +367,7 @@ def overlapping_detectors_doc(window):
      [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
       (7, "sandwich_pre", "guard"), (7, "sandwich_post", "guard"),
       (7, "backrun", "guard-2")], "b49d8403de69654a"),
-])
+], ids=["window1", "window2", "window3"])  # no digest in the id: re-pinning keeps the name
 def test_drain_windows_time_each_move_once(window, plans, moves, digest):
     # measured before the engine alone timed the moves against a drain
     sim, trace = run_scenario(overlapping_detectors_doc(window))

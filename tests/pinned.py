@@ -2,7 +2,9 @@
 
 Each entry of ``tests/data/pinned_hashes.json`` maps a run's name to its
 trace hash (``hash.txt``), or, for a sweep, to the SHA-256 of its
-``summary.csv``, which holds every point's trace hash. The runs go through
+``summary.csv``, which holds every point's trace hash. A run also pins the
+SHA-256 of its ``state.json`` and ``telemetry.csv``, under its name followed
+by the file's (see ``OUTPUT_FILES``). The runs go through
 the command line, as a user would make them; the two benchmark documents
 come from ``perfbench/workloads.py``, which is read and not edited.
 
@@ -52,10 +54,18 @@ CORPUS: dict[str, tuple[str | Callable[[], dict], list[str], str]] = {
 }
 
 
-def run_entry(name: str, work: Path) -> tuple[str, Path]:
+# the files of a run, beside its trace hash, pinned by their SHA-256
+OUTPUT_FILES = ("state.json", "telemetry.csv")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_entry(name: str, work: Path) -> tuple[dict[str, str], Path]:
     """Run one corpus entry in a directory of its own under ``work``;
-    returns its digest and that directory. Raises RuntimeError if the
-    command exits non-zero."""
+    returns its pins (pin name -> digest) and that directory. Raises
+    RuntimeError if the command exits non-zero."""
     source, extra, command = CORPUS[name]
     out = work / f"run-{list(CORPUS).index(name)}"
     if callable(source):
@@ -68,14 +78,21 @@ def run_entry(name: str, work: Path) -> tuple[str, Path]:
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{name}: `rugsim {' '.join(argv)}` exited {code}")
-    if command == "run":
-        return (out / "hash.txt").read_text(encoding="utf-8").strip(), out
-    return hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest(), out
+    if command == "sweep":
+        return {name: sha256(out / "summary.csv")}, out
+    digests = {name: (out / "hash.txt").read_text(encoding="utf-8").strip()}
+    digests.update((f"{name} {file} sha256", sha256(out / file)) for file in OUTPUT_FILES)
+    return digests, out
 
 
-def run_corpus(work: Path) -> dict[str, tuple[str, Path]]:
-    """name -> (digest, output directory) of every corpus entry, run in turn."""
+def run_corpus(work: Path) -> dict[str, tuple[dict[str, str], Path]]:
+    """name -> (pins, output directory) of every corpus entry, run in turn."""
     return {name: run_entry(name, work) for name in CORPUS}
+
+
+def all_pins(runs: dict[str, tuple[dict[str, str], Path]]) -> dict[str, str]:
+    """Every pin of ``run_corpus``'s runs in one mapping."""
+    return {key: digest for digests, _ in runs.values() for key, digest in digests.items()}
 
 
 def load_pins() -> dict[str, str]:
@@ -96,7 +113,7 @@ def main_pinned(argv: list[str]) -> int:
         print("usage: python tests/pinned.py [--repin]", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as work:
-        digests = {name: digest for name, (digest, _) in run_corpus(Path(work)).items()}
+        digests = all_pins(run_corpus(Path(work)))
     pins = load_pins() if PINNED_FILE.exists() else {}
     changed = changes(pins, digests)
     if repin:

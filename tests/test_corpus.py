@@ -1,6 +1,7 @@
 """The pinned-output corpus (see ``tests/pinned.py``): every named run's
-trace hash, and the λ sweep's summary digest, must be byte-identical to
-the pins in ``tests/data/pinned_hashes.json``, under any hash seed. The
+trace hash, ``state.json`` and ``telemetry.csv``, and each sweep's summary
+digest, must be byte-identical to the pins in
+``tests/data/pinned_hashes.json``, under any hash seed. The
 corpus runs' lines must also match their ``EVENT_TYPES`` entries."""
 
 import json
@@ -22,7 +23,7 @@ from rugsim.trace import (AMOUNT, EVENT_TYPES, INT, INT_OR_NULL, TEXT, TEXT_OR_N
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """name -> (digest, output directory) of every corpus run, run once,
+    """name -> (pins, output directory) of every corpus run, run once,
     two at a time."""
     work = tmp_path_factory.mktemp("corpus")
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -31,8 +32,7 @@ def corpus(tmp_path_factory):
 
 
 def test_corpus_outputs_match_their_pins(corpus):
-    digests = {name: digest for name, (digest, _) in corpus.items()}
-    assert pinned.changes(pinned.load_pins(), digests) == [], \
+    assert pinned.changes(pinned.load_pins(), pinned.all_pins(corpus)) == [], \
         "re-pin with `python tests/pinned.py --repin` only for an intended change"
 
 

@@ -68,8 +68,6 @@ class PoolMonitor:
     """Tracks the liquid-side reserve of one pool and alerts on drops."""
 
     def __init__(self, pool_id: PoolId, drop_threshold: FixedAmount):
-        if not (0 < drop_threshold.raw):
-            raise ParameterError("drop threshold must be > 0")
         self.pool_id = pool_id
         self.drop_threshold = drop_threshold
         # (height, liquidity) of the latest observation
@@ -239,13 +237,6 @@ class Intent:
                  vault: Optional[VaultId], theta_price: FixedAmount,
                  theta_liquidity: FixedAmount, action: IntentAction, price_ref: FixedAmount,
                  liquidity_ref: FixedAmount, solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS):
-        one_raw = 10**9
-        for name, frac in (("theta_price", theta_price),
-                           ("theta_liquidity", theta_liquidity)):
-            if not (0 < frac.raw < one_raw):
-                raise ParameterError(f"{name} must be in (0, 1), got {frac}")
-        if not (0 <= solver_fee_bps <= 10000):
-            raise ParameterError(f"solver fee cap out of range: {solver_fee_bps}")
         self.intent_id, self.owner, self.pool = intent_id, owner, pool
         self.token, self.vault, self.action = token, vault, action
         # triggers: price <= theta_price * price_ref, or
@@ -265,8 +256,6 @@ class SolverBid:
     __slots__ = ("solver", "fee_bps")
 
     def __init__(self, solver: str, fee_bps: int):
-        if not (0 <= fee_bps <= 10000):
-            raise ParameterError(f"solver fee out of range: {fee_bps}")
         self.solver, self.fee_bps = solver, fee_bps
 
 
@@ -274,7 +263,6 @@ class IntentExecution(NamedTuple):
     intent: Intent
     solver: str
     fee_bps: int
-    height: int
 
 
 class IntentBook:
@@ -301,7 +289,7 @@ class IntentBook:
 
 
 def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
-                liquidity: dict[PoolId, FixedAmount], height: int,
+                liquidity: dict[PoolId, FixedAmount],
                 bids: Sequence[SolverBid]) -> list[IntentExecution]:
     """Match triggered intents to the cheapest solver this block.
 
@@ -324,5 +312,5 @@ def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
         if best is not None and intent.triggered(price, l_pool):
             intent.status = IntentStatus.EXECUTED
             executions.append(IntentExecution(intent=intent, solver=best.solver,
-                                              fee_bps=best.fee_bps, height=height))
+                                              fee_bps=best.fee_bps))
     return executions

@@ -38,8 +38,6 @@ class VoteBox:
     """Deposit-weighted vote record over a half-open block window."""
 
     def __init__(self, start: int, end: int, min_deposit: FixedAmount, sides: tuple[str, str]):
-        if end < start:
-            raise ParameterError("vote window ends before it starts")
         self.start = start
         self.end = end
         self.min_deposit = min_deposit

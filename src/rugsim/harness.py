@@ -53,6 +53,7 @@ from typing import Any, Callable, Optional
 from . import detection, market, tokenomics
 from .core import (
     FixedAmount,
+    ONE,
     ParameterError,
     RugsimError,
     SeededRng,
@@ -60,6 +61,8 @@ from .core import (
     TokenId,
     ZERO,
     _checked,
+    _div_round_half_even,
+    fsum,
 )
 from .detection import (
     AuxMonitor,
@@ -280,7 +283,7 @@ class Simulation:
 
         # protocol transactions outbid drains by this much (the fee
         # escalation knob); protective plans use it, salvage stays below
-        self.priority_boost = max(1, det["protocol_priority_boost"])
+        self.priority_boost = det["protocol_priority_boost"]
         self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
@@ -568,8 +571,7 @@ class Simulation:
             chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
                                for pid in view.pool_ids}
         for execution in detection.solver_step(self.intent_book, chain_prices,
-                                               chain_liquidity, height,
-                                               self._solver_bids):
+                                               chain_liquidity, self._solver_bids):
             self._event("intent_triggered", execution.intent.intent_id,
                         execution.intent.owner, execution.solver, execution.fee_bps)
             self._enqueue(chain, height,
@@ -757,10 +759,10 @@ class Simulation:
         pool_id = step["pool"]
         pool = self.pools[pool_id]
         dx = step["dx"]
-        dy = pool.reserve_y * dx / pool.reserve_x if step["dy"] == "auto" else step["dy"]
         lp = market.LP_TOKEN_PREFIX + pool_id
-        minted, new_pool = market.pool_add_liquidity(pool, dx, dy,
+        minted, new_pool = market.pool_add_liquidity(pool, dx, step["dy"],
                                                      self.ledger.total_supply(lp))
+        dy = new_pool.reserve_y - pool.reserve_y
         for token, amount in ((pool.token_x, dx), (pool.token_y, dy)):
             held = self.ledger.balance(account, token)
             if held < amount:
@@ -990,15 +992,25 @@ class Simulation:
     # -- finalization ----------------------------------------------------------
 
     def mark_to_market(self, account: str) -> FixedAmount:
-        """Account value in numeraire units: cash plus spot-valued holdings."""
+        """Account value in numeraire units: cash, the token_x of each
+        numeraire pool at that pool's spot price, and each LP position as
+        its pro-rata claim on both of its pool's reserves, valued alike."""
         numeraire = self.scenario.numeraire
-        total = self.ledger.balance(account, numeraire)
+        spots = {numeraire: ONE}
         for pool in self.pools.values():
             if pool.token_y == numeraire and pool.reserve_x.raw > 0:
-                held = self.ledger.balance(account, pool.token_x)
-                if held.raw > 0:
-                    total = total + held * market.spot_price(pool)
-        return total
+                spots[pool.token_x] = market.spot_price(pool)
+        held = {token: self.ledger.balance_raw(account, token) for token in spots}
+        for pool in self.pools.values():
+            lp = market.LP_TOKEN_PREFIX + pool.pool_id
+            share = self.ledger.balance_raw(account, lp)
+            if share > 0:
+                supply = self.ledger.total_supply(lp).raw
+                for token, reserve in ((pool.token_x, pool.reserve_x),
+                                       (pool.token_y, pool.reserve_y)):
+                    if token in held:
+                        held[token] += _div_round_half_even(reserve.raw * share, supply)
+        return fsum(FixedAmount(raw) * spots[token] for token, raw in held.items())
 
     def finalize(self) -> None:
         snapshot = self.ledger.snapshot()

@@ -15,12 +15,10 @@ from typing import Optional
 
 from .core import (
     FixedAmount,
-    ONE,
     ParameterError,
     QUANTUM,
     StateError,
     TokenId,
-    ZERO,
     amt,
     fsum,
 )
@@ -70,16 +68,6 @@ class InsuranceParams:
         self.max_escalations = max_escalations
         self.tau_challenge, self.tau_vote = tau_challenge, tau_vote
         self.escalation_window, self.x_min = escalation_window, x_min
-        for name in ("alpha_comp", "gamma_pen"):
-            v = getattr(self, name)
-            if not (ZERO <= v <= ONE):
-                raise ParameterError(f"{name} must be in [0, 1], got {v}")
-        if self.escalation_bond_multiplier <= ONE:
-            raise ParameterError("escalation multiplier must be > 1")
-        if min(self.tau_challenge, self.tau_vote, self.escalation_window) <= 0:
-            raise ParameterError("windows must be > 0 blocks")
-        if self.max_escalations < 0:
-            raise ParameterError("max_escalations must be >= 0")
 
 
 class Policy:

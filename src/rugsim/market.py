@@ -64,10 +64,6 @@ class PriceProcess:
                  lam: FixedAmount = DEFAULT_PRICE_RATE,
                  alpha_sent: FixedAmount = DEFAULT_PRICE_RATE,
                  epsilon_floor: FixedAmount = DEFAULT_EPSILON_FLOOR):
-        if p0.raw <= 0:
-            raise ParameterError(f"initial price must be > 0, got {p0}")
-        if epsilon_floor.raw <= 0:
-            raise ParameterError("epsilon floor must be > 0")
         self.kind, self.p0, self.tau_rug = kind, p0, tau_rug
         self.lam, self.alpha_sent, self.epsilon_floor = lam, alpha_sent, epsilon_floor
 
@@ -77,40 +73,17 @@ def _decay(proc: PriceProcess, x_num: int, x_den: int) -> FixedAmount:
     return max(FixedAmount(_exp_neg_raw(proc.p0.raw, x_num, x_den)), proc.epsilon_floor)
 
 
-def price_scam(proc: PriceProcess, height: int) -> FixedAmount:
-    """max(p0 * e**(-t/tau_rug), floor): near-instant collapse."""
-    if proc.kind is not RugKind.SCAM:
-        raise ParameterError(f"not a scam process: {proc.kind}")
-    if proc.tau_rug.raw <= 0:
-        raise ParameterError("tau_rug must be > 0")
-    return _decay(proc, height * SCALE, proc.tau_rug.raw)
-
-
-def price_catastrophic(proc: PriceProcess, height: int) -> FixedAmount:
-    """max(p0 * e**(-lam*t), floor): gradual exponential failure."""
-    if proc.kind is not RugKind.CATASTROPHIC:
-        raise ParameterError(f"not a catastrophic process: {proc.kind}")
-    if proc.lam.raw < 0:
-        raise ParameterError("lam must be >= 0")
-    return _decay(proc, proc.lam.raw * height, SCALE)
-
-
-def price_sentiment(proc: PriceProcess, height: int) -> FixedAmount:
-    """max(p0 / (1 + alpha*t), floor): hyperbolic sentiment decay."""
-    if proc.kind is not RugKind.SENTIMENT:
-        raise ParameterError(f"not a sentiment process: {proc.kind}")
-    if proc.alpha_sent.raw < 0:
-        raise ParameterError("alpha_sent must be >= 0")
+def price_at(proc: PriceProcess, height: int) -> FixedAmount:
+    """The price at block ``height``, never below the floor:
+    scam          p0 * e**(-t/tau_rug)  near-instant collapse
+    catastrophic  p0 * e**(-lam*t)      gradual exponential failure
+    sentiment     p0 / (1 + alpha*t)    hyperbolic sentiment decay"""
+    if proc.kind is RugKind.SCAM:
+        return _decay(proc, height * SCALE, proc.tau_rug.raw)
+    if proc.kind is RugKind.CATASTROPHIC:
+        return _decay(proc, proc.lam.raw * height, SCALE)
     denom = FixedAmount(SCALE + proc.alpha_sent.raw * height)
     return max(proc.p0 / denom, proc.epsilon_floor)
-
-
-def price_at(proc: PriceProcess, height: int) -> FixedAmount:
-    if proc.kind is RugKind.SCAM:
-        return price_scam(proc, height)
-    if proc.kind is RugKind.CATASTROPHIC:
-        return price_catastrophic(proc, height)
-    return price_sentiment(proc, height)
 
 
 # -- constant-product pool ------------------------------------------------
@@ -236,19 +209,25 @@ def pool_quote_exact_out(pool: PoolState, out_token: TokenId,
     return FixedAmount(dx_raw)
 
 
-def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: FixedAmount,
+def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: Optional[FixedAmount],
                        lp_supply: FixedAmount) -> tuple[FixedAmount, PoolState]:
-    """Deposit both tokens at the current reserve ratio (1-quantum slack).
-    Returns the LP tokens minted, the smaller pro-rata claim on ``lp_supply``
-    rounded down so the pool never over-issues (with no supply, as at
-    genesis or once closed, isqrt(dx*dy)), and the new pool."""
-    if dx.raw <= 0 or dy.raw <= 0:
-        raise ParameterError("liquidity amounts must be > 0")
+    """Deposit both tokens at the current reserve ratio (1-quantum slack);
+    a ``dy`` of None takes the dy that ratio gives, and fails in a pool
+    with no token_x reserve. Returns the LP tokens minted, the smaller
+    pro-rata claim on ``lp_supply`` rounded down so the pool never
+    over-issues (with no supply, as at genesis or once closed,
+    isqrt(dx*dy)), and the new pool, whose reserve_y grew by dy."""
     if pool.reserve_x.raw > 0:
         expected_dy = dx * pool.reserve_y / pool.reserve_x
-        if abs(dy - expected_dy) > QUANTUM:
+        if dy is None:
+            dy = expected_dy
+        elif abs(dy - expected_dy) > QUANTUM:
             raise RatioError(
                 f"deposit ratio mismatch: got dy={dy}, expected {expected_dy}")
+    elif dy is None:
+        raise IlliquidError(f"pool {pool.pool_id} has no token_x reserve to price an 'auto' dy")
+    if dx.raw <= 0 or dy.raw <= 0:
+        raise ParameterError("liquidity amounts must be > 0")
     if lp_supply.raw == 0:
         minted = math.isqrt(dx.raw * dy.raw)
     elif pool.reserve_x.raw == 0 or pool.reserve_y.raw == 0:

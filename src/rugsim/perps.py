@@ -51,8 +51,6 @@ class FundingParams:
     __slots__ = ("alpha_base", "l_min", "interval_blocks")
 
     def __init__(self, alpha_base: FixedAmount, l_min: FixedAmount, interval_blocks: int):
-        if alpha_base.raw <= 0 or l_min.raw <= 0 or interval_blocks <= 0:
-            raise ParameterError("funding parameters must be > 0")
         self.alpha_base, self.l_min, self.interval_blocks = alpha_base, l_min, interval_blocks
 
 
@@ -63,10 +61,6 @@ class MaintenanceRule:
     def __init__(self, maintenance_fraction: FixedAmount = DEFAULT_MAINTENANCE_FRACTION,
                  liquidator_deadline_blocks: int = DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS,
                  liquidator_fee_fraction: FixedAmount = DEFAULT_LIQUIDATOR_FEE_FRACTION):
-        if not (0 < maintenance_fraction.raw < 10**9):
-            raise ParameterError("maintenance_fraction must be in (0, 1)")
-        if liquidator_fee_fraction >= maintenance_fraction:
-            raise ParameterError("liquidator fee must be below the maintenance fraction")
         self.maintenance_fraction = maintenance_fraction
         self.liquidator_deadline_blocks = liquidator_deadline_blocks
         self.liquidator_fee_fraction = liquidator_fee_fraction

@@ -12,11 +12,9 @@ from typing import Optional
 
 from .core import (
     FixedAmount,
-    ONE,
     ParameterError,
     StateError,
     TokenId,
-    ZERO,
     amt,
 )
 from .disputes import CaseEscrow, Resolution, VoteBox
@@ -59,12 +57,6 @@ class SlashParams:
         self.z_min = z_min              # minimum vote deposit
         self.challenge_blocks = challenge_blocks
         self.x_min = x_min              # "nontrivial" issuance bond floor
-        for name in ("alpha_slash", "gamma_slash", "claimant_share", "x_min"):
-            v = getattr(self, name)
-            if not (ZERO <= v <= ONE):
-                raise ParameterError(f"{name} must be in [0, 1], got {v}")
-        if self.challenge_blocks <= 0:
-            raise ParameterError("challenge_blocks must be > 0")
 
 
 class BondedIssuance:

@@ -6,8 +6,10 @@ All monetary fields are decimal strings (or ints); bare JSON floats are
 rejected so a scenario byte-for-byte determines the run. Every field is
 described by one table entry, which gives its kind and, for an optional
 field, its default; ``load_scenario`` parses each field by its table once,
-and the engine reads only the parsed values. Errors name the offending
-path, e.g. ``vaults[0].theta``.
+and the engine reads only the parsed values. A field's range is its
+kind's and is written only here: the engine's parameter records take the
+parsed values unchecked. Errors name the offending path, e.g.
+``vaults[0].theta``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import insurance, rugproof
-from .core import MAX_RAW, ONE, SCALE, FixedAmount, RugsimError, amt
+from .core import MAX_RAW, SCALE, FixedAmount, RugsimError, amt
 from .detection import DEFAULT_SOLVER_FEE_BPS, IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
 from .market import (DEFAULT_EPSILON_FLOOR, DEFAULT_FEE_BPS, DEFAULT_PEG_TOLERANCE,
@@ -40,16 +42,17 @@ KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
 # "?" is optional and maps to (kind, default): an absent or null field
 # takes the default, written as a document would and parsed by the kind;
 # a default of None stays None.
-AMOUNT, NONNEG, POSITIVE, FRACTION, SHARE, UNIT = (
+AMOUNT, NONNEG, POSITIVE, FRACTION, SHARE, UNIT, AT_LEAST_ONE, ABOVE_ONE = (
     "amount", "amount >= 0", "amount > 0", "amount in (0, 1)", "amount in (0, 1]",
-    "amount in [0, 1]")
+    "amount in [0, 1]", "amount >= 1", "amount > 1")
 INT, NAT, COUNT, BPS = "int", "int >= 0", "int >= 1", "int in [0, 10000]"
 # the seed is taken mod 2**64 (SeededRng), so a larger one would alias a smaller
 SEED = "int in [0, 2**64 - 1]"
 # the least and greatest value each ranged kind accepts (raw quanta for
 # amounts); None leaves that side open
 AMOUNT_RANGES = {AMOUNT: (None, None), NONNEG: (0, None), POSITIVE: (1, None),
-                 FRACTION: (1, SCALE - 1), SHARE: (1, SCALE), UNIT: (0, SCALE)}
+                 FRACTION: (1, SCALE - 1), SHARE: (1, SCALE), UNIT: (0, SCALE),
+                 AT_LEAST_ONE: (SCALE, None), ABOVE_ONE: (SCALE + 1, None)}
 INT_RANGES = {INT: (None, None), NAT: (0, None), COUNT: (1, None), BPS: (0, 10000),
               SEED: (0, 2**64 - 1)}
 TEXT, BOOL, AMOUNT_OR_AUTO = "string", "true|false", f"{POSITIVE} or 'auto'"
@@ -111,21 +114,22 @@ TOKEN_FIELDS = {"id": NEW_TOKEN, "chain": CHAIN,
 ACCOUNT_FIELDS = {"id": NEW_ACCOUNT, "owner?": (TEXT, None), "balances?": (BALANCES, {})}
 VAULT_FIELDS = {"id": NEW_VAULT, "chain": CHAIN, "rugged_token": PRICED_TOKEN,
                 "receipt_kind?": (ReceiptKind, ReceiptKind.FUNGIBLE.value),
-                "omega": AMOUNT, "theta": AMOUNT, "penalty_k": NONNEG,
-                "penalty_lambda": AMOUNT, "gamma_base": NONNEG, "delta_gamma": NONNEG}
+                "omega": NONNEG, "theta": AMOUNT, "penalty_k": NONNEG,
+                # > 1: the whale penalty k * H**lambda is superlinear
+                "penalty_lambda": ABOVE_ONE, "gamma_base": NONNEG, "delta_gamma": NONNEG}
 # a pool trades declared tokens and the anticoins of declared vaults
 POOL_FIELDS = {"id": NEW_POOL, "chain": CHAIN, "token_x": POOL_TOKEN,
                "token_y": POOL_TOKEN, "reserve_x": POSITIVE, "reserve_y": POSITIVE,
                "fee_bps?": (BPS, DEFAULT_FEE_BPS)}
 INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
 AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
-              "noise?": ({"pool": POOL, "prob?": (AMOUNT, "0.1"),
+              "noise?": ({"pool": POOL, "prob?": (UNIT, "0.1"),
                           "max_size?": (POSITIVE, 1)}, None)}
 AGENT_PARAMS = {
-    "pegkeeper": {"pool": POOL, "vault?": (VAULT, None), "budget?": (AMOUNT, 0),
-                  "tolerance?": (AMOUNT, DEFAULT_PEG_TOLERANCE)},
-    "detector": {"protects?": ([ACCOUNT], []), "sandwich_budget?": (AMOUNT, 0),
-                 "backrun_budget?": (AMOUNT, 0), "backrun_cap?": (AMOUNT, 0)},
+    "pegkeeper": {"pool": POOL, "vault?": (VAULT, None), "budget?": (NONNEG, 0),
+                  "tolerance?": (NONNEG, DEFAULT_PEG_TOLERANCE)},
+    "detector": {"protects?": ([ACCOUNT], []), "sandwich_budget?": (NONNEG, 0),
+                 "backrun_budget?": (NONNEG, 0), "backrun_cap?": (NONNEG, 0)},
     "solver": {"fee_bps?": (BPS, 0)},
 }
 # the object sections: tokenomics is required, a document without perps has
@@ -137,31 +141,32 @@ SECTION_FIELDS = {
         "enabled_vaults?": ([VAULT], []), "alpha_base": POSITIVE, "l_min": POSITIVE,
         "interval_blocks": COUNT, "amm_pool?": (POOL, None),
         "maintenance_fraction?": (FRACTION, DEFAULT_MAINTENANCE_FRACTION),
-        "max_leverage?": (AMOUNT, DEFAULT_MAX_LEVERAGE),
-        "liquidator_deadline_blocks?": (INT, DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS),
-        "liquidator_fee_fraction?": (AMOUNT, DEFAULT_LIQUIDATOR_FEE_FRACTION),
+        "max_leverage?": (AT_LEAST_ONE, DEFAULT_MAX_LEVERAGE),
+        "liquidator_deadline_blocks?": (NAT, DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS),
+        "liquidator_fee_fraction?": (UNIT, DEFAULT_LIQUIDATOR_FEE_FRACTION),
         "revalue_collateral?": (BOOL, False)}, None),
     "detection?": ({
-        "drop_threshold?": (POSITIVE, "0.2"), "mint_spike_factor?": (AMOUNT, 3),
-        "wallet_outflow_fraction?": (AMOUNT, "0.5"), "volume_spike_factor?": (AMOUNT, 4),
+        "drop_threshold?": (POSITIVE, "0.2"), "mint_spike_factor?": (NONNEG, 3),
+        "wallet_outflow_fraction?": (UNIT, "0.5"), "volume_spike_factor?": (NONNEG, 4),
         # protective plans outbid drains by this much
-        "protocol_priority_boost?": (INT, 20),
+        "protocol_priority_boost?": (COUNT, 20),
         # the share of a sandwich's profit sent to the treasury
         "sandwich_treasury_fraction?": (UNIT, 1)}, {}),
     "rugproof?": ({
         "alpha_slash?": (UNIT, "0.5"), "gamma_slash?": (UNIT, "0.5"),
         "claimant_share?": (UNIT, rugproof.DEFAULT_CLAIMANT_SHARE),
-        "z_min?": (AMOUNT, rugproof.DEFAULT_Z_MIN),
+        "z_min?": (NONNEG, rugproof.DEFAULT_Z_MIN),
         "challenge_blocks?": (COUNT, rugproof.DEFAULT_CHALLENGE_BLOCKS),
         "x_min?": (UNIT, rugproof.DEFAULT_X_MIN)}, {}),
     "insurance?": ({
         "alpha_comp?": (UNIT, "0.2"), "gamma_pen?": (UNIT, "0.5"),
-        "escalation_bond_multiplier?": (AMOUNT, insurance.DEFAULT_ESCALATION_BOND_MULTIPLIER),
+        "escalation_bond_multiplier?": (ABOVE_ONE,
+                                        insurance.DEFAULT_ESCALATION_BOND_MULTIPLIER),
         "max_escalations?": (NAT, insurance.DEFAULT_MAX_ESCALATIONS),
         "tau_challenge?": (COUNT, insurance.DEFAULT_TAU_CHALLENGE),
         "tau_vote?": (COUNT, insurance.DEFAULT_TAU_VOTE),
         "escalation_window?": (COUNT, insurance.DEFAULT_ESCALATION_WINDOW),
-        "x_min?": (AMOUNT, insurance.DEFAULT_X_MIN)}, {}),
+        "x_min?": (UNIT, insurance.DEFAULT_X_MIN)}, {}),
 }
 
 
@@ -253,7 +258,8 @@ def _parse(kind: Any, value: Any, path: str, refs: dict) -> Any:
             if not isinstance(value, bool):
                 raise ScenarioError(path, f"expected true or false, got {value!r}")
             return value
-        return value if value == "auto" else _parse(POSITIVE, value, path, refs)
+        # 'auto' is None: the amount the pool's reserve ratio gives
+        return None if value == "auto" else _parse(POSITIVE, value, path, refs)
     if isinstance(kind, dict):
         return _parse_args(value, kind, path, refs)
     if isinstance(kind, list):
@@ -331,10 +337,8 @@ def _parse_list(entries: list, key: str, fields: dict, refs: dict) -> list[dict]
 class Scenario(NamedTuple):
     """A parsed scenario: every field checked and defaulted by its table,
     amounts as FixedAmount, ints as int and choices as their enums. Each
-    section keeps the document's shape and keys; ``doc`` is the raw
-    document."""
+    section keeps the document's shape and keys."""
 
-    doc: dict
     seed: int
     blocks: int
     bridge_delay_blocks: int
@@ -388,9 +392,6 @@ def _load_vaults(entries: list, refs: dict) -> list[dict]:
         if vault["theta"] <= vault["omega"]:
             raise ScenarioError(f"vaults[{i}].theta", f"burn reward {vault['theta']} must "
                                 f"exceed deposit reward {vault['omega']}")
-        if vault["penalty_lambda"] <= ONE:
-            raise ScenarioError(f"vaults[{i}].penalty_lambda",
-                                f"must be > 1, got {vault['penalty_lambda']}")
         # one vault per rugged token and chain: the pair names its anticoin
         anticoin = anticoin_id(vault["rugged_token"], vault["chain"])
         if anticoin in anticoins:
@@ -501,14 +502,10 @@ def load_scenario(doc: dict, memo: Optional[dict] = None) -> Scenario:
             raise ScenarioError("perps.liquidator_fee_fraction", "must be below "
                                 f"maintenance_fraction {perps['maintenance_fraction']}, "
                                 f"got {perps['liquidator_fee_fraction']}")
-    multiplier = sections["insurance"]["escalation_bond_multiplier"]
-    if multiplier <= ONE:
-        raise ScenarioError("insurance.escalation_bond_multiplier",
-                            f"must be > 1, got {multiplier}")
 
     agents = section("agents", _load_agents)
     intents = section("intents", _load_intents)
-    return Scenario(doc=doc, **top, tokens=tokens, accounts=accounts, vaults=vaults,
+    return Scenario(**top, tokens=tokens, accounts=accounts, vaults=vaults,
                     pools=pools, **sections, agents=agents, intents=intents)
 
 

@@ -38,12 +38,7 @@ class SupplyParams:
         self.s0 = s0                      # scale of the supply target
         self.epsilon_rate = epsilon_rate  # tokens emitted per block
         self.beta_burn = beta_burn        # per-block burn cap
-        self.kappa = kappa                # controller convergence rate in (0, 1]
-        for name in ("s0", "epsilon_rate", "beta_burn", "kappa"):
-            if getattr(self, name).raw < 0:
-                raise ParameterError(f"{name} must be >= 0")
-        if self.kappa > ONE:
-            raise ParameterError(f"kappa must be <= 1, got {self.kappa}")
+        self.kappa = kappa                # controller convergence rate in [0, 1]
 
 
 def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:

@@ -83,7 +83,6 @@ class RewardEvent(NamedTuple):
 
     kind: str  # "deposit" | "burn"
     vault: VaultId
-    chain: ChainId
     account: str
     amount: FixedAmount
 
@@ -163,17 +162,8 @@ class VaultRegistry:
                      gamma_base: FixedAmount, delta_gamma: FixedAmount,
                      current_price: FixedAmount,
                      vault_id: Optional[VaultId] = None) -> Vault:
-        if theta <= omega:
-            raise ParameterError(
-                f"burn reward rate must exceed deposit rate: theta={theta} <= omega={omega}")
-        if penalty_lambda <= amt(1):
-            raise ParameterError(f"penalty_lambda must be > 1, got {penalty_lambda}")
         if current_price.raw <= 0:
             raise ParameterError("creation price must be > 0")
-        for name, value in (("omega", omega), ("penalty_k", penalty_k),
-                            ("gamma_base", gamma_base), ("delta_gamma", delta_gamma)):
-            if value.raw < 0:
-                raise ParameterError(f"{name} must be >= 0, got {value}")
         if rugged_token in self._by_token:
             raise StateError(f"vault for {rugged_token} already exists on {self.chain}")
         vid = vault_id or f"v-{rugged_token}@{self.chain}"
@@ -206,7 +196,7 @@ class VaultRegistry:
         if vault.receipt_kind is not ReceiptKind.FUNGIBLE:
             serial = vault.next_serial
             vault.next_serial += 1
-        reward = RewardEvent("deposit", vault_id, self.chain, user, vault.omega * amount)
+        reward = RewardEvent("deposit", vault_id, user, vault.omega * amount)
         return serial, reward
 
     def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: str,
@@ -217,7 +207,7 @@ class VaultRegistry:
             raise DustError(f"burn must be > 0, got {amount}")
         ledger.burn(user, vault.anticoin, amount, memo=f"burn:{vault_id}")
         vault.total_burned = vault.total_burned + amount
-        reward = RewardEvent("burn", vault_id, self.chain, user, vault.theta * amount)
+        reward = RewardEvent("burn", vault_id, user, vault.theta * amount)
         return vault.anticoin_supply, reward
 
     def withdrawal_count(self, owner: str, vault_id: VaultId) -> int:

@@ -20,6 +20,7 @@ from rugsim.market import PoolState, PriceProcess
 from rugsim.perps import MaintenanceRule
 from rugsim.rugproof import SlashParams
 from rugsim.scenario import (
+    ABOVE_ONE,
     ACCOUNT,
     ACCOUNT_FIELDS,
     AGENT_ARGS,
@@ -621,6 +622,23 @@ def _genesis_rug(*balances):
     return mutate
 
 
+def _refused(builtin, *keys, value):
+    """A probe that sets the field at ``keys`` to a value out of its kind's
+    range. A section that the builtin lacks is added: perps with
+    PERPS_SECTION's fields, the dispute sections with that field alone."""
+    section, *rest = keys
+    path = section + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                             for key in rest)
+    if section == "perps":
+        mutate = _set("perps", value=dict(PERPS_SECTION, **{rest[0]: value}))
+    elif section in ("rugproof", "insurance"):
+        mutate = _set(section, value={rest[0]: value})
+    else:
+        mutate = _set(*keys, value=value)
+    return pytest.param(builtin, mutate, path,
+                        id=f"out-of-range-{'.'.join(map(str, keys))}={value}")
+
+
 LOAD_PROBES = [
     pytest.param("reference", _script_step(op="swap", pool="nope", token_in="RUG",
                                            amount="1"),
@@ -776,6 +794,33 @@ LOAD_PROBES = [
                  id="declared-token-named-like-an-lp-token"),
     pytest.param("reference", _set("numeraire", value="lp:x"), "numeraire",
                  id="numeraire-named-like-an-lp-token"),
+    # a vault's rates: theta > omega >= 0 and a superlinear penalty
+    _refused("reference", "vaults", 0, "omega", value="-0.01"),
+    pytest.param("reference", _set("vaults", 0, "theta", value="0.01"), "vaults[0].theta",
+                 id="theta-equal-to-omega"),
+    _refused("reference", "vaults", 0, "penalty_lambda", value="1"),
+    pytest.param("reference", lambda doc: doc["vaults"].append(dict(doc["vaults"][0])),
+                 "vaults[1].id", id="duplicate-vault-id"),
+    # the ranges of the fields that each runtime record used to re-check, or
+    # that nothing checked
+    *(_refused(builtin, *keys, value=value) for builtin, keys, value in (
+        ("scam", ("perps", "liquidator_fee_fraction"), "-0.5"),
+        ("scam", ("perps", "liquidator_deadline_blocks"), -4),
+        ("scam", ("perps", "max_leverage"), "0.5"),
+        ("reference", ("agents", 0, "noise", "prob"), "-1"),
+        ("reference", ("agents", 0, "noise", "prob"), "7"),
+        ("reference", ("detection", "mint_spike_factor"), "-3"),
+        ("reference", ("detection", "volume_spike_factor"), "-1"),
+        ("reference", ("detection", "wallet_outflow_fraction"), "1.5"),
+        ("reference", ("detection", "protocol_priority_boost"), 0),
+        ("reference", ("agents", 3, "budget"), "-1"),
+        ("reference", ("agents", 3, "tolerance"), "-0.005"),
+        ("scam", ("agents", 2, "sandwich_budget"), "-1"),
+        ("scam", ("agents", 2, "backrun_budget"), "-1"),
+        ("scam", ("agents", 2, "backrun_cap"), "-1"),
+        ("reference", ("rugproof", "z_min"), "-1"),
+        ("reference", ("insurance", "x_min"), "-1"),
+        ("reference", ("insurance", "x_min"), "1.5"))),
 ]
 
 
@@ -790,6 +835,7 @@ def test_run_rejects_bad_documents_at_load_with_a_path(tmp_path, capsys, builtin
     assert code == 2
     assert err.startswith(f"scenario error: {path}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 # -- load tests walked from the tables: a field added to a table is covered
@@ -810,7 +856,7 @@ def example(kind):
         return kind[0]
     known = {CHAIN: "alpha", POOL: "rug-usdn", VAULT: "v-rug", PERPS_VAULT: "v-rug",
              ACCOUNT: "alice", AMOUNT_OR_AUTO: "auto", TEXT: "RUG", BOOL: False,
-             FRACTION: "0.5", UNIT: "0.5", BPS: 30}
+             FRACTION: "0.5", UNIT: "0.5", BPS: 30, ABOVE_ONE: "2"}
     return known.get(kind, 1 if kind in INT_RANGES else "1")
 
 

@@ -267,21 +267,13 @@ def mk_intent(book, theta_price="0.5", theta_liq="0.3"):
                          price_ref=amt(1), liquidity_ref=amt(1000))
 
 
-def test_intent_threshold_validation():
-    book = IntentBook()
-    with pytest.raises(ParameterError):
-        mk_intent(book, theta_price="1")
-    with pytest.raises(ParameterError):
-        mk_intent(book, theta_liq="0")
-
-
 def test_intent_triggers_on_price():
     book = IntentBook()
     intent = mk_intent(book)
     bids = [SolverBid("sol1", 30)]
-    quiet = solver_step(book, {"RUG": amt("0.6")}, {"p": amt(1000)}, 5, bids)
+    quiet = solver_step(book, {"RUG": amt("0.6")}, {"p": amt(1000)}, bids)
     assert quiet == [] and intent.status is IntentStatus.PENDING
-    hits = solver_step(book, {"RUG": amt("0.4")}, {"p": amt(1000)}, 6, bids)
+    hits = solver_step(book, {"RUG": amt("0.4")}, {"p": amt(1000)}, bids)
     assert len(hits) == 1 and hits[0].solver == "sol1"
     assert intent.status is IntentStatus.EXECUTED
 
@@ -290,7 +282,7 @@ def test_intent_triggers_on_liquidity():
     book = IntentBook()
     mk_intent(book)
     bids = [SolverBid("sol1", 30)]
-    hits = solver_step(book, {"RUG": amt(1)}, {"p": amt(200)}, 5, bids)
+    hits = solver_step(book, {"RUG": amt(1)}, {"p": amt(200)}, bids)
     assert len(hits) == 1
 
 
@@ -298,8 +290,8 @@ def test_intents_are_one_shot():
     book = IntentBook()
     mk_intent(book)
     bids = [SolverBid("sol1", 30)]
-    assert len(solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids)) == 1
-    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 6, bids) == []
+    assert len(solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids)) == 1
+    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids) == []
 
 
 def test_solver_auction_lowest_fee_then_id():
@@ -307,12 +299,12 @@ def test_solver_auction_lowest_fee_then_id():
     mk_intent(book)
     cheap = SolverBid("zed", 10)
     pricey = SolverBid("ann", 20)
-    [hit] = solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
+    [hit] = solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)},
                         [pricey, cheap])
     assert hit.solver == "zed" and hit.fee_bps == 10
     book2 = IntentBook()
     mk_intent(book2)
-    [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5,
+    [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {"p": amt(1000)},
                          [SolverBid("bob", 10),
                           SolverBid("ann", 10)])
     assert hit2.solver == "ann"  # fee tie: lower id wins
@@ -335,4 +327,4 @@ class _UnrankableBids(list):
 def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
     book = IntentBook()
     bids = _UnrankableBids([SolverBid("s", 30)])
-    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, 5, bids) == []
+    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids) == []

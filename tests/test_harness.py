@@ -6,6 +6,7 @@ import importlib.util
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -547,7 +548,7 @@ def test_perps_collateral_revaluation_toggle():
 
 def test_priority_boost_zero_is_clamped_protective():
     doc = scam_scenario()
-    doc["detection"]["protocol_priority_boost"] = 1
+    doc["detection"]["protocol_priority_boost"] = 1  # the least boost that loads
     sim, trace = run_scenario(doc)
     assert sim.mark_to_market("frontrun-user") > sim.mark_to_market("unprotected")
 
@@ -831,6 +832,44 @@ def test_an_add_into_an_emptied_reserve_fails():
         == [("add_liquidity", "IlliquidError")]
     assert sim.pools["p"].reserve_x == amt(0)
     assert_pools_hold_their_reserves(sim)
+
+
+def test_an_auto_add_into_a_closed_pool_fails_naming_the_pool():
+    # the treasury, holding every LP token, closes p; an 'auto' dy has no
+    # reserve ratio to read, so the add fails instead of dividing by zero
+    doc = lp_pool_doc(4)
+    doc["accounts"].append({"id": "treasury"})
+    doc["agents"] = [
+        {"kind": "lp", "account": "treasury",
+         "script": [{"block": 1, "op": "remove_liquidity", "pool": "p", "share": "1"}]},
+        {"kind": "lp", "account": "alice",
+         "script": [{"block": 3, "op": "add_liquidity", "pool": "p",
+                     "dx": "10", "dy": "auto"}]}]
+    sim, trace = run_scenario(doc)
+    [failed] = [e for e in trace.events if e["type"] == "failed"]
+    assert (failed["op"], failed["error"]) == ("add_liquidity", "IlliquidError")
+    assert failed["detail"].startswith("pool p ")
+    assert sim.pools["p"].is_closed()
+    assert sim.ledger.balance("alice", "RUG") == amt(100)
+    assert_pools_hold_their_reserves(sim)
+
+
+def test_mark_to_market_values_an_lp_position_as_its_claim_on_both_reserves():
+    # lp-1 put 1,000 RUG and ~2,000 USDN into rug-usdn at block 10; its LP
+    # tokens are worth that claim, not nothing
+    sim, _ = run_scenario(reference_scenario(blocks=12))
+    pool = sim.pools["rug-usdn"]
+    spot = pool.reserve_y.as_fraction() / pool.reserve_x.as_fraction()
+    share = (sim.ledger.balance("lp-1", "lp:rug-usdn").as_fraction()
+             / sim.ledger.total_supply("lp:rug-usdn").as_fraction())
+    held = {token: sim.ledger.balance("lp-1", token).as_fraction()
+            for token in ("RUG", "USDN")}
+    exact = (held["USDN"] + share * pool.reserve_y.as_fraction()
+             + (held["RUG"] + share * pool.reserve_x.as_fraction()) * spot)
+    # the engine rounds the spot price to the quantum: ~20,000 RUG at half a
+    # quantum each is 1e-5
+    assert abs(sim.mark_to_market("lp-1").as_fraction() - exact) < Fraction(1, 10**5)
+    assert 79_990 < exact < 80_000
 
 
 def test_chaos_scripts_never_crash_the_engine(tmp_path):

@@ -57,16 +57,6 @@ def test_create_vault_starts_empty():
     assert vault.price_at_creation == amt(100)
 
 
-def test_create_vault_rejects_bad_rates():
-    registry = VaultRegistry("alpha")
-    with pytest.raises(ParameterError):  # theta == omega
-        registry.create_vault("RUG", ReceiptKind.FUNGIBLE, amt("0.02"), amt("0.02"),
-                              amt(0), amt(2), amt("0.1"), amt("0.01"), amt(100))
-    with pytest.raises(ParameterError):  # lambda == 1 is not superlinear
-        registry.create_vault("RUG", ReceiptKind.FUNGIBLE, amt("0.01"), amt("0.02"),
-                              amt(0), amt(1), amt("0.1"), amt("0.01"), amt(100))
-
-
 def test_create_vault_rejects_duplicates():
     registry, _ = mk_vault()
     with pytest.raises(StateError):

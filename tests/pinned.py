@@ -4,7 +4,9 @@ Each entry of ``tests/data/pinned_hashes.json`` maps a run's name to its
 trace hash (``hash.txt``), or, for a sweep, to the SHA-256 of its
 ``summary.csv``, which holds every point's trace hash. A run also pins the
 SHA-256 of its ``state.json`` and ``telemetry.csv``, under its name followed
-by the file's (see ``OUTPUT_FILES``). The runs go through
+by the file's (see ``OUTPUT_FILES``). ``rugsim schema``, which prints every
+field's kind and default, is pinned by the SHA-256 of its stdout, and each
+``rugsim figures --which`` CSV by its own. The runs go through
 the command line, as a user would make them; the two benchmark documents
 come from ``perfbench/workloads.py``, which is read and not edited.
 
@@ -36,9 +38,9 @@ from rugsim.cli import main  # noqa: E402
 
 PINNED_FILE = Path(__file__).resolve().parent / "data" / "pinned_hashes.json"
 
-# name -> (the document: a builtin name or a function building one,
-#          the extra command-line arguments, "run" or "sweep")
-CORPUS: dict[str, tuple[str | Callable[[], dict], list[str], str]] = {
+# name -> (the document: a builtin name, a function building one or None,
+#          the extra command-line arguments, the command)
+CORPUS: dict[str, tuple[str | Callable[[], dict] | None, list[str], str]] = {
     "builtin:reference --blocks 10000": ("builtin:reference", ["--blocks", "10000"], "run"),
     "builtin:scam": ("builtin:scam", [], "run"),
     "reference_doc(9001, 2000)": (lambda: workloads.reference_doc(9001, 2000), [], "run"),
@@ -51,6 +53,9 @@ CORPUS: dict[str, tuple[str | Callable[[], dict], list[str], str]] = {
     "storm_doc(777) pools.0.fee_bps sweep (summary.csv sha256)": (
         lambda: workloads.storm_doc(777),
         ["--param", "pools.0.fee_bps=10:50:10", "--blocks", "10"], "sweep"),
+    "rugsim schema (stdout sha256)": (None, [], "schema"),
+    **{f"rugsim figures --which {which} (csv sha256)": (None, ["--which", which], "figures")
+       for which in ("peg", "supply", "whale", "cumulative")},
 }
 
 
@@ -73,11 +78,18 @@ def run_entry(name: str, work: Path) -> tuple[dict[str, str], Path]:
         spec.write_text(json.dumps(source()), encoding="utf-8")
     else:
         spec = source
-    argv = [command, "--scenario", str(spec), "--out", str(out), *extra]
-    with contextlib.redirect_stdout(io.StringIO()):
+    argv = [command, *extra] if command == "schema" else [command, "--out", str(out), *extra]
+    if spec is not None:
+        argv[1:1] = ["--scenario", str(spec)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{name}: `rugsim {' '.join(argv)}` exited {code}")
+    if command == "schema":
+        return {name: hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}, out
+    if command == "figures":
+        return {name: sha256(out / f"figure_{extra[1]}.csv")}, out
     if command == "sweep":
         return {name: sha256(out / "summary.csv")}, out
     digests = {name: (out / "hash.txt").read_text(encoding="utf-8").strip()}

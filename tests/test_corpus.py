@@ -1,6 +1,7 @@
 """The pinned-output corpus (see ``tests/pinned.py``): every named run's
-trace hash, ``state.json`` and ``telemetry.csv``, and each sweep's summary
-digest, must be byte-identical to the pins in
+trace hash, ``state.json`` and ``telemetry.csv``, each sweep's summary
+digest, the schema's stdout and the four figure CSVs must be byte-identical
+to the pins in
 ``tests/data/pinned_hashes.json``, under any hash seed. The
 corpus runs' lines must also match their ``EVENT_TYPES`` entries."""
 

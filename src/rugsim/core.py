@@ -1,5 +1,5 @@
-"""Deterministic arithmetic substrate: fixed-point amounts, identifiers,
-simulated block time, and seeded randomness.
+"""Deterministic arithmetic substrate: the error types, fixed-point amounts,
+identifiers, the FNV-1a trace hash, and seeded randomness.
 
 Every monetary quantity in the simulator is a ``FixedAmount``: an integer
 count of 1e-9 units. Addition and subtraction are exact; multiplication and

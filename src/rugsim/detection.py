@@ -224,10 +224,6 @@ class IntentStatus(enum.Enum):
     EXECUTED = "executed"
 
 
-# the highest solver fee an intent accepts unless its owner says otherwise
-DEFAULT_SOLVER_FEE_BPS = 10000
-
-
 class Intent:
     __slots__ = ("intent_id", "owner", "pool", "token", "vault", "theta_price",
                  "theta_liquidity", "action", "price_ref", "liquidity_ref", "solver_fee_bps",
@@ -236,7 +232,7 @@ class Intent:
     def __init__(self, intent_id: int, owner: str, pool: PoolId, token: TokenId,
                  vault: Optional[VaultId], theta_price: FixedAmount,
                  theta_liquidity: FixedAmount, action: IntentAction, price_ref: FixedAmount,
-                 liquidity_ref: FixedAmount, solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS):
+                 liquidity_ref: FixedAmount, solver_fee_bps: int):
         self.intent_id, self.owner, self.pool = intent_id, owner, pool
         self.token, self.vault, self.action = token, vault, action
         # triggers: price <= theta_price * price_ref, or
@@ -273,8 +269,8 @@ class IntentBook:
     def register(self, owner: str, pool: PoolId, token: TokenId,
                  theta_price: FixedAmount, theta_liquidity: FixedAmount,
                  action: IntentAction, price_ref: FixedAmount,
-                 liquidity_ref: FixedAmount, vault: Optional[VaultId] = None,
-                 solver_fee_bps: int = DEFAULT_SOLVER_FEE_BPS) -> Intent:
+                 liquidity_ref: FixedAmount, vault: Optional[VaultId],
+                 solver_fee_bps: int) -> Intent:
         intent = Intent(intent_id=self._next_id, owner=owner, pool=pool,
                         token=token, vault=vault, theta_price=theta_price,
                         theta_liquidity=theta_liquidity, action=action,

@@ -71,11 +71,11 @@ from .detection import (
     PoolMonitor,
     SolverBid,
 )
-from .insurance import ClaimPhase, InsuranceBook, InsuranceParams, PolicyStatus
+from .insurance import ClaimPhase, InsuranceBook, PolicyStatus
 from .ledger import BalanceError, Ledger
 from .market import PoolState
-from .perps import FundingParams, MaintenanceRule, PerpBook
-from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook, SlashParams
+from .perps import PerpBook
+from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace, make_event
 from .vault import RewardEvent, VaultRegistry, anticoin_value
@@ -132,7 +132,8 @@ class ChainView:
 
     def __init__(self, aux: AuxMonitor):
         self.aux = aux
-        self.processes: list[tuple[TokenId, market.PriceProcess]] = []
+        # (token, its parsed price_process section)
+        self.processes: list[tuple[TokenId, dict]] = []
         self.pool_ids: list[str] = []
         self.monitors: list[tuple[str, PoolMonitor]] = []
         # (creator account, chain token) pairs whose outflows the aux scan reads
@@ -217,8 +218,8 @@ class Simulation:
         for entry in sc.tokens:
             token = entry["id"]
             token_chain[token] = entry["chain"]
-            if entry["price_process"] is not None:
-                process = market.PriceProcess(**entry["price_process"])
+            process = entry["price_process"]
+            if process is not None:
                 self.prices[token] = market.price_at(process, 0)
                 views[entry["chain"]].processes.append((token, process))
 
@@ -253,33 +254,20 @@ class Simulation:
             self.vault_chain[vault.vault_id] = chain
             token_chain[vault.anticoin] = chain
 
-        tk = sc.tokenomics
-        self.supply_params = tokenomics.SupplyParams(
-            s0=tk["s0"], epsilon_rate=tk["epsilon_rate"], beta_burn=tk["beta_burn"],
-            kappa=tk["kappa"])
-        self.ledger.mint(TREASURY, HOME_TOKEN, tk["initial_supply"], memo="genesis-supply")
+        self.ledger.mint(TREASURY, HOME_TOKEN, sc.tokenomics["initial_supply"],
+                         memo="genesis-supply")
 
         perp = sc.perps
         if perp is not None:
-            funding = FundingParams(alpha_base=perp["alpha_base"], l_min=perp["l_min"],
-                                    interval_blocks=perp["interval_blocks"])
-            rule = MaintenanceRule(
-                maintenance_fraction=perp["maintenance_fraction"],
-                liquidator_deadline_blocks=perp["liquidator_deadline_blocks"],
-                liquidator_fee_fraction=perp["liquidator_fee_fraction"])
             self.perp_amm = perp["amm_pool"]
             for vault_id in perp["enabled_vaults"]:
                 chain = self.vault_chain[vault_id]
                 vault = self.registries[chain].vault(vault_id)
-                book = self.perp_books[vault_id] = PerpBook(
-                    vault_id, vault.anticoin, funding, rule, perp["max_leverage"],
-                    revalue_collateral=perp["revalue_collateral"])
+                book = self.perp_books[vault_id] = PerpBook(vault_id, vault.anticoin, perp)
                 views[chain].perp_books.append((vault_id, book))
 
-        # the dispute sections' fields are the parameter records' fields
-        self.rugproof = RugproofBook(SlashParams(**sc.rugproof), treasury=TREASURY)
-        self.insurance = InsuranceBook(InsuranceParams(**sc.insurance), sc.numeraire,
-                                       treasury=TREASURY)
+        self.rugproof = RugproofBook(sc.rugproof, TREASURY)
+        self.insurance = InsuranceBook(sc.insurance, sc.numeraire, TREASURY)
 
         # protocol transactions outbid drains by this much (the fee
         # escalation knob); protective plans use it, salvage stays below
@@ -903,8 +891,8 @@ class Simulation:
             l_pool = ZERO
             if self.perp_amm is not None:
                 l_pool = self._pool_liquidity(self.pools[self.perp_amm])
-            if height % book.funding.interval_blocks == 0 and l_pool.raw > 0:
-                round_ = book.apply_funding(self.ledger, l_pool, height, TREASURY)
+            if height % book.params["interval_blocks"] == 0 and l_pool.raw > 0:
+                round_ = book.apply_funding(self.ledger, l_pool, TREASURY)
                 if round_ is not None:
                     self._event("funding_round", vault_id, round_.rate,
                                 round_.paying_side.value, round_.transfer_count,
@@ -970,15 +958,16 @@ class Simulation:
     def _phase_tokenomics(self, height: int, minted: int) -> None:
         """Emit, then burn toward the target; ``minted`` is the raw R the
         bridge minted this block. The ledger holds the only count of R."""
-        emission = self.supply_params.epsilon_rate
+        tk = self.scenario.tokenomics
+        emission = tk["epsilon_rate"]
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
         vaulted_value = tokenomics.aggregate_vault_stats(
             list(self.registries.values()), self.ledger, self._mark_price)
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
-        target = tokenomics.target_supply(vaulted_value, self.supply_params.s0)
-        burned = tokenomics.burn_step(self.ledger.total_supply(HOME_TOKEN),
-                                      self.supply_params, target, available=treasury_held)
+        target = tokenomics.target_supply(vaulted_value, tk["s0"])
+        burned = tokenomics.burn_step(self.ledger.total_supply(HOME_TOKEN), tk, target,
+                                      available=treasury_held)
         if burned.raw > 0:
             self.ledger.burn(TREASURY, HOME_TOKEN, burned, memo="supply-burn")
         self.trace.record_telemetry({

@@ -19,7 +19,6 @@ from .core import (
     QUANTUM,
     StateError,
     TokenId,
-    amt,
     fsum,
 )
 from .disputes import CaseEscrow, Resolution, VoteBox
@@ -41,33 +40,6 @@ class ClaimPhase(enum.Enum):
     PENDING_FINAL = "pending_final"
     APPROVED = "approved"
     REJECTED = "rejected"
-
-
-# InsuranceParams' defaults, which the scenario loader's table also reads
-DEFAULT_ESCALATION_BOND_MULTIPLIER = amt(2)
-DEFAULT_MAX_ESCALATIONS = 2
-DEFAULT_TAU_CHALLENGE = 10
-DEFAULT_TAU_VOTE = 10
-DEFAULT_ESCALATION_WINDOW = 5
-DEFAULT_X_MIN = amt("0.01")
-
-
-class InsuranceParams:
-    __slots__ = ("alpha_comp", "gamma_pen", "escalation_bond_multiplier", "max_escalations",
-                 "tau_challenge", "tau_vote", "escalation_window", "x_min")
-
-    def __init__(self, alpha_comp: FixedAmount, gamma_pen: FixedAmount,
-                 escalation_bond_multiplier: FixedAmount = DEFAULT_ESCALATION_BOND_MULTIPLIER,
-                 max_escalations: int = DEFAULT_MAX_ESCALATIONS,
-                 tau_challenge: int = DEFAULT_TAU_CHALLENGE, tau_vote: int = DEFAULT_TAU_VOTE,
-                 escalation_window: int = DEFAULT_ESCALATION_WINDOW,
-                 x_min: FixedAmount = DEFAULT_X_MIN):
-        self.alpha_comp = alpha_comp  # insurer-bond share paid to the claim side
-        self.gamma_pen = gamma_pen    # slash fraction on claim-side bonds
-        self.escalation_bond_multiplier = escalation_bond_multiplier
-        self.max_escalations = max_escalations
-        self.tau_challenge, self.tau_vote = tau_challenge, tau_vote
-        self.escalation_window, self.x_min = escalation_window, x_min
 
 
 class Policy:
@@ -134,10 +106,11 @@ class InsuranceClaim:
 
 
 class InsuranceBook:
-    """State machines for policies and their claims, in one settlement token."""
+    """State machines for policies and their claims, in one settlement token,
+    run by the scenario's parsed ``insurance`` section, which they read and
+    never write."""
 
-    def __init__(self, params: InsuranceParams, token: TokenId,
-                 treasury: str = "treasury"):
+    def __init__(self, params: dict, token: TokenId, treasury: str):
         self.params = params
         self.token = token
         self.treasury = treasury
@@ -154,9 +127,9 @@ class InsuranceBook:
             raise ParameterError("insured value must be > 0")
         if duration_blocks <= 0:
             raise ParameterError("duration must be > 0 blocks")
-        if x_fraction < self.params.x_min:
+        if x_fraction < self.params["x_min"]:
             raise ParameterError(
-                f"bond fraction {x_fraction} below floor {self.params.x_min}")
+                f"bond fraction {x_fraction} below floor {self.params['x_min']}")
         bond = x_fraction * insured_value
         if ledger.balance(insurer, self.token) < bond:
             raise BalanceError(f"insurer cannot cover the bond of {bond}")
@@ -216,7 +189,7 @@ class InsuranceBook:
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
             claim_bond=bond, loss_claimed=loss,
-            challenge_end=height + self.params.tau_challenge, escrow=escrow)
+            challenge_end=height + self.params["tau_challenge"], escrow=escrow)
         claim.last_bond[claimant] = bond
         self.claims[claim_id] = claim
         return claim
@@ -260,7 +233,7 @@ class InsuranceBook:
         claim.dispute = Dispute(challenger=challenger, bond=bond)
         claim.last_bond[challenger] = bond
         claim.phase = ClaimPhase.VOTING
-        claim.vote_end = height + self.params.tau_vote
+        claim.vote_end = height + self.params["tau_vote"]
         claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
         return claim.dispute
@@ -278,13 +251,13 @@ class InsuranceBook:
         posting their previous bond scaled by the escalation multiplier."""
         if claim.phase is not ClaimPhase.PENDING_FINAL:
             raise StateError(f"claim {claim.claim_id} has no pending outcome")
-        if claim.escalation_level >= self.params.max_escalations:
+        if claim.escalation_level >= self.params["max_escalations"]:
             raise StateError("escalation limit reached; outcome is final")
         if claim.dispute is None:
             raise StateError("undisputed claims cannot be escalated")
         if party not in (claim.claimant, claim.dispute.challenger):
             raise ParameterError(f"{party} is not a party to the claim")
-        bond = claim.last_bond[party] * self.params.escalation_bond_multiplier
+        bond = claim.last_bond[party] * self.params["escalation_bond_multiplier"]
         claim.escrow.take(party, bond,
                           f"escalation-bond:L{claim.escalation_level + 1}")
         claim.last_bond[party] = bond
@@ -295,7 +268,7 @@ class InsuranceBook:
         if claim.votes is not None:
             claim.past_votes.append(claim.votes)
         claim.phase = ClaimPhase.VOTING
-        claim.vote_end = height + self.params.tau_vote
+        claim.vote_end = height + self.params["tau_vote"]
         claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
 
@@ -307,14 +280,14 @@ class InsuranceBook:
             return self._finalize(ledger, claim, SIDE_APPROVE)
         if claim.phase is ClaimPhase.VOTING and height >= claim.vote_end:
             outcome = claim.votes.winner(tie_side=SIDE_REJECT)
-            if claim.escalation_level >= self.params.max_escalations:
+            if claim.escalation_level >= self.params["max_escalations"]:
                 return self._finalize(ledger, claim, outcome)
             claim.pending_outcome = outcome
             claim.decided_at = height
             claim.phase = ClaimPhase.PENDING_FINAL
             return None
         if claim.phase is ClaimPhase.PENDING_FINAL and \
-                height >= claim.decided_at + self.params.escalation_window:
+                height >= claim.decided_at + self.params["escalation_window"]:
             return self._finalize(ledger, claim, claim.pending_outcome)
         return None
 
@@ -328,7 +301,7 @@ class InsuranceBook:
 
         if outcome == SIDE_APPROVE:
             claim.phase = ClaimPhase.APPROVED
-            slashed = self.params.alpha_comp * policy.insurer_bond
+            slashed = self.params["alpha_comp"] * policy.insurer_bond
             principal = min(policy.insured_value,
                             ledger.balance(policy.insurer, self.token))
             escrow.take(policy.insurer, principal, "compensation-principal")
@@ -346,7 +319,7 @@ class InsuranceBook:
             claim.phase = ClaimPhase.REJECTED
             # floor-rounded per-bond slashes keep the pooled penalty at or
             # below gamma * (claim bond + joined bonds)
-            gamma = self.params.gamma_pen.as_fraction()
+            gamma = self.params["gamma_pen"].as_fraction()
             cut_claim = FixedAmount(int(gamma * claim.claim_bond.raw))
             cuts = [(j, FixedAmount(int(gamma * j.bond.raw))) for j in claim.joiners]
             slashed = fsum([cut_claim] + [cut for _, cut in cuts])

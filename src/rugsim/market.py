@@ -29,7 +29,6 @@ from .core import (
     ZERO,
     _div_round_half_even,
     _exp_neg_raw,
-    amt,
 )
 
 
@@ -37,9 +36,6 @@ class RatioError(RugsimError):
     """Liquidity provision deviates from the current reserve ratio."""
 
 
-DEFAULT_EPSILON_FLOOR = QUANTUM  # residual price floor: one quantum
-DEFAULT_PRICE_RATE = ZERO  # the rates a price process's kind does not read
-DEFAULT_FEE_BPS = 0
 # a pool's LP token is lp:<pool id>; the engine alone issues it
 LP_TOKEN_PREFIX = "lp:"
 
@@ -50,40 +46,25 @@ class RugKind(enum.Enum):
     SENTIMENT = "sentiment"
 
 
-class PriceProcess:
-    """Deterministic price path of a rugged token.
-
-    Only the parameters of the active kind are read:
-    scam uses tau_rug, catastrophic uses lam, sentiment uses alpha_sent.
-    """
-
-    __slots__ = ("kind", "p0", "tau_rug", "lam", "alpha_sent", "epsilon_floor")
-
-    def __init__(self, kind: RugKind, p0: FixedAmount,
-                 tau_rug: FixedAmount = DEFAULT_PRICE_RATE,
-                 lam: FixedAmount = DEFAULT_PRICE_RATE,
-                 alpha_sent: FixedAmount = DEFAULT_PRICE_RATE,
-                 epsilon_floor: FixedAmount = DEFAULT_EPSILON_FLOOR):
-        self.kind, self.p0, self.tau_rug = kind, p0, tau_rug
-        self.lam, self.alpha_sent, self.epsilon_floor = lam, alpha_sent, epsilon_floor
-
-
-def _decay(proc: PriceProcess, x_num: int, x_den: int) -> FixedAmount:
+def _decay(proc: dict, x_num: int, x_den: int) -> FixedAmount:
     # max(p0 * e**-x, floor) for x = x_num / x_den, from the exact integer kernel
-    return max(FixedAmount(_exp_neg_raw(proc.p0.raw, x_num, x_den)), proc.epsilon_floor)
+    return max(FixedAmount(_exp_neg_raw(proc["p0"].raw, x_num, x_den)), proc["epsilon_floor"])
 
 
-def price_at(proc: PriceProcess, height: int) -> FixedAmount:
-    """The price at block ``height``, never below the floor:
+def price_at(proc: dict, height: int) -> FixedAmount:
+    """The price at block ``height`` of a rugged token's parsed
+    ``price_process`` section, never below its floor; only the active
+    kind's rate is read:
     scam          p0 * e**(-t/tau_rug)  near-instant collapse
     catastrophic  p0 * e**(-lam*t)      gradual exponential failure
     sentiment     p0 / (1 + alpha*t)    hyperbolic sentiment decay"""
-    if proc.kind is RugKind.SCAM:
-        return _decay(proc, height * SCALE, proc.tau_rug.raw)
-    if proc.kind is RugKind.CATASTROPHIC:
-        return _decay(proc, proc.lam.raw * height, SCALE)
-    denom = FixedAmount(SCALE + proc.alpha_sent.raw * height)
-    return max(proc.p0 / denom, proc.epsilon_floor)
+    kind = proc["kind"]
+    if kind is RugKind.SCAM:
+        return _decay(proc, height * SCALE, proc["tau_rug"].raw)
+    if kind is RugKind.CATASTROPHIC:
+        return _decay(proc, proc["lam"].raw * height, SCALE)
+    denom = FixedAmount(SCALE + proc["alpha_sent"].raw * height)
+    return max(proc["p0"] / denom, proc["epsilon_floor"])
 
 
 # -- constant-product pool ------------------------------------------------
@@ -98,7 +79,7 @@ class PoolState:
 
     def __init__(self, pool_id: PoolId, token_x: TokenId, token_y: TokenId,
                  reserve_x: FixedAmount, reserve_y: FixedAmount,
-                 fee_bps: int = DEFAULT_FEE_BPS, volume_x: FixedAmount = ZERO,
+                 fee_bps: int, volume_x: FixedAmount = ZERO,
                  volume_y: FixedAmount = ZERO):
         if not (0 <= fee_bps <= 10000):
             raise ParameterError(f"fee_bps out of range: {fee_bps}")
@@ -244,11 +225,9 @@ def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: Optional[FixedAmoun
 
 def pool_remove_liquidity(pool: PoolState, share: FixedAmount, lp_supply: FixedAmount
                           ) -> tuple[FixedAmount, FixedAmount, FixedAmount, PoolState]:
-    """Withdraw a fraction of both reserves; share=1 closes the pool.
+    """Withdraw a ``share`` in (0, 1] of both reserves; share=1 closes the pool.
     Returns (out_x, out_y, the LP tokens burned, the new pool): each reserve
     and ``lp_supply`` keep their amount*(1 - share), rounded alike."""
-    if not (0 < share.raw <= SCALE):
-        raise ParameterError(f"share must be in (0, 1], got {share}")
     keep = FixedAmount(SCALE) - share
     burned = lp_supply - lp_supply * keep
     if burned.raw == 0:
@@ -294,11 +273,8 @@ class PegTrade(NamedTuple):
     pool: PoolState
 
 
-DEFAULT_PEG_TOLERANCE = amt("0.005")
-
-
 def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount,
-                    tolerance: FixedAmount = DEFAULT_PEG_TOLERANCE) -> Optional[PegTrade]:
+                    tolerance: FixedAmount) -> Optional[PegTrade]:
     """Largest swap within budget moving spot strictly toward peg_value
     without crossing it. Returns None when already in band or budget is 0.
 

@@ -40,32 +40,6 @@ class PositionStatus(enum.Enum):
     CLOSED = "closed"
 
 
-DEFAULT_MAX_LEVERAGE = amt(10)
-# MaintenanceRule's defaults, which the scenario loader's table also reads
-DEFAULT_MAINTENANCE_FRACTION = amt("0.1")
-DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS = 5
-DEFAULT_LIQUIDATOR_FEE_FRACTION = amt("0.05")
-
-
-class FundingParams:
-    __slots__ = ("alpha_base", "l_min", "interval_blocks")
-
-    def __init__(self, alpha_base: FixedAmount, l_min: FixedAmount, interval_blocks: int):
-        self.alpha_base, self.l_min, self.interval_blocks = alpha_base, l_min, interval_blocks
-
-
-class MaintenanceRule:
-    __slots__ = ("maintenance_fraction", "liquidator_deadline_blocks",
-                 "liquidator_fee_fraction")
-
-    def __init__(self, maintenance_fraction: FixedAmount = DEFAULT_MAINTENANCE_FRACTION,
-                 liquidator_deadline_blocks: int = DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS,
-                 liquidator_fee_fraction: FixedAmount = DEFAULT_LIQUIDATOR_FEE_FRACTION):
-        self.maintenance_fraction = maintenance_fraction
-        self.liquidator_deadline_blocks = liquidator_deadline_blocks
-        self.liquidator_fee_fraction = liquidator_fee_fraction
-
-
 class Position:
     __slots__ = ("position_id", "owner", "vault", "collateral_ca", "leverage", "direction",
                  "entry_price", "unit_value_at_entry", "status", "flagged_at")
@@ -153,18 +127,13 @@ class LiquidationEvent(NamedTuple):
 
 
 class PerpBook:
-    """Single-writer position book for one vault's perpetual market."""
+    """Single-writer position book for one vault's perpetual market, run by
+    the scenario's parsed ``perps`` section, which it reads and never writes."""
 
-    def __init__(self, vault_id: VaultId, anticoin: TokenId,
-                 funding: FundingParams, rule: MaintenanceRule,
-                 max_leverage: FixedAmount = DEFAULT_MAX_LEVERAGE,
-                 revalue_collateral: bool = False):
+    def __init__(self, vault_id: VaultId, anticoin: TokenId, params: dict):
         self.vault_id = vault_id
         self.anticoin = anticoin
-        self.funding = funding
-        self.rule = rule
-        self.max_leverage = max_leverage
-        self.revalue_collateral = revalue_collateral
+        self.params = params
         self.positions: dict[int, Position] = {}
         self._next_id = 1
 
@@ -178,9 +147,9 @@ class PerpBook:
                       unit_value: FixedAmount) -> Position:
         if collateral_ca.raw <= 0:
             raise ParameterError("collateral must be > 0")
-        if not (amt(1) <= leverage <= self.max_leverage):
+        if not (amt(1) <= leverage <= self.params["max_leverage"]):
             raise ParameterError(
-                f"leverage {leverage} outside [1, {self.max_leverage}]")
+                f"leverage {leverage} outside [1, {self.params['max_leverage']}]")
         if mark_price.raw <= 0:
             raise ParameterError("mark price must be > 0")
         balance = ledger.balance(user, self.anticoin)
@@ -204,22 +173,19 @@ class PerpBook:
         shorts = sum(1 for p in self.open_positions() if p.direction is Direction.SHORT)
         return longs, shorts
 
-    def apply_funding(self, ledger: Ledger, l_pool: FixedAmount, height: int,
+    def apply_funding(self, ledger: Ledger, l_pool: FixedAmount,
                       treasury: str) -> Optional[FundingRound]:
         """Charge the majority side, distribute to the minority pro-rata by
         notional. Collateral moves inside the escrow account, so the round
         is zero-sum by construction; the rounding remainder goes to the
-        treasury. A single-sided or tied book accrues nothing."""
-        if height % self.funding.interval_blocks != 0:
-            raise ParameterError(
-                f"height {height} is not a funding boundary "
-                f"(interval {self.funding.interval_blocks})")
+        treasury. A single-sided or tied book accrues nothing. The caller
+        runs a round each interval_blocks blocks."""
         n_long, n_short = self.side_counts()
         if n_long == 0 or n_short == 0 or n_long == n_short:
             return None
         rate = funding_rate_final(
-            funding_rate(n_long, n_short, self.funding.alpha_base),
-            self.funding.l_min, l_pool)
+            funding_rate(n_long, n_short, self.params["alpha_base"]),
+            self.params["l_min"], l_pool)
         paying = Direction.LONG if n_long > n_short else Direction.SHORT
         payers = [p for p in self.open_positions() if p.direction is paying]
         receivers = [p for p in self.open_positions() if p.direction is not paying]
@@ -266,13 +232,13 @@ class PerpBook:
         (swap_ca on the event).
         """
         events: list[LiquidationEvent] = []
-        rule = self.rule
-        live = unit_value if self.revalue_collateral else None
+        params = self.params
+        live = unit_value if params["revalue_collateral"] else None
         for pid in sorted(self.positions):
             p = self.positions[pid]
             if p.status is PositionStatus.OPEN:
                 health = position_health(p, mark_price, live)
-                if health <= rule.maintenance_fraction:
+                if health <= params["maintenance_fraction"]:
                     p.status = PositionStatus.FLAGGED
                     p.flagged_at = height
                     events.append(LiquidationEvent(pid, "flagged"))
@@ -280,9 +246,9 @@ class PerpBook:
                 continue
 
             wiped = position_health(p, mark_price, live).raw == 0
-            deadline_passed = height >= p.flagged_at + rule.liquidator_deadline_blocks
+            deadline_passed = height >= p.flagged_at + params["liquidator_deadline_blocks"]
             if bidder is not None and p.flagged_at < height:
-                fee = rule.liquidator_fee_fraction * p.collateral_ca
+                fee = params["liquidator_fee_fraction"] * p.collateral_ca
                 rest = p.collateral_ca - fee
                 if fee.raw > 0:
                     ledger.transfer(self.escrow_account, bidder, self.anticoin,

@@ -15,7 +15,6 @@ from .core import (
     ParameterError,
     StateError,
     TokenId,
-    amt,
 )
 from .disputes import CaseEscrow, Resolution, VoteBox
 from .ledger import BalanceError, Ledger
@@ -33,30 +32,6 @@ class ClaimStatus(enum.Enum):
     VOTING = "voting"
     UPHELD_RUG = "upheld_rug"
     REJECTED_FRAUD = "rejected_fraud"
-
-
-# SlashParams' defaults, which the scenario loader's table also reads
-DEFAULT_CLAIMANT_SHARE = amt("0.5")
-DEFAULT_Z_MIN = amt(1)
-DEFAULT_CHALLENGE_BLOCKS = 10
-DEFAULT_X_MIN = amt("0.01")
-
-
-class SlashParams:
-    __slots__ = ("alpha_slash", "gamma_slash", "claimant_share", "z_min", "challenge_blocks",
-                 "x_min")
-
-    def __init__(self, alpha_slash: FixedAmount, gamma_slash: FixedAmount,
-                 claimant_share: FixedAmount = DEFAULT_CLAIMANT_SHARE,
-                 z_min: FixedAmount = DEFAULT_Z_MIN,
-                 challenge_blocks: int = DEFAULT_CHALLENGE_BLOCKS,
-                 x_min: FixedAmount = DEFAULT_X_MIN):
-        self.alpha_slash = alpha_slash  # fraction of the issuer bond slashed
-        self.gamma_slash = gamma_slash  # fraction of the claim bond slashed
-        self.claimant_share = claimant_share
-        self.z_min = z_min              # minimum vote deposit
-        self.challenge_blocks = challenge_blocks
-        self.x_min = x_min              # "nontrivial" issuance bond floor
 
 
 class BondedIssuance:
@@ -83,9 +58,10 @@ class RugClaim:
 
 
 class RugproofBook:
-    """State machines for bonded issuances and their claims."""
+    """State machines for bonded issuances and their claims, run by the
+    scenario's parsed ``rugproof`` section, which they read and never write."""
 
-    def __init__(self, params: SlashParams, treasury: str = "treasury"):
+    def __init__(self, params: dict, treasury: str):
         self.params = params
         self.treasury = treasury
         self.issuances: dict[str, BondedIssuance] = {}
@@ -97,10 +73,10 @@ class RugproofBook:
                            bond_fraction: FixedAmount) -> BondedIssuance:
         if total_issued.raw <= 0:
             raise ParameterError("total_issued must be > 0")
-        if bond_fraction < self.params.x_min:
+        if bond_fraction < self.params["x_min"]:
             raise ParameterError(
                 f"bond fraction {bond_fraction} below the nontrivial floor "
-                f"{self.params.x_min}")
+                f"{self.params['x_min']}")
         bond = bond_fraction * total_issued
         if ledger.balance(issuer, token) < bond:
             raise BalanceError(f"issuer cannot cover the bond of {bond}")
@@ -136,11 +112,11 @@ class RugproofBook:
         self._counter += 1
         escrow = CaseEscrow(ledger, f"case:{claim_id}", issuance.token)
         escrow.take(user, bond, "claim-bond")
-        end = height + self.params.challenge_blocks
+        end = height + self.params["challenge_blocks"]
         claim = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,
             claim_bond=bond, challenge_end=end, escrow=escrow,
-            votes=VoteBox(height, end, self.params.z_min,
+            votes=VoteBox(height, end, self.params["z_min"],
                           (SIDE_RUGGING, SIDE_NOT_RUGGING)))
         self.claims[claim_id] = claim
         return claim
@@ -172,8 +148,8 @@ class RugproofBook:
         if winner == SIDE_RUGGING:
             claim.status = ClaimStatus.UPHELD_RUG
             issuance.status = IssuanceStatus.SLASHED
-            slashed = self.params.alpha_slash * issuance.bond
-            claimant_cut = self.params.claimant_share * slashed
+            slashed = self.params["alpha_slash"] * issuance.bond
+            claimant_cut = self.params["claimant_share"] * slashed
             issuance.escrow.pay(claim.claimant, claimant_cut, "claimant-award")
             issuance.escrow.award(slashed - claimant_cut, claim.votes.weights(SIDE_RUGGING),
                                   claim.claimant, "voter-award")
@@ -183,7 +159,7 @@ class RugproofBook:
             claim.escrow.pay(claim.claimant, claim.claim_bond, "bond-return")
         else:
             claim.status = ClaimStatus.REJECTED_FRAUD
-            slashed = self.params.gamma_slash * claim.claim_bond
+            slashed = self.params["gamma_slash"] * claim.claim_bond
             weights = claim.votes.weights(SIDE_NOT_RUGGING)
             fallback = weights[0][0] if weights else self.treasury
             claim.escrow.award(slashed, weights, fallback, "voter-award")

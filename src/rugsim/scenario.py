@@ -5,11 +5,12 @@ and the built-in reference scenarios.
 All monetary fields are decimal strings (or ints); bare JSON floats are
 rejected so a scenario byte-for-byte determines the run. Every field is
 described by one table entry, which gives its kind and, for an optional
-field, its default; ``load_scenario`` parses each field by its table once,
-and the engine reads only the parsed values. A field's range is its
-kind's and is written only here: the engine's parameter records take the
-parsed values unchecked. Errors name the offending path, e.g.
-``vaults[0].theta``.
+field, its default, written as a document would write it;
+``load_scenario`` parses each field by its table once, and the engine
+reads only the parsed values. A field's range (its kind's) and its default
+are written only here: the engine reads the parsed sections unchecked, and
+no engine constructor or function defaults a document field. Errors name
+the offending path, e.g. ``vaults[0].theta``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import insurance, rugproof
 from .core import MAX_RAW, SCALE, FixedAmount, RugsimError, amt
-from .detection import DEFAULT_SOLVER_FEE_BPS, IntentAction
+from .detection import IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
-from .market import (DEFAULT_EPSILON_FLOOR, DEFAULT_FEE_BPS, DEFAULT_PEG_TOLERANCE,
-                     DEFAULT_PRICE_RATE, LP_TOKEN_PREFIX, RugKind)
-from .perps import (DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS, DEFAULT_LIQUIDATOR_FEE_FRACTION,
-                    DEFAULT_MAINTENANCE_FRACTION, DEFAULT_MAX_LEVERAGE, Direction)
+from .market import LP_TOKEN_PREFIX, RugKind
+from .perps import Direction
 from .trace import EVENT_TYPES
 from .vault import ReceiptKind, anticoin_id
 
@@ -82,7 +80,8 @@ SCRIPT_OPS = {
     "register_intent": ("pool", {
         "pool": POOL, "token": TEXT, "action": IntentAction, "theta_price": FRACTION,
         "theta_liquidity": FRACTION, "vault?": (VAULT, None),
-        "solver_fee_bps?": (BPS, DEFAULT_SOLVER_FEE_BPS)}),
+        # the highest solver fee the owner accepts: by default, any
+        "solver_fee_bps?": (BPS, 10000)}),
     "issue_bonded": ("home", {"token": TEXT, "total_issued": AMOUNT, "x": AMOUNT}),
     "rug_claim": ("home", {"token": TEXT, "y": AMOUNT}),
     "vote_rug": ("home", {"token": TEXT, "deposit": AMOUNT, "side": TEXT}),
@@ -100,11 +99,10 @@ STEP_FIELDS = {"block": NAT, "op": tuple(SCRIPT_OPS)}
 # the fields of the document itself, then of each entry of its lists
 SCENARIO_FIELDS = {"seed": SEED, "blocks": COUNT, "bridge_delay_blocks?": (NAT, 1),
                    "chains": [NEW_CHAIN], "home_chain": CHAIN, "numeraire": NEW_TOKEN}
-PRICE_PROCESS_ARGS = {"kind": RugKind, "p0": POSITIVE,
-                      "tau_rug?": (AMOUNT, DEFAULT_PRICE_RATE),
-                      "lam?": (AMOUNT, DEFAULT_PRICE_RATE),
-                      "alpha_sent?": (AMOUNT, DEFAULT_PRICE_RATE),
-                      "epsilon_floor?": (POSITIVE, DEFAULT_EPSILON_FLOOR)}
+# a rate the kind does not read defaults to 0; the price floor is one quantum
+PRICE_PROCESS_ARGS = {"kind": RugKind, "p0": POSITIVE, "tau_rug?": (AMOUNT, 0),
+                      "lam?": (AMOUNT, 0), "alpha_sent?": (AMOUNT, 0),
+                      "epsilon_floor?": (POSITIVE, "0.000000001")}
 # the rate each price kind reads, and the kind of value it must hold
 PRICE_RATES = {RugKind.SCAM: ("tau_rug", POSITIVE), RugKind.CATASTROPHIC: ("lam", NONNEG),
                RugKind.SENTIMENT: ("alpha_sent", NONNEG)}
@@ -120,14 +118,14 @@ VAULT_FIELDS = {"id": NEW_VAULT, "chain": CHAIN, "rugged_token": PRICED_TOKEN,
 # a pool trades declared tokens and the anticoins of declared vaults
 POOL_FIELDS = {"id": NEW_POOL, "chain": CHAIN, "token_x": POOL_TOKEN,
                "token_y": POOL_TOKEN, "reserve_x": POSITIVE, "reserve_y": POSITIVE,
-               "fee_bps?": (BPS, DEFAULT_FEE_BPS)}
+               "fee_bps?": (BPS, 0)}
 INTENT_ARGS = {"owner": ACCOUNT, **SCRIPT_OPS["register_intent"][1]}
 AGENT_ARGS = {"kind": KNOWN_AGENT_KINDS, "account": ACCOUNT,
               "noise?": ({"pool": POOL, "prob?": (UNIT, "0.1"),
                           "max_size?": (POSITIVE, 1)}, None)}
 AGENT_PARAMS = {
     "pegkeeper": {"pool": POOL, "vault?": (VAULT, None), "budget?": (NONNEG, 0),
-                  "tolerance?": (NONNEG, DEFAULT_PEG_TOLERANCE)},
+                  "tolerance?": (NONNEG, "0.005")},
     "detector": {"protects?": ([ACCOUNT], []), "sandwich_budget?": (NONNEG, 0),
                  "backrun_budget?": (NONNEG, 0), "backrun_cap?": (NONNEG, 0)},
     "solver": {"fee_bps?": (BPS, 0)},
@@ -135,15 +133,15 @@ AGENT_PARAMS = {
 # the object sections: tokenomics is required, a document without perps has
 # no perp books, and the others take every default when absent
 SECTION_FIELDS = {
+    # s0 scales the supply target; epsilon_rate R is emitted a block, and a
+    # block burns kappa of the excess over the target, at most beta_burn
     "tokenomics": {"initial_supply": NONNEG, "s0": NONNEG, "epsilon_rate": NONNEG,
                    "beta_burn": NONNEG, "kappa": UNIT},
     "perps?": ({
         "enabled_vaults?": ([VAULT], []), "alpha_base": POSITIVE, "l_min": POSITIVE,
         "interval_blocks": COUNT, "amm_pool?": (POOL, None),
-        "maintenance_fraction?": (FRACTION, DEFAULT_MAINTENANCE_FRACTION),
-        "max_leverage?": (AT_LEAST_ONE, DEFAULT_MAX_LEVERAGE),
-        "liquidator_deadline_blocks?": (NAT, DEFAULT_LIQUIDATOR_DEADLINE_BLOCKS),
-        "liquidator_fee_fraction?": (UNIT, DEFAULT_LIQUIDATOR_FEE_FRACTION),
+        "maintenance_fraction?": (FRACTION, "0.1"), "max_leverage?": (AT_LEAST_ONE, 10),
+        "liquidator_deadline_blocks?": (NAT, 5), "liquidator_fee_fraction?": (UNIT, "0.05"),
         "revalue_collateral?": (BOOL, False)}, None),
     "detection?": ({
         "drop_threshold?": (POSITIVE, "0.2"), "mint_spike_factor?": (NONNEG, 3),
@@ -152,21 +150,20 @@ SECTION_FIELDS = {
         "protocol_priority_boost?": (COUNT, 20),
         # the share of a sandwich's profit sent to the treasury
         "sandwich_treasury_fraction?": (UNIT, 1)}, {}),
+    # the slashed fractions of the issuer's and the claimant's bonds, the
+    # claimant's share of an issuer slash, the least vote deposit and the
+    # least issuance bond fraction
     "rugproof?": ({
         "alpha_slash?": (UNIT, "0.5"), "gamma_slash?": (UNIT, "0.5"),
-        "claimant_share?": (UNIT, rugproof.DEFAULT_CLAIMANT_SHARE),
-        "z_min?": (NONNEG, rugproof.DEFAULT_Z_MIN),
-        "challenge_blocks?": (COUNT, rugproof.DEFAULT_CHALLENGE_BLOCKS),
-        "x_min?": (UNIT, rugproof.DEFAULT_X_MIN)}, {}),
+        "claimant_share?": (UNIT, "0.5"), "z_min?": (NONNEG, 1),
+        "challenge_blocks?": (COUNT, 10), "x_min?": (UNIT, "0.01")}, {}),
+    # alpha_comp of the insurer's bond is paid to an approved claim's side,
+    # gamma_pen of a rejected claim side's bonds is slashed
     "insurance?": ({
         "alpha_comp?": (UNIT, "0.2"), "gamma_pen?": (UNIT, "0.5"),
-        "escalation_bond_multiplier?": (ABOVE_ONE,
-                                        insurance.DEFAULT_ESCALATION_BOND_MULTIPLIER),
-        "max_escalations?": (NAT, insurance.DEFAULT_MAX_ESCALATIONS),
-        "tau_challenge?": (COUNT, insurance.DEFAULT_TAU_CHALLENGE),
-        "tau_vote?": (COUNT, insurance.DEFAULT_TAU_VOTE),
-        "escalation_window?": (COUNT, insurance.DEFAULT_ESCALATION_WINDOW),
-        "x_min?": (UNIT, insurance.DEFAULT_X_MIN)}, {}),
+        "escalation_bond_multiplier?": (ABOVE_ONE, 2), "max_escalations?": (NAT, 2),
+        "tau_challenge?": (COUNT, 10), "tau_vote?": (COUNT, 10),
+        "escalation_window?": (COUNT, 5), "x_min?": (UNIT, "0.01")}, {}),
 }
 
 
@@ -186,8 +183,6 @@ def _as_amount(value: Any, path: str) -> FixedAmount:
             return amt(value)
     except RugsimError as exc:
         raise ScenarioError(path, f"not a valid amount: {exc}") from None
-    if isinstance(value, FixedAmount):  # a table default taken from its module
-        return value
     if isinstance(value, float):
         raise ScenarioError(path, "floats are not exact; use a decimal string")
     raise ScenarioError(path, f"expected a decimal string or int, got {type(value).__name__}")

@@ -30,17 +30,6 @@ from .ledger import Ledger
 from .vault import VaultRegistry
 
 
-class SupplyParams:
-    __slots__ = ("s0", "epsilon_rate", "beta_burn", "kappa")
-
-    def __init__(self, s0: FixedAmount, epsilon_rate: FixedAmount, beta_burn: FixedAmount,
-                 kappa: FixedAmount):
-        self.s0 = s0                      # scale of the supply target
-        self.epsilon_rate = epsilon_rate  # tokens emitted per block
-        self.beta_burn = beta_burn        # per-block burn cap
-        self.kappa = kappa                # controller convergence rate in [0, 1]
-
-
 def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:
     """s0 / max(1, ln(sum)): the inverse-log supply setpoint.
 
@@ -55,16 +44,17 @@ def target_supply(sum_cr_value: FixedAmount, s0: FixedAmount) -> FixedAmount:
     return s0 / max(ONE, log)
 
 
-def burn_step(current_supply: FixedAmount, params: SupplyParams, target: FixedAmount,
+def burn_step(current_supply: FixedAmount, tokenomics: dict, target: FixedAmount,
               available: FixedAmount | None = None) -> FixedAmount:
     """One-sided controller step: the burn of kappa * excess of
     `current_supply` over `target` (the block's `target_supply`), capped at
     beta_burn (and at `available`, the burnable treasury holding, when
-    given). Never un-burns when supply is below target."""
+    given); kappa and beta_burn are read from the scenario's parsed
+    `tokenomics` section. Never un-burns when supply is below target."""
     excess = current_supply - target
     if excess.raw <= 0:
         return ZERO
-    burned = min(params.kappa * excess, params.beta_burn)
+    burned = min(tokenomics["kappa"] * excess, tokenomics["beta_burn"])
     if available is not None:
         burned = min(burned, available)
     return burned

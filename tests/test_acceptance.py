@@ -168,13 +168,13 @@ def test_05_amm_invariant():
 
 
 def test_06_funding_bounds():
-    from rugsim.perps import Direction, FundingParams, MaintenanceRule, PerpBook
-    from conftest import fund
+    from rugsim.perps import Direction, PerpBook
+    from conftest import fund, loaded
 
     with Timer(5.0) as timer:
         rng = SeededRng(77).stream("acceptance-funding")
-        alpha = amt("0.01")
-        l_min = amt(100)
+        perps = loaded("perps", {"alpha_base": "0.01", "l_min": "100", "interval_blocks": 1})
+        alpha, l_min = perps["alpha_base"], perps["l_min"]
         for _ in range(500):
             n_long = rng.randint(0, 30)
             n_short = rng.randint(0, 30)
@@ -187,8 +187,7 @@ def test_06_funding_bounds():
         # randomized books: transfers are zero-sum, exactly
         for case in range(60):
             ledger = Ledger()
-            book = PerpBook("v", "CA", FundingParams(alpha, l_min, 1),
-                            MaintenanceRule())
+            book = PerpBook("v", "CA", perps)
             for i in range(rng.randint(2, 12)):
                 user = fund(ledger, f"u{case}-{i}", "CA", 1000)
                 direction = Direction.LONG if rng.random() < 0.5 else Direction.SHORT
@@ -198,7 +197,7 @@ def test_06_funding_bounds():
             escrow_before = ledger.balance(book.escrow_account, "CA")
             collateral_before = sum(p.collateral_ca.raw for p in book.positions.values())
             book.apply_funding(ledger, FixedAmount(rng.randint(l_min.raw, 10**14)),
-                               1, "treasury")
+                               "treasury")
             collateral_after = sum(p.collateral_ca.raw for p in book.positions.values())
             treasury = ledger.balance("treasury", "CA")
             assert collateral_after + treasury.raw == collateral_before
@@ -207,19 +206,19 @@ def test_06_funding_bounds():
 
 
 def _fuzz_rugproof(cases: int) -> None:
-    from rugsim.rugproof import RugproofBook, SlashParams, SIDE_NOT_RUGGING, \
-        SIDE_RUGGING
+    from rugsim.rugproof import RugproofBook, SIDE_NOT_RUGGING, SIDE_RUGGING
+    from conftest import loaded
 
     rng = SeededRng(2024).stream("fuzz-rugproof")
     for case in range(cases):
         ledger = Ledger()
-        params = SlashParams(
-            alpha_slash=quantize(Fraction(rng.randint(0, 100), 100)),
-            gamma_slash=quantize(Fraction(rng.randint(0, 100), 100)),
-            claimant_share=quantize(Fraction(rng.randint(0, 100), 100)),
-            z_min=amt(1), challenge_blocks=5)
+        params = loaded("rugproof", {
+            "alpha_slash": str(quantize(Fraction(rng.randint(0, 100), 100))),
+            "gamma_slash": str(quantize(Fraction(rng.randint(0, 100), 100))),
+            "claimant_share": str(quantize(Fraction(rng.randint(0, 100), 100))),
+            "challenge_blocks": 5})
         rng.random()  # a draw each case has always made, so the same cases run
-        book = RugproofBook(params)
+        book = RugproofBook(params, "treasury")
         issuer = "issuer"
         ledger.mint("issuer", "T", amt(10**6))
         total = amt(rng.randint(1000, 100_000))
@@ -254,19 +253,19 @@ def _fuzz_rugproof(cases: int) -> None:
 
 
 def _fuzz_insurance(cases: int) -> None:
-    from rugsim.insurance import InsuranceBook, InsuranceParams, SIDE_APPROVE, \
-        SIDE_REJECT
+    from rugsim.insurance import InsuranceBook, SIDE_APPROVE, SIDE_REJECT
+    from conftest import loaded
 
     rng = SeededRng(2025).stream("fuzz-insurance")
     for case in range(cases):
         ledger = Ledger()
-        alpha = quantize(Fraction(rng.randint(0, 100), 100))
-        params = InsuranceParams(
-            alpha_comp=alpha,
-            gamma_pen=quantize(Fraction(rng.randint(0, 100), 100)),
-            tau_challenge=4, tau_vote=4, escalation_window=3,
-            max_escalations=rng.randint(0, 2))
-        book = InsuranceBook(params, "USD")
+        params = loaded("insurance", {
+            "alpha_comp": str(quantize(Fraction(rng.randint(0, 100), 100))),
+            "gamma_pen": str(quantize(Fraction(rng.randint(0, 100), 100))),
+            "tau_challenge": 4, "tau_vote": 4, "escalation_window": 3,
+            "max_escalations": rng.randint(0, 2)})
+        alpha = params["alpha_comp"]
+        book = InsuranceBook(params, "USD", "treasury")
         insurer = "insurer"
         ledger.mint("insurer", "USD", amt(10**6))
         insured = "insured"
@@ -322,7 +321,7 @@ def _fuzz_insurance(cases: int) -> None:
         bonds_total = claim.claim_bond + sum((j.bond for j in joiners), start=amt(0))
         if resolution.outcome == "rejected":
             # pooled penalty never exceeds gamma * (claim bond + join bonds)
-            assert resolution.slashed <= params.gamma_pen * bonds_total + QUANTUM
+            assert resolution.slashed <= params["gamma_pen"] * bonds_total + QUANTUM
         if resolution.outcome == "approved" and not disputed:
             # the claim side nets exactly I_v + alpha * insurer bond, on top
             # of its own returned bonds

@@ -262,9 +262,10 @@ def test_backrun_buys_the_dip():
 
 
 def mk_intent(book, theta_price="0.5", theta_liq="0.3"):
+    # the owner accepts a solver fee up to 30 bps, the highest these tests bid
     return book.register(ALICE, "p", "RUG", amt(theta_price), amt(theta_liq),
-                         IntentAction.EXIT_TO_NUMERAIRE,
-                         price_ref=amt(1), liquidity_ref=amt(1000))
+                         IntentAction.EXIT_TO_NUMERAIRE, price_ref=amt(1),
+                         liquidity_ref=amt(1000), vault=None, solver_fee_bps=30)
 
 
 def test_intent_triggers_on_price():

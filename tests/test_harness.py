@@ -428,9 +428,12 @@ def perps_doc():
 
 
 def test_perps_funding_and_liquidation_flow():
-    sim, trace = run_scenario(perps_doc())
+    doc = perps_doc()
+    sim, trace = run_scenario(doc)
     rounds = [e for e in trace.events if e["type"] == "funding_round"]
     assert rounds, "funding boundary at block 4 should produce a round"
+    # the harness alone decides the boundary: a multiple of interval_blocks
+    assert all(e["h"] % doc["perps"]["interval_blocks"] == 0 for e in rounds)
     assert rounds[0]["paying_side"] == "short"
     liquidations = [e for e in trace.events if e["type"] == "liquidation"]
     kinds = {e["kind"] for e in liquidations}
@@ -531,12 +534,13 @@ def test_perps_collateral_revaluation_toggle():
     # live marking scales the pnl by the new unit value but cancels out of
     # health, so the toggle changes position value readings only
     from rugsim.ledger import Ledger
-    from rugsim.perps import (Direction, FundingParams, MaintenanceRule,
-                              PerpBook, position_health, position_pnl)
+    from rugsim.perps import Direction, PerpBook, position_health, position_pnl
+    from conftest import loaded
     ledger = Ledger()
     ledger.mint("a", "CA", amt(100))
-    book = PerpBook("v", "CA", FundingParams(amt("0.01"), amt(100), 4),
-                    MaintenanceRule(), revalue_collateral=True)
+    book = PerpBook("v", "CA", loaded("perps", {
+        "alpha_base": "0.01", "l_min": "100", "interval_blocks": 4,
+        "revalue_collateral": True}))
     position = book.open_position(ledger, "a", amt(100), amt(2),
                                   Direction.LONG, amt(1), amt(1))
     frozen = position_pnl(position, amt("0.75"))

@@ -8,22 +8,17 @@ from rugsim.insurance import (
     SIDE_REJECT,
     ClaimPhase,
     InsuranceBook,
-    InsuranceParams,
     PolicyStatus,
 )
 
-from conftest import fund
+from conftest import fund, loaded
 
 USD = "USD"
 
 
-def mk_book(alpha="0.2", gamma="0.5", tau_challenge=10, tau_vote=10,
-            escalation_window=5, max_escalations=2):
-    params = InsuranceParams(
-        alpha_comp=amt(alpha), gamma_pen=amt(gamma),
-        tau_challenge=tau_challenge, tau_vote=tau_vote,
-        escalation_window=escalation_window, max_escalations=max_escalations)
-    return InsuranceBook(params, USD)
+def mk_book(**fields):
+    """A book on an insurance section with these fields."""
+    return InsuranceBook(loaded("insurance", fields), USD, "treasury")
 
 
 def mk_policy(ledger, book, i_v=1000, x="0.1", duration=100):
@@ -121,7 +116,7 @@ def test_late_dispute_rejected_and_claim_auto_approves(ledger):
 
 
 def test_approved_undisputed_compensation_exact(ledger):
-    book = mk_book(alpha="0.2")
+    book = mk_book(alpha_comp="0.2")
     policy = mk_policy(ledger, book, i_v=1000, x="0.1")
     insured_before = ledger.balance("insured", USD)
     claim = book.submit_claim(ledger, policy.policy_id, "insured",
@@ -136,7 +131,7 @@ def test_approved_undisputed_compensation_exact(ledger):
 
 
 def test_rejected_pooled_penalty(ledger):
-    book = mk_book(gamma="0.5", tau_vote=10)
+    book = mk_book(gamma_pen="0.5", tau_vote=10)
     policy = mk_policy(ledger, book, i_v=1000)
     claim = book.submit_claim(ledger, policy.policy_id, "insured",
                               amt("0.05"), 1)

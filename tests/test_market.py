@@ -24,10 +24,8 @@ from rugsim.core import (
     amt,
 )
 from rugsim.market import (
-    DEFAULT_PEG_TOLERANCE,
     PegTrade,
     PoolState,
-    PriceProcess,
     RatioError,
     RugKind,
     execute_drain,
@@ -42,7 +40,13 @@ from rugsim.market import (
 from rugsim.harness import run_scenario
 from rugsim.scenario import reference_scenario, scam_scenario
 
+from conftest import loaded
+
 mpmath.mp.dps = 50
+
+# a peg keeper's tolerance when its agent entry leaves it out
+PEG_TOLERANCE = loaded("agents.3", {"kind": "pegkeeper", "account": "keeper",
+                                    "pool": "anti-usdn"})["tolerance"]
 
 
 def mk_pool(rx, ry, fee=0, pid="p"):
@@ -57,43 +61,48 @@ def oracle_decay(p0: str, rate: str, t: int, floor=QUANTUM) -> FixedAmount:
 # -- price processes -------------------------------------------------------
 
 
+def process(kind, p0, **fields):
+    """A loaded price_process section of this kind with these fields."""
+    return loaded("tokens.0.price_process", {"kind": kind, "p0": p0, **fields})
+
+
 def test_scam_price_examples():
-    proc = PriceProcess(RugKind.SCAM, amt(1), tau_rug=amt(1))
+    proc = process("scam", "1", tau_rug="1")
     assert price_at(proc, 0) == amt(1)
     assert price_at(proc, 1) == oracle_decay("1", "1", 1) == amt("0.367879441")
-    fast = PriceProcess(RugKind.SCAM, amt(1), tau_rug=amt("0.1"))
+    fast = process("scam", "1", tau_rug="0.1")
     assert price_at(fast, 1) == oracle_decay("1", "10", 1)
 
 
 def test_catastrophic_price_examples():
-    flat = PriceProcess(RugKind.CATASTROPHIC, amt(5))
+    flat = process("catastrophic", "5")
     assert price_at(flat, 100) == amt(5)
-    proc = PriceProcess(RugKind.CATASTROPHIC, amt(100), lam=amt("0.5"))
+    proc = process("catastrophic", "100", lam="0.5")
     assert price_at(proc, 2) == amt("36.787944117")
-    slow = PriceProcess(RugKind.CATASTROPHIC, amt(100), lam=amt("0.1"))
+    slow = process("catastrophic", "100", lam="0.1")
     assert price_at(slow, 10) == amt("36.787944117")
 
 
 def test_sentiment_price_examples():
-    flat = PriceProcess(RugKind.SENTIMENT, amt(3))
+    flat = process("sentiment", "3")
     for t in (0, 7, 1000):
         assert price_at(flat, t) == amt(3)
-    assert price_at(PriceProcess(RugKind.SENTIMENT, amt(1), alpha_sent=amt(1)), 1) == amt("0.5")
-    assert price_at(PriceProcess(RugKind.SENTIMENT, amt(10), alpha_sent=amt("0.5")), 2) == amt(5)
+    assert price_at(process("sentiment", "1", alpha_sent="1"), 1) == amt("0.5")
+    assert price_at(process("sentiment", "10", alpha_sent="0.5"), 2) == amt(5)
 
 
 def test_prices_non_increasing_and_floored():
     procs = [
-        PriceProcess(RugKind.SCAM, amt(50), tau_rug=amt("0.7"), epsilon_floor=amt("0.001")),
-        PriceProcess(RugKind.CATASTROPHIC, amt(50), lam=amt("1.3"), epsilon_floor=amt("0.001")),
-        PriceProcess(RugKind.SENTIMENT, amt(50), alpha_sent=amt(2), epsilon_floor=amt("0.001")),
+        process("scam", "50", tau_rug="0.7", epsilon_floor="0.001"),
+        process("catastrophic", "50", lam="1.3", epsilon_floor="0.001"),
+        process("sentiment", "50", alpha_sent="2", epsilon_floor="0.001"),
     ]
     for proc in procs:
         series = [price_at(proc, t) for t in range(40)]
         assert all(a >= b for a, b in zip(series, series[1:]))
-        assert all(p >= proc.epsilon_floor for p in series)
-        if proc.kind is not RugKind.SENTIMENT:  # hyperbolic decay is slow
-            assert series[-1] == proc.epsilon_floor
+        assert all(p >= proc["epsilon_floor"] for p in series)
+        if proc["kind"] is not RugKind.SENTIMENT:  # hyperbolic decay is slow
+            assert series[-1] == proc["epsilon_floor"]
 
 
 @pytest.mark.parametrize("doc,evaluations", [
@@ -155,7 +164,7 @@ def test_swap_rejects_empty_and_unknown():
 def test_swap_dust_and_drained():
     with pytest.raises(DustError):
         pool_swap(mk_pool(1000000000, "0.000000005"), "RUG", FixedAmount(1))
-    drained = PoolState("p", "RUG", "USD", FixedAmount(1), amt(1000))
+    drained = PoolState("p", "RUG", "USD", FixedAmount(1), amt(1000), fee_bps=0)
     with pytest.raises(IlliquidError):
         pool_swap(drained, "RUG", amt(1))
 
@@ -223,8 +232,6 @@ def test_add_remove_liquidity_examples():
 def test_add_liquidity_ratio_guard():
     with pytest.raises(RatioError):
         pool_add_liquidity(mk_pool(1000, 2000), amt(100), amt(150), amt(50))
-    with pytest.raises(ParameterError):
-        pool_remove_liquidity(mk_pool(1, 1), amt(0), amt(1))
 
 
 # -- drains -----------------------------------------------------------------
@@ -259,14 +266,14 @@ def test_drain_collapses_spot():
 
 def test_peg_keeper_noop_cases():
     pool = mk_pool(1000, 1000)
-    assert peg_keeper_step(pool, amt(1), amt(100)) is None          # at peg
-    assert peg_keeper_step(pool, amt("1.1"), amt(0)) is None        # no budget
-    assert peg_keeper_step(pool, amt("1.004"), amt(100)) is None    # inside band
+    assert peg_keeper_step(pool, amt(1), amt(100), PEG_TOLERANCE) is None        # at peg
+    assert peg_keeper_step(pool, amt("1.1"), amt(0), PEG_TOLERANCE) is None      # no budget
+    assert peg_keeper_step(pool, amt("1.004"), amt(100), PEG_TOLERANCE) is None  # in band
 
 
 def test_peg_keeper_converges_from_above():
     pool = mk_pool(1000, 1100)  # spot 1.1, 10% above peg 1
-    trade = peg_keeper_step(pool, amt(1), amt(10**6))
+    trade = peg_keeper_step(pool, amt(1), amt(10**6), PEG_TOLERANCE)
     assert trade is not None and trade.input_token == "RUG"
     gap = abs(spot_price(trade.pool) - amt(1))
     assert gap <= amt(1) * amt("0.005")
@@ -274,7 +281,7 @@ def test_peg_keeper_converges_from_above():
 
 def test_peg_keeper_converges_from_below():
     pool = mk_pool(1000, 900)
-    trade = peg_keeper_step(pool, amt(1), amt(10**6))
+    trade = peg_keeper_step(pool, amt(1), amt(10**6), PEG_TOLERANCE)
     assert trade is not None and trade.input_token == "USD"
     assert abs(spot_price(trade.pool) - amt(1)) <= amt("0.005")
 
@@ -284,7 +291,7 @@ def test_peg_keeper_never_overshoots_with_small_budget():
     rng = SeededRng(9).stream("peg")
     for _ in range(50):
         budget = FixedAmount(rng.randint(1, 40 * SCALE))
-        trade = peg_keeper_step(pool, amt(1), budget)
+        trade = peg_keeper_step(pool, amt(1), budget, PEG_TOLERANCE)
         if trade is None:
             continue
         new_gap = spot_price(trade.pool) - amt(1)
@@ -292,7 +299,7 @@ def test_peg_keeper_never_overshoots_with_small_budget():
         assert new_gap <= spot_price(pool) - amt(1)
 
 
-def oracle_peg_keeper_step(pool, peg_value, budget, tolerance=DEFAULT_PEG_TOLERANCE):
+def oracle_peg_keeper_step(pool, peg_value, budget, tolerance):
     """peg_keeper_step with its crossing predicate built from pool_swap and
     spot_price, as the integer predicate must behave."""
     if peg_value.raw < 0:
@@ -362,7 +369,7 @@ def test_peg_keeper_matches_oracle_on_edges(fee, reserves, budget):
     for peg in (0, SCALE, 10**18):
         for vx, vy in ((0, 0), (MAX_RAW - 2 * SCALE, MAX_RAW - 2 * SCALE)):
             assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget,
-                                             DEFAULT_PEG_TOLERANCE)
+                                             PEG_TOLERANCE)
 
 
 def test_peg_keeper_raises_range_errors_like_pool_swap():
@@ -371,9 +378,9 @@ def test_peg_keeper_raises_range_errors_like_pool_swap():
             (10**26, MAX_RAW, 0, SCALE, MAX_RAW),                  # reserve
             (10 * SCALE, 10 * SCALE, MAX_RAW - 1, SCALE // 2, 10 * SCALE),  # volume
             (2, SCALE, 0, MAX_RAW, 10**26)):                       # spot
-        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry),
+        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=0,
                          volume_x=FixedAmount(vx), volume_y=FixedAmount(vx))
-        args = (pool, FixedAmount(peg), FixedAmount(budget), DEFAULT_PEG_TOLERANCE)
+        args = (pool, FixedAmount(peg), FixedAmount(budget), PEG_TOLERANCE)
         got = outcome(peg_keeper_step, *args)
         assert got == outcome(oracle_peg_keeper_step, *args)
         assert got[0] is RangeError
@@ -427,22 +434,22 @@ def test_peg_keeper_matches_oracle_near_the_band_edges(monkeypatch):
 
     for fee in (0, 30, 9999):
         for peg in (SCALE, 7 * SCALE // 3):
-            band = (FixedAmount(peg) * DEFAULT_PEG_TOLERANCE).raw
+            band = (FixedAmount(peg) * PEG_TOLERANCE).raw
             for spot in [edge + k for edge in (peg - band, peg + band) for k in range(-3, 4)]:
                 for rx in (10**9, 37 * 10**12, 10**18):
                     pool = PoolState("p", "RUG", "USD", FixedAmount(rx),
                                      FixedAmount(spot * rx // SCALE), fee_bps=fee)
-                    check(pool, peg, rx, DEFAULT_PEG_TOLERANCE)
+                    check(pool, peg, rx, PEG_TOLERANCE)
     assert paths == {"exact", "low"} and sides == {"RUG", "USD"}
     # selling SCALE lands the spot exactly on t - 1/2 (t = 500000001 with no
     # band), which rounds half-even to t - 1 and crosses: the guess is the
     # first crossing amount itself, one too high
-    pool = PoolState("p", "RUG", "USD", FixedAmount(SCALE), FixedAmount(2 * SCALE + 2))
+    pool = PoolState("p", "RUG", "USD", FixedAmount(SCALE), FixedAmount(2 * SCALE + 2), 0)
     check(pool, 500000001, 10 * SCALE, amt(0))
     assert paths == {"exact", "low", "high"}
     # the largest trade that does not cross is 1999999997 here, for every
     # budget past it, however large
-    pool = PoolState("p", "RUG", "USD", FixedAmount(2), FixedAmount(2))
+    pool = PoolState("p", "RUG", "USD", FixedAmount(2), FixedAmount(2), 0)
     for budget in (2**64, 2**65, MAX_RAW - 2):
         assert check(pool, 1, budget, amt(0)).amount_in.raw == 1999999997
 
@@ -460,6 +467,7 @@ def test_peg_keeper_prices_a_trade_in_few_swap_evaluations(monkeypatch):
         pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(spot * rx // SCALE),
                          fee_bps=rng.choice([0, 30, 100]))
         budget = rng.randint(1, 2 * rx) if rng.random() < 0.8 else rng.randint(1, rx // 100)
-        trades += peg_keeper_step(pool, FixedAmount(peg), FixedAmount(budget)) is not None
+        trades += peg_keeper_step(pool, FixedAmount(peg), FixedAmount(budget),
+                                  PEG_TOLERANCE) is not None
     assert trades >= 190
     assert len(amounts) <= 5 * trades

@@ -6,8 +6,6 @@ from rugsim.core import IlliquidError, ParameterError, amt
 from rugsim.ledger import BalanceError
 from rugsim.perps import (
     Direction,
-    FundingParams,
-    MaintenanceRule,
     PerpBook,
     PositionStatus,
     funding_rate,
@@ -16,16 +14,15 @@ from rugsim.perps import (
     position_pnl,
 )
 
-from conftest import fund
+from conftest import fund, loaded
 
 ANTI = "anti:RUG@alpha"
 
 
-def mk_book(interval=4, alpha="0.01", l_min="100", deadline=5):
-    return PerpBook(
-        "v-RUG", ANTI,
-        FundingParams(alpha_base=amt(alpha), l_min=amt(l_min), interval_blocks=interval),
-        MaintenanceRule(liquidator_deadline_blocks=deadline))
+def mk_book(**fields):
+    """A book on a perps section with these fields over the required ones."""
+    perps = {"alpha_base": "0.01", "l_min": "100", "interval_blocks": 4, **fields}
+    return PerpBook("v-RUG", ANTI, loaded("perps", perps))
 
 
 def open_pos(book, ledger, name, collateral, leverage, direction,
@@ -125,26 +122,26 @@ def test_funding_bounds_randomized():
 
 
 def test_apply_funding_balanced_book_is_noop(ledger):
-    book = mk_book(interval=4)
+    book = mk_book()
     open_pos(book, ledger, "a", 100, 2, Direction.LONG)
     open_pos(book, ledger, "b", 100, 2, Direction.SHORT)
-    round_ = book.apply_funding(ledger, amt(1000), 4, "treasury")
+    round_ = book.apply_funding(ledger, amt(1000), "treasury")
     assert round_ is None
 
 
 def test_apply_funding_single_sided_is_noop(ledger):
-    book = mk_book(interval=4)
+    book = mk_book()
     open_pos(book, ledger, "a", 100, 2, Direction.LONG)
-    assert book.apply_funding(ledger, amt(1000), 4, "treasury") is None
+    assert book.apply_funding(ledger, amt(1000), "treasury") is None
 
 
 def test_apply_funding_majority_pays_minority(ledger):
-    book = mk_book(interval=4, alpha="0.01", l_min="100")
+    book = mk_book(alpha_base="0.01", l_min="100")
     longs = [open_pos(book, ledger, f"long{i}", 100, 2, Direction.LONG)
              for i in range(3)]
     short = open_pos(book, ledger, "solo-short", 100, 2, Direction.SHORT)
     escrow_before = ledger.balance(book.escrow_account, ANTI)
-    round_ = book.apply_funding(ledger, amt(400), 4, "treasury")
+    round_ = book.apply_funding(ledger, amt(400), "treasury")
     assert round_.paying_side is Direction.LONG
     # rate: 0.01 * 3/4 * (1 + 100/400) = 0.009375 on notional 200
     paid_each = amt("0.009375") * amt(200)
@@ -155,12 +152,6 @@ def test_apply_funding_majority_pays_minority(ledger):
     total = short.collateral_ca + sum((p.collateral_ca for p in longs), start=amt(0))
     assert total + ledger.balance("treasury", ANTI) == escrow_before
     assert round_.treasury_remainder == amt(0)
-
-
-def test_apply_funding_requires_boundary(ledger):
-    book = mk_book(interval=4)
-    with pytest.raises(ParameterError):
-        book.apply_funding(ledger, amt(1000), 3, "treasury")
 
 
 # -- liquidation ------------------------------------------------------------------
@@ -186,7 +177,7 @@ def test_wiped_out_position_liquidates_same_block(ledger):
 
 
 def test_flag_then_deadline_auto_liquidation(ledger):
-    book = mk_book(deadline=5)
+    book = mk_book(liquidator_deadline_blocks=5)
     p = open_pos(book, ledger, "a", 100, 4, Direction.LONG, entry=1)
     # -22.5% on x4 leverage leaves exactly 10% equity: at the maintenance line
     events = book.flag_and_liquidate(ledger, amt("0.775"), None, 10, "amm")

@@ -10,20 +10,16 @@ from rugsim.rugproof import (
     ClaimStatus,
     IssuanceStatus,
     RugproofBook,
-    SlashParams,
 )
 
-from conftest import fund
+from conftest import fund, loaded
 
 TOKEN = "NEWCOIN"
 
 
-def mk_book(alpha="0.5", gamma="0.5", claimant_share="0.5", z_min=10,
-            challenge=10):
-    return RugproofBook(SlashParams(
-        alpha_slash=amt(alpha), gamma_slash=amt(gamma),
-        claimant_share=amt(claimant_share), z_min=amt(z_min),
-        challenge_blocks=challenge))
+def mk_book(**fields):
+    """A book on a rugproof section with these fields."""
+    return RugproofBook(loaded("rugproof", fields), "treasury")
 
 
 def test_issue_bond_arithmetic(ledger):
@@ -100,7 +96,7 @@ def test_vote_window_and_deposit_rules(ledger):
 
 
 def test_resolve_rugging_distribution(ledger):
-    book = mk_book(alpha="0.5", claimant_share="0.5")
+    book = mk_book(alpha_slash="0.5", claimant_share="0.5")
     issuance, claim, claimant = setup_claim(ledger, book)
     voters = [fund(ledger, f"v{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
@@ -117,7 +113,7 @@ def test_resolve_rugging_distribution(ledger):
 
 
 def test_resolve_no_votes_defaults_to_fraud(ledger):
-    book = mk_book(gamma="0.5")
+    book = mk_book(gamma_slash="0.5")
     issuance, claim, _ = setup_claim(ledger, book)
     resolution = book.resolve_claim(claim, 10)
     assert claim.status is ClaimStatus.REJECTED_FRAUD
@@ -129,7 +125,7 @@ def test_resolve_no_votes_defaults_to_fraud(ledger):
 
 
 def test_resolve_not_rugging_distribution(ledger):
-    book = mk_book(gamma="0.5")
+    book = mk_book(gamma_slash="0.5")
     _, claim, _ = setup_claim(ledger, book)
     voters = [fund(ledger, f"nv{i}", TOKEN, 1000) for i in range(2)]
     for voter in voters:
@@ -167,7 +163,7 @@ def test_early_resolution_refused(ledger):
 
 
 def test_escrow_conservation_exact(ledger):
-    book = mk_book(alpha="0.37", gamma="0.73", claimant_share="0.61")
+    book = mk_book(alpha_slash="0.37", gamma_slash="0.73", claimant_share="0.61")
     issuance, claim, _ = setup_claim(ledger, book, y="0.013")
     names = ["r1", "r2", "n1"]
     sides = [SIDE_RUGGING, SIDE_RUGGING, SIDE_NOT_RUGGING]

@@ -5,19 +5,20 @@ import pytest
 from rugsim.core import FixedAmount, RangeError, SCALE, amt, fsum, safe_exp
 from rugsim.ledger import Ledger
 from rugsim.tokenomics import (
-    SupplyParams,
     aggregate_vault_stats,
     burn_step,
     target_supply,
 )
 from rugsim.vault import ReceiptKind, VaultRegistry
 
-from conftest import fund
+from conftest import fund, loaded
 
 
-def mk_params(s0=1000, eps="5", cap="1000", kappa="0.5"):
-    return SupplyParams(s0=amt(s0), epsilon_rate=amt(eps),
-                        beta_burn=amt(cap), kappa=amt(kappa))
+def mk_params(**fields):
+    """A tokenomics section with these fields over the required ones."""
+    return loaded("tokenomics", {"initial_supply": "1000000", "s0": "1000",
+                                 "epsilon_rate": "5", "beta_burn": "1000", "kappa": "0.5",
+                                 **fields})
 
 
 def test_target_supply_examples():
@@ -44,7 +45,7 @@ def test_target_supply_non_increasing():
 def test_burn_step_controller():
     params = mk_params(s0=1000, kappa="0.5")
     # vaulted value e^1 -> target 1000; at setpoint: no burn
-    target = target_supply(safe_exp(amt(1)), params.s0)
+    target = target_supply(safe_exp(amt(1)), params["s0"])
     assert burn_step(amt(1000), params, target) == amt(0)
     # 100 over target, kappa 0.5 -> burn 50
     assert burn_step(amt(1100), params, target) == amt(50)
@@ -53,8 +54,8 @@ def test_burn_step_controller():
 
 
 def test_burn_step_respects_cap():
-    params = mk_params(s0=1000, kappa="1", cap="10")
-    target = target_supply(safe_exp(amt(1)), params.s0)
+    params = mk_params(s0=1000, kappa="1", beta_burn="10")
+    target = target_supply(safe_exp(amt(1)), params["s0"])
     assert burn_step(amt(5000), params, target) == amt(10)
 
 

@@ -435,7 +435,7 @@ VaultId = str
 PoolId = str
 
 
-# -- seeded randomness --------------------------------------------------
+# -- trace hash: 64-bit FNV-1a ------------------------------------------
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -584,6 +584,8 @@ def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
         state = _fnv1a_slice(data[start:start + _FNV_SLICE], state)
     return state
 
+
+# -- seeded randomness --------------------------------------------------
 
 class SeededRng:
     """One master seed fanned out into stable, independent substreams.

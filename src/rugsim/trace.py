@@ -1,7 +1,8 @@
 """Run outputs: the canonical JSONL event log, per-block telemetry CSV,
 terminal state snapshot, and the 64-bit FNV-1a trace hash over canonical
 event bytes, written and hashed in batches as the run records them. Also
-the independent verifier that replays a written trace.
+the independent verifier, which hashes, decodes and replays a written
+trace's events in one pass over its blocks.
 
 Canonical form: one JSON object per line, keys sorted, compact separators.
 ``EVENT_TYPES`` declares every event's fields, and ``make_event`` builds
@@ -17,7 +18,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import Optional
 
 from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, fnv1a_64
 
@@ -297,101 +298,19 @@ def _amount_raw(value: object) -> Optional[int]:
     return -raw if whole[0] == "-" else raw
 
 
-def _replay_balances(events: Iterable[object]) -> tuple[dict, Optional[VerifyResult]]:
-    """Replay ledger movements from zero balances, in raw quanta.
-
-    Returns (balances, failure): balances are keyed (account, token) -> raw
-    int; failure names the first movement that is malformed (an amount
-    that is not a decimal string of at most nine places or is above
-    MAX_RAW, or an account or token that is not a string), that breaks
-    conservation (a negative amount, or a debit the running balance does
-    not cover) or that credits a balance past MAX_RAW. The replay stops
-    there, without taking another event from ``events``.
-    """
-    balances: dict[tuple[str, str], int] = {}
-    get = balances.get
-
-    def failure(error: str, event: object) -> VerifyResult:
-        return VerifyResult(False, error=error, first_violation=canonical_line(event))
-
-    for event in events:
-        if type(event) is not dict:
-            return balances, failure("malformed event line", event)
-        kind = event.get("type")
-        holders = _MOVES.get(kind) if type(kind) is str else None
-        if holders is None:
-            continue
-        raw = _amount_raw(event.get("amount"))
-        if (raw is None or raw > MAX_RAW
-                or any(type(event.get(key)) is not str for key in ("token", *holders))):
-            return balances, failure("malformed event line", event)
-        if raw < 0:
-            return balances, failure("conservation violated", event)
-        token = event["token"]
-        if kind != "mint":  # burn and transfer debit their first account
-            src = (event[holders[0]], token)
-            holding = get(src, 0)
-            if holding < raw:
-                return balances, failure("conservation violated", event)
-            balances[src] = holding - raw
-        if kind != "burn":  # mint and transfer credit their last account
-            dst = (event[holders[-1]], token)
-            credited = balances[dst] = get(dst, 0) + raw
-            if credited > MAX_RAW:
-                return balances, failure("balance out of range", event)
-    return balances, None
-
-
 # events.jsonl is read in blocks of this many bytes, so verify holds one
 # block and the longest line at a time, whatever the length of the trace
 READ_BLOCK = 64 * 1024
 
-
-class _EventStream:
-    """The events of an open events.jsonl, decoded line by line as the
-    file is read in READ_BLOCK-byte blocks.
-
-    Each block is folded into the FNV-1a ``state`` whole as it is read
-    (FNV-1a is sequential, so this equals hashing line by line): the
-    bytes are hashed exactly as stored, and a blank line or a rewritten
-    line ending changes the hash. ``line`` is the 1-based number of the
-    last line decoded. Iteration stops at the first line that is not
-    UTF-8 JSON and keeps its failure in ``malformed``.
-    """
-
-    def __init__(self, handle: BinaryIO) -> None:
-        self.handle = handle
-        self.state = FNV_OFFSET
-        self.line = 0
-        self.malformed: Optional[VerifyResult] = None
-
-    def _lines(self) -> Iterator[bytes]:
-        """The file's lines without their "\\n", a last unterminated one
-        included."""
-        head: list[bytes] = []  # the start of a line that spans blocks
-        while block := self.handle.read(READ_BLOCK):
-            self.state = fnv1a_64(block, self.state)
-            lines = block.split(b"\n")
-            head.append(lines[0])
-            if len(lines) > 1:
-                lines[0] = b"".join(head)
-                head = [lines.pop()]
-                yield from lines
-        last = b"".join(head)
-        if last:
-            yield last
-
-    def __iter__(self) -> Iterator[object]:
-        for line in self._lines():
-            self.line += 1
-            try:
-                event = json.loads(line.decode("utf-8"))
-            except (ValueError, RecursionError):  # also UnicodeDecodeError
-                self.malformed = VerifyResult(
-                    False, error="malformed event line",
-                    first_violation=line.decode("utf-8", "replace"), line=self.line)
-                return
-            yield event
+# the C scanner behind json.loads: scan_once(text, index) -> (value, end),
+# raising StopIteration where no value starts at index
+_SCAN = json.JSONDecoder().scan_once
+# movement type -> (the account field it debits, the one it credits), None
+# for neither: burn and transfer debit their first account, mint and
+# transfer credit their last
+_REPLAY = {kind: (None if kind == "mint" else holders[0],
+                  None if kind == "burn" else holders[-1])
+           for kind, holders in _MOVES.items()}
 
 
 def verify_trace(trace_dir: str) -> VerifyResult:
@@ -399,14 +318,30 @@ def verify_trace(trace_dir: str) -> VerifyResult:
 
     events.jsonl is hashed, decoded and replayed in one streaming pass,
     so memory holds one read block, the longest line and the running
-    balances, however long the trace. The outcome is the first of:
-    a missing or unreadable file (``unreadable``); the first line that
-    is not UTF-8 JSON; hash.txt not matching the event bytes; state.json
-    not a JSON object whose trace_hash matches them (with no
-    initial_balances but ``{}``, and balances an object); the first
-    movement the replay rejects; replayed final balances that differ
-    from state.json's. Lines after a replay failure are still hashed and
-    decoded, so this order holds wherever the failures sit.
+    balances, however long the trace. Each READ_BLOCK-byte block is
+    folded into the FNV-1a state in one call as read (FNV-1a is
+    sequential, so this equals hashing line by line): the bytes are
+    hashed exactly as stored, so a blank line or a rewritten line ending
+    changes the hash. The block's complete lines are decoded to text
+    once, and the JSON scanner runs at each line's start; its value is
+    taken only if it ends at that line's "\\n". Any other line is decoded
+    by json.loads, and a line that is not UTF-8 is malformed, so every
+    verdict is the one json.loads gives line by line. Each ledger
+    movement is replayed from zero balances, in raw quanta, as it is
+    decoded.
+
+    The outcome is the first of: a missing or unreadable file
+    (``unreadable``); the first line that is not UTF-8 JSON; hash.txt
+    not matching the event bytes; state.json not a JSON object whose
+    trace_hash matches them (with no initial_balances but ``{}``, and
+    balances an object); the first movement the replay rejects (an
+    event that is not an object, an amount that is not a decimal string
+    of at most nine places or is above MAX_RAW, or an account or token
+    that is not a string; a negative amount or a debit the running
+    balance does not cover; a balance credited past MAX_RAW); replayed
+    final balances that differ from state.json's. Lines after a replay
+    failure are still hashed and decoded, so this order holds wherever
+    the failures sit.
     """
     paths = {name: Path(trace_dir, name) for name in (EVENTS_FILE, STATE_FILE, HASH_FILE)}
     for name, path in paths.items():
@@ -414,26 +349,93 @@ def verify_trace(trace_dir: str) -> VerifyResult:
             return VerifyResult(False, error=f"missing {name}", unreadable=True)
 
     reading = HASH_FILE
+    state, line, balances = FNV_OFFSET, 0, {}
+    get = balances.get
+    malformed: Optional[tuple] = None  # the first line that is not UTF-8 JSON, and its number
+    failure: Optional[tuple] = None  # the first movement rejected: (error, event, line)
     try:
         hash_bytes = paths[HASH_FILE].read_bytes()
         reading = STATE_FILE
         state_bytes = paths[STATE_FILE].read_bytes()
         reading = EVENTS_FILE
         with open(paths[EVENTS_FILE], "rb") as handle:
-            stream = _EventStream(handle)
-            events = iter(stream)
-            balances, failure = _replay_balances(events)
-            if failure is not None:
-                failure.line = stream.line
-            for _ in events:  # the lines after a replay failure
-                pass
+            head: list[bytes] = []  # the start of a line that spans blocks
+            while malformed is None:
+                block = handle.read(READ_BLOCK)
+                if block:
+                    state = fnv1a_64(block, state)
+                    cut = block.rfind(b"\n") + 1
+                    if not cut:
+                        head.append(block)
+                        continue
+                    head.append(block[:cut])
+                    lines, head = b"".join(head), [block[cut:]]
+                elif any(head):  # a last line without its "\n"
+                    lines, head = b"".join(head) + b"\n", []
+                else:
+                    break
+                try:
+                    text, undecodable = lines.decode("utf-8"), b""
+                except UnicodeDecodeError as exc:
+                    # the lines before the one holding the first bad byte decode
+                    cut = lines.rfind(b"\n", 0, exc.start) + 1
+                    text, undecodable = lines[:cut].decode("utf-8"), lines[cut:]
+                start, size = 0, len(text)
+                while start < size:
+                    end = text.index("\n", start)
+                    line += 1
+                    try:
+                        event, scanned = _SCAN(text, start)
+                    except (StopIteration, ValueError, RecursionError):
+                        scanned = -1  # json.loads decides, and names the error
+                    if scanned != end:  # not one value filling the line
+                        try:
+                            event = json.loads(text[start:end])
+                        except (ValueError, RecursionError):
+                            malformed = text[start:end], line
+                            break
+                    start = end + 1
+                    if failure is not None:  # later lines are only hashed and decoded
+                        continue
+                    if type(event) is not dict:
+                        failure = "malformed event line", event, line
+                        continue
+                    kind = event.get("type")
+                    move = _REPLAY.get(kind) if type(kind) is str else None
+                    if move is None:
+                        continue
+                    debited, credited = move  # no JSON key is None
+                    token, src, dst = event.get("token"), event.get(debited), event.get(credited)
+                    raw = _amount_raw(event.get("amount"))
+                    if (raw is None or raw > MAX_RAW or type(token) is not str
+                            or debited and type(src) is not str
+                            or credited and type(dst) is not str):
+                        failure = "malformed event line", event, line
+                        continue
+                    if raw < 0:
+                        failure = "conservation violated", event, line
+                        continue
+                    if debited:
+                        holding = get((src, token), 0)
+                        if holding < raw:
+                            failure = "conservation violated", event, line
+                            continue
+                        balances[src, token] = holding - raw
+                    if credited:
+                        balance = balances[dst, token] = get((dst, token), 0) + raw
+                        if balance > MAX_RAW:
+                            failure = "balance out of range", event, line
+                if undecodable and malformed is None:
+                    bad = undecodable[:undecodable.index(b"\n")]
+                    malformed = bad.decode("utf-8", "replace"), line + 1
     except OSError as exc:
         return VerifyResult(False, error=f"cannot read {reading}: {exc.strerror}",
                             unreadable=True)
-    if stream.malformed is not None:
-        return stream.malformed
+    if malformed is not None:
+        return VerifyResult(False, error="malformed event line", first_violation=malformed[0],
+                            line=malformed[1])
 
-    recomputed = f"{stream.state:016x}"
+    recomputed = f"{state:016x}"
     try:
         recorded = hash_bytes.decode("utf-8").strip()
     except UnicodeDecodeError:
@@ -461,7 +463,8 @@ def verify_trace(trace_dir: str) -> VerifyResult:
         return VerifyResult(False, error="state.json balances is not a JSON object")
 
     if failure is not None:
-        return failure
+        error, event, line = failure
+        return VerifyResult(False, error=error, first_violation=canonical_line(event), line=line)
     replayed_final: dict[str, dict[str, str]] = {}
     for (account, token), raw in balances.items():
         if raw != 0:

@@ -4,6 +4,7 @@ streams the trace in bounded memory and names the first event that breaks
 conservation, with its line."""
 
 import json
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -347,6 +348,140 @@ def test_verify_finds_a_violation_split_across_a_block_edge(tmp_path, monkeypatc
     # a block edge falls in the middle of the violating line
     monkeypatch.setattr(trace_module, "READ_BLOCK", start + len(line) // 2)
     assert verdict(tmp_path) == expected
+
+
+def line_by_line(trace_dir, copy_dir) -> tuple:
+    """The verdict verify_trace must give on a sealed trace, as a reference
+    that decodes events.jsonl one ``json.loads`` per line: the first line
+    that does not decode, else the verdict on the decoded values written
+    back one canonical line each, as the writer emits them."""
+    lines = (trace_dir / "events.jsonl").read_bytes().split(b"\n")
+    if not lines[-1]:  # the file's last "\n" ends a line and starts none
+        lines.pop()
+    events = []
+    for number, line in enumerate(lines, 1):
+        try:
+            events.append(json.loads(line.decode("utf-8")))
+        except (ValueError, RecursionError):
+            return False, "malformed event line", line.decode("utf-8", "replace"), number
+    shutil.copytree(trace_dir, copy_dir)
+    (copy_dir / "events.jsonl").write_text("".join(canonical_line(event) + "\n"
+                                                   for event in events))
+    reseal(copy_dir)
+    return verdict(copy_dir)
+
+
+def insert(index: int, *new: bytes):
+    """A rewrite of events.jsonl that puts ``new`` before its 0-based line
+    ``index``."""
+    def rewrite(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[index:index] = new
+        return b"\n".join(lines)
+    return rewrite
+
+
+def edit(index: int, change):
+    """A rewrite of events.jsonl that applies ``change`` to its 0-based line
+    ``index``."""
+    def rewrite(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[index] = change(lines[index])
+        return b"\n".join(lines)
+    return rewrite
+
+
+# rewrites of the 38 lines of a 3-block reference trace, each re-sealed; the
+# scanner takes a line's value only if it ends at the line's "\n", so every
+# other line must get the verdict json.loads gives it
+EXACTNESS_CASES = {
+    # each not JSON, but "[" + the two joined by "," + "]" decodes to two dicts
+    "joined-lines": insert(38, b'{"type":"note","a":1},{"b":[{}', b'{}]}'),
+    "leading-space": edit(5, lambda line: b" " + line),
+    "trailing-tab": edit(5, lambda line: line + b"\t"),
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "nan": insert(20, b"NaN"),
+    "not-utf8-mid-block": edit(20, lambda line: line.replace(b'"type"', b'"ty\xffpe"')),
+    "line-across-block-edges": edit(4, lambda line: line.replace(
+        b'"type"', f'"note":"{LONG_MEMO}","type"'.encode())),
+    "5000-digit-int": insert(20, b'{"big":' + b"9" * 5000 + b"}"),
+    "100000-brackets": insert(20, b"[" * 100_000),
+    "blank-line": insert(20, b""),
+    "unterminated-last-line": lambda data: data[:-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+def test_verify_decodes_each_line_as_json_loads_does(tmp_path, monkeypatch, case):
+    trace_dir = tmp_path / "trace"
+    run_scenario(reference_scenario(blocks=3))[1].write(str(trace_dir))
+    events_path = trace_dir / "events.jsonl"
+    events_path.write_bytes(EXACTNESS_CASES[case](events_path.read_bytes()))
+    reseal(trace_dir)
+    expected = line_by_line(trace_dir, tmp_path / "reference")
+    if case == "joined-lines":
+        assert expected == (False, "malformed event line", '{"type":"note","a":1},{"b":[{}', 39)
+    for block in (1, 7, 4096, 65536):
+        monkeypatch.setattr(trace_module, "READ_BLOCK", block)
+        assert verdict(trace_dir) == expected, block
+
+
+@pytest.fixture(scope="module")
+def reference_3_files(tmp_path_factory) -> dict:
+    """The files of a 3-block reference trace, by name."""
+    trace_dir = tmp_path_factory.mktemp("reference_3")
+    run_scenario(reference_scenario(blocks=3))[1].write(str(trace_dir))
+    return {path.name: path.read_bytes() for path in trace_dir.iterdir()}
+
+
+def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    """``data`` with one byte flipped, a space or "\\r" inserted, the line
+    that ``at`` falls in joined to the next, or split at ``at``."""
+    at %= len(data)
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+    if kind in (" ", "\r", "\n"):  # "\n" splits a line
+        return data[:at] + kind.encode() + data[at:]
+    end = data.find(b"\n", at)  # join
+    return data if end < 0 else data[:end] + data[end + 1:]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(mutations=st.lists(st.tuples(st.sampled_from(["flip", " ", "\r", "\n", "join"]),
+                                    st.integers(0, 10**6), st.integers(1, 255)),
+                          min_size=1, max_size=3),
+       block=st.integers(1, 5000))
+def test_verify_matches_line_by_line_decoding_on_mutated_lines(reference_3_files,
+                                                               mutations, block):
+    data = reference_3_files["events.jsonl"]
+    for mutation in mutations:
+        data = mutate(data, *mutation)
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+        trace_dir = Path(out, "trace")
+        trace_dir.mkdir()
+        for name, content in reference_3_files.items():
+            (trace_dir / name).write_bytes(content)
+        (trace_dir / "events.jsonl").write_bytes(data)
+        reseal(trace_dir)
+        expected = line_by_line(trace_dir, Path(out, "reference"))
+        patch.setattr(trace_module, "READ_BLOCK", block)
+        assert verdict(trace_dir) == expected
+
+
+def test_verify_decodes_canonical_lines_without_json_loads(tmp_path, monkeypatch,
+                                                          reference_2000):
+    # a fallback taken on every line would decode the trace correctly but
+    # lose the scanner's speed; only state.json goes through json.loads
+    reference_2000.write(str(tmp_path))
+    decoded = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+    monkeypatch.setattr(trace_module.json, "loads", counted)
+    assert verify_trace(str(tmp_path)).ok
+    assert decoded == [(tmp_path / "state.json").read_text()]
 
 
 def test_an_undecodable_line_after_a_violation_wins(tmp_path):

@@ -17,6 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import FixedAmount, RangeError, RugsimError, amt, quantize, safe_exp
+# the engine is imported here and not in the commands that use it, so
+# `verify` loads it too: the benchmark's tracer (perfbench/tracing.py) wraps
+# the engine's functions only in the modules that `import rugsim.cli` loaded
 from .harness import HOME_TOKEN, Simulation, run_scenario
 from .scenario import (
     SCENARIO_SCHEMA,

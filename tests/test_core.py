@@ -5,6 +5,8 @@ import hashlib
 import time
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import mpmath
 import pytest
@@ -429,8 +431,11 @@ BULK, SLICE = core._FNV_BULK_MIN, core._FNV_SLICE
 BULK_DATA = hashlib.shake_128(b"rugsim fnv1a").digest(100_000)
 
 
+# half a slice is one row below _FNV_ONE_ROW; a slice and a half, plus 7,
+# is a 7-byte row and then 1024-byte rows, over two Step-1 slices
 @pytest.mark.parametrize("length", [BULK - 1, BULK, BULK + 1, SLICE - 1, SLICE, SLICE + 1,
-                                    3 * SLICE + 7])
+                                    3 * SLICE + 7, SLICE // 2 - 1, SLICE // 2,
+                                    SLICE // 2 + 1, 3 * SLICE // 2 + 7])
 def test_fnv1a_bulk_matches_per_byte_loop_around_the_cutoff_and_slice(length):
     data = BULK_DATA[:length]
     for state in (0, 0xCBF29CE484222325, 2**64 - 1, 2**70 + 0x1234):
@@ -465,6 +470,70 @@ def test_fnv1a_bulk_takes_any_bytes_like_and_chains_across_chunks():
         state = fnv1a_64(memoryview(data)[start:start + size], state)
         start += size
     assert state == expected
+
+
+# every length where the kernel changes course, and one off each side:
+# the one-row limit and each change of row length, the Step-1 slice, the
+# row length itself (alone and 40 rows long) and a full group of rows
+ROW, GROUP, ONE_ROW = core._FNV_ROW, core._FNV_GROUP, core._FNV_ONE_ROW
+EDGES = {ONE_ROW, 16384, 32768, SLICE, ROW, 40 * ROW, GROUP * ROW}
+KERNEL_LENGTHS = sorted({edge + step for edge in EDGES for step in (-1, 0, 1)}
+                        | {64 * 1024, 128 * 1024 + 7, 256 * 1024, 300_000})
+STATES = (0, 0xCBF29CE484222325, 2**64 - 1, 2**70 + 0x1234)
+KERNEL_DATA = hashlib.shake_128(b"rugsim fnv1a kernel").digest(300_000)
+# a 300 KB chain cut as the trace writer's flushes and verify's blocks cut it
+FLUSH_CUTS = (0, 137_000, 248_111, 300_000)
+BLOCK_CUTS = (*range(0, 300_000, 65536), 300_000)
+
+
+@lru_cache(maxsize=None)
+def per_byte_prefixes(state: int) -> dict[int, int]:
+    """fnv1a_per_byte of each needed prefix of KERNEL_DATA, from one pass."""
+    wanted = set(KERNEL_LENGTHS) | set(FLUSH_CUTS) | set(BLOCK_CUTS)
+    prefixes = {0: state}
+    for length, byte in enumerate(KERNEL_DATA, 1):
+        state = ((state ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        if length in wanted:
+            prefixes[length] = state
+    return prefixes
+
+
+def test_kernel_lengths_cross_every_row_length():
+    # past one row, rows of 512, 1024 and 2048 bytes, in one to three groups
+    rows = {core._fnv1a_row_length(n) for n in KERNEL_LENGTHS if n > ONE_ROW}
+    assert rows == {512, 1024, ROW}
+    groups = {-(-n // ROW // GROUP) for n in KERNEL_LENGTHS if n > 32 * ROW}
+    assert groups == {1, 2, 3}
+
+
+@pytest.mark.parametrize("state", STATES, ids=["zero", "offset", "ones", "wide"])
+def test_fnv1a_kernel_matches_per_byte_loop_at_its_boundaries(state):
+    expected = per_byte_prefixes(state)
+    for length in KERNEL_LENGTHS:
+        assert fnv1a_64(KERNEL_DATA[:length], state) == expected[length], length
+
+
+@pytest.mark.parametrize("cuts", [FLUSH_CUTS, BLOCK_CUTS], ids=["flushes", "blocks"])
+def test_fnv1a_kernel_chains_across_flush_and_block_cuts(cuts):
+    expected = per_byte_prefixes(core.FNV_OFFSET)
+    state = core.FNV_OFFSET
+    for start, end in zip(cuts, cuts[1:]):
+        state = fnv1a_64(memoryview(KERNEL_DATA)[start:end], state)
+        assert state == expected[end], end
+
+
+def test_fnv1a_row_moments_fit_their_slots():
+    # moment j of Q rows has digits of at most 255 * C(Q, j+1) in size; the
+    # kernel biases moment 0 by 2**15 and the others by 2**31, and keeps
+    # moments while u**j, u = P**row - 1, is not 0 mod 2**64
+    for n in (ONE_ROW + 1, 16384, 16385, 32768, 32769, 64 * 1024, 256 * 1024):
+        row = core._fnv1a_row_length(n)
+        rows = min(-(-n // row), GROUP)
+        u = pow(core.FNV_PRIME, row, 2**64) - 1
+        most = 63 // (row.bit_length() + 1)
+        assert u ** most % 2**64 != 0 and u ** (most + 1) % 2**64 == 0
+        assert 255 * rows < 2**14
+        assert all(255 * comb(rows, j + 1) < 2**31 for j in range(1, most + 1))
 
 
 def test_fnv1a_bulk_digest_is_pinned():

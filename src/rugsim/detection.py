@@ -22,7 +22,6 @@ from .core import (
     PoolId,
     SCALE,
     TokenId,
-    VaultId,
     ZERO,
     _checked,
     _div_round_half_even,
@@ -225,34 +224,25 @@ class IntentStatus(enum.Enum):
 
 
 class Intent:
-    __slots__ = ("intent_id", "owner", "pool", "token", "vault", "theta_price",
-                 "theta_liquidity", "action", "price_ref", "liquidity_ref", "solver_fee_bps",
-                 "status")
+    """One owner's intent: its parsed intent entry (a top-level ``intents[i]``
+    or a ``register_intent`` step) as ``params``, which it reads and never
+    writes, and the pool's price and liquidity when it was registered. It
+    triggers when the price falls to ``theta_price`` of its reference or
+    the liquidity to ``theta_liquidity`` of its; ``solver_fee_bps`` is the
+    highest fee its owner accepts."""
 
-    def __init__(self, intent_id: int, owner: str, pool: PoolId, token: TokenId,
-                 vault: Optional[VaultId], theta_price: FixedAmount,
-                 theta_liquidity: FixedAmount, action: IntentAction, price_ref: FixedAmount,
-                 liquidity_ref: FixedAmount, solver_fee_bps: int):
-        self.intent_id, self.owner, self.pool = intent_id, owner, pool
-        self.token, self.vault, self.action = token, vault, action
-        # triggers: price <= theta_price * price_ref, or
-        # liquidity <= theta_liquidity * liquidity_ref
-        self.theta_price, self.theta_liquidity = theta_price, theta_liquidity
+    __slots__ = ("intent_id", "owner", "params", "price_ref", "liquidity_ref", "status")
+
+    def __init__(self, intent_id: int, owner: str, params: dict, price_ref: FixedAmount,
+                 liquidity_ref: FixedAmount):
+        self.intent_id, self.owner, self.params = intent_id, owner, params
         self.price_ref, self.liquidity_ref = price_ref, liquidity_ref
-        self.solver_fee_bps = solver_fee_bps  # highest fee the owner accepts
         self.status = IntentStatus.PENDING
 
     def triggered(self, price: FixedAmount, liquidity: FixedAmount) -> bool:
-        price_hit = price <= self.theta_price * self.price_ref
-        liq_hit = liquidity <= self.theta_liquidity * self.liquidity_ref
+        price_hit = price <= self.params["theta_price"] * self.price_ref
+        liq_hit = liquidity <= self.params["theta_liquidity"] * self.liquidity_ref
         return price_hit or liq_hit
-
-
-class SolverBid:
-    __slots__ = ("solver", "fee_bps")
-
-    def __init__(self, solver: str, fee_bps: int):
-        self.solver, self.fee_bps = solver, fee_bps
 
 
 class IntentExecution(NamedTuple):
@@ -266,16 +256,9 @@ class IntentBook:
         self.intents: dict[int, Intent] = {}
         self._next_id = 1
 
-    def register(self, owner: str, pool: PoolId, token: TokenId,
-                 theta_price: FixedAmount, theta_liquidity: FixedAmount,
-                 action: IntentAction, price_ref: FixedAmount,
-                 liquidity_ref: FixedAmount, vault: Optional[VaultId],
-                 solver_fee_bps: int) -> Intent:
-        intent = Intent(intent_id=self._next_id, owner=owner, pool=pool,
-                        token=token, vault=vault, theta_price=theta_price,
-                        theta_liquidity=theta_liquidity, action=action,
-                        price_ref=price_ref, liquidity_ref=liquidity_ref,
-                        solver_fee_bps=solver_fee_bps)
+    def register(self, owner: str, params: dict, price_ref: FixedAmount,
+                 liquidity_ref: FixedAmount) -> Intent:
+        intent = Intent(self._next_id, owner, params, price_ref, liquidity_ref)
         self.intents[intent.intent_id] = intent
         self._next_id += 1
         return intent
@@ -286,27 +269,29 @@ class IntentBook:
 
 def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
                 liquidity: dict[PoolId, FixedAmount],
-                bids: Sequence[SolverBid]) -> list[IntentExecution]:
-    """Match triggered intents to the cheapest solver this block.
+                solvers: Sequence[dict]) -> list[IntentExecution]:
+    """Match triggered intents to the cheapest of the parsed solver agents
+    this block.
 
-    Lowest fee wins; ties break on the lower solver id; bids above an
-    intent's fee cap are ignored for that intent. Intents are one-shot: a
+    Lowest ``fee_bps`` wins; ties break on the lower account; solvers above
+    an intent's fee cap are ignored for that intent. Intents are one-shot: a
     matched intent is consumed even before the harness applies its swap.
-    Without both a trigger and an acceptable bid, intents simply persist.
+    Without both a trigger and an acceptable solver, intents simply persist.
     """
     pending = book.pending()
-    if not bids or not pending:
+    if not solvers or not pending:
         return []
-    ranked = sorted(bids, key=lambda b: (b.fee_bps, b.solver))
+    ranked = sorted(solvers, key=lambda s: (s["fee_bps"], s["account"]))
     executions: list[IntentExecution] = []
     for intent in sorted(pending, key=lambda i: i.intent_id):
-        price = prices.get(intent.token)
-        l_pool = liquidity.get(intent.pool)
+        params = intent.params
+        price = prices.get(params["token"])
+        l_pool = liquidity.get(params["pool"])
         if price is None or l_pool is None:
             continue
-        best = next((b for b in ranked if b.fee_bps <= intent.solver_fee_bps), None)
+        best = next((s for s in ranked if s["fee_bps"] <= params["solver_fee_bps"]), None)
         if best is not None and intent.triggered(price, l_pool):
             intent.status = IntentStatus.EXECUTED
-            executions.append(IntentExecution(intent=intent, solver=best.solver,
-                                              fee_bps=best.fee_bps))
+            executions.append(IntentExecution(intent=intent, solver=best["account"],
+                                              fee_bps=best["fee_bps"]))
     return executions

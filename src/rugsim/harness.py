@@ -64,13 +64,7 @@ from .core import (
     _div_round_half_even,
     fsum,
 )
-from .detection import (
-    AuxMonitor,
-    IntentAction,
-    IntentBook,
-    PoolMonitor,
-    SolverBid,
-)
+from .detection import AuxMonitor, IntentAction, IntentBook, PoolMonitor
 from .insurance import ClaimPhase, InsuranceBook, PolicyStatus
 from .ledger import BalanceError, Ledger
 from .market import PoolState
@@ -166,9 +160,7 @@ class Simulation:
         self.prices: dict[TokenId, FixedAmount] = {}
         self.pools: dict[str, PoolState] = {}
         self.pool_chain: dict[str, str] = {}
-        self.registries: dict[str, VaultRegistry] = {
-            chain: VaultRegistry(chain) for chain in scenario.chains}
-        self.vault_chain: dict[str, str] = {}
+        self.vaults = VaultRegistry()
         self.perp_books: dict[str, PerpBook] = {}
         self.perp_amm: Optional[str] = None
         self.intent_book = IntentBook()
@@ -245,14 +237,8 @@ class Simulation:
                     (pool.pool_id, PoolMonitor(pool.pool_id, det["drop_threshold"])))
 
         for entry in sc.vaults:
-            chain = entry["chain"]
-            token = entry["rugged_token"]
-            vault = self.registries[chain].create_vault(
-                token, entry["receipt_kind"], entry["omega"], entry["theta"],
-                entry["penalty_k"], entry["penalty_lambda"], entry["gamma_base"],
-                entry["delta_gamma"], self.prices[token], vault_id=entry["id"])
-            self.vault_chain[vault.vault_id] = chain
-            token_chain[vault.anticoin] = chain
+            vault = self.vaults.create_vault(entry, self.prices[entry["rugged_token"]])
+            token_chain[vault.anticoin] = vault.chain
 
         self.ledger.mint(TREASURY, HOME_TOKEN, sc.tokenomics["initial_supply"],
                          memo="genesis-supply")
@@ -261,10 +247,9 @@ class Simulation:
         if perp is not None:
             self.perp_amm = perp["amm_pool"]
             for vault_id in perp["enabled_vaults"]:
-                chain = self.vault_chain[vault_id]
-                vault = self.registries[chain].vault(vault_id)
+                vault = self.vaults.vault(vault_id)
                 book = self.perp_books[vault_id] = PerpBook(vault_id, vault.anticoin, perp)
-                views[chain].perp_books.append((vault_id, book))
+                views[vault.chain].perp_books.append((vault_id, book))
 
         self.rugproof = RugproofBook(sc.rugproof, TREASURY)
         self.insurance = InsuranceBook(sc.insurance, sc.numeraire, TREASURY)
@@ -275,8 +260,8 @@ class Simulation:
         self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
-        chain_of = {"pool": self.pool_chain, "vault": self.vault_chain,
-                    "token": token_chain, "home": {}}
+        chain_of = {"pool": self.pool_chain, "token": token_chain, "home": {},
+                    "vault": {vid: vault.chain for vid, vault in self.vaults.vaults.items()}}
         for agent in sc.agents:
             account = agent["account"]
             self.agents_by_kind.setdefault(agent["kind"], []).append(agent)
@@ -293,8 +278,6 @@ class Simulation:
             if agent["kind"] == "pegkeeper":
                 views[self.pool_chain[agent["pool"]]].pegkeepers.append(agent)
 
-        solvers = sorted(self.agents_by_kind.get("solver", []), key=lambda a: a["account"])
-        self._solver_bids = [SolverBid(a["account"], a["fee_bps"]) for a in solvers]
         # the first liquidator by account id bids on every flagged position
         self._liquidation_bidder = min(
             (a["account"] for a in self.agents_by_kind.get("liquidator", [])), default=None)
@@ -322,14 +305,8 @@ class Simulation:
 
     def _register_intent(self, entry: dict, owner: str) -> None:
         pool_id = entry["pool"]
-        pool = self.pools[pool_id]
-        token = entry["token"]
-        self.intent_book.register(
-            owner=owner, pool=pool_id, token=token,
-            theta_price=entry["theta_price"], theta_liquidity=entry["theta_liquidity"],
-            action=entry["action"], price_ref=self.prices.get(token, ZERO),
-            liquidity_ref=self._pool_liquidity(pool), vault=entry["vault"],
-            solver_fee_bps=entry["solver_fee_bps"])
+        self.intent_book.register(owner, entry, self.prices.get(entry["token"], ZERO),
+                                  self._pool_liquidity(self.pools[pool_id]))
         self._event("intent_registered", owner, pool_id, entry["theta_price"],
                     entry["theta_liquidity"])
 
@@ -337,13 +314,6 @@ class Simulation:
 
     def _pool_account(self, pool_id: str) -> str:
         return f"pool:{pool_id}"
-
-    def _vault_for_token(self, token: TokenId) -> Optional[str]:
-        for registry in self.registries.values():
-            vault = registry.vault_for_token(token)
-            if vault is not None:
-                return vault.vault_id
-        return None
 
     def _pool_liquidity(self, pool: PoolState) -> FixedAmount:
         """The liquid (numeraire) side of a pool, else the y reserve."""
@@ -559,7 +529,8 @@ class Simulation:
             chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
                                for pid in view.pool_ids}
         for execution in detection.solver_step(self.intent_book, chain_prices,
-                                               chain_liquidity, self._solver_bids):
+                                               chain_liquidity,
+                                               self.agents_by_kind.get("solver", [])):
             self._event("intent_triggered", execution.intent.intent_id,
                         execution.intent.owner, execution.solver, execution.fee_bps)
             self._enqueue(chain, height,
@@ -639,31 +610,29 @@ class Simulation:
 
     def _exec_intent(self, execution: detection.IntentExecution) -> None:
         intent = execution.intent
-        owner = intent.owner
-        holdings = self.ledger.balance(owner, intent.token)
+        owner, params = intent.owner, intent.params
+        token, pool_id = params["token"], params["pool"]
+        holdings = self.ledger.balance(owner, token)
         if holdings.raw <= 0:
             self._event("intent_skipped", intent.intent_id, owner, "no holdings")
             return
-        if intent.action is IntentAction.EXIT_TO_NUMERAIRE:
-            proceeds = self._apply_swap(intent.pool, owner, intent.token, holdings,
-                                        memo="intent")
+        if params["action"] is IntentAction.EXIT_TO_NUMERAIRE:
+            proceeds = self._apply_swap(pool_id, owner, token, holdings, memo="intent")
             fee = proceeds * execution.fee_bps / 10000
-            out_token = self.pools[intent.pool].other(intent.token)
+            out_token = self.pools[pool_id].other(token)
             if fee.raw > 0:
                 self.ledger.transfer(owner, execution.solver, out_token,
                                      fee, memo="solver-fee")
         else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
-            vault_id = intent.vault or self._vault_for_token(intent.token)
-            if vault_id is None:
-                raise StateError(f"no vault accepts {intent.token}")
-            chain = self.vault_chain[vault_id]
-            registry = self.registries[chain]
-            _, reward = registry.deposit(self.ledger, vault_id, owner, holdings)
+            vault = (self.vaults.vault(params["vault"]) if params["vault"] is not None
+                     else self.vaults.vault_for_token(token, self.scenario.chains))
+            if vault is None:
+                raise StateError(f"no vault accepts {token}")
+            _, reward = self.vaults.deposit(self.ledger, vault.vault_id, owner, holdings)
             self._queue_reward(reward)
             fee = holdings * execution.fee_bps / 10000
-            anticoin = registry.vault(vault_id).anticoin
             if fee.raw > 0:
-                self.ledger.transfer(owner, execution.solver, anticoin,
+                self.ledger.transfer(owner, execution.solver, vault.anticoin,
                                      fee, memo="solver-fee")
         self._event("intent_executed", intent.intent_id, owner, execution.solver,
                     execution.fee_bps)
@@ -671,11 +640,9 @@ class Simulation:
     def _exec_peg_keeper(self, agent: dict) -> None:
         pool_id = agent["pool"]
         pool = self.pools[pool_id]
-        vault_id = agent["vault"]
-        if vault_id is None:
+        if agent["vault"] is None:
             return
-        chain = self.vault_chain[vault_id]
-        vault = self.registries[chain].vault(vault_id)
+        vault = self.vaults.vault(agent["vault"])
         peg = anticoin_value(vault.price_at_creation, self._mark_price(vault.rugged_token))
         spot = market.spot_price(pool)
         input_token = pool.token_x if spot > peg else pool.token_y
@@ -712,25 +679,23 @@ class Simulation:
 
     def _op_deposit(self, account: str, step: dict) -> None:
         vault_id, amount = step["vault"], step["amount"]
-        registry = self.registries[self._chain_ctx]
-        serial, reward = registry.deposit(self.ledger, vault_id, account, amount)
+        serial, reward = self.vaults.deposit(self.ledger, vault_id, account, amount)
         self._queue_reward(reward)
         self._event("deposit", vault_id, account, amount,
-                    registry.vault(vault_id).receipt_kind.value, serial)
+                    self.vaults.vault(vault_id).params["receipt_kind"].value, serial)
 
     def _op_burn(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
-        supply, reward = self.registries[self._chain_ctx].burn_anticoins(
-            self.ledger, vault_id, account, step["amount"])
+        supply, reward = self.vaults.burn_anticoins(self.ledger, vault_id, account,
+                                                    step["amount"])
         self._queue_reward(reward)
         self._event("anticoin_burn", vault_id, account, step["amount"], supply)
 
     def _op_withdraw(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         owner, related = self._owners[account]
-        result = self.registries[self._chain_ctx].withdraw(
-            self.ledger, vault_id, account, step["amount"], TREASURY,
-            related_accounts=related, owner=owner)
+        result = self.vaults.withdraw(self.ledger, vault_id, account, step["amount"],
+                                      TREASURY, related_accounts=related, owner=owner)
         self.total_penalties = self.total_penalties + result.penalty
         self._event("withdraw", vault_id, account, step["amount"], result.returned,
                     result.penalty, result.rate, result.withdrawal_index)
@@ -780,7 +745,7 @@ class Simulation:
     def _op_open_position(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
         book = self.perp_books[vault_id]
-        vault = self.registries[self._chain_ctx].vault(vault_id)
+        vault = self.vaults.vault(vault_id)
         mark = self._mark_price(vault.rugged_token)
         unit_value = anticoin_value(vault.price_at_creation, mark)
         position = book.open_position(
@@ -884,7 +849,7 @@ class Simulation:
 
     def _phase_perps(self, chain: str, view: ChainView, height: int) -> None:
         for vault_id, book in view.perp_books:
-            vault = self.registries[chain].vault(vault_id)
+            vault = self.vaults.vault(vault_id)
             mark = self._mark_price(vault.rugged_token)
             if mark.raw <= 0:
                 continue
@@ -962,8 +927,8 @@ class Simulation:
         emission = tk["epsilon_rate"]
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
-        vaulted_value = tokenomics.aggregate_vault_stats(
-            list(self.registries.values()), self.ledger, self._mark_price)
+        vaulted_value = tokenomics.aggregate_vault_stats(self.vaults, self.ledger,
+                                                         self._mark_price)
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
         target = tokenomics.target_supply(vaulted_value, tk["s0"])
         burned = tokenomics.burn_step(self.ledger.total_supply(HOME_TOKEN), tk, target,
@@ -1012,8 +977,7 @@ class Simulation:
                       "token_x": p.token_x, "token_y": p.token_y,
                       "fee_bps": p.fee_bps}
                 for pid, p in sorted(self.pools.items())},
-            "vaults": {chain: registry.snapshot()
-                       for chain, registry in sorted(self.registries.items())},
+            "vaults": self.vaults.snapshot(self.scenario.chains),
             "perps": {vid: book.snapshot()
                       for vid, book in sorted(self.perp_books.items())},
             "insurance": self.insurance.snapshot(),

@@ -500,6 +500,15 @@ def load_scenario(doc: dict, memo: Optional[dict] = None) -> Scenario:
 
     agents = section("agents", _load_agents)
     intents = section("intents", _load_intents)
+    # an intent's vault takes its token
+    vault_token = {vault["id"]: vault["rugged_token"] for vault in vaults}
+    named = [(f"agents[{i}].script[{j}]", step) for i, agent in enumerate(agents)
+             for j, step in enumerate(agent["script"]) if step["op"] == "register_intent"]
+    for path, intent in named + [(f"intents[{i}]", e) for i, e in enumerate(intents)]:
+        vault = intent["vault"]
+        if vault is not None and vault_token[vault] != intent["token"]:
+            raise ScenarioError(f"{path}.vault", f"vault {vault!r} holds "
+                                f"{vault_token[vault]}, not {intent['token']}")
     return Scenario(**top, tokens=tokens, accounts=accounts, vaults=vaults,
                     pools=pools, **sections, agents=agents, intents=intents)
 

@@ -14,7 +14,7 @@ holds exactly in every run.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import (
     FixedAmount,
@@ -60,17 +60,16 @@ def burn_step(current_supply: FixedAmount, tokenomics: dict, target: FixedAmount
     return burned
 
 
-def aggregate_vault_stats(registries: Sequence[VaultRegistry], ledger: Ledger,
+def aggregate_vault_stats(registry: VaultRegistry, ledger: Ledger,
                           price_of: Callable[[TokenId], FixedAmount]) -> FixedAmount:
-    """Read-only oracle pass over every vault on every chain: the value of
-    the rugged tokens still vaulted, at current prices. Each vault's value
-    rounds half-even to the quantum, as a FixedAmount product would; the
-    sum is exact, so the visiting order does not matter, and no value is
+    """Read-only oracle pass over the registry's vaults on every chain: the
+    value of the rugged tokens still vaulted, at current prices. Each vault's
+    value rounds half-even to the quantum, as a FixedAmount product would;
+    the sum is exact, so the visiting order does not matter, and no value is
     negative, so the total passes MAX_RAW whenever one vault's value does."""
     total = 0
-    for registry in registries:
-        for vault in registry.vaults.values():
-            vaulted = ledger.balance_raw(vault.escrow_account, vault.rugged_token)
-            price = price_of(vault.rugged_token).raw
-            total += _div_round_half_even(vaulted * price, SCALE)
+    for vault in registry.vaults.values():
+        vaulted = ledger.balance_raw(vault.escrow_account, vault.rugged_token)
+        price = price_of(vault.rugged_token).raw
+        total += _div_round_half_even(vaulted * price, SCALE)
     return FixedAmount(total)

@@ -47,24 +47,23 @@ class ReceiptKind(enum.Enum):
 
 
 class Vault:
-    __slots__ = ("vault_id", "chain", "rugged_token", "anticoin", "receipt_kind",
-                 "price_at_creation", "omega", "theta", "penalty_k", "penalty_lambda",
-                 "gamma_base", "delta_gamma", "total_deposited", "total_burned",
-                 "total_withdrawn", "next_serial")
+    """One vault: its parsed ``vaults[i]`` entry as ``params``, which it reads
+    and never writes, the price of its rugged token at creation, and the
+    totals that deposits, burns and withdrawals move. ``omega`` is the deposit
+    reward rate and ``theta`` the burn reward rate; ``penalty_k``,
+    ``penalty_lambda``, ``gamma_base`` and ``delta_gamma`` price withdrawals
+    (see ``VaultRegistry.withdraw``)."""
 
-    def __init__(self, vault_id: VaultId, chain: ChainId, rugged_token: TokenId,
-                 anticoin: TokenId, receipt_kind: ReceiptKind, price_at_creation: FixedAmount,
-                 omega: FixedAmount, theta: FixedAmount, penalty_k: FixedAmount,
-                 penalty_lambda: FixedAmount, gamma_base: FixedAmount,
-                 delta_gamma: FixedAmount):
-        self.vault_id, self.chain, self.rugged_token = vault_id, chain, rugged_token
-        self.anticoin, self.receipt_kind = anticoin, receipt_kind
+    __slots__ = ("params", "vault_id", "chain", "rugged_token", "anticoin",
+                 "price_at_creation", "total_deposited", "total_burned", "total_withdrawn",
+                 "next_serial")
+
+    def __init__(self, params: dict, price_at_creation: FixedAmount):
+        self.params = params
+        self.vault_id, self.chain = params["id"], params["chain"]
+        self.rugged_token = params["rugged_token"]
+        self.anticoin = anticoin_id(self.rugged_token, self.chain)
         self.price_at_creation = price_at_creation
-        self.omega = omega                    # deposit reward rate
-        self.theta = theta                    # burn reward rate, must exceed omega
-        self.penalty_k = penalty_k
-        self.penalty_lambda = penalty_lambda  # > 1: superlinear whale penalty
-        self.gamma_base, self.delta_gamma = gamma_base, delta_gamma
         self.total_deposited = self.total_burned = self.total_withdrawn = ZERO
         self.next_serial = 1
 
@@ -137,12 +136,12 @@ def cumulative_penalty(h_total: FixedAmount, n: int, gamma: FixedAmount,
 
 
 class VaultRegistry:
-    """Single-writer vault state machine for one chain."""
+    """Single-writer vault state machine for the vaults of every chain,
+    keyed by their ids, which are unique across chains; each vault holds
+    its chain."""
 
-    def __init__(self, chain: ChainId):
-        self.chain = chain
+    def __init__(self):
         self.vaults: dict[VaultId, Vault] = {}
-        self._by_token: dict[TokenId, VaultId] = {}
         # (owner, vault_id) -> executed withdrawal count
         self.withdrawal_counts: dict[tuple[str, VaultId], int] = {}
 
@@ -150,33 +149,23 @@ class VaultRegistry:
         try:
             return self.vaults[vault_id]
         except KeyError:
-            raise StateError(f"no vault {vault_id} on chain {self.chain}") from None
+            raise StateError(f"no vault {vault_id}") from None
 
-    def vault_for_token(self, token: TokenId) -> Optional[Vault]:
-        vid = self._by_token.get(token)
-        return self.vaults[vid] if vid is not None else None
+    def vault_for_token(self, token: TokenId, chains: Sequence[ChainId]) -> Optional[Vault]:
+        """The vault for ``token`` on the first of ``chains`` that has one."""
+        return min((v for v in self.vaults.values() if v.rugged_token == token),
+                   key=lambda v: chains.index(v.chain), default=None)
 
-    def create_vault(self, rugged_token: TokenId, receipt_kind: ReceiptKind,
-                     omega: FixedAmount, theta: FixedAmount,
-                     penalty_k: FixedAmount, penalty_lambda: FixedAmount,
-                     gamma_base: FixedAmount, delta_gamma: FixedAmount,
-                     current_price: FixedAmount,
-                     vault_id: Optional[VaultId] = None) -> Vault:
+    def create_vault(self, params: dict, current_price: FixedAmount) -> Vault:
+        """Open the vault of a parsed ``vaults[i]`` entry at ``current_price``."""
         if current_price.raw <= 0:
             raise ParameterError("creation price must be > 0")
-        if rugged_token in self._by_token:
-            raise StateError(f"vault for {rugged_token} already exists on {self.chain}")
-        vid = vault_id or f"v-{rugged_token}@{self.chain}"
-        if vid in self.vaults:
-            raise StateError(f"vault id {vid} already exists")
-        vault = Vault(
-            vault_id=vid, chain=self.chain, rugged_token=rugged_token,
-            anticoin=anticoin_id(rugged_token, self.chain), receipt_kind=receipt_kind,
-            price_at_creation=current_price, omega=omega, theta=theta,
-            penalty_k=penalty_k, penalty_lambda=penalty_lambda,
-            gamma_base=gamma_base, delta_gamma=delta_gamma)
-        self.vaults[vid] = vault
-        self._by_token[rugged_token] = vid
+        vault = Vault(params, current_price)
+        if any(v.anticoin == vault.anticoin for v in self.vaults.values()):
+            raise StateError(f"vault for {vault.rugged_token} already exists on {vault.chain}")
+        if vault.vault_id in self.vaults:
+            raise StateError(f"vault id {vault.vault_id} already exists")
+        self.vaults[vault.vault_id] = vault
         return vault
 
     def deposit(self, ledger: Ledger, vault_id: VaultId, user: str,
@@ -193,10 +182,10 @@ class VaultRegistry:
         vault.total_deposited = vault.total_deposited + amount
 
         serial = None
-        if vault.receipt_kind is not ReceiptKind.FUNGIBLE:
+        if vault.params["receipt_kind"] is not ReceiptKind.FUNGIBLE:
             serial = vault.next_serial
             vault.next_serial += 1
-        reward = RewardEvent("deposit", vault_id, user, vault.omega * amount)
+        reward = RewardEvent("deposit", vault_id, user, vault.params["omega"] * amount)
         return serial, reward
 
     def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: str,
@@ -207,7 +196,7 @@ class VaultRegistry:
             raise DustError(f"burn must be > 0, got {amount}")
         ledger.burn(user, vault.anticoin, amount, memo=f"burn:{vault_id}")
         vault.total_burned = vault.total_burned + amount
-        reward = RewardEvent("burn", vault_id, user, vault.theta * amount)
+        reward = RewardEvent("burn", vault_id, user, vault.params["theta"] * amount)
         return vault.anticoin_supply, reward
 
     def withdrawal_count(self, owner: str, vault_id: VaultId) -> int:
@@ -241,14 +230,15 @@ class VaultRegistry:
         for acct in accounts:
             holdings = holdings + ledger.balance(acct, vault.anticoin)
 
+        params = vault.params
         whale_rate = ZERO
-        if vault.total_deposited.raw > 0 and vault.penalty_k.raw > 0:
+        if vault.total_deposited.raw > 0 and params["penalty_k"].raw > 0:
             ratio = holdings / vault.total_deposited
-            whale_rate = min(MAX_WHALE_RATE,
-                             whale_penalty(ratio, vault.penalty_k, vault.penalty_lambda))
+            whale_rate = min(MAX_WHALE_RATE, whale_penalty(ratio, params["penalty_k"],
+                                                           params["penalty_lambda"]))
         owner = owner if owner is not None else account
         index = self.withdrawal_count(owner, vault_id) + 1
-        step_rate = vault.gamma_base + vault.delta_gamma * index
+        step_rate = params["gamma_base"] + params["delta_gamma"] * index
         rate = whale_rate + step_rate
         penalty = amount * rate
         if penalty >= amount:
@@ -266,18 +256,20 @@ class VaultRegistry:
         return WithdrawResult(returned=returned, penalty=penalty, rate=rate,
                               withdrawal_index=index)
 
-    def snapshot(self) -> dict:
-        return {
+    def snapshot(self, chains: Sequence[ChainId]) -> dict:
+        """Each of ``chains``, sorted, mapped to its vaults by sorted id; a
+        chain without a vault maps to {}."""
+        return {chain: {
             vid: {
                 "chain": v.chain,
                 "rugged_token": v.rugged_token,
                 "anticoin": v.anticoin,
-                "receipt_kind": v.receipt_kind.value,
+                "receipt_kind": v.params["receipt_kind"].value,
                 "price_at_creation": str(v.price_at_creation),
                 "total_deposited": str(v.total_deposited),
                 "total_burned": str(v.total_burned),
                 "total_withdrawn": str(v.total_withdrawn),
                 "anticoin_supply": str(v.anticoin_supply),
             }
-            for vid, v in sorted(self.vaults.items())
-        }
+            for vid, v in sorted(self.vaults.items()) if v.chain == chain
+        } for chain in sorted(chains)}

@@ -32,8 +32,8 @@ from rugsim.market import DustError, PoolState, pool_swap
 from rugsim.perps import funding_rate, funding_rate_final
 from rugsim.scenario import reference_scenario, scam_scenario
 from rugsim.tokenomics import target_supply
-from rugsim.vault import ReceiptKind, VaultRegistry, anticoin_value, \
-    cumulative_penalty, whale_penalty
+from rugsim.vault import VaultRegistry, anticoin_value, cumulative_penalty, \
+    whale_penalty
 
 mpmath.mp.dps = 50
 
@@ -58,10 +58,8 @@ def report(number: int, name: str, timer: Timer):
 
 
 def mk_vault(price=100):
-    registry = VaultRegistry("alpha")
-    return registry.create_vault(
-        "RUG", ReceiptKind.FUNGIBLE, amt("0.01"), amt("0.02"), amt(1), amt(2),
-        amt("0.1"), amt("0.01"), amt(price))
+    from conftest import rug_vault
+    return VaultRegistry().create_vault(rug_vault(penalty_k="1"), amt(price))
 
 
 def test_01_peg_curve():
@@ -393,8 +391,8 @@ def test_10_tokenomics_identity_and_scarcity():
                                       "vault": "v-rug", "amount": "100"}
         sim_base, _ = run_scenario(base)
         sim_burn, _ = run_scenario(burny)
-        burned_base = sim_base.registries["alpha"].vault("v-rug").total_burned
-        burned_more = sim_burn.registries["alpha"].vault("v-rug").total_burned
+        burned_base = sim_base.vaults.vault("v-rug").total_burned
+        burned_more = sim_burn.vaults.vault("v-rug").total_burned
         assert burned_more > burned_base
         assert sim_burn.ledger.total_supply("R") <= sim_base.ledger.total_supply("R")
     report(10, "tokenomics identity and scarcity", timer)

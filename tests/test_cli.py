@@ -609,6 +609,23 @@ def _transfer_into_a_case_escrow(doc):
          "amount": "1"}]
 
 
+def _intent_into_a_vault_for_zed(scripted):
+    """alice holds ZED, and v-zed takes it; her swap_to_anticoin intent on RUG
+    names v-zed, at the top level or as a step of her script."""
+    def mutate(doc):
+        doc["tokens"].append({"id": "ZED", "chain": "alpha",
+                              "price_process": {"kind": "catastrophic", "p0": "1"}})
+        doc["vaults"].append(dict(doc["vaults"][0], id="v-zed", rugged_token="ZED"))
+        doc["accounts"][0]["balances"]["ZED"] = "10000"
+        intent = {"pool": "rug-usdn", "token": "RUG", "action": "swap_to_anticoin",
+                  "theta_price": "0.99", "theta_liquidity": "0.99", "vault": "v-zed"}
+        if scripted:
+            _script_step(op="register_intent", **intent)(doc)
+        else:
+            doc["intents"] = [dict(intent, owner="alice")]
+    return mutate
+
+
 def _genesis_rug(*balances):
     """Give the first accounts of the document these RUG balances."""
     def mutate(doc):
@@ -751,6 +768,11 @@ LOAD_PROBES = [
                  id="second-vault-for-a-token-and-chain"),
     pytest.param("reference", _token_named_like_an_anticoin, "vaults[0].rugged_token",
                  id="declared-token-named-like-an-anticoin"),
+    # an intent deposits its token into its vault, which must take that token
+    pytest.param("reference", _intent_into_a_vault_for_zed(scripted=False),
+                 "intents[0].vault", id="intent-vault-for-another-token"),
+    pytest.param("reference", _intent_into_a_vault_for_zed(scripted=True),
+                 "agents[0].script[2].vault", id="script-intent-vault-for-another-token"),
     pytest.param("reference", _transfer_into_a_case_escrow, "agents[0].script[4].to",
                  id="transfer-into-a-case-escrow"),
     # a declared pool account's balance would not be the pool's reserve

@@ -23,7 +23,6 @@ from rugsim.detection import (
     PoolMonitor,
     RiskSignal,
     SignalKind,
-    SolverBid,
     TrailingWindow,
     plan_backrun,
     plan_frontrun,
@@ -31,6 +30,9 @@ from rugsim.detection import (
     solver_step,
 )
 from rugsim.market import PoolState, pool_quote_exact_out, pool_swap
+from rugsim.scenario import reference_scenario
+
+from conftest import loaded
 
 ALICE = "alice"
 
@@ -261,54 +263,67 @@ def test_backrun_buys_the_dip():
 # -- intents -----------------------------------------------------------------------
 
 
+POOL = "rug-usdn"  # builtin:reference's RUG pool
+
+
 def mk_intent(book, theta_price="0.5", theta_liq="0.3"):
     # the owner accepts a solver fee up to 30 bps, the highest these tests bid
-    return book.register(ALICE, "p", "RUG", amt(theta_price), amt(theta_liq),
-                         IntentAction.EXIT_TO_NUMERAIRE, price_ref=amt(1),
-                         liquidity_ref=amt(1000), vault=None, solver_fee_bps=30)
+    params = loaded("intents.0", {"owner": ALICE, "pool": POOL, "token": "RUG",
+                                  "action": IntentAction.EXIT_TO_NUMERAIRE.value,
+                                  "theta_price": theta_price, "theta_liquidity": theta_liq,
+                                  "solver_fee_bps": 30})
+    return book.register(ALICE, params, price_ref=amt(1), liquidity_ref=amt(1000))
+
+
+def mk_solver(account, fee_bps):
+    """builtin:reference's agent for ``account``, loaded as a solver bidding
+    ``fee_bps``."""
+    index = [agent["account"] for agent in reference_scenario()["agents"]].index(account)
+    return loaded(f"agents.{index}", {"kind": "solver", "account": account,
+                                      "fee_bps": fee_bps})
 
 
 def test_intent_triggers_on_price():
     book = IntentBook()
     intent = mk_intent(book)
-    bids = [SolverBid("sol1", 30)]
-    quiet = solver_step(book, {"RUG": amt("0.6")}, {"p": amt(1000)}, bids)
+    solvers = [mk_solver("sol-1", 30)]
+    quiet = solver_step(book, {"RUG": amt("0.6")}, {POOL: amt(1000)}, solvers)
     assert quiet == [] and intent.status is IntentStatus.PENDING
-    hits = solver_step(book, {"RUG": amt("0.4")}, {"p": amt(1000)}, bids)
-    assert len(hits) == 1 and hits[0].solver == "sol1"
+    hits = solver_step(book, {"RUG": amt("0.4")}, {POOL: amt(1000)}, solvers)
+    assert len(hits) == 1 and hits[0].solver == "sol-1"
     assert intent.status is IntentStatus.EXECUTED
 
 
 def test_intent_triggers_on_liquidity():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid("sol1", 30)]
-    hits = solver_step(book, {"RUG": amt(1)}, {"p": amt(200)}, bids)
+    solvers = [mk_solver("sol-1", 30)]
+    hits = solver_step(book, {"RUG": amt(1)}, {POOL: amt(200)}, solvers)
     assert len(hits) == 1
 
 
 def test_intents_are_one_shot():
     book = IntentBook()
     mk_intent(book)
-    bids = [SolverBid("sol1", 30)]
-    assert len(solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids)) == 1
-    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids) == []
+    solvers = [mk_solver("sol-1", 30)]
+    assert len(solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)}, solvers)) == 1
+    assert solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)}, solvers) == []
 
 
 def test_solver_auction_lowest_fee_then_id():
     book = IntentBook()
     mk_intent(book)
-    cheap = SolverBid("zed", 10)
-    pricey = SolverBid("ann", 20)
-    [hit] = solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)},
+    cheap = mk_solver("sol-1", 10)
+    pricey = mk_solver("alice", 20)
+    [hit] = solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)},
                         [pricey, cheap])
-    assert hit.solver == "zed" and hit.fee_bps == 10
+    assert hit.solver == "sol-1" and hit.fee_bps == 10
     book2 = IntentBook()
     mk_intent(book2)
-    [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {"p": amt(1000)},
-                         [SolverBid("bob", 10),
-                          SolverBid("ann", 10)])
-    assert hit2.solver == "ann"  # fee tie: lower id wins
+    [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {POOL: amt(1000)},
+                         [mk_solver("bob", 10),
+                          mk_solver("alice", 10)])
+    assert hit2.solver == "alice"  # fee tie: lower id wins
 
 
 def test_backrun_dust_capped_by_quantum_rules():
@@ -327,5 +342,5 @@ class _UnrankableBids(list):
 
 def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
     book = IntentBook()
-    bids = _UnrankableBids([SolverBid("s", 30)])
-    assert solver_step(book, {"RUG": amt("0.1")}, {"p": amt(1000)}, bids) == []
+    bids = _UnrankableBids([mk_solver("sol-1", 30)])
+    assert solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)}, bids) == []

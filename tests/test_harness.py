@@ -2,6 +2,7 @@
 conservation, determinism, and the dispute/perps flows driven end-to-end
 through scripted scenarios."""
 
+import copy
 import importlib.util
 import json
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import pinned
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.harness import Simulation, run_scenario
@@ -391,6 +393,40 @@ def test_intents_protect_via_swap_to_anticoin():
     assert held.raw > 0
     # solver took its cut in anticoins
     assert sim.ledger.balance("sol-1", anticoin).raw > 0
+
+
+@pytest.mark.parametrize("chains,expected", [(["alpha", "home"], "v-rug"),
+                                             (["home", "alpha"], "v-rug@home")])
+def test_an_intent_without_a_vault_takes_the_first_chain_that_has_one(chains, expected):
+    doc = scam_scenario()
+    doc["chains"] = chains
+    # two vaults take RUG, declared in the reverse of the chains' order
+    vaults = {"alpha": doc["vaults"][0],
+              "home": dict(doc["vaults"][0], id="v-rug@home", chain="home")}
+    doc["vaults"] = [vaults[chain] for chain in reversed(chains)]
+    doc["intents"][0]["action"] = "swap_to_anticoin"
+    sim, trace = run_scenario(doc)
+    assert [e["owner"] for e in trace.events if e["type"] == "intent_executed"] \
+        == ["intent-user"]
+    deposited = {vid: vault["total_deposited"]
+                 for chain_vaults in trace.final_state["vaults"].values()
+                 for vid, vault in chain_vaults.items()}
+    assert deposited == {"v-rug": "0", "v-rug@home": "0", expected: "100"}
+    assert sim.ledger.balance("sol-1", f"anti:RUG@{chains[0]}").raw > 0
+    assert sim.ledger.balance("sol-1", f"anti:RUG@{chains[1]}").raw == 0
+
+
+@pytest.mark.parametrize("doc,blocks", [
+    (scam_scenario(), None),
+    (reference_scenario(blocks=200), None),
+    (pinned.workloads.storm_doc(777), 20),
+], ids=["scam", "reference-200", "storm-777-20"])
+def test_a_run_does_not_write_its_parsed_document(doc, blocks):
+    # books keep the parsed entries they read, and a sweep's points share them
+    scenario = load_scenario(doc)
+    kept = copy.deepcopy(scenario)
+    Simulation(scenario).run(blocks)
+    assert scenario == kept
 
 
 # -- perps through the engine -------------------------------------------------------

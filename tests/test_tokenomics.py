@@ -9,9 +9,9 @@ from rugsim.tokenomics import (
     burn_step,
     target_supply,
 )
-from rugsim.vault import ReceiptKind, VaultRegistry
+from rugsim.vault import VaultRegistry
 
-from conftest import fund, loaded
+from conftest import fund, loaded, rug_vault
 
 
 def mk_params(**fields):
@@ -59,61 +59,66 @@ def test_burn_step_respects_cap():
     assert burn_step(amt(5000), params, target) == amt(10)
 
 
-def mk_registry(chain, ledger, price=100, deposit=None):
-    registry = VaultRegistry(chain)
-    vault = registry.create_vault(
-        "RUG", ReceiptKind.FUNGIBLE, amt("0.01"), amt("0.02"), amt(0), amt(2),
-        amt("0.1"), amt("0.01"), amt(price))
-    if deposit:
-        user = fund(ledger, f"user-{chain}", "RUG", deposit)
-        registry.deposit(ledger, vault.vault_id, user, amt(deposit))
+def mk_registry(ledger, chains=("alpha",), price=100, deposit=None):
+    """A registry with a RUG vault on each of ``chains``, each holding
+    ``deposit`` from its own user."""
+    registry = VaultRegistry()
+    for chain in chains:
+        vault = registry.create_vault(rug_vault(chain), amt(price))
+        if deposit:
+            user = fund(ledger, f"user-{chain}", "RUG", deposit)
+            registry.deposit(ledger, vault.vault_id, user, amt(deposit))
     return registry
 
 
 def test_aggregate_vault_stats_empty():
-    assert aggregate_vault_stats([], Ledger(), lambda token: amt(1)) == amt(0)
+    assert aggregate_vault_stats(VaultRegistry(), Ledger(), lambda token: amt(1)) == amt(0)
 
 
 def test_aggregate_vault_stats_values(ledger):
-    registry = mk_registry("alpha", ledger, deposit=1000)
-    assert aggregate_vault_stats([registry], ledger, lambda token: amt(2)) == amt(2000)
+    registry = mk_registry(ledger, deposit=1000)
+    assert aggregate_vault_stats(registry, ledger, lambda token: amt(2)) == amt(2000)
 
 
 def test_aggregate_vault_stats_additive_across_chains(ledger):
-    registries = [mk_registry("alpha", ledger, deposit=1000),
-                  mk_registry("beta", ledger, deposit=1000)]
-    total = aggregate_vault_stats(registries, ledger, lambda token: amt(2))
-    single = aggregate_vault_stats(registries[:1], ledger, lambda token: amt(2))
-    assert total == single * 2 == amt(4000)
-    assert aggregate_vault_stats(registries[::-1], ledger, lambda token: amt(2)) == total
+    registry = mk_registry(ledger, ("alpha", "home"), deposit=1000)
+    # the same vaults, reading the same escrows: the first alone, then both
+    # created in reverse
+    vaults = list(registry.vaults.values())
+    single, reverse = VaultRegistry(), VaultRegistry()
+    single.create_vault(vaults[0].params, amt(100))
+    for vault in vaults[::-1]:
+        reverse.create_vault(vault.params, amt(100))
+    total = aggregate_vault_stats(registry, ledger, lambda token: amt(2))
+    assert total == aggregate_vault_stats(single, ledger, lambda token: amt(2)) * 2 \
+        == amt(4000)
+    assert aggregate_vault_stats(reverse, ledger, lambda token: amt(2)) == total
 
 
 def test_aggregate_vault_stats_rounds_each_vault_half_even(ledger):
     # three quanta vaulted at price 0.5 are worth 1.5 quanta, which rounds
     # to 2 in each vault, as vaulted * price does; rounding the exact sum
     # would give 3, and flooring each vault 2
-    registries = [mk_registry(chain, ledger, deposit="0.000000003")
-                  for chain in ("alpha", "beta")]
+    registry = mk_registry(ledger, ("alpha", "home"), deposit="0.000000003")
     half = amt("0.5")
-    vaulted = [ledger.balance(v.escrow_account, "RUG")
-               for r in registries for v in r.vaults.values()]
-    assert aggregate_vault_stats(registries, ledger, lambda token: half) == \
+    vaulted = [ledger.balance(v.escrow_account, "RUG") for v in registry.vaults.values()]
+    assert aggregate_vault_stats(registry, ledger, lambda token: half) == \
         fsum(v * half for v in vaulted) == FixedAmount(4)
 
 
 def test_aggregate_vault_stats_range_checks_the_value(ledger):
-    registry = mk_registry("alpha", ledger, deposit=10**9)
-    assert aggregate_vault_stats([registry], ledger, lambda t: amt(10**9)) == amt(10**18)
+    registry = mk_registry(ledger, deposit=10**9)
+    assert aggregate_vault_stats(registry, ledger, lambda t: amt(10**9)) == amt(10**18)
     with pytest.raises(RangeError):
-        aggregate_vault_stats([registry], ledger, lambda t: amt(10**9 + 1))
+        aggregate_vault_stats(registry, ledger, lambda t: amt(10**9 + 1))
 
 
 def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
-    registry = mk_registry("alpha", ledger, deposit=1000)
+    registry = mk_registry(ledger, deposit=1000)
     vault = next(iter(registry.vaults.values()))
     # mk_registry's depositor
     registry.withdraw(ledger, vault.vault_id, "user-alpha", amt(100),
                       "treasury")
-    assert aggregate_vault_stats([registry], ledger, lambda token: amt(1)) == amt(900)
+    assert aggregate_vault_stats(registry, ledger, lambda token: amt(1)) == amt(900)
     assert vault.total_deposited == amt(1000)
 

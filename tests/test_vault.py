@@ -29,15 +29,15 @@ from rugsim.vault import (
     whale_penalty,
 )
 
-from conftest import fund
+from conftest import fund, rug_vault
 
 
 def mk_vault(registry=None, price=100, kind=ReceiptKind.FUNGIBLE, k="0",
              lam="2", gamma="0.1", dgamma="0.01"):
-    registry = registry or VaultRegistry("alpha")
+    registry = registry or VaultRegistry()
     vault = registry.create_vault(
-        "RUG", kind, amt("0.01"), amt("0.02"), amt(k), amt(lam),
-        amt(gamma), amt(dgamma), amt(price))
+        rug_vault(receipt_kind=kind.value, penalty_k=k, penalty_lambda=lam,
+                  gamma_base=gamma, delta_gamma=dgamma), amt(price))
     return registry, vault
 
 

@@ -147,9 +147,3 @@ def pro_rata(total: FixedAmount, weights: list[tuple[str, FixedAmount]],
             shares.append((remainder_key, FixedAmount(leftover)))
     return shares
 
-
-class Resolution:
-    __slots__ = ("outcome", "slashed")
-
-    def __init__(self, outcome: str, slashed: FixedAmount):
-        self.outcome, self.slashed = outcome, slashed

@@ -11,7 +11,7 @@ chain step runs a fixed phase order:
   3. the transaction queue executes in (priority desc, arrival) order
   4. scripted agent operations (vault, market, dispute submissions)
   5. perps funding and liquidation
-  6. dispute-machine deadlines fire
+  6. dispute-machine deadlines fire (each dispute book's ``on_block``)
   7. the bridge delivers matured reward events (home chain)
   8. supply emission and the burn controller (home chain)
   9. telemetry
@@ -41,6 +41,9 @@ planners only price them. Protected accounts are front-run at
 with a sandwich budget plans its sandwich at ``executes_at - 1``, and the
 first with a back-run budget its back-run at ``executes_at``.
 
+A scripted dispute step runs in the book that declares its op, and each
+book records its own events, as the ledger records its movements.
+
 Module errors never crash a run; they are recorded as failed events.
 """
 
@@ -65,11 +68,11 @@ from .core import (
     fsum,
 )
 from .detection import AuxMonitor, IntentAction, IntentBook, PoolMonitor
-from .insurance import ClaimPhase, InsuranceBook, PolicyStatus
+from .insurance import InsuranceBook
 from .ledger import BalanceError, Ledger
 from .market import PoolState
 from .perps import PerpBook
-from .rugproof import ClaimStatus, IssuanceStatus, RugproofBook
+from .rugproof import RugproofBook
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace, make_event
 from .vault import RewardEvent, VaultRegistry, anticoin_value
@@ -251,8 +254,11 @@ class Simulation:
                 book = self.perp_books[vault_id] = PerpBook(vault_id, vault.anticoin, perp)
                 views[vault.chain].perp_books.append((vault_id, book))
 
-        self.rugproof = RugproofBook(sc.rugproof, TREASURY)
-        self.insurance = InsuranceBook(sc.insurance, sc.numeraire, TREASURY)
+        self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
+        self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
+                                       self._event)
+        self._book_of_op = {op: book for book in (self.rugproof, self.insurance)
+                            for op in book.OPS}
 
         # protocol transactions outbid drains by this much (the fee
         # escalation knob); protective plans use it, salvage stays below
@@ -290,7 +296,7 @@ class Simulation:
             (d for d in detectors if d["backrun_budget"].raw > 0), None)
 
         for entry in sc.intents:
-            self._register_intent(entry, entry["owner"])
+            self._op_register_intent(entry["owner"], entry)
 
         # what each chain's aux scan reads; genesis funding is not block activity
         for token, chain in token_chain.items():
@@ -302,13 +308,6 @@ class Simulation:
                                  for creator in creators for token, _ in view.processes]
             self._unscanned_mints.update(dict.fromkeys(view.mint_tokens, 0))
             self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
-
-    def _register_intent(self, entry: dict, owner: str) -> None:
-        pool_id = entry["pool"]
-        self.intent_book.register(owner, entry, self.prices.get(entry["token"], ZERO),
-                                  self._pool_liquidity(self.pools[pool_id]))
-        self._event("intent_registered", owner, pool_id, entry["theta_price"],
-                    entry["theta_liquidity"])
 
     # -- small helpers -------------------------------------------------------
 
@@ -429,7 +428,8 @@ class Simulation:
         # (6) dispute deadlines fire, (7) the bridge delivers and (8) supply
         # emission and the burn controller run, all on the home chain
         if chain == self.scenario.home_chain:
-            self._phase_dispute_deadlines(height)
+            self.rugproof.on_block(height)
+            self.insurance.on_block(height)
             self._phase_tokenomics(height, self._phase_bridge(height))
 
         # (9) telemetry is the per-block row written in _phase_tokenomics
@@ -626,8 +626,6 @@ class Simulation:
         else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
             vault = (self.vaults.vault(params["vault"]) if params["vault"] is not None
                      else self.vaults.vault_for_token(token, self.scenario.chains))
-            if vault is None:
-                raise StateError(f"no vault accepts {token}")
             _, reward = self.vaults.deposit(self.ledger, vault.vault_id, owner, holdings)
             self._queue_reward(reward)
             fee = holdings * execution.fee_bps / 10000
@@ -659,8 +657,12 @@ class Simulation:
 
     def _run_script_op(self, account: str, step: dict) -> None:
         op = step["op"]
+        book = self._book_of_op.get(op)
         try:
-            getattr(self, f"_op_{op}")(account, step)
+            if book is not None:
+                getattr(book, op)(account, step, self.height)
+            else:
+                getattr(self, f"_op_{op}")(account, step)
         except RugsimError as exc:
             self._failed(op, exc, account=account)
 
@@ -755,79 +757,12 @@ class Simulation:
                     position.collateral_ca, position.leverage, step["direction"].value, mark)
 
     def _op_register_intent(self, account: str, step: dict) -> None:
-        self._register_intent(step, account)
-
-    def _op_issue_bonded(self, account: str, step: dict) -> None:
-        issuance = self.rugproof.issue_bonded_token(
-            self.ledger, account, step["token"], step["total_issued"], step["x"])
-        self._event("bonded_issuance", issuance.issuance_id, account, step["token"],
-                    issuance.bond)
-
-    def _op_rug_claim(self, account: str, step: dict) -> None:
-        issuance_id = self._issuance_for_token(step["token"])
-        claim = self.rugproof.submit_rug_claim(self.ledger, account,
-                                               issuance_id, step["y"], self.height)
-        self._event("rug_claim", claim.claim_id, issuance_id, account, claim.claim_bond,
-                    claim.challenge_end)
-
-    def _issuance_for_token(self, token: TokenId) -> str:
-        for issuance_id in sorted(self.rugproof.issuances):
-            issuance = self.rugproof.issuances[issuance_id]
-            if issuance.token == token and issuance.status is IssuanceStatus.ACTIVE:
-                return issuance_id
-        raise StateError(f"no active issuance for {token}")
-
-    def _op_vote_rug(self, account: str, step: dict) -> None:
-        issuance_id = self._issuance_for_token(step["token"])
-        claim = self.rugproof.open_claim_for(issuance_id)
-        if claim is None:
-            raise StateError(f"no open claim on {issuance_id}")
-        self.rugproof.cast_vote(claim, account,
-                                step["deposit"], step["side"], self.height)
-        self._event("rug_vote", claim.claim_id, account, step["side"], step["deposit"])
-
-    def _op_issue_policy(self, account: str, step: dict) -> None:
-        policy = self.insurance.issue_policy(
-            self.ledger, account, step["insured"],
-            step["insured_value"], step["x"], step["duration"], self.height)
-        self._event("policy_issued", policy.policy_id, account, step["insured"],
-                    policy.insurer_bond)
-
-    def _op_submit_claim(self, account: str, step: dict) -> None:
-        claim = self.insurance.submit_claim(self.ledger, step["policy"],
-                                            account, step["y"], self.height,
-                                            loss_claimed=step["loss"])
-        self._event("insurance_claim", claim.claim_id, step["policy"], account,
-                    claim.claim_bond)
-
-    def _op_join_claim(self, account: str, step: dict) -> None:
-        claim = self._insurance_claim(step["claim"])
-        joiner = self.insurance.join_claim(claim, account,
-                                           step["loss"], step["w"], self.height)
-        self._event("claim_joined", claim.claim_id, account, joiner.bond)
-
-    def _insurance_claim(self, claim_id: str):
-        claim = self.insurance.claims.get(claim_id)
-        if claim is None:
-            raise StateError(f"no insurance claim {claim_id}")
-        return claim
-
-    def _op_dispute_claim(self, account: str, step: dict) -> None:
-        claim = self._insurance_claim(step["claim"])
-        dispute = self.insurance.dispute_claim(claim, account,
-                                               step["z"], self.height)
-        self._event("claim_disputed", claim.claim_id, account, dispute.bond)
-
-    def _op_vote_insurance(self, account: str, step: dict) -> None:
-        claim = self._insurance_claim(step["claim"])
-        self.insurance.cast_vote(claim, account,
-                                 step["deposit"], step["side"], self.height)
-        self._event("insurance_vote", claim.claim_id, account, step["side"])
-
-    def _op_escalate(self, account: str, step: dict) -> None:
-        claim = self._insurance_claim(step["claim"])
-        self.insurance.escalate(claim, account, self.height)
-        self._event("claim_escalated", claim.claim_id, account, claim.escalation_level)
+        """Also registers each top-level ``intents[i]`` entry, for its owner."""
+        pool_id = step["pool"]
+        self.intent_book.register(account, step, self._mark_price(step["token"]),
+                                  self._pool_liquidity(self.pools[pool_id]))
+        self._event("intent_registered", account, pool_id, step["theta_price"],
+                    step["theta_liquidity"])
 
     def _noise_trade(self, account: str, pool_id: str, prob: float, max_raw: int,
                      rng: random.Random) -> None:
@@ -845,7 +780,7 @@ class Simulation:
         except RugsimError as exc:
             self._failed("noise", exc, account=account)
 
-    # -- perps, disputes, bridge, tokenomics phases -------------------------------
+    # -- perps, bridge, tokenomics phases -------------------------------
 
     def _phase_perps(self, chain: str, view: ChainView, height: int) -> None:
         for vault_id, book in view.perp_books:
@@ -878,28 +813,6 @@ class Simulation:
                                              proceeds, memo="liq-proceeds")
                     except RugsimError as exc:
                         self._failed("liquidation_swap", exc, vault=vault_id)
-
-    def _phase_dispute_deadlines(self, height: int) -> None:
-        for claim_id in sorted(self.rugproof.claims):
-            claim = self.rugproof.claims[claim_id]
-            if claim.status is ClaimStatus.VOTING and height >= claim.challenge_end:
-                resolution = self.rugproof.resolve_claim(claim, height)
-                self._event("rug_claim_resolved", claim_id, resolution.outcome,
-                            resolution.slashed)
-        for claim_id in sorted(self.insurance.claims):
-            claim = self.insurance.claims[claim_id]
-            if claim.phase in (ClaimPhase.APPROVED, ClaimPhase.REJECTED):
-                continue
-            resolution = self.insurance.step_deadlines(self.ledger, claim, height)
-            if resolution is not None:
-                self._event("insurance_resolved", claim_id, resolution.outcome,
-                            resolution.slashed)
-        for policy_id in sorted(self.insurance.policies):
-            policy = self.insurance.policies[policy_id]
-            if policy.status is PolicyStatus.ACTIVE and height >= policy.expires_at \
-                    and self.insurance.open_claim_for(policy_id) is None:
-                self.insurance.expire_policy(policy_id, height)
-                self._event("policy_expired", policy_id)
 
     def _queue_reward(self, reward: RewardEvent) -> None:
         deliver_at = self.height + self.scenario.bridge_delay_blocks

@@ -11,7 +11,7 @@ escalation bonds are forfeited to the winning party.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     FixedAmount,
@@ -21,7 +21,7 @@ from .core import (
     TokenId,
     fsum,
 )
-from .disputes import CaseEscrow, Resolution, VoteBox
+from .disputes import CaseEscrow, VoteBox
 from .ledger import BalanceError, Ledger
 
 SIDE_APPROVE = "approve"
@@ -108,21 +108,29 @@ class InsuranceClaim:
 class InsuranceBook:
     """State machines for policies and their claims, in one settlement token,
     run by the scenario's parsed ``insurance`` section, which they read and
-    never write."""
+    never write. The book runs its script ops (``OPS``) and its deadlines
+    (``on_block``) on ``ledger`` and records each one's event through
+    ``record``."""
 
-    def __init__(self, params: dict, token: TokenId, treasury: str):
+    OPS = ("issue_policy", "submit_claim", "join_claim", "dispute_claim",
+           "vote_insurance", "escalate")
+
+    def __init__(self, params: dict, token: TokenId, ledger: Ledger, treasury: str,
+                 record: Callable[..., None]):
         self.params = params
         self.token = token
+        self.ledger = ledger
         self.treasury = treasury
+        self.record = record
         self.policies: dict[str, Policy] = {}
         self.claims: dict[str, InsuranceClaim] = {}
         self._counter = 1
 
     # -- issuance --------------------------------------------------------
 
-    def issue_policy(self, ledger: Ledger, insurer: str, insured: str,
-                     insured_value: FixedAmount, x_fraction: FixedAmount,
-                     duration_blocks: int, height: int) -> Policy:
+    def issue_policy(self, insurer: str, step: dict, height: int) -> None:
+        insured, insured_value, x_fraction = step["insured"], step["insured_value"], step["x"]
+        duration_blocks = step["duration"]
         if insured_value.raw <= 0:
             raise ParameterError("insured value must be > 0")
         if duration_blocks <= 0:
@@ -131,17 +139,17 @@ class InsuranceBook:
             raise ParameterError(
                 f"bond fraction {x_fraction} below floor {self.params['x_min']}")
         bond = x_fraction * insured_value
-        if ledger.balance(insurer, self.token) < bond:
+        if self.ledger.balance(insurer, self.token) < bond:
             raise BalanceError(f"insurer cannot cover the bond of {bond}")
         policy_id = f"pol-{self._counter}"
         self._counter += 1
-        escrow = CaseEscrow(ledger, f"icase:{policy_id}", self.token)
+        escrow = CaseEscrow(self.ledger, f"icase:{policy_id}", self.token)
         escrow.take(insurer, bond, "insurer-bond")
-        policy = Policy(policy_id=policy_id, insurer=insurer, insured=insured,
-                        insured_value=insured_value, insurer_bond=bond,
-                        expires_at=height + duration_blocks, escrow=escrow)
-        self.policies[policy_id] = policy
-        return policy
+        self.policies[policy_id] = Policy(
+            policy_id=policy_id, insurer=insurer, insured=insured,
+            insured_value=insured_value, insurer_bond=bond,
+            expires_at=height + duration_blocks, escrow=escrow)
+        self.record("policy_issued", policy_id, insurer, insured, bond)
 
     def open_claim_for(self, policy_id: str) -> Optional[InsuranceClaim]:
         for claim in self.claims.values():
@@ -150,23 +158,10 @@ class InsuranceBook:
                 return claim
         return None
 
-    def expire_policy(self, policy_id: str, height: int) -> None:
-        policy = self.policies[policy_id]
-        if policy.status is not PolicyStatus.ACTIVE:
-            raise StateError(f"policy {policy_id} is {policy.status.value}")
-        if height < policy.expires_at:
-            raise StateError(f"policy {policy_id} runs until {policy.expires_at}")
-        if self.open_claim_for(policy_id) is not None:
-            raise StateError(f"policy {policy_id} has an open claim")
-        policy.escrow.pay(policy.insurer, policy.insurer_bond, "bond-release")
-        policy.escrow.close()
-        policy.status = PolicyStatus.EXPIRED
-
     # -- claim lifecycle ---------------------------------------------------
 
-    def submit_claim(self, ledger: Ledger, policy_id: str, claimant: str,
-                     y_fraction: FixedAmount, height: int,
-                     loss_claimed: Optional[FixedAmount] = None) -> InsuranceClaim:
+    def submit_claim(self, claimant: str, step: dict, height: int) -> None:
+        policy_id = step["policy"]
         policy = self.policies.get(policy_id)
         if policy is None:
             raise StateError(f"no policy {policy_id}")
@@ -176,15 +171,15 @@ class InsuranceBook:
             raise StateError(f"policy {policy_id} expired at {policy.expires_at}")
         if self.open_claim_for(policy_id) is not None:
             raise StateError(f"policy {policy_id} already has an open claim")
-        bond = y_fraction * policy.insured_value
+        bond = step["y"] * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("claim bond must be > 0")
-        loss = loss_claimed if loss_claimed is not None else policy.insured_value
+        loss = step["loss"] if step["loss"] is not None else policy.insured_value
         if loss.raw <= 0:
             raise ParameterError("claimed loss must be > 0")
         claim_id = f"icl-{self._counter}"
         self._counter += 1
-        escrow = CaseEscrow(ledger, f"icase:{claim_id}", self.token)
+        escrow = CaseEscrow(self.ledger, f"icase:{claim_id}", self.token)
         escrow.take(claimant, bond, "claim-bond")
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
@@ -192,11 +187,17 @@ class InsuranceBook:
             challenge_end=height + self.params["tau_challenge"], escrow=escrow)
         claim.last_bond[claimant] = bond
         self.claims[claim_id] = claim
+        self.record("insurance_claim", claim_id, policy_id, claimant, bond)
+
+    def _claim(self, claim_id: str) -> InsuranceClaim:
+        claim = self.claims.get(claim_id)
+        if claim is None:
+            raise StateError(f"no insurance claim {claim_id}")
         return claim
 
-    def join_claim(self, claim: InsuranceClaim, account: str,
-                   loss_claimed: FixedAmount, w_fraction: FixedAmount,
-                   height: int) -> Joiner:
+    def join_claim(self, account: str, step: dict, height: int) -> None:
+        claim = self._claim(step["claim"])
+        loss_claimed = step["loss"]
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} no longer accepts joiners")
         if height >= claim.challenge_end:
@@ -207,16 +208,15 @@ class InsuranceBook:
         if account in parties:
             raise StateError(f"{account} is already part of the claim")
         policy = self.policies[claim.policy_id]
-        bond = w_fraction * policy.insured_value
+        bond = step["w"] * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("join bond must be > 0")
         claim.escrow.take(account, bond, "join-bond")
-        joiner = Joiner(account=account, loss_claimed=loss_claimed, bond=bond)
-        claim.joiners.append(joiner)
-        return joiner
+        claim.joiners.append(Joiner(account=account, loss_claimed=loss_claimed, bond=bond))
+        self.record("claim_joined", claim.claim_id, account, bond)
 
-    def dispute_claim(self, claim: InsuranceClaim, challenger: str,
-                      z_fraction: FixedAmount, height: int) -> Dispute:
+    def dispute_claim(self, challenger: str, step: dict, height: int) -> None:
+        claim = self._claim(step["claim"])
         if claim.phase is not ClaimPhase.CHALLENGEABLE:
             raise StateError(f"claim {claim.claim_id} is not challengeable")
         if height >= claim.challenge_end:
@@ -226,7 +226,7 @@ class InsuranceBook:
         if challenger == claim.claimant:
             raise ParameterError("claimant cannot dispute their own claim")
         policy = self.policies[claim.policy_id]
-        bond = z_fraction * policy.insured_value
+        bond = step["z"] * policy.insured_value
         if bond.raw <= 0:
             raise ParameterError("dispute bond must be > 0")
         claim.escrow.take(challenger, bond, "dispute-bond")
@@ -236,19 +236,21 @@ class InsuranceBook:
         claim.vote_end = height + self.params["tau_vote"]
         claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
-        return claim.dispute
+        self.record("claim_disputed", claim.claim_id, challenger, bond)
 
-    def cast_vote(self, claim: InsuranceClaim, voter: str,
-                  deposit: FixedAmount, side: str, height: int) -> None:
+    def vote_insurance(self, voter: str, step: dict, height: int) -> None:
+        claim = self._claim(step["claim"])
         if claim.phase is not ClaimPhase.VOTING or claim.votes is None:
             raise StateError(f"claim {claim.claim_id} is not in a voting round")
-        vote = claim.votes.cast(voter, deposit, side, height)
+        side = step["side"]
+        vote = claim.votes.cast(voter, step["deposit"], side, height)
         claim.escrow.take(voter, vote.deposit, f"vote:{side}")
+        self.record("insurance_vote", claim.claim_id, voter, side)
 
-    def escalate(self, claim: InsuranceClaim, party: str,
-                 height: int) -> None:
+    def escalate(self, party: str, step: dict, height: int) -> None:
         """Buy a fresh voting round; only the claimant or challenger may,
         posting their previous bond scaled by the escalation multiplier."""
+        claim = self._claim(step["claim"])
         if claim.phase is not ClaimPhase.PENDING_FINAL:
             raise StateError(f"claim {claim.claim_id} has no pending outcome")
         if claim.escalation_level >= self.params["max_escalations"]:
@@ -271,30 +273,46 @@ class InsuranceBook:
         claim.vote_end = height + self.params["tau_vote"]
         claim.votes = VoteBox(height, claim.vote_end, QUANTUM,
                               (SIDE_APPROVE, SIDE_REJECT))
+        self.record("claim_escalated", claim.claim_id, party, claim.escalation_level)
 
-    def step_deadlines(self, ledger: Ledger, claim: InsuranceClaim,
-                       height: int) -> Optional[Resolution]:
-        """Advance the claim when a window expires; returns the final
-        resolution when one is executed this block."""
+    # -- deadlines ---------------------------------------------------------
+
+    def on_block(self, height: int) -> None:
+        """Advance each open claim, in claim id order, then expire, in policy
+        id order, each active policy past its term with no open claim."""
+        for claim_id in sorted(self.claims):
+            claim = self.claims[claim_id]
+            if claim.phase not in (ClaimPhase.APPROVED, ClaimPhase.REJECTED):
+                self.step_deadlines(claim, height)
+        for policy_id in sorted(self.policies):
+            policy = self.policies[policy_id]
+            if policy.status is PolicyStatus.ACTIVE and height >= policy.expires_at \
+                    and self.open_claim_for(policy_id) is None:
+                policy.escrow.pay(policy.insurer, policy.insurer_bond, "bond-release")
+                policy.escrow.close()
+                policy.status = PolicyStatus.EXPIRED
+                self.record("policy_expired", policy_id)
+
+    def step_deadlines(self, claim: InsuranceClaim, height: int) -> None:
+        """Advance the claim when a window expires, settling it when its
+        outcome becomes final this block."""
         if claim.phase is ClaimPhase.CHALLENGEABLE and height >= claim.challenge_end:
-            return self._finalize(ledger, claim, SIDE_APPROVE)
-        if claim.phase is ClaimPhase.VOTING and height >= claim.vote_end:
+            self._finalize(claim, SIDE_APPROVE)
+        elif claim.phase is ClaimPhase.VOTING and height >= claim.vote_end:
             outcome = claim.votes.winner(tie_side=SIDE_REJECT)
             if claim.escalation_level >= self.params["max_escalations"]:
-                return self._finalize(ledger, claim, outcome)
-            claim.pending_outcome = outcome
-            claim.decided_at = height
-            claim.phase = ClaimPhase.PENDING_FINAL
-            return None
-        if claim.phase is ClaimPhase.PENDING_FINAL and \
+                self._finalize(claim, outcome)
+            else:
+                claim.pending_outcome = outcome
+                claim.decided_at = height
+                claim.phase = ClaimPhase.PENDING_FINAL
+        elif claim.phase is ClaimPhase.PENDING_FINAL and \
                 height >= claim.decided_at + self.params["escalation_window"]:
-            return self._finalize(ledger, claim, claim.pending_outcome)
-        return None
+            self._finalize(claim, claim.pending_outcome)
 
     # -- settlement --------------------------------------------------------
 
-    def _finalize(self, ledger: Ledger, claim: InsuranceClaim,
-                  outcome: str) -> Resolution:
+    def _finalize(self, claim: InsuranceClaim, outcome: str) -> None:
         policy = self.policies[claim.policy_id]
         escrow = claim.escrow
         challenger = claim.dispute.challenger if claim.dispute else None
@@ -303,7 +321,7 @@ class InsuranceBook:
             claim.phase = ClaimPhase.APPROVED
             slashed = self.params["alpha_comp"] * policy.insurer_bond
             principal = min(policy.insured_value,
-                            ledger.balance(policy.insurer, self.token))
+                            self.ledger.balance(policy.insurer, self.token))
             escrow.take(policy.insurer, principal, "compensation-principal")
             policy.escrow.pay(escrow.account, slashed, "insurer-bond-slash")
             escrow.total_in = escrow.total_in + slashed
@@ -353,7 +371,7 @@ class InsuranceBook:
             policy.status = PolicyStatus.CLAIMED
             policy.escrow.close()
         escrow.close()
-        return Resolution(outcome=claim.phase.value, slashed=slashed)
+        self.record("insurance_resolved", claim.claim_id, claim.phase.value, slashed)
 
     def snapshot(self) -> dict:
         """JSON-ready policy book with per-claim lifecycle states."""

@@ -81,8 +81,6 @@ class PoolState:
                  reserve_x: FixedAmount, reserve_y: FixedAmount,
                  fee_bps: int, volume_x: FixedAmount = ZERO,
                  volume_y: FixedAmount = ZERO):
-        if not (0 <= fee_bps <= 10000):
-            raise ParameterError(f"fee_bps out of range: {fee_bps}")
         if reserve_x.raw < 0 or reserve_y.raw < 0:
             raise ParameterError("negative reserve")
         self.pool_id = pool_id

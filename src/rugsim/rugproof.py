@@ -8,7 +8,7 @@ the case escrow, so conservation is checked exactly at resolution.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     FixedAmount,
@@ -16,7 +16,7 @@ from .core import (
     StateError,
     TokenId,
 )
-from .disputes import CaseEscrow, Resolution, VoteBox
+from .disputes import CaseEscrow, VoteBox
 from .ledger import BalanceError, Ledger
 
 SIDE_RUGGING = "rugging"
@@ -59,18 +59,24 @@ class RugClaim:
 
 class RugproofBook:
     """State machines for bonded issuances and their claims, run by the
-    scenario's parsed ``rugproof`` section, which they read and never write."""
+    scenario's parsed ``rugproof`` section, which they read and never write.
+    The book runs its script ops (``OPS``) and its deadlines (``on_block``)
+    on ``ledger`` and records each one's event through ``record``."""
 
-    def __init__(self, params: dict, treasury: str):
+    OPS = ("issue_bonded", "rug_claim", "vote_rug")
+
+    def __init__(self, params: dict, ledger: Ledger, treasury: str,
+                 record: Callable[..., None]):
         self.params = params
+        self.ledger = ledger
         self.treasury = treasury
+        self.record = record
         self.issuances: dict[str, BondedIssuance] = {}
         self.claims: dict[str, RugClaim] = {}
         self._counter = 1
 
-    def issue_bonded_token(self, ledger: Ledger, issuer: str, token: TokenId,
-                           total_issued: FixedAmount,
-                           bond_fraction: FixedAmount) -> BondedIssuance:
+    def issue_bonded(self, issuer: str, step: dict, height: int) -> None:
+        token, total_issued, bond_fraction = step["token"], step["total_issued"], step["x"]
         if total_issued.raw <= 0:
             raise ParameterError("total_issued must be > 0")
         if bond_fraction < self.params["x_min"]:
@@ -78,17 +84,23 @@ class RugproofBook:
                 f"bond fraction {bond_fraction} below the nontrivial floor "
                 f"{self.params['x_min']}")
         bond = bond_fraction * total_issued
-        if ledger.balance(issuer, token) < bond:
+        if self.ledger.balance(issuer, token) < bond:
             raise BalanceError(f"issuer cannot cover the bond of {bond}")
         issuance_id = f"iss-{self._counter}"
         self._counter += 1
-        escrow = CaseEscrow(ledger, f"case:{issuance_id}", token)
+        escrow = CaseEscrow(self.ledger, f"case:{issuance_id}", token)
         escrow.take(issuer, bond, "issuer-bond")
-        issuance = BondedIssuance(
+        self.issuances[issuance_id] = BondedIssuance(
             issuance_id=issuance_id, issuer=issuer, token=token,
             total_issued=total_issued, bond=bond, escrow=escrow)
-        self.issuances[issuance_id] = issuance
-        return issuance
+        self.record("bonded_issuance", issuance_id, issuer, token, bond)
+
+    def _active_issuance(self, token: TokenId) -> BondedIssuance:
+        for issuance_id in sorted(self.issuances):
+            issuance = self.issuances[issuance_id]
+            if issuance.token == token and issuance.status is IssuanceStatus.ACTIVE:
+                return issuance
+        raise StateError(f"no active issuance for {token}")
 
     def open_claim_for(self, issuance_id: str) -> Optional[RugClaim]:
         for claim in self.claims.values():
@@ -96,39 +108,45 @@ class RugproofBook:
                 return claim
         return None
 
-    def submit_rug_claim(self, ledger: Ledger, user: str, issuance_id: str,
-                         y_fraction: FixedAmount, height: int) -> RugClaim:
-        issuance = self.issuances.get(issuance_id)
-        if issuance is None:
-            raise StateError(f"no issuance {issuance_id}")
-        if issuance.status is not IssuanceStatus.ACTIVE:
-            raise StateError(f"issuance {issuance_id} is {issuance.status.value}")
+    def rug_claim(self, user: str, step: dict, height: int) -> None:
+        issuance = self._active_issuance(step["token"])
+        issuance_id = issuance.issuance_id
         if self.open_claim_for(issuance_id) is not None:
             raise StateError(f"issuance {issuance_id} already has an open claim")
-        bond = y_fraction * issuance.total_issued
+        bond = step["y"] * issuance.total_issued
         if bond.raw <= 0:
             raise ParameterError("claim bond must be > 0")
         claim_id = f"claim-{self._counter}"
         self._counter += 1
-        escrow = CaseEscrow(ledger, f"case:{claim_id}", issuance.token)
+        escrow = CaseEscrow(self.ledger, f"case:{claim_id}", issuance.token)
         escrow.take(user, bond, "claim-bond")
         end = height + self.params["challenge_blocks"]
-        claim = RugClaim(
+        self.claims[claim_id] = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,
             claim_bond=bond, challenge_end=end, escrow=escrow,
             votes=VoteBox(height, end, self.params["z_min"],
                           (SIDE_RUGGING, SIDE_NOT_RUGGING)))
-        self.claims[claim_id] = claim
-        return claim
+        self.record("rug_claim", claim_id, issuance_id, user, bond, end)
 
-    def cast_vote(self, claim: RugClaim, voter: str,
-                  deposit: FixedAmount, side: str, height: int) -> None:
-        if claim.status is not ClaimStatus.VOTING:
-            raise StateError(f"claim {claim.claim_id} is not accepting votes")
+    def vote_rug(self, voter: str, step: dict, height: int) -> None:
+        issuance_id = self._active_issuance(step["token"]).issuance_id
+        claim = self.open_claim_for(issuance_id)
+        if claim is None:
+            raise StateError(f"no open claim on {issuance_id}")
+        side, deposit = step["side"], step["deposit"]
         vote = claim.votes.cast(voter, deposit, side, height)
         claim.escrow.take(voter, vote.deposit, f"vote:{side}")
+        self.record("rug_vote", claim.claim_id, voter, side, deposit)
 
-    def resolve_claim(self, claim: RugClaim, height: int) -> Resolution:
+    def on_block(self, height: int) -> None:
+        """Resolve, in claim id order, each claim whose challenge window
+        has closed."""
+        for claim_id in sorted(self.claims):
+            claim = self.claims[claim_id]
+            if claim.status is ClaimStatus.VOTING and height >= claim.challenge_end:
+                self.resolve_claim(claim, height)
+
+    def resolve_claim(self, claim: RugClaim, height: int) -> None:
         """Settle at the end of the challenge window.
 
         Rugging upheld: slash alpha% of the issuer bond; the claimant takes
@@ -174,4 +192,4 @@ class RugproofBook:
         claim.escrow.close()
         if winner == SIDE_RUGGING:
             issuance.escrow.close()
-        return Resolution(outcome=claim.status.value, slashed=slashed)
+        self.record("rug_claim_resolved", claim.claim_id, claim.status.value, slashed)

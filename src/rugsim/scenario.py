@@ -500,15 +500,20 @@ def load_scenario(doc: dict, memo: Optional[dict] = None) -> Scenario:
 
     agents = section("agents", _load_agents)
     intents = section("intents", _load_intents)
-    # an intent's vault takes its token
+    # an intent's vault takes its token, and some vault takes the token of an
+    # intent that swaps into anticoins
     vault_token = {vault["id"]: vault["rugged_token"] for vault in vaults}
     named = [(f"agents[{i}].script[{j}]", step) for i, agent in enumerate(agents)
              for j, step in enumerate(agent["script"]) if step["op"] == "register_intent"]
     for path, intent in named + [(f"intents[{i}]", e) for i, e in enumerate(intents)]:
-        vault = intent["vault"]
-        if vault is not None and vault_token[vault] != intent["token"]:
+        vault, token = intent["vault"], intent["token"]
+        if vault is not None and vault_token[vault] != token:
             raise ScenarioError(f"{path}.vault", f"vault {vault!r} holds "
-                                f"{vault_token[vault]}, not {intent['token']}")
+                                f"{vault_token[vault]}, not {token}")
+        if intent["action"] is IntentAction.SWAP_TO_ANTICOIN and \
+                token not in vault_token.values():
+            raise ScenarioError(f"{path}.token", f"no vault takes {token}, so the "
+                                "intent cannot swap it into anticoins")
     return Scenario(**top, tokens=tokens, accounts=accounts, vaults=vaults,
                     pools=pools, **sections, agents=agents, intents=intents)
 

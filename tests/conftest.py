@@ -1,6 +1,12 @@
 from rugsim.core import amt
 from rugsim.ledger import Ledger
-from rugsim.scenario import load_scenario, reference_scenario
+from rugsim.scenario import (
+    ACCOUNT,
+    SCRIPT_OPS,
+    _parse_args,
+    load_scenario,
+    reference_scenario,
+)
 
 import pytest
 
@@ -46,3 +52,18 @@ def rug_vault(chain: str = "alpha", **fields) -> dict:
         "id": "v-rug" if first else f"v-rug@{chain}", "chain": chain,
         "rugged_token": "RUG", "omega": "0.01", "theta": "0.02", "penalty_k": "0",
         "penalty_lambda": "2", "gamma_base": "0.1", "delta_gamma": "0.01", **fields})
+
+
+def step(op: str, **fields) -> dict:
+    """Script step ``op`` with these fields as ``load_scenario`` parses it:
+    amounts as FixedAmount, an absent optional field defaulted. The account
+    an ``issue_policy`` insures counts as declared."""
+    return _parse_args(fields, SCRIPT_OPS[op][1], op, {ACCOUNT: {fields.get("insured")}})
+
+
+class Recorder(list):
+    """A dispute book's ``record``: keeps each event it records as the
+    tuple (type, *values)."""
+
+    def __call__(self, *event):
+        self.append(event)

@@ -205,7 +205,7 @@ def test_06_funding_bounds():
 
 def _fuzz_rugproof(cases: int) -> None:
     from rugsim.rugproof import RugproofBook, SIDE_NOT_RUGGING, SIDE_RUGGING
-    from conftest import loaded
+    from conftest import Recorder, loaded, step
 
     rng = SeededRng(2024).stream("fuzz-rugproof")
     for case in range(cases):
@@ -216,35 +216,39 @@ def _fuzz_rugproof(cases: int) -> None:
             "claimant_share": str(quantize(Fraction(rng.randint(0, 100), 100))),
             "challenge_blocks": 5})
         rng.random()  # a draw each case has always made, so the same cases run
-        book = RugproofBook(params, "treasury")
+        book = RugproofBook(params, ledger, "treasury", Recorder())
         issuer = "issuer"
         ledger.mint("issuer", "T", amt(10**6))
         total = amt(rng.randint(1000, 100_000))
-        issuance = book.issue_bonded_token(
-            ledger, issuer, "T", total,
-            quantize(Fraction(rng.randint(1, 20), 100)))
+        book.issue_bonded(issuer, step(
+            "issue_bonded", token="T", total_issued=str(total),
+            x=str(quantize(Fraction(rng.randint(1, 20), 100)))), 0)
+        issuance = book.issuances["iss-1"]
         claimant = "claimant"
         ledger.mint("claimant", "T", amt(10**5))
-        claim = book.submit_rug_claim(ledger, claimant, issuance.issuance_id,
-                                      quantize(Fraction(rng.randint(1, 10), 100)),
-                                      0)
+        book.rug_claim(claimant, step(
+            "rug_claim", token="T", y=str(quantize(Fraction(rng.randint(1, 10), 100)))), 0)
+        claim = book.claims["claim-2"]
         for v in range(rng.randint(0, 6)):
             voter = f"v{v}"
             ledger.mint(f"v{v}", "T", amt(1000))
             side = SIDE_RUGGING if rng.random() < 0.5 else SIDE_NOT_RUGGING
-            book.cast_vote(claim, voter, amt(rng.randint(1, 500)),
-                           side, rng.randint(0, 4))
-        resolution = book.resolve_claim(claim, 5)
+            book.vote_rug(voter, step("vote_rug", token="T",
+                                      deposit=str(rng.randint(1, 500)), side=side),
+                          rng.randint(0, 4))
+        book.resolve_claim(claim, 5)
+        kind, claim_id, outcome, slashed = book.record[-1]
+        assert (kind, claim_id) == ("rug_claim_resolved", "claim-2")
         # slash never exceeds the corresponding bond
-        if resolution.outcome == "upheld_rug":
-            assert resolution.slashed <= issuance.bond
+        if outcome == "upheld_rug":
+            assert slashed <= issuance.bond
         else:
-            assert resolution.slashed <= claim.claim_bond
+            assert slashed <= claim.claim_bond
         # escrow conservation, exactly
         claim_escrow = claim.escrow
         assert claim_escrow.total_in == claim_escrow.total_out
         assert ledger.balance(claim_escrow.account, "T").raw == 0
-        if resolution.outcome == "upheld_rug":
+        if outcome == "upheld_rug":
             iss_escrow = issuance.escrow
             assert iss_escrow.total_in == iss_escrow.total_out
         ledger.check_conservation()
@@ -252,7 +256,7 @@ def _fuzz_rugproof(cases: int) -> None:
 
 def _fuzz_insurance(cases: int) -> None:
     from rugsim.insurance import InsuranceBook, SIDE_APPROVE, SIDE_REJECT
-    from conftest import loaded
+    from conftest import Recorder, loaded, step
 
     rng = SeededRng(2025).stream("fuzz-insurance")
     for case in range(cases):
@@ -263,64 +267,71 @@ def _fuzz_insurance(cases: int) -> None:
             "tau_challenge": 4, "tau_vote": 4, "escalation_window": 3,
             "max_escalations": rng.randint(0, 2)})
         alpha = params["alpha_comp"]
-        book = InsuranceBook(params, "USD", "treasury")
+        book = InsuranceBook(params, "USD", ledger, "treasury", Recorder())
         insurer = "insurer"
         ledger.mint("insurer", "USD", amt(10**6))
         insured = "insured"
         ledger.mint("insured", "USD", amt(10**4))
         i_v = amt(rng.randint(100, 5000))
-        policy = book.issue_policy(ledger, insurer, insured, i_v,
-                                   quantize(Fraction(rng.randint(1, 20), 100)),
-                                   60, 0)
-        claim = book.submit_claim(ledger, policy.policy_id, insured,
-                                  quantize(Fraction(rng.randint(1, 10), 100)),
-                                  1)
-        joiners = []
+        book.issue_policy(insurer, step(
+            "issue_policy", insured=insured, insured_value=str(i_v),
+            x=str(quantize(Fraction(rng.randint(1, 20), 100))), duration=60), 0)
+        policy = book.policies["pol-1"]
+        book.submit_claim(insured, step(
+            "submit_claim", policy="pol-1",
+            y=str(quantize(Fraction(rng.randint(1, 10), 100)))), 1)
+        claim = book.claims["icl-2"]
         for j in range(rng.randint(0, 3)):
             account = f"j{j}"
             ledger.mint(f"j{j}", "USD", amt(10**4))
-            joiners.append(book.join_claim(
-                claim, account, amt(rng.randint(10, 500)),
-                quantize(Fraction(rng.randint(1, 5), 100)), 2))
+            book.join_claim(account, step(
+                "join_claim", claim="icl-2", loss=str(rng.randint(10, 500)),
+                w=str(quantize(Fraction(rng.randint(1, 5), 100)))), 2)
+        joiners = claim.joiners
         disputed = rng.random() < 0.6
         if disputed:
             challenger = "challenger"
             ledger.mint("challenger", "USD", amt(10**5))
-            book.dispute_claim(claim, challenger,
-                               quantize(Fraction(rng.randint(1, 8), 100)),
-                               3)
+            book.dispute_claim(challenger, step(
+                "dispute_claim", claim="icl-2",
+                z=str(quantize(Fraction(rng.randint(1, 8), 100)))), 3)
             for v in range(rng.randint(0, 5)):
                 voter = f"w{v}"
                 ledger.mint(f"w{v}", "USD", amt(1000))
                 side = SIDE_APPROVE if rng.random() < 0.5 else SIDE_REJECT
-                book.cast_vote(claim, voter, amt(rng.randint(1, 300)),
-                               side, rng.randint(3, 6))
+                book.vote_insurance(voter, step(
+                    "vote_insurance", claim="icl-2", deposit=str(rng.randint(1, 300)),
+                    side=side), rng.randint(3, 6))
         claim_side_before = {
             "insured": ledger.balance("insured", "USD"),
             **{f"j{j}": ledger.balance(f"j{j}", "USD")
                for j in range(len(joiners))}}
         height = 4
         escalations = rng.randint(0, 2)
-        resolution = None
-        while resolution is None and height < 100:
-            resolution = book.step_deadlines(ledger, claim, height)
-            if (resolution is None and claim.phase.value == "pending_final"
+        resolved = False
+        while not resolved and height < 100:
+            book.step_deadlines(claim, height)
+            resolved = claim.phase.value in ("approved", "rejected")
+            if (not resolved and claim.phase.value == "pending_final"
                     and escalations > 0 and disputed):
                 escalations -= 1
                 party = claim.claimant if rng.random() < 0.5 \
                     else claim.dispute.challenger
                 try:
-                    book.escalate(claim, party, height)
+                    book.escalate(party, step("escalate", claim="icl-2"), height)
                 except Exception:
                     pass
             height += 1
-        assert resolution is not None, "claim did not terminate"
+        assert resolved, "claim did not terminate"
+        kind, claim_id, outcome, slashed = book.record[-1]
+        assert (kind, claim_id, outcome) == ("insurance_resolved", "icl-2",
+                                             claim.phase.value)
 
         bonds_total = claim.claim_bond + sum((j.bond for j in joiners), start=amt(0))
-        if resolution.outcome == "rejected":
+        if outcome == "rejected":
             # pooled penalty never exceeds gamma * (claim bond + join bonds)
-            assert resolution.slashed <= params["gamma_pen"] * bonds_total + QUANTUM
-        if resolution.outcome == "approved" and not disputed:
+            assert slashed <= params["gamma_pen"] * bonds_total + QUANTUM
+        if outcome == "approved" and not disputed:
             # the claim side nets exactly I_v + alpha * insurer bond, on top
             # of its own returned bonds
             gained = sum(((ledger.balance(k, "USD") - v)

@@ -626,6 +626,21 @@ def _intent_into_a_vault_for_zed(scripted):
     return mutate
 
 
+def _anticoin_intent_without_a_vault(scripted):
+    """builtin:scam with no vault; its intent swaps RUG into anticoins, at
+    the top level or as a step of mallory's script."""
+    def mutate(doc):
+        doc["vaults"] = []
+        intent = dict(doc["intents"][0], action="swap_to_anticoin")
+        if scripted:
+            del intent["owner"]
+            doc["intents"] = []
+            _script_step(op="register_intent", **intent)(doc)
+        else:
+            doc["intents"] = [intent]
+    return mutate
+
+
 def _genesis_rug(*balances):
     """Give the first accounts of the document these RUG balances."""
     def mutate(doc):
@@ -773,6 +788,11 @@ LOAD_PROBES = [
                  "intents[0].vault", id="intent-vault-for-another-token"),
     pytest.param("reference", _intent_into_a_vault_for_zed(scripted=True),
                  "agents[0].script[2].vault", id="script-intent-vault-for-another-token"),
+    # an intent that swaps into anticoins needs a vault that takes its token
+    pytest.param("scam", _anticoin_intent_without_a_vault(scripted=False),
+                 "intents[0].token", id="anticoin-intent-without-a-vault"),
+    pytest.param("scam", _anticoin_intent_without_a_vault(scripted=True),
+                 "agents[0].script[1].token", id="script-anticoin-intent-without-a-vault"),
     pytest.param("reference", _transfer_into_a_case_escrow, "agents[0].script[4].to",
                  id="transfer-into-a-case-escrow"),
     # a declared pool account's balance would not be the pool's reserve

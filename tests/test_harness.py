@@ -16,7 +16,9 @@ import pinned
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.harness import Simulation, run_scenario
+from rugsim.insurance import InsuranceBook
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
+from rugsim.rugproof import RugproofBook
 from rugsim.scenario import (
     SCRIPT_OPS,
     ScenarioError,
@@ -539,6 +541,39 @@ def test_dispute_machines_run_to_resolution():
             assert policy_escrow, f"leftover escrow {account}: {held}"
 
 
+def test_dispute_lookup_failures_are_recorded_with_op_and_account():
+    # a dispute op whose issuance or claim lookup fails moves nothing and
+    # records one failed event naming the op, the error and the account
+    doc = dispute_doc()
+    scripts = {agent["account"]: agent["script"] for agent in doc["agents"]}
+    scripts["claimer"].append({"block": 1, "op": "rug_claim", "token": "GHOST",
+                               "y": "0.02"})
+    # iss-1 is issued at block 1, its claim made at block 2 and upheld at 7
+    vote = {"op": "vote_rug", "token": "NEW", "deposit": "10", "side": "rugging"}
+    scripts["voter-1"] += [dict(vote, block=1), dict(vote, block=9)]
+    scripts["skeptic"] += [
+        {"block": 4, "op": "join_claim", "claim": "icl-9", "loss": "1", "w": "0.01"},
+        {"block": 4, "op": "dispute_claim", "claim": "icl-9", "z": "0.03"},
+        {"block": 4, "op": "vote_insurance", "claim": "icl-9", "deposit": "1",
+         "side": "approve"},
+        {"block": 4, "op": "escalate", "claim": "icl-9"}]
+    sim, trace = run_scenario(doc)
+    failed = [(e["h"], e["op"], e["error"], e["detail"], e["account"])
+              for e in trace.events if e["type"] == "failed"]
+    assert failed == [
+        (1, "rug_claim", "StateError", "no active issuance for GHOST", "claimer"),
+        (1, "vote_rug", "StateError", "no open claim on iss-1", "voter-1"),
+        *[(4, op, "StateError", "no insurance claim icl-9", "skeptic")
+          for op in ("join_claim", "dispute_claim", "vote_insurance", "escalate")],
+        (9, "vote_rug", "StateError", "no active issuance for NEW", "voter-1")]
+    # the dispute game itself ran as without the failing steps
+    outcomes = [(e["type"], e["outcome"]) for e in trace.events
+                if e["type"] in ("rug_claim_resolved", "insurance_resolved")]
+    assert outcomes == [("rug_claim_resolved", "upheld_rug"),
+                        ("insurance_resolved", "rejected")]
+    sim.ledger.check_conservation()
+
+
 def test_verify_roundtrip(tmp_path):
     from rugsim.trace import verify_trace
     _, trace = run_scenario(reference_scenario(blocks=25))
@@ -647,8 +682,13 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
 
 
 def test_script_op_table_names_every_handler():
-    handlers = {name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")}
-    assert set(SCRIPT_OPS) == handlers
+    # every op has exactly one runner: a Simulation._op_* method or one
+    # dispute book's declared op, never both
+    runners = [name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")]
+    for book in (RugproofBook, InsuranceBook):
+        assert all(callable(getattr(book, op, None)) for op in book.OPS), book
+        runners += book.OPS
+    assert sorted(runners) == sorted(SCRIPT_OPS)
 
 
 def test_every_benchmark_traced_name_resolves():

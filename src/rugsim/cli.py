@@ -198,7 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "param": key, "value": text,
             "trace_hash": trace.trace_hash(),
             "current_supply": str(sim.ledger.total_supply(HOME_TOKEN)),
-            "total_penalties": str(sim.total_penalties),
+            "total_penalties": str(sim.vaults.total_penalties),
             "failed_events": trace.failed_events,
         })
         print(f"{key}={text}: hash={rows[-1]['trace_hash']} "

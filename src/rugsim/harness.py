@@ -12,7 +12,8 @@ chain step runs a fixed phase order:
   4. scripted agent operations (vault, market, dispute submissions)
   5. perps funding and liquidation
   6. dispute-machine deadlines fire (each dispute book's ``on_block``)
-  7. the bridge delivers matured reward events (home chain)
+  7. the vault registry delivers the matured rewards it holds on the
+     bridge (its ``on_block``, home chain)
   8. supply emission and the burn controller (home chain)
   9. telemetry
 
@@ -41,7 +42,8 @@ planners only price them. Protected accounts are front-run at
 with a sandwich budget plans its sandwich at ``executes_at - 1``, and the
 first with a back-run budget its back-run at ``executes_at``.
 
-A scripted dispute step runs in the book that declares its op, and each
+A scripted vault or dispute step runs in the book that declares its op
+(the vault registry, the rugproof book or the insurance book), and each
 book records its own events, as the ledger records its movements.
 
 Module errors never crash a run; they are recorded as failed events.
@@ -75,7 +77,7 @@ from .perps import PerpBook
 from .rugproof import RugproofBook
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace, make_event
-from .vault import RewardEvent, VaultRegistry, anticoin_value
+from .vault import VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
 PERP_SETTLEMENT = "perps-settlement"
@@ -157,13 +159,11 @@ class Simulation:
         self._seq = 0
         self.ledger = Ledger(recorder=self._record_ledger_event)
 
-        # account -> (its beneficial owner, that owner's accounts in scenario
-        # order); only the withdrawal penalty reads it
-        self._owners: dict[str, tuple[str, list[str]]] = {}
         self.prices: dict[TokenId, FixedAmount] = {}
         self.pools: dict[str, PoolState] = {}
         self.pool_chain: dict[str, str] = {}
-        self.vaults = VaultRegistry()
+        self.vaults = VaultRegistry(scenario.accounts, self.ledger, TREASURY, self._event,
+                                    scenario.bridge_delay_blocks, HOME_TOKEN)
         self.perp_books: dict[str, PerpBook] = {}
         self.perp_amm: Optional[str] = None
         self.intent_book = IntentBook()
@@ -173,8 +173,6 @@ class Simulation:
         self._script_steps: dict[tuple[int, str], list[tuple[str, dict]]] = {}
         self.queue: list[QueuedTx] = []
         self.pending_drains: list[PendingDrain] = []
-        self.bridge: list[tuple[int, RewardEvent]] = []
-        self.total_penalties = ZERO
         # raw mints per scanned token and outflows per scanned (sender, token)
         # since the aux scan that reads them last took them; keyed at materialize
         self._unscanned_mints: dict[str, int] = {}
@@ -200,14 +198,9 @@ class Simulation:
             wallet_outflow_fraction=det["wallet_outflow_fraction"],
             volume_spike_factor=det["volume_spike_factor"])) for chain in sc.chains}
 
-        owned: dict[str, list[str]] = {}
         for entry in sc.accounts:
-            account, owner = entry["id"], entry["owner"]
-            related = owned.setdefault(owner, [])
-            related.append(account)
-            self._owners[account] = owner, related
             for token, balance in entry["balances"].items():
-                self.ledger.mint(account, token, balance, memo="genesis")
+                self.ledger.mint(entry["id"], token, balance, memo="genesis")
 
         token_chain = {sc.numeraire: sc.home_chain}
         for entry in sc.tokens:
@@ -257,7 +250,7 @@ class Simulation:
         self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
         self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
                                        self._event)
-        self._book_of_op = {op: book for book in (self.rugproof, self.insurance)
+        self._book_of_op = {op: book for book in (self.vaults, self.rugproof, self.insurance)
                             for op in book.OPS}
 
         # protocol transactions outbid drains by this much (the fee
@@ -430,7 +423,7 @@ class Simulation:
         if chain == self.scenario.home_chain:
             self.rugproof.on_block(height)
             self.insurance.on_block(height)
-            self._phase_tokenomics(height, self._phase_bridge(height))
+            self._phase_tokenomics(height, self.vaults.on_block(height))
 
         # (9) telemetry is the per-block row written in _phase_tokenomics
 
@@ -626,8 +619,8 @@ class Simulation:
         else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
             vault = (self.vaults.vault(params["vault"]) if params["vault"] is not None
                      else self.vaults.vault_for_token(token, self.scenario.chains))
-            _, reward = self.vaults.deposit(self.ledger, vault.vault_id, owner, holdings)
-            self._queue_reward(reward)
+            self.vaults.deposit(owner, {"vault": vault.vault_id, "amount": holdings},
+                                self.height)
             fee = holdings * execution.fee_bps / 10000
             if fee.raw > 0:
                 self.ledger.transfer(owner, execution.solver, vault.anticoin,
@@ -678,29 +671,6 @@ class Simulation:
                       partial(self._exec_drain, pending))
         self._event("drain_submitted", pool_id, account, pending.t_rug, pending.t_total,
                     pending.executes_at)
-
-    def _op_deposit(self, account: str, step: dict) -> None:
-        vault_id, amount = step["vault"], step["amount"]
-        serial, reward = self.vaults.deposit(self.ledger, vault_id, account, amount)
-        self._queue_reward(reward)
-        self._event("deposit", vault_id, account, amount,
-                    self.vaults.vault(vault_id).params["receipt_kind"].value, serial)
-
-    def _op_burn(self, account: str, step: dict) -> None:
-        vault_id = step["vault"]
-        supply, reward = self.vaults.burn_anticoins(self.ledger, vault_id, account,
-                                                    step["amount"])
-        self._queue_reward(reward)
-        self._event("anticoin_burn", vault_id, account, step["amount"], supply)
-
-    def _op_withdraw(self, account: str, step: dict) -> None:
-        vault_id = step["vault"]
-        owner, related = self._owners[account]
-        result = self.vaults.withdraw(self.ledger, vault_id, account, step["amount"],
-                                      TREASURY, related_accounts=related, owner=owner)
-        self.total_penalties = self.total_penalties + result.penalty
-        self._event("withdraw", vault_id, account, step["amount"], result.returned,
-                    result.penalty, result.rate, result.withdrawal_index)
 
     def _op_transfer(self, account: str, step: dict) -> None:
         self.ledger.transfer(account, step["to"], step["token"],
@@ -780,7 +750,7 @@ class Simulation:
         except RugsimError as exc:
             self._failed("noise", exc, account=account)
 
-    # -- perps, bridge, tokenomics phases -------------------------------
+    # -- perps, tokenomics phases -------------------------------------------
 
     def _phase_perps(self, chain: str, view: ChainView, height: int) -> None:
         for vault_id, book in view.perp_books:
@@ -814,28 +784,9 @@ class Simulation:
                     except RugsimError as exc:
                         self._failed("liquidation_swap", exc, vault=vault_id)
 
-    def _queue_reward(self, reward: RewardEvent) -> None:
-        deliver_at = self.height + self.scenario.bridge_delay_blocks
-        self.bridge.append((deliver_at, reward))
-        self._event("reward_emitted", reward.kind, reward.vault, reward.account,
-                    reward.amount, deliver_at)
-
-    def _phase_bridge(self, height: int) -> int:
-        """Deliver the matured rewards; returns the raw R they minted."""
-        due = [(t, r) for t, r in self.bridge if t <= height]
-        self.bridge = [(t, r) for t, r in self.bridge if t > height]
-        minted = 0
-        for _, reward in due:
-            account = reward.account
-            self.ledger.mint(account, HOME_TOKEN, reward.amount,
-                             memo=f"reward:{reward.kind}")
-            minted += reward.amount.raw
-            self._event("bridge_delivery", reward.kind, reward.vault, account, reward.amount)
-        return minted
-
     def _phase_tokenomics(self, height: int, minted: int) -> None:
         """Emit, then burn toward the target; ``minted`` is the raw R the
-        bridge minted this block. The ledger holds the only count of R."""
+        vault registry's bridge minted this block. The ledger holds the only count of R."""
         tk = self.scenario.tokenomics
         emission = tk["epsilon_rate"]
         if emission.raw > 0:
@@ -895,7 +846,7 @@ class Simulation:
                       for vid, book in sorted(self.perp_books.items())},
             "insurance": self.insurance.snapshot(),
             "home_token_supply": str(self.ledger.total_supply(HOME_TOKEN)),
-            "total_penalties": str(self.total_penalties),
+            "total_penalties": str(self.vaults.total_penalties),
             "failed_events": self.trace.failed_events,
         }
 

@@ -178,9 +178,9 @@ class InsuranceBook:
         if loss.raw <= 0:
             raise ParameterError("claimed loss must be > 0")
         claim_id = f"icl-{self._counter}"
-        self._counter += 1
         escrow = CaseEscrow(self.ledger, f"icase:{claim_id}", self.token)
         escrow.take(claimant, bond, "claim-bond")
+        self._counter += 1
         claim = InsuranceClaim(
             claim_id=claim_id, policy_id=policy_id, claimant=claimant,
             claim_bond=bond, loss_claimed=loss,

@@ -41,13 +41,13 @@ class PositionStatus(enum.Enum):
 
 
 class Position:
-    __slots__ = ("position_id", "owner", "vault", "collateral_ca", "leverage", "direction",
+    __slots__ = ("position_id", "owner", "collateral_ca", "leverage", "direction",
                  "entry_price", "unit_value_at_entry", "status", "flagged_at")
 
-    def __init__(self, position_id: int, owner: str, vault: VaultId,
+    def __init__(self, position_id: int, owner: str,
                  collateral_ca: FixedAmount, leverage: FixedAmount, direction: Direction,
                  entry_price: FixedAmount, unit_value_at_entry: FixedAmount):
-        self.position_id, self.owner, self.vault = position_id, owner, vault
+        self.position_id, self.owner = position_id, owner
         self.collateral_ca, self.leverage, self.direction = collateral_ca, leverage, direction
         self.entry_price = entry_price
         self.unit_value_at_entry = unit_value_at_entry  # anticoin value per unit, frozen
@@ -158,7 +158,7 @@ class PerpBook:
         ledger.transfer(user, self.escrow_account, self.anticoin,
                         collateral_ca, memo=f"perp-open:{self.vault_id}")
         position = Position(
-            position_id=self._next_id, owner=user, vault=self.vault_id,
+            position_id=self._next_id, owner=user,
             collateral_ca=collateral_ca, leverage=leverage, direction=direction,
             entry_price=mark_price, unit_value_at_entry=unit_value)
         self.positions[position.position_id] = position

@@ -117,9 +117,9 @@ class RugproofBook:
         if bond.raw <= 0:
             raise ParameterError("claim bond must be > 0")
         claim_id = f"claim-{self._counter}"
-        self._counter += 1
         escrow = CaseEscrow(self.ledger, f"case:{claim_id}", issuance.token)
         escrow.take(user, bond, "claim-bond")
+        self._counter += 1
         end = height + self.params["challenge_blocks"]
         self.claims[claim_id] = RugClaim(
             claim_id=claim_id, issuance_id=issuance_id, claimant=user,

@@ -1,6 +1,7 @@
 """Vault registry: deposits of rugged tokens with 1:1 anticoin issuance (the
 anticoins are the deposit's receipt), anticoin valuation under the inverse
-logarithmic peg, burns, and the whale / cumulative withdrawal-penalty game.
+logarithmic peg, burns, the whale / cumulative withdrawal-penalty game, and
+the bridge that carries deposit and burn rewards to the home chain.
 
 Withdrawal penalties are owner-aggregated: the registry counts prior
 withdrawals per beneficial owner (simulator ground truth), so splitting
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     ChainId,
@@ -76,23 +77,6 @@ class Vault:
         return self.total_deposited - self.total_burned - self.total_withdrawn
 
 
-class RewardEvent(NamedTuple):
-    """A reward earned on a satellite chain, minted on the home chain after
-    the bridge delay."""
-
-    kind: str  # "deposit" | "burn"
-    vault: VaultId
-    account: str
-    amount: FixedAmount
-
-
-class WithdrawResult(NamedTuple):
-    returned: FixedAmount
-    penalty: FixedAmount
-    rate: FixedAmount
-    withdrawal_index: int  # 1-based index of this withdrawal for the owner
-
-
 def anticoin_id(token: TokenId, chain: ChainId) -> TokenId:
     """The id of the anticoin a vault for ``token`` on ``chain`` issues."""
     return f"anti:{token}@{chain}"
@@ -138,12 +122,34 @@ def cumulative_penalty(h_total: FixedAmount, n: int, gamma: FixedAmount,
 class VaultRegistry:
     """Single-writer vault state machine for the vaults of every chain,
     keyed by their ids, which are unique across chains; each vault holds
-    its chain."""
+    its chain. The registry runs its script ops (``OPS``) on ``ledger`` and
+    records each one's event through ``record``. A deposit or burn earns a
+    reward in ``home_token``, which travels ``bridge_delay`` blocks and is
+    minted by ``on_block`` on the home chain. ``accounts`` are the parsed
+    account entries, whose owners the withdrawal penalty reads."""
 
-    def __init__(self):
+    OPS = ("deposit", "burn", "withdraw")
+
+    def __init__(self, accounts: Sequence[dict], ledger: Ledger, treasury: str,
+                 record: Callable[..., None], bridge_delay: int, home_token: TokenId):
+        self.ledger = ledger
+        self.treasury = treasury
+        self.record = record
+        self.bridge_delay = bridge_delay
+        self.home_token = home_token
         self.vaults: dict[VaultId, Vault] = {}
+        # account -> (its beneficial owner, that owner's accounts in order)
+        self._owners: dict[str, tuple[str, list[str]]] = {}
+        owned: dict[str, list[str]] = {}
+        for entry in accounts:
+            related = owned.setdefault(entry["owner"], [])
+            related.append(entry["id"])
+            self._owners[entry["id"]] = entry["owner"], related
         # (owner, vault_id) -> executed withdrawal count
         self.withdrawal_counts: dict[tuple[str, VaultId], int] = {}
+        # (delivery height, kind, vault id, account, amount) in emission order
+        self.in_flight: list[tuple[int, str, VaultId, str, FixedAmount]] = []
+        self.total_penalties = ZERO
 
     def vault(self, vault_id: VaultId) -> Vault:
         try:
@@ -168,52 +174,60 @@ class VaultRegistry:
         self.vaults[vault.vault_id] = vault
         return vault
 
-    def deposit(self, ledger: Ledger, vault_id: VaultId, user: str,
-                amount: FixedAmount) -> tuple[Optional[int], RewardEvent]:
-        """Deposit rugged tokens and mint anticoins 1:1. Returns the
-        deposit's serial (None in a fungible vault, which numbers none) and
-        its reward."""
+    def _emit_reward(self, kind: str, vault_id: VaultId, account: str,
+                     amount: FixedAmount, height: int) -> None:
+        deliver_at = height + self.bridge_delay
+        self.in_flight.append((deliver_at, kind, vault_id, account, amount))
+        self.record("reward_emitted", kind, vault_id, account, amount, deliver_at)
+
+    def deposit(self, user: str, step: dict, height: int) -> None:
+        """Deposit rugged tokens and mint anticoins 1:1. A fungible vault
+        numbers no deposit; the others give each its serial."""
+        vault_id, amount = step["vault"], step["amount"]
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"deposit must be > 0, got {amount}")
-        ledger.transfer(user, vault.escrow_account, vault.rugged_token,
-                        amount, memo=f"deposit:{vault_id}")
-        ledger.mint(user, vault.anticoin, amount, memo=f"anticoin:{vault_id}")
+        self.ledger.transfer(user, vault.escrow_account, vault.rugged_token,
+                             amount, memo=f"deposit:{vault_id}")
+        self.ledger.mint(user, vault.anticoin, amount, memo=f"anticoin:{vault_id}")
         vault.total_deposited = vault.total_deposited + amount
 
         serial = None
-        if vault.params["receipt_kind"] is not ReceiptKind.FUNGIBLE:
+        receipt_kind = vault.params["receipt_kind"]
+        if receipt_kind is not ReceiptKind.FUNGIBLE:
             serial = vault.next_serial
             vault.next_serial += 1
-        reward = RewardEvent("deposit", vault_id, user, vault.params["omega"] * amount)
-        return serial, reward
+        self._emit_reward("deposit", vault_id, user, vault.params["omega"] * amount, height)
+        self.record("deposit", vault_id, user, amount, receipt_kind.value, serial)
 
-    def burn_anticoins(self, ledger: Ledger, vault_id: VaultId, user: str,
-                       amount: FixedAmount) -> tuple[FixedAmount, RewardEvent]:
+    def burn(self, user: str, step: dict, height: int) -> None:
+        """The script's ``burn`` op, run by ``burn_anticoins``, the name
+        that ``perfbench/tracing.py`` times."""
+        self.burn_anticoins(user, step, height)
+
+    def burn_anticoins(self, user: str, step: dict, height: int) -> None:
         """Burn anticoins, permanently extinguishing the withdrawal claim."""
+        vault_id, amount = step["vault"], step["amount"]
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"burn must be > 0, got {amount}")
-        ledger.burn(user, vault.anticoin, amount, memo=f"burn:{vault_id}")
+        self.ledger.burn(user, vault.anticoin, amount, memo=f"burn:{vault_id}")
         vault.total_burned = vault.total_burned + amount
-        reward = RewardEvent("burn", vault_id, user, vault.params["theta"] * amount)
-        return vault.anticoin_supply, reward
+        self._emit_reward("burn", vault_id, user, vault.params["theta"] * amount, height)
+        self.record("anticoin_burn", vault_id, user, amount, vault.anticoin_supply)
 
-    def withdrawal_count(self, owner: str, vault_id: VaultId) -> int:
-        return self.withdrawal_counts.get((owner, vault_id), 0)
-
-    def withdraw(self, ledger: Ledger, vault_id: VaultId, account: str,
-                 amount: FixedAmount, treasury: str,
-                 related_accounts: Optional[Sequence[str]] = None,
-                 owner: Optional[str] = None) -> WithdrawResult:
-        """Redeem anticoins for vaulted rugged tokens, minus the penalty.
+    def withdraw(self, account: str, step: dict, height: int) -> None:
+        """Redeem anticoins for vaulted rugged tokens, minus the penalty,
+        which goes to the treasury.
 
         The surcharge rate is the whale term k*(H/H_ref)**lambda (H is the
-        anticoin holding of ``related_accounts``, the account alone by
-        default; H_ref the vault's total deposits) plus the escalating
-        per-withdrawal term gamma + delta_gamma*i, where i counts ``owner``'s
-        (the account's by default) withdrawals from this vault from 1.
+        anticoin holding of every account of the account's owner, H_ref the
+        vault's total deposits) plus the escalating per-withdrawal term
+        gamma + delta_gamma*i, where i counts the owner's withdrawals from
+        this vault from 1.
         """
+        vault_id, amount = step["vault"], step["amount"]
+        ledger = self.ledger
         vault = self.vault(vault_id)
         if amount.raw <= 0:
             raise DustError(f"withdrawal must be > 0, got {amount}")
@@ -225,9 +239,9 @@ class VaultRegistry:
         if escrow < amount:
             raise BalanceError(f"vault {vault_id} holds only {escrow} rugged tokens")
 
-        accounts = list(related_accounts) if related_accounts else [account]
+        owner, related = self._owners[account]
         holdings = ZERO
-        for acct in accounts:
+        for acct in related:
             holdings = holdings + ledger.balance(acct, vault.anticoin)
 
         params = vault.params
@@ -236,8 +250,7 @@ class VaultRegistry:
             ratio = holdings / vault.total_deposited
             whale_rate = min(MAX_WHALE_RATE, whale_penalty(ratio, params["penalty_k"],
                                                            params["penalty_lambda"]))
-        owner = owner if owner is not None else account
-        index = self.withdrawal_count(owner, vault_id) + 1
+        index = self.withdrawal_counts.get((owner, vault_id), 0) + 1
         step_rate = params["gamma_base"] + params["delta_gamma"] * index
         rate = whale_rate + step_rate
         penalty = amount * rate
@@ -249,12 +262,24 @@ class VaultRegistry:
         ledger.burn(account, vault.anticoin, amount, memo=f"withdraw:{vault_id}")
         ledger.transfer(vault.escrow_account, account, vault.rugged_token,
                         returned, memo=f"withdraw:{vault_id}")
-        ledger.transfer(vault.escrow_account, treasury, vault.rugged_token,
+        ledger.transfer(vault.escrow_account, self.treasury, vault.rugged_token,
                         penalty, memo=f"penalty:{vault_id}")
         vault.total_withdrawn = vault.total_withdrawn + amount
         self.withdrawal_counts[(owner, vault_id)] = index
-        return WithdrawResult(returned=returned, penalty=penalty, rate=rate,
-                              withdrawal_index=index)
+        self.total_penalties = self.total_penalties + penalty
+        self.record("withdraw", vault_id, account, amount, returned, penalty, rate, index)
+
+    def on_block(self, height: int) -> int:
+        """Mint, in emission order, each reward due by ``height`` to its
+        account (run on the home chain); returns the raw home token minted."""
+        due = [reward for reward in self.in_flight if reward[0] <= height]
+        self.in_flight = [reward for reward in self.in_flight if reward[0] > height]
+        minted = 0
+        for _, kind, vault_id, account, amount in due:
+            self.ledger.mint(account, self.home_token, amount, memo=f"reward:{kind}")
+            minted += amount.raw
+            self.record("bridge_delivery", kind, vault_id, account, amount)
+        return minted
 
     def snapshot(self, chains: Sequence[ChainId]) -> dict:
         """Each of ``chains``, sorted, mapped to its vaults by sorted id; a

@@ -1,12 +1,17 @@
+from typing import Optional
+
 from rugsim.core import amt
 from rugsim.ledger import Ledger
 from rugsim.scenario import (
     ACCOUNT,
+    HOME_TOKEN,
     SCRIPT_OPS,
+    VAULT,
     _parse_args,
     load_scenario,
     reference_scenario,
 )
+from rugsim.vault import VaultRegistry
 
 import pytest
 
@@ -57,13 +62,25 @@ def rug_vault(chain: str = "alpha", **fields) -> dict:
 def step(op: str, **fields) -> dict:
     """Script step ``op`` with these fields as ``load_scenario`` parses it:
     amounts as FixedAmount, an absent optional field defaulted. The account
-    an ``issue_policy`` insures counts as declared."""
-    return _parse_args(fields, SCRIPT_OPS[op][1], op, {ACCOUNT: {fields.get("insured")}})
+    an ``issue_policy`` insures and the vault a step names count as
+    declared."""
+    return _parse_args(fields, SCRIPT_OPS[op][1], op,
+                       {ACCOUNT: {fields.get("insured")}, VAULT: {fields.get("vault")}})
 
 
 class Recorder(list):
-    """A dispute book's ``record``: keeps each event it records as the
-    tuple (type, *values)."""
+    """A book's ``record``: keeps each event it records as the tuple
+    (type, *values)."""
 
     def __call__(self, *event):
         self.append(event)
+
+
+def vault_registry(ledger: Ledger, *accounts: str,
+                   owner: Optional[str] = None) -> VaultRegistry:
+    """A registry on ``ledger`` that pays penalties to "treasury" and
+    delivers rewards in R two blocks after they are earned. ``accounts``
+    are the declared accounts, each its own owner or all ``owner``'s; its
+    ``record`` keeps the events it records."""
+    entries = [{"id": account, "owner": owner or account} for account in accounts]
+    return VaultRegistry(entries, ledger, "treasury", Recorder(), 2, HOME_TOKEN)

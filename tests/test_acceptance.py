@@ -32,8 +32,7 @@ from rugsim.market import DustError, PoolState, pool_swap
 from rugsim.perps import funding_rate, funding_rate_final
 from rugsim.scenario import reference_scenario, scam_scenario
 from rugsim.tokenomics import target_supply
-from rugsim.vault import VaultRegistry, anticoin_value, cumulative_penalty, \
-    whale_penalty
+from rugsim.vault import anticoin_value, cumulative_penalty, whale_penalty
 
 mpmath.mp.dps = 50
 
@@ -58,8 +57,8 @@ def report(number: int, name: str, timer: Timer):
 
 
 def mk_vault(price=100):
-    from conftest import rug_vault
-    return VaultRegistry().create_vault(rug_vault(penalty_k="1"), amt(price))
+    from conftest import rug_vault, vault_registry
+    return vault_registry(Ledger()).create_vault(rug_vault(penalty_k="1"), amt(price))
 
 
 def test_01_peg_curve():

@@ -15,6 +15,7 @@ import pytest
 import pinned
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
+from rugsim.detection import IntentAction
 from rugsim.harness import Simulation, run_scenario
 from rugsim.insurance import InsuranceBook
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
@@ -27,6 +28,7 @@ from rugsim.scenario import (
     reference_scenario,
     scam_scenario,
 )
+from rugsim.vault import VaultRegistry
 
 
 def minimal_doc(**overrides):
@@ -388,13 +390,51 @@ def test_intents_protect_via_swap_to_anticoin():
     doc = scam_scenario()
     doc["intents"][0]["action"] = "swap_to_anticoin"
     sim, trace = run_scenario(doc)
-    execution = next(e for e in trace.events if e["type"] == "intent_executed")
-    assert execution["owner"] == "intent-user"
+    events = trace.events
+    executed = next(i for i, e in enumerate(events) if e["type"] == "intent_executed")
+    assert events[executed]["owner"] == "intent-user"
     anticoin = "anti:RUG@alpha"
     held = sim.ledger.balance("intent-user", anticoin)
     assert held.raw > 0
     # solver took its cut in anticoins
     assert sim.ledger.balance("sol-1", anticoin).raw > 0
+    # the deposit writes one deposit line of all the RUG the intent held,
+    # after its reward and before the intent's own line
+    deposits = [i for i, e in enumerate(events) if e["type"] == "deposit"
+                and (e["vault"], e["account"]) == ("v-rug", "intent-user")]
+    assert len(deposits) == 1
+    at = deposits[0]
+    holdings = next(a["balances"]["RUG"] for a in doc["accounts"] if a["id"] == "intent-user")
+    assert amt(events[at]["amount"]) == amt(holdings) == amt(100)
+    reward = events[at - 1]
+    assert (reward["type"], reward["kind"], reward["account"]) == \
+        ("reward_emitted", "deposit", "intent-user")
+    assert at < executed
+
+
+def test_vault_totals_fold_from_their_event_lines(tmp_path):
+    # 12 blocks of storm_doc(777): its first swap_to_anticoin intent
+    # executes at block 11, so an intent's deposit is among the lines folded
+    sim, trace = run_scenario(pinned.workloads.storm_doc(777), blocks=12,
+                              out_dir=str(tmp_path))
+    trace.write()
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").open()]
+    intents = sim.intent_book.intents
+    assert any(intents[e["intent"]].params["action"] is IntentAction.SWAP_TO_ANTICOIN
+               for e in events if e["type"] == "intent_executed")
+    totals = {"deposit": "total_deposited", "anticoin_burn": "total_burned",
+              "withdraw": "total_withdrawn"}
+    vaults = {vid: vault for chain_vaults in
+              json.loads((tmp_path / "state.json").read_text())["vaults"].values()
+              for vid, vault in chain_vaults.items()}
+    folded = {vid: dict.fromkeys(totals.values(), amt(0)) for vid in vaults}
+    for e in events:
+        if e["type"] in totals:
+            row = folded[e["vault"]]
+            row[totals[e["type"]]] = row[totals[e["type"]]] + amt(e["amount"])
+    assert len(vaults) == 6
+    for vid, vault in vaults.items():
+        assert {field: amt(vault[field]) for field in totals.values()} == folded[vid], vid
 
 
 @pytest.mark.parametrize("chains,expected", [(["alpha", "home"], "v-rug"),
@@ -683,9 +723,9 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
 
 def test_script_op_table_names_every_handler():
     # every op has exactly one runner: a Simulation._op_* method or one
-    # dispute book's declared op, never both
+    # book's declared op (the vault registry's or a dispute book's), never both
     runners = [name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")]
-    for book in (RugproofBook, InsuranceBook):
+    for book in (VaultRegistry, RugproofBook, InsuranceBook):
         assert all(callable(getattr(book, op, None)) for op in book.OPS), book
         runners += book.OPS
     assert sorted(runners) == sorted(SCRIPT_OPS)

@@ -10,6 +10,7 @@ from rugsim.insurance import (
     InsuranceBook,
     PolicyStatus,
 )
+from rugsim.ledger import BalanceError
 
 from conftest import Recorder, fund, loaded, step
 
@@ -93,6 +94,18 @@ def test_submit_claim_bond(ledger):
     # an absent loss claims the insured value
     assert claim.loss_claimed == amt(1000)
     assert book.record[-1] == ("insurance_claim", "icl-2", "pol-1", "insured", amt(50))
+
+
+def test_a_claim_that_cannot_cover_its_bond_uses_up_no_id(ledger):
+    book = mk_book(ledger)
+    policy = mk_policy(ledger, book)
+    broke = fund(ledger, "broke", USD, 10)
+    with pytest.raises(BalanceError):
+        book.submit_claim(broke, step("submit_claim", policy="pol-1", y="0.05"), 1)
+    assert book.claims == {} and len(book.record) == 1
+    # the next claim takes the id the failed one did not use
+    claim = mk_claim(book, policy)
+    assert claim.claim_id == "icl-2"
 
 
 def test_joiners_post_bonds(ledger):

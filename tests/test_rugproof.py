@@ -212,3 +212,16 @@ def test_claim_requires_funded_claimant(ledger):
     with pytest.raises(BalanceError):
         book.rug_claim(broke, step("rug_claim", token=TOKEN, y="0.02"), 0)
     assert book.claims == {} and len(book.record) == 1
+
+
+def test_a_claim_that_cannot_cover_its_bond_uses_up_no_id(ledger):
+    book = mk_book(ledger)
+    issuer = fund(ledger, "issuer", TOKEN, 10**6)
+    book.issue_bonded(issuer, ISSUE, 0)
+    broke = fund(ledger, "broke", TOKEN, 10)
+    with pytest.raises(BalanceError):
+        book.rug_claim(broke, step("rug_claim", token=TOKEN, y="0.02"), 0)
+    claimant = fund(ledger, "claimant", TOKEN, 20_000)
+    book.rug_claim(claimant, step("rug_claim", token=TOKEN, y="0.02"), 0)
+    assert list(book.claims) == ["claim-2"]
+    assert book.record[-1] == ("rug_claim", "claim-2", "iss-1", "claimant", amt(20_000), 10)

@@ -9,9 +9,8 @@ from rugsim.tokenomics import (
     burn_step,
     target_supply,
 )
-from rugsim.vault import VaultRegistry
 
-from conftest import fund, loaded, rug_vault
+from conftest import fund, loaded, rug_vault, step, vault_registry
 
 
 def mk_params(**fields):
@@ -62,17 +61,19 @@ def test_burn_step_respects_cap():
 def mk_registry(ledger, chains=("alpha",), price=100, deposit=None):
     """A registry with a RUG vault on each of ``chains``, each holding
     ``deposit`` from its own user."""
-    registry = VaultRegistry()
+    registry = vault_registry(ledger, *(f"user-{chain}" for chain in chains))
     for chain in chains:
         vault = registry.create_vault(rug_vault(chain), amt(price))
         if deposit:
             user = fund(ledger, f"user-{chain}", "RUG", deposit)
-            registry.deposit(ledger, vault.vault_id, user, amt(deposit))
+            registry.deposit(user, step("deposit", vault=vault.vault_id, amount=deposit), 1)
     return registry
 
 
 def test_aggregate_vault_stats_empty():
-    assert aggregate_vault_stats(VaultRegistry(), Ledger(), lambda token: amt(1)) == amt(0)
+    ledger = Ledger()
+    assert aggregate_vault_stats(vault_registry(ledger), ledger, lambda token: amt(1)) \
+        == amt(0)
 
 
 def test_aggregate_vault_stats_values(ledger):
@@ -85,7 +86,7 @@ def test_aggregate_vault_stats_additive_across_chains(ledger):
     # the same vaults, reading the same escrows: the first alone, then both
     # created in reverse
     vaults = list(registry.vaults.values())
-    single, reverse = VaultRegistry(), VaultRegistry()
+    single, reverse = vault_registry(ledger), vault_registry(ledger)
     single.create_vault(vaults[0].params, amt(100))
     for vault in vaults[::-1]:
         reverse.create_vault(vault.params, amt(100))
@@ -117,8 +118,7 @@ def test_withdrawals_shrink_vaulted_but_not_gross(ledger):
     registry = mk_registry(ledger, deposit=1000)
     vault = next(iter(registry.vaults.values()))
     # mk_registry's depositor
-    registry.withdraw(ledger, vault.vault_id, "user-alpha", amt(100),
-                      "treasury")
+    registry.withdraw("user-alpha", step("withdraw", vault=vault.vault_id, amount=100), 2)
     assert aggregate_vault_stats(registry, ledger, lambda token: amt(1)) == amt(900)
     assert vault.total_deposited == amt(1000)
 

@@ -23,22 +23,40 @@ from rugsim.ledger import BalanceError, Ledger
 from rugsim.vault import (
     ConfiscatoryError,
     ReceiptKind,
-    VaultRegistry,
     anticoin_value,
     cumulative_penalty,
     whale_penalty,
 )
 
-from conftest import fund, rug_vault
+from conftest import fund, rug_vault, step, vault_registry
 
 
-def mk_vault(registry=None, price=100, kind=ReceiptKind.FUNGIBLE, k="0",
+def mk_vault(ledger, registry=None, price=100, kind=ReceiptKind.FUNGIBLE, k="0",
              lam="2", gamma="0.1", dgamma="0.01"):
-    registry = registry or VaultRegistry()
+    """A RUG vault in ``registry``, by default a new one on ``ledger`` whose
+    accounts alice, bob, whale, minnow and nobody each own themselves."""
+    registry = registry or vault_registry(ledger, "alice", "bob", "whale", "minnow", "nobody")
     vault = registry.create_vault(
         rug_vault(receipt_kind=kind.value, penalty_k=k, penalty_lambda=lam,
                   gamma_base=gamma, delta_gamma=dgamma), amt(price))
     return registry, vault
+
+
+def deposit(registry, vault, account, amount, height=1):
+    registry.deposit(account, step("deposit", vault=vault.vault_id, amount=str(amount)),
+                     height)
+
+
+def burn(registry, vault, account, amount, height=1):
+    registry.burn(account, step("burn", vault=vault.vault_id, amount=str(amount)), height)
+
+
+def withdraw(registry, vault, account, amount, height=1):
+    """Withdraw; returns the recorded event's (returned, penalty, rate,
+    withdrawal index)."""
+    registry.withdraw(account, step("withdraw", vault=vault.vault_id, amount=str(amount)),
+                      height)
+    return registry.record[-1][4:]
 
 
 def sum_oracle(h: str, n: int, gamma: str, dgamma: str) -> FixedAmount:
@@ -52,60 +70,80 @@ def sum_oracle(h: str, n: int, gamma: str, dgamma: str) -> FixedAmount:
 
 
 def test_create_vault_starts_empty():
-    _, vault = mk_vault()
+    _, vault = mk_vault(Ledger())
     assert vault.anticoin_supply == amt(0)
     assert vault.price_at_creation == amt(100)
 
 
 def test_create_vault_rejects_duplicates():
-    registry, _ = mk_vault()
+    registry, _ = mk_vault(Ledger())
     with pytest.raises(StateError):
-        mk_vault(registry)
+        mk_vault(registry.ledger, registry)
 
 
 # -- deposits and receipts -----------------------------------------------------
 
 
 def test_deposit_mints_one_to_one(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     alice = fund(ledger, "alice", "RUG", 1000)
-    serial, reward = registry.deposit(ledger, vault.vault_id, alice, amt(1000))
+    deposit(registry, vault, alice, 1000, height=5)
     assert ledger.balance("alice", vault.anticoin) == amt(1000)
     assert ledger.balance(vault.escrow_account, "RUG") == amt(1000)
-    assert serial is None  # a fungible vault numbers no deposit
-    assert reward.amount == amt(10)  # omega = 0.01
+    # omega = 0.01, delivered after the two-block bridge; a fungible vault
+    # numbers no deposit
+    assert registry.record == [
+        ("reward_emitted", "deposit", "v-rug", "alice", amt(10), 7),
+        ("deposit", "v-rug", "alice", amt(1000), "fungible", None)]
+
+
+def test_rewards_are_minted_once_the_bridge_delivers_them(ledger):
+    registry, vault = mk_vault(ledger)
+    alice = fund(ledger, "alice", "RUG", 1000)
+    deposit(registry, vault, alice, 1000, height=5)
+    burn(registry, vault, alice, 100, height=6)
+    assert registry.on_block(6) == 0 and ledger.balance("alice", "R") == amt(0)
+    # the deposit's 10 R arrive at block 7, the burn's 2 R at block 8
+    assert registry.on_block(7) == amt(10).raw
+    assert registry.on_block(8) == amt(2).raw
+    assert ledger.balance("alice", "R") == amt(12) and registry.in_flight == []
+    assert registry.record[-2:] == [
+        ("bridge_delivery", "deposit", "v-rug", "alice", amt(10)),
+        ("bridge_delivery", "burn", "v-rug", "alice", amt(2))]
 
 
 def test_deposit_zero_rejected(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     alice = fund(ledger, "alice", "RUG", 10)
     with pytest.raises(DustError):
-        registry.deposit(ledger, vault.vault_id, alice, amt(0))
+        deposit(registry, vault, alice, 0)
+    assert registry.record == []
 
 
 def test_nft_receipts_get_distinct_serials(ledger):
-    registry, vault = mk_vault(kind=ReceiptKind.NON_FUNGIBLE)
+    registry, vault = mk_vault(ledger, kind=ReceiptKind.NON_FUNGIBLE)
     alice = fund(ledger, "alice", "RUG", 1000)
-    first, _ = registry.deposit(ledger, vault.vault_id, alice, amt(500))
-    second, _ = registry.deposit(ledger, vault.vault_id, alice, amt(500))
+    deposit(registry, vault, alice, 500)
+    deposit(registry, vault, alice, 500)
+    first, second = (e[-1] for e in registry.record if e[0] == "deposit")
     assert first != second
 
 
 def test_rft_receipts_carry_shares(ledger):
     # a refungible receipt is numbered, and its shares are the anticoins
-    registry, vault = mk_vault(kind=ReceiptKind.REFUNGIBLE)
+    registry, vault = mk_vault(ledger, kind=ReceiptKind.REFUNGIBLE)
     alice = fund(ledger, "alice", "RUG", 300)
-    serial, _ = registry.deposit(ledger, vault.vault_id, alice, amt(300))
-    assert serial == 1
+    deposit(registry, vault, alice, 300)
+    assert registry.record[-1] == ("deposit", "v-rug", "alice", amt(300), "refungible", 1)
     assert ledger.balance(alice, vault.anticoin) == amt(300)
 
 
 def test_receipt_amounts_track_total_deposited(ledger):
     # each deposit's receipt is the anticoins it mints
-    registry, vault = mk_vault(kind=ReceiptKind.NON_FUNGIBLE)
+    registry, vault = mk_vault(ledger, kind=ReceiptKind.NON_FUNGIBLE)
     alice = fund(ledger, "alice", "RUG", 1000)
     for chunk in (100, 250, 650):
-        registry.deposit(ledger, vault.vault_id, alice, amt(chunk))
+        deposit(registry, vault, alice, chunk)
         assert ledger.balance(alice, vault.anticoin) == vault.total_deposited
 
 
@@ -129,25 +167,27 @@ def test_anticoin_value_strictly_decreasing():
 
 
 def test_burn_reduces_supply_and_rewards(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     alice = fund(ledger, "alice", "RUG", 100)
-    registry.deposit(ledger, vault.vault_id, alice, amt(100))
-    supply, reward = registry.burn_anticoins(ledger, vault.vault_id, alice, amt(30))
-    assert supply == amt(70)
-    assert reward.amount == amt("0.6")  # theta = 0.02
+    deposit(registry, vault, alice, 100)
+    burn(registry, vault, alice, 30, height=4)
+    # theta = 0.02; the event carries the supply left
+    assert registry.record[-2:] == [
+        ("reward_emitted", "burn", "v-rug", "alice", amt("0.6"), 6),
+        ("anticoin_burn", "v-rug", "alice", amt(30), amt(70))]
     assert ledger.balance("alice", vault.anticoin) == amt(70)
 
 
 def test_burn_extinguishes_withdrawal_claim(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     alice = fund(ledger, "alice", "RUG", 100)
-    registry.deposit(ledger, vault.vault_id, alice, amt(100))
-    registry.burn_anticoins(ledger, vault.vault_id, alice, amt(100))
+    deposit(registry, vault, alice, 100)
+    burn(registry, vault, alice, 100)
     assert ledger.balance("alice", vault.anticoin) == amt(0)
     with pytest.raises(BalanceError):
-        registry.withdraw(ledger, vault.vault_id, alice, amt(1), "treasury")
+        withdraw(registry, vault, alice, 1)
     with pytest.raises(DustError):
-        registry.burn_anticoins(ledger, vault.vault_id, alice, amt(0))
+        burn(registry, vault, alice, 0)
 
 
 # -- penalties ---------------------------------------------------------------
@@ -205,75 +245,80 @@ def test_sybil_dominance_property():
 
 
 def test_withdraw_first_small_is_near_gamma(ledger):
-    registry, vault = mk_vault(k="0")
+    registry, vault = mk_vault(ledger, k="0")
     alice = fund(ledger, "alice", "RUG", 1000)
-    registry.deposit(ledger, vault.vault_id, alice, amt(1000))
-    res = registry.withdraw(ledger, vault.vault_id, alice, amt(10), "treasury")
-    assert res.rate == amt("0.11")  # gamma + dgamma * 1, no whale term
-    assert res.penalty == amt("1.1")
-    assert res.returned == amt("8.9")
+    deposit(registry, vault, alice, 1000)
+    returned, penalty, rate, index = withdraw(registry, vault, alice, 10)
+    assert rate == amt("0.11")  # gamma + dgamma * 1, no whale term
+    assert penalty == amt("1.1") == registry.total_penalties
+    assert returned == amt("8.9")
+    assert index == 1
 
 
 def test_withdraw_sybil_split_costs_more_than_one_shot(ledger):
-    registry, vault = mk_vault(k="0")
+    # the whale's four socks share its withdrawal count
+    sybils = [f"sock{i}" for i in range(4)]
+    registry, vault = mk_vault(ledger, vault_registry(ledger, "whale", *sybils,
+                                                      owner="whale"), k="0")
     whale = "whale"
     ledger.mint("whale", "RUG", amt(100))
-    registry.deposit(ledger, vault.vault_id, whale, amt(100))
-    sybils = [f"sock{i}" for i in range(4)]
+    deposit(registry, vault, whale, 100)
     for sock in sybils:
         ledger.transfer("whale", sock, vault.anticoin, amt(25))
     total_penalty = amt(0)
-    for sock in sybils:
-        res = registry.withdraw(ledger, vault.vault_id, sock, amt(25), "treasury",
-                                related_accounts=sybils, owner="whale")
-        total_penalty = total_penalty + res.penalty
+    for i, sock in enumerate(sybils, 1):
+        _, penalty, _, index = withdraw(registry, vault, sock, 25)
+        total_penalty = total_penalty + penalty
+        assert index == i
     assert total_penalty == amt("12.5")  # summation oracle: > 10 one-shot
     assert total_penalty > amt(100) * amt("0.1")
+    assert registry.total_penalties == total_penalty
 
 
 def test_withdraw_whale_surcharge_scales(ledger):
-    registry, vault = mk_vault(k="1", lam="2")
+    registry, vault = mk_vault(ledger, k="1", lam="2")
     whale = fund(ledger, "whale", "RUG", 1000)
     minnow = fund(ledger, "minnow", "RUG", 1000)
-    registry.deposit(ledger, vault.vault_id, whale, amt(900))
-    registry.deposit(ledger, vault.vault_id, minnow, amt(100))
-    big = registry.withdraw(ledger, vault.vault_id, whale, amt(10), "treasury")
-    small = registry.withdraw(ledger, vault.vault_id, minnow, amt(10), "treasury")
-    assert big.rate > small.rate
-    assert big.rate == amt("0.11") + amt("0.81")  # (900/1000)^2 whale term
+    deposit(registry, vault, whale, 900)
+    deposit(registry, vault, minnow, 100)
+    _, _, big, _ = withdraw(registry, vault, whale, 10)
+    _, _, small, _ = withdraw(registry, vault, minnow, 10)
+    assert big > small
+    assert big == amt("0.11") + amt("0.81")  # (900/1000)^2 whale term
 
 
 def test_withdraw_without_anticoins_rejected(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     nobody = "nobody"
     with pytest.raises(BalanceError):
-        registry.withdraw(ledger, vault.vault_id, nobody, amt(1), "treasury")
+        withdraw(registry, vault, nobody, 1)
 
 
 def test_withdraw_confiscatory_refused(ledger):
-    registry, vault = mk_vault(gamma="0.95", dgamma="0.1")
+    registry, vault = mk_vault(ledger, gamma="0.95", dgamma="0.1")
     alice = fund(ledger, "alice", "RUG", 100)
-    registry.deposit(ledger, vault.vault_id, alice, amt(100))
+    deposit(registry, vault, alice, 100)
     before = ledger.balance("alice", vault.anticoin)
     with pytest.raises(ConfiscatoryError):
-        registry.withdraw(ledger, vault.vault_id, alice, amt(10), "treasury")
+        withdraw(registry, vault, alice, 10)
     assert ledger.balance("alice", vault.anticoin) == before
-    assert registry.withdrawal_count("alice", vault.vault_id) == 0
+    assert registry.withdrawal_counts == {}
+    assert registry.record[-1][0] == "deposit"
 
 
 def test_vault_conservation_identity(ledger):
-    registry, vault = mk_vault()
+    registry, vault = mk_vault(ledger)
     alice = fund(ledger, "alice", "RUG", 500)
     bob = fund(ledger, "bob", "RUG", 300)
-    registry.deposit(ledger, vault.vault_id, alice, amt(500))
-    registry.deposit(ledger, vault.vault_id, bob, amt(300))
-    registry.burn_anticoins(ledger, vault.vault_id, alice, amt(50))
+    deposit(registry, vault, alice, 500)
+    deposit(registry, vault, bob, 300)
+    burn(registry, vault, alice, 50)
     returned = amt(0)
     penalties = amt(0)
     for account, quantity in ((alice, 100), (bob, 200), (alice, 40)):
-        res = registry.withdraw(ledger, vault.vault_id, account, amt(quantity), "treasury")
-        returned = returned + res.returned
-        penalties = penalties + res.penalty
+        got, penalty, _, _ = withdraw(registry, vault, account, quantity)
+        returned = returned + got
+        penalties = penalties + penalty
     vault_balance = ledger.balance(vault.escrow_account, "RUG")
     assert vault_balance == vault.total_deposited - returned - penalties
     assert vault.anticoin_supply == \

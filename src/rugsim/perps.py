@@ -6,24 +6,26 @@ a config toggle enables it anyway). Funding is asymmetric: the majority
 side pays the minority, scaled up when pool liquidity is thin. Liquidation
 is hybrid: unhealthy positions are flagged, liquidators get a bounty
 window, and the protocol auto-liquidates after the deadline, swapping the
-seized anticoins through the protocol-owned AMM.
+seized anticoins through the protocol-owned AMM. Positions and funding
+are valued in raw ints, each result rounded half-even once, exactly as
+its rational expression (written in each docstring) would be.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import (
     FixedAmount,
     IlliquidError,
     ParameterError,
+    SCALE,
     TokenId,
     VaultId,
     ZERO,
+    _div_round_half_even,
     amt,
-    quantize,
 )
 from .ledger import BalanceError, Ledger
 
@@ -71,11 +73,11 @@ def position_pnl(position: Position, mark_price: FixedAmount,
         raise ParameterError("mark price must be > 0")
     per_unit = unit_value if unit_value is not None else position.unit_value_at_entry
     sign = 1 if position.direction is Direction.LONG else -1
-    move = Fraction(mark_price.raw - position.entry_price.raw, position.entry_price.raw)
+    entry = position.entry_price.raw
     collateral_value = position.collateral_ca * per_unit
-    pnl = (sign * position.leverage.as_fraction()
-           * collateral_value.as_fraction() * move)
-    return quantize(pnl)
+    return FixedAmount(_div_round_half_even(
+        sign * position.leverage.raw * collateral_value.raw * (mark_price.raw - entry),
+        SCALE * entry))
 
 
 def position_health(position: Position, mark_price: FixedAmount,
@@ -98,7 +100,7 @@ def funding_rate(n_long: int, n_short: int, alpha: FixedAmount) -> FixedAmount:
         raise ParameterError("funding rate undefined on an empty market")
     if n_long < 0 or n_short < 0:
         raise ParameterError("position counts must be >= 0")
-    rate = quantize(alpha.as_fraction() * Fraction(n_long, total))
+    rate = FixedAmount(_div_round_half_even(alpha.raw * n_long, total))
     return min(rate, alpha)
 
 
@@ -107,8 +109,7 @@ def funding_rate_final(rate: FixedAmount, l_min: FixedAmount,
     """Liquidity scaling: rate * (1 + l_min / l_pool)."""
     if l_pool.raw <= 0:
         raise IlliquidError("funding scaling needs a funded pool")
-    scaled = rate.as_fraction() * (1 + Fraction(l_min.raw, l_pool.raw))
-    return quantize(scaled)
+    return FixedAmount(_div_round_half_even(rate.raw * (l_pool.raw + l_min.raw), l_pool.raw))
 
 
 class FundingRound(NamedTuple):

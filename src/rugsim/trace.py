@@ -123,13 +123,27 @@ def make_event(event_type: str, height: int, chain: str, values: tuple,
     return event
 
 
-# json.dumps(..., sort_keys=True, separators=(",", ":")) without building an
-# encoder per call
+# json.dumps(..., sort_keys=True, separators=(",", ":"))
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _line_encoder(make_encoder=json.encoder.c_make_encoder):
+    """The canonical encoder, built once (JSONEncoder.encode builds one per
+    call): encode(value, 0) gives the chunks of value's json.dumps text. It
+    keeps no markers dict, as no event holds a cycle. Without a C encoder,
+    _CANONICAL.encode gives the text as one chunk."""
+    c = _CANONICAL
+    if make_encoder is None:
+        return lambda value, _level: (c.encode(value),)
+    return make_encoder(None, c.default, json.encoder.encode_basestring_ascii, c.indent,
+                        c.key_separator, c.item_separator, c.sort_keys, c.skipkeys, c.allow_nan)
+
+
+_ENCODE = _line_encoder()
+
+
 def canonical_line(event: dict) -> str:
-    return _CANONICAL.encode(event)
+    return "".join(_ENCODE(event, 0))
 
 
 # a streaming trace encodes, hashes and writes its events this many at a time
@@ -205,7 +219,7 @@ class Trace:
         pending = self.events[self._hashed:]
         if not pending:
             return
-        chunk = ("\n".join(map(_CANONICAL.encode, pending)) + "\n").encode("utf-8")
+        chunk = ("\n".join(["".join(_ENCODE(e, 0)) for e in pending]) + "\n").encode("utf-8")
         self._state = fnv1a_64(chunk, self._state)
         if self.out_dir is None:
             self._hashed = len(self.events)

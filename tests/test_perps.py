@@ -1,12 +1,24 @@
 """Perpetuals: positions, asymmetric funding, margining, liquidation."""
 
-import pytest
+from fractions import Fraction
 
-from rugsim.core import IlliquidError, ParameterError, amt
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rugsim.core import (
+    MAX_RAW,
+    FixedAmount,
+    IlliquidError,
+    ParameterError,
+    RangeError,
+    amt,
+    quantize,
+)
 from rugsim.ledger import BalanceError
 from rugsim.perps import (
     Direction,
     PerpBook,
+    Position,
     PositionStatus,
     funding_rate,
     funding_rate_final,
@@ -116,6 +128,59 @@ def test_funding_bounds_randomized():
         l_pool = amt(rng.randint(100, 10**6))
         final = funding_rate_final(rate, l_min, l_pool)
         assert final <= rate * 2  # holds whenever l_pool >= l_min
+
+
+# -- raw ints against the rational expressions --------------------------------
+
+
+def fraction_pnl(position, mark, unit_value):
+    move = Fraction(mark.raw - position.entry_price.raw, position.entry_price.raw)
+    collateral_value = position.collateral_ca * (unit_value or position.unit_value_at_entry)
+    sign = 1 if position.direction is Direction.LONG else -1
+    return quantize(sign * position.leverage.as_fraction()
+                    * collateral_value.as_fraction() * move)
+
+
+def fraction_funding_rate(n_long, n_short, alpha):
+    return min(quantize(alpha.as_fraction() * Fraction(n_long, n_long + n_short)), alpha)
+
+
+def fraction_funding_rate_final(rate, l_min, l_pool):
+    return quantize(rate.as_fraction() * (1 + Fraction(l_min.raw, l_pool.raw)))
+
+
+def outcome(f, *args):
+    """f's FixedAmount, or the message of the RangeError it raises."""
+    try:
+        return f(*args)
+    except RangeError as exc:
+        return f"RangeError: {exc}"
+
+
+# amounts from one quantum to MAX_RAW = 10**27 quanta, with d digits for d
+# drawn evenly from 1 to 28 (a plain st.integers draws mostly small ones)
+raws = st.sampled_from(range(28)).flatmap(
+    lambda d: st.integers(10**d // 10 + 1, 10**d)).map(FixedAmount)
+
+
+@settings(derandomize=True, max_examples=160, deadline=None)
+@given(direction=st.sampled_from(Direction), leverage=raws, collateral=raws, entry=raws,
+       mark=raws, unit_value=st.none() | raws, at_entry=raws,
+       n_long=st.integers(0, 10**6), n_short=st.integers(0, 10**6),
+       alpha=st.just(FixedAmount(0)) | raws, l_min=raws, l_pool=raws)
+def test_raw_int_valuation_rounds_as_the_fraction_forms(direction, leverage, collateral,
+                                                        entry, mark, unit_value, at_entry,
+                                                        n_long, n_short, alpha, l_min,
+                                                        l_pool):
+    position = Position(1, "a", collateral, leverage, direction, entry, at_entry)
+    assert (outcome(position_pnl, position, mark, unit_value)
+            == outcome(fraction_pnl, position, mark, unit_value))
+    if n_long + n_short:
+        assert (outcome(funding_rate, n_long, n_short, alpha)
+                == outcome(fraction_funding_rate, n_long, n_short, alpha))
+    rate = alpha  # any amount: apply_funding passes funding_rate's
+    assert (outcome(funding_rate_final, rate, l_min, l_pool)
+            == outcome(fraction_funding_rate_final, rate, l_min, l_pool))
 
 
 # -- funding application ---------------------------------------------------------

@@ -19,6 +19,8 @@ from rugsim.harness import Simulation, run_scenario
 from rugsim.scenario import load_scenario, reference_scenario, scam_scenario
 from rugsim.trace import FLUSH_EVENTS, Trace, _amount_raw, canonical_line, verify_trace
 
+from test_harness import multichain_doc
+
 
 def short_trace() -> Trace:
     return run_scenario(reference_scenario(blocks=50))[1]
@@ -65,8 +67,78 @@ json_values = st.recursive(
 @given(st.dictionaries(st.text(), json_values, max_size=6))
 def test_canonical_line_is_sorted_compact_json(event):
     # st.text() draws non-ASCII and surrogate code points, escaped as \uXXXX
-    assert canonical_line(event) == json.dumps(event, sort_keys=True,
-                                               separators=(",", ":"))
+    expected = json.dumps(event, sort_keys=True, separators=(",", ":"))
+    assert canonical_line(event) == expected
+    assert "".join(trace_module._line_encoder(None)(event, 0)) == expected
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("doc", [lambda: reference_scenario(blocks=50), multichain_doc],
+                         ids=["reference", "multichain"])
+def test_each_streamed_line_is_json_dumps_of_the_kept_event(tmp_path, doc):
+    kept = run_scenario(doc())[1].events
+    run_scenario(doc(), out_dir=str(tmp_path))[1].write()
+    lines = (tmp_path / "events.jsonl").read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [dumps(event) for event in kept]
+
+
+# values the run corpus lacks; the last four are what canonical_line shows
+# for a malformed line that is not an object
+ENCODER_CASES = {
+    "quote-and-backslash": {"memo": 'say "hi" \\ bye', "type": "transfer"},
+    "control-characters": {"memo": "\x00\x01\x08\t\n\x0c\r\x1b\x1f\x7f"},
+    "line-separators": {"memo": "\u2028\u2029"},
+    "non-ascii-accounts": {"type": "transfer", "src": "åsa", "dst": "ωmega\U0001f600",
+                           "token": "RUG", "amount": "1.5", "memo": "é"},
+    "failed-detail": {"type": "failed", "op": "swap", "error": "StateError",
+                      "detail": "pool {a-usdn} broke:\n{\"x\": [1]}"},
+    "nulls": {"liquidator": None, "serial": None, "h": 3},
+    "ints": {"h": -1, "big": 10**40, "low": -(10**30), "zero": 0, "raw": MAX_RAW},
+    "list": [1, "a", None, {"b": 2, "a": 1}],
+    "string": "line\u2028",
+    "int": -7,
+    "null": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+def test_the_line_encoder_gives_json_dumps_text(case):
+    value = ENCODER_CASES[case]
+    fallback = trace_module._line_encoder(None)
+    assert canonical_line(value) == "".join(fallback(value, 0)) == dumps(value)
+
+
+def test_an_unencodable_value_raises_the_json_dumps_error():
+    fallback = trace_module._line_encoder(None)
+    for value in ({"amount": amt(1)}, {"h": 1, "x": {1, 2}}, [b"raw"]):
+        with pytest.raises(TypeError) as expected:
+            dumps(value)
+        for encode in (canonical_line, lambda value: "".join(fallback(value, 0))):
+            with pytest.raises(TypeError) as raised:
+                encode(value)
+            assert str(raised.value) == str(expected.value)
+        # nothing is left behind by the error
+        assert canonical_line({"b": [1], "a": None}) == '{"a":null,"b":[1]}'
+
+
+def test_a_run_builds_no_json_encoder(tmp_path, monkeypatch):
+    # JSONEncoder.encode builds one per call; the trace built its one at
+    # import. An indented encoder (state.json) is C only from Python 3.13.
+    built = []
+    make = json.encoder.c_make_encoder
+
+    def counted(*args):
+        built.append(args[3])  # indent
+        return make(*args)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    assert main(["run", "--scenario", "builtin:reference", "--blocks", "200",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "state.json").exists()
+    assert [indent for indent in built if indent is None] == []
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

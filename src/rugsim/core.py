@@ -55,6 +55,9 @@ SCALE = 10**9
 # Covers +/- 1e18 whole units (raw is a count of 1e-9 quanta).
 MAX_RAW = 10**27
 
+# the home chain's reward token, which the supply controller emits and burns
+HOME_TOKEN = "R"
+
 # 40 significant digits for intermediate transcendental evaluation,
 # comfortably beyond 80-bit extended precision.
 _EXT = Context(prec=40, rounding=ROUND_HALF_EVEN)

@@ -64,24 +64,25 @@ def _scaled(factor: FixedAmount, raw: int) -> int:
 
 
 class PoolMonitor:
-    """Tracks the liquid-side reserve of one pool and alerts on drops."""
+    """Tracks the liquid-side reserve of one pool, in raw quanta, and alerts
+    on drops."""
 
     def __init__(self, pool_id: PoolId, drop_threshold: FixedAmount):
         self.pool_id = pool_id
         self.drop_threshold = drop_threshold
-        # (height, liquidity) of the latest observation
-        self.last: Optional[tuple[int, FixedAmount]] = None
+        # (height, raw liquidity) of the latest observation
+        self.last: Optional[tuple[int, int]] = None
 
-    def observe(self, height: int, l_pool: FixedAmount) -> Optional[RiskSignal]:
+    def observe(self, height: int, l_pool: int) -> Optional[RiskSignal]:
         last = self.last
         if last is not None and height <= last[0]:
             raise ParameterError(
                 f"observation heights must increase: {height} after {last[0]}")
         signal = None
         if last is not None:
-            prev = last[1].raw
-            if 0 < prev and l_pool.raw < prev:
-                drop = _ratio(_checked(prev - l_pool.raw), prev)
+            prev = last[1]
+            if 0 < prev and l_pool < prev:
+                drop = _ratio(_checked(prev - l_pool), prev)
                 if drop > self.drop_threshold.raw:
                     signal = RiskSignal(SignalKind.LIQUIDITY_DROP, FixedAmount(drop),
                                         height)

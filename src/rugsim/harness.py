@@ -9,7 +9,8 @@ chain step runs a fixed phase order:
   2. detection observes and plans (monitors, drain planners, intents,
      peg keeper)
   3. the transaction queue executes in (priority desc, arrival) order
-  4. scripted agent operations (vault, market, dispute submissions)
+  4. scripted agent operations (pool steps run in the pool book, vault
+     steps in the vault registry, dispute submissions in their books)
   5. perps funding and liquidation
   6. dispute-machine deadlines fire (each dispute book's ``on_block``)
   7. the vault registry delivers the matured rewards it holds on the
@@ -42,9 +43,11 @@ planners only price them. Protected accounts are front-run at
 with a sandwich budget plans its sandwich at ``executes_at - 1``, and the
 first with a back-run budget its back-run at ``executes_at``.
 
-A scripted vault or dispute step runs in the book that declares its op
-(the vault registry, the rugproof book or the insurance book), and each
-book records its own events, as the ledger records its movements.
+A scripted pool, vault or dispute step runs in the book that declares its
+op (the pool book, the vault registry, the rugproof book or the insurance
+book), and each book records its own events, as the ledger records its
+movements. Every swap, drain and liquidity move runs in the pool book, on
+the reserves the ledger holds; the engine keeps no copy of them.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -72,7 +75,7 @@ from .core import (
 from .detection import AuxMonitor, IntentAction, IntentBook, PoolMonitor
 from .insurance import InsuranceBook
 from .ledger import BalanceError, Ledger
-from .market import PoolState
+from .market import Pool, PoolBook
 from .perps import PerpBook
 from .rugproof import RugproofBook
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
@@ -126,15 +129,15 @@ class ChainView:
     would meet it. Pools, tokens, vaults and agents never change chain, so
     the views are built once, at materialize."""
 
-    __slots__ = ("aux", "processes", "pool_ids", "monitors", "outflow_keys", "mint_tokens",
+    __slots__ = ("aux", "processes", "pools", "outflow_keys", "mint_tokens",
                  "noise", "pegkeepers", "perp_books")
 
     def __init__(self, aux: AuxMonitor):
         self.aux = aux
         # (token, its parsed price_process section)
         self.processes: list[tuple[TokenId, dict]] = []
-        self.pool_ids: list[str] = []
-        self.monitors: list[tuple[str, PoolMonitor]] = []
+        # (pool, its liquidity monitor if it trades the numeraire)
+        self.pools: list[tuple[Pool, Optional[PoolMonitor]]] = []
         # (creator account, chain token) pairs whose outflows the aux scan reads
         self.outflow_keys: list[tuple[str, TokenId]] = []
         # chain tokens whose mints the aux scan reads (R is excluded)
@@ -160,8 +163,6 @@ class Simulation:
         self.ledger = Ledger(recorder=self._record_ledger_event)
 
         self.prices: dict[TokenId, FixedAmount] = {}
-        self.pools: dict[str, PoolState] = {}
-        self.pool_chain: dict[str, str] = {}
         self.vaults = VaultRegistry(scenario.accounts, self.ledger, TREASURY, self._event,
                                     scenario.bridge_delay_blocks, HOME_TOKEN)
         self.perp_books: dict[str, PerpBook] = {}
@@ -211,26 +212,13 @@ class Simulation:
                 self.prices[token] = market.price_at(process, 0)
                 views[entry["chain"]].processes.append((token, process))
 
-        for entry in sc.pools:
-            # the genesis reserves are the first deposit into an empty pool
-            empty = PoolState(entry["id"], entry["token_x"], entry["token_y"], ZERO, ZERO,
-                              fee_bps=entry["fee_bps"])
-            minted, pool = market.pool_add_liquidity(empty, entry["reserve_x"],
-                                                     entry["reserve_y"], ZERO)
-            self.pools[pool.pool_id] = pool
-            self.pool_chain[pool.pool_id] = entry["chain"]
-            account = self._pool_account(pool.pool_id)
-            self.ledger.mint(account, pool.token_x, pool.reserve_x, memo="genesis-pool")
-            self.ledger.mint(account, pool.token_y, pool.reserve_y, memo="genesis-pool")
-            self.ledger.mint(TREASURY, market.LP_TOKEN_PREFIX + pool.pool_id, minted,
-                             memo="genesis-lp")
-            self._prev_volumes[pool.pool_id] = 0
-            self._prev_liquidity[pool.pool_id] = self._pool_liquidity(pool).raw
-            view = views[entry["chain"]]
-            view.pool_ids.append(pool.pool_id)
-            if sc.numeraire in (pool.token_x, pool.token_y):
-                view.monitors.append(
-                    (pool.pool_id, PoolMonitor(pool.pool_id, det["drop_threshold"])))
+        self.pools = PoolBook(sc.pools, self.ledger, self._event, TREASURY, sc.numeraire)
+        for pool_id, pool in self.pools.pools.items():
+            self._prev_volumes[pool_id] = 0
+            self._prev_liquidity[pool_id] = self.pools.liquidity_raw(pool_id)
+            monitored = sc.numeraire in (pool.token_x, pool.token_y)
+            views[pool.chain].pools.append(
+                (pool, PoolMonitor(pool_id, det["drop_threshold"]) if monitored else None))
 
         for entry in sc.vaults:
             vault = self.vaults.create_vault(entry, self.prices[entry["rugged_token"]])
@@ -250,7 +238,8 @@ class Simulation:
         self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
         self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
                                        self._event)
-        self._book_of_op = {op: book for book in (self.vaults, self.rugproof, self.insurance)
+        self._book_of_op = {op: book for book in (self.pools, self.vaults, self.rugproof,
+                                                  self.insurance)
                             for op in book.OPS}
 
         # protocol transactions outbid drains by this much (the fee
@@ -259,7 +248,8 @@ class Simulation:
         self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
-        chain_of = {"pool": self.pool_chain, "token": token_chain, "home": {},
+        pool_chain = {pid: pool.chain for pid, pool in self.pools.pools.items()}
+        chain_of = {"pool": pool_chain, "token": token_chain, "home": {},
                     "vault": {vid: vault.chain for vid, vault in self.vaults.vaults.items()}}
         for agent in sc.agents:
             account = agent["account"]
@@ -271,11 +261,11 @@ class Simulation:
                     (account, step))
             noise = agent["noise"]
             if noise is not None:
-                views[self.pool_chain[noise["pool"]]].noise.append(
+                views[pool_chain[noise["pool"]]].noise.append(
                     (account, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
                      self.rng.stream("noise", account)))
             if agent["kind"] == "pegkeeper":
-                views[self.pool_chain[agent["pool"]]].pegkeepers.append(agent)
+                views[pool_chain[agent["pool"]]].pegkeepers.append(agent)
 
         # the first liquidator by account id bids on every flagged position
         self._liquidation_bidder = min(
@@ -303,15 +293,6 @@ class Simulation:
             self._unscanned_outflows.update(dict.fromkeys(view.outflow_keys, 0))
 
     # -- small helpers -------------------------------------------------------
-
-    def _pool_account(self, pool_id: str) -> str:
-        return f"pool:{pool_id}"
-
-    def _pool_liquidity(self, pool: PoolState) -> FixedAmount:
-        """The liquid (numeraire) side of a pool, else the y reserve."""
-        if pool.token_x == self.scenario.numeraire:
-            return pool.reserve_x
-        return pool.reserve_y
 
     def _record_ledger_event(self, event_type: str, *values: Any) -> None:
         self.trace.record(make_event(event_type, self.height, self._chain_ctx, values, {}))
@@ -343,25 +324,6 @@ class Simulation:
 
     def _mark_price(self, token: TokenId) -> FixedAmount:
         return self.prices.get(token, ZERO)
-
-    def _apply_swap(self, pool_id: str, account: str, input_token: TokenId,
-                    dx: FixedAmount, memo: str) -> Optional[FixedAmount]:
-        """Execute a swap against a pool, mirroring reserves in the ledger."""
-        dy, new_pool = market.pool_swap(self.pools[pool_id], input_token, dx)
-        return self._settle_swap(pool_id, account, input_token, dx, dy, new_pool, memo)
-
-    def _settle_swap(self, pool_id: str, account: str, input_token: TokenId,
-                     dx: FixedAmount, dy: FixedAmount, new_pool: PoolState,
-                     memo: str) -> FixedAmount:
-        """Move a sized swap's two legs through the ledger, set the pool to
-        ``new_pool`` and record the swap."""
-        out_token = new_pool.other(input_token)
-        pool_account = self._pool_account(pool_id)
-        self.ledger.transfer(account, pool_account, input_token, dx, memo=memo)
-        self.ledger.transfer(pool_account, account, out_token, dy, memo=memo)
-        self.pools[pool_id] = new_pool
-        self._event("swap", pool_id, account, input_token, dx, out_token, dy, memo)
-        return dy
 
     # -- run loop -------------------------------------------------------------
 
@@ -432,15 +394,27 @@ class Simulation:
     def _phase_detection(self, chain: str, view: ChainView, height: int) -> None:
         detectors = self.agents_by_kind.get("detector", [])
 
-        for pool_id, monitor in view.monitors:
-            signal = monitor.observe(height, self._pool_liquidity(self.pools[pool_id]))
-            if signal is not None:
-                self._event("risk_signal", signal.kind.value, signal.magnitude, pool=pool_id)
-
-        # auxiliary metrics over activity since this chain's last scan
+        # each pool's monitor observes its liquid side; the aux scan below
+        # reads the change in it and the volume since this chain's last scan
         # (everything the previous block did, nothing of this one yet), in
         # raw ints; no term is negative, so the scan range-checks the mint
         # and volume sums once
+        pools = self.pools
+        volume = delta_liq = 0
+        prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
+        for pool, monitor in view.pools:
+            pool_id = pool.pool_id
+            liquid = pools.liquidity_raw(pool_id)
+            if monitor is not None:
+                signal = monitor.observe(height, liquid)
+                if signal is not None:
+                    self._event("risk_signal", signal.kind.value, signal.magnitude,
+                                pool=pool_id)
+            current = _checked(pool.volume_x.raw + pool.volume_y.raw)
+            volume += current - prev_volumes[pool_id]
+            prev_volumes[pool_id] = current
+            delta_liq = _checked(delta_liq + liquid - prev_liquidity[pool_id])
+            prev_liquidity[pool_id] = liquid
         minted = 0
         mints, outflows = self._unscanned_mints, self._unscanned_outflows
         for token in view.mint_tokens:
@@ -454,16 +428,6 @@ class Simulation:
             if moved > outflow:
                 outflow = moved
                 balance_before = _checked(self.ledger.balance_raw(*key) + moved)
-        volume = delta_liq = 0
-        prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
-        for pool_id in view.pool_ids:
-            pool = self.pools[pool_id]
-            current = _checked(pool.volume_x.raw + pool.volume_y.raw)
-            volume += current - prev_volumes[pool_id]
-            prev_volumes[pool_id] = current
-            liquidity = self._pool_liquidity(pool).raw
-            delta_liq = _checked(delta_liq + liquidity - prev_liquidity[pool_id])
-            prev_liquidity[pool_id] = liquidity
         for signal in view.aux.scan(height, minted, outflow, balance_before, volume,
                                     delta_liq):
             self._event("risk_signal", signal.kind.value, signal.magnitude)
@@ -472,10 +436,11 @@ class Simulation:
         # docstring states; detector by detector, its front-runs, then the
         # sandwich, then the back-run
         for pending in self.pending_drains:
-            if self.pool_chain[pending.pool] != chain:
+            if pools.pools[pending.pool].chain != chain:
                 continue
             frontrun = height == pending.submitted_at + 1 < pending.executes_at
-            pool = self.pools[pending.pool]
+            pool = pools.state(pending.pool) \
+                if frontrun or height == pending.executes_at - 1 else None
             rug_token = pending.rug_token
             protected = set()  # each account is front-run once per drain
             for det in detectors:
@@ -492,8 +457,8 @@ class Simulation:
                                     amount=holdings, quoted=quoted)
                         self._enqueue(chain, height, PRIORITY_DRAIN + self.priority_boost,
                                       "plan_swap",
-                                      partial(self._apply_swap, pending.pool, name,
-                                              rug_token, holdings, memo="frontrun"))
+                                      partial(pools.trade, pending.pool, name,
+                                              rug_token, holdings, "frontrun"))
                 if det is self._sandwicher and height == pending.executes_at - 1:
                     account = det["account"]
                     budget = min(det["sandwich_budget"],
@@ -519,8 +484,8 @@ class Simulation:
         chain_prices = chain_liquidity = {}
         if self.intent_book.pending():
             chain_prices = {token: self.prices[token] for token, _ in view.processes}
-            chain_liquidity = {pid: self._pool_liquidity(self.pools[pid])
-                               for pid in view.pool_ids}
+            chain_liquidity = {pool.pool_id: FixedAmount(pools.liquidity_raw(pool.pool_id))
+                               for pool, _ in view.pools}
         for execution in detection.solver_step(self.intent_book, chain_prices,
                                                chain_liquidity,
                                                self.agents_by_kind.get("solver", [])):
@@ -544,42 +509,35 @@ class Simulation:
     def _exec_drain(self, pending: PendingDrain) -> None:
         self.pending_drains.remove(pending)
         pool_id, rug_token, creator = pending.pool, pending.rug_token, pending.creator
-        pool = self.pools[pool_id]
         held = self.ledger.balance(creator, rug_token)
         if held < pending.t_rug:
             raise BalanceError(
                 f"creator holds {held} {rug_token}, cannot drain {pending.t_rug}")
-        liquid_out, naive_target, new_pool = market.execute_drain(
-            pool, rug_token, pending.t_rug, pending.t_total)
+        liquid_out, naive_target, pool_after = market.execute_drain(
+            self.pools.state(pool_id), rug_token, pending.t_rug, pending.t_total)
         if liquid_out.raw > 0:
-            pool_account = self._pool_account(pool_id)
-            liquid_token = pool.other(rug_token)
-            self.ledger.transfer(creator, pool_account, rug_token,
-                                 pending.t_rug, memo="drain")
-            self.ledger.transfer(pool_account, creator, liquid_token,
-                                 liquid_out, memo="drain")
-            self.pools[pool_id] = new_pool
+            self.pools.move(creator, pool_after, rug_token, pending.t_rug, liquid_out, "drain")
         self._event("drain_executed", pool_id, creator, naive_target, liquid_out,
-                    market.spot_price(self.pools[pool_id]))
+                    market.spot_price(pool_after))
         pending.executed = True
 
     def _exec_sandwich_pre(self, pending: PendingDrain, account: str,
                            amount: FixedAmount) -> None:
-        pending.pre_out = self._apply_swap(pending.pool, account, pending.rug_token,
-                                           amount, memo="sandwich_pre")
+        pending.pre_out = self.pools.trade(pending.pool, account, pending.rug_token, amount,
+                                           "sandwich_pre")
 
     def _exec_sandwich_post(self, pending: PendingDrain, account: str,
                             target: FixedAmount) -> None:
         pool_id, rug_token = pending.pool, pending.rug_token
         if not pending.executed:
             raise StateError(f"the drain on {pool_id} did not execute")
-        pool = self.pools[pool_id]
+        pool = self.pools.state(pool_id)
         liquid_token = pool.other(rug_token)
         cost = market.pool_quote_exact_out(pool, rug_token, target)
         held = self.ledger.balance(account, liquid_token)
         if held < cost:
             raise StateError(f"sandwich post-leg needs {cost}, holds {held}")
-        self._apply_swap(pool_id, account, liquid_token, cost, memo="sandwich_post")
+        self.pools.trade(pool_id, account, liquid_token, cost, "sandwich_post")
         if pending.pre_out is None:
             return
         profit = pending.pre_out - cost
@@ -594,12 +552,12 @@ class Simulation:
         # priced at execution time: the quote needs the post-drain reserves
         if not pending.executed:
             raise StateError(f"the drain on {pending.pool} did not execute")
-        pool = self.pools[pending.pool]
+        pool = self.pools.state(pending.pool)
         numeraire = pool.other(pending.rug_token)
         budget = min(budget, self.ledger.balance(account, numeraire))
         spend = detection.plan_backrun(pool, pending.rug_token, budget, cap)
         if spend is not None:
-            self._apply_swap(pending.pool, account, numeraire, spend, memo="backrun")
+            self.pools.trade(pending.pool, account, numeraire, spend, "backrun")
 
     def _exec_intent(self, execution: detection.IntentExecution) -> None:
         intent = execution.intent
@@ -610,9 +568,10 @@ class Simulation:
             self._event("intent_skipped", intent.intent_id, owner, "no holdings")
             return
         if params["action"] is IntentAction.EXIT_TO_NUMERAIRE:
-            proceeds = self._apply_swap(pool_id, owner, token, holdings, memo="intent")
+            proceeds = self.pools.trade(pool_id, owner, token, holdings, "intent")
             fee = proceeds * execution.fee_bps / 10000
-            out_token = self.pools[pool_id].other(token)
+            pool = self.pools.pools[pool_id]
+            out_token = pool.token_y if token == pool.token_x else pool.token_x
             if fee.raw > 0:
                 self.ledger.transfer(owner, execution.solver, out_token,
                                      fee, memo="solver-fee")
@@ -629,10 +588,10 @@ class Simulation:
                     execution.fee_bps)
 
     def _exec_peg_keeper(self, agent: dict) -> None:
-        pool_id = agent["pool"]
-        pool = self.pools[pool_id]
         if agent["vault"] is None:
             return
+        pool_id = agent["pool"]
+        pool = self.pools.state(pool_id)
         vault = self.vaults.vault(agent["vault"])
         peg = anticoin_value(vault.price_at_creation, self._mark_price(vault.rugged_token))
         spot = market.spot_price(pool)
@@ -641,10 +600,10 @@ class Simulation:
         trade = market.peg_keeper_step(pool, peg, budget, agent["tolerance"])
         if trade is None:
             return
-        self._settle_swap(pool_id, agent["account"], trade.input_token, trade.amount_in,
-                          trade.amount_out, trade.pool, memo="peg_keeper")
+        self.pools.trade(pool_id, agent["account"], trade.input_token, trade.amount_in,
+                         "peg_keeper", (trade.amount_out, trade.pool))
         self._event("peg_trade", pool_id, peg, trade.amount_in, trade.input_token,
-                    market.spot_price(self.pools[pool_id]))
+                    market.spot_price(trade.pool))
 
     # -- scripted ops ------------------------------------------------------------
 
@@ -661,7 +620,7 @@ class Simulation:
 
     def _op_drain(self, account: str, step: dict) -> None:
         pool_id = step["pool"]
-        pool = self.pools[pool_id]
+        pool = self.pools.pools[pool_id]
         rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
             else pool.token_y
         pending = PendingDrain(pool_id, account, rug_token, step["t_rug"],
@@ -675,44 +634,6 @@ class Simulation:
     def _op_transfer(self, account: str, step: dict) -> None:
         self.ledger.transfer(account, step["to"], step["token"],
                              step["amount"], memo="script-transfer")
-
-    def _op_swap(self, account: str, step: dict) -> None:
-        self._apply_swap(step["pool"], account, step["token_in"],
-                         step["amount"], memo="script-swap")
-
-    def _op_add_liquidity(self, account: str, step: dict) -> None:
-        pool_id = step["pool"]
-        pool = self.pools[pool_id]
-        dx = step["dx"]
-        lp = market.LP_TOKEN_PREFIX + pool_id
-        minted, new_pool = market.pool_add_liquidity(pool, dx, step["dy"],
-                                                     self.ledger.total_supply(lp))
-        dy = new_pool.reserve_y - pool.reserve_y
-        for token, amount in ((pool.token_x, dx), (pool.token_y, dy)):
-            held = self.ledger.balance(account, token)
-            if held < amount:
-                raise BalanceError(f"{account} holds {held} {token}, cannot send {amount}")
-        # checks first; the mint, the one write that can still fail, goes first
-        self.ledger.mint(account, lp, minted, memo="add-liq")
-        pool_account = self._pool_account(pool_id)
-        self.ledger.transfer(account, pool_account, pool.token_x, dx, memo="add-liq")
-        self.ledger.transfer(account, pool_account, pool.token_y, dy, memo="add-liq")
-        self.pools[pool_id] = new_pool
-        self._event("add_liquidity", pool_id, account, dx, dy)
-
-    def _op_remove_liquidity(self, account: str, step: dict) -> None:
-        pool_id = step["pool"]
-        lp = market.LP_TOKEN_PREFIX + pool_id
-        out_x, out_y, burned, new_pool = market.pool_remove_liquidity(
-            self.pools[pool_id], step["share"], self.ledger.total_supply(lp))
-        self.ledger.burn(account, lp, burned, memo="remove-liq")
-        pool_account = self._pool_account(pool_id)
-        self.ledger.transfer(pool_account, account, new_pool.token_x, out_x,
-                             memo="remove-liq")
-        self.ledger.transfer(pool_account, account, new_pool.token_y, out_y,
-                             memo="remove-liq")
-        self.pools[pool_id] = new_pool
-        self._event("remove_liquidity", pool_id, account, out_x, out_y)
 
     def _op_open_position(self, account: str, step: dict) -> None:
         vault_id = step["vault"]
@@ -730,7 +651,7 @@ class Simulation:
         """Also registers each top-level ``intents[i]`` entry, for its owner."""
         pool_id = step["pool"]
         self.intent_book.register(account, step, self._mark_price(step["token"]),
-                                  self._pool_liquidity(self.pools[pool_id]))
+                                  FixedAmount(self.pools.liquidity_raw(pool_id)))
         self._event("intent_registered", account, pool_id, step["theta_price"],
                     step["theta_liquidity"])
 
@@ -738,15 +659,14 @@ class Simulation:
                      rng: random.Random) -> None:
         if rng.random() >= prob:
             return
-        pool = self.pools[pool_id]
+        pool = self.pools.pools[pool_id]
         size = rng.randint(1, max_raw)
         token = pool.token_x if rng.random() < 0.5 else pool.token_y
         size = min(size, self.ledger.balance_raw(account, token))
         if size <= 0:
             return
         try:
-            self._apply_swap(pool_id, account, token, FixedAmount(size),
-                             memo="noise")
+            self.pools.trade(pool_id, account, token, FixedAmount(size), "noise")
         except RugsimError as exc:
             self._failed("noise", exc, account=account)
 
@@ -760,7 +680,7 @@ class Simulation:
                 continue
             l_pool = ZERO
             if self.perp_amm is not None:
-                l_pool = self._pool_liquidity(self.pools[self.perp_amm])
+                l_pool = FixedAmount(self.pools.liquidity_raw(self.perp_amm))
             if height % book.params["interval_blocks"] == 0 and l_pool.raw > 0:
                 round_ = book.apply_funding(self.ledger, l_pool, TREASURY)
                 if round_ is not None:
@@ -775,9 +695,8 @@ class Simulation:
                             event.liquidator, event.fee_ca, event.swap_ca)
                 if event.swap_ca.raw > 0 and self.perp_amm is not None:
                     try:
-                        proceeds = self._apply_swap(self.perp_amm, PERP_SETTLEMENT,
-                                                    book.anticoin, event.swap_ca,
-                                                    memo="liq-settle")
+                        proceeds = self.pools.trade(self.perp_amm, PERP_SETTLEMENT,
+                                                    book.anticoin, event.swap_ca, "liq-settle")
                         numeraire = self.scenario.numeraire
                         self.ledger.transfer(PERP_SETTLEMENT, TREASURY, numeraire,
                                              proceeds, memo="liq-proceeds")
@@ -814,20 +733,24 @@ class Simulation:
         numeraire pool at that pool's spot price, and each LP position as
         its pro-rata claim on both of its pool's reserves, valued alike."""
         numeraire = self.scenario.numeraire
+        balance = self.ledger.balance_raw
+        pools = self.pools.pools.values()
         spots = {numeraire: ONE}
-        for pool in self.pools.values():
-            if pool.token_y == numeraire and pool.reserve_x.raw > 0:
-                spots[pool.token_x] = market.spot_price(pool)
-        held = {token: self.ledger.balance_raw(account, token) for token in spots}
-        for pool in self.pools.values():
+        for pool in pools:
+            reserve_x = balance(pool.account, pool.token_x)
+            if pool.token_y == numeraire and reserve_x > 0:
+                spots[pool.token_x] = (FixedAmount(balance(pool.account, numeraire))
+                                       / FixedAmount(reserve_x))
+        held = {token: balance(account, token) for token in spots}
+        for pool in pools:
             lp = market.LP_TOKEN_PREFIX + pool.pool_id
-            share = self.ledger.balance_raw(account, lp)
+            share = balance(account, lp)
             if share > 0:
                 supply = self.ledger.total_supply(lp).raw
-                for token, reserve in ((pool.token_x, pool.reserve_x),
-                                       (pool.token_y, pool.reserve_y)):
+                for token in (pool.token_x, pool.token_y):
                     if token in held:
-                        held[token] += _div_round_half_even(reserve.raw * share, supply)
+                        held[token] += _div_round_half_even(
+                            balance(pool.account, token) * share, supply)
         return fsum(FixedAmount(raw) * spots[token] for token, raw in held.items())
 
     def finalize(self) -> None:
@@ -837,10 +760,10 @@ class Simulation:
             "balances": snapshot["balances"],
             "supply": snapshot["supply"],
             "pools": {
-                pid: {"reserve_x": str(p.reserve_x), "reserve_y": str(p.reserve_y),
-                      "token_x": p.token_x, "token_y": p.token_y,
-                      "fee_bps": p.fee_bps}
-                for pid, p in sorted(self.pools.items())},
+                pid: {"reserve_x": str(self.ledger.balance(p.account, p.token_x)),
+                      "reserve_y": str(self.ledger.balance(p.account, p.token_y)),
+                      "token_x": p.token_x, "token_y": p.token_y, "fee_bps": p.fee_bps}
+                for pid, p in sorted(self.pools.pools.items())},
             "vaults": self.vaults.snapshot(self.scenario.chains),
             "perps": {vid: book.snapshot()
                       for vid, book in sorted(self.perp_books.items())},

@@ -1,18 +1,25 @@
 """Price processes for the three rug-pull archetypes, constant-product AMM
-pools, liquidity-drain execution, and the peg-keeper that steers the
-anticoin pool toward its inverse-log valuation.
+pools, liquidity-drain execution, the peg-keeper that steers the anticoin
+pool toward its inverse-log valuation, and the pool book that runs every
+pool's trades and liquidity ops.
 
 Pool operations are pure: they take a PoolState and return a new one. Swap
 output is rounded *down* to the quantum (in the pool's favor), so the
 product of reserves never decreases; the deviation from the exact
 constant-product solution stays below one quantum per operation.
+
+A pool's reserves are its ``pool:<id>`` ledger balances and nothing else:
+the ``PoolBook`` keeps each pool's tokens, fee, chain and volumes, and
+builds a PoolState from those balances only for the pure functions to
+read. Engine-owned account names are refused at load, so nothing but the
+book moves a pool account's tokens.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     DustError,
@@ -30,6 +37,7 @@ from .core import (
     _div_round_half_even,
     _exp_neg_raw,
 )
+from .ledger import BalanceError, Ledger
 
 
 class RatioError(RugsimError):
@@ -353,3 +361,114 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
     except (DustError, IlliquidError):
         return None
     return PegTrade(input_token, amount_in, amount_out, new_pool)
+
+
+# -- the pool book ----------------------------------------------------------
+
+
+class Pool:
+    """A pool's fixed facts and its running volumes; its reserves are the
+    balances of ``account``, and ``liquid_token`` is its numeraire side,
+    else its token_y."""
+
+    __slots__ = ("pool_id", "chain", "token_x", "token_y", "fee_bps", "account",
+                 "liquid_token", "volume_x", "volume_y")
+
+    def __init__(self, params: dict, numeraire: TokenId):
+        self.pool_id, self.chain = params["id"], params["chain"]
+        self.token_x, self.token_y = params["token_x"], params["token_y"]
+        self.fee_bps = params["fee_bps"]
+        self.account = f"pool:{self.pool_id}"
+        self.liquid_token = self.token_x if self.token_x == numeraire else self.token_y
+        self.volume_x = self.volume_y = ZERO
+
+
+class PoolBook:
+    """The pools of the parsed ``pools`` entries, of every chain, by id. The
+    book runs its script ops (``OPS``) and every other trade against a pool
+    on ``ledger``, and records each one's event through ``record``. It keeps
+    no reserves: ``state`` reads them from the ledger for the pure
+    functions. Made, it mints each pool's genesis reserves, the first
+    deposit into it while empty, and the LP tokens they earn to
+    ``treasury``."""
+
+    OPS = ("swap", "add_liquidity", "remove_liquidity")
+
+    def __init__(self, entries: list[dict], ledger: Ledger, record: Callable[..., None],
+                 treasury: str, numeraire: TokenId):
+        self.ledger, self.record = ledger, record
+        self.pools = {entry["id"]: Pool(entry, numeraire) for entry in entries}
+        for entry in entries:
+            pool, dx, dy = self.pools[entry["id"]], entry["reserve_x"], entry["reserve_y"]
+            minted, _ = pool_add_liquidity(self.state(pool.pool_id), dx, dy, ZERO)
+            ledger.mint(pool.account, pool.token_x, dx, memo="genesis-pool")
+            ledger.mint(pool.account, pool.token_y, dy, memo="genesis-pool")
+            ledger.mint(treasury, LP_TOKEN_PREFIX + pool.pool_id, minted, memo="genesis-lp")
+
+    def state(self, pool_id: PoolId) -> PoolState:
+        pool = self.pools[pool_id]
+        held = self.ledger.balance_raw
+        return PoolState(pool_id, pool.token_x, pool.token_y,
+                         FixedAmount(held(pool.account, pool.token_x)),
+                         FixedAmount(held(pool.account, pool.token_y)), pool.fee_bps,
+                         pool.volume_x, pool.volume_y)
+
+    def liquidity_raw(self, pool_id: PoolId) -> int:
+        pool = self.pools[pool_id]
+        return self.ledger.balance_raw(pool.account, pool.liquid_token)
+
+    def move(self, account: str, after: PoolState, input_token: TokenId, dx: FixedAmount,
+             dy: FixedAmount, memo: str) -> TokenId:
+        """Move a trade that a pure function sized on ``state``, dx of
+        ``input_token`` in and dy of the other token out, and take the
+        volumes of ``after``, the pool it returned; returns the other token.
+        The sizing range-checked every reserve and volume, so only the debit,
+        the first move, can fail."""
+        pool = self.pools[after.pool_id]
+        out_token = pool.token_y if input_token == pool.token_x else pool.token_x
+        self.ledger.transfer(account, pool.account, input_token, dx, memo=memo)
+        self.ledger.transfer(pool.account, account, out_token, dy, memo=memo)
+        pool.volume_x, pool.volume_y = after.volume_x, after.volume_y
+        return out_token
+
+    def trade(self, pool_id: PoolId, account: str, input_token: TokenId, dx: FixedAmount,
+              memo: str, sized: Optional[tuple[FixedAmount, PoolState]] = None
+              ) -> FixedAmount:
+        """Swap dx of ``input_token`` in for ``account`` and record it;
+        returns the output. ``sized`` is the (output, pool after) a pure
+        function already found for dx on ``state(pool_id)``; else pool_swap
+        finds it."""
+        dy, after = sized or pool_swap(self.state(pool_id), input_token, dx)
+        out_token = self.move(account, after, input_token, dx, dy, memo)
+        self.record("swap", pool_id, account, input_token, dx, out_token, dy, memo)
+        return dy
+
+    def swap(self, account: str, step: dict, height: int) -> None:
+        self.trade(step["pool"], account, step["token_in"], step["amount"], "script-swap")
+
+    def add_liquidity(self, account: str, step: dict, height: int) -> None:
+        pool_id, dx = step["pool"], step["dx"]
+        pool, lp = self.state(pool_id), LP_TOKEN_PREFIX + pool_id
+        minted, after = pool_add_liquidity(pool, dx, step["dy"], self.ledger.total_supply(lp))
+        dy = after.reserve_y - pool.reserve_y
+        for token, amount in ((pool.token_x, dx), (pool.token_y, dy)):
+            held = self.ledger.balance(account, token)
+            if held < amount:
+                raise BalanceError(f"{account} holds {held} {token}, cannot send {amount}")
+        # checks first; the mint, the one write that can still fail, goes first
+        self.ledger.mint(account, lp, minted, memo="add-liq")
+        for token, amount in ((pool.token_x, dx), (pool.token_y, dy)):
+            self.ledger.transfer(account, self.pools[pool_id].account, token, amount,
+                                 memo="add-liq")
+        self.record("add_liquidity", pool_id, account, dx, dy)
+
+    def remove_liquidity(self, account: str, step: dict, height: int) -> None:
+        pool_id = step["pool"]
+        pool, lp = self.state(pool_id), LP_TOKEN_PREFIX + pool_id
+        out_x, out_y, burned, _ = pool_remove_liquidity(pool, step["share"],
+                                                        self.ledger.total_supply(lp))
+        self.ledger.burn(account, lp, burned, memo="remove-liq")
+        for token, amount in ((pool.token_x, out_x), (pool.token_y, out_y)):
+            self.ledger.transfer(self.pools[pool_id].account, account, token, amount,
+                                 memo="remove-liq")
+        self.record("remove_liquidity", pool_id, account, out_x, out_y)

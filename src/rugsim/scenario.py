@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple, Optional
 
-from .core import MAX_RAW, SCALE, FixedAmount, RugsimError, amt
+from .core import HOME_TOKEN, MAX_RAW, SCALE, FixedAmount, RugsimError, amt
 from .detection import IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
 from .market import LP_TOKEN_PREFIX, RugKind
@@ -27,8 +27,6 @@ from .trace import EVENT_TYPES
 from .vault import ReceiptKind, anticoin_id
 
 # the home chain's token: the treasury is minted tokenomics.initial_supply of it
-HOME_TOKEN = "R"
-
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
 

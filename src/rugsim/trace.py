@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from .core import FNV_OFFSET, MAX_RAW, SCALE, FixedAmount, fnv1a_64
+from .core import FNV_OFFSET, HOME_TOKEN, MAX_RAW, SCALE, FixedAmount, fnv1a_64
 
 EVENTS_FILE = "events.jsonl"
 TELEMETRY_FILE = "telemetry.csv"
@@ -353,9 +353,11 @@ def verify_trace(trace_dir: str) -> VerifyResult:
     of at most nine places or is above MAX_RAW, or an account or token
     that is not a string; a negative amount or a debit the running
     balance does not cover; a balance credited past MAX_RAW); replayed
-    final balances that differ from state.json's. Lines after a replay
-    failure are still hashed and decoded, so this order holds wherever
-    the failures sit.
+    final balances that differ from state.json's; state.json's pools,
+    supply, home_token_supply and failed_events, rebuilt from the replayed
+    balances and the ``failed`` lines, that differ from it (see
+    ``_derived_mismatch``). Lines after a replay failure are still hashed
+    and decoded, so this order holds wherever the failures sit.
     """
     paths = {name: Path(trace_dir, name) for name in (EVENTS_FILE, STATE_FILE, HASH_FILE)}
     for name, path in paths.items():
@@ -363,7 +365,7 @@ def verify_trace(trace_dir: str) -> VerifyResult:
             return VerifyResult(False, error=f"missing {name}", unreadable=True)
 
     reading = HASH_FILE
-    state, line, balances = FNV_OFFSET, 0, {}
+    state, line, balances, failed = FNV_OFFSET, 0, {}, 0
     get = balances.get
     malformed: Optional[tuple] = None  # the first line that is not UTF-8 JSON, and its number
     failure: Optional[tuple] = None  # the first movement rejected: (error, event, line)
@@ -415,6 +417,9 @@ def verify_trace(trace_dir: str) -> VerifyResult:
                         failure = "malformed event line", event, line
                         continue
                     kind = event.get("type")
+                    if kind == "failed":
+                        failed += 1
+                        continue
                     move = _REPLAY.get(kind) if type(kind) is str else None
                     if move is None:
                         continue
@@ -491,4 +496,49 @@ def verify_trace(trace_dir: str) -> VerifyResult:
                     first_violation=f"account {account}: replay="
                                     f"{replayed_final.get(account)} "
                                     f"recorded={recorded_final.get(account)}")
+    mismatch = _derived_mismatch(snapshot, balances, failed)
+    if mismatch is not None:
+        return VerifyResult(False, error=mismatch[0], first_violation=mismatch[1])
     return VerifyResult(True)
+
+
+def _derived_mismatch(snapshot: dict, balances: dict[tuple[str, str], int],
+                      failed: int) -> Optional[tuple[str, str]]:
+    """The first value of state.json's ``pools``, ``supply``,
+    ``home_token_supply`` and ``failed_events`` that is not the replay's, as
+    (error, violation), else None. A pool's reserve is its ``pool:<id>``
+    balance of that side's token (0 if absent; pools by sorted id), and a
+    token's supply its balances summed, recorded only if not 0. Amounts
+    compare in value; an absent section reads as an empty run's."""
+    supply: dict[str, int] = {}
+    for (_, token), raw in balances.items():
+        if raw:
+            supply[token] = supply.get(token, 0) + raw
+    pools, recorded_supply = snapshot.get("pools", {}), snapshot.get("supply", {})
+    if type(pools) is not dict or type(recorded_supply) is not dict:
+        return "state.json pools or supply is not a JSON object", ""
+    # (section, where, recorded, replayed raw or None where nothing may be)
+    checks = []
+    for pool_id, entry in sorted(pools.items()):
+        entry = entry if type(entry) is dict else {}
+        for side in "xy":
+            token = entry.get(f"token_{side}")
+            replayed = balances.get((f"pool:{pool_id}", token), 0) \
+                if type(token) is str else None
+            checks.append(("pools", f"pool {pool_id}: reserve_{side}",
+                           entry.get(f"reserve_{side}"), replayed))
+    checks += [("supply", f"token {token}", recorded_supply.get(token), supply.get(token))
+               for token in sorted(set(recorded_supply) | set(supply))]
+    checks.append(("home_token_supply", HOME_TOKEN, snapshot.get("home_token_supply", "0"),
+                   supply.get(HOME_TOKEN, 0)))
+    for section, where, recorded, replayed in checks:
+        if replayed is None or _amount_raw(recorded) != replayed:
+            shown = "absent" if replayed is None else (
+                str(FixedAmount(replayed)) if replayed <= MAX_RAW else f"{replayed} quanta")
+            return (f"state.json {section} does not match replay",
+                    f"{where} replay={shown} recorded={recorded}")
+    recorded = snapshot.get("failed_events", 0)
+    if type(recorded) is not int or recorded != failed:
+        return ("state.json failed_events does not match replay",
+                f"replay={failed} recorded={recorded}")
+    return None

@@ -35,8 +35,28 @@ for path in (ROOT / "src", ROOT / "perfbench"):
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from rugsim.cli import main  # noqa: E402
+from rugsim.scenario import scam_scenario  # noqa: E402
 
 PINNED_FILE = Path(__file__).resolve().parent / "data" / "pinned_hashes.json"
+
+
+def failed_pool_ops_doc() -> dict:
+    """builtin:scam with a failure on every pool path: a swap of more RUG
+    than its account holds, an add at the wrong ratio and a removal with no
+    LP tokens; the creator gives away what the drain sells, so the drain
+    fails and the sandwich's post leg and the back-run fail after it."""
+    doc = scam_scenario()
+    for account in doc["accounts"]:
+        if account["id"] == "guard":
+            account["balances"] = {"RUG": "50", "USDN": "500"}
+    doc["agents"][0]["script"].append({"block": 4, "op": "transfer", "to": "unprotected",
+                                       "token": "RUG", "amount": "800"})
+    doc["agents"][2]["sandwich_budget"] = "50"
+    doc["agents"].append({"kind": "retail", "account": "unprotected", "script": [
+        {"block": 2, "op": "swap", "pool": "rug-usdn", "token_in": "RUG", "amount": "1000"},
+        {"block": 2, "op": "add_liquidity", "pool": "rug-usdn", "dx": "10", "dy": "50"},
+        {"block": 3, "op": "remove_liquidity", "pool": "rug-usdn", "share": "0.5"}]})
+    return doc
 
 # name -> (the document: a builtin name, a function building one or None,
 #          the extra command-line arguments, the command)
@@ -46,6 +66,7 @@ CORPUS: dict[str, tuple[str | Callable[[], dict] | None, list[str], str]] = {
     "reference_doc(9001, 2000)": (lambda: workloads.reference_doc(9001, 2000), [], "run"),
     "storm_doc(777)": (lambda: workloads.storm_doc(777), [], "run"),
     "storm_doc(31337)": (lambda: workloads.storm_doc(31337), [], "run"),
+    "failed_pool_ops_doc()": (failed_pool_ops_doc, [], "run"),
     "builtin:reference lambda sweep (summary.csv sha256)": (
         "builtin:reference", ["--param", workloads.SWEEP_PARAM], "sweep"),
     # points share the parsed lists their path leaves alone: this one

@@ -46,25 +46,25 @@ def mk_pool(rx=1000, ry=1000, fee=0):
 
 def test_observe_liquidity_drop():
     monitor = PoolMonitor("p", drop_threshold=amt("0.2"))
-    assert monitor.observe(1, amt(1000)) is None
-    signal = monitor.observe(2, amt(400))
+    assert monitor.observe(1, amt(1000).raw) is None
+    signal = monitor.observe(2, amt(400).raw)
     assert signal.kind is SignalKind.LIQUIDITY_DROP
     assert signal.magnitude == amt("0.6")
 
 
 def test_observe_quiet_cases():
     monitor = PoolMonitor("p", drop_threshold=amt("0.2"))
-    monitor.observe(1, amt(1000))
-    assert monitor.observe(2, amt(1000)) is None   # unchanged
-    assert monitor.observe(3, amt(950)) is None    # 5% < 20%
-    assert monitor.observe(4, amt(2000)) is None   # inflow
+    monitor.observe(1, amt(1000).raw)
+    assert monitor.observe(2, amt(1000).raw) is None   # unchanged
+    assert monitor.observe(3, amt(950).raw) is None    # 5% < 20%
+    assert monitor.observe(4, amt(2000).raw) is None   # inflow
 
 
 def test_observe_requires_increasing_heights():
     monitor = PoolMonitor("p", drop_threshold=amt("0.2"))
-    monitor.observe(5, amt(1000))
+    monitor.observe(5, amt(1000).raw)
     with pytest.raises(ParameterError):
-        monitor.observe(5, amt(900))
+        monitor.observe(5, amt(900).raw)
 
 
 def test_aux_monitor_signals():
@@ -214,7 +214,7 @@ def test_raw_pool_monitor_matches_the_fixed_amount_expression(threshold, levels)
     prev = None
     for height, raw in enumerate(levels, start=1):
         level = FixedAmount(raw)
-        got = _outcome(lambda: monitor.observe(height, level))
+        got = _outcome(lambda: monitor.observe(height, raw))
         if prev is None:
             assert got is None
         else:

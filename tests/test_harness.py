@@ -3,9 +3,11 @@ conservation, determinism, and the dispute/perps flows driven end-to-end
 through scripted scenarios."""
 
 import copy
+import gc
 import importlib.util
 import json
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pinned
+from rugsim import market
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
 from rugsim.detection import IntentAction
@@ -723,9 +726,10 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
 
 def test_script_op_table_names_every_handler():
     # every op has exactly one runner: a Simulation._op_* method or one
-    # book's declared op (the vault registry's or a dispute book's), never both
+    # book's declared op (the pool book's, the vault registry's or a dispute
+    # book's), never both
     runners = [name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")]
-    for book in (VaultRegistry, RugproofBook, InsuranceBook):
+    for book in (market.PoolBook, VaultRegistry, RugproofBook, InsuranceBook):
         assert all(callable(getattr(book, op, None)) for op in book.OPS), book
         runners += book.OPS
     assert sorted(runners) == sorted(SCRIPT_OPS)
@@ -830,10 +834,20 @@ def lp_pool_doc(blocks, reserve_x="1000", reserve_y="1000"):
 
 
 def assert_pools_hold_their_reserves(sim):
-    for pool_id, pool in sim.pools.items():
+    # each pool's reserves are what the recorded movements left in its account
+    moved = Counter()
+    for event in sim.trace.events:
+        if event["type"] in ("mint", "transfer"):
+            moved[event.get("dst", event.get("account")), event["token"]] += \
+                amt(event["amount"]).raw
+        if event["type"] in ("burn", "transfer"):
+            moved[event.get("src", event.get("account")), event["token"]] -= \
+                amt(event["amount"]).raw
+    for pool_id in sim.pools.pools:
+        pool = sim.pools.state(pool_id)
         account = f"pool:{pool_id}"
-        assert sim.ledger.balance(account, pool.token_x) == pool.reserve_x
-        assert sim.ledger.balance(account, pool.token_y) == pool.reserve_y
+        assert pool.reserve_x.raw == moved[account, pool.token_x]
+        assert pool.reserve_y.raw == moved[account, pool.token_y]
 
 
 def test_lp_share_ledger_enforced(tmp_path):
@@ -950,7 +964,7 @@ def test_an_add_into_an_emptied_reserve_fails():
     sim, trace = run_scenario(doc)
     assert [(e["op"], e["error"]) for e in trace.events if e["type"] == "failed"] \
         == [("add_liquidity", "IlliquidError")]
-    assert sim.pools["p"].reserve_x == amt(0)
+    assert sim.pools.state("p").reserve_x == amt(0)
     assert_pools_hold_their_reserves(sim)
 
 
@@ -969,7 +983,7 @@ def test_an_auto_add_into_a_closed_pool_fails_naming_the_pool():
     [failed] = [e for e in trace.events if e["type"] == "failed"]
     assert (failed["op"], failed["error"]) == ("add_liquidity", "IlliquidError")
     assert failed["detail"].startswith("pool p ")
-    assert sim.pools["p"].is_closed()
+    assert sim.pools.state("p").is_closed()
     assert sim.ledger.balance("alice", "RUG") == amt(100)
     assert_pools_hold_their_reserves(sim)
 
@@ -978,7 +992,7 @@ def test_mark_to_market_values_an_lp_position_as_its_claim_on_both_reserves():
     # lp-1 put 1,000 RUG and ~2,000 USDN into rug-usdn at block 10; its LP
     # tokens are worth that claim, not nothing
     sim, _ = run_scenario(reference_scenario(blocks=12))
-    pool = sim.pools["rug-usdn"]
+    pool = sim.pools.state("rug-usdn")
     spot = pool.reserve_y.as_fraction() / pool.reserve_x.as_fraction()
     share = (sim.ledger.balance("lp-1", "lp:rug-usdn").as_fraction()
              / sim.ledger.total_supply("lp:rug-usdn").as_fraction())
@@ -990,6 +1004,50 @@ def test_mark_to_market_values_an_lp_position_as_its_claim_on_both_reserves():
     # quantum each is 1e-5
     assert abs(sim.mark_to_market("lp-1").as_fraction() - exact) < Fraction(1, 10**5)
     assert 79_990 < exact < 80_000
+
+
+def test_a_pool_reads_its_reserves_from_the_ledger():
+    # the ledger is the pool's only record: a move of the pool account's
+    # tokens is the pool's new reserve, for its state and for a quote
+    sim = Simulation(load_scenario(lp_pool_doc(blocks=3)))
+    before = sim.pools.state("p")
+    quoted = market.pool_quote(before, "RUG", amt(10))
+    sim.ledger.transfer("pool:p", "alice", "USDN", amt(500))
+    after = sim.pools.state("p")
+    assert (after.reserve_x, after.reserve_y) == (amt(1000), amt(500))
+    assert market.pool_quote(after, "RUG", amt(10)) < quoted
+    assert market.pool_quote(after, "RUG", amt(10)) == market.pool_quote(
+        market.PoolState("p", "RUG", "USDN", amt(1000), amt(500), fee_bps=0), "RUG", amt(10))
+    sim.pools.trade("p", "alice", "RUG", amt(10), "test")
+    assert sim.ledger.balance("pool:p", "RUG") == sim.pools.state("p").reserve_x == amt(1010)
+
+
+def pool_states_reachable_from(root) -> list:
+    """Every PoolState reachable from ``root``'s attributes and containers,
+    not through a module, a class or a module's namespace."""
+    skipped = {id(vars(module)) for module in list(sys.modules.values())}
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if (id(obj) in seen or id(obj) in skipped
+                or isinstance(obj, (type, types.ModuleType, str, bytes, int))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, market.PoolState):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_pool_state_is_kept_between_blocks():
+    sim = Simulation(load_scenario(multichain_doc()))
+    assert pool_states_reachable_from(sim) == []
+    for _ in range(sim.scenario.blocks):
+        sim.step()
+        assert pool_states_reachable_from(sim) == [], sim.height
+    # the walk does see one where a book keeps it
+    sim.pending_drains.append(sim.pools.state("a-usdn"))
+    assert len(pool_states_reachable_from(sim)) == 1
 
 
 def test_chaos_scripts_never_crash_the_engine(tmp_path):

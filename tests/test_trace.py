@@ -592,6 +592,71 @@ def test_state_json_carries_no_initial_balances_and_older_traces_verify(tmp_path
     assert verify_trace(str(tmp_path)).ok
 
 
+def set_in_state(*path, value):
+    """A damage that sets one value of state.json, at a path of keys."""
+    def damage(trace_dir):
+        state = json.loads((trace_dir / "state.json").read_text())
+        *outer, last = path
+        section = state
+        for key in outer:
+            section = section[key]
+        section[last] = value
+        (trace_dir / "state.json").write_text(json.dumps(state))
+    return damage
+
+
+@pytest.mark.parametrize("damage,message,violation", [
+    (set_in_state("pools", "rug-usdn", "reserve_x", value="1"),
+     "state.json pools does not match replay", "pool rug-usdn: reserve_x replay="),
+    (set_in_state("pools", "anti-usdn", "reserve_y", value="1.0000000001"),
+     "state.json pools does not match replay", "pool anti-usdn: reserve_y replay="),
+    (set_in_state("pools", "rug-usdn", "token_y", value="RUG"),
+     "state.json pools does not match replay", "pool rug-usdn: reserve_y replay="),
+    (set_in_state("pools", "rug-usdn", value=5),
+     "state.json pools does not match replay",
+     "pool rug-usdn: reserve_x replay=absent recorded=None"),
+    (set_in_state("supply", "RUG", value="1"),
+     "state.json supply does not match replay", "token RUG replay="),
+    (set_in_state("supply", "NEW", value="0"),
+     "state.json supply does not match replay", "token NEW replay=absent recorded=0"),
+    (set_in_state("home_token_supply", value="5"),
+     "state.json home_token_supply does not match replay", "R replay="),
+    (set_in_state("failed_events", value=7),
+     "state.json failed_events does not match replay", "replay=0 recorded=7"),
+    (set_in_state("failed_events", value=False),
+     "state.json failed_events does not match replay", "replay=0 recorded=False"),
+], ids=["pool-reserve-x", "pool-reserve-y-ten-places", "pool-token", "pool-not-object", "supply",
+        "supply-zero-token", "home-token-supply", "failed-events", "failed-events-bool"])
+def test_verify_rebuilds_state_sections_from_the_replay(tmp_path, capsys, damage, message,
+                                                        violation):
+    # state.json is not hashed: each edit leaves the events and both hashes
+    # as written, and only the replay can catch it
+    short_trace().write(str(tmp_path))
+    assert main(["verify", "--trace", str(tmp_path)]) == 0
+    capsys.readouterr()
+    damage(tmp_path)
+    assert main(["verify", "--trace", str(tmp_path)]) == 4
+    first, second = capsys.readouterr().err.splitlines()
+    assert first == f"verification failed: {message}"
+    assert second.startswith(f"first violation: {violation}")
+
+
+def test_verify_counts_failed_lines_and_reads_absent_reserves_as_zero(tmp_path):
+    # builtin:scam with a failed drain: state.json counts two failed lines,
+    # and a pool's reserve of a token its account never held replays as 0
+    from test_harness import failed_drain_doc
+    _, trace = run_scenario(failed_drain_doc())
+    trace.write(str(tmp_path))
+    assert trace.failed_events == 2 and verify_trace(str(tmp_path)).ok
+    set_in_state("failed_events", value=1)(tmp_path)
+    assert verdict(tmp_path)[1] == "state.json failed_events does not match replay"
+    set_in_state("failed_events", value=2)(tmp_path)
+    set_in_state("pools", "rug-usdn", "token_x", value="NOPE")(tmp_path)
+    assert verdict(tmp_path)[2].startswith("pool rug-usdn: reserve_x replay=0 recorded=")
+    set_in_state("pools", "rug-usdn", "reserve_x", value="0")(tmp_path)
+    assert verify_trace(str(tmp_path)).ok
+
+
 def rewrite_file(name: str, content: bytes):
     def rewrite(trace_dir):
         (trace_dir / name).write_bytes(content)
@@ -618,6 +683,8 @@ def append_and_reseal(content: bytes):
      4, "state.json initial_balances is not empty"),
     (lambda trace_dir: edit_state(trace_dir, balances=[[1]]),
      4, "state.json balances is not a JSON object"),
+    (lambda trace_dir: edit_state(trace_dir, pools=[[1]]),
+     4, "state.json pools or supply is not a JSON object"),
     (rewrite_file("hash.txt", b"\xff\xfe\n"), 4, "hash.txt is not UTF-8 text"),
     (events_as_directory, 2, "cannot read events.jsonl: "),
     (append_and_reseal(b'{"big":' + b"9" * 5000 + b"}\n"), 4, "malformed event line"),
@@ -626,7 +693,7 @@ def append_and_reseal(content: bytes):
                            b'"token":"T","type":"mint"}\n'),
      4, "balance out of range"),
 ], ids=["state-not-json", "state-not-object", "initial-balance-word",
-        "balances-not-object", "hash-not-utf8", "events-is-a-directory",
+        "balances-not-object", "pools-not-object", "hash-not-utf8", "events-is-a-directory",
         "int-past-digit-limit", "nested-past-recursion-limit", "balance-past-max-raw"])
 def test_verify_never_ends_in_a_traceback(tmp_path, capsys, damage, code, message):
     short_trace().write(str(tmp_path))

@@ -1,18 +1,19 @@
 """Liquidity monitoring, rug-risk signals, intervention planners
-(front-run, sandwich, back-run) against pending drain events, and the
-intent/solver safeguard system.
+(front-run, sandwich, back-run) against pending drain events, the drain
+book that times them, and the intent/solver safeguard system.
 
 The planners only price a move against a pending drain: each quotes
-against a copy of pool state and returns the one amount the harness needs,
-or None to withhold the move. The harness alone decides when each move is
-planned and at what priority it trades around the drain.
+against a copy of pool state and returns the one amount the drain book
+needs, or None to withhold the move. The drain book alone decides when
+each move is planned and at what priority it trades around the drain.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     DustError,
@@ -21,16 +22,21 @@ from .core import (
     ParameterError,
     PoolId,
     SCALE,
+    StateError,
     TokenId,
-    ZERO,
     _checked,
     _div_round_half_even,
 )
+from .ledger import BalanceError, Ledger
 from .market import (
+    Pool,
+    PoolBook,
     PoolState,
+    execute_drain,
     pool_quote,
     pool_quote_exact_out,
     pool_swap,
+    spot_price,
 )
 
 
@@ -136,8 +142,8 @@ class AuxMonitor:
     def scan(self, height: int, minted: int, creator_outflow: int,
              creator_balance_before: int, volume: int,
              delta_liquidity: int) -> list[RiskSignal]:
-        for raw in (minted, creator_outflow, creator_balance_before, volume,
-                    delta_liquidity):
+        # only the sign of delta_liquidity is read, so it has no range
+        for raw in (minted, creator_outflow, creator_balance_before, volume):
             _checked(raw)
         signals: list[RiskSignal] = []
         mean_mint = self._mints.mean()
@@ -209,6 +215,179 @@ def plan_backrun(pool: PoolState, rug_token: TokenId, budget: FixedAmount,
     except (DustError, IlliquidError):
         return None
     return spend
+
+
+# -- the drain book ---------------------------------------------------------
+
+# queue priorities: higher executes first within a block; protective plans
+# sit above PRIORITY_DRAIN by the scenario's protocol_priority_boost
+PRIORITY_DRAIN = 0
+PRIORITY_SANDWICH_POST = -10
+PRIORITY_BACKRUN = -20
+
+
+class PendingDrain:
+    """A creator's parsed ``drain`` step against ``pool``, visible on the
+    pool's chain from the block it is submitted until the block it
+    executes at."""
+
+    __slots__ = ("pool", "chain", "creator", "rug_token", "t_rug", "t_total",
+                 "submitted_at", "executes_at", "executed", "pre_out")
+
+    def __init__(self, pool: Pool, creator: str, rug_token: TokenId, step: dict,
+                 height: int):
+        self.pool, self.chain = pool.pool_id, pool.chain
+        self.creator, self.rug_token = creator, rug_token
+        self.t_rug, self.t_total = step["t_rug"], step["t_total"]
+        self.submitted_at, self.executes_at = height, height + step["window"]
+        self.executed = False
+        # what the sandwich pre leg bought, once it has swapped
+        self.pre_out: Optional[FixedAmount] = None
+
+
+class DrainBook:
+    """The drains of every chain and the moves the parsed ``detectors`` make
+    against them. The book runs its script op (``OPS``), queues each drain
+    and move through ``enqueue`` on the pool's chain, trades in the pool
+    book and records its events through ``record``; it times the moves, and
+    the planners only price them.
+
+    A drain leaves ``pending`` when its transaction runs, at
+    ``executes_at``, whether it succeeds or fails; the sandwich post leg
+    and the back-run against it fail unless it executed. Protected accounts
+    are front-run at ``submitted_at + 1`` if that is before ``executes_at``,
+    each once, by the first detector that lists it; the first detector with
+    a sandwich budget plans its sandwich at ``executes_at - 1``, and the
+    first with a back-run budget its back-run at ``executes_at``, priced
+    when it runs. Front-runs and the pre leg outbid the drain by
+    ``protocol_priority_boost`` (of ``params``, the parsed ``detection``
+    section); the post leg and the back-run trade after it."""
+
+    OPS = ("drain",)
+
+    def __init__(self, pools: PoolBook, ledger: Ledger, record: Callable[..., None],
+                 enqueue: Callable[..., None], detectors: list[dict], params: dict,
+                 treasury: str, numeraire: TokenId):
+        self.pools, self.ledger, self.record, self.enqueue = pools, ledger, record, enqueue
+        self.boost = params["protocol_priority_boost"]
+        self.treasury_fraction = params["sandwich_treasury_fraction"]
+        self.treasury, self.numeraire = treasury, numeraire
+        self.pending: list[PendingDrain] = []
+        # (kind, account, detector) in planning order: detector by detector,
+        # the accounts it protects that no earlier one does, then its sandwich
+        # and its back-run if it is the first with that budget
+        sandwicher = next((d for d in detectors if d["sandwich_budget"].raw > 0), None)
+        backrunner = next((d for d in detectors if d["backrun_budget"].raw > 0), None)
+        self.moves: list[tuple[str, str, dict]] = []
+        protected: set[str] = set()
+        for det in detectors:
+            for name in det["protects"]:
+                if name not in protected:
+                    protected.add(name)
+                    self.moves.append(("frontrun", name, det))
+            if det is sandwicher:
+                self.moves.append(("sandwich", det["account"], det))
+            if det is backrunner:
+                self.moves.append(("backrun", det["account"], det))
+
+    def drain(self, account: str, step: dict, height: int) -> None:
+        pool = self.pools.pools[step["pool"]]
+        rug_token = pool.token_x if pool.token_y == self.numeraire else pool.token_y
+        pending = PendingDrain(pool, account, rug_token, step, height)
+        self.pending.append(pending)
+        self.enqueue(pool.chain, pending.executes_at, PRIORITY_DRAIN, "drain",
+                     partial(self._execute, pending))
+        self.record("drain_submitted", pool.pool_id, account, pending.t_rug,
+                    pending.t_total, pending.executes_at)
+
+    def on_block(self, chain: str, height: int) -> None:
+        """Plan the moves due at ``height`` against this chain's drains."""
+        for pending in self.pending:
+            if pending.chain != chain:
+                continue
+            pool_id, rug, executes_at = pending.pool, pending.rug_token, pending.executes_at
+            frontrun = height == pending.submitted_at + 1 < executes_at
+            sandwich = height == executes_at - 1
+            pool = self.pools.state(pool_id) if frontrun or sandwich else None
+            for kind, account, det in self.moves:
+                if kind == "frontrun" and frontrun:
+                    holdings = self.ledger.balance(account, rug)
+                    quoted = plan_frontrun(pool, rug, holdings)
+                    if quoted is not None:
+                        self.record("plan", "frontrun", account, pool_id, amount=holdings,
+                                    quoted=quoted)
+                        self.enqueue(chain, height, PRIORITY_DRAIN + self.boost, "plan_swap",
+                                     partial(self.pools.trade, pool_id, account, rug,
+                                             holdings, "frontrun"))
+                elif kind == "sandwich" and sandwich:
+                    budget = min(det["sandwich_budget"], self.ledger.balance(account, rug))
+                    profit = plan_sandwich(pool, rug, budget, pending.t_rug)
+                    if profit is not None:
+                        self.record("plan", "sandwich", account, pool_id,
+                                    expected_profit=profit)
+                        self.enqueue(chain, executes_at, PRIORITY_DRAIN + self.boost,
+                                     "sandwich_pre",
+                                     partial(self._sandwich_pre, pending, account, budget))
+                        self.enqueue(chain, executes_at, PRIORITY_SANDWICH_POST,
+                                     "sandwich_post",
+                                     partial(self._sandwich_post, pending, account, budget))
+                elif kind == "backrun" and height == executes_at:
+                    self.enqueue(chain, height, PRIORITY_BACKRUN, "backrun",
+                                 partial(self._backrun, pending, account,
+                                         det["backrun_budget"], det["backrun_cap"]))
+
+    def _execute(self, pending: PendingDrain) -> None:
+        self.pending.remove(pending)
+        pool_id, rug_token, creator = pending.pool, pending.rug_token, pending.creator
+        held = self.ledger.balance(creator, rug_token)
+        if held < pending.t_rug:
+            raise BalanceError(
+                f"creator holds {held} {rug_token}, cannot drain {pending.t_rug}")
+        liquid_out, naive_target, pool_after = execute_drain(
+            self.pools.state(pool_id), rug_token, pending.t_rug, pending.t_total)
+        if liquid_out.raw > 0:
+            self.pools.move(creator, pool_after, rug_token, pending.t_rug, liquid_out, "drain")
+        self.record("drain_executed", pool_id, creator, naive_target, liquid_out,
+                    spot_price(pool_after))
+        pending.executed = True
+
+    def _sandwich_pre(self, pending: PendingDrain, account: str,
+                      amount: FixedAmount) -> None:
+        pending.pre_out = self.pools.trade(pending.pool, account, pending.rug_token, amount,
+                                           "sandwich_pre")
+
+    def _sandwich_post(self, pending: PendingDrain, account: str,
+                       target: FixedAmount) -> None:
+        pool_id, rug_token = pending.pool, pending.rug_token
+        if not pending.executed:
+            raise StateError(f"the drain on {pool_id} did not execute")
+        pool = self.pools.state(pool_id)
+        liquid_token = pool.other(rug_token)
+        cost = pool_quote_exact_out(pool, rug_token, target)
+        held = self.ledger.balance(account, liquid_token)
+        if held < cost:
+            raise StateError(f"sandwich post-leg needs {cost}, holds {held}")
+        self.pools.trade(pool_id, account, liquid_token, cost, "sandwich_post")
+        if pending.pre_out is None:
+            return
+        profit = pending.pre_out - cost
+        if profit.raw > 0 and self.treasury_fraction.raw > 0:
+            cut = profit * self.treasury_fraction
+            self.ledger.transfer(account, self.treasury, liquid_token, cut,
+                                 memo="sandwich-profit")
+            self.record("sandwich_settled", account, profit, cut)
+
+    def _backrun(self, pending: PendingDrain, account: str, budget: FixedAmount,
+                 cap: FixedAmount) -> None:
+        # priced at execution time: the quote needs the post-drain reserves
+        if not pending.executed:
+            raise StateError(f"the drain on {pending.pool} did not execute")
+        pool = self.pools.state(pending.pool)
+        numeraire = pool.other(pending.rug_token)
+        budget = min(budget, self.ledger.balance(account, numeraire))
+        spend = plan_backrun(pool, pending.rug_token, budget, cap)
+        if spend is not None:
+            self.pools.trade(pending.pool, account, numeraire, spend, "backrun")
 
 
 # -- intents and solvers -----------------------------------------------------

@@ -6,11 +6,12 @@ aged exactly `bridge_delay_blocks` arrive the block they come due. Each
 chain step runs a fixed phase order:
 
   1. price processes advance
-  2. detection observes and plans (monitors, drain planners, intents,
-     peg keeper)
+  2. detection observes and plans (monitors, the drain book's moves,
+     intents, peg keeper)
   3. the transaction queue executes in (priority desc, arrival) order
-  4. scripted agent operations (pool steps run in the pool book, vault
-     steps in the vault registry, dispute submissions in their books)
+  4. scripted agent operations (pool steps run in the pool book, drains
+     in the drain book, vault steps in the vault registry, dispute
+     submissions in their books)
   5. perps funding and liquidation
   6. dispute-machine deadlines fire (each dispute book's ``on_block``)
   7. the vault registry delivers the matured rewards it holds on the
@@ -34,20 +35,15 @@ height. After every block the ledger re-sums every balance per token
 against that token's supply.
 
 A queued transaction is a bound action; its kind names it in the ``failed``
-event if it raises. A pending drain leaves ``pending_drains`` when its
-transaction runs, at ``executes_at``, whether the drain succeeds or fails;
-the sandwich post leg and the back-run planned against it fail unless it
-executed. The engine alone times the moves against a drain; the detection
-planners only price them. Protected accounts are front-run at
-``submitted_at + 1`` if that is before ``executes_at``; the first detector
-with a sandwich budget plans its sandwich at ``executes_at - 1``, and the
-first with a back-run budget its back-run at ``executes_at``.
+event if it raises.
 
-A scripted pool, vault or dispute step runs in the book that declares its
-op (the pool book, the vault registry, the rugproof book or the insurance
-book), and each book records its own events, as the ledger records its
-movements. Every swap, drain and liquidity move runs in the pool book, on
-the reserves the ledger holds; the engine keeps no copy of them.
+A scripted pool, drain, vault or dispute step runs in the book that
+declares its op (the pool book, the drain book, the vault registry, the
+rugproof book or the insurance book), and each book records its own
+events, as the ledger records its movements. The drain book times the
+moves against each drain (see ``DrainBook``). Every swap, drain and
+liquidity move runs in the pool book, on the reserves the ledger holds;
+the engine keeps no copy of them.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -63,9 +59,9 @@ from .core import (
     FixedAmount,
     ONE,
     ParameterError,
+    RangeError,
     RugsimError,
     SeededRng,
-    StateError,
     TokenId,
     ZERO,
     _checked,
@@ -74,7 +70,7 @@ from .core import (
 )
 from .detection import AuxMonitor, IntentAction, IntentBook, PoolMonitor
 from .insurance import InsuranceBook
-from .ledger import BalanceError, Ledger
+from .ledger import Ledger
 from .market import Pool, PoolBook
 from .perps import PerpBook
 from .rugproof import RugproofBook
@@ -85,12 +81,9 @@ from .vault import VaultRegistry, anticoin_value
 TREASURY = "treasury"
 PERP_SETTLEMENT = "perps-settlement"
 
-# queue priorities: higher executes first within a block; protective plans
-# sit above PRIORITY_DRAIN by the scenario's protocol_priority_boost
+# a peg-keeper trade's queue priority (higher executes first within a block);
+# the drain book holds the priorities around a drain
 PRIORITY_PEG_KEEPER = 10
-PRIORITY_DRAIN = 0
-PRIORITY_SANDWICH_POST = -10
-PRIORITY_BACKRUN = -20
 
 
 class QueuedTx:
@@ -104,24 +97,6 @@ class QueuedTx:
         self.seq = seq
         self.kind = kind
         self.action = action
-
-
-class PendingDrain:
-    """A creator's drain of ``t_rug`` of a ``t_total`` supply, visible on
-    its pool's chain from the block it is submitted until the block it
-    executes at."""
-
-    __slots__ = ("pool", "creator", "rug_token", "t_rug", "t_total", "submitted_at",
-                 "executes_at", "executed", "pre_out")
-
-    def __init__(self, pool: str, creator: str, rug_token: TokenId, t_rug: FixedAmount,
-                 t_total: FixedAmount, submitted_at: int, executes_at: int):
-        self.pool, self.creator, self.rug_token = pool, creator, rug_token
-        self.t_rug, self.t_total = t_rug, t_total
-        self.submitted_at, self.executes_at = submitted_at, executes_at
-        self.executed = False
-        # what the sandwich pre leg bought, once it has swapped
-        self.pre_out: Optional[FixedAmount] = None
 
 
 class ChainView:
@@ -173,7 +148,6 @@ class Simulation:
         # (height, chain) -> (account, step) in agent order, then script order
         self._script_steps: dict[tuple[int, str], list[tuple[str, dict]]] = {}
         self.queue: list[QueuedTx] = []
-        self.pending_drains: list[PendingDrain] = []
         # raw mints per scanned token and outflows per scanned (sender, token)
         # since the aux scan that reads them last took them; keyed at materialize
         self._unscanned_mints: dict[str, int] = {}
@@ -238,14 +212,6 @@ class Simulation:
         self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
         self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
                                        self._event)
-        self._book_of_op = {op: book for book in (self.pools, self.vaults, self.rugproof,
-                                                  self.insurance)
-                            for op in book.OPS}
-
-        # protocol transactions outbid drains by this much (the fee
-        # escalation knob); protective plans use it, salvage stays below
-        self.priority_boost = det["protocol_priority_boost"]
-        self.sandwich_treasury_fraction = det["sandwich_treasury_fraction"]
 
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         pool_chain = {pid: pool.chain for pid, pool in self.pools.pools.items()}
@@ -270,13 +236,12 @@ class Simulation:
         # the first liquidator by account id bids on every flagged position
         self._liquidation_bidder = min(
             (a["account"] for a in self.agents_by_kind.get("liquidator", [])), default=None)
-        # the first detector with a sandwich budget sandwiches every drain, and
-        # the first with a back-run budget back-runs every drain
-        detectors = self.agents_by_kind.get("detector", [])
-        self._sandwicher = next(
-            (d for d in detectors if d["sandwich_budget"].raw > 0), None)
-        self._backrunner = next(
-            (d for d in detectors if d["backrun_budget"].raw > 0), None)
+        self.drains = detection.DrainBook(self.pools, self.ledger, self._event, self._enqueue,
+                                          self.agents_by_kind.get("detector", []), det,
+                                          TREASURY, sc.numeraire)
+        self._book_of_op = {op: book for book in (self.pools, self.drains, self.vaults,
+                                                  self.rugproof, self.insurance)
+                            for op in book.OPS}
 
         for entry in sc.intents:
             self._op_register_intent(entry["owner"], entry)
@@ -392,13 +357,13 @@ class Simulation:
     # -- phases ----------------------------------------------------------------
 
     def _phase_detection(self, chain: str, view: ChainView, height: int) -> None:
-        detectors = self.agents_by_kind.get("detector", [])
-
         # each pool's monitor observes its liquid side; the aux scan below
         # reads the change in it and the volume since this chain's last scan
         # (everything the previous block did, nothing of this one yet), in
-        # raw ints; no term is negative, so the scan range-checks the mint
-        # and volume sums once
+        # raw ints; the sums add amounts of different tokens, so they are
+        # exact ints that the scan range-checks (refusing a block whose
+        # volume leaves the range) or, for the liquidity change, reads only
+        # the sign of
         pools = self.pools
         volume = delta_liq = 0
         prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
@@ -410,10 +375,10 @@ class Simulation:
                 if signal is not None:
                     self._event("risk_signal", signal.kind.value, signal.magnitude,
                                 pool=pool_id)
-            current = _checked(pool.volume_x.raw + pool.volume_y.raw)
+            current = pool.volume_x.raw + pool.volume_y.raw
             volume += current - prev_volumes[pool_id]
             prev_volumes[pool_id] = current
-            delta_liq = _checked(delta_liq + liquid - prev_liquidity[pool_id])
+            delta_liq += liquid - prev_liquidity[pool_id]
             prev_liquidity[pool_id] = liquid
         minted = 0
         mints, outflows = self._unscanned_mints, self._unscanned_outflows
@@ -428,57 +393,16 @@ class Simulation:
             if moved > outflow:
                 outflow = moved
                 balance_before = _checked(self.ledger.balance_raw(*key) + moved)
-        for signal in view.aux.scan(height, minted, outflow, balance_before, volume,
-                                    delta_liq):
-            self._event("risk_signal", signal.kind.value, signal.magnitude)
+        try:
+            signals = view.aux.scan(height, minted, outflow, balance_before, volume,
+                                    delta_liq)
+        except RangeError as exc:
+            self._failed("aux_scan", exc)
+        else:
+            for signal in signals:
+                self._event("risk_signal", signal.kind.value, signal.magnitude)
 
-        # the moves against this chain's pending drains, timed as the module
-        # docstring states; detector by detector, its front-runs, then the
-        # sandwich, then the back-run
-        for pending in self.pending_drains:
-            if pools.pools[pending.pool].chain != chain:
-                continue
-            frontrun = height == pending.submitted_at + 1 < pending.executes_at
-            pool = pools.state(pending.pool) \
-                if frontrun or height == pending.executes_at - 1 else None
-            rug_token = pending.rug_token
-            protected = set()  # each account is front-run once per drain
-            for det in detectors:
-                if frontrun:
-                    for name in det["protects"]:
-                        if name in protected:
-                            continue
-                        protected.add(name)
-                        holdings = self.ledger.balance(name, rug_token)
-                        quoted = detection.plan_frontrun(pool, rug_token, holdings)
-                        if quoted is None:
-                            continue
-                        self._event("plan", "frontrun", name, pending.pool,
-                                    amount=holdings, quoted=quoted)
-                        self._enqueue(chain, height, PRIORITY_DRAIN + self.priority_boost,
-                                      "plan_swap",
-                                      partial(pools.trade, pending.pool, name,
-                                              rug_token, holdings, "frontrun"))
-                if det is self._sandwicher and height == pending.executes_at - 1:
-                    account = det["account"]
-                    budget = min(det["sandwich_budget"],
-                                 self.ledger.balance(account, rug_token))
-                    profit = detection.plan_sandwich(pool, rug_token, budget, pending.t_rug)
-                    if profit is not None:
-                        self._event("plan", "sandwich", account, pending.pool,
-                                    expected_profit=profit)
-                        self._enqueue(chain, pending.executes_at,
-                                      PRIORITY_DRAIN + self.priority_boost, "sandwich_pre",
-                                      partial(self._exec_sandwich_pre, pending, account,
-                                              budget))
-                        self._enqueue(chain, pending.executes_at, PRIORITY_SANDWICH_POST,
-                                      "sandwich_post",
-                                      partial(self._exec_sandwich_post, pending, account,
-                                              budget))
-                if det is self._backrunner and height == pending.executes_at:
-                    self._enqueue(chain, height, PRIORITY_BACKRUN, "backrun",
-                                  partial(self._exec_backrun, pending, det["account"],
-                                          det["backrun_budget"], det["backrun_cap"]))
+        self.drains.on_block(chain, height)
 
         # intents; prices and liquidity are gathered only while one is pending
         chain_prices = chain_liquidity = {}
@@ -492,7 +416,7 @@ class Simulation:
             self._event("intent_triggered", execution.intent.intent_id,
                         execution.intent.owner, execution.solver, execution.fee_bps)
             self._enqueue(chain, height,
-                          PRIORITY_DRAIN + max(1, self.priority_boost - 5),
+                          detection.PRIORITY_DRAIN + max(1, self.drains.boost - 5),
                           "intent", partial(self._exec_intent, execution))
 
         # peg keeper planning
@@ -505,59 +429,6 @@ class Simulation:
             tx.action()
         except RugsimError as exc:
             self._failed(tx.kind, exc)
-
-    def _exec_drain(self, pending: PendingDrain) -> None:
-        self.pending_drains.remove(pending)
-        pool_id, rug_token, creator = pending.pool, pending.rug_token, pending.creator
-        held = self.ledger.balance(creator, rug_token)
-        if held < pending.t_rug:
-            raise BalanceError(
-                f"creator holds {held} {rug_token}, cannot drain {pending.t_rug}")
-        liquid_out, naive_target, pool_after = market.execute_drain(
-            self.pools.state(pool_id), rug_token, pending.t_rug, pending.t_total)
-        if liquid_out.raw > 0:
-            self.pools.move(creator, pool_after, rug_token, pending.t_rug, liquid_out, "drain")
-        self._event("drain_executed", pool_id, creator, naive_target, liquid_out,
-                    market.spot_price(pool_after))
-        pending.executed = True
-
-    def _exec_sandwich_pre(self, pending: PendingDrain, account: str,
-                           amount: FixedAmount) -> None:
-        pending.pre_out = self.pools.trade(pending.pool, account, pending.rug_token, amount,
-                                           "sandwich_pre")
-
-    def _exec_sandwich_post(self, pending: PendingDrain, account: str,
-                            target: FixedAmount) -> None:
-        pool_id, rug_token = pending.pool, pending.rug_token
-        if not pending.executed:
-            raise StateError(f"the drain on {pool_id} did not execute")
-        pool = self.pools.state(pool_id)
-        liquid_token = pool.other(rug_token)
-        cost = market.pool_quote_exact_out(pool, rug_token, target)
-        held = self.ledger.balance(account, liquid_token)
-        if held < cost:
-            raise StateError(f"sandwich post-leg needs {cost}, holds {held}")
-        self.pools.trade(pool_id, account, liquid_token, cost, "sandwich_post")
-        if pending.pre_out is None:
-            return
-        profit = pending.pre_out - cost
-        if profit.raw > 0 and self.sandwich_treasury_fraction.raw > 0:
-            cut = profit * self.sandwich_treasury_fraction
-            self.ledger.transfer(account, TREASURY, liquid_token, cut,
-                                 memo="sandwich-profit")
-            self._event("sandwich_settled", account, profit, cut)
-
-    def _exec_backrun(self, pending: PendingDrain, account: str,
-                      budget: FixedAmount, cap: FixedAmount) -> None:
-        # priced at execution time: the quote needs the post-drain reserves
-        if not pending.executed:
-            raise StateError(f"the drain on {pending.pool} did not execute")
-        pool = self.pools.state(pending.pool)
-        numeraire = pool.other(pending.rug_token)
-        budget = min(budget, self.ledger.balance(account, numeraire))
-        spend = detection.plan_backrun(pool, pending.rug_token, budget, cap)
-        if spend is not None:
-            self.pools.trade(pending.pool, account, numeraire, spend, "backrun")
 
     def _exec_intent(self, execution: detection.IntentExecution) -> None:
         intent = execution.intent
@@ -617,19 +488,6 @@ class Simulation:
                 getattr(self, f"_op_{op}")(account, step)
         except RugsimError as exc:
             self._failed(op, exc, account=account)
-
-    def _op_drain(self, account: str, step: dict) -> None:
-        pool_id = step["pool"]
-        pool = self.pools.pools[pool_id]
-        rug_token = pool.token_x if pool.token_y == self.scenario.numeraire \
-            else pool.token_y
-        pending = PendingDrain(pool_id, account, rug_token, step["t_rug"],
-                               step["t_total"], self.height, self.height + step["window"])
-        self.pending_drains.append(pending)
-        self._enqueue(self._chain_ctx, pending.executes_at, PRIORITY_DRAIN, "drain",
-                      partial(self._exec_drain, pending))
-        self._event("drain_submitted", pool_id, account, pending.t_rug, pending.t_total,
-                    pending.executes_at)
 
     def _op_transfer(self, account: str, step: dict) -> None:
         self.ledger.transfer(account, step["to"], step["token"],

@@ -11,12 +11,17 @@ from rugsim.core import (
     FixedAmount,
     ParameterError,
     RangeError,
+    RugsimError,
     SCALE,
     amt,
     fsum,
 )
 from rugsim.detection import (
+    PRIORITY_BACKRUN,
+    PRIORITY_DRAIN,
+    PRIORITY_SANDWICH_POST,
     AuxMonitor,
+    DrainBook,
     IntentAction,
     IntentBook,
     IntentStatus,
@@ -29,8 +34,9 @@ from rugsim.detection import (
     plan_sandwich,
     solver_step,
 )
-from rugsim.market import PoolState, pool_quote_exact_out, pool_swap
-from rugsim.scenario import reference_scenario
+from rugsim.ledger import Ledger
+from rugsim.market import PoolBook, PoolState, pool_quote, pool_quote_exact_out, pool_swap
+from rugsim.scenario import load_scenario, reference_scenario, scam_scenario
 
 from conftest import loaded
 
@@ -124,9 +130,9 @@ class _FixedWindow:
 
 
 class _FixedAux:
-    """AuxMonitor.scan written with FixedAmount arithmetic: each input is
-    built as a FixedAmount, and each comparison is the FixedAmount
-    expression."""
+    """AuxMonitor.scan written with FixedAmount arithmetic: each input but
+    the liquidity change, of which only the sign is read, is built as a
+    FixedAmount, and each comparison is the FixedAmount expression."""
 
     def __init__(self, mint_factor, outflow_fraction, volume_factor, window):
         self.mint_factor, self.outflow_fraction = mint_factor, outflow_fraction
@@ -134,7 +140,8 @@ class _FixedAux:
         self.mints, self.volumes = _FixedWindow(window), _FixedWindow(window)
 
     def scan(self, height, *raws):
-        minted, outflow, before, volume, delta = (FixedAmount(r) for r in raws)
+        minted, outflow, before, volume = (FixedAmount(r) for r in raws[:4])
+        delta = raws[4]
         signals = []
         mean_mint = self.mints.mean()
         if mean_mint is not None and minted.raw > 0:
@@ -146,7 +153,7 @@ class _FixedAux:
             if fraction > self.outflow_fraction:
                 signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW, fraction, height))
         mean_vol = self.volumes.mean()
-        if (mean_vol is not None and mean_vol.raw > 0 and delta.raw <= 0
+        if (mean_vol is not None and mean_vol.raw > 0 and delta <= 0
                 and volume > self.volume_factor * mean_vol):
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY, volume / mean_vol, height))
         self.mints.values.append(minted)
@@ -258,6 +265,153 @@ def test_backrun_buys_the_dip():
     _, pool = pool_swap(mk_pool(), "RUG", amt(800))  # the drain just happened
     assert plan_backrun(pool, "RUG", budget=amt(40), cap=amt(25)) == amt(25)  # capped
     assert plan_backrun(pool, "RUG", amt(0), amt(25)) is None
+
+
+# -- the drain book ----------------------------------------------------------------
+
+
+def drain_book(*detectors: dict, boost: int = 20):
+    """A DrainBook on a bare ledger and pool book holding builtin:scam's
+    accounts and pool, with these detector agents, each holding 50 RUG and
+    500 USDN; returns the book, the events it records as (type, *values)
+    and the transactions it queues as (chain, execute_at, priority, kind,
+    action)."""
+    doc = scam_scenario()
+    doc["detection"]["protocol_priority_boost"] = boost
+    doc["accounts"] = [a for a in doc["accounts"] if a["id"] != "guard"] + [
+        {"id": d["account"], "balances": {"RUG": "50", "USDN": "500"}} for d in detectors]
+    doc["agents"] = [a for a in doc["agents"] if a["kind"] != "detector"] + [
+        {"kind": "detector", **d} for d in detectors]
+    scenario = load_scenario(doc)
+    ledger, records, queue = Ledger(), [], []
+    for entry in scenario.accounts:
+        for token, balance in entry["balances"].items():
+            ledger.mint(entry["id"], token, balance)
+    record = lambda *values, **optional: records.append(values)  # noqa: E731
+    pools = PoolBook(scenario.pools, ledger, record, "treasury", scenario.numeraire)
+    book = DrainBook(pools, ledger, record, lambda *tx: queue.append(tx),
+                     [a for a in scenario.agents if a["kind"] == "detector"],
+                     scenario.detection, "treasury", scenario.numeraire)
+    return book, records, queue
+
+
+def submit_and_plan(book, window: int, records: list) -> list:
+    """mallory's drain of 800 of 1000 RUG, submitted at block 4 to execute
+    ``window`` blocks later, and each block's planning up to then on both
+    chains; returns the (height, kind, account) of each ``plan`` line."""
+    book.drain("mallory", {"op": "drain", "pool": "rug-usdn", "t_rug": amt(800),
+                           "t_total": amt(1000), "window": window}, 4)
+    plans = []
+    for height in range(5, 5 + window):
+        del records[:]
+        book.on_block("home", height)
+        book.on_block("alpha", height)
+        plans += [(height, kind, account) for type_, kind, account, *_ in records
+                  if type_ == "plan"]
+    return plans
+
+
+def run_queue(queue: list) -> list:
+    """Run every queued transaction in the engine's (priority desc, arrival)
+    order; returns each one's (kind, error type or None)."""
+    outcomes = []
+    for _, _, _, kind, action in sorted(queue, key=lambda tx: -tx[2]):
+        try:
+            action()
+            outcomes.append((kind, None))
+        except RugsimError as exc:
+            outcomes.append((kind, type(exc).__name__))
+    return outcomes
+
+
+@pytest.mark.parametrize("given_away,error", [("0", None), ("1", "BalanceError")])
+def test_a_drain_leaves_the_pending_list_when_it_runs(given_away, error):
+    book, records, queue = drain_book()
+    book.ledger.transfer("mallory", "unprotected", "RUG", amt(given_away))
+    submit_and_plan(book, 3, records)
+    [pending] = book.pending
+    assert queue == [("alpha", 7, PRIORITY_DRAIN, "drain", queue[0][4])]
+    assert run_queue(queue) == [("drain", error)]
+    assert book.pending == [] and pending.executed is (error is None)
+
+
+@pytest.mark.parametrize("window,plans", [
+    (1, []),  # the block after submission is the drain's own
+    (2, [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected")]),
+    (4, [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected")]),
+])
+def test_protected_accounts_are_front_run_once_the_block_after_submission(window, plans):
+    # guard lists frontrun-user twice and guard-2 lists it again: each
+    # account is front-run once per drain, by the first detector listing it
+    book, records, queue = drain_book(
+        {"account": "guard", "protects": ["frontrun-user", "frontrun-user"]},
+        {"account": "guard-2", "protects": ["frontrun-user", "unprotected"]})
+    assert submit_and_plan(book, window, records) == plans
+    assert [tx[:4] for tx in queue if tx[3] == "plan_swap"] == \
+        [("alpha", 5, PRIORITY_DRAIN + 20, "plan_swap")] * len(plans)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_the_first_detector_with_a_sandwich_budget_plans_the_sandwich(window):
+    book, records, queue = drain_book(
+        {"account": "guard"}, {"account": "guard-2", "sandwich_budget": "50"},
+        {"account": "guard-3", "sandwich_budget": "50"})
+    executes_at = 4 + window
+    assert submit_and_plan(book, window, records) == \
+        [(executes_at - 1, "sandwich", "guard-2")]
+    assert [tx[:4] for tx in queue[1:]] == [
+        ("alpha", executes_at, PRIORITY_DRAIN + 20, "sandwich_pre"),
+        ("alpha", executes_at, PRIORITY_SANDWICH_POST, "sandwich_post")]
+
+
+def test_the_first_detector_with_a_backrun_budget_backruns_priced_when_it_runs():
+    book, records, queue = drain_book(
+        {"account": "guard"},
+        {"account": "guard-2", "backrun_budget": "100", "backrun_cap": "40"},
+        {"account": "guard-3", "backrun_budget": "100", "backrun_cap": "40"})
+    assert submit_and_plan(book, 3, records) == []  # a back-run has no plan line
+    drain, backrun = queue
+    assert backrun[:4] == ("alpha", 7, PRIORITY_BACKRUN, "backrun")
+    # after planning, guard-2 keeps 30 USDN of its 500, under its cap of 40
+    book.ledger.transfer("guard-2", "unprotected", "USDN", amt(470))
+    drain[4]()
+    after_drain = book.pools.state("rug-usdn")
+    del records[:]
+    backrun[4]()
+    assert records == [("swap", "rug-usdn", "guard-2", "USDN", amt(30), "RUG",
+                        pool_quote(after_drain, "USDN", amt(30)), "backrun")]
+
+
+@pytest.mark.parametrize("given_away,outcomes", [
+    ("0", [("sandwich_pre", None), ("drain", None), ("sandwich_post", None),
+           ("backrun", None)]),
+    ("1", [("sandwich_pre", None), ("drain", "BalanceError"),
+           ("sandwich_post", "StateError"), ("backrun", "StateError")]),
+])
+def test_the_post_leg_and_the_backrun_need_the_drain_to_have_executed(given_away,
+                                                                      outcomes):
+    book, records, queue = drain_book(
+        {"account": "guard", "sandwich_budget": "50", "backrun_budget": "100",
+         "backrun_cap": "40"})
+    book.ledger.transfer("mallory", "unprotected", "RUG", amt(given_away))
+    submit_and_plan(book, 3, records)
+    del records[:]
+    assert run_queue(queue) == outcomes
+    memos = [values[-1] for values in records if values[0] == "swap"]
+    assert memos == [kind for kind, error in outcomes if kind != "drain" and error is None]
+
+
+@pytest.mark.parametrize("boost", [1, 20])
+def test_protective_moves_outbid_the_drain_and_salvage_trades_below_it(boost):
+    book, records, queue = drain_book(
+        {"account": "guard", "protects": ["frontrun-user"], "sandwich_budget": "50",
+         "backrun_budget": "100", "backrun_cap": "40"}, boost=boost)
+    submit_and_plan(book, 3, records)
+    assert {kind: priority for _, _, priority, kind, _ in queue} == {
+        "drain": PRIORITY_DRAIN, "plan_swap": PRIORITY_DRAIN + boost,
+        "sandwich_pre": PRIORITY_DRAIN + boost, "sandwich_post": PRIORITY_SANDWICH_POST,
+        "backrun": PRIORITY_BACKRUN}
+    assert PRIORITY_BACKRUN < PRIORITY_SANDWICH_POST < PRIORITY_DRAIN
 
 
 # -- intents -----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pinned
 from rugsim import market
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
-from rugsim.detection import IntentAction
+from rugsim.detection import DrainBook, IntentAction
 from rugsim.harness import Simulation, run_scenario
 from rugsim.insurance import InsuranceBook
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
@@ -300,7 +300,7 @@ def test_a_failed_drain_is_recorded_and_no_longer_pending():
         [(7, "drain", "BalanceError"), (7, "backrun", "StateError")]
     assert not any(e["type"] == "drain_executed" for e in trace.events)
     assert not any(e["type"] == "swap" and e["memo"] == "backrun" for e in trace.events)
-    assert sim.pending_drains == []
+    assert sim.drains.pending == []
     assert trace.trace_hash() == "6565cb7fb56d10f8"
 
 
@@ -339,7 +339,7 @@ def test_two_detectors_plan_each_move_against_a_drain_once():
              if e["type"] == "swap" and e["memo"] != "intent"]
     assert moves == [(5, "frontrun", "frontrun-user"), (7, "sandwich_pre", "guard"),
                      (7, "sandwich_post", "guard"), (7, "backrun", "guard")]
-    assert sim.pending_drains == [] and trace.failed_events == 0
+    assert sim.drains.pending == [] and trace.failed_events == 0
     # measured before queued transactions carried their own actions
     assert trace.trace_hash() == "d0ef312b97d7952c"
 
@@ -385,7 +385,7 @@ def test_drain_windows_time_each_move_once(window, plans, moves, digest):
             if e["type"] == "plan"] == plans
     assert [(e["h"], e["memo"], e["account"]) for e in trace.events
             if e["type"] == "swap" and e["memo"] != "intent"] == moves
-    assert sim.pending_drains == [] and trace.failed_events == 0
+    assert sim.drains.pending == [] and trace.failed_events == 0
     assert trace.trace_hash() == digest
 
 
@@ -726,10 +726,10 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
 
 def test_script_op_table_names_every_handler():
     # every op has exactly one runner: a Simulation._op_* method or one
-    # book's declared op (the pool book's, the vault registry's or a dispute
-    # book's), never both
+    # book's declared op (the pool book's, the drain book's, the vault
+    # registry's or a dispute book's), never both
     runners = [name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")]
-    for book in (market.PoolBook, VaultRegistry, RugproofBook, InsuranceBook):
+    for book in (market.PoolBook, DrainBook, VaultRegistry, RugproofBook, InsuranceBook):
         assert all(callable(getattr(book, op, None)) for op in book.OPS), book
         runners += book.OPS
     assert sorted(runners) == sorted(SCRIPT_OPS)
@@ -792,6 +792,28 @@ def test_the_commands_call_the_names_the_benchmark_guards(tmp_path, monkeypatch)
     assert main(["sweep", "--scenario", "builtin:scam", "--out", str(tmp_path / "s"),
                  "--param", "vaults.0.delta_gamma=0:0.02:0.01"]) == 0
     assert counts == {"trace.Trace.write": 3, "trace.Trace.trace_hash": 3}
+
+
+def test_the_benchmark_tracer_reaches_the_drain_book(monkeypatch):
+    # wrapped before the simulation is built, as the tracer wraps them: a
+    # planner or _enqueue that the drain book took before then counts 0
+    names = ("detection.plan_frontrun", "detection.plan_sandwich", "detection.plan_backrun",
+             "harness.Simulation._enqueue", "harness.Simulation._execute_tx")
+    counts = count_calls(monkeypatch, names)
+    _, trace = run_scenario(overlapping_detectors_doc(2))
+    events = trace.events
+    plans = Counter(e["kind"] for e in events if e["type"] == "plan")
+    memos = Counter(e["memo"] for e in events if e["type"] == "swap")
+    queued = (sum(e["type"] in ("drain_executed", "intent_executed", "intent_skipped")
+                  for e in events)
+              + sum(memos[memo] for memo in ("frontrun", "sandwich_pre", "sandwich_post",
+                                               "backrun")))
+    assert counts == {"detection.plan_frontrun": plans["frontrun"],
+                      "detection.plan_sandwich": plans["sandwich"],
+                      "detection.plan_backrun": memos["backrun"],
+                      "harness.Simulation._enqueue": queued,
+                      "harness.Simulation._execute_tx": queued}
+    assert counts["detection.plan_frontrun"] == 2 and queued == 7
 
 
 def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():
@@ -1046,7 +1068,7 @@ def test_no_pool_state_is_kept_between_blocks():
         sim.step()
         assert pool_states_reachable_from(sim) == [], sim.height
     # the walk does see one where a book keeps it
-    sim.pending_drains.append(sim.pools.state("a-usdn"))
+    sim.drains.pending.append(sim.pools.state("a-usdn"))
     assert len(pool_states_reachable_from(sim)) == 1
 
 
@@ -1340,30 +1362,6 @@ def big_pools_doc(script: list, pools: list, balances: dict) -> dict:
 
 
 def test_scan_sums_raise_where_fixed_amounts_would():
-    big = "550000000000000000"  # 0.55 of the fixed-point range, in units
-    # block 1 adds 0.55 of the range to the y side of p1 and of p2 and takes
-    # 0.2 out of p3's: the next scan's sum is 0.9 of the range, but its
-    # running sum passes 1.0 after p2, where the FixedAmount sum raised
-    doc = big_pools_doc(
-        [{"block": 1, "op": "add_liquidity", "pool": pool, "dx": big, "dy": "auto"}
-         for pool in ("p1", "p2")]
-        + [{"block": 1, "op": "swap", "pool": "p3", "token_in": "X3",
-            "amount": "400000000000000000"}],
-        [("p1", "X1", "A", "1", "1"), ("p2", "X2", "B", "1", "1"),
-         ("p3", "X3", "C", "400000000000000000", "400000000000000000")],
-        {"X1": big, "A": big, "X2": big, "B": big, "X3": "400000000000000000"})
-    with pytest.raises(RangeError, match="raw=1100000000000000000000000000"):
-        run_scenario(doc)
-    # a pool's two volumes, 0.55 of the range each, pass it together (a
-    # spike factor of 1 keeps the volume monitor's own product in range)
-    doc = big_pools_doc(
-        [{"block": 1, "op": "swap", "pool": "p1", "token_in": "X1", "amount": big},
-         {"block": 2, "op": "swap", "pool": "p1", "token_in": "A", "amount": big}],
-        [("p1", "X1", "A", "100000000000000000", "100000000000000000")],
-        {"X1": big, "A": big})
-    doc["detection"] = {"volume_spike_factor": "1"}
-    with pytest.raises(RangeError, match="raw=1100000000000000000000000000"):
-        run_scenario(doc)
     # mallory sends 0.5 of the range to trudy, who sends 0.95 back: the
     # outflow scan keeps trudy's larger outflow, but first sums mallory's
     # 0.95 and 0.5, as FixedAmounts did, past the range
@@ -1378,6 +1376,74 @@ def test_scan_sums_raise_where_fixed_amounts_would():
                                  ("trudy", "mallory", "950000000000000000"))]
     with pytest.raises(RangeError, match="raw=1450000000000000000000000000"):
         run_scenario(doc)
+
+
+def whale_pools_doc(pools: list, balances: dict, swaps: list) -> dict:
+    """scam_scenario over 5 blocks, with unpriced alpha tokens A, Y1 and Y2,
+    fee-free pools (id, token_y, reserve_x, reserve_y) of A against them,
+    and a whale with these balances making these (pool, token_in, amount)
+    swaps at block 1."""
+    doc = scam_scenario()
+    doc["blocks"] = 5
+    doc["tokens"] += [{"id": token, "chain": "alpha"} for token in ("A", "Y1", "Y2")]
+    doc["pools"] += [{"id": pid, "chain": "alpha", "token_x": "A", "token_y": y,
+                      "reserve_x": rx, "reserve_y": ry, "fee_bps": 0}
+                     for pid, y, rx, ry in pools]
+    doc["accounts"].append({"id": "whale", "balances": balances})
+    doc["agents"].append({"kind": "whale", "account": "whale", "script": [
+        {"block": 1, "op": "swap", "pool": pid, "token_in": token, "amount": amount}
+        for pid, token, amount in swaps]})
+    return doc
+
+
+def with_detection(doc: dict, **params) -> dict:
+    doc["detection"] = params
+    return doc
+
+
+BIG = "550000000000000000"  # 0.55 of the fixed-point range, in units
+# 1e17, 4e17, 6e17 and 9e17 units
+E17, E17_4, E17_6, E17_9 = (f"{digit}{'0' * 17}" for digit in (1, 4, 6, 9))
+
+
+@pytest.mark.parametrize("doc,failed", [
+    # each pool's liquid side loses 9e17 units: the change summed over Y1
+    # and Y2 passes the range, but the scan reads only its sign
+    (whale_pools_doc([("a-y1", "Y1", "1", E17_9), ("a-y2", "Y2", "1", E17_9)],
+                     {"A": "2000000000"},
+                     [("a-y1", "A", "1000000000"), ("a-y2", "A", "1000000000")]), []),
+    # 6e17 A and then 6e17 Y1 into one pool: block 1's volume passes the
+    # range, and block 2's scan refuses it
+    (whale_pools_doc([("a-y1", "Y1", E17, E17)], {"A": E17_6, "Y1": E17_6},
+                     [("a-y1", "A", E17_6), ("a-y1", "Y1", E17_6)]),
+     [(2, "aux_scan", "RangeError")]),
+    # block 1 adds 0.55 of the range to the y side of p1 and of p2 and takes
+    # 0.2 out of p3's: the change summed over A, B and C passes the range
+    (big_pools_doc(
+        [{"block": 1, "op": "add_liquidity", "pool": pool, "dx": BIG, "dy": "auto"}
+         for pool in ("p1", "p2")]
+        + [{"block": 1, "op": "swap", "pool": "p3", "token_in": "X3", "amount": E17_4}],
+        [("p1", "X1", "A", "1", "1"), ("p2", "X2", "B", "1", "1"),
+         ("p3", "X3", "C", E17_4, E17_4)],
+        {"X1": BIG, "A": BIG, "X2": BIG, "B": BIG, "X3": E17_4}), []),
+    # a pool's two volumes, 0.55 of the range each, pass it together, but
+    # neither block's change in them does (a spike factor of 1 keeps the
+    # volume monitor's own product in range)
+    (with_detection(big_pools_doc(
+        [{"block": 1, "op": "swap", "pool": "p1", "token_in": "X1", "amount": BIG},
+         {"block": 2, "op": "swap", "pool": "p1", "token_in": "A", "amount": BIG}],
+        [("p1", "X1", "A", E17, E17)], {"X1": BIG, "A": BIG}), volume_spike_factor="1"), []),
+], ids=["liquidity-over-two-tokens", "volume-over-the-range", "liquidity-over-three-pools",
+        "volume-over-two-blocks"])
+def test_cross_token_scan_sums_do_not_end_a_run(tmp_path, doc, failed):
+    # a sum over several tokens has no bound in the amount range: a document
+    # that loads runs to completion, and its trace verifies
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--trace", str(out)]) == 0
+    lines = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    assert [(e["h"], e["op"], e["error"]) for e in lines if e["type"] == "failed"] == failed
 
 
 def test_noise_defaults_are_a_tenth_and_one_unit():

@@ -1,6 +1,7 @@
 """Liquidity monitoring, rug-risk signals, intervention planners
 (front-run, sandwich, back-run) against pending drain events, the drain
-book that times them, and the intent/solver safeguard system.
+book that times them, and the intent book, which registers intents and
+runs each chain's solver auction and every intent it matches.
 
 The planners only price a move against a pending drain: each quotes
 against a copy of pool state and returns the one amount the drain book
@@ -16,6 +17,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
+    ChainId,
     DustError,
     FixedAmount,
     IlliquidError,
@@ -24,6 +26,7 @@ from .core import (
     SCALE,
     StateError,
     TokenId,
+    ZERO,
     _checked,
     _div_round_half_even,
 )
@@ -38,6 +41,7 @@ from .market import (
     pool_swap,
     spot_price,
 )
+from .vault import VaultRegistry
 
 
 class SignalKind(enum.Enum):
@@ -64,9 +68,10 @@ def _ratio(num: int, den: int) -> int:
 
 
 def _scaled(factor: FixedAmount, raw: int) -> int:
-    """Raw factor * raw, rounded and range-checked as FixedAmount
-    multiplication does."""
-    return _checked(_div_round_half_even(factor.raw * raw, SCALE))
+    """Raw factor * raw, rounded as FixedAmount multiplication does. It is a
+    threshold, only compared against, so it is exact: an amount in the range
+    never passes one beyond it."""
+    return _div_round_half_even(factor.raw * raw, SCALE)
 
 
 class PoolMonitor:
@@ -115,10 +120,10 @@ class TrailingWindow:
     def mean(self) -> Optional[int]:
         """The exact sum over the window, divided by its length and rounded
         half-even, as a FixedAmount division would; None while the window is
-        empty. RangeError if the sum leaves the FixedAmount range."""
+        empty. A mean of amounts in the FixedAmount range is in it too."""
         if not self.values:
             return None
-        return _div_round_half_even(_checked(self.total), len(self.values))
+        return _div_round_half_even(self.total, len(self.values))
 
 
 class AuxMonitor:
@@ -128,7 +133,9 @@ class AuxMonitor:
     ``scan`` takes raw ints (1e-9 quanta) and keeps them; a magnitude is
     built as a FixedAmount only for a signal it returns. Each input and
     intermediate is range-checked where the FixedAmount expression would
-    raise RangeError."""
+    raise RangeError. A scan whose inputs pass that check pushes them onto
+    the trailing windows before it compares, so a later raise leaves the
+    windows moving."""
 
     def __init__(self, mint_spike_factor: FixedAmount,
                  wallet_outflow_fraction: FixedAmount,
@@ -145,8 +152,10 @@ class AuxMonitor:
         # only the sign of delta_liquidity is read, so it has no range
         for raw in (minted, creator_outflow, creator_balance_before, volume):
             _checked(raw)
+        mean_mint, mean_vol = self._mints.mean(), self._volumes.mean()
+        self._mints.push(minted)
+        self._volumes.push(volume)
         signals: list[RiskSignal] = []
-        mean_mint = self._mints.mean()
         if mean_mint is not None and minted > 0:
             if mean_mint == 0 or minted > _scaled(self.mint_spike_factor, mean_mint):
                 magnitude = _ratio(minted, mean_mint) if mean_mint > 0 else minted
@@ -157,13 +166,10 @@ class AuxMonitor:
             if fraction > self.wallet_outflow_fraction.raw:
                 signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW,
                                           FixedAmount(fraction), height))
-        mean_vol = self._volumes.mean()
         if (mean_vol is not None and mean_vol > 0 and delta_liquidity <= 0
                 and volume > _scaled(self.volume_spike_factor, mean_vol)):
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY,
                                       FixedAmount(_ratio(volume, mean_vol)), height))
-        self._mints.push(minted)
-        self._volumes.push(volume)
         return signals
 
 
@@ -346,7 +352,7 @@ class DrainBook:
         liquid_out, naive_target, pool_after = execute_drain(
             self.pools.state(pool_id), rug_token, pending.t_rug, pending.t_total)
         if liquid_out.raw > 0:
-            self.pools.move(creator, pool_after, rug_token, pending.t_rug, liquid_out, "drain")
+            self.pools.move(creator, pool_id, rug_token, pending.t_rug, liquid_out, "drain")
         self.record("drain_executed", pool_id, creator, naive_target, liquid_out,
                     spot_price(pool_after))
         pending.executed = True
@@ -420,9 +426,8 @@ class Intent:
         self.status = IntentStatus.PENDING
 
     def triggered(self, price: FixedAmount, liquidity: FixedAmount) -> bool:
-        price_hit = price <= self.params["theta_price"] * self.price_ref
-        liq_hit = liquidity <= self.params["theta_liquidity"] * self.liquidity_ref
-        return price_hit or liq_hit
+        return (price <= self.params["theta_price"] * self.price_ref
+                or liquidity <= self.params["theta_liquidity"] * self.liquidity_ref)
 
 
 class IntentExecution(NamedTuple):
@@ -432,19 +437,85 @@ class IntentExecution(NamedTuple):
 
 
 class IntentBook:
-    def __init__(self):
-        self.intents: dict[int, Intent] = {}
-        self._next_id = 1
+    """Every owner's intents, by id. The book runs its script op (``OPS``),
+    which registers each top-level ``intents[i]`` entry too, and each chain
+    step's auction among the parsed ``solvers`` (``on_block``) over the
+    chain's pools and priced ``tokens``, at the engine's live ``prices``.
+    It queues each match through ``enqueue`` as an ``intent`` transaction,
+    ``protocol_priority_boost - 5`` (at least 1; of ``params``, the parsed
+    ``detection`` section) above a drain, and runs it: the exit swap or the
+    deposit (into the intent's vault, else that of the first of ``chains``
+    with one), then the solver's fee."""
 
-    def register(self, owner: str, params: dict, price_ref: FixedAmount,
-                 liquidity_ref: FixedAmount) -> Intent:
-        intent = Intent(self._next_id, owner, params, price_ref, liquidity_ref)
-        self.intents[intent.intent_id] = intent
-        self._next_id += 1
-        return intent
+    OPS = ("register_intent",)
+
+    def __init__(self, tokens: Sequence[dict], pools: PoolBook, vaults: VaultRegistry,
+                 ledger: Ledger, prices: dict[TokenId, FixedAmount], solvers: Sequence[dict],
+                 record: Callable[..., None], enqueue: Callable[..., None], params: dict,
+                 chains: Sequence[ChainId]):
+        self.pools, self.vaults, self.ledger, self.prices = pools, vaults, ledger, prices
+        self.solvers, self.record, self.enqueue, self.chains = solvers, record, enqueue, chains
+        self.priority = PRIORITY_DRAIN + max(1, params["protocol_priority_boost"] - 5)
+        # id -> intent; ids count up from 1 in registration order
+        self.intents: dict[int, Intent] = {}
+        # chain -> (its priced tokens, its pools), in document order
+        self._scanned: dict[ChainId, tuple[list[TokenId], list[PoolId]]] = {
+            chain: ([t["id"] for t in tokens
+                     if t["chain"] == chain and t["price_process"] is not None],
+                    [pid for pid, pool in pools.pools.items() if pool.chain == chain])
+            for chain in chains}
 
     def pending(self) -> list[Intent]:
         return [i for i in self.intents.values() if i.status is IntentStatus.PENDING]
+
+    def register_intent(self, account: str, step: dict, height: int) -> None:
+        """Register ``account``'s intent at its token's price and its pool's
+        liquidity now."""
+        pool_id, intent_id = step["pool"], len(self.intents) + 1
+        self.intents[intent_id] = Intent(intent_id, account, step,
+                                         self.prices.get(step["token"], ZERO),
+                                         FixedAmount(self.pools.liquidity_raw(pool_id)))
+        self.record("intent_registered", account, pool_id, step["theta_price"],
+                    step["theta_liquidity"])
+
+    def on_block(self, chain: ChainId, height: int) -> None:
+        """Match this chain's triggered intents to solvers and queue each
+        match to run at ``height``; prices and liquidity are gathered only
+        while an intent is pending."""
+        prices = liquidity = {}
+        if self.pending():
+            tokens, pool_ids = self._scanned[chain]
+            prices = {token: self.prices[token] for token in tokens}
+            liquidity = {pid: FixedAmount(self.pools.liquidity_raw(pid)) for pid in pool_ids}
+        for execution in solver_step(self, prices, liquidity, self.solvers):
+            self.record("intent_triggered", execution.intent.intent_id,
+                        execution.intent.owner, execution.solver, execution.fee_bps)
+            self.enqueue(chain, height, self.priority, "intent",
+                         partial(self._execute, execution, height))
+
+    def _execute(self, execution: IntentExecution, height: int) -> None:
+        intent = execution.intent
+        owner, params = intent.owner, intent.params
+        token, pool_id = params["token"], params["pool"]
+        holdings = self.ledger.balance(owner, token)
+        if holdings.raw <= 0:
+            self.record("intent_skipped", intent.intent_id, owner, "no holdings")
+            return
+        if params["action"] is IntentAction.EXIT_TO_NUMERAIRE:
+            proceeds = self.pools.trade(pool_id, owner, token, holdings, "intent")
+            fee = proceeds * execution.fee_bps / 10000
+            pool = self.pools.pools[pool_id]
+            fee_token = pool.token_y if token == pool.token_x else pool.token_x
+        else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
+            vault = (self.vaults.vault(params["vault"]) if params["vault"] is not None
+                     else self.vaults.vault_for_token(token, self.chains))
+            self.vaults.deposit(owner, {"vault": vault.vault_id, "amount": holdings}, height)
+            fee = holdings * execution.fee_bps / 10000
+            fee_token = vault.anticoin
+        if fee.raw > 0:
+            self.ledger.transfer(owner, execution.solver, fee_token, fee, memo="solver-fee")
+        self.record("intent_executed", intent.intent_id, owner, execution.solver,
+                    execution.fee_bps)
 
 
 def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
@@ -455,7 +526,7 @@ def solver_step(book: IntentBook, prices: dict[TokenId, FixedAmount],
 
     Lowest ``fee_bps`` wins; ties break on the lower account; solvers above
     an intent's fee cap are ignored for that intent. Intents are one-shot: a
-    matched intent is consumed even before the harness applies its swap.
+    matched intent is consumed even before its book executes it.
     Without both a trigger and an acceptable solver, intents simply persist.
     """
     pending = book.pending()

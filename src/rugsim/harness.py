@@ -6,13 +6,12 @@ aged exactly `bridge_delay_blocks` arrive the block they come due. Each
 chain step runs a fixed phase order:
 
   1. price processes advance
-  2. detection observes and plans (monitors, the drain book's moves,
-     intents, peg keeper)
+  2. detection observes and plans: the monitors and the aux scan, the
+     drain book's moves and the intent book's solver auction (each
+     book's ``on_block``), and the peg keepers' trades
   3. the transaction queue executes in (priority desc, arrival) order
-  4. scripted agent operations (pool steps run in the pool book, drains
-     in the drain book, vault steps in the vault registry, dispute
-     submissions in their books)
-  5. perps funding and liquidation
+  4. scripted agent operations, then the noise traders
+  5. perps funding and liquidation (the perp markets' ``on_block``)
   6. dispute-machine deadlines fire (each dispute book's ``on_block``)
   7. the vault registry delivers the matured rewards it holds on the
      bridge (its ``on_block``, home chain)
@@ -24,26 +23,25 @@ checked every field, turned it into its value (amounts, ints, enums) and
 filled in every default, so materialize and the scripted ops read fields
 and parse or default none themselves.
 
-What a chain's step visits (price processes, pools, monitors, noise
-traders, peg keepers, perp books) is listed per chain where materialize
-makes each entity, in the order a scan of the whole world would meet it.
-Each scripted step runs on the one chain that its pool, vault or token
-fixes (home for the rest), so steps are indexed by height and chain.
-Handlers read the clock, the int ``self.height``, and the chain being
-stepped, ``self._chain_ctx``; books and price functions take only the
-height. After every block the ledger re-sums every balance per token
-against that token's supply.
+The harness keeps the clock, the queue, the chain views (what a chain's
+step visits: price processes, pools, monitors, noise traders and peg
+keepers, listed where materialize makes each, in the order a scan of the
+whole world would meet it), the noise traders, the peg keepers and the
+supply controller. Each scripted step runs on the one chain that its
+pool, vault or token fixes (home for the rest), so steps are indexed by
+height and chain, and its op has one handler, in a table built at
+materialize: the harness's own ``transfer``, or the op of the book that
+declares it (the pool book, the drain book, the vault registry, the perp
+markets, the intent book, the rugproof book or the insurance book). Each
+book records its own events, as the ledger records its movements, and
+keeps its own per-chain lists; every swap, drain and liquidity move runs
+in the pool book, on the reserves the ledger holds. Handlers read the
+clock, the int ``self.height``, and the chain being stepped,
+``self._chain_ctx``. After every block the ledger re-sums every balance
+per token against that token's supply.
 
 A queued transaction is a bound action; its kind names it in the ``failed``
 event if it raises.
-
-A scripted pool, drain, vault or dispute step runs in the book that
-declares its op (the pool book, the drain book, the vault registry, the
-rugproof book or the insurance book), and each book records its own
-events, as the ledger records its movements. The drain book times the
-moves against each drain (see ``DrainBook``). Every swap, drain and
-liquidity move runs in the pool book, on the reserves the ledger holds;
-the engine keeps no copy of them.
 
 Module errors never crash a run; they are recorded as failed events.
 """
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import detection, market, tokenomics
 from .core import (
@@ -63,40 +61,33 @@ from .core import (
     RugsimError,
     SeededRng,
     TokenId,
-    ZERO,
-    _checked,
     _div_round_half_even,
     fsum,
 )
-from .detection import AuxMonitor, IntentAction, IntentBook, PoolMonitor
+from .detection import AuxMonitor, PoolMonitor
 from .insurance import InsuranceBook
 from .ledger import Ledger
 from .market import Pool, PoolBook
-from .perps import PerpBook
+from .perps import PerpMarkets
 from .rugproof import RugproofBook
 from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace, make_event
 from .vault import VaultRegistry, anticoin_value
 
 TREASURY = "treasury"
-PERP_SETTLEMENT = "perps-settlement"
 
 # a peg-keeper trade's queue priority (higher executes first within a block);
 # the drain book holds the priorities around a drain
 PRIORITY_PEG_KEEPER = 10
 
 
-class QueuedTx:
-    __slots__ = ("chain", "execute_at", "priority", "seq", "kind", "action")
-
-    def __init__(self, chain: str, execute_at: int, priority: int, seq: int, kind: str,
-                 action: Callable[[], None]):
-        self.chain = chain
-        self.execute_at = execute_at
-        self.priority = priority
-        self.seq = seq
-        self.kind = kind
-        self.action = action
+class QueuedTx(NamedTuple):
+    chain: str
+    execute_at: int
+    priority: int
+    seq: int
+    kind: str
+    action: Callable[[], None]
 
 
 class ChainView:
@@ -105,7 +96,7 @@ class ChainView:
     the views are built once, at materialize."""
 
     __slots__ = ("aux", "processes", "pools", "outflow_keys", "mint_tokens",
-                 "noise", "pegkeepers", "perp_books")
+                 "noise", "pegkeepers")
 
     def __init__(self, aux: AuxMonitor):
         self.aux = aux
@@ -121,7 +112,6 @@ class ChainView:
         self.noise: list[tuple[str, str, float, int, random.Random]] = []
         # the peg keepers' parsed agent entries
         self.pegkeepers: list[dict] = []
-        self.perp_books: list[tuple[str, PerpBook]] = []
 
 
 class Simulation:
@@ -140,11 +130,6 @@ class Simulation:
         self.prices: dict[TokenId, FixedAmount] = {}
         self.vaults = VaultRegistry(scenario.accounts, self.ledger, TREASURY, self._event,
                                     scenario.bridge_delay_blocks, HOME_TOKEN)
-        self.perp_books: dict[str, PerpBook] = {}
-        self.perp_amm: Optional[str] = None
-        self.intent_book = IntentBook()
-        # the parsed agent entries of each kind, in scenario order
-        self.agents_by_kind: dict[str, list[dict]] = {}
         # (height, chain) -> (account, step) in agent order, then script order
         self._script_steps: dict[tuple[int, str], list[tuple[str, dict]]] = {}
         self.queue: list[QueuedTx] = []
@@ -152,7 +137,6 @@ class Simulation:
         # since the aux scan that reads them last took them; keyed at materialize
         self._unscanned_mints: dict[str, int] = {}
         self._unscanned_outflows: dict[tuple[str, str], int] = {}
-        self._prev_volumes: dict[str, int] = {}
         self._prev_liquidity: dict[str, int] = {}
 
         try:
@@ -188,7 +172,6 @@ class Simulation:
 
         self.pools = PoolBook(sc.pools, self.ledger, self._event, TREASURY, sc.numeraire)
         for pool_id, pool in self.pools.pools.items():
-            self._prev_volumes[pool_id] = 0
             self._prev_liquidity[pool_id] = self.pools.liquidity_raw(pool_id)
             monitored = sc.numeraire in (pool.token_x, pool.token_y)
             views[pool.chain].pools.append(
@@ -201,14 +184,6 @@ class Simulation:
         self.ledger.mint(TREASURY, HOME_TOKEN, sc.tokenomics["initial_supply"],
                          memo="genesis-supply")
 
-        perp = sc.perps
-        if perp is not None:
-            self.perp_amm = perp["amm_pool"]
-            for vault_id in perp["enabled_vaults"]:
-                vault = self.vaults.vault(vault_id)
-                book = self.perp_books[vault_id] = PerpBook(vault_id, vault.anticoin, perp)
-                views[vault.chain].perp_books.append((vault_id, book))
-
         self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
         self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
                                        self._event)
@@ -217,9 +192,11 @@ class Simulation:
         pool_chain = {pid: pool.chain for pid, pool in self.pools.pools.items()}
         chain_of = {"pool": pool_chain, "token": token_chain, "home": {},
                     "vault": {vid: vault.chain for vid, vault in self.vaults.vaults.items()}}
+        # the parsed agent entries of each kind, in scenario order
+        by_kind: dict[str, list[dict]] = {}
         for agent in sc.agents:
             account = agent["account"]
-            self.agents_by_kind.setdefault(agent["kind"], []).append(agent)
+            by_kind.setdefault(agent["kind"], []).append(agent)
             for step in agent["script"]:
                 entity = SCRIPT_OPS[step["op"]][0]
                 chain = chain_of[entity].get(step.get(entity), sc.home_chain)
@@ -233,24 +210,30 @@ class Simulation:
             if agent["kind"] == "pegkeeper":
                 views[pool_chain[agent["pool"]]].pegkeepers.append(agent)
 
-        # the first liquidator by account id bids on every flagged position
-        self._liquidation_bidder = min(
-            (a["account"] for a in self.agents_by_kind.get("liquidator", [])), default=None)
+        self.perps = PerpMarkets(sc.perps, self.vaults, self.pools, self.prices, self.ledger,
+                                 self._event, by_kind.get("liquidator", []), TREASURY,
+                                 sc.numeraire)
         self.drains = detection.DrainBook(self.pools, self.ledger, self._event, self._enqueue,
-                                          self.agents_by_kind.get("detector", []), det,
-                                          TREASURY, sc.numeraire)
-        self._book_of_op = {op: book for book in (self.pools, self.drains, self.vaults,
-                                                  self.rugproof, self.insurance)
-                            for op in book.OPS}
+                                          by_kind.get("detector", []), det, TREASURY,
+                                          sc.numeraire)
+        self.intents = detection.IntentBook(sc.tokens, self.pools, self.vaults, self.ledger,
+                                            self.prices, by_kind.get("solver", []), self._event,
+                                            self._enqueue, det, sc.chains)
+        # op -> its one handler: the harness's own transfer, or a book's op
+        self._handlers: dict[str, Callable[[str, dict, int], None]] = {
+            "transfer": self._transfer,
+            **{op: getattr(book, op) for book in (self.pools, self.drains, self.vaults,
+                                                  self.perps, self.intents, self.rugproof,
+                                                  self.insurance) for op in book.OPS}}
 
         for entry in sc.intents:
-            self._op_register_intent(entry["owner"], entry)
+            self.intents.register_intent(entry["owner"], entry, 0)
 
         # what each chain's aux scan reads; genesis funding is not block activity
         for token, chain in token_chain.items():
             if token != HOME_TOKEN:
                 views[chain].mint_tokens.append(token)
-        creators = self.agents_by_kind.get("creator", [])
+        creators = by_kind.get("creator", [])
         for view in views.values():
             view.outflow_keys = [(creator["account"], token)
                                  for creator in creators for token, _ in view.processes]
@@ -271,7 +254,7 @@ class Simulation:
             return
         unscanned = totals.get(key)
         if unscanned is not None:
-            totals[key] = _checked(unscanned + amount.raw)
+            totals[key] = unscanned + amount.raw
 
     def _event(self, event_type: str, *values: Any, **optional: Any) -> None:
         """Record an event of this height and chain (see ``make_event``)."""
@@ -286,9 +269,6 @@ class Simulation:
         self.queue.append(QueuedTx(chain, execute_at, priority, self._seq,
                                    kind, action))
         self._seq += 1
-
-    def _mark_price(self, token: TokenId) -> FixedAmount:
-        return self.prices.get(token, ZERO)
 
     # -- run loop -------------------------------------------------------------
 
@@ -323,7 +303,12 @@ class Simulation:
             self.prices[token] = market.price_at(process, height)
 
         # (2) detection observes and plans
-        self._phase_detection(chain, view, height)
+        self._phase_detection(view, height)
+        self.drains.on_block(chain, height)
+        self.intents.on_block(chain, height)
+        for keeper in view.pegkeepers:
+            self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
+                          partial(self._exec_peg_keeper, keeper))
 
         # (3) queued transactions, priority order
         due = [tx for tx in self.queue
@@ -343,7 +328,7 @@ class Simulation:
             self._noise_trade(*noise)
 
         # (5) perps funding and liquidation
-        self._phase_perps(chain, view, height)
+        self.perps.on_block(chain, height)
 
         # (6) dispute deadlines fire, (7) the bridge delivers and (8) supply
         # emission and the burn controller run, all on the home chain
@@ -356,28 +341,26 @@ class Simulation:
 
     # -- phases ----------------------------------------------------------------
 
-    def _phase_detection(self, chain: str, view: ChainView, height: int) -> None:
+    def _phase_detection(self, view: ChainView, height: int) -> None:
         # each pool's monitor observes its liquid side; the aux scan below
         # reads the change in it and the volume since this chain's last scan
-        # (everything the previous block did, nothing of this one yet), in
-        # raw ints; the sums add amounts of different tokens, so they are
-        # exact ints that the scan range-checks (refusing a block whose
-        # volume leaves the range) or, for the liquidity change, reads only
-        # the sign of
-        pools = self.pools
+        # (everything the previous block did, nothing of this one yet). All
+        # its inputs are exact raw-int sums, of amounts of one token or of
+        # several; the scan range-checks them, and a refused block is
+        # recorded as a failed aux_scan (it reads only the sign of the
+        # liquidity change, which has no range)
         volume = delta_liq = 0
-        prev_volumes, prev_liquidity = self._prev_volumes, self._prev_liquidity
+        prev_liquidity = self._prev_liquidity
         for pool, monitor in view.pools:
             pool_id = pool.pool_id
-            liquid = pools.liquidity_raw(pool_id)
+            liquid = self.pools.liquidity_raw(pool_id)
             if monitor is not None:
                 signal = monitor.observe(height, liquid)
                 if signal is not None:
                     self._event("risk_signal", signal.kind.value, signal.magnitude,
                                 pool=pool_id)
-            current = pool.volume_x.raw + pool.volume_y.raw
-            volume += current - prev_volumes[pool_id]
-            prev_volumes[pool_id] = current
+            volume += pool.volume
+            pool.volume = 0
             delta_liq += liquid - prev_liquidity[pool_id]
             prev_liquidity[pool_id] = liquid
         minted = 0
@@ -392,7 +375,7 @@ class Simulation:
             outflows[key] = 0
             if moved > outflow:
                 outflow = moved
-                balance_before = _checked(self.ledger.balance_raw(*key) + moved)
+                balance_before = self.ledger.balance_raw(*key) + moved
         try:
             signals = view.aux.scan(height, minted, outflow, balance_before, volume,
                                     delta_liq)
@@ -402,61 +385,11 @@ class Simulation:
             for signal in signals:
                 self._event("risk_signal", signal.kind.value, signal.magnitude)
 
-        self.drains.on_block(chain, height)
-
-        # intents; prices and liquidity are gathered only while one is pending
-        chain_prices = chain_liquidity = {}
-        if self.intent_book.pending():
-            chain_prices = {token: self.prices[token] for token, _ in view.processes}
-            chain_liquidity = {pool.pool_id: FixedAmount(pools.liquidity_raw(pool.pool_id))
-                               for pool, _ in view.pools}
-        for execution in detection.solver_step(self.intent_book, chain_prices,
-                                               chain_liquidity,
-                                               self.agents_by_kind.get("solver", [])):
-            self._event("intent_triggered", execution.intent.intent_id,
-                        execution.intent.owner, execution.solver, execution.fee_bps)
-            self._enqueue(chain, height,
-                          detection.PRIORITY_DRAIN + max(1, self.drains.boost - 5),
-                          "intent", partial(self._exec_intent, execution))
-
-        # peg keeper planning
-        for keeper in view.pegkeepers:
-            self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
-                          partial(self._exec_peg_keeper, keeper))
-
     def _execute_tx(self, tx: QueuedTx) -> None:
         try:
             tx.action()
         except RugsimError as exc:
             self._failed(tx.kind, exc)
-
-    def _exec_intent(self, execution: detection.IntentExecution) -> None:
-        intent = execution.intent
-        owner, params = intent.owner, intent.params
-        token, pool_id = params["token"], params["pool"]
-        holdings = self.ledger.balance(owner, token)
-        if holdings.raw <= 0:
-            self._event("intent_skipped", intent.intent_id, owner, "no holdings")
-            return
-        if params["action"] is IntentAction.EXIT_TO_NUMERAIRE:
-            proceeds = self.pools.trade(pool_id, owner, token, holdings, "intent")
-            fee = proceeds * execution.fee_bps / 10000
-            pool = self.pools.pools[pool_id]
-            out_token = pool.token_y if token == pool.token_x else pool.token_x
-            if fee.raw > 0:
-                self.ledger.transfer(owner, execution.solver, out_token,
-                                     fee, memo="solver-fee")
-        else:  # swap_to_anticoin: vault deposit, fee paid in anticoins
-            vault = (self.vaults.vault(params["vault"]) if params["vault"] is not None
-                     else self.vaults.vault_for_token(token, self.scenario.chains))
-            self.vaults.deposit(owner, {"vault": vault.vault_id, "amount": holdings},
-                                self.height)
-            fee = holdings * execution.fee_bps / 10000
-            if fee.raw > 0:
-                self.ledger.transfer(owner, execution.solver, vault.anticoin,
-                                     fee, memo="solver-fee")
-        self._event("intent_executed", intent.intent_id, owner, execution.solver,
-                    execution.fee_bps)
 
     def _exec_peg_keeper(self, agent: dict) -> None:
         if agent["vault"] is None:
@@ -464,7 +397,7 @@ class Simulation:
         pool_id = agent["pool"]
         pool = self.pools.state(pool_id)
         vault = self.vaults.vault(agent["vault"])
-        peg = anticoin_value(vault.price_at_creation, self._mark_price(vault.rugged_token))
+        peg = anticoin_value(vault.price_at_creation, self.prices[vault.rugged_token])
         spot = market.spot_price(pool)
         input_token = pool.token_x if spot > peg else pool.token_y
         budget = min(agent["budget"], self.ledger.balance(agent["account"], input_token))
@@ -472,7 +405,7 @@ class Simulation:
         if trade is None:
             return
         self.pools.trade(pool_id, agent["account"], trade.input_token, trade.amount_in,
-                         "peg_keeper", (trade.amount_out, trade.pool))
+                         "peg_keeper", trade.amount_out)
         self._event("peg_trade", pool_id, peg, trade.amount_in, trade.input_token,
                     market.spot_price(trade.pool))
 
@@ -480,38 +413,14 @@ class Simulation:
 
     def _run_script_op(self, account: str, step: dict) -> None:
         op = step["op"]
-        book = self._book_of_op.get(op)
         try:
-            if book is not None:
-                getattr(book, op)(account, step, self.height)
-            else:
-                getattr(self, f"_op_{op}")(account, step)
+            self._handlers[op](account, step, self.height)
         except RugsimError as exc:
             self._failed(op, exc, account=account)
 
-    def _op_transfer(self, account: str, step: dict) -> None:
+    def _transfer(self, account: str, step: dict, height: int) -> None:
         self.ledger.transfer(account, step["to"], step["token"],
                              step["amount"], memo="script-transfer")
-
-    def _op_open_position(self, account: str, step: dict) -> None:
-        vault_id = step["vault"]
-        book = self.perp_books[vault_id]
-        vault = self.vaults.vault(vault_id)
-        mark = self._mark_price(vault.rugged_token)
-        unit_value = anticoin_value(vault.price_at_creation, mark)
-        position = book.open_position(
-            self.ledger, account, step["collateral"], step["leverage"],
-            step["direction"], mark, unit_value)
-        self._event("position_opened", vault_id, account, position.position_id,
-                    position.collateral_ca, position.leverage, step["direction"].value, mark)
-
-    def _op_register_intent(self, account: str, step: dict) -> None:
-        """Also registers each top-level ``intents[i]`` entry, for its owner."""
-        pool_id = step["pool"]
-        self.intent_book.register(account, step, self._mark_price(step["token"]),
-                                  FixedAmount(self.pools.liquidity_raw(pool_id)))
-        self._event("intent_registered", account, pool_id, step["theta_price"],
-                    step["theta_liquidity"])
 
     def _noise_trade(self, account: str, pool_id: str, prob: float, max_raw: int,
                      rng: random.Random) -> None:
@@ -528,38 +437,7 @@ class Simulation:
         except RugsimError as exc:
             self._failed("noise", exc, account=account)
 
-    # -- perps, tokenomics phases -------------------------------------------
-
-    def _phase_perps(self, chain: str, view: ChainView, height: int) -> None:
-        for vault_id, book in view.perp_books:
-            vault = self.vaults.vault(vault_id)
-            mark = self._mark_price(vault.rugged_token)
-            if mark.raw <= 0:
-                continue
-            l_pool = ZERO
-            if self.perp_amm is not None:
-                l_pool = FixedAmount(self.pools.liquidity_raw(self.perp_amm))
-            if height % book.params["interval_blocks"] == 0 and l_pool.raw > 0:
-                round_ = book.apply_funding(self.ledger, l_pool, TREASURY)
-                if round_ is not None:
-                    self._event("funding_round", vault_id, round_.rate,
-                                round_.paying_side.value, round_.transfer_count,
-                                round_.treasury_remainder)
-            unit_value = anticoin_value(vault.price_at_creation, mark)
-            events = book.flag_and_liquidate(self.ledger, mark, self._liquidation_bidder,
-                                             height, PERP_SETTLEMENT, unit_value=unit_value)
-            for event in events:
-                self._event("liquidation", vault_id, event.position_id, event.kind,
-                            event.liquidator, event.fee_ca, event.swap_ca)
-                if event.swap_ca.raw > 0 and self.perp_amm is not None:
-                    try:
-                        proceeds = self.pools.trade(self.perp_amm, PERP_SETTLEMENT,
-                                                    book.anticoin, event.swap_ca, "liq-settle")
-                        numeraire = self.scenario.numeraire
-                        self.ledger.transfer(PERP_SETTLEMENT, TREASURY, numeraire,
-                                             proceeds, memo="liq-proceeds")
-                    except RugsimError as exc:
-                        self._failed("liquidation_swap", exc, vault=vault_id)
+    # -- tokenomics phase ---------------------------------------------------------
 
     def _phase_tokenomics(self, height: int, minted: int) -> None:
         """Emit, then burn toward the target; ``minted`` is the raw R the
@@ -568,8 +446,9 @@ class Simulation:
         emission = tk["epsilon_rate"]
         if emission.raw > 0:
             self.ledger.mint(TREASURY, HOME_TOKEN, emission, memo="emission")
+        # every vault's token has a price process
         vaulted_value = tokenomics.aggregate_vault_stats(self.vaults, self.ledger,
-                                                         self._mark_price)
+                                                         self.prices.__getitem__)
         treasury_held = self.ledger.balance(TREASURY, HOME_TOKEN)
         target = tokenomics.target_supply(vaulted_value, tk["s0"])
         burned = tokenomics.burn_step(self.ledger.total_supply(HOME_TOKEN), tk, target,
@@ -623,8 +502,7 @@ class Simulation:
                       "token_x": p.token_x, "token_y": p.token_y, "fee_bps": p.fee_bps}
                 for pid, p in sorted(self.pools.pools.items())},
             "vaults": self.vaults.snapshot(self.scenario.chains),
-            "perps": {vid: book.snapshot()
-                      for vid, book in sorted(self.perp_books.items())},
+            "perps": self.perps.snapshot(),
             "insurance": self.insurance.snapshot(),
             "home_token_supply": str(self.ledger.total_supply(HOME_TOKEN)),
             "total_penalties": str(self.vaults.total_penalties),

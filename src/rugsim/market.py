@@ -9,7 +9,7 @@ product of reserves never decreases; the deviation from the exact
 constant-product solution stays below one quantum per operation.
 
 A pool's reserves are its ``pool:<id>`` ledger balances and nothing else:
-the ``PoolBook`` keeps each pool's tokens, fee, chain and volumes, and
+the ``PoolBook`` keeps each pool's tokens, fee, chain and volume, and
 builds a PoolState from those balances only for the pure functions to
 read. Engine-owned account names are refused at load, so nothing but the
 book moves a pool account's tokens.
@@ -79,16 +79,13 @@ def price_at(proc: dict, height: int) -> FixedAmount:
 
 
 class PoolState:
-    """One pool's reserves, fee and cumulative volumes; a value, never
-    changed once made, and equal to another with the same fields."""
+    """One pool's reserves and fee; a value, never changed once made, and
+    equal to another with the same fields."""
 
-    __slots__ = ("pool_id", "token_x", "token_y", "reserve_x", "reserve_y", "fee_bps",
-                 "volume_x", "volume_y")
+    __slots__ = ("pool_id", "token_x", "token_y", "reserve_x", "reserve_y", "fee_bps")
 
     def __init__(self, pool_id: PoolId, token_x: TokenId, token_y: TokenId,
-                 reserve_x: FixedAmount, reserve_y: FixedAmount,
-                 fee_bps: int, volume_x: FixedAmount = ZERO,
-                 volume_y: FixedAmount = ZERO):
+                 reserve_x: FixedAmount, reserve_y: FixedAmount, fee_bps: int):
         if reserve_x.raw < 0 or reserve_y.raw < 0:
             raise ParameterError("negative reserve")
         self.pool_id = pool_id
@@ -97,8 +94,6 @@ class PoolState:
         self.reserve_x = reserve_x
         self.reserve_y = reserve_y
         self.fee_bps = fee_bps
-        self.volume_x = volume_x
-        self.volume_y = volume_y
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not PoolState:
@@ -159,15 +154,8 @@ def pool_swap(pool: PoolState, input_token: TokenId,
 
     new_in = r_in + dx
     new_out = r_out - dy
-    if input_token == pool.token_x:
-        new_x, new_y = new_in, new_out
-        vol_x, vol_y = pool.volume_x + dx, pool.volume_y
-    else:
-        new_x, new_y = new_out, new_in
-        vol_x, vol_y = pool.volume_x, pool.volume_y + dx
-    new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                         pool.fee_bps, vol_x, vol_y)
-    return dy, new_pool
+    new_x, new_y = (new_in, new_out) if input_token == pool.token_x else (new_out, new_in)
+    return dy, PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y, pool.fee_bps)
 
 
 def pool_quote(pool: PoolState, input_token: TokenId, dx: FixedAmount) -> FixedAmount:
@@ -226,7 +214,7 @@ def pool_add_liquidity(pool: PoolState, dx: FixedAmount, dy: Optional[FixedAmoun
             raise DustError(f"a deposit of {dx} and {dy} mints no LP token")
     return FixedAmount(minted), PoolState(
         pool.pool_id, pool.token_x, pool.token_y, pool.reserve_x + dx, pool.reserve_y + dy,
-        pool.fee_bps, pool.volume_x, pool.volume_y)
+        pool.fee_bps)
 
 
 def pool_remove_liquidity(pool: PoolState, share: FixedAmount, lp_supply: FixedAmount
@@ -243,7 +231,7 @@ def pool_remove_liquidity(pool: PoolState, share: FixedAmount, lp_supply: FixedA
     out_x = pool.reserve_x - new_x
     out_y = pool.reserve_y - new_y
     new_pool = PoolState(pool.pool_id, pool.token_x, pool.token_y, new_x, new_y,
-                         pool.fee_bps, pool.volume_x, pool.volume_y)
+                         pool.fee_bps)
     return out_x, out_y, burned, new_pool
 
 
@@ -301,23 +289,21 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
     x_in = input_token == pool.token_x
     r_in = pool.reserve_of(input_token).raw
     r_out = pool.reserve_of(pool.other(input_token)).raw
-    volume_in = (pool.volume_x if x_in else pool.volume_y).raw
     illiquid = r_in <= QUANTUM.raw or r_out <= QUANTUM.raw
     fee_bps = pool.fee_bps
 
     def crosses(amount_raw: int) -> bool:
         # pool_swap then spot_price, in raw integers: an illiquid pool or a
-        # dust output is no crossing; a reserve, volume or spot past
-        # MAX_RAW raises the RangeError their FixedAmount would
+        # dust output is no crossing; a reserve or spot past MAX_RAW raises
+        # the RangeError their FixedAmount would
         if illiquid:
             return False
         dy_raw = _swap_output_raw(r_in, r_out, amount_raw, fee_bps)
         if dy_raw <= 0:
             return False
         new_in = r_in + amount_raw
-        for raw in (new_in, volume_in + amount_raw):
-            if raw > MAX_RAW:
-                raise RangeError(f"fixed-point overflow: raw={raw}")
+        if new_in > MAX_RAW:
+            raise RangeError(f"fixed-point overflow: raw={new_in}")
         new_x, new_y = (new_in, r_out - dy_raw) if x_in else (r_out - dy_raw, new_in)
         new_spot = _div_round_half_even(new_y * SCALE, new_x)
         if new_spot > MAX_RAW:
@@ -367,12 +353,13 @@ def peg_keeper_step(pool: PoolState, peg_value: FixedAmount, budget: FixedAmount
 
 
 class Pool:
-    """A pool's fixed facts and its running volumes; its reserves are the
-    balances of ``account``, and ``liquid_token`` is its numeraire side,
-    else its token_y."""
+    """A pool's fixed facts and its volume: the exact raw sum of the swap
+    inputs, in either token, since its chain's aux scan last took it. Its
+    reserves are the balances of ``account``, and ``liquid_token`` is its
+    numeraire side, else its token_y."""
 
     __slots__ = ("pool_id", "chain", "token_x", "token_y", "fee_bps", "account",
-                 "liquid_token", "volume_x", "volume_y")
+                 "liquid_token", "volume")
 
     def __init__(self, params: dict, numeraire: TokenId):
         self.pool_id, self.chain = params["id"], params["chain"]
@@ -380,7 +367,7 @@ class Pool:
         self.fee_bps = params["fee_bps"]
         self.account = f"pool:{self.pool_id}"
         self.liquid_token = self.token_x if self.token_x == numeraire else self.token_y
-        self.volume_x = self.volume_y = ZERO
+        self.volume = 0
 
 
 class PoolBook:
@@ -410,36 +397,32 @@ class PoolBook:
         held = self.ledger.balance_raw
         return PoolState(pool_id, pool.token_x, pool.token_y,
                          FixedAmount(held(pool.account, pool.token_x)),
-                         FixedAmount(held(pool.account, pool.token_y)), pool.fee_bps,
-                         pool.volume_x, pool.volume_y)
+                         FixedAmount(held(pool.account, pool.token_y)), pool.fee_bps)
 
     def liquidity_raw(self, pool_id: PoolId) -> int:
         pool = self.pools[pool_id]
         return self.ledger.balance_raw(pool.account, pool.liquid_token)
 
-    def move(self, account: str, after: PoolState, input_token: TokenId, dx: FixedAmount,
+    def move(self, account: str, pool_id: PoolId, input_token: TokenId, dx: FixedAmount,
              dy: FixedAmount, memo: str) -> TokenId:
         """Move a trade that a pure function sized on ``state``, dx of
-        ``input_token`` in and dy of the other token out, and take the
-        volumes of ``after``, the pool it returned; returns the other token.
-        The sizing range-checked every reserve and volume, so only the debit,
-        the first move, can fail."""
-        pool = self.pools[after.pool_id]
+        ``input_token`` in and dy of the other token out, and add dx to the
+        pool's volume; returns the other token. The sizing range-checked
+        every reserve, so only the debit, the first move, can fail."""
+        pool = self.pools[pool_id]
         out_token = pool.token_y if input_token == pool.token_x else pool.token_x
         self.ledger.transfer(account, pool.account, input_token, dx, memo=memo)
         self.ledger.transfer(pool.account, account, out_token, dy, memo=memo)
-        pool.volume_x, pool.volume_y = after.volume_x, after.volume_y
+        pool.volume += dx.raw
         return out_token
 
     def trade(self, pool_id: PoolId, account: str, input_token: TokenId, dx: FixedAmount,
-              memo: str, sized: Optional[tuple[FixedAmount, PoolState]] = None
-              ) -> FixedAmount:
+              memo: str, sized: Optional[FixedAmount] = None) -> FixedAmount:
         """Swap dx of ``input_token`` in for ``account`` and record it;
-        returns the output. ``sized`` is the (output, pool after) a pure
-        function already found for dx on ``state(pool_id)``; else pool_swap
-        finds it."""
-        dy, after = sized or pool_swap(self.state(pool_id), input_token, dx)
-        out_token = self.move(account, after, input_token, dx, dy, memo)
+        returns the output. ``sized`` is the output a pure function already
+        found for dx on ``state(pool_id)``; else pool_swap finds it."""
+        dy = pool_swap(self.state(pool_id), input_token, dx)[0] if sized is None else sized
+        out_token = self.move(account, pool_id, input_token, dx, dy, memo)
         self.record("swap", pool_id, account, input_token, dx, out_token, dy, memo)
         return dy
 

@@ -9,17 +9,22 @@ window, and the protocol auto-liquidates after the deadline, swapping the
 seized anticoins through the protocol-owned AMM. Positions and funding
 are valued in raw ints, each result rounded half-even once, exactly as
 its rational expression (written in each docstring) would be.
+
+Each enabled vault has a ``PerpBook``; the ``PerpMarkets`` book holds them
+all and runs the game, the ``open_position`` op and each chain's funding,
+liquidations and settlement sales (``on_block``), recording its events.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     FixedAmount,
     IlliquidError,
     ParameterError,
+    RugsimError,
     SCALE,
     TokenId,
     VaultId,
@@ -28,6 +33,11 @@ from .core import (
     amt,
 )
 from .ledger import BalanceError, Ledger
+from .market import PoolBook
+from .vault import Vault, VaultRegistry, anticoin_value
+
+# where seized collateral waits for its AMM sale
+SETTLEMENT = "perps-settlement"
 
 
 class Direction(enum.Enum):
@@ -39,7 +49,6 @@ class PositionStatus(enum.Enum):
     OPEN = "open"
     FLAGGED = "flagged"
     LIQUIDATED = "liquidated"
-    CLOSED = "closed"
 
 
 class Position:
@@ -166,14 +175,6 @@ class PerpBook:
         self._next_id += 1
         return position
 
-    def open_positions(self) -> list[Position]:
-        return [p for p in self.positions.values() if p.status is PositionStatus.OPEN]
-
-    def side_counts(self) -> tuple[int, int]:
-        longs = sum(1 for p in self.open_positions() if p.direction is Direction.LONG)
-        shorts = sum(1 for p in self.open_positions() if p.direction is Direction.SHORT)
-        return longs, shorts
-
     def apply_funding(self, ledger: Ledger, l_pool: FixedAmount,
                       treasury: str) -> Optional[FundingRound]:
         """Charge the majority side, distribute to the minority pro-rata by
@@ -181,17 +182,18 @@ class PerpBook:
         is zero-sum by construction; the rounding remainder goes to the
         treasury. A single-sided or tied book accrues nothing. The caller
         runs a round each interval_blocks blocks."""
-        n_long, n_short = self.side_counts()
+        positions = [p for p in self.positions.values()  # by id
+                     if p.status is PositionStatus.OPEN]
+        n_long = sum(p.direction is Direction.LONG for p in positions)
+        n_short = len(positions) - n_long
         if n_long == 0 or n_short == 0 or n_long == n_short:
             return None
         rate = funding_rate_final(
             funding_rate(n_long, n_short, self.params["alpha_base"]),
             self.params["l_min"], l_pool)
         paying = Direction.LONG if n_long > n_short else Direction.SHORT
-        payers = [p for p in self.open_positions() if p.direction is paying]
-        receivers = [p for p in self.open_positions() if p.direction is not paying]
-        payers.sort(key=lambda p: p.position_id)
-        receivers.sort(key=lambda p: p.position_id)
+        payers = [p for p in positions if p.direction is paying]
+        receivers = [p for p in positions if p.direction is not paying]
 
         transfer_count = 0
         pot = ZERO
@@ -235,42 +237,35 @@ class PerpBook:
         events: list[LiquidationEvent] = []
         params = self.params
         live = unit_value if params["revalue_collateral"] else None
-        for pid in sorted(self.positions):
-            p = self.positions[pid]
+        for pid, p in self.positions.items():  # by id
             if p.status is PositionStatus.OPEN:
                 health = position_health(p, mark_price, live)
-                if health <= params["maintenance_fraction"]:
-                    p.status = PositionStatus.FLAGGED
-                    p.flagged_at = height
-                    events.append(LiquidationEvent(pid, "flagged"))
-            if p.status is not PositionStatus.FLAGGED:
+                if health > params["maintenance_fraction"]:
+                    continue
+                p.status, p.flagged_at = PositionStatus.FLAGGED, height
+                events.append(LiquidationEvent(pid, "flagged"))
+            elif p.status is PositionStatus.FLAGGED:
+                health = position_health(p, mark_price, live)
+            else:
                 continue
-
-            wiped = position_health(p, mark_price, live).raw == 0
-            deadline_passed = height >= p.flagged_at + params["liquidator_deadline_blocks"]
             if bidder is not None and p.flagged_at < height:
                 fee = params["liquidator_fee_fraction"] * p.collateral_ca
-                rest = p.collateral_ca - fee
                 if fee.raw > 0:
                     ledger.transfer(self.escrow_account, bidder, self.anticoin,
                                     fee, memo=f"liq-fee:{self.vault_id}:{pid}")
-                if rest.raw > 0:
-                    ledger.transfer(self.escrow_account, settlement_account,
-                                    self.anticoin, rest,
-                                    memo=f"liq-settle:{self.vault_id}:{pid}")
-                p.collateral_ca = ZERO
-                p.status = PositionStatus.LIQUIDATED
-                events.append(LiquidationEvent(pid, "liquidated", liquidator=bidder,
-                                               fee_ca=fee, swap_ca=rest))
-            elif wiped or deadline_passed:
-                rest = p.collateral_ca
-                if rest.raw > 0:
-                    ledger.transfer(self.escrow_account, settlement_account,
-                                    self.anticoin, rest,
-                                    memo=f"liq-auto:{self.vault_id}:{pid}")
-                p.collateral_ca = ZERO
-                p.status = PositionStatus.LIQUIDATED
-                events.append(LiquidationEvent(pid, "auto_liquidated", swap_ca=rest))
+                event = LiquidationEvent(pid, "liquidated", liquidator=bidder, fee_ca=fee,
+                                         swap_ca=p.collateral_ca - fee)
+                memo = f"liq-settle:{self.vault_id}:{pid}"
+            elif health.raw == 0 or height >= p.flagged_at + params["liquidator_deadline_blocks"]:
+                event = LiquidationEvent(pid, "auto_liquidated", swap_ca=p.collateral_ca)
+                memo = f"liq-auto:{self.vault_id}:{pid}"
+            else:
+                continue
+            if event.swap_ca.raw > 0:
+                ledger.transfer(self.escrow_account, settlement_account, self.anticoin,
+                                event.swap_ca, memo=memo)
+            p.collateral_ca, p.status = ZERO, PositionStatus.LIQUIDATED
+            events.append(event)
         return events
 
     def snapshot(self) -> dict:
@@ -285,3 +280,76 @@ class PerpBook:
             }
             for pid, p in sorted(self.positions.items())
         }
+
+
+class PerpMarkets:
+    """The perp market of each vault the parsed ``perps`` section enables
+    (none without one), of every chain. The book runs its script op
+    (``OPS``) and each chain's markets (``on_block``) at the engine's live
+    ``prices``, and sells seized collateral for ``treasury`` through the
+    section's ``amm_pool``; the first of the parsed ``liquidators`` by
+    account id bids on every flagged position."""
+
+    OPS = ("open_position",)
+
+    def __init__(self, params: Optional[dict], vaults: VaultRegistry, pools: PoolBook,
+                 prices: dict[TokenId, FixedAmount], ledger: Ledger,
+                 record: Callable[..., None], liquidators: Sequence[dict], treasury: str,
+                 numeraire: TokenId):
+        self.vaults, self.pools, self.prices, self.ledger = vaults, pools, prices, ledger
+        self.record, self.treasury, self.numeraire = record, treasury, numeraire
+        self.amm_pool = params["amm_pool"] if params is not None else None
+        self.bidder = min((agent["account"] for agent in liquidators), default=None)
+        self.books: dict[VaultId, PerpBook] = {}
+        # chain -> (book, its vault) in enabled_vaults order
+        self._markets: dict[str, list[tuple[PerpBook, Vault]]] = {}
+        for vault_id in params["enabled_vaults"] if params is not None else ():
+            vault = vaults.vault(vault_id)
+            book = self.books[vault_id] = PerpBook(vault_id, vault.anticoin, params)
+            self._markets.setdefault(vault.chain, []).append((book, vault))
+
+    def open_position(self, account: str, step: dict, height: int) -> None:
+        vault_id = step["vault"]
+        vault = self.vaults.vault(vault_id)
+        mark = self.prices[vault.rugged_token]
+        position = self.books[vault_id].open_position(
+            self.ledger, account, step["collateral"], step["leverage"], step["direction"],
+            mark, anticoin_value(vault.price_at_creation, mark))
+        self.record("position_opened", vault_id, account, position.position_id,
+                    position.collateral_ca, position.leverage, step["direction"].value, mark)
+
+    def on_block(self, chain: str, height: int) -> None:
+        """Run each of this chain's markets at its mark (a vault's token is
+        priced, never below its floor): a funding round on each
+        ``interval_blocks`` boundary while the AMM pool holds liquidity,
+        then flagging and liquidation. The liquidations are recorded after
+        all of their moves, each followed by the sale of its seized
+        collateral; a sale that fails is recorded and the rest go on."""
+        for book, vault in self._markets.get(chain, ()):
+            mark = self.prices[vault.rugged_token]
+            if height % book.params["interval_blocks"] == 0 and self.amm_pool is not None:
+                l_pool = self.pools.liquidity_raw(self.amm_pool)
+                round_ = (book.apply_funding(self.ledger, FixedAmount(l_pool), self.treasury)
+                          if l_pool > 0 else None)
+                if round_ is not None:
+                    self.record("funding_round", book.vault_id, round_.rate,
+                                round_.paying_side.value, round_.transfer_count,
+                                round_.treasury_remainder)
+            events = book.flag_and_liquidate(
+                self.ledger, mark, self.bidder, height, SETTLEMENT,
+                unit_value=anticoin_value(vault.price_at_creation, mark))
+            for event in events:
+                self.record("liquidation", book.vault_id, event.position_id, event.kind,
+                            event.liquidator, event.fee_ca, event.swap_ca)
+                if event.swap_ca.raw > 0 and self.amm_pool is not None:
+                    try:
+                        proceeds = self.pools.trade(self.amm_pool, SETTLEMENT, book.anticoin,
+                                                    event.swap_ca, "liq-settle")
+                        self.ledger.transfer(SETTLEMENT, self.treasury, self.numeraire,
+                                             proceeds, memo="liq-proceeds")
+                    except RugsimError as exc:
+                        self.record("failed", "liquidation_swap", type(exc).__name__,
+                                    str(exc), vault=book.vault_id)
+
+    def snapshot(self) -> dict:
+        return {vault_id: book.snapshot() for vault_id, book in sorted(self.books.items())}

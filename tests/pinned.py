@@ -58,6 +58,55 @@ def failed_pool_ops_doc() -> dict:
         {"block": 3, "op": "remove_liquidity", "pool": "rug-usdn", "share": "0.5"}]})
     return doc
 
+
+def perps_intents_doc() -> dict:
+    """builtin:scam cut to 10 blocks, with perps on two vaults and three
+    intents. Five positions open on v-rug, one more fails on its leverage,
+    and one opens on v-dud (a second token, DUD). The first funding round
+    leaves dust. At block 3 the 5x long is flagged and wiped out at once
+    (auto_liquidated) and the 2x long is flagged, which the liquidator takes
+    at block 4. The v-dud position is liquidated too, but the AMM pool
+    trades v-rug's anticoin only, so its settlement swap fails. The scam's
+    exit intent and a swap_to_anticoin intent each pay the solver a fee,
+    and a scripted intent whose owner holds nothing is skipped."""
+    doc = scam_scenario()
+    doc["blocks"] = 10
+    doc["tokens"].append({"id": "DUD", "chain": "alpha",
+                          "price_process": {"kind": "catastrophic", "p0": "1", "lam": "0.2"}})
+    doc["vaults"].append({**doc["vaults"][0], "id": "v-dud", "rugged_token": "DUD"})
+    doc["pools"].append({"id": "anti-usdn", "chain": "alpha", "token_x": "anti:RUG@alpha",
+                         "token_y": "USDN", "reserve_x": "1000", "reserve_y": "1000",
+                         "fee_bps": 0})
+    doc["perps"] = {"enabled_vaults": ["v-rug", "v-dud"], "alpha_base": "0.01",
+                    "l_min": "100", "interval_blocks": 2, "amm_pool": "anti-usdn",
+                    "maintenance_fraction": "0.5", "liquidator_deadline_blocks": 2}
+    doc["accounts"] += [{"id": "saver", "balances": {"RUG": "60"}},
+                        {"id": "empty", "balances": {}},
+                        {"id": "trader", "balances": {"RUG": "900", "DUD": "900"}},
+                        {"id": "liq-1", "balances": {}}]
+    positions = [("v-rug", "100", "2", "long"), ("v-rug", "50", "5", "long"),
+                 ("v-rug", "70", "1", "short"), ("v-rug", "110", "3", "short"),
+                 ("v-rug", "30", "1", "short"), ("v-rug", "10", "11", "long"),
+                 ("v-dud", "100", "4", "long")]
+    doc["agents"] += [
+        {"kind": "retail", "account": "trader", "script": [
+            {"block": 1, "op": "deposit", "vault": "v-rug", "amount": "700"},
+            {"block": 1, "op": "deposit", "vault": "v-dud", "amount": "700"},
+            *({"block": 2, "op": "open_position", "vault": vault, "collateral": collateral,
+               "leverage": leverage, "direction": direction}
+              for vault, collateral, leverage, direction in positions)]},
+        {"kind": "retail", "account": "empty", "script": [
+            {"block": 1, "op": "register_intent", "pool": "rug-usdn", "token": "RUG",
+             "action": "exit_to_numeraire", "theta_price": "0.5",
+             "theta_liquidity": "0.3"}]},
+        {"kind": "liquidator", "account": "liq-1"}]
+    doc["intents"].append({"owner": "saver", "pool": "rug-usdn", "token": "RUG",
+                           "theta_price": "0.6", "theta_liquidity": "0.3",
+                           "action": "swap_to_anticoin", "vault": "v-rug",
+                           "solver_fee_bps": 30})
+    return doc
+
+
 # name -> (the document: a builtin name, a function building one or None,
 #          the extra command-line arguments, the command)
 CORPUS: dict[str, tuple[str | Callable[[], dict] | None, list[str], str]] = {
@@ -67,6 +116,7 @@ CORPUS: dict[str, tuple[str | Callable[[], dict] | None, list[str], str]] = {
     "storm_doc(777)": (lambda: workloads.storm_doc(777), [], "run"),
     "storm_doc(31337)": (lambda: workloads.storm_doc(31337), [], "run"),
     "failed_pool_ops_doc()": (failed_pool_ops_doc, [], "run"),
+    "perps_intents_doc()": (perps_intents_doc, [], "run"),
     "builtin:reference lambda sweep (summary.csv sha256)": (
         "builtin:reference", ["--param", workloads.SWEEP_PARAM], "sweep"),
     # points share the parsed lists their path leaves alone: this one

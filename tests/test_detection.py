@@ -2,6 +2,7 @@
 system."""
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,6 @@ from rugsim.core import (
     RugsimError,
     SCALE,
     amt,
-    fsum,
 )
 from rugsim.detection import (
     PRIORITY_BACKRUN,
@@ -38,7 +38,7 @@ from rugsim.ledger import Ledger
 from rugsim.market import PoolBook, PoolState, pool_quote, pool_quote_exact_out, pool_swap
 from rugsim.scenario import load_scenario, reference_scenario, scam_scenario
 
-from conftest import loaded
+from conftest import Recorder, loaded, vault_registry
 
 ALICE = "alice"
 
@@ -91,6 +91,20 @@ def test_aux_monitor_signals():
     assert [s.kind for s in signals] == [SignalKind.WALLET_OUTFLOW]
 
 
+def test_a_scan_that_raises_still_moves_its_windows():
+    # block 2 mints the whole range after block 1 minted one quantum: the
+    # spike's magnitude is past the range, so the scan raises, but only
+    # after both windows took their inputs; block 3's equal mint is no spike
+    # against a mean of the whole range, whose threshold, 3 times it, is
+    # compared exactly
+    aux = AuxMonitor(amt(3), amt("0.5"), amt(4), window=1)
+    assert aux.scan(1, 1, 0, 0, 0, 0) == []
+    with pytest.raises(RangeError):
+        aux.scan(2, MAX_RAW, 0, 0, 0, 0)
+    assert list(aux._mints.values) == [MAX_RAW] and list(aux._volumes.values) == [0]
+    assert aux.scan(3, MAX_RAW, 0, 0, 0, 0) == []
+
+
 def _mean_or_error(compute):
     try:
         mean = compute()
@@ -105,8 +119,9 @@ def _mean_or_error(compute):
                                st.integers(min_value=-MAX_RAW, max_value=MAX_RAW)),
                      max_size=40))
 def test_trailing_window_mean_equals_resummed_mean(size, raws):
-    # the running sum gives fsum(window) / len(window) exactly, before and
-    # after the window starts evicting, and overflows where fsum does
+    # the running sum gives the exact mean of the window, rounded half-even,
+    # before and after the window starts evicting; a mean of amounts in the
+    # range is in it, however far their sum passes it
     window = TrailingWindow(size)
     kept: list[FixedAmount] = []
     for raw in raws:
@@ -114,25 +129,38 @@ def test_trailing_window_mean_equals_resummed_mean(size, raws):
         window.push(raw)
         kept = (kept + [value])[-size:] if size else []
         assert list(window.values) == [v.raw for v in kept]
-        expected = _mean_or_error(
-            lambda: fsum(kept) / len(kept) if kept else None)
-        assert _mean_or_error(window.mean) == expected
+        expected = _mean_or_error(lambda: _exact_mean(kept) if kept else None)
+        assert _mean_or_error(window.mean) == expected != "RangeError"
+
+
+def _exact_mean(values):
+    """The mean of FixedAmounts as a FixedAmount, from their exact sum
+    (``round`` of a Fraction rounds half to even)."""
+    return FixedAmount(round(Fraction(sum(v.raw for v in values), len(values))))
+
+
+def _exact_product(a, b):
+    """The raw FixedAmount product a * b, rounded half to even but never
+    range-checked: a threshold that is only compared against."""
+    return round(Fraction(a.raw * b.raw, SCALE))
 
 
 class _FixedWindow:
-    """A trailing window of FixedAmounts, re-summed on every mean."""
+    """A trailing window of FixedAmounts, re-summed exactly on every mean."""
 
     def __init__(self, size):
         self.values = deque(maxlen=size)
 
     def mean(self):
-        return fsum(self.values) / len(self.values) if self.values else None
+        return _exact_mean(self.values) if self.values else None
 
 
 class _FixedAux:
     """AuxMonitor.scan written with FixedAmount arithmetic: each input but
     the liquidity change, of which only the sign is read, is built as a
-    FixedAmount, and each comparison is the FixedAmount expression."""
+    FixedAmount, both windows take the inputs before any comparison, and
+    each comparison is the FixedAmount expression, its threshold product
+    taken exactly."""
 
     def __init__(self, mint_factor, outflow_fraction, volume_factor, window):
         self.mint_factor, self.outflow_fraction = mint_factor, outflow_fraction
@@ -142,22 +170,21 @@ class _FixedAux:
     def scan(self, height, *raws):
         minted, outflow, before, volume = (FixedAmount(r) for r in raws[:4])
         delta = raws[4]
+        mean_mint, mean_vol = self.mints.mean(), self.volumes.mean()
+        self.mints.values.append(minted)
+        self.volumes.values.append(volume)
         signals = []
-        mean_mint = self.mints.mean()
         if mean_mint is not None and minted.raw > 0:
-            if mean_mint.raw == 0 or minted > self.mint_factor * mean_mint:
+            if mean_mint.raw == 0 or minted.raw > _exact_product(self.mint_factor, mean_mint):
                 magnitude = minted / mean_mint if mean_mint.raw > 0 else minted
                 signals.append(RiskSignal(SignalKind.MINT_SPIKE, magnitude, height))
         if before.raw > 0 and outflow.raw > 0:
             fraction = outflow / before
             if fraction > self.outflow_fraction:
                 signals.append(RiskSignal(SignalKind.WALLET_OUTFLOW, fraction, height))
-        mean_vol = self.volumes.mean()
         if (mean_vol is not None and mean_vol.raw > 0 and delta <= 0
-                and volume > self.volume_factor * mean_vol):
+                and volume.raw > _exact_product(self.volume_factor, mean_vol)):
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY, volume / mean_vol, height))
-        self.mints.values.append(minted)
-        self.volumes.values.append(volume)
         return [(s.kind, s.magnitude.raw, s.height) for s in signals]
 
 
@@ -179,20 +206,24 @@ _factors = st.one_of(st.integers(min_value=0, max_value=10 * SCALE),
 
 
 # each range check of scan, forced: a mint spike, an outflow and a volume
-# spike whose magnitude passes MAX_RAW, and a window sum past it
+# spike whose magnitude passes MAX_RAW, and a window whose sum passes it
+# while its mean does not
 @example(factors=(amt(3), amt("0.5"), amt(4)), window=1,
          scans=[(1, 0, 0, 1, 0), (MAX_RAW, MAX_RAW, 1, MAX_RAW, 0)])
 @example(factors=(amt(3), amt("0.5"), amt(4)), window=1,
          scans=[(0, 0, 0, 1, 0), (0, 0, 0, MAX_RAW, -1)])
 @example(factors=(amt(3), amt("0.5"), amt(4)), window=2,
          scans=[(MAX_RAW, 0, 0, 0, 0), (MAX_RAW, 0, 0, 0, 0), (1, 0, 0, 0, 0)])
+# and a spike threshold past MAX_RAW, which no volume passes
+@example(factors=(amt(3), amt("0.5"), amt(4)), window=1,
+         scans=[(0, 0, 0, MAX_RAW, 0), (0, 0, 0, MAX_RAW, 0)])
 @settings(max_examples=300)
 @given(factors=st.tuples(_factors, _factors, _factors),
        window=st.integers(min_value=1, max_value=4),
        scans=st.lists(st.tuples(_raws, _raws, _raws, _raws, _raws), max_size=12))
 def test_raw_aux_scan_matches_the_fixed_amount_expressions(factors, window, scans):
-    # signals, magnitudes and RangeError texts, scan by scan; a scan that
-    # raises leaves both monitors as they were
+    # signals, magnitudes and RangeError texts, scan by scan; a scan whose
+    # inputs are refused leaves both monitors as they were
     aux, model = AuxMonitor(*factors, window=window), _FixedAux(*factors, window)
     for height, raws in enumerate(scans, start=1):
         got = _outcome(lambda: [(s.kind, s.magnitude.raw, s.height)
@@ -420,13 +451,39 @@ def test_protective_moves_outbid_the_drain_and_salvage_trades_below_it(boost):
 POOL = "rug-usdn"  # builtin:reference's RUG pool
 
 
+def intent_book(boost: int = 20):
+    """An IntentBook on a bare ledger, pool book and vault registry holding
+    builtin:scam's accounts, pool and vault, with its solver and no intent;
+    the tests move ``book.prices``. Returns the book, the events it records
+    as (type, *values) and the transactions it queues as (chain,
+    execute_at, priority, kind, action)."""
+    doc = scam_scenario()
+    doc["detection"]["protocol_priority_boost"] = boost
+    scenario = load_scenario(doc)
+    ledger, records, queue = Ledger(), Recorder(), []
+    for entry in scenario.accounts:
+        for token, balance in entry["balances"].items():
+            ledger.mint(entry["id"], token, balance)
+    pools = PoolBook(scenario.pools, ledger, records, "treasury", scenario.numeraire)
+    vaults = vault_registry(ledger, *(entry["id"] for entry in scenario.accounts))
+    vaults.create_vault(scenario.vaults[0], amt(1))
+    book = IntentBook(scenario.tokens, pools, vaults, ledger, {"RUG": amt(1)},
+                      [a for a in scenario.agents if a["kind"] == "solver"], records,
+                      lambda *tx: queue.append(tx), scenario.detection, scenario.chains)
+    return book, records, queue
+
+
 def mk_intent(book, theta_price="0.5", theta_liq="0.3"):
-    # the owner accepts a solver fee up to 30 bps, the highest these tests bid
+    # registered at a RUG price of 1 and 1000 USDN of liquidity; the owner
+    # accepts a solver fee up to 30 bps, the highest these tests bid
     params = loaded("intents.0", {"owner": ALICE, "pool": POOL, "token": "RUG",
                                   "action": IntentAction.EXIT_TO_NUMERAIRE.value,
                                   "theta_price": theta_price, "theta_liquidity": theta_liq,
                                   "solver_fee_bps": 30})
-    return book.register(ALICE, params, price_ref=amt(1), liquidity_ref=amt(1000))
+    book.register_intent(ALICE, params, 0)
+    intent = book.intents[len(book.intents)]
+    assert (intent.price_ref, intent.liquidity_ref) == (amt(1), amt(1000))
+    return intent
 
 
 def mk_solver(account, fee_bps):
@@ -438,7 +495,7 @@ def mk_solver(account, fee_bps):
 
 
 def test_intent_triggers_on_price():
-    book = IntentBook()
+    book = intent_book()[0]
     intent = mk_intent(book)
     solvers = [mk_solver("sol-1", 30)]
     quiet = solver_step(book, {"RUG": amt("0.6")}, {POOL: amt(1000)}, solvers)
@@ -449,7 +506,7 @@ def test_intent_triggers_on_price():
 
 
 def test_intent_triggers_on_liquidity():
-    book = IntentBook()
+    book = intent_book()[0]
     mk_intent(book)
     solvers = [mk_solver("sol-1", 30)]
     hits = solver_step(book, {"RUG": amt(1)}, {POOL: amt(200)}, solvers)
@@ -457,7 +514,7 @@ def test_intent_triggers_on_liquidity():
 
 
 def test_intents_are_one_shot():
-    book = IntentBook()
+    book = intent_book()[0]
     mk_intent(book)
     solvers = [mk_solver("sol-1", 30)]
     assert len(solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)}, solvers)) == 1
@@ -465,14 +522,14 @@ def test_intents_are_one_shot():
 
 
 def test_solver_auction_lowest_fee_then_id():
-    book = IntentBook()
+    book = intent_book()[0]
     mk_intent(book)
     cheap = mk_solver("sol-1", 10)
     pricey = mk_solver("alice", 20)
     [hit] = solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)},
                         [pricey, cheap])
     assert hit.solver == "sol-1" and hit.fee_bps == 10
-    book2 = IntentBook()
+    book2 = intent_book()[0]
     mk_intent(book2)
     [hit2] = solver_step(book2, {"RUG": amt("0.1")}, {POOL: amt(1000)},
                          [mk_solver("bob", 10),
@@ -495,6 +552,55 @@ class _UnrankableBids(list):
 
 
 def test_solver_step_ranks_no_bids_while_no_intent_is_pending():
-    book = IntentBook()
+    book = intent_book()[0]
     bids = _UnrankableBids([mk_solver("sol-1", 30)])
     assert solver_step(book, {"RUG": amt("0.1")}, {POOL: amt(1000)}, bids) == []
+
+
+def scam_intent(**fields):
+    """builtin:scam's parsed exit intent for intent-user, with ``fields``
+    replaced."""
+    return {**load_scenario(scam_scenario()).intents[0], **fields}
+
+
+@pytest.mark.parametrize("boost,priority", [(20, PRIORITY_DRAIN + 15), (3, PRIORITY_DRAIN + 1)])
+def test_intent_book_queues_each_match_once_above_the_drain(boost, priority):
+    # a triggered intent is matched once and queued on its pool's chain, at
+    # the height it triggered, protocol_priority_boost - 5 above the drain
+    # (at least 1 above); another chain's step does not scan its pool
+    book, records, queue = intent_book(boost)
+    book.register_intent("intent-user", scam_intent(), 0)
+    assert records == [("intent_registered", "intent-user", POOL, amt("0.5"), amt("0.3"))]
+    book.prices["RUG"] = amt("0.4")
+    book.on_block("home", 3)
+    assert queue == []
+    book.on_block("alpha", 3)
+    book.on_block("alpha", 4)
+    [(chain, at, queued_at, kind, _)] = queue
+    assert (chain, at, queued_at, kind) == ("alpha", 3, priority, "intent")
+    assert records[1:] == [("intent_triggered", 1, "intent-user", "sol-1", 30)]
+
+
+def test_intent_book_pays_the_solver_in_what_each_action_leaves():
+    # an exit pays the solver in the numeraire it bought, a vault deposit in
+    # anticoins, and an owner who holds none of the token is skipped
+    book, records, queue = intent_book()
+    ledger = book.ledger
+    book.register_intent("intent-user", scam_intent(), 0)
+    book.register_intent("frontrun-user", scam_intent(action=IntentAction.SWAP_TO_ANTICOIN), 0)
+    book.register_intent("guard", scam_intent(), 0)
+    book.prices["RUG"] = amt("0.4")
+    book.on_block("alpha", 3)
+    for *_, action in queue:
+        action()
+    [swap] = [r for r in records if r[0] == "swap"]
+    fee = swap[-2] * 30 / 10000
+    assert fee.raw > 0
+    assert ledger.balance("sol-1", "USDN") == fee
+    assert ledger.balance("intent-user", "USDN") == amt(10) + swap[-2] - fee
+    assert ledger.balance("sol-1", "anti:RUG@alpha") == amt("0.3")
+    assert ledger.balance("frontrun-user", "anti:RUG@alpha") == amt("99.7")
+    assert [r for r in records if r[0] in ("intent_executed", "intent_skipped")] == [
+        ("intent_executed", 1, "intent-user", "sol-1", 30),
+        ("intent_executed", 2, "frontrun-user", "sol-1", 30),
+        ("intent_skipped", 3, "guard", "no holdings")]

@@ -18,10 +18,11 @@ import pinned
 from rugsim import market
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
-from rugsim.detection import DrainBook, IntentAction
+from rugsim.detection import DrainBook, IntentAction, IntentBook
 from rugsim.harness import Simulation, run_scenario
 from rugsim.insurance import InsuranceBook
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
+from rugsim.perps import PerpMarkets
 from rugsim.rugproof import RugproofBook
 from rugsim.scenario import (
     SCRIPT_OPS,
@@ -422,7 +423,7 @@ def test_vault_totals_fold_from_their_event_lines(tmp_path):
                               out_dir=str(tmp_path))
     trace.write()
     events = [json.loads(line) for line in (tmp_path / "events.jsonl").open()]
-    intents = sim.intent_book.intents
+    intents = sim.intents.intents
     assert any(intents[e["intent"]].params["action"] is IntentAction.SWAP_TO_ANTICOIN
                for e in events if e["type"] == "intent_executed")
     totals = {"deposit": "total_deposited", "anticoin_burn": "total_burned",
@@ -711,7 +712,7 @@ def test_scripted_register_intent_runs_on_its_pool_chain_only():
          "theta_liquidity": "0.5"}))
     registered = [e for e in trace.events if e["type"] == "intent_registered"]
     assert [(e["h"], e["chain"]) for e in registered] == [(3, "alpha")]
-    assert len(sim.intent_book.intents) == 1
+    assert len(sim.intents.intents) == 1
 
 
 def test_scripted_register_intent_on_unknown_pool_fails_once():
@@ -724,15 +725,31 @@ def test_scripted_register_intent_on_unknown_pool_fails_once():
     assert "unknown pool 'nope'" in str(err.value)
 
 
+BOOKS = (market.PoolBook, DrainBook, VaultRegistry, PerpMarkets, IntentBook, RugproofBook,
+         InsuranceBook)
+
+
 def test_script_op_table_names_every_handler():
-    # every op has exactly one runner: a Simulation._op_* method or one
-    # book's declared op (the pool book's, the drain book's, the vault
-    # registry's or a dispute book's), never both
-    runners = [name[len("_op_"):] for name in dir(Simulation) if name.startswith("_op_")]
-    for book in (market.PoolBook, DrainBook, VaultRegistry, RugproofBook, InsuranceBook):
+    # every op has exactly one runner, in the one table materialize builds:
+    # the harness's own transfer, or one book's declared op (the pool
+    # book's, the drain book's, the vault registry's, the perp markets',
+    # the intent book's or a dispute book's), never two; no Simulation._op_*
+    # method is left to fall back on
+    runners = ["transfer"]
+    for book in BOOKS:
         assert all(callable(getattr(book, op, None)) for op in book.OPS), book
         runners += book.OPS
     assert sorted(runners) == sorted(SCRIPT_OPS)
+    assert [name for name in dir(Simulation) if name.startswith("_op_")] == []
+    sim = Simulation(load_scenario(pinned.perps_intents_doc()))
+    assert sorted(sim._handlers) == sorted(SCRIPT_OPS)
+    for op, handler in sim._handlers.items():
+        owner = handler.__self__
+        if op == "transfer":
+            assert owner is sim and handler.__func__ is Simulation._transfer
+        else:
+            assert type(owner) in BOOKS and op in owner.OPS, op
+            assert handler.__func__ is type(owner).__dict__[op], op
 
 
 def test_every_benchmark_traced_name_resolves():
@@ -814,6 +831,41 @@ def test_the_benchmark_tracer_reaches_the_drain_book(monkeypatch):
                       "harness.Simulation._enqueue": queued,
                       "harness.Simulation._execute_tx": queued}
     assert counts["detection.plan_frontrun"] == 2 and queued == 7
+
+
+def test_the_benchmark_tracer_reaches_the_perp_and_intent_books(monkeypatch):
+    # wrapped before the simulation is built, as the tracer wraps them: a
+    # PerpBook method, solver_step or _enqueue that a book took before then
+    # counts 0. The auction runs on every chain step, each market flags and
+    # liquidates every block (a vault's token always has a price above its
+    # floor) and funds at each interval_blocks boundary, and each intent
+    # line is one queued intent transaction
+    names = ("perps.PerpBook.apply_funding", "perps.PerpBook.flag_and_liquidate",
+             "detection.solver_step")
+    counts = count_calls(monkeypatch, names)
+    queued: Counter = Counter()
+    enqueue = Simulation._enqueue
+
+    def counting_enqueue(sim, chain, execute_at, priority, kind, action):
+        queued[kind] += 1
+        return enqueue(sim, chain, execute_at, priority, kind, action)
+
+    monkeypatch.setattr(Simulation, "_enqueue", counting_enqueue)
+    doc = pinned.workloads.storm_doc(777)
+    blocks = doc["blocks"]
+    _, trace = run_scenario(doc)
+    events = trace.events
+    markets = len(doc["perps"]["enabled_vaults"])
+    boundaries = blocks // doc["perps"]["interval_blocks"]
+    assert counts == {"perps.PerpBook.apply_funding": markets * boundaries,
+                      "perps.PerpBook.flag_and_liquidate": markets * blocks,
+                      "detection.solver_step": len(doc["chains"]) * blocks}
+    intent_lines = sum(e["type"] in ("intent_executed", "intent_skipped")
+                       or (e["type"], e.get("op")) == ("failed", "intent") for e in events)
+    assert queued["intent"] == intent_lines == sum(e["type"] == "intent_triggered"
+                                                   for e in events) > 0
+    assert markets > 0 and boundaries > 0
+    assert any(e["type"] == "funding_round" for e in events)
 
 
 def test_scripted_transfer_of_a_chainless_token_runs_once_on_home():
@@ -1309,23 +1361,30 @@ def test_each_chain_scans_the_mints_of_its_own_tokens():
                            "gamma": ["RC", "anti:RC@gamma"], "home": ["USDN"]}
 
 
-def test_running_totals_raise_where_fixed_amounts_would():
+def test_running_totals_are_exact_ints():
     # the cumulative mint and outflow totals the aux scan reads (USDN's
-    # mints, creator alice's RUG outflows) are raw ints, range checked as
-    # the FixedAmount sums they replace were: a second mint or send of the
-    # whole range passes MAX_RAW though no balance or supply does
+    # mints, creator alice's RUG outflows) are exact raw ints: a second mint
+    # or send of the whole range passes MAX_RAW though no balance or supply
+    # does, and only the next scan's input check refuses the sum, recorded
+    # as a failed aux_scan on each chain that reads it
     sim = Simulation(load_scenario(minimal_doc(
         accounts=[{"id": "alice"}], agents=[{"kind": "creator", "account": "alice"}])))
     whole = FixedAmount(MAX_RAW)
     sim.ledger.mint("x", "USDN", whole)
     sim.ledger.burn("x", "USDN", whole)
-    with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
-        sim.ledger.mint("x", "USDN", QUANTUM)
+    sim.ledger.mint("x", "USDN", QUANTUM)
     sim.ledger.mint("alice", "RUG", whole)
     sim.ledger.transfer("alice", "z", "RUG", whole)
     sim.ledger.transfer("z", "alice", "RUG", whole)
-    with pytest.raises(RangeError, match=f"raw={MAX_RAW + 1}"):
-        sim.ledger.transfer("alice", "z", "RUG", QUANTUM)
+    sim.ledger.transfer("alice", "z", "RUG", QUANTUM)
+    assert sim._unscanned_mints["USDN"] == sim._unscanned_outflows["alice", "RUG"] \
+        == MAX_RAW + 1
+    sim.step()
+    sim.step()
+    assert [(e["h"], e["chain"], e["op"], e["detail"]) for e in sim.trace.events
+            if e["type"] == "failed"] == [
+        (1, chain, "aux_scan", f"fixed-point overflow: raw={MAX_RAW + 1}")
+        for chain in ("alpha", "home")]
 
 
 def test_unscanned_sums_are_not_kept():
@@ -1361,21 +1420,41 @@ def big_pools_doc(script: list, pools: list, balances: dict) -> dict:
     return doc
 
 
-def test_scan_sums_raise_where_fixed_amounts_would():
-    # mallory sends 0.5 of the range to trudy, who sends 0.95 back: the
-    # outflow scan keeps trudy's larger outflow, but first sums mallory's
-    # 0.95 and 0.5, as FixedAmounts did, past the range
+def creator_sends_doc(*sends) -> dict:
+    """minimal_doc over 3 blocks with one agent per (account, kind, RUG
+    balance or None, recipient, amount): the account holds that balance and
+    sends that amount of RUG to the recipient at block 1."""
     doc = minimal_doc(blocks=3)
-    doc["accounts"] += [{"id": "mallory", "balances": {"RUG": "500000000000000000"}},
-                        {"id": "trudy", "balances": {"RUG": "450000000000000000"}}]
-    doc["agents"] = [
-        {"kind": "creator", "account": name,
-         "script": [{"block": 1, "op": "transfer", "token": "RUG", "to": to,
-                     "amount": amount}]}
-        for name, to, amount in (("mallory", "trudy", "500000000000000000"),
-                                 ("trudy", "mallory", "950000000000000000"))]
-    with pytest.raises(RangeError, match="raw=1450000000000000000000000000"):
-        run_scenario(doc)
+    doc["accounts"] += [{"id": name, "balances": {"RUG": balance} if balance else {}}
+                        for name, _, balance, _, _ in sends]
+    doc["agents"] = [{"kind": kind, "account": name, "script": [
+        {"block": 1, "op": "transfer", "token": "RUG", "to": to, "amount": amount}]}
+        for name, kind, balance, to, amount in sends]
+    return doc
+
+
+def test_outflow_scan_sums_do_not_end_a_run(tmp_path):
+    # a creator's balance before its largest outflow is an exact int, and so
+    # is the running outflow total: mallory's 0.95 and 0.5 of the range
+    # summed on the way to trudy's larger outflow end nothing; mallory's
+    # 0.6 sent to z and back makes a balance before of 1.2 of the range,
+    # which the scan's input check refuses at block 2, and the run goes on
+    docs = [(creator_sends_doc(("mallory", "creator", "500000000000000000", "trudy",
+                                "500000000000000000"),
+                               ("trudy", "creator", "450000000000000000", "mallory",
+                                "950000000000000000")), []),
+            (creator_sends_doc(("mallory", "creator", "600000000000000000", "z",
+                                "600000000000000000"),
+                               ("z", "retail", None, "mallory", "600000000000000000")),
+             [(2, "aux_scan", "fixed-point overflow: raw=1200000000000000000000000000")])]
+    for index, (doc, failed) in enumerate(docs):
+        path, out = tmp_path / f"doc-{index}.json", tmp_path / f"out-{index}"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert main(["verify", "--trace", str(out)]) == 0
+        lines = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [(e["h"], e["op"], e["detail"]) for e in lines if e["type"] == "failed"] \
+            == failed
 
 
 def whale_pools_doc(pools: list, balances: dict, swaps: list) -> dict:
@@ -1402,8 +1481,8 @@ def with_detection(doc: dict, **params) -> dict:
 
 
 BIG = "550000000000000000"  # 0.55 of the fixed-point range, in units
-# 1e17, 4e17, 6e17 and 9e17 units
-E17, E17_4, E17_6, E17_9 = (f"{digit}{'0' * 17}" for digit in (1, 4, 6, 9))
+# 1e17, 3e17, 4e17, 6e17 and 9e17 units
+E17, E17_3, E17_4, E17_6, E17_9 = (f"{digit}{'0' * 17}" for digit in (1, 3, 4, 6, 9))
 
 
 @pytest.mark.parametrize("doc,failed", [
@@ -1444,6 +1523,41 @@ def test_cross_token_scan_sums_do_not_end_a_run(tmp_path, doc, failed):
     assert main(["verify", "--trace", str(out)]) == 0
     lines = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
     assert [(e["h"], e["op"], e["error"]) for e in lines if e["type"] == "failed"] == failed
+
+
+def whale_swaps_doc(blocks: int, reserve: str, swaps: list) -> dict:
+    """minimal_doc with a fee-free RUG/USDN pool p holding ``reserve`` of
+    each, and a whale holding 4e17 of each that makes these (block,
+    token_in, amount) swaps in it."""
+    doc = lp_pool_doc(blocks, reserve, reserve)
+    doc["accounts"].append({"id": "whale", "balances": {"RUG": E17_4, "USDN": E17_4}})
+    doc["agents"] = [{"kind": "whale", "account": "whale", "script": [
+        {"block": block, "op": "swap", "pool": "p", "token_in": token, "amount": amount}
+        for block, token, amount in swaps]}]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    # 3e17 a block at blocks 1-6: the volume window's sum passes the range
+    # at block 6, its mean and 4 times its mean never matter to a block
+    # whose volume is in range, and nothing trades after block 6
+    whale_swaps_doc(12, f"5{'0' * 17}", [(block, "RUG" if block % 2 else "USDN", E17_3)
+                                         for block in range(1, 7)]),
+    # the pool's lifetime volume passes 1e18 units on both sides by block
+    # 7, while it holds about 4.9e17 RUG
+    whale_swaps_doc(7, E17_3, [(1, "RUG", E17_4), (2, "USDN", E17_3), (3, "RUG", E17_3),
+                               (4, "USDN", E17_3), (5, "RUG", E17_3), (6, "USDN", "1"),
+                               (7, "RUG", "1")]),
+], ids=["window-sum-past-the-range", "lifetime-volume-past-the-range"])
+def test_volume_sums_past_the_range_limit_no_scan_or_swap(tmp_path, doc):
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--trace", str(out)]) == 0
+    lines = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    assert [e for e in lines if e["type"] == "failed"] == []
+    swaps = [e for e in lines if e["type"] == "swap"]
+    assert len(swaps) == len(doc["agents"][0]["script"])
 
 
 def test_noise_defaults_are_a_tenth_and_one_unit():

@@ -348,9 +348,8 @@ def outcome(step, *args):
         return type(exc), str(exc)
 
 
-def assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, tolerance):
-    pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=fee,
-                     volume_x=FixedAmount(vx), volume_y=FixedAmount(vy))
+def assert_peg_keeper_matches_oracle(rx, ry, fee, peg, budget, tolerance):
+    pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=fee)
     args = (pool, FixedAmount(peg), FixedAmount(budget), tolerance)
     assert outcome(peg_keeper_step, *args) == outcome(oracle_peg_keeper_step, *args)
 
@@ -367,19 +366,15 @@ NEAR_MAX = [MAX_RAW, MAX_RAW - 1, MAX_RAW - SCALE, MAX_RAW // 2, MAX_RAW // 1000
 def test_peg_keeper_matches_oracle_on_edges(fee, reserves, budget):
     rx, ry = reserves
     for peg in (0, SCALE, 10**18):
-        for vx, vy in ((0, 0), (MAX_RAW - 2 * SCALE, MAX_RAW - 2 * SCALE)):
-            assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget,
-                                             PEG_TOLERANCE)
+        assert_peg_keeper_matches_oracle(rx, ry, fee, peg, budget, PEG_TOLERANCE)
 
 
 def test_peg_keeper_raises_range_errors_like_pool_swap():
-    # reserve, volume and spot past MAX_RAW still raise from the predicate
-    for rx, ry, vx, peg, budget in (
-            (10**26, MAX_RAW, 0, SCALE, MAX_RAW),                  # reserve
-            (10 * SCALE, 10 * SCALE, MAX_RAW - 1, SCALE // 2, 10 * SCALE),  # volume
-            (2, SCALE, 0, MAX_RAW, 10**26)):                       # spot
-        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=0,
-                         volume_x=FixedAmount(vx), volume_y=FixedAmount(vx))
+    # reserve and spot past MAX_RAW still raise from the predicate
+    for rx, ry, peg, budget in (
+            (10**26, MAX_RAW, SCALE, MAX_RAW),     # reserve
+            (2, SCALE, MAX_RAW, 10**26)):          # spot
+        pool = PoolState("p", "RUG", "USD", FixedAmount(rx), FixedAmount(ry), fee_bps=0)
         args = (pool, FixedAmount(peg), FixedAmount(budget), PEG_TOLERANCE)
         got = outcome(peg_keeper_step, *args)
         assert got == outcome(oracle_peg_keeper_step, *args)
@@ -392,11 +387,10 @@ raws = st.one_of(st.integers(0, 3), st.integers(1, 10**13), st.integers(1, MAX_R
 
 @settings(max_examples=300, deadline=None)
 @given(rx=raws, ry=raws, fee=st.one_of(st.sampled_from([0, 30, 10000]), st.integers(0, 10000)),
-       vx=st.one_of(st.just(0), raws), vy=st.one_of(st.just(0), raws),
        peg=st.one_of(st.integers(0, 10**12), raws), budget=raws.filter(lambda b: b > 0),
        tolerance=st.sampled_from(["0", "0.005", "0.5", "2"]))
-def test_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, tolerance):
-    assert_peg_keeper_matches_oracle(rx, ry, fee, vx, vy, peg, budget, amt(tolerance))
+def test_peg_keeper_matches_oracle(rx, ry, fee, peg, budget, tolerance):
+    assert_peg_keeper_matches_oracle(rx, ry, fee, peg, budget, amt(tolerance))
 
 
 def record_swap_outputs(monkeypatch):

@@ -16,21 +16,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import FixedAmount, RangeError, RugsimError, amt, quantize, safe_exp
-# the engine is imported here and not in the commands that use it, so
-# `verify` loads it too: the benchmark's tracer (perfbench/tracing.py) wraps
-# the engine's functions only in the modules that `import rugsim.cli` loaded
-from .harness import HOME_TOKEN, Simulation, run_scenario
-from .scenario import (
-    SCENARIO_SCHEMA,
-    ScenarioError,
-    load_scenario,
-    reference_scenario,
-    scam_scenario,
-)
+# the engine is bound as modules and each command reads what it uses when it
+# runs: the package executes a module on that first read, so `verify` executes
+# only core and trace
+from . import harness, scenario, tokenomics, vault
+from .core import HOME_TOKEN, FixedAmount, RangeError, RugsimError, amt, quantize, safe_exp
 from .trace import verify_trace
-from .vault import anticoin_value, cumulative_penalty, whale_penalty
-from .tokenomics import target_supply
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,9 +30,9 @@ EXIT_VERIFY = 4
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "scam_golden.json"
 
-BUILTINS = {
-    "builtin:reference": reference_scenario,
-    "builtin:scam": scam_scenario,
+BUILTINS = {  # name -> the scenario module's function that builds it
+    "builtin:reference": "reference_scenario",
+    "builtin:scam": "scam_scenario",
 }
 
 
@@ -54,7 +45,7 @@ def _load_doc(spec: str) -> dict:
     a file that cannot be read, ValueError for one that is not UTF-8 JSON
     and RecursionError for JSON nested too deeply to decode."""
     if spec in BUILTINS:
-        return BUILTINS[spec]()
+        return getattr(scenario, BUILTINS[spec])()
     with open(spec, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -70,10 +61,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         return _fail(f"cannot load scenario: {exc}", EXIT_INPUT)
     try:
-        sim, trace = run_scenario(doc, blocks=args.blocks, seed=args.seed,
-                                  out_dir=args.out)
+        sim, trace = harness.run_scenario(doc, blocks=args.blocks, seed=args.seed,
+                                          out_dir=args.out)
         trace.write()
-    except (ScenarioError, RugsimError) as exc:
+    except RugsimError as exc:  # a ScenarioError too
         return _fail(f"scenario error: {exc}", EXIT_INPUT)
     except OSError as exc:
         return _fail(f"cannot write trace: {exc}", EXIT_INPUT)
@@ -180,14 +171,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return _fail(f"bad --param: two points of {rest!r} quantize to {text}",
                          EXIT_INPUT)
         try:
-            points.append((text, load_scenario(doc, memo)))
-        except ScenarioError as exc:
+            points.append((text, scenario.load_scenario(doc, memo)))
+        except scenario.ScenarioError as exc:
             return _fail(f"scenario error at {key}={text}: {exc}", EXIT_INPUT)
 
     rows = []
-    for text, scenario in points:
+    for text, parsed in points:
         try:
-            sim = Simulation(scenario, os.path.join(args.out, f"{key}={text}"))
+            sim = harness.Simulation(parsed, os.path.join(args.out, f"{key}={text}"))
             trace = sim.run(args.blocks)
             trace.write()
         except RugsimError as exc:
@@ -227,8 +218,8 @@ def figure_rows(which: str) -> tuple[list[str], list[list[str]]]:
     if which == "peg":
         # the peg of a token created at C_r(0) = 100
         created, grid = amt(100), peg_grid()
-        rows = [["rising", str(cr), str(anticoin_value(created, cr))] for cr in grid]
-        rows += [["falling", str(cr), str(anticoin_value(created, cr))]
+        rows = [["rising", str(cr), str(vault.anticoin_value(created, cr))] for cr in grid]
+        rows += [["falling", str(cr), str(vault.anticoin_value(created, cr))]
                  for cr in reversed(grid)]
         return ["series", "cr", "ca"], rows
     if which == "supply":
@@ -236,20 +227,20 @@ def figure_rows(which: str) -> tuple[list[str], list[list[str]]]:
         rows = []
         for j in range(200):
             total = safe_exp(amt(16) * j / 199)
-            rows.append([str(total), str(target_supply(total, s0))])
+            rows.append([str(total), str(tokenomics.target_supply(total, s0))])
         return ["sum_cr", "target_supply"], rows
     if which == "whale":
         rows = []
         for lam in ("1.5", "2", "3"):
             for h in range(1, 101):
-                rows.append([lam, str(h), str(whale_penalty(amt(h), amt(1), amt(lam)))])
+                rows.append([lam, str(h), str(vault.whale_penalty(amt(h), amt(1), amt(lam)))])
         return ["lambda", "holdings", "penalty"], rows
     if which == "cumulative":
         rows = []
         for n in (1, 4, 10):
             for h in range(1, 101):
                 rows.append([str(n), str(h),
-                             str(cumulative_penalty(amt(h), n, amt("0.1"), amt("0.01")))])
+                             str(vault.cumulative_penalty(amt(h), n, amt("0.1"), amt("0.01")))])
         return ["accounts", "h_total", "penalty"], rows
     raise ValueError(f"unknown figure {which!r}")
 
@@ -274,7 +265,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def scam_margin() -> dict:
     """Run the scripted scam scenario and measure the protection margin."""
-    sim, trace = run_scenario(scam_scenario())
+    sim, trace = harness.run_scenario(scenario.scam_scenario())
     protected = [sim.mark_to_market(name) for name in ("intent-user", "frontrun-user")]
     unprotected = sim.mark_to_market("unprotected")
     margin = min(protected) - unprotected
@@ -317,7 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_schema(args: argparse.Namespace) -> int:
-    print(json.dumps(SCENARIO_SCHEMA, indent=2))
+    print(json.dumps(scenario.SCENARIO_SCHEMA, indent=2))
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ from rugsim.scenario import (
     POOL,
     POOL_FIELDS,
     SCENARIO_FIELDS,
+    SCENARIO_SCHEMA,
     SCRIPT_OPS,
     SECTION_FIELDS,
     STEP_FIELDS,
@@ -473,17 +474,57 @@ def test_a_sweep_point_that_fails_in_a_parsed_list_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python -S ARGS`` in a new interpreter that compiles rugsim from
+    source, as every command does when no bytecode is cached."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(rugsim.__file__)))
+    return subprocess.run([sys.executable, "-S", *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # each record is a plain class: importing dataclasses (which loads
     # inspect, ast, dis and tokenize) and running its code generation was
     # a third of start-up
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(rugsim.__file__)))
     probe = ("import sys, rugsim.cli; "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert fresh_python("-c", probe).stdout == "[]\n"
+
+
+def test_verify_executes_only_core_and_trace(tmp_path):
+    # the package registers every engine module unexecuted, so `verify`
+    # compiles and runs only what it reads; an unexecuted module is still
+    # of the lazy loader's module type
+    out = tmp_path / "trace"
+    assert main(["run", "--scenario", "builtin:scam", "--out", str(out)]) == 0
+    probe = ("import runpy, sys, types\n"
+             f"sys.argv = ['rugsim', 'verify', '--trace', {str(out)!r}]\n"
+             "try:\n"
+             "    runpy.run_module('rugsim.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exit:\n"
+             "    print(exit.code, sorted(name for name, module in sys.modules.items()\n"
+             "          if name.startswith('rugsim.') and type(module) is types.ModuleType))\n")
+    # run_module with alter_sys runs the module as `python -m rugsim.cli` does
+    done = fresh_python("-c", probe)
+    assert (done.stdout, done.stderr) == (
+        "trace ok\n0 ['rugsim.core', 'rugsim.trace']\n", "")
+
+
+def test_the_package_exports_resolve_lazily():
+    for name in rugsim.__all__:
+        value = getattr(rugsim, name)
+        assert value.__module__.startswith("rugsim."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    namespace: dict = {}
+    exec("from rugsim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(rugsim.__all__)
+    with pytest.raises(AttributeError, match="module 'rugsim' has no attribute 'nope'"):
+        rugsim.nope
+    # `python -m rugsim.cli` warns if the package registered rugsim.cli
+    done = fresh_python("-W", "error", "-m", "rugsim.cli", "schema")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == json.loads(json.dumps(SCENARIO_SCHEMA))
 
 
 def test_schema_prints_json(capsys):

@@ -6,6 +6,8 @@ import copy
 import gc
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import types
 from collections import Counter
@@ -752,20 +754,37 @@ def test_script_op_table_names_every_handler():
             assert handler.__func__ is type(owner).__dict__[op], op
 
 
-def test_every_benchmark_traced_name_resolves():
-    # the benchmark's traced run wraps each WRAPPED callable where it is
-    # defined (a method from its class's own __dict__); a rename fails here
+def benchmark_tracer():
+    """The benchmark's tracer module, ``perfbench/tracing.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for name, (module_name, attr, _) in tracing.WRAPPED.items():
+    return tracing
+
+
+def test_every_benchmark_traced_name_resolves():
+    # the benchmark's traced run wraps each WRAPPED callable where it is
+    # defined (a method from its class's own __dict__); a rename fails here
+    for name, (module_name, attr, _) in benchmark_tracer().WRAPPED.items():
         owner = importlib.import_module(module_name)
         if "." in attr:
             class_name, method = attr.split(".")
             assert callable(getattr(owner, class_name).__dict__.get(method)), name
         else:
             assert callable(getattr(owner, attr, None)), name
+
+
+def test_importing_the_cli_registers_every_benchmark_traced_module():
+    # the tracer wraps a function at its bindings in the modules listed in
+    # sys.modules right after `import rugsim.cli`; a module imported only
+    # inside a command would be missing there and its callers not traced
+    names = sorted({module for module, _, _ in benchmark_tracer().WRAPPED.values()})
+    probe = f"import sys, rugsim.cli; print(sorted(set({names!r}) - set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(market.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def count_calls(monkeypatch, names) -> Counter:

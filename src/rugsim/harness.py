@@ -2,21 +2,24 @@
 
 One logical clock advances all chains in lockstep; within a height,
 satellite chains step first and the home chain last, so bridge deliveries
-aged exactly `bridge_delay_blocks` arrive the block they come due. Each
-chain step runs a fixed phase order:
+aged exactly `bridge_delay_blocks` arrive the block they come due. A
+chain step calls each phase of its list in the phase table, which
+materialize builds in this order, as ``on_block(chain, height)``:
 
   1. price processes advance
-  2. detection observes and plans: the monitors and the aux scan, the
-     drain book's moves and the intent book's solver auction (each
-     book's ``on_block``), and the peg keepers' trades
+  2. detection: the monitors and the aux scan, the drain book's moves,
+     the intent book's solver auction and the peg keepers' trades
   3. the transaction queue executes in (priority desc, arrival) order
   4. scripted agent operations, then the noise traders
-  5. perps funding and liquidation (the perp markets' ``on_block``)
-  6. dispute-machine deadlines fire (each dispute book's ``on_block``)
-  7. the vault registry delivers the matured rewards it holds on the
-     bridge (its ``on_block``, home chain)
-  8. supply emission and the burn controller (home chain)
-  9. telemetry
+  5. perps funding and liquidation (the perp markets)
+  6. on the home chain only: dispute deadlines (each dispute book), the
+     vault registry's bridge deliveries, then supply emission, the burn
+     controller and the telemetry row
+
+The perp markets and the rugproof and insurance books are built, and
+their modules executed, only for a document that writes their section or,
+for a dispute book, names one of its ops; a book not built has no phase
+and no op.
 
 The engine reads a parsed ``Scenario``: ``load_scenario`` has already
 checked every field, turned it into its value (amounts, ints, enums) and
@@ -31,9 +34,7 @@ supply controller. Each scripted step runs on the one chain that its
 pool, vault or token fixes (home for the rest), so steps are indexed by
 height and chain, and its op has one handler, in a table built at
 materialize: the harness's own ``transfer``, or the op of the book that
-declares it (the pool book, the drain book, the vault registry, the perp
-markets, the intent book, the rugproof book or the insurance book). Each
-book records its own events, as the ledger records its movements, and
+declares it. Each book records its own events, as the ledger records its movements, and
 keeps its own per-chain lists; every swap, drain and liquidity move runs
 in the pool book, on the reserves the ledger holds. Handlers read the
 clock, the int ``self.height``, and the chain being stepped,
@@ -52,7 +53,7 @@ import random
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import detection, market, tokenomics
+from . import detection, insurance, market, perps, rugproof, tokenomics
 from .core import (
     FixedAmount,
     ONE,
@@ -65,12 +66,9 @@ from .core import (
     fsum,
 )
 from .detection import AuxMonitor, PoolMonitor
-from .insurance import InsuranceBook
 from .ledger import Ledger
 from .market import Pool, PoolBook
-from .perps import PerpMarkets
-from .rugproof import RugproofBook
-from .scenario import HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
+from .scenario import DISPUTE_OPS, HOME_TOKEN, SCRIPT_OPS, Scenario, load_scenario
 from .trace import Trace, make_event
 from .vault import VaultRegistry, anticoin_value
 
@@ -184,10 +182,6 @@ class Simulation:
         self.ledger.mint(TREASURY, HOME_TOKEN, sc.tokenomics["initial_supply"],
                          memo="genesis-supply")
 
-        self.rugproof = RugproofBook(sc.rugproof, self.ledger, TREASURY, self._event)
-        self.insurance = InsuranceBook(sc.insurance, sc.numeraire, self.ledger, TREASURY,
-                                       self._event)
-
         # tokens with no chain entry (R, bonded tokens) and home ops run on home
         pool_chain = {pid: pool.chain for pid, pool in self.pools.pools.items()}
         chain_of = {"pool": pool_chain, "token": token_chain, "home": {},
@@ -210,21 +204,46 @@ class Simulation:
             if agent["kind"] == "pegkeeper":
                 views[pool_chain[agent["pool"]]].pegkeepers.append(agent)
 
-        self.perps = PerpMarkets(sc.perps, self.vaults, self.pools, self.prices, self.ledger,
-                                 self._event, by_kind.get("liquidator", []), TREASURY,
-                                 sc.numeraire)
         self.drains = detection.DrainBook(self.pools, self.ledger, self._event, self._enqueue,
                                           by_kind.get("detector", []), det, TREASURY,
                                           sc.numeraire)
         self.intents = detection.IntentBook(sc.tokens, self.pools, self.vaults, self.ledger,
                                             self.prices, by_kind.get("solver", []), self._event,
                                             self._enqueue, det, sc.chains)
-        # op -> its one handler: the harness's own transfer, or a book's op
-        self._handlers: dict[str, Callable[[str, dict, int], None]] = {
-            "transfer": self._transfer,
-            **{op: getattr(book, op) for book in (self.pools, self.drains, self.vaults,
-                                                  self.perps, self.intents, self.rugproof,
-                                                  self.insurance) for op in book.OPS}}
+        # each chain's phases in the documented order; only home's holds the home phases
+        phases = [("prices", self._phase_prices), ("detection", self._phase_detection),
+                  ("drains", self.drains.on_block), ("intents", self.intents.on_block),
+                  ("peg keepers", self._phase_peg_keepers), ("queue", self._phase_queue),
+                  ("script", self._phase_script), ("noise", self._phase_noise)]
+        home_phases: list = []
+        books = [self.pools, self.drains, self.vaults, self.intents]
+        # state key -> its book's snapshot; a book that is not built writes {}
+        self._snapshots: dict[str, Callable[[], dict]] = {"perps": dict, "insurance": dict}
+        # an optional book is built, and its module executed, for its section only, or
+        # a dispute book, which defaults every field without it, for one of its ops
+        ops = {step["op"] for agent in sc.agents for step in agent["script"]}
+        used = sc.written | {section for section, section_ops in DISPUTE_OPS.items()
+                             if not ops.isdisjoint(section_ops)}
+        for section, section_phases, build in (
+                ("perps", phases, lambda: perps.PerpMarkets(
+                    sc.perps, self.vaults, self.pools, self.prices, self.ledger, self._event,
+                    by_kind.get("liquidator", []), TREASURY, sc.numeraire)),
+                ("rugproof", home_phases, lambda: rugproof.RugproofBook(
+                    sc.rugproof, self.ledger, TREASURY, self._event)),
+                ("insurance", home_phases, lambda: insurance.InsuranceBook(
+                    sc.insurance, sc.numeraire, self.ledger, TREASURY, self._event))):
+            if section in used:
+                book = build()
+                books.append(book)
+                section_phases.append((section, book.on_block))
+                if section in self._snapshots:
+                    self._snapshots[section] = book.snapshot
+        home_phases += [("bridge", self.vaults.on_block), ("supply", self._phase_tokenomics)]
+        self._phases = {chain: phases + home_phases if chain == sc.home_chain else phases
+                        for chain in sc.chains}
+        # op -> its one handler: the harness's own transfer, or a built book's op
+        self._handlers: dict[str, Callable[[str, dict, int], None]] = {"transfer": self._transfer}
+        self._handlers.update((op, getattr(book, op)) for book in books for op in book.OPS)
 
         for entry in sc.intents:
             self.intents.register_intent(entry["owner"], entry, 0)
@@ -295,53 +314,17 @@ class Simulation:
 
     def _step_chain(self, chain: str) -> None:
         self._chain_ctx = chain
-        view = self._chain_views[chain]
         height = self.height
-
-        # (1) price processes advance
-        for token, process in view.processes:
-            self.prices[token] = market.price_at(process, height)
-
-        # (2) detection observes and plans
-        self._phase_detection(view, height)
-        self.drains.on_block(chain, height)
-        self.intents.on_block(chain, height)
-        for keeper in view.pegkeepers:
-            self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
-                          partial(self._exec_peg_keeper, keeper))
-
-        # (3) queued transactions, priority order
-        due = [tx for tx in self.queue
-               if tx.chain == chain and tx.execute_at <= height]
-        self.queue = [tx for tx in self.queue
-                      if not (tx.chain == chain and tx.execute_at <= height)]
-        due.sort(key=lambda tx: (-tx.priority, tx.seq))
-        for tx in due:
-            self._execute_tx(tx)
-
-        # (4) scripted agent operations due on this chain
-        for account, step in self._script_steps.get((height, chain), ()):
-            self._run_script_op(account, step)
-
-        # (4b) parametric noise traders
-        for noise in view.noise:
-            self._noise_trade(*noise)
-
-        # (5) perps funding and liquidation
-        self.perps.on_block(chain, height)
-
-        # (6) dispute deadlines fire, (7) the bridge delivers and (8) supply
-        # emission and the burn controller run, all on the home chain
-        if chain == self.scenario.home_chain:
-            self.rugproof.on_block(height)
-            self.insurance.on_block(height)
-            self._phase_tokenomics(height, self.vaults.on_block(height))
-
-        # (9) telemetry is the per-block row written in _phase_tokenomics
+        for _, on_block in self._phases[chain]:
+            on_block(chain, height)
 
     # -- phases ----------------------------------------------------------------
 
-    def _phase_detection(self, view: ChainView, height: int) -> None:
+    def _phase_prices(self, chain: str, height: int) -> None:
+        for token, process in self._chain_views[chain].processes:
+            self.prices[token] = market.price_at(process, height)
+
+    def _phase_detection(self, chain: str, height: int) -> None:
         # each pool's monitor observes its liquid side; the aux scan below
         # reads the change in it and the volume since this chain's last scan
         # (everything the previous block did, nothing of this one yet). All
@@ -349,6 +332,7 @@ class Simulation:
         # several; the scan range-checks them, and a refused block is
         # recorded as a failed aux_scan (it reads only the sign of the
         # liquidity change, which has no range)
+        view = self._chain_views[chain]
         volume = delta_liq = 0
         prev_liquidity = self._prev_liquidity
         for pool, monitor in view.pools:
@@ -385,6 +369,19 @@ class Simulation:
             for signal in signals:
                 self._event("risk_signal", signal.kind.value, signal.magnitude)
 
+    def _phase_peg_keepers(self, chain: str, height: int) -> None:
+        for keeper in self._chain_views[chain].pegkeepers:
+            self._enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
+                          partial(self._exec_peg_keeper, keeper))
+
+    def _phase_queue(self, chain: str, height: int) -> None:
+        due = sorted((tx for tx in self.queue if tx.chain == chain and tx.execute_at <= height),
+                     key=lambda tx: (-tx.priority, tx.seq))
+        self.queue = [tx for tx in self.queue
+                      if not (tx.chain == chain and tx.execute_at <= height)]
+        for tx in due:
+            self._execute_tx(tx)
+
     def _execute_tx(self, tx: QueuedTx) -> None:
         try:
             tx.action()
@@ -411,37 +408,38 @@ class Simulation:
 
     # -- scripted ops ------------------------------------------------------------
 
-    def _run_script_op(self, account: str, step: dict) -> None:
-        op = step["op"]
-        try:
-            self._handlers[op](account, step, self.height)
-        except RugsimError as exc:
-            self._failed(op, exc, account=account)
+    def _phase_script(self, chain: str, height: int) -> None:
+        for account, step in self._script_steps.get((height, chain), ()):
+            op = step["op"]
+            try:
+                self._handlers[op](account, step, height)
+            except RugsimError as exc:
+                self._failed(op, exc, account=account)
 
     def _transfer(self, account: str, step: dict, height: int) -> None:
         self.ledger.transfer(account, step["to"], step["token"],
                              step["amount"], memo="script-transfer")
 
-    def _noise_trade(self, account: str, pool_id: str, prob: float, max_raw: int,
-                     rng: random.Random) -> None:
-        if rng.random() >= prob:
-            return
-        pool = self.pools.pools[pool_id]
-        size = rng.randint(1, max_raw)
-        token = pool.token_x if rng.random() < 0.5 else pool.token_y
-        size = min(size, self.ledger.balance_raw(account, token))
-        if size <= 0:
-            return
-        try:
-            self.pools.trade(pool_id, account, token, FixedAmount(size), "noise")
-        except RugsimError as exc:
-            self._failed("noise", exc, account=account)
+    def _phase_noise(self, chain: str, height: int) -> None:
+        for account, pool_id, prob, max_raw, rng in self._chain_views[chain].noise:
+            if rng.random() >= prob:
+                continue
+            pool = self.pools.pools[pool_id]
+            size = rng.randint(1, max_raw)
+            token = pool.token_x if rng.random() < 0.5 else pool.token_y
+            size = min(size, self.ledger.balance_raw(account, token))
+            if size <= 0:
+                continue
+            try:
+                self.pools.trade(pool_id, account, token, FixedAmount(size), "noise")
+            except RugsimError as exc:
+                self._failed("noise", exc, account=account)
 
     # -- tokenomics phase ---------------------------------------------------------
 
-    def _phase_tokenomics(self, height: int, minted: int) -> None:
-        """Emit, then burn toward the target; ``minted`` is the raw R the
-        vault registry's bridge minted this block. The ledger holds the only count of R."""
+    def _phase_tokenomics(self, chain: str, height: int) -> None:
+        """Emit, then burn toward the target; the telemetry's emission adds the
+        R the vault registry's bridge minted. The ledger holds the only count of R."""
         tk = self.scenario.tokenomics
         emission = tk["epsilon_rate"]
         if emission.raw > 0:
@@ -457,7 +455,7 @@ class Simulation:
             self.ledger.burn(TREASURY, HOME_TOKEN, burned, memo="supply-burn")
         self.trace.record_telemetry({
             "height": height,
-            "emission": str(FixedAmount(minted + emission.raw)),
+            "emission": str(FixedAmount(self.vaults.delivered + emission.raw)),
             "burned": str(burned),
             "current_supply": str(self.ledger.total_supply(HOME_TOKEN)),
             "target_supply": str(target),
@@ -502,8 +500,7 @@ class Simulation:
                       "token_x": p.token_x, "token_y": p.token_y, "fee_bps": p.fee_bps}
                 for pid, p in sorted(self.pools.pools.items())},
             "vaults": self.vaults.snapshot(self.scenario.chains),
-            "perps": self.perps.snapshot(),
-            "insurance": self.insurance.snapshot(),
+            **{key: snapshot() for key, snapshot in self._snapshots.items()},
             "home_token_supply": str(self.ledger.total_supply(HOME_TOKEN)),
             "total_penalties": str(self.vaults.total_penalties),
             "failed_events": self.trace.failed_events,

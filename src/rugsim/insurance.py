@@ -23,6 +23,7 @@ from .core import (
 )
 from .disputes import CaseEscrow, VoteBox
 from .ledger import BalanceError, Ledger
+from .scenario import DISPUTE_OPS
 
 SIDE_APPROVE = "approve"
 SIDE_REJECT = "reject"
@@ -112,8 +113,7 @@ class InsuranceBook:
     (``on_block``) on ``ledger`` and records each one's event through
     ``record``."""
 
-    OPS = ("issue_policy", "submit_claim", "join_claim", "dispute_claim",
-           "vote_insurance", "escalate")
+    OPS = DISPUTE_OPS["insurance"]
 
     def __init__(self, params: dict, token: TokenId, ledger: Ledger, treasury: str,
                  record: Callable[..., None]):
@@ -277,7 +277,7 @@ class InsuranceBook:
 
     # -- deadlines ---------------------------------------------------------
 
-    def on_block(self, height: int) -> None:
+    def on_block(self, chain: str, height: int) -> None:
         """Advance each open claim, in claim id order, then expire, in policy
         id order, each active policy past its term with no open claim."""
         for claim_id in sorted(self.claims):

@@ -34,15 +34,11 @@ from .core import (
 )
 from .ledger import BalanceError, Ledger
 from .market import PoolBook
+from .scenario import Direction
 from .vault import Vault, VaultRegistry, anticoin_value
 
 # where seized collateral waits for its AMM sale
 SETTLEMENT = "perps-settlement"
-
-
-class Direction(enum.Enum):
-    LONG = "long"
-    SHORT = "short"
 
 
 class PositionStatus(enum.Enum):

@@ -18,6 +18,7 @@ from .core import (
 )
 from .disputes import CaseEscrow, VoteBox
 from .ledger import BalanceError, Ledger
+from .scenario import DISPUTE_OPS
 
 SIDE_RUGGING = "rugging"
 SIDE_NOT_RUGGING = "not_rugging"
@@ -63,7 +64,7 @@ class RugproofBook:
     The book runs its script ops (``OPS``) and its deadlines (``on_block``)
     on ``ledger`` and records each one's event through ``record``."""
 
-    OPS = ("issue_bonded", "rug_claim", "vote_rug")
+    OPS = DISPUTE_OPS["rugproof"]
 
     def __init__(self, params: dict, ledger: Ledger, treasury: str,
                  record: Callable[..., None]):
@@ -138,7 +139,7 @@ class RugproofBook:
         claim.escrow.take(voter, vote.deposit, f"vote:{side}")
         self.record("rug_vote", claim.claim_id, voter, side, deposit)
 
-    def on_block(self, height: int) -> None:
+    def on_block(self, chain: str, height: int) -> None:
         """Resolve, in claim id order, each claim whose challenge window
         has closed."""
         for claim_id in sorted(self.claims):

@@ -15,6 +15,7 @@ the offending path, e.g. ``vaults[0].theta``.
 
 from __future__ import annotations
 
+import enum
 import json
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -22,13 +23,17 @@ from .core import HOME_TOKEN, MAX_RAW, SCALE, FixedAmount, RugsimError, amt
 from .detection import IntentAction
 from .ledger import ENGINE_ACCOUNT_PREFIXES
 from .market import LP_TOKEN_PREFIX, RugKind
-from .perps import Direction
 from .trace import EVENT_TYPES
 from .vault import ReceiptKind, anticoin_id
 
-# the home chain's token: the treasury is minted tokenomics.initial_supply of it
 KNOWN_AGENT_KINDS = ("creator", "retail", "whale", "lp", "solver",
                      "liquidator", "pegkeeper", "detector")
+
+
+class Direction(enum.Enum):  # a perp position's side
+    LONG = "long"
+    SHORT = "short"
+
 
 # Argument kinds. A scalar kind is its schema text: a ranged amount or int,
 # a string, a bool, a declared id of a reference kind, or a new id that
@@ -92,6 +97,10 @@ SCRIPT_OPS = {
     "vote_insurance": ("home", {"claim": TEXT, "deposit": AMOUNT, "side": TEXT}),
     "escalate": ("home", {"claim": TEXT}),
 }
+# each dispute book's ops: the engine builds the book for a document that names one
+DISPUTE_OPS = {"rugproof": ("issue_bonded", "rug_claim", "vote_rug"),
+               "insurance": ("issue_policy", "submit_claim", "join_claim", "dispute_claim",
+                             "vote_insurance", "escalate")}
 STEP_FIELDS = {"block": NAT, "op": tuple(SCRIPT_OPS)}
 
 # the fields of the document itself, then of each entry of its lists
@@ -349,6 +358,7 @@ class Scenario(NamedTuple):
     insurance: dict
     agents: list[dict]
     intents: list[dict]
+    written: frozenset[str]  # the object sections the document writes, not null
 
 
 # Each list section's parse and checks, from its document list and the ids
@@ -513,7 +523,8 @@ def load_scenario(doc: dict, memo: Optional[dict] = None) -> Scenario:
             raise ScenarioError(f"{path}.token", f"no vault takes {token}, so the "
                                 "intent cannot swap it into anticoins")
     return Scenario(**top, tokens=tokens, accounts=accounts, vaults=vaults,
-                    pools=pools, **sections, agents=agents, intents=intents)
+                    pools=pools, **sections, agents=agents, intents=intents,
+                    written=frozenset(key for key in sections if doc.get(key) is not None))
 
 
 def load_scenario_file(path: str) -> Scenario:

@@ -149,6 +149,7 @@ class VaultRegistry:
         self.withdrawal_counts: dict[tuple[str, VaultId], int] = {}
         # (delivery height, kind, vault id, account, amount) in emission order
         self.in_flight: list[tuple[int, str, VaultId, str, FixedAmount]] = []
+        self.delivered = 0  # the raw home token that the last on_block minted
         self.total_penalties = ZERO
 
     def vault(self, vault_id: VaultId) -> Vault:
@@ -269,17 +270,16 @@ class VaultRegistry:
         self.total_penalties = self.total_penalties + penalty
         self.record("withdraw", vault_id, account, amount, returned, penalty, rate, index)
 
-    def on_block(self, height: int) -> int:
-        """Mint, in emission order, each reward due by ``height`` to its
-        account (run on the home chain); returns the raw home token minted."""
+    def on_block(self, chain: ChainId, height: int) -> None:
+        """Mint, in emission order, each reward due by ``height`` to its account
+        (run on the home chain); ``delivered`` counts the raw home token minted."""
         due = [reward for reward in self.in_flight if reward[0] <= height]
         self.in_flight = [reward for reward in self.in_flight if reward[0] > height]
-        minted = 0
+        self.delivered = 0
         for _, kind, vault_id, account, amount in due:
             self.ledger.mint(account, self.home_token, amount, memo=f"reward:{kind}")
-            minted += amount.raw
+            self.delivered += amount.raw
             self.record("bridge_delivery", kind, vault_id, account, amount)
-        return minted
 
     def snapshot(self, chains: Sequence[ChainId]) -> dict:
         """Each of ``chains``, sorted, mapped to its vaults by sorted id; a

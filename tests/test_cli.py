@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, and output files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -256,10 +257,10 @@ def fail_after_a_flush(monkeypatch, when=lambda sim: True):
     raise once its trace has streamed a batch of events to disk."""
     phase = Simulation._phase_tokenomics
 
-    def failing(sim, height, minted):
+    def failing(sim, chain, height):
         if when(sim) and sim.trace.event_count > FLUSH_EVENTS:
             raise RugsimError("injected failure")
-        phase(sim, height, minted)
+        phase(sim, chain, height)
     monkeypatch.setattr(Simulation, "_phase_tokenomics", failing)
 
 
@@ -492,23 +493,58 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert fresh_python("-c", probe).stdout == "[]\n"
 
 
-def test_verify_executes_only_core_and_trace(tmp_path):
-    # the package registers every engine module unexecuted, so `verify`
-    # compiles and runs only what it reads; an unexecuted module is still
-    # of the lazy loader's module type
-    out = tmp_path / "trace"
-    assert main(["run", "--scenario", "builtin:scam", "--out", str(out)]) == 0
-    probe = ("import runpy, sys, types\n"
-             f"sys.argv = ['rugsim', 'verify', '--trace', {str(out)!r}]\n"
+def rugsim_executes(*argv: str) -> tuple[str, str, int, list[str]]:
+    """``rugsim ARGV`` in a new interpreter, through ``runpy.run_module(...,
+    alter_sys=True)`` as ``python -m rugsim.cli`` runs it: its stdout, its
+    stderr, its exit code and the sorted rugsim modules it executed (an
+    unexecuted module is still of the lazy loader's module type)."""
+    probe = ("import json, runpy, sys, types\n"
+             f"sys.argv = ['rugsim', *{list(argv)!r}]\n"
              "try:\n"
              "    runpy.run_module('rugsim.cli', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exit:\n"
-             "    print(exit.code, sorted(name for name, module in sys.modules.items()\n"
-             "          if name.startswith('rugsim.') and type(module) is types.ModuleType))\n")
-    # run_module with alter_sys runs the module as `python -m rugsim.cli` does
+             "    print(json.dumps([exit.code, sorted(\n"
+             "        name for name, module in sys.modules.items()\n"
+             "        if name.startswith('rugsim.') and type(module) is types.ModuleType)\n"
+             "    ]), file=sys.stderr)\n")
     done = fresh_python("-c", probe)
-    assert (done.stdout, done.stderr) == (
-        "trace ok\n0 ['rugsim.core', 'rugsim.trace']\n", "")
+    stderr, _, last = done.stderr.rstrip("\n").rpartition("\n")
+    code, modules = json.loads(last)
+    return done.stdout, stderr, code, modules
+
+
+def test_verify_executes_only_core_and_trace(tmp_path):
+    # the package registers every engine module unexecuted, so `verify`
+    # compiles and runs only what it reads
+    out = tmp_path / "trace"
+    assert main(["run", "--scenario", "builtin:scam", "--out", str(out)]) == 0
+    assert rugsim_executes("verify", "--trace", str(out)) == (
+        "trace ok\n", "", 0, ["rugsim.core", "rugsim.trace"])
+
+
+OPTIONAL_MODULES = {"rugsim.perps", "rugsim.rugproof", "rugsim.insurance", "rugsim.disputes"}
+
+
+def test_a_run_executes_only_the_books_its_document_uses(tmp_path):
+    # a book that a document does not use is not built, so its module never runs
+    def executed(*argv: str) -> set[str]:
+        _, stderr, code, modules = rugsim_executes(*argv)
+        assert (stderr, code) == ("", 0)
+        return OPTIONAL_MODULES & set(modules)
+
+    for spec in ("builtin:reference", "builtin:scam"):
+        assert executed("run", "--scenario", spec, "--blocks", "3",
+                        "--out", str(tmp_path / spec)) == set()
+    from test_harness import dispute_doc, perps_doc
+    assert executed("run", "--scenario", write_scenario(tmp_path, perps_doc(), "p.json"),
+                    "--out", str(tmp_path / "perps")) == {"rugsim.perps"}
+    assert executed("run", "--scenario", write_scenario(tmp_path, dispute_doc(), "d.json"),
+                    "--out", str(tmp_path / "disputes")) == OPTIONAL_MODULES - {"rugsim.perps"}
+    # the loader's kinds no longer need perps, and the schema they print is unmoved
+    stdout, stderr, code, modules = rugsim_executes("schema")
+    assert (stderr, code) == ("", 0) and OPTIONAL_MODULES.isdisjoint(modules)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        pinned.load_pins()["rugsim schema (stdout sha256)"]
 
 
 def test_the_package_exports_resolve_lazily():

@@ -731,6 +731,14 @@ BOOKS = (market.PoolBook, DrainBook, VaultRegistry, PerpMarkets, IntentBook, Rug
          InsuranceBook)
 
 
+def every_book_doc():
+    """The dispute document with a perps section: it builds every book."""
+    doc = dispute_doc()
+    doc["perps"] = {"enabled_vaults": ["v"], "alpha_base": "0.01", "l_min": "100",
+                    "interval_blocks": 4}
+    return doc
+
+
 def test_script_op_table_names_every_handler():
     # every op has exactly one runner, in the one table materialize builds:
     # the harness's own transfer, or one book's declared op (the pool
@@ -743,7 +751,7 @@ def test_script_op_table_names_every_handler():
         runners += book.OPS
     assert sorted(runners) == sorted(SCRIPT_OPS)
     assert [name for name in dir(Simulation) if name.startswith("_op_")] == []
-    sim = Simulation(load_scenario(pinned.perps_intents_doc()))
+    sim = Simulation(load_scenario(every_book_doc()))
     assert sorted(sim._handlers) == sorted(SCRIPT_OPS)
     for op, handler in sim._handlers.items():
         owner = handler.__self__
@@ -752,6 +760,34 @@ def test_script_op_table_names_every_handler():
         else:
             assert type(owner) in BOOKS and op in owner.OPS, op
             assert handler.__func__ is type(owner).__dict__[op], op
+    # a document without perps, rugproof or insurance builds none of those books
+    sim = Simulation(load_scenario(reference_scenario()))
+    assert sorted(sim._handlers) == sorted(
+        ("transfer",) + market.PoolBook.OPS + DrainBook.OPS + VaultRegistry.OPS
+        + IntentBook.OPS)
+
+
+def test_a_dispute_book_is_built_for_its_ops_or_its_section(tmp_path):
+    # without their sections, the dispute books run the document's ops on
+    # every default; the hash was measured when every book was always built
+    doc = dispute_doc()
+    del doc["rugproof"], doc["insurance"]
+    sim, trace = run_scenario(doc)
+    assert set(RugproofBook.OPS + InsuranceBook.OPS) <= set(sim._handlers)
+    assert "open_position" not in sim._handlers
+    assert [e["type"] for e in trace.events].count("rug_claim_resolved") == 1
+    assert trace.failed_events == 0 and trace.trace_hash() == "cb1389da554b58fa"
+    # an empty section builds its empty book, which changes nothing
+    doc = reference_scenario()
+    doc["insurance"] = {}
+    sim = Simulation(load_scenario(doc))
+    assert "issue_policy" in sim._handlers and "issue_bonded" not in sim._handlers
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    state = json.loads((tmp_path / "o" / "state.json").read_text())
+    assert state["insurance"] == state["perps"] == {}
+    assert state["trace_hash"] == "f7b7555be27ef87c"
 
 
 def benchmark_tracer():

@@ -170,7 +170,7 @@ def test_approved_undisputed_compensation_exact(ledger):
     insured_before = ledger.balance("insured", USD)
     claim = mk_claim(book, policy)
     # the block loop advances the open claim past its challenge window
-    book.on_block(11)
+    book.on_block("home", 11)
     assert book.record[-1] == ("insurance_resolved", "icl-2", "approved", amt(20))
     # claimant nets I_v + alpha * bond = 1000 + 20 (their own bond returns too)
     assert ledger.balance("insured", USD) == insured_before + amt(1020)
@@ -298,10 +298,10 @@ def test_expire_policy_returns_bond(ledger):
     book = mk_book(ledger)
     policy = mk_policy(ledger, book, duration=10)
     # the block loop expires a policy only once its term has run
-    book.on_block(9)
+    book.on_block("home", 9)
     assert policy.status is PolicyStatus.ACTIVE
     assert ledger.balance("insurer", USD) == amt(9_900)
-    book.on_block(10)
+    book.on_block("home", 10)
     assert policy.status is PolicyStatus.EXPIRED
     assert ledger.balance("insurer", USD) == amt(10_000)
     assert book.record[-1] == ("policy_expired", "pol-1")
@@ -313,11 +313,11 @@ def test_policy_with_an_open_claim_expires_after_it_settles(ledger):
     claim = mk_claim(book, policy)
     dispute(book, claim, fund(ledger, "chal", USD, 100), 2)
     for height in range(5, 12):
-        book.on_block(height)
+        book.on_block("home", height)
     assert policy.status is PolicyStatus.ACTIVE
     assert book.record[-1][0] == "claim_disputed"
     # no votes: the claim is rejected at its vote end, then the policy expires
-    book.on_block(12)
+    book.on_block("home", 12)
     assert [event[0] for event in book.record[-2:]] == ["insurance_resolved",
                                                         "policy_expired"]
     assert policy.status is PolicyStatus.EXPIRED

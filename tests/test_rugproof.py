@@ -181,9 +181,9 @@ def test_early_resolution_refused(ledger):
     with pytest.raises(StateError):
         book.resolve_claim(claim, 9)
     # the block loop resolves the claim only once its window has closed
-    book.on_block(9)
+    book.on_block("home", 9)
     assert claim.status is ClaimStatus.VOTING and len(book.record) == 2
-    book.on_block(10)
+    book.on_block("home", 10)
     assert claim.status is ClaimStatus.REJECTED_FRAUD
     assert book.record[-1][:3] == ("rug_claim_resolved", "claim-2", "rejected_fraud")
 

@@ -102,10 +102,13 @@ def test_rewards_are_minted_once_the_bridge_delivers_them(ledger):
     alice = fund(ledger, "alice", "RUG", 1000)
     deposit(registry, vault, alice, 1000, height=5)
     burn(registry, vault, alice, 100, height=6)
-    assert registry.on_block(6) == 0 and ledger.balance("alice", "R") == amt(0)
+    registry.on_block("home", 6)
+    assert registry.delivered == 0 and ledger.balance("alice", "R") == amt(0)
     # the deposit's 10 R arrive at block 7, the burn's 2 R at block 8
-    assert registry.on_block(7) == amt(10).raw
-    assert registry.on_block(8) == amt(2).raw
+    registry.on_block("home", 7)
+    assert registry.delivered == amt(10).raw
+    registry.on_block("home", 8)
+    assert registry.delivered == amt(2).raw
     assert ledger.balance("alice", "R") == amt(12) and registry.in_flight == []
     assert registry.record[-2:] == [
         ("bridge_delivery", "deposit", "v-rug", "alice", amt(10)),

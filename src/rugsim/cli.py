@@ -266,17 +266,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def scam_margin() -> dict:
     """Run the scripted scam scenario and measure the protection margin."""
     sim, trace = harness.run_scenario(scenario.scam_scenario())
-    protected = [sim.mark_to_market(name) for name in ("intent-user", "frontrun-user")]
-    unprotected = sim.mark_to_market("unprotected")
-    margin = min(protected) - unprotected
+    intent, frontrun, unprotected = (sim.mark_to_market(name)
+                                     for name in ("intent-user", "frontrun-user", "unprotected"))
     return {
         "scenario": "builtin:scam",
         "seed": 42,
         "trace_hash": trace.trace_hash(),
-        "intent_user_value": str(sim.mark_to_market("intent-user")),
-        "frontrun_user_value": str(sim.mark_to_market("frontrun-user")),
+        "intent_user_value": str(intent),
+        "frontrun_user_value": str(frontrun),
         "unprotected_value": str(unprotected),
-        "margin": str(margin),
+        "margin": str(min(intent, frontrun) - unprotected),
     }
 
 

@@ -1,7 +1,8 @@
-"""Liquidity monitoring, rug-risk signals, intervention planners
-(front-run, sandwich, back-run) against pending drain events, the drain
-book that times them, and the intent book, which registers intents and
-runs each chain's solver auction and every intent it matches.
+"""Liquidity monitoring, rug-risk signals, the risk monitors that scan each
+chain, intervention planners (front-run, sandwich, back-run) against
+pending drain events, the drain book that times them, and the intent book,
+which registers intents and runs each chain's solver auction and every
+intent it matches.
 
 The planners only price a move against a pending drain: each quotes
 against a copy of pool state and returns the one amount the drain book
@@ -17,12 +18,14 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
+    HOME_TOKEN,
     ChainId,
     DustError,
     FixedAmount,
     IlliquidError,
     ParameterError,
     PoolId,
+    RangeError,
     SCALE,
     StateError,
     TokenId,
@@ -41,6 +44,7 @@ from .market import (
     pool_swap,
     spot_price,
 )
+from .trace import Trace, make_event
 from .vault import VaultRegistry
 
 
@@ -171,6 +175,106 @@ class AuxMonitor:
             signals.append(RiskSignal(SignalKind.VOLUME_ANOMALY,
                                       FixedAmount(_ratio(volume, mean_vol)), height))
         return signals
+
+
+class RiskMonitors:
+    """Each chain's monitors (``params`` is the parsed ``detection``
+    section): a ``PoolMonitor`` on each pool that trades the ``numeraire``,
+    and an ``AuxMonitor`` over the chain's mints, the outflows of the
+    ``creators``' priced tokens (of ``processes``, every chain's priced
+    tokens) and its pools' volume and liquidity change. ``movement`` is the
+    ledger's recorder: it records each movement at ``clock``'s ``height`` and
+    ``chain`` in ``trace``, and tallies it if a scan reads it, so a movement
+    is one call. ``on_block`` scans a chain and records its signals through
+    ``record``."""
+
+    def __init__(self, pools: PoolBook, ledger: Ledger,
+                 processes: dict[ChainId, list[tuple[TokenId, dict]]],
+                 token_chain: dict[TokenId, ChainId], creators: Sequence[dict], params: dict,
+                 numeraire: TokenId, trace: Trace, clock: object, record: Callable[..., None]):
+        self.pools, self.ledger, self.trace, self.clock, self.record = (
+            pools, ledger, trace, clock, record)
+        # chain -> its aux monitor; its (pool, liquidity monitor if it trades the
+        # numeraire) pairs; the tokens whose mints its scan reads (R is excluded);
+        # the (creator, priced token) keys whose outflows it reads
+        self.aux = {chain: AuxMonitor(params["mint_spike_factor"],
+                                      params["wallet_outflow_fraction"],
+                                      params["volume_spike_factor"]) for chain in processes}
+        self.pools_of = {chain: [(pool, PoolMonitor(pool.pool_id, params["drop_threshold"])
+                                  if pool.liquid_token == numeraire else None)
+                                 for pool in pools.pools.values() if pool.chain == chain]
+                         for chain in processes}
+        self.mint_tokens = {chain: [token for token, at in token_chain.items()
+                                    if at == chain and token != HOME_TOKEN]
+                            for chain in processes}
+        self.outflow_keys = {chain: [(creator["account"], token) for creator in creators
+                                     for token, _ in priced]
+                             for chain, priced in processes.items()}
+        self._prev_liquidity = {pid: pools.liquidity_raw(pid) for pid in pools.pools}
+        # raw mints per scanned token and outflows per scanned (sender, token)
+        # since the scan that reads them last took them
+        self.unscanned_mints = dict.fromkeys((t for t in token_chain if t != HOME_TOKEN), 0)
+        self.unscanned_outflows = dict.fromkeys(
+            (key for keys in self.outflow_keys.values() for key in keys), 0)
+
+    def movement(self, event_type: str, *values) -> None:
+        clock = self.clock
+        self.trace.record(make_event(event_type, clock.height, clock.chain, values, {}))
+        if event_type == "mint":
+            _, token, amount, _ = values
+            totals, key = self.unscanned_mints, token
+        elif event_type == "transfer":
+            src, _, token, amount, _ = values
+            totals, key = self.unscanned_outflows, (src, token)
+        else:
+            return
+        unscanned = totals.get(key)
+        if unscanned is not None:
+            totals[key] = unscanned + amount.raw
+
+    def on_block(self, chain: ChainId, height: int) -> None:
+        """Each pool's monitor observes its liquid side; the aux scan reads
+        the change in it and the volume since this chain's last scan
+        (everything the previous block did, nothing of this one yet). All
+        its inputs are exact raw-int sums, of amounts of one token or of
+        several; the scan range-checks them, and a refused block is recorded
+        as a failed aux_scan (it reads only the sign of the liquidity change,
+        which has no range)."""
+        volume = delta_liq = 0
+        prev_liquidity = self._prev_liquidity
+        for pool, monitor in self.pools_of[chain]:
+            pool_id = pool.pool_id
+            liquid = self.pools.liquidity_raw(pool_id)
+            if monitor is not None:
+                signal = monitor.observe(height, liquid)
+                if signal is not None:
+                    self.record("risk_signal", signal.kind.value, signal.magnitude,
+                                pool=pool_id)
+            volume += pool.volume
+            pool.volume = 0
+            delta_liq += liquid - prev_liquidity[pool_id]
+            prev_liquidity[pool_id] = liquid
+        minted = 0
+        mints, outflows = self.unscanned_mints, self.unscanned_outflows
+        for token in self.mint_tokens[chain]:
+            minted += mints[token]
+            mints[token] = 0
+        # largest single creator-wallet outflow of a chain token
+        outflow = balance_before = 0
+        for key in self.outflow_keys[chain]:
+            moved = outflows[key]
+            outflows[key] = 0
+            if moved > outflow:
+                outflow = moved
+                balance_before = self.ledger.balance_raw(*key) + moved
+        try:
+            signals = self.aux[chain].scan(height, minted, outflow, balance_before, volume,
+                                           delta_liq)
+        except RangeError as exc:
+            self.record("failed", "aux_scan", type(exc).__name__, str(exc))
+        else:
+            for signal in signals:
+                self.record("risk_signal", signal.kind.value, signal.magnitude)
 
 
 # -- intervention planners -------------------------------------------------

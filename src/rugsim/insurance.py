@@ -374,8 +374,8 @@ class InsuranceBook:
         self.record("insurance_resolved", claim.claim_id, claim.phase.value, slashed)
 
     def snapshot(self) -> dict:
-        """JSON-ready policy book with per-claim lifecycle states."""
-        return {
+        """The ``insurance`` section: the policy book and each claim's state."""
+        return {"insurance": {
             pid: {
                 "insurer": p.insurer,
                 "insured": p.insured,
@@ -393,4 +393,4 @@ class InsuranceBook:
                     if c.policy_id == pid},
             }
             for pid, p in sorted(self.policies.items())
-        }
+        }}

@@ -43,7 +43,7 @@ class Ledger:
         # token -> account -> raw balance
         self._balances: defaultdict[TokenId, dict[str, int]] = defaultdict(dict)
         self._supply: dict[TokenId, int] = {}
-        self._record = recorder if recorder is not None else lambda *event: None
+        self.recorder = recorder if recorder is not None else lambda *event: None
 
     def balance_raw(self, account: str, token: TokenId) -> int:
         held = self._balances.get(token)
@@ -66,7 +66,7 @@ class Ledger:
         supply = _checked(self._supply.get(token, 0) + raw)
         held[account] = credited
         self._supply[token] = supply
-        self._record("mint", account, token, amount, memo)
+        self.recorder("mint", account, token, amount, memo)
 
     def burn(self, account: str, token: TokenId, amount: FixedAmount, memo: str = "") -> None:
         raw = amount.raw
@@ -80,7 +80,7 @@ class Ledger:
                 f"{account} holds {FixedAmount(bal)} {token}, cannot burn {amount}")
         self._balances[token][account] = bal - raw
         self._supply[token] -= raw
-        self._record("burn", account, token, amount, memo)
+        self.recorder("burn", account, token, amount, memo)
 
     def transfer(self, src: str, dst: str, token: TokenId, amount: FixedAmount,
                  memo: str = "") -> None:
@@ -97,7 +97,7 @@ class Ledger:
         credited = _checked(held.get(dst, 0) + raw)
         held[src] = bal - raw
         held[dst] = credited
-        self._record("transfer", src, dst, token, amount, memo)
+        self.recorder("transfer", src, dst, token, amount, memo)
 
     def check_conservation(self) -> None:
         """Assert sum of balances == recorded supply for every token; every

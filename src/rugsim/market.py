@@ -1,7 +1,7 @@
 """Price processes for the three rug-pull archetypes, constant-product AMM
-pools, liquidity-drain execution, the peg-keeper that steers the anticoin
-pool toward its inverse-log valuation, and the pool book that runs every
-pool's trades and liquidity ops.
+pools, liquidity-drain execution, the peg keepers that steer each anticoin
+pool toward its inverse-log valuation, the noise traders, and the pool book
+that runs every pool's trades and liquidity ops.
 
 Pool operations are pure: they take a PoolState and return a new one. Swap
 output is rounded *down* to the quantum (in the pool's favor), so the
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     DustError,
@@ -32,12 +33,14 @@ from .core import (
     RangeError,
     RugsimError,
     SCALE,
+    SeededRng,
     TokenId,
     ZERO,
     _div_round_half_even,
     _exp_neg_raw,
 )
 from .ledger import BalanceError, Ledger
+from .vault import VaultRegistry, anticoin_value
 
 
 class RatioError(RugsimError):
@@ -455,3 +458,91 @@ class PoolBook:
             self.ledger.transfer(self.pools[pool_id].account, account, token, amount,
                                  memo="remove-liq")
         self.record("remove_liquidity", pool_id, account, out_x, out_y)
+
+    def snapshot(self) -> dict:
+        held = self.ledger.balance
+        return {"pools": {
+            pid: {"reserve_x": str(held(p.account, p.token_x)),
+                  "reserve_y": str(held(p.account, p.token_y)),
+                  "token_x": p.token_x, "token_y": p.token_y, "fee_bps": p.fee_bps}
+            for pid, p in sorted(self.pools.items())}}
+
+
+# a peg-keeper trade's queue priority (higher executes first within a block);
+# the drain book holds the priorities around a drain
+PRIORITY_PEG_KEEPER = 10
+
+
+class PegKeepers:
+    """The parsed ``pegkeeper`` agents, by their pool's chain. Each chain step
+    (``on_block``) queues each keeper's trade through ``enqueue``; run, the
+    trade steers the pool toward its vault's anticoin value at the engine's
+    live ``prices`` and is recorded through ``record``. A keeper with no
+    vault trades nothing."""
+
+    def __init__(self, keepers: Sequence[dict], pools: PoolBook, vaults: VaultRegistry,
+                 prices: dict[TokenId, FixedAmount], ledger: Ledger,
+                 record: Callable[..., None], enqueue: Callable[..., None]):
+        self.pools, self.vaults, self.prices, self.ledger = pools, vaults, prices, ledger
+        self.record, self.enqueue = record, enqueue
+        self.keepers: dict[str, list[dict]] = {}
+        for keeper in keepers:
+            self.keepers.setdefault(pools.pools[keeper["pool"]].chain, []).append(keeper)
+
+    def on_block(self, chain: str, height: int) -> None:
+        for keeper in self.keepers.get(chain, ()):
+            self.enqueue(chain, height, PRIORITY_PEG_KEEPER, "peg_keeper",
+                         partial(self._trade, keeper))
+
+    def _trade(self, agent: dict) -> None:
+        if agent["vault"] is None:
+            return
+        pool_id = agent["pool"]
+        pool = self.pools.state(pool_id)
+        vault = self.vaults.vault(agent["vault"])
+        peg = anticoin_value(vault.price_at_creation, self.prices[vault.rugged_token])
+        input_token = pool.token_x if spot_price(pool) > peg else pool.token_y
+        budget = min(agent["budget"], self.ledger.balance(agent["account"], input_token))
+        trade = peg_keeper_step(pool, peg, budget, agent["tolerance"])
+        if trade is None:
+            return
+        self.pools.trade(pool_id, agent["account"], trade.input_token, trade.amount_in,
+                         "peg_keeper", trade.amount_out)
+        self.record("peg_trade", pool_id, peg, trade.amount_in, trade.input_token,
+                    spot_price(trade.pool))
+
+
+class NoiseTraders:
+    """The parsed agents' ``noise`` sections, by their pool's chain. Each
+    chain step (``on_block``), each trader trades with its ``prob``, drawn
+    from its own stream of the run's ``seed``, a uniform size up to its
+    ``max_size`` of a coin-flipped side, capped at its balance; a failed
+    trade is recorded through ``record``."""
+
+    def __init__(self, agents: Sequence[dict], seed: int, pools: PoolBook, ledger: Ledger,
+                 record: Callable[..., None]):
+        self.pools, self.ledger, self.record = pools, ledger, record
+        rng = SeededRng(seed)
+        # chain -> (account, pool id, trade probability, largest size in raw quanta, rng)
+        self.traders: dict[str, list[tuple]] = {}
+        for agent in agents:
+            account, noise = agent["account"], agent["noise"]
+            if noise is not None:
+                self.traders.setdefault(pools.pools[noise["pool"]].chain, []).append(
+                    (account, noise["pool"], float(noise["prob"]), noise["max_size"].raw,
+                     rng.stream("noise", account)))
+
+    def on_block(self, chain: str, height: int) -> None:
+        for account, pool_id, prob, max_raw, rng in self.traders.get(chain, ()):
+            if rng.random() >= prob:
+                continue
+            pool = self.pools.pools[pool_id]
+            size = rng.randint(1, max_raw)
+            token = pool.token_x if rng.random() < 0.5 else pool.token_y
+            size = min(size, self.ledger.balance_raw(account, token))
+            if size <= 0:
+                continue
+            try:
+                self.pools.trade(pool_id, account, token, FixedAmount(size), "noise")
+            except RugsimError as exc:
+                self.record("failed", "noise", type(exc).__name__, str(exc), account=account)

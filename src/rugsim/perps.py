@@ -348,4 +348,5 @@ class PerpMarkets:
                                     str(exc), vault=book.vault_id)
 
     def snapshot(self) -> dict:
-        return {vault_id: book.snapshot() for vault_id, book in sorted(self.books.items())}
+        return {"perps": {vault_id: book.snapshot()
+                          for vault_id, book in sorted(self.books.items())}}

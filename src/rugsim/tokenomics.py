@@ -1,4 +1,4 @@
-"""Home-chain token supply regulation and the vault oracle.
+"""Home-chain supply regulation, the vault oracle and the supply controller.
 
 The inverse-log supply law is reified as a *target*: a one-sided
 proportional controller burns toward s0 / ln(vaulted value) at rate kappa,
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .core import (
+    HOME_TOKEN,
     FixedAmount,
     ONE,
     ParameterError,
@@ -27,6 +28,7 @@ from .core import (
     safe_ln,
 )
 from .ledger import Ledger
+from .trace import Trace
 from .vault import VaultRegistry
 
 
@@ -73,3 +75,37 @@ def aggregate_vault_stats(registry: VaultRegistry, ledger: Ledger,
         price = price_of(vault.rugged_token).raw
         total += _div_round_half_even(vaulted * price, SCALE)
     return FixedAmount(total)
+
+
+class SupplyController:
+    """The supply of the home token R, run on the home chain
+    (``on_block``) from the parsed ``tokenomics`` section: the block's
+    emission to ``treasury``, the burn from it toward the target that the
+    vaults' value at the engine's live ``prices`` sets, then the block's
+    row in ``trace``'s telemetry, whose emission adds the R that the vault
+    registry's bridge minted. The ledger holds the only count of R."""
+
+    def __init__(self, params: dict, vaults: VaultRegistry, ledger: Ledger,
+                 prices: dict[TokenId, FixedAmount], trace: Trace, treasury: str):
+        self.params, self.vaults, self.ledger, self.prices = params, vaults, ledger, prices
+        self.trace, self.treasury = trace, treasury
+
+    def on_block(self, chain: str, height: int) -> None:
+        ledger, treasury, params = self.ledger, self.treasury, self.params
+        emission = params["epsilon_rate"]
+        if emission.raw > 0:
+            ledger.mint(treasury, HOME_TOKEN, emission, memo="emission")
+        # every vault's token has a price process
+        target = target_supply(aggregate_vault_stats(self.vaults, ledger, self.prices.__getitem__),
+                               params["s0"])
+        burned = burn_step(ledger.total_supply(HOME_TOKEN), params, target,
+                           available=ledger.balance(treasury, HOME_TOKEN))
+        if burned.raw > 0:
+            ledger.burn(treasury, HOME_TOKEN, burned, memo="supply-burn")
+        self.trace.record_telemetry({
+            "height": height,
+            "emission": str(FixedAmount(self.vaults.delivered + emission.raw)),
+            "burned": str(burned),
+            "current_supply": str(ledger.total_supply(HOME_TOKEN)),
+            "target_supply": str(target),
+        })

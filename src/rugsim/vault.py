@@ -126,13 +126,16 @@ class VaultRegistry:
     records each one's event through ``record``. A deposit or burn earns a
     reward in ``home_token``, which travels ``bridge_delay`` blocks and is
     minted by ``on_block`` on the home chain. ``accounts`` are the parsed
-    account entries, whose owners the withdrawal penalty reads."""
+    account entries, whose owners the withdrawal penalty reads, and
+    ``chains`` the chains ``snapshot`` lists."""
 
     OPS = ("deposit", "burn", "withdraw")
 
     def __init__(self, accounts: Sequence[dict], ledger: Ledger, treasury: str,
-                 record: Callable[..., None], bridge_delay: int, home_token: TokenId):
+                 record: Callable[..., None], bridge_delay: int, home_token: TokenId,
+                 chains: Sequence[ChainId] = ()):
         self.ledger = ledger
+        self.chains = chains
         self.treasury = treasury
         self.record = record
         self.bridge_delay = bridge_delay
@@ -281,10 +284,10 @@ class VaultRegistry:
             self.delivered += amount.raw
             self.record("bridge_delivery", kind, vault_id, account, amount)
 
-    def snapshot(self, chains: Sequence[ChainId]) -> dict:
-        """Each of ``chains``, sorted, mapped to its vaults by sorted id; a
-        chain without a vault maps to {}."""
-        return {chain: {
+    def snapshot(self) -> dict:
+        """``vaults``: each of ``chains``, sorted, mapped to its vaults by
+        sorted id, a chain without a vault to {}; and ``total_penalties``."""
+        return {"total_penalties": str(self.total_penalties), "vaults": {chain: {
             vid: {
                 "chain": v.chain,
                 "rugged_token": v.rugged_token,
@@ -297,4 +300,4 @@ class VaultRegistry:
                 "anticoin_supply": str(v.anticoin_supply),
             }
             for vid, v in sorted(self.vaults.items()) if v.chain == chain
-        } for chain in sorted(chains)}
+        } for chain in sorted(self.chains)}}

@@ -14,7 +14,6 @@ import rugsim
 from rugsim import cli
 from rugsim.cli import main
 from rugsim.core import RangeError, RugsimError, amt
-from rugsim.harness import Simulation
 from rugsim.scenario import (
     ABOVE_ONE,
     ACCOUNT,
@@ -47,6 +46,7 @@ from rugsim.scenario import (
     reference_scenario,
     scam_scenario,
 )
+from rugsim.tokenomics import SupplyController
 from rugsim.trace import FLUSH_EVENTS
 
 
@@ -252,16 +252,16 @@ def test_sweep_refuses_a_point_that_breaks_a_module_invariant(tmp_path, capsys):
     assert not out.exists()
 
 
-def fail_after_a_flush(monkeypatch, when=lambda sim: True):
-    """Make the tokenomics phase of each simulation that ``when`` picks
+def fail_after_a_flush(monkeypatch, when=lambda supply: True):
+    """Make the supply controller of each simulation that ``when`` picks
     raise once its trace has streamed a batch of events to disk."""
-    phase = Simulation._phase_tokenomics
+    phase = SupplyController.on_block
 
-    def failing(sim, chain, height):
-        if when(sim) and sim.trace.event_count > FLUSH_EVENTS:
+    def failing(supply, chain, height):
+        if when(supply) and supply.trace.event_count > FLUSH_EVENTS:
             raise RugsimError("injected failure")
-        phase(sim, chain, height)
-    monkeypatch.setattr(Simulation, "_phase_tokenomics", failing)
+        phase(supply, chain, height)
+    monkeypatch.setattr(SupplyController, "on_block", failing)
 
 
 def test_a_run_that_fails_leaves_no_trace_files(tmp_path, capsys, monkeypatch):
@@ -274,8 +274,8 @@ def test_a_run_that_fails_leaves_no_trace_files(tmp_path, capsys, monkeypatch):
 
 
 def test_a_sweep_point_that_fails_leaves_no_files(tmp_path, capsys, monkeypatch):
-    fail_after_a_flush(monkeypatch, lambda sim: sim.scenario.vaults[0]["penalty_lambda"]
-                       == amt("1.2"))
+    fail_after_a_flush(monkeypatch, lambda supply: supply.vaults.vault("v-rug").params[
+        "penalty_lambda"] == amt("1.2"))
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", "builtin:reference", "--blocks", "1000",
                  "--out", str(out), "--param", "vaults.0.penalty_lambda=1.1:1.2:0.1"]) == 2

@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import pinned
-from rugsim import market
+from rugsim import harness, market
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, QUANTUM, FixedAmount, RangeError, amt
-from rugsim.detection import DrainBook, IntentAction, IntentBook
+from rugsim.detection import DrainBook, IntentAction, IntentBook, RiskMonitors
 from rugsim.harness import Simulation, run_scenario
 from rugsim.insurance import InsuranceBook
 from rugsim.ledger import ENGINE_ACCOUNT_PREFIXES
@@ -34,6 +34,7 @@ from rugsim.scenario import (
     reference_scenario,
     scam_scenario,
 )
+from rugsim.tokenomics import SupplyController
 from rugsim.vault import VaultRegistry
 
 
@@ -790,6 +791,52 @@ def test_a_dispute_book_is_built_for_its_ops_or_its_section(tmp_path):
     assert state["trace_hash"] == "f7b7555be27ef87c"
 
 
+# every phase name, in the order harness.py's docstring gives; the harness
+# runs the first three itself, and only the home chain has the last four
+HARNESS_PHASES = ("prices", "queue", "script")
+PHASE_ORDER = ("prices", "monitors", "drains", "intents", "peg keepers", "queue", "script",
+               "noise", "perps", "rugproof", "insurance", "bridge", "supply")
+HOME_PHASES = ("rugproof", "insurance", "bridge", "supply")
+PHASE_BOOKS = BOOKS + (RiskMonitors, market.PegKeepers, market.NoiseTraders, SupplyController)
+
+
+@pytest.mark.parametrize("make_doc", [lambda: reference_scenario(blocks=60),
+                                      lambda: multichain_doc(), every_book_doc],
+                         ids=["reference", "multichain", "every-book"])
+def test_the_harness_runs_no_game(make_doc):
+    # the harness runs the prices, queue and script phases and no other: every
+    # other phase is a built book's on_block, and the book sections of
+    # state.json are exactly the built books' snapshots
+    assert not hasattr(harness, "ChainView")
+    assert sorted(name for name in dir(Simulation) if name.startswith(("_phase_", "_exec_"))) \
+        == ["_phase_prices", "_phase_queue", "_phase_script"]
+    sim, trace = run_scenario(make_doc())
+    built = {handler.__self__ for handler in sim._handlers.values()} - {sim}
+    for chain, phases in sim._phases.items():
+        names = [name for name, _ in phases]
+        assert names == [name for name in PHASE_ORDER if name in names], chain
+        assert {"bridge", "supply"} <= set(names) if chain == sim.scenario.home_chain \
+            else set(names).isdisjoint(HOME_PHASES), chain
+        for name, on_block in phases:
+            owner = on_block.__self__
+            if name in HARNESS_PHASES:
+                assert owner is sim and on_block.__func__ is getattr(Simulation, "_phase_" + name)
+            else:
+                assert type(owner) in PHASE_BOOKS, name
+                assert on_block.__func__ is type(owner).__dict__["on_block"], name
+                built.add(owner)
+    sections = {}
+    for book in built:
+        if hasattr(book, "snapshot"):
+            sections.update(book.snapshot())
+    state = trace.final_state
+    assert {key: state[key] for key in sections} == sections
+    unbuilt = {"perps", "insurance"} - set(sections)
+    assert set(state) - set(sections) == {"height", "balances", "supply", "home_token_supply",
+                                          "failed_events"} | unbuilt
+    assert all(state[key] == {} for key in unbuilt)
+
+
 def benchmark_tracer():
     """The benchmark's tracer module, ``perfbench/tracing.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -1411,9 +1458,9 @@ def test_each_chain_scans_the_mints_of_its_own_tokens():
     doc = multichain_doc()
     doc["tokens"].append({"id": "R", "chain": "beta"})
     sim = Simulation(load_scenario(doc))
-    mint_tokens = {chain: view.mint_tokens for chain, view in sim._chain_views.items()}
-    assert mint_tokens == {"alpha": ["RA", "anti:RA@alpha"], "beta": ["RB", "anti:RB@beta"],
-                           "gamma": ["RC", "anti:RC@gamma"], "home": ["USDN"]}
+    assert sim.monitors.mint_tokens == {
+        "alpha": ["RA", "anti:RA@alpha"], "beta": ["RB", "anti:RB@beta"],
+        "gamma": ["RC", "anti:RC@gamma"], "home": ["USDN"]}
 
 
 def test_running_totals_are_exact_ints():
@@ -1432,7 +1479,8 @@ def test_running_totals_are_exact_ints():
     sim.ledger.transfer("alice", "z", "RUG", whole)
     sim.ledger.transfer("z", "alice", "RUG", whole)
     sim.ledger.transfer("alice", "z", "RUG", QUANTUM)
-    assert sim._unscanned_mints["USDN"] == sim._unscanned_outflows["alice", "RUG"] \
+    monitors = sim.monitors
+    assert monitors.unscanned_mints["USDN"] == monitors.unscanned_outflows["alice", "RUG"] \
         == MAX_RAW + 1
     sim.step()
     sim.step()

@@ -1,5 +1,5 @@
 """Deterministic arithmetic substrate: the error types, fixed-point amounts,
-identifiers, the FNV-1a trace hash, and seeded randomness.
+identifiers, and seeded randomness, each stream seeded by a 64-bit FNV-1a.
 
 Every monetary quantity in the simulator is a ``FixedAmount``: an integer
 count of 1e-9 units. Addition and subtraction are exact; multiplication and
@@ -19,8 +19,7 @@ import random
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 
 class RugsimError(Exception):
@@ -439,257 +438,22 @@ VaultId = str
 PoolId = str
 
 
-# -- trace hash: 64-bit FNV-1a ------------------------------------------
+# -- stream seeds: 64-bit FNV-1a -----------------------------------------
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-# Inputs shorter than _FNV_BULK_MIN bytes take the per-byte loop, which is
-# faster there (on CPython 3.11 the two cost the same near 600 bytes).
-# Longer ones go to the bulk kernel.  Its Step 1 runs on slices of at most
-# _FNV_SLICE bytes, which keeps its temporaries below 300 KB.  Its Step 2
-# takes an input of at most _FNV_ONE_ROW bytes as one row (on CPython 3.11,
-# rows are faster past that) and cuts a longer one into rows (see
-# _fnv1a_row_length), summed in balanced groups of at most _FNV_GROUP rows.
-_FNV_BULK_MIN = 640
-_FNV_SLICE = 16384
-_FNV_ONE_ROW = 10240
-_FNV_ROW = 2048
-_FNV_GROUP = 64
-_FNV_SLOTS = max(_FNV_ONE_ROW, _FNV_ROW)  # 32-bit slots of the longest row
-
-
-def _every(pattern: bytes, count: int) -> int:
-    return int.from_bytes(pattern * count, "big")
-
-
-# delta-swap steps of an 8x8 bit transpose within every 64-bit word
-_TRANSPOSE_STEPS = ((7, _every(b"\x00\xaa", _FNV_SLICE // 2)),
-                    (14, _every(b"\x00\x00\xcc\xcc", _FNV_SLICE // 4)),
-                    (28, _every(b"\x00\x00\x00\x00\xf0\xf0\xf0\xf0", _FNV_SLICE // 8)))
-_LOW8_OF_32 = _every(b"\x00\x00\x00\xff", _FNV_SLOTS)
-_BIAS_OF_32 = _every(b"\x00\x00\x80\x00", _FNV_SLOTS)  # 2**15 in every 32-bit slot
-_LOW32_OF_64 = _every(b"\x00" * 4 + b"\xff" * 4, _FNV_SLOTS // 2)
-_LOW64_OF_128 = _every(b"\x00" * 8 + b"\xff" * 8, _FNV_SLOTS // 4)
-_PRIME_SQUARED = FNV_PRIME * FNV_PRIME & _MASK64
-# (P**4)**(2**k) mod 2**64: the weights of the fold's levels
-_PRIME_FOURTH_POWERS = tuple(pow(FNV_PRIME, 4 << k, 1 << 64)
-                             for k in range((_FNV_SLOTS // 4).bit_length()))
-# the low byte of a_i * FNV_PRIME is a_i + (a_i << 1) + (a_i << 4)
-# + (a_i << 5) + (a_i << 7) mod 256, since FNV_PRIME & 0xFF == 0xB3
-_PRIME_LOW_SHIFTS = (1, 4, 5, 7)
-
-
-def _transpose8(x: int) -> int:
-    """Transpose the 8x8 bit matrix of every 64-bit word of ``x`` (Warren,
-    Hacker's Delight, 7-3): counting bytes and bits from the most
-    significant end, bit j of byte k trades places with bit k of byte j."""
-    for shift, mask in _TRANSPOSE_STEPS:
-        t = (x ^ (x >> shift)) & mask
-        x ^= t ^ (t << shift)
-    return x
-
-
-def _fnv1a_low_bytes(data: bytes, low: int) -> tuple[bytes, int]:
-    """Step 1 of ``fnv1a_64`` on 1 to _FNV_SLICE bytes, from l_0 = ``low``:
-    b_i & l_i for every byte b_i, and the low byte after the last one."""
-    n = len(data)
-    size = (n + 7) & ~7  # data padded with zero bytes to whole words
-    pad = (size - n) * 8
-    words = size >> 3
-    # bit plane c of b, l, a and b & l holds bit c of every byte of the
-    # slice, the first byte at the plane's most significant bit.  The
-    # transpose puts plane c at byte 7 - c of every word.
-    planes = _transpose8(int.from_bytes(data, "big") << pad).to_bytes(size, "big")
-    ones = (1 << size) - 1
-    a: list[int] = []
-    carries: list[int] = []  # carried into column c of the sum 0xB3 * a
-    b_and_l = bytearray(size)
-    for c in range(8):
-        b = int.from_bytes(planes[7 - c::8], "big")
-        column = [a[c - k] for k in _PRIME_LOW_SHIFTS if k <= c] + carries
-        # bit c of l_(i+1) = bit c of a_i ^ the rest of column c at byte i
-        d = b
-        for term in column:
-            d ^= term
-        span = 1
-        while span < size:  # prefix XOR from the first byte on
-            d ^= d >> span
-            span <<= 1
-        l = d >> 1
-        if low >> c & 1:
-            l ^= ones
-        a.append(l ^ b)
-        b_and_l[7 - c::8] = (l & b).to_bytes(words, "big")
-        # full adders reduce the column to its sum bit; bit 7 carries nowhere
-        column.append(a[c])
-        carries = []
-        while c < 7 and len(column) > 1:
-            x, y = column.pop(), column.pop()
-            z = column.pop() if column else 0
-            carries.append(x & y | (x ^ y) & z)
-            column.append(x ^ y ^ z)
-    last = sum((plane >> (size - n) & 1) << c for c, plane in enumerate(a))  # a_(n-1)
-    del planes, a  # before the second transpose, which needs the most memory
-    b_and_l = (_transpose8(int.from_bytes(b_and_l, "big")) >> pad).to_bytes(n, "big")
-    return b_and_l, 0xB3 * last & 0xFF
-
-
-def _fnv1a_row(data: bytes, b_and_l: bytes) -> int:
-    """One row as an int in base 2**32 whose digits, the first byte's on
-    top, are d_i = a_i - l_i = b_i - 2*(b_i & l_i); digits may be
-    negative."""
-    spread = bytearray(4 * len(data))
-    spread[3::4] = data
-    spread[2::4] = b_and_l
-    x = int.from_bytes(spread, "big")  # each slot is b_i + 256*(b_i & l_i)
-    return x - ((x >> 8) & _LOW8_OF_32) * 258
-
-
-def _fnv1a_row_length(n: int) -> int:
-    """Step 2's row length K for an n-byte input: n itself up to
-    _FNV_ONE_ROW bytes, else the power of two that cuts the input into 17
-    to 32 rows, but at most _FNV_ROW."""
-    if n <= _FNV_ONE_ROW:
-        return n
-    return min(_FNV_ROW, 1 << ((n - 1).bit_length() - 5))
-
-
-def _fnv1a_rows(data: bytes, row: int, low: int) -> Iterator[int]:
-    """Every ``row``-byte row of ``data``, from l_0 = ``low``; the rows are
-    cut from the end, so the first one may be short."""
-    n, data = len(data), memoryview(data)  # rows and slices without copies
-    start, end = 0, (n - 1) % row + 1
-    while start < n:
-        stop = min(n, end + _FNV_SLICE - row)  # Step 1 takes whole rows
-        b_and_l, low = _fnv1a_low_bytes(data[start:stop], low)
-        base = start
-        while start < stop:
-            yield _fnv1a_row(data[start:end], b_and_l[start - base:end - base])
-            start, end = end, end + row
-
-
-def _fnv1a_group(rows: Iterable[int], row: int) -> int:
-    """Step 2 of ``fnv1a_64`` on Q rows of ``row`` bytes, the first one
-    front-padded: a number equal to sum(d_i * P**(m-1-i)) mod 2**64, with
-    m = Q * row."""
-    most = 63 // (row.bit_length() + 1)  # J, for row = 2**k when Q > 1
-    rows = iter(rows)
-    moments = [next(rows)]
-    for d in rows:  # moments[j] ends as the sum of d_q * C(Q-1-q, j)
-        if len(moments) <= most:
-            moments.append(0)
-        for j in range(len(moments) - 1, 0, -1):
-            moments[j] += moments[j - 1]
-        moments[0] += d
-    # 2**15 added to every digit of moment 0, and 2**31 to every digit of
-    # the others, turns each digit into a slot in [0, 2**32).  Then widen to
-    # a 128-bit stride whose slot m weighs P**(4m): moment 0 pairs adjacent
-    # slots with P and then P**2; moment j > 0 splits into its slots 4m + c
-    # and weighs them with u**j * P**c.
-    bias = _BIAS_OF_32 >> (_FNV_SLOTS - row) * 32
-    s = moments[0] + bias
-    y = ((s >> 32) & _LOW32_OF_64) * FNV_PRIME + (s & _LOW32_OF_64)
-    w = ((y >> 64) & _LOW64_OF_128) * _PRIME_SQUARED + (y & _LOW64_OF_128)
-    added = 1 << 15
-    for j, s in enumerate(moments[1:], 1):
-        weight = pow(pow(FNV_PRIME, row, 1 << 64) - 1, j, 1 << 64)  # u**j
-        added += weight << 31
-        s += bias << 16
-        even, odd = s & _LOW32_OF_64, (s >> 32) & _LOW32_OF_64
-        for part in (even, odd, even >> 64, odd >> 64):
-            w += (part & _LOW64_OF_128) * weight
-            weight = weight * FNV_PRIME & _MASK64
-    w &= _LOW64_OF_128
-    level = ((row + 3) // 4 - 1).bit_length()  # 2**level slots hold them all
-    while level:  # fold the top half of the slots onto the bottom half
-        level -= 1
-        half = 128 << level
-        w = ((w >> half) * _PRIME_FOURTH_POWERS[level]
-             + (w & ((1 << half) - 1))) & _LOW64_OF_128
-    # less what the biases added: added * sum(P**r for r < row)
-    ones_sum = (pow(FNV_PRIME, row, (FNV_PRIME - 1) << 64) - 1) // (FNV_PRIME - 1)
-    return w - added * ones_sum
-
-
 def fnv1a_64(data: bytes, state: int = FNV_OFFSET) -> int:
-    """64-bit FNV-1a of ``data`` from ``state``: the textbook
-    ``h = ((h ^ b) * P) mod 2**64`` for each byte b, with P = FNV_PRIME;
-    also used for trace fingerprints.
-
-    Inputs of _FNV_BULK_MIN bytes or more are hashed by a kernel with no
-    per-byte Python loop.  It rests on one identity.  Let l_i = h_i & 0xFF
-    and a_i = l_i ^ b_i.  XOR with a byte changes only the low byte, so
-    h_i ^ b_i = h_i + a_i - l_i exactly, and the recurrence unrolls to
-
-        h_n = h_0 * P**n + P * sum(d_i * P**(n-1-i)) mod 2**64,
-
-    with d_i = a_i - l_i = b_i - 2*(b_i & l_i), l_0 = h_0 & 0xFF and
-    l_(i+1) = (0xB3 * a_i) & 0xFF, the low byte of P being 0xB3.  Both
-    steps compute that formula exactly:
-
-    1. The low bytes, one _FNV_SLICE-byte slice at a time, each slice
-       starting from the low byte the one before it ended with.  Bit c of
-       l_(i+1) is bit c of a_i XOR a function of the lower bits of a_i (the
-       partial products and carries of 0xB3 * a_i), so bit plane c of l is
-       a prefix XOR of b ^ that function, computed with log2(n) shift-XORs
-       once planes 0..c-1 are known.  An 8x8 bit transpose splits the bytes
-       into planes and a second one joins b & l back into bytes.
-    2. The sum, by row moments.  Cut the input into Q rows of K bytes, the
-       first one front-padded with d = 0, and let d_(q,r) be byte r of
-       row q.  For K = 2**k, P**K = 1 + u with u = 0 mod 2**(k+2), as
-       P = 3 mod 8; so u**j = 0 mod 2**64 for j > J = 63 // (k+2), and
-       (P**K)**e = sum(C(e, j) * u**j for j <= J) mod 2**64.  Hence
-
-           sum = sum_r P**(K-1-r) * sum_j u**j * M_j[r] mod 2**64,
-           M_j[r] = sum_q d_(q,r) * C(Q-1-q, j).
-
-       A row is one big int with base-2**32 digits d_(q,r), and M_0..M_J
-       are big ints too: per row, M_j += M_(j-1) for j = J down to 1, then
-       M_0 += the row, one exact big-int addition each.  An input of at
-       most _FNV_ONE_ROW bytes is one row (Q = 1, M_0 = d).  A longer one
-       is cut into rows of K = 512, 1024 or _FNV_ROW = 2048 bytes: 17 to
-       32 rows up to 64 KiB (J = 5 for K <= 1024, J = 4 for K = 2048), and
-       beyond that rows of 2048 bytes, summed in balanced groups of at most
-       _FNV_GROUP = 64 rows that are chained by powers of P.  A digit of M_j
-       is at most 255 * C(Q, j+1) in size: below 2**31 for Q <= 32 with
-       J = 5 and for Q <= 64 with J = 4, and below 2**14 for M_0.  So
-       adding 2**31 to every digit of M_j (2**15 for M_0) leaves every
-       digit a 32-bit slot in [0, 2**32), and the biases' share, known in
-       closed form, is subtracted at the end.  Each group is combined once:
-       M_0's adjacent slots are paired with P and then P**2, and M_j's
-       slots 4m + c are weighed with u**j * P**c, into a 128-bit stride
-       whose slot m weighs P**(4m) and holds less than 2**122.  Every slot
-       is masked to 64 bits, and the top half of the slots, multiplied by a
-       power of P**4, is added to the bottom half until one slot is left.
-       No slot overflows its stride, so each level is exact mod 2**64.  The
-       biases added sum(bias_j * u**j) * (P**K - 1) / (P - 1), with P**K
-       taken mod (P - 1) * 2**64 so that the division is exact.
-
-    Nothing is dropped but multiples of 2**64, so the result is the
-    per-byte loop's, bit for bit, for every input and every state.
-    """
-    n = len(data)
-    if n < _FNV_BULK_MIN:
-        h = state
-        for byte in data:
-            h = ((h ^ byte) * FNV_PRIME) & _MASK64
-        return h
-    low, row = state & 0xFF, _fnv1a_row_length(n)
-    if row == n:
-        w = _fnv1a_group([_fnv1a_row(data, _fnv1a_low_bytes(data, low)[0])], n)
-    else:
-        rows = _fnv1a_rows(data, row, low)
-        count = -(-n // row)
-        groups = -(-count // _FNV_GROUP)
-        w = 0
-        for g in range(groups):
-            size = (count + g) // groups  # balanced: the sizes add up to count
-            w = (w * pow(FNV_PRIME, size * row, 1 << 64)
-                 + _fnv1a_group(islice(rows, size), row)) & _MASK64
-    return (state * pow(FNV_PRIME, n, 1 << 64) + FNV_PRIME * w) & _MASK64
+    """64-bit FNV-1a of ``data`` from ``state``:
+    ``h = ((h ^ b) * FNV_PRIME) mod 2**64`` for each byte b. It seeds every
+    ``SeededRng`` stream, so it must not change: that would move every
+    seeded draw."""
+    h = state
+    for byte in data:
+        h = ((h ^ byte) * FNV_PRIME) & _MASK64
+    return h
 
 
 # -- seeded randomness --------------------------------------------------

@@ -5,8 +5,6 @@ import hashlib
 import time
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
 
 import mpmath
 import pytest
@@ -393,9 +391,20 @@ def test_fixed_pow():
 
 
 def test_fnv1a_is_stable():
-    # pinned reference values keep trace hashes comparable across builds
+    # pinned reference values keep every seeded stream's draws across builds
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+
+
+def test_noise_stream_draws_are_pinned():
+    # each stream is seeded with fnv1a_64 of the seed and its labels; these
+    # draws of builtin:reference's first noise trader predate the BLAKE2b
+    # trace digest, so no change to the digest can move them unseen
+    assert fnv1a_64((42).to_bytes(8, "big") + b"noise/alice") == 12486866519131964660
+    rng = SeededRng(42).stream("noise", "alice")
+    assert [rng.random() for _ in range(3)] == [0.9045910173820476, 0.22768417793279616,
+                                                0.8300642090285724]
+    assert rng.randint(1, 5 * SCALE) == 2180844049
 
 
 def fnv1a_per_byte(data: bytes, state: int) -> int:
@@ -417,7 +426,8 @@ def test_fnv1a_matches_per_byte_loop_at_every_short_length():
 @given(st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=4),
        st.integers(min_value=0, max_value=2**64 - 1))
 def test_fnv1a_matches_per_byte_loop_on_chained_chunks(chunks, state):
-    # the state is chained through the chunks as the trace writer chains lines
+    # the state chains through chunks: hashing them one after another is
+    # hashing their concatenation
     expected = got = state
     for chunk in chunks:
         expected = fnv1a_per_byte(chunk, expected)
@@ -426,120 +436,10 @@ def test_fnv1a_matches_per_byte_loop_on_chained_chunks(chunks, state):
     assert fnv1a_64(b"".join(chunks), state) == expected
 
 
-# the bulk kernel hashes inputs of _FNV_BULK_MIN bytes or more, in slices
-BULK, SLICE = core._FNV_BULK_MIN, core._FNV_SLICE
-BULK_DATA = hashlib.shake_128(b"rugsim fnv1a").digest(100_000)
-
-
-# half a slice is one row below _FNV_ONE_ROW; a slice and a half, plus 7,
-# is a 7-byte row and then 1024-byte rows, over two Step-1 slices
-@pytest.mark.parametrize("length", [BULK - 1, BULK, BULK + 1, SLICE - 1, SLICE, SLICE + 1,
-                                    3 * SLICE + 7, SLICE // 2 - 1, SLICE // 2,
-                                    SLICE // 2 + 1, 3 * SLICE // 2 + 7])
-def test_fnv1a_bulk_matches_per_byte_loop_around_the_cutoff_and_slice(length):
-    data = BULK_DATA[:length]
-    for state in (0, 0xCBF29CE484222325, 2**64 - 1, 2**70 + 0x1234):
-        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
-
-
-def test_fnv1a_bulk_matches_per_byte_loop_from_every_low_byte():
-    # the kernel solves the low byte's automaton from the state's low byte
-    data = BULK_DATA[:BULK + 9]
-    for low in range(256):
-        state = 0x9E3779B97F4A7C00 | low
-        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
-
-
-@pytest.mark.parametrize("pattern", [b"\x00", b"\xff", b"\x55", b"\xaa", b"\x55\xaa"],
-                         ids=["00", "ff", "55", "aa", "55aa"])
-def test_fnv1a_bulk_matches_per_byte_loop_on_long_carry_chains(pattern):
-    data = pattern * (SLICE + BULK)
-    for state in (0, 0xCBF29CE484222325, 0xFF, 2**64 - 1):
-        assert fnv1a_64(data, state) == fnv1a_per_byte(data, state)
-
-
-def test_fnv1a_bulk_takes_any_bytes_like_and_chains_across_chunks():
-    # chunks on each side of the cutoff and the slice size
-    sizes = (BULK + 3, 5, SLICE + 1, BULK - 1, SLICE, 2 * BULK)
-    data = BULK_DATA[:sum(sizes)]
-    expected = fnv1a_per_byte(data, 0xCBF29CE484222325)
-    for wrap in (bytes, bytearray, memoryview):
-        assert fnv1a_64(wrap(data)) == expected
-    state, start = 0xCBF29CE484222325, 0
-    for size in sizes:
-        state = fnv1a_64(memoryview(data)[start:start + size], state)
-        start += size
-    assert state == expected
-
-
-# every length where the kernel changes course, and one off each side:
-# the one-row limit and each change of row length, the Step-1 slice, the
-# row length itself (alone and 40 rows long) and a full group of rows
-ROW, GROUP, ONE_ROW = core._FNV_ROW, core._FNV_GROUP, core._FNV_ONE_ROW
-EDGES = {ONE_ROW, 16384, 32768, SLICE, ROW, 40 * ROW, GROUP * ROW}
-KERNEL_LENGTHS = sorted({edge + step for edge in EDGES for step in (-1, 0, 1)}
-                        | {64 * 1024, 128 * 1024 + 7, 256 * 1024, 300_000})
-STATES = (0, 0xCBF29CE484222325, 2**64 - 1, 2**70 + 0x1234)
-KERNEL_DATA = hashlib.shake_128(b"rugsim fnv1a kernel").digest(300_000)
-# a 300 KB chain cut as the trace writer's flushes and verify's blocks cut it
-FLUSH_CUTS = (0, 137_000, 248_111, 300_000)
-BLOCK_CUTS = (*range(0, 300_000, 65536), 300_000)
-
-
-@lru_cache(maxsize=None)
-def per_byte_prefixes(state: int) -> dict[int, int]:
-    """fnv1a_per_byte of each needed prefix of KERNEL_DATA, from one pass."""
-    wanted = set(KERNEL_LENGTHS) | set(FLUSH_CUTS) | set(BLOCK_CUTS)
-    prefixes = {0: state}
-    for length, byte in enumerate(KERNEL_DATA, 1):
-        state = ((state ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        if length in wanted:
-            prefixes[length] = state
-    return prefixes
-
-
-def test_kernel_lengths_cross_every_row_length():
-    # past one row, rows of 512, 1024 and 2048 bytes, in one to three groups
-    rows = {core._fnv1a_row_length(n) for n in KERNEL_LENGTHS if n > ONE_ROW}
-    assert rows == {512, 1024, ROW}
-    groups = {-(-n // ROW // GROUP) for n in KERNEL_LENGTHS if n > 32 * ROW}
-    assert groups == {1, 2, 3}
-
-
-@pytest.mark.parametrize("state", STATES, ids=["zero", "offset", "ones", "wide"])
-def test_fnv1a_kernel_matches_per_byte_loop_at_its_boundaries(state):
-    expected = per_byte_prefixes(state)
-    for length in KERNEL_LENGTHS:
-        assert fnv1a_64(KERNEL_DATA[:length], state) == expected[length], length
-
-
-@pytest.mark.parametrize("cuts", [FLUSH_CUTS, BLOCK_CUTS], ids=["flushes", "blocks"])
-def test_fnv1a_kernel_chains_across_flush_and_block_cuts(cuts):
-    expected = per_byte_prefixes(core.FNV_OFFSET)
-    state = core.FNV_OFFSET
-    for start, end in zip(cuts, cuts[1:]):
-        state = fnv1a_64(memoryview(KERNEL_DATA)[start:end], state)
-        assert state == expected[end], end
-
-
-def test_fnv1a_row_moments_fit_their_slots():
-    # moment j of Q rows has digits of at most 255 * C(Q, j+1) in size; the
-    # kernel biases moment 0 by 2**15 and the others by 2**31, and keeps
-    # moments while u**j, u = P**row - 1, is not 0 mod 2**64
-    for n in (ONE_ROW + 1, 16384, 16385, 32768, 32769, 64 * 1024, 256 * 1024):
-        row = core._fnv1a_row_length(n)
-        rows = min(-(-n // row), GROUP)
-        u = pow(core.FNV_PRIME, row, 2**64) - 1
-        most = 63 // (row.bit_length() + 1)
-        assert u ** most % 2**64 != 0 and u ** (most + 1) % 2**64 == 0
-        assert 255 * rows < 2**14
-        assert all(255 * comb(rows, j + 1) < 2**31 for j in range(1, most + 1))
-
-
 def test_fnv1a_bulk_digest_is_pinned():
-    # 100 KB hashed by the per-byte loop when the kernel was written
-    assert fnv1a_64(BULK_DATA) == 0x6ECAF7548553F94B
-    assert fnv1a_per_byte(BULK_DATA, 0xCBF29CE484222325) == 0x6ECAF7548553F94B
+    # 100 KB hashed by the per-byte loop when the former bulk kernel was written
+    data = hashlib.shake_128(b"rugsim fnv1a").digest(100_000)
+    assert fnv1a_64(data) == 0x6ECAF7548553F94B
 
 
 def test_substreams_are_independent():

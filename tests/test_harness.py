@@ -232,7 +232,7 @@ def test_withdrawals_of_one_owner_count_and_hold_together():
     assert (second["account"], second["index"]) == ("sock-b", 2)
     assert (second["rate"], second["penalty"], second["returned"]) \
         == ("0.20203125", "6.0609375", "23.9390625")
-    assert trace.trace_hash() == "2441a43f60281a86"
+    assert trace.trace_hash() == "5cb2d3777e4d29ba13c1c48873eec7ee0b5006349815f0af7a87efe5e2e85359"
     # each account its own owner: two first withdrawals at the same rate
     _, trace = run_scenario(owner_doc(None))
     assert [(e["index"], e["rate"]) for e in trace.events if e["type"] == "withdraw"] \
@@ -305,7 +305,7 @@ def test_a_failed_drain_is_recorded_and_no_longer_pending():
     assert not any(e["type"] == "drain_executed" for e in trace.events)
     assert not any(e["type"] == "swap" and e["memo"] == "backrun" for e in trace.events)
     assert sim.drains.pending == []
-    assert trace.trace_hash() == "6565cb7fb56d10f8"
+    assert trace.trace_hash() == "2a1d61410a4bf3aaf12104959d024abf370d9544217c20abc407c82f967f9b84"
 
 
 def test_a_failed_drain_leaves_the_sandwich_post_leg_unswapped():
@@ -345,7 +345,7 @@ def test_two_detectors_plan_each_move_against_a_drain_once():
                      (7, "sandwich_post", "guard"), (7, "backrun", "guard")]
     assert sim.drains.pending == [] and trace.failed_events == 0
     # measured before queued transactions carried their own actions
-    assert trace.trace_hash() == "d0ef312b97d7952c"
+    assert trace.trace_hash() == "16bf972de87538167a2d70e57a94b6b299918497e3209fef8ad3b66918771ab7"
 
 
 def overlapping_detectors_doc(window):
@@ -368,19 +368,22 @@ def overlapping_detectors_doc(window):
 @pytest.mark.parametrize("window,plans,moves,digest", [
     # the drain executes the block after it is submitted: no block lies
     # before it, so nothing is front-run or sandwiched; the back-run runs
-    (1, [], [(5, "backrun", "guard-2")], "7136b6c9e5cf4d24"),
+    (1, [], [(5, "backrun", "guard-2")],
+     "ed391da3b3c37ec84fd2344db7d331a6806b6fcb996e82267399dd79bd4ca166"),
     # the block after submission is the block before execution: front-runs
     # and the sandwich are planned together, in detector order
     (2, [(5, "frontrun", "frontrun-user"), (5, "sandwich", "guard"),
          (5, "frontrun", "unprotected")],
      [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
       (6, "sandwich_pre", "guard"), (6, "sandwich_post", "guard"),
-      (6, "backrun", "guard-2")], "0d2629949f901089"),
+      (6, "backrun", "guard-2")],
+     "94dfc07ccfdf612ec51118a9bfc151a02033067ca81d859238f15217fd4f1904"),
     (3, [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
          (6, "sandwich", "guard")],
      [(5, "frontrun", "frontrun-user"), (5, "frontrun", "unprotected"),
       (7, "sandwich_pre", "guard"), (7, "sandwich_post", "guard"),
-      (7, "backrun", "guard-2")], "b49d8403de69654a"),
+      (7, "backrun", "guard-2")],
+     "9761229efd39f8a4182e335ce1b30069f6688521aa75bc0aba31ee73a692fb97"),
 ], ids=["window1", "window2", "window3"])  # no digest in the id: re-pinning keeps the name
 def test_drain_windows_time_each_move_once(window, plans, moves, digest):
     # measured before the engine alone timed the moves against a drain
@@ -777,7 +780,9 @@ def test_a_dispute_book_is_built_for_its_ops_or_its_section(tmp_path):
     assert set(RugproofBook.OPS + InsuranceBook.OPS) <= set(sim._handlers)
     assert "open_position" not in sim._handlers
     assert [e["type"] for e in trace.events].count("rug_claim_resolved") == 1
-    assert trace.failed_events == 0 and trace.trace_hash() == "cb1389da554b58fa"
+    assert trace.failed_events == 0
+    assert trace.trace_hash() == \
+        "b3f5c8c2bbd354c40e0aea1026cbbcae21824bf312e6e8434b5b387c307ce2d4"
     # an empty section builds its empty book, which changes nothing
     doc = reference_scenario()
     doc["insurance"] = {}
@@ -788,7 +793,8 @@ def test_a_dispute_book_is_built_for_its_ops_or_its_section(tmp_path):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
     state = json.loads((tmp_path / "o" / "state.json").read_text())
     assert state["insurance"] == state["perps"] == {}
-    assert state["trace_hash"] == "f7b7555be27ef87c"
+    assert state["trace_hash"] == \
+        "0ca4b07495276dc1cae9d03b53038292ec359340685d802c037c7a0a947b327a"
 
 
 # every phase name, in the order harness.py's docstring gives; the harness
@@ -1427,7 +1433,7 @@ def test_multichain_visit_order_is_pinned():
     assert seen[("liquidation", "alpha", None)] == 4
     assert seen[("swap", "beta", "intent")] == 1
     assert trace.failed_events == 1
-    assert trace.trace_hash() == "e30bc0a32306b408"
+    assert trace.trace_hash() == "cd935746fa3658002d06af628ff689f0b633b26745c50ee87979890277bb7427"
 
 
 def test_every_undeclared_account_is_engine_owned():
@@ -1449,7 +1455,7 @@ def test_every_undeclared_account_is_engine_owned():
             if any(account.startswith(prefix) for account in made)} \
         == set(ENGINE_ACCOUNT_PREFIXES)
     # rug-claim, insurance-claim, policy-expiry and bidder-liquidation timing
-    assert trace.trace_hash() == "bb12b9bb83e810bb"
+    assert trace.trace_hash() == "f259471b3b117a89b620e7bb3b1d91cfe91d16260d41bac680b8b20fbae35fde"
 
 
 def test_each_chain_scans_the_mints_of_its_own_tokens():

@@ -3,23 +3,32 @@ them, so a run's memory does not grow with its length; the verifier
 streams the trace in bounded memory and names the first event that breaks
 conservation, with its line."""
 
+import _blake2
+import hashlib
 import json
 import shutil
 import tempfile
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rugsim import core, trace as trace_module
+from rugsim import trace as trace_module
 from rugsim.cli import main
 from rugsim.core import MAX_RAW, SCALE, ParameterError, amt, fnv1a_64
 from rugsim.harness import Simulation, run_scenario
 from rugsim.scenario import load_scenario, reference_scenario, scam_scenario
-from rugsim.trace import FLUSH_EVENTS, Trace, _amount_raw, canonical_line, verify_trace
+from rugsim.trace import (FLUSH_EVENTS, READ_BLOCK, Trace, _amount_raw, canonical_line,
+                          verify_trace)
 
 from test_harness import multichain_doc
+
+
+def digest_of(data: bytes) -> str:
+    """The trace hash of these events.jsonl bytes: their BLAKE2b-256, in hex."""
+    return hashlib.blake2b(data, digest_size=32).hexdigest()
 
 
 def short_trace() -> Trace:
@@ -34,7 +43,7 @@ def reference_2000() -> Trace:
 def test_written_hash_matches_the_file_bytes(tmp_path):
     trace = short_trace()
     trace.write(str(tmp_path))
-    from_file = f"{fnv1a_64((tmp_path / 'events.jsonl').read_bytes()):016x}"
+    from_file = digest_of((tmp_path / "events.jsonl").read_bytes())
     state = json.loads((tmp_path / "state.json").read_text())
     assert (tmp_path / "hash.txt").read_text() == from_file + "\n"
     assert state["trace_hash"] == from_file
@@ -147,7 +156,7 @@ def test_a_run_builds_no_json_encoder(tmp_path, monkeypatch):
 def test_streaming_matches_the_canonical_bytes_at_every_batch_size(events, flush_events,
                                                                    probe):
     def digest(count: int) -> str:
-        return f"{fnv1a_64(b''.join(lines[:count])):016x}"
+        return digest_of(b"".join(lines[:count]))
 
     lines = [(canonical_line(event) + "\n").encode("utf-8") for event in events]
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
@@ -205,27 +214,83 @@ def test_a_failed_run_removes_only_the_directories_its_trace_made(tmp_path):
 
 
 def test_each_flush_and_read_block_is_hashed_in_one_call(tmp_path, monkeypatch):
-    # the benchmark counts fnv1a_64 calls and bytes at every binding of the
-    # name, as here: slicing inside the kernel must not show in the count
+    # the digest is fed each flushed batch, then each block verify reads,
+    # in one call: the C hash does the per-byte work
     sizes = []
 
-    def counted(data, state=core.FNV_OFFSET):
-        sizes.append(len(data))
-        return fnv1a_64(data, state)
-    monkeypatch.setattr(core, "fnv1a_64", counted)
-    monkeypatch.setattr(trace_module, "fnv1a_64", counted)
+    class Counted:
+        def __init__(self, **kwargs):
+            self._digest = _blake2.blake2b(**kwargs)
+
+        def update(self, data):
+            sizes.append(len(data))
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+    monkeypatch.setattr(trace_module, "blake2b", Counted)
     trace = Trace(str(tmp_path))
     for i in range(2 * FLUSH_EVENTS + 5):
         trace.record({"type": "note", "i": i, "memo": "m" * 40})
     trace.write()
     events = (tmp_path / "events.jsonl").read_bytes()
-    assert sizes[0] > 3 * core._FNV_SLICE
-    assert len(sizes) == 3 and sum(sizes) == len(events)
-    assert trace.trace_hash() == f"{fnv1a_64(events):016x}"
+    ends = [0, *accumulate(map(len, events.splitlines(keepends=True)))]
+    flushes = (0, FLUSH_EVENTS, 2 * FLUSH_EVENTS, 2 * FLUSH_EVENTS + 5)
+    assert sizes == [ends[b] - ends[a] for a, b in zip(flushes, flushes[1:])]
+    assert sum(sizes) == len(events) > 2 * READ_BLOCK
+    assert trace.trace_hash() == digest_of(events)
     sizes.clear()
     assert verify_trace(str(tmp_path)).ok
-    block = trace_module.READ_BLOCK
-    assert sizes == [min(block, len(events) - at) for at in range(0, len(events), block)]
+    assert sizes == [min(READ_BLOCK, len(events) - at)
+                     for at in range(0, len(events), READ_BLOCK)]
+
+
+def test_the_trace_hash_is_a_pinned_blake2b_256(tmp_path):
+    # BLAKE2b with a 32-byte digest (RFC 7693), written in full as 64 hex
+    # digits: an empty trace, then a one-line one
+    empty = "0e5751c026e543b2e8ab2eb06099daa1d1e5df47778f7787faab45cdf12fe3a8"
+    assert Trace().trace_hash() == digest_of(b"") == empty
+    Trace(str(tmp_path)).write()
+    assert (tmp_path / "hash.txt").read_text() == empty + "\n"
+    assert verify_trace(str(tmp_path)).ok
+    line = {"type": "note", "h": 1, "chain": "home", "memo": "one"}
+    assert Trace(events=[line]).trace_hash() \
+        == digest_of(b'{"chain":"home","h":1,"memo":"one","type":"note"}\n') \
+        == "221be057876f247a3672aad88c5edec9e3eaaa882a6dc5c8502c0b6602565d03"
+
+
+def test_updates_cut_at_flushes_and_blocks_give_the_whole_digest(reference_2000):
+    data = b"".join((canonical_line(event) + "\n").encode("utf-8")
+                    for event in reference_2000.events)
+    ends = [*accumulate(map(len, data.splitlines(keepends=True)))]
+    flushes = [0, *ends[FLUSH_EVENTS - 1::FLUSH_EVENTS], len(data)]
+    blocks = [*range(0, len(data), READ_BLOCK), len(data)]
+    assert len(flushes) > 3 and len(blocks) > 3
+    whole = digest_of(data)
+    for cuts in (flushes, blocks, sorted(set(flushes + blocks))):
+        digest = trace_module.blake2b(digest_size=32)
+        for start, end in zip(cuts, cuts[1:]):
+            digest.update(data[start:end])
+        assert digest.hexdigest() == whole
+    assert reference_2000.trace_hash() == whole
+
+
+def test_the_digest_is_hashlibs_blake2b_without_hashlib():
+    # trace.py imports the object that hashlib.blake2b names from _blake2,
+    # so a run or verify never loads hashlib and OpenSSL's libcrypto
+    assert trace_module.blake2b is _blake2.blake2b is hashlib.blake2b
+
+
+def test_a_trace_sealed_with_a_16_digit_fnv1a_digest_fails_verify(tmp_path):
+    # traces written before the digest became BLAKE2b-256 must be re-run
+    trace = short_trace()
+    trace.write(str(tmp_path))
+    old = f"{fnv1a_64((tmp_path / 'events.jsonl').read_bytes()):016x}"
+    (tmp_path / "hash.txt").write_text(old + "\n")
+    edit_state(tmp_path, trace_hash=old)
+    result = verify_trace(str(tmp_path))
+    assert (result.ok, result.error) == (
+        False, f"hash mismatch: recorded {old}, recomputed {trace.trace_hash()}")
 
 
 def tamper(trace_dir, index: int, drop: tuple = (), whole: object = None,
@@ -249,7 +314,7 @@ def tamper(trace_dir, index: int, drop: tuple = (), whole: object = None,
 def reseal(trace_dir) -> None:
     """Make hash.txt and state.json's trace_hash those of events.jsonl as
     it now is."""
-    digest = f"{fnv1a_64((trace_dir / 'events.jsonl').read_bytes()):016x}"
+    digest = digest_of((trace_dir / "events.jsonl").read_bytes())
     (trace_dir / "hash.txt").write_text(digest + "\n")
     edit_state(trace_dir, trace_hash=digest)
 
@@ -338,7 +403,7 @@ def test_reference_hash_is_pinned(reference_2000):
     # rounded value changes this hash
     trace = reference_2000
     assert sum(event["type"] == "peg_trade" for event in trace.events) == 349
-    assert trace.trace_hash() == "4370c2c334aa399b"
+    assert trace.trace_hash() == "7b0b595709d46a06e4583acec1cab64a34b4e762a916174214b3863406664051"
 
 
 def verify_peak(trace_dir) -> int:
